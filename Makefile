@@ -38,7 +38,7 @@ test:
 # loop; -race keeps the single-goroutine discipline honest at runtime
 # where the eventloop analyzer can only check structure.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/
+	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/
 
 # End-to-end conservation audit: exits nonzero on any lifecycle violation.
 audit:

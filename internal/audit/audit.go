@@ -15,6 +15,7 @@ package audit
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 )
@@ -94,23 +95,79 @@ type Event struct {
 // against the collector and telemetry stay exact at paper-trace scale
 // (tens of millions of requests) where exhaustive tracking would dominate
 // both memory and the event loop's hot path.
+//
+// Per-event detail lives in a pointer-free arena of 24-byte records, so
+// the garbage collector never scans it. The arena is a list of fixed-size
+// chunks: growing it allocates one chunk and copies nothing. Each tracked
+// sample's events form a linked list through the arena. A dense index
+// keyed by id/stride holds each list's head and tail; ids outside the
+// dense range (negative, or far beyond every id seen so far) go to a small
+// sparse map. Drop reasons are interned per ledger, so a record stores a
+// code instead of a string. Nothing is allocated for detail until the
+// first tracked id arrives. Stage, instance and exit-layer operands are
+// stored as int32.
 type Ledger struct {
-	events map[int64][]Event
-	order  []int64
+	// chunks is the event arena. Every chunk but the last holds exactly
+	// chunkLen records; the first chunk grows by append, so a ledger that
+	// tracks a handful of samples stays small. Record 0 is never used:
+	// index 0 means "none" in chains and next links.
+	chunks [][]rec
+	// dense indexes tracked ids by id/stride. sparse maps any other
+	// tracked id to its chain in spill.
+	dense  []chain
+	sparse map[int64]int32
+	spill  []chain
+	// order lists tracked ids in first-seen order, the order Verify and
+	// Digest walk.
+	order []int64
 	// stride samples per-event detail for ids divisible by it (≤1 =
 	// exhaustive).
 	stride int64
+	// reasons interns drop reasons in first-seen order; a record's reason
+	// field indexes it.
+	reasons []Reason
 	// Population-exact O(1) counters, maintained for every event whether
-	// or not its sample is tracked in detail.
+	// or not its sample is tracked in detail. byReasonTotal is indexed by
+	// reason code.
 	arrivedTotal   int
 	completedTotal int
 	droppedTotal   int
-	byReasonTotal  map[Reason]int
+	byReasonTotal  []int
 }
+
+// rec is one stored event: 24 bytes, no pointers.
+type rec struct {
+	at float64
+	// next is the arena index of the sample's next event (0 ends the list).
+	next int32
+	// a and b carry the kind's operands: stage and instance for a
+	// dispatch, stage for a merge, exit layer for a completion.
+	a, b int32
+	// reason is a drop's code in Ledger.reasons.
+	reason uint16
+	kind   Kind
+}
+
+// chain locates one sample's event list in the arena.
+type chain struct{ head, tail int32 }
+
+const (
+	chunkBits = 14
+	chunkLen  = 1 << chunkBits
+	chunkMask = chunkLen - 1
+	// maxChunks keeps every arena index within int32.
+	maxChunks = 1 << (31 - chunkBits)
+	// firstChunkCap is the first chunk's starting capacity.
+	firstChunkCap = 64
+	// denseReach is how far past twice the dense index's length a
+	// first-seen id may land and still grow the index rather than go to
+	// the sparse map.
+	denseReach = 1 << 12
+)
 
 // NewLedger returns an empty exhaustive ledger.
 func NewLedger() *Ledger {
-	return &Ledger{events: make(map[int64][]Event), stride: 1, byReasonTotal: make(map[Reason]int)}
+	return &Ledger{stride: 1}
 }
 
 // NewSampledLedger returns a ledger that audits per-sample invariants on
@@ -135,60 +192,144 @@ func (l *Ledger) Stride() int64 {
 	return l.stride
 }
 
-// tracked reports whether the sample's per-event detail is stored.
-func (l *Ledger) tracked(id int64) bool { return l.stride <= 1 || id%l.stride == 0 }
+// key maps an id to its dense-index key; tracked is false when the id's
+// per-event detail is not sampled.
+func (l *Ledger) key(id int64) (k int64, tracked bool) {
+	if l.stride <= 1 {
+		return id, true
+	}
+	return id / l.stride, id%l.stride == 0
+}
+
+// lookup returns a tracked id's chain, or nil before its first event.
+func (l *Ledger) lookup(id, k int64) *chain {
+	if k >= 0 && k < int64(len(l.dense)) && l.dense[k].head != 0 {
+		return &l.dense[k]
+	}
+	if len(l.sparse) > 0 {
+		if j, ok := l.sparse[id]; ok {
+			return &l.spill[j]
+		}
+	}
+	return nil
+}
+
+// register gives a first-seen tracked id an empty chain.
+func (l *Ledger) register(id, k int64) *chain {
+	l.order = append(l.order, id)
+	if n := int64(len(l.dense)); k >= 0 && k < 2*n+denseReach {
+		for int64(len(l.dense)) <= k {
+			l.dense = append(l.dense, chain{})
+		}
+		return &l.dense[k]
+	}
+	if l.sparse == nil {
+		l.sparse = make(map[int64]int32) //e3:alloc once per ledger, at its first id outside the dense range
+	}
+	l.sparse[id] = int32(len(l.spill))
+	l.spill = append(l.spill, chain{})
+	return &l.spill[len(l.spill)-1]
+}
+
+// at returns the arena record at index i.
+func (l *Ledger) at(i int32) *rec { return &l.chunks[i>>chunkBits][i&chunkMask] }
+
+// push appends r to the arena and returns its index.
+func (l *Ledger) push(r rec) int32 {
+	last := len(l.chunks) - 1
+	switch {
+	case last < 0:
+		l.chunks = append(l.chunks, make([]rec, 1, firstChunkCap)) //e3:alloc arena growth: the first chunk, at the first tracked id
+		last = 0
+	case len(l.chunks[last]) == chunkLen:
+		if len(l.chunks) == maxChunks {
+			panic("audit: event arena full")
+		}
+		l.chunks = append(l.chunks, make([]rec, 0, chunkLen)) //e3:alloc arena growth: one chunk per chunkLen events, nothing copied
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], r)
+	return int32(last<<chunkBits + len(l.chunks[last]) - 1)
+}
 
 //e3:hotpath runs once per lifecycle event; sampled mode counts in O(1) and must not allocate off the detail path
-func (l *Ledger) record(id int64, e Event) {
+func (l *Ledger) record(id int64, r rec) {
 	if l == nil {
 		return
 	}
-	switch e.Kind {
+	switch r.kind {
 	case KindArrived:
 		l.arrivedTotal++
 	case KindCompleted:
 		l.completedTotal++
 	case KindDropped:
 		l.droppedTotal++
-		l.byReasonTotal[e.Reason]++
+		l.byReasonTotal[r.reason]++
 	}
-	if !l.tracked(id) {
+	k, tracked := l.key(id)
+	if !tracked {
 		return
 	}
-	if _, seen := l.events[id]; !seen {
-		l.order = append(l.order, id)
+	c := l.lookup(id, k)
+	if c == nil {
+		c = l.register(id, k)
 	}
-	l.events[id] = append(l.events[id], e)
+	i := l.push(r)
+	if c.head == 0 {
+		c.head = i
+	} else {
+		l.at(c.tail).next = i
+	}
+	c.tail = i
+}
+
+// intern returns reason's code, adding it to the table on first sight so
+// Verify can still name an unclassified reason.
+func (l *Ledger) intern(reason Reason) uint16 {
+	for code, r := range l.reasons {
+		if r == reason {
+			return uint16(code)
+		}
+	}
+	if len(l.reasons) > math.MaxUint16 {
+		panic("audit: too many distinct drop reasons")
+	}
+	l.reasons = append(l.reasons, reason)
+	l.byReasonTotal = append(l.byReasonTotal, 0)
+	return uint16(len(l.reasons) - 1)
 }
 
 // Arrived records a sample minted by the generator at virtual time at.
 func (l *Ledger) Arrived(id int64, at float64) {
-	l.record(id, Event{Kind: KindArrived, At: at})
+	l.record(id, rec{kind: KindArrived, at: at})
 }
 
 // Queued records admission into a batcher queue.
 func (l *Ledger) Queued(id int64, at float64) {
-	l.record(id, Event{Kind: KindQueued, At: at})
+	l.record(id, rec{kind: KindQueued, at: at})
 }
 
 // Dispatched records hand-off to stage's instance (a device index).
 func (l *Ledger) Dispatched(id int64, at float64, stage, instance int) {
-	l.record(id, Event{Kind: KindDispatched, At: at, Stage: stage, Instance: instance})
+	l.record(id, rec{kind: KindDispatched, at: at, a: int32(stage), b: int32(instance)})
 }
 
 // Merged records entry into stage's survivor merge queue.
 func (l *Ledger) Merged(id int64, at float64, stage int) {
-	l.record(id, Event{Kind: KindMerged, At: at, Stage: stage})
+	l.record(id, rec{kind: KindMerged, at: at, a: int32(stage)})
 }
 
 // Completed records execution finishing with the given 1-based exit layer.
 func (l *Ledger) Completed(id int64, at float64, exitLayer int) {
-	l.record(id, Event{Kind: KindCompleted, At: at, ExitLayer: exitLayer})
+	l.record(id, rec{kind: KindCompleted, at: at, a: int32(exitLayer)})
 }
 
 // Dropped records the sample being shed for the given reason.
 func (l *Ledger) Dropped(id int64, at float64, reason Reason) {
-	l.record(id, Event{Kind: KindDropped, At: at, Reason: reason})
+	if l == nil {
+		return
+	}
+	l.record(id, rec{kind: KindDropped, at: at, reason: l.intern(reason)})
 }
 
 // Samples reports how many distinct sample IDs have events.
@@ -204,7 +345,36 @@ func (l *Ledger) Events(id int64) []Event {
 	if l == nil {
 		return nil
 	}
-	return l.events[id]
+	return l.appendEvents(nil, id)
+}
+
+// appendEvents appends a sample's recorded events to dst.
+func (l *Ledger) appendEvents(dst []Event, id int64) []Event {
+	k, tracked := l.key(id)
+	if !tracked {
+		return dst
+	}
+	c := l.lookup(id, k)
+	if c == nil {
+		return dst
+	}
+	for i := c.head; i != 0; {
+		r := l.at(i)
+		e := Event{Kind: r.kind, At: r.at}
+		switch r.kind {
+		case KindDispatched:
+			e.Stage, e.Instance = int(r.a), int(r.b)
+		case KindMerged:
+			e.Stage = int(r.a)
+		case KindCompleted:
+			e.ExitLayer = int(r.a)
+		case KindDropped:
+			e.Reason = l.reasons[r.reason]
+		}
+		dst = append(dst, e)
+		i = r.next
+	}
+	return dst
 }
 
 // StageFlow tallies one stage's traffic for the balance check.
@@ -347,9 +517,7 @@ func (l *Ledger) Verify() *Report {
 	}
 	r.Completed = l.completedTotal
 	r.Dropped = l.droppedTotal
-	for reason, n := range l.byReasonTotal {
-		r.ByReason[reason] = n
-	}
+	r.ByReason = l.DropBreakdown()
 	stage := func(si int) *StageFlow {
 		f := r.Stages[si]
 		if f == nil {
@@ -358,8 +526,9 @@ func (l *Ledger) Verify() *Report {
 		}
 		return f
 	}
+	var evs []Event
 	for _, id := range l.order {
-		evs := l.events[id]
+		evs = l.appendEvents(evs[:0], id)
 		terminals := 0
 		lastStage := -1 // last stage the sample was dispatched into
 		prevAt := 0.0
@@ -458,8 +627,8 @@ func (l *Ledger) DropBreakdown() map[Reason]int {
 	if l == nil {
 		return out
 	}
-	for reason, n := range l.byReasonTotal {
-		out[reason] = n
+	for code, n := range l.byReasonTotal {
+		out[l.reasons[code]] = n
 	}
 	return out
 }
@@ -474,18 +643,21 @@ func (l *Ledger) Digest() string {
 		return ""
 	}
 	fmt.Fprintf(&b, "totals arrived=%d completed=%d dropped=%d", l.arrivedTotal, l.completedTotal, l.droppedTotal)
-	reasons := make([]string, 0, len(l.byReasonTotal))
-	for reason := range l.byReasonTotal {
+	byReason := l.DropBreakdown()
+	reasons := make([]string, 0, len(byReason))
+	for reason := range byReason {
 		reasons = append(reasons, string(reason))
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		fmt.Fprintf(&b, " %s=%d", reason, l.byReasonTotal[Reason(reason)])
+		fmt.Fprintf(&b, " %s=%d", reason, byReason[Reason(reason)])
 	}
 	b.WriteByte('\n')
+	var evs []Event
 	for _, id := range l.order {
 		fmt.Fprintf(&b, "%d:", id)
-		for _, e := range l.events[id] {
+		evs = l.appendEvents(evs[:0], id)
+		for _, e := range evs {
 			fmt.Fprintf(&b, " %s@%v", e.Kind, e.At)
 			if e.Kind == KindDispatched {
 				fmt.Fprintf(&b, "(s%d,i%d)", e.Stage, e.Instance)

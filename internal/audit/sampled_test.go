@@ -3,6 +3,7 @@ package audit
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // drive pushes n samples through a clean arrive→queue→dispatch→terminal
@@ -68,12 +69,78 @@ func TestSampledLedgerDetectsViolationsOnTrackedSamples(t *testing.T) {
 
 func TestSampledLedgerMemoryBoundedByStride(t *testing.T) {
 	l := NewSampledLedger(1000)
+	// Fleet builds one sampled ledger per (replica, tenant) stack: until
+	// its first tracked id a ledger must allocate no detail storage. The
+	// warm-up run interns the drop reason; every later run of untracked
+	// ids only bumps counters.
+	if allocs := testing.AllocsPerRun(5, func() { drive(l, 999) }); allocs != 0 {
+		t.Fatalf("untracked ids allocated %v times per run, want 0", allocs)
+	}
+	if got := l.Samples(); got != 0 {
+		t.Fatalf("untracked ids left %d samples in detail, want 0", got)
+	}
 	drive(l, 10_000)
-	if got := len(l.order); got != 10 {
+	if got := l.Samples(); got != 10 {
 		t.Fatalf("tracked %d samples in detail, want 10", got)
 	}
-	if got := len(l.events); got != 10 {
-		t.Fatalf("event store holds %d ids, want 10", got)
+	if r := l.Verify(); r.Tracked != 10 || !r.OK() {
+		t.Fatalf("verify tracked %d samples (ok=%v), want 10: %v", r.Tracked, r.OK(), r.Violations)
+	}
+	for id := int64(1000); id <= 10_000; id += 1000 {
+		if len(l.Events(id)) == 0 {
+			t.Fatalf("tracked sample %d has no events", id)
+		}
+		if evs := l.Events(id + 1); evs != nil {
+			t.Fatalf("untracked sample %d has events %v", id+1, evs)
+		}
+	}
+}
+
+// TestExhaustiveRecordAllocs holds the arena's allocation profile: over
+// 100k samples, recording amortizes to at most 0.01 allocations per
+// event (the map-of-slices store it replaced made ~0.7).
+func TestExhaustiveRecordAllocs(t *testing.T) {
+	if size := unsafe.Sizeof(rec{}); size != 24 {
+		t.Fatalf("arena record is %d bytes, want 24", size)
+	}
+	const samples = 100_000
+	events := 4*samples - samples/5 // drive drops every 5th sample before dispatch
+	allocs := testing.AllocsPerRun(1, func() { drive(NewLedger(), samples) })
+	if perEvent := allocs / float64(events); perEvent > 0.01 {
+		t.Fatalf("exhaustive record: %.4f allocs/event over %d events, want ≤ 0.01", perEvent, events)
+	}
+}
+
+// TestLedgerEventsRoundTrip checks Events reconstructs every field of a
+// sample's lifecycle, including one that spans several arena chunks.
+func TestLedgerEventsRoundTrip(t *testing.T) {
+	l := NewLedger()
+	l.Arrived(3, 0.5)
+	want := []Event{{Kind: KindArrived, At: 0.5}}
+	for i := 0; i < chunkLen+10; i++ {
+		at := 1 + float64(i)
+		l.Dispatched(3, at, i%5, i%7)
+		l.Merged(4, at, i%3) // interleaved with another sample
+		want = append(want, Event{Kind: KindDispatched, At: at, Stage: i % 5, Instance: i % 7})
+	}
+	l.Completed(3, 1e6, 9)
+	l.Dropped(4, 1e6, "custom")
+	want = append(want, Event{Kind: KindCompleted, At: 1e6, ExitLayer: 9})
+	got := l.Events(3)
+	if len(got) != len(want) {
+		t.Fatalf("Events(3) returned %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Events(3)[%d] = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	evs4 := l.Events(4)
+	if last := evs4[len(evs4)-1]; last.Kind != KindDropped || last.Reason != "custom" {
+		t.Fatalf("Events(4) ends with %+v, want a drop with reason custom", last)
+	}
+	if l.Events(5) != nil {
+		t.Fatal("Events of an unseen id is not nil")
 	}
 }
 

@@ -176,9 +176,10 @@ type Result struct {
 	FlameStat    flame.ReconcileStat
 }
 
-// Run executes the windowed loop. The engine, collector, ledger, and
-// tracer span the whole run; each window builds a fresh pipeline + batcher
-// for the active plan and drains it completely before the next boundary.
+// Run executes the windowed loop. The engine, collector, ledger, tracer,
+// and batch pool span the whole run; each window builds a fresh pipeline +
+// batcher for the active plan and drains it completely before the next
+// boundary.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Model == nil || cfg.Cluster == nil {
 		return nil, fmt.Errorf("replan: nil model or cluster")
@@ -202,6 +203,9 @@ func Run(cfg Config) (*Result, error) {
 	gen := workload.NewGenerator(mix(0), cfg.Seed)
 	gen.SetAudit(coll.Audit)
 	gen.SetTrace(cfg.Tracer)
+	// One batch pool for the whole run: it belongs to this event loop, and
+	// every window's pipeline and batcher recycle batch slices through it.
+	pool := workload.NewBatchPool()
 
 	est := forecast.NewEstimator(layers)
 	est.Method = cfg.Method
@@ -319,16 +323,18 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, abort(w, err)
 		}
+		pipe.SetPool(pool)
 		b := serving.NewBatcher(eng, pipe, plan.Batch, plan.Latency, 0.2)
+		b.SetPool(pool)
 		gen.SwitchDist(mix(w))
+		// Every arrival of the window runs the same callback, so it is
+		// built once here rather than once per scheduled request.
+		arrive := func() { b.Arrive(gen.Next(eng.Now(), cfg.SLO)) }
 		// Poisson (not bursty) arrivals: each window must yield a usable
 		// profile observation, and DefaultBursty's ~18 s idle gaps would
 		// starve short windows to a few dozen samples of pure noise.
 		for _, off := range trace.Poisson(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000) {
-			at := start + off
-			eng.At(at, func() {
-				b.Arrive(gen.Next(eng.Now(), cfg.SLO))
-			})
+			eng.At(start+off, arrive)
 		}
 		if err := eng.RunAll(); err != nil {
 			return nil, abort(w, err)

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"e3/internal/flame"
 	"e3/internal/forecast"
+	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
 
@@ -138,6 +140,31 @@ func TestReplanTelemetryTrack(t *testing.T) {
 	if got != res.Diffs.Total() {
 		t.Errorf("%d replan spans, %d diffs recorded", got, res.Diffs.Total())
 	}
+}
+
+// TestReplanObservedAllocsPerRequest holds the fully observed loop's
+// allocation budget: the pooled batches, the per-window arrival callback
+// and the ledger's arena keep it at most 1.5 allocations per request.
+func TestReplanObservedAllocsPerRequest(t *testing.T) {
+	var requests int
+	allocs := testing.AllocsPerRun(1, func() {
+		cfg := DriftingDemo(4, forecast.MethodARIMA, telemetry.NewRing(4096))
+		cfg.Attr = slo.NewAttribution(slo.DefaultTopK)
+		cfg.Flame = flame.NewProfiler(0)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Report.OK() {
+			t.Fatalf("audit failed: %v", res.Report.Err())
+		}
+		requests = res.Report.Samples
+	})
+	perReq := allocs / float64(requests)
+	if perReq > 1.5 {
+		t.Fatalf("observed replan loop: %.2f allocs/request over %d requests, want ≤ 1.5", perReq, requests)
+	}
+	t.Logf("observed replan loop: %.2f allocs/request over %d requests", perReq, requests)
 }
 
 // TestReplanStaticMixHoldsPlan: with no drift and a loose threshold, the
