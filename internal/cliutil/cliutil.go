@@ -54,8 +54,12 @@ func ModelNames() []string {
 }
 
 // BuildModel constructs the named early-exit model with its default ramp
-// architecture; entropy applies to the entropy-ramped models.
+// architecture; entropy applies to the entropy-ramped models and must lie
+// in (0,1).
 func BuildModel(name string, entropy float64) (*ee.EEModel, error) {
+	if !(entropy > 0 && entropy < 1) {
+		return nil, fmt.Errorf("cliutil: entropy threshold %v outside (0,1)", entropy)
+	}
 	switch strings.ToLower(name) {
 	case "bert-base":
 		return ee.NewDeeBERT(model.BERTBase(), entropy), nil

@@ -48,6 +48,11 @@ func TestBuildModelAllNames(t *testing.T) {
 	if _, err := BuildModel("gpt5", 0.4); err == nil {
 		t.Error("unknown model accepted")
 	}
+	for _, entropy := range []float64{0, 1, 1.5} {
+		if _, err := BuildModel("bert-base", entropy); err == nil {
+			t.Errorf("entropy threshold %v accepted", entropy)
+		}
+	}
 }
 
 func TestBuildModelCaseInsensitive(t *testing.T) {

@@ -64,33 +64,52 @@ type Policy struct {
 	Patience, RefPatience int
 }
 
+// validate reports whether the policy's thresholds are usable: entropy
+// and confidence bounds must lie strictly inside (0,1), and the kind must
+// be known.
+func (p Policy) validate() error {
+	switch p.Kind {
+	case Entropy, Confidence:
+		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
+			return fmt.Errorf("ee: %s thresholds must lie in (0,1): %+v", p.Kind, p)
+		}
+	case Patience:
+	default:
+		return fmt.Errorf("ee: unknown policy kind %d", p.Kind)
+	}
+	return nil
+}
+
 // DepthScale converts the policy's threshold into a multiplier on an
-// input's exit-ready depth. 1 at the reference threshold.
+// input's exit-ready depth. 1 at the reference threshold. It panics on a
+// policy New would reject.
 func (p Policy) DepthScale() float64 {
+	if err := p.validate(); err != nil {
+		panic(err.Error())
+	}
 	switch p.Kind {
 	case Entropy:
 		// Entropy decays roughly exponentially with depth, so the depth at
 		// which it crosses a bound θ scales with ln(θ). Higher θ → easier
 		// bound → earlier exit.
-		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
-			panic(fmt.Sprintf("ee: entropy thresholds must lie in (0,1): %+v", p))
-		}
 		return math.Log(p.Threshold) / math.Log(p.RefThreshold)
 	case Confidence:
 		// Residual uncertainty (1-conf) decays with depth; the crossing
 		// depth scales with ln(1-τ). Higher τ → harder bound → later exit.
-		if p.Threshold <= 0 || p.Threshold >= 1 || p.RefThreshold <= 0 || p.RefThreshold >= 1 {
-			panic(fmt.Sprintf("ee: confidence thresholds must lie in (0,1): %+v", p))
-		}
 		return math.Log(1-p.Threshold) / math.Log(1-p.RefThreshold)
-	case Patience:
-		return 1
 	default:
-		panic(fmt.Sprintf("ee: unknown policy kind %d", p.Kind))
+		return 1
 	}
 }
 
 // EEModel is a base model plus exit ramps.
+//
+// The exit decision is compiled at construction: the policy's depth scale
+// and the enabled-ramp list are computed by New and kept current by
+// Disable and Enable, so ExitLayerFor and HasRampAfter read plain slices
+// and floats. Nothing is filled in lazily — fleet shards share one model
+// across goroutines. Policy is fixed once New returns; build a new model
+// to change it.
 type EEModel struct {
 	Name   string
 	Base   *model.Model
@@ -99,15 +118,25 @@ type EEModel struct {
 	// after layer k, sorted ascending. The final classifier after layer L
 	// is implicit and is not an early exit.
 	rampAfter []int
-	disabled  map[int]bool
+	// enabled is the ascending subset of rampAfter that is not disabled.
+	enabled []int
+	// An input of difficulty d (clamped to [0,1]) becomes exit-ready at
+	// depth fraction max(0, d·scale + shift): scale is the policy's
+	// DepthScale, shift the patience offset (0 for threshold policies).
+	scale, shift float64
 	// LMHeadRamp marks ramps that must project to the full vocabulary
 	// (CALM, Llama); their FLOP cost dwarfs classifier ramps.
 	LMHeadRamp bool
 }
 
 // New assembles an EE model with ramps after the given (1-based) layers.
+// It rejects a policy whose kind is unknown or whose entropy or confidence
+// thresholds fall outside (0,1).
 func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool) (*EEModel, error) {
 	if err := base.Validate(); err != nil {
+		return nil, err
+	}
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	L := base.NumLayers()
@@ -124,14 +153,19 @@ func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool)
 		ramps = append(ramps, r)
 	}
 	sort.Ints(ramps)
-	return &EEModel{
+	m := &EEModel{
 		Name:       name,
 		Base:       base,
 		Policy:     p,
 		rampAfter:  ramps,
-		disabled:   make(map[int]bool),
+		enabled:    append([]int(nil), ramps...),
+		scale:      p.DepthScale(),
 		LMHeadRamp: lmHead,
-	}, nil
+	}
+	if p.Kind == Patience {
+		m.shift = float64(p.Patience-p.RefPatience) / float64(L)
+	}
+	return m, nil
 }
 
 // mustNew panics on error; used by the preset constructors whose inputs
@@ -207,10 +241,7 @@ func NewLlamaEE(base *model.Model) *EEModel {
 func (m *EEModel) Clone() *EEModel {
 	cp := *m
 	cp.rampAfter = append([]int(nil), m.rampAfter...)
-	cp.disabled = make(map[int]bool, len(m.disabled))
-	for k, v := range m.disabled {
-		cp.disabled[k] = v
-	}
+	cp.enabled = append([]int(nil), m.enabled...)
 	return &cp
 }
 
@@ -218,46 +249,39 @@ func (m *EEModel) Clone() *EEModel {
 func (m *EEModel) Ramps() []int { return append([]int(nil), m.rampAfter...) }
 
 // ActiveRamps returns currently enabled ramp positions, ascending.
-func (m *EEModel) ActiveRamps() []int {
-	out := make([]int, 0, len(m.rampAfter))
-	for _, r := range m.rampAfter {
-		if !m.disabled[r] {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (m *EEModel) ActiveRamps() []int { return append([]int(nil), m.enabled...) }
 
 // HasRampAfter reports whether an enabled ramp follows layer k.
-func (m *EEModel) HasRampAfter(k int) bool {
-	if m.disabled[k] {
-		return false
-	}
-	i := sort.SearchInts(m.rampAfter, k)
-	return i < len(m.rampAfter) && m.rampAfter[i] == k
-}
+func (m *EEModel) HasRampAfter(k int) bool { return contains(m.enabled, k) }
 
 // Disable turns off the ramp after layer k (the §3.4 exit-wrapper).
 func (m *EEModel) Disable(k int) error {
-	if !m.hasRamp(k) {
+	if !contains(m.rampAfter, k) {
 		return fmt.Errorf("ee: no ramp after layer %d", k)
 	}
-	m.disabled[k] = true
+	if i := sort.SearchInts(m.enabled, k); i < len(m.enabled) && m.enabled[i] == k {
+		m.enabled = append(m.enabled[:i], m.enabled[i+1:]...)
+	}
 	return nil
 }
 
 // Enable re-activates the ramp after layer k.
 func (m *EEModel) Enable(k int) error {
-	if !m.hasRamp(k) {
+	if !contains(m.rampAfter, k) {
 		return fmt.Errorf("ee: no ramp after layer %d", k)
 	}
-	delete(m.disabled, k)
+	if i := sort.SearchInts(m.enabled, k); i == len(m.enabled) || m.enabled[i] != k {
+		m.enabled = append(m.enabled, 0)
+		copy(m.enabled[i+1:], m.enabled[i:])
+		m.enabled[i] = k
+	}
 	return nil
 }
 
-func (m *EEModel) hasRamp(k int) bool {
-	i := sort.SearchInts(m.rampAfter, k)
-	return i < len(m.rampAfter) && m.rampAfter[i] == k
+// contains reports whether the ascending list holds k.
+func contains(sorted []int, k int) bool {
+	i := sort.SearchInts(sorted, k)
+	return i < len(sorted) && sorted[i] == k
 }
 
 // ExitLayerFor returns the 1-based layer after which an input of the given
@@ -266,10 +290,7 @@ func (m *EEModel) hasRamp(k int) bool {
 func (m *EEModel) ExitLayerFor(difficulty float64) int {
 	L := m.Base.NumLayers()
 	ready := m.readyDepth(difficulty) * float64(L)
-	for _, r := range m.rampAfter {
-		if m.disabled[r] {
-			continue
-		}
+	for _, r := range m.enabled {
 		if float64(r) >= ready {
 			return r
 		}
@@ -286,13 +307,9 @@ func (m *EEModel) readyDepth(difficulty float64) float64 {
 	if difficulty > 1 {
 		difficulty = 1
 	}
-	var d float64
-	if m.Policy.Kind == Patience {
-		L := float64(m.Base.NumLayers())
-		d = difficulty + float64(m.Policy.Patience-m.Policy.RefPatience)/L
-	} else {
-		d = difficulty * m.Policy.DepthScale()
-	}
+	// Patience policies have scale 1 and threshold policies shift 0, so
+	// this is bit for bit difficulty+shift or difficulty·DepthScale.
+	d := difficulty*m.scale + m.shift
 	if d < 0 {
 		return 0
 	}

@@ -38,3 +38,16 @@ func BenchmarkRunSplitGraph(b *testing.B) {
 		RunSplit(m, 1, 6, batch, spec, 1)
 	}
 }
+
+// BenchmarkSplitTable measures the same split through a compiled table
+// with a warm Result: the pipeline's per-batch path.
+func BenchmarkSplitTable(b *testing.B) {
+	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
+	tbl := CompileSplit(m, 1, 6, gpu.Get(gpu.V100), 8)
+	batch := benchBatch(8)
+	var res Result
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl.RunInto(batch, 1, &res)
+	}
+}

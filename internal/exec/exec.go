@@ -45,11 +45,17 @@ const (
 // stall. Batch 1 skips the stall — a single-sample stream needs no batch
 // bookkeeping.
 func rampCheckTime(spec gpu.Spec, rampFLOPs float64, active int) float64 {
-	t := spec.LayerTime(rampFLOPs, active) + 2*spec.LaunchOverhead
+	t := rampHeadTime(spec, rampFLOPs, active)
 	if active > 1 {
 		t += SyncBase + float64(active)*SyncPerSample
 	}
 	return t
+}
+
+// rampHeadTime is the ramp head's kernels over a batch, without any
+// synchronization: what a split's inline ramp costs.
+func rampHeadTime(spec gpu.Spec, rampFLOPs float64, batch int) float64 {
+	return spec.LayerTime(rampFLOPs, batch) + 2*spec.LaunchOverhead
 }
 
 // rampCheckTimeFrac mirrors rampCheckTime for fractional expected batches.
@@ -98,8 +104,11 @@ type Result struct {
 	PadTime float64
 
 	// padHist is reusable scratch for the pad attribution: exit counts per
-	// layer offset within the split (see RunSplitInto).
+	// layer offset within the split (see runSplit).
 	padHist []int
+	// row is reusable scratch for terms computed on the fly (RunSplitInto,
+	// and SplitTable batches larger than the table).
+	row splitRow
 }
 
 // RunSegment executes layers [from, to] (1-based, inclusive) of m over the
@@ -197,14 +206,69 @@ func RunSplit(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spe
 // path runs one split per dispatched batch, so recycling the two slices
 // removes the dominant steady-state allocation. Scalar fields are reset
 // and the slices truncated to length zero (capacity kept); the caller must
-// treat any previous contents of res as dead.
+// treat any previous contents of res as dead. It computes the split's
+// per-layer terms on the fly; a SplitTable reads them precompiled.
 //
 //e3:hotpath runs one split per dispatched batch; recycled Result slices are the point
 func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spec, slowdown float64, res *Result) {
-	L := m.Base.NumLayers()
-	if from < 1 || to > L || from > to {
+	checkSplit(m, from, to)
+	runSplit(m, from, to, batch, res.scratchRow(m, from, to, spec, len(batch)), slowdown, res)
+}
+
+// checkSplit panics on malformed split bounds — those are planner bugs.
+func checkSplit(m *ee.EEModel, from, to int) {
+	if L := m.Base.NumLayers(); from < 1 || to > L || from > to {
 		panic(fmt.Sprintf("exec: bad split [%d,%d] for %d-layer model", from, to, L))
 	}
+}
+
+// splitRow is a split's execution terms at one batch size b, before the
+// device's slowdown is applied.
+type splitRow struct {
+	// layer[i] is layer from+i's compute time over b samples; ramp[i] the
+	// inline ramp head after it, 0 where the layer carries none.
+	layer, ramp []float64
+	// useful is the split's model compute over b samples, summed in layer
+	// order.
+	useful float64
+}
+
+// fillRow computes the split's terms at batch b into row, whose slices
+// must have length to-from+1. The table build and the on-the-fly path both
+// use it, so their terms are the same values.
+func fillRow(m *ee.EEModel, from, to int, spec gpu.Spec, b int, row *splitRow) {
+	L := m.Base.NumLayers()
+	head := rampHeadTime(spec, m.RampFLOPs(), b)
+	row.useful = 0
+	for k := from; k <= to; k++ {
+		l := m.Base.Layers[k-1]
+		row.layer[k-from] = spec.LayerTimeW(l.FLOPs, l.WeightBytes, b)
+		row.useful += l.FLOPs * float64(b)
+		row.ramp[k-from] = 0
+		if m.HasRampAfter(k) || k == L {
+			row.ramp[k-from] = head
+		}
+	}
+}
+
+// scratchRow fills res's scratch row with the split's terms at batch b.
+func (res *Result) scratchRow(m *ee.EEModel, from, to int, spec gpu.Spec, b int) *splitRow {
+	n := to - from + 1
+	if cap(res.row.layer) < n {
+		terms := make([]float64, 2*n) //e3:alloc one-time scratch grow; reused across calls once capacity covers the widest segment
+		res.row.layer, res.row.ramp = terms[:n:n], terms[n:]
+	}
+	res.row.layer, res.row.ramp = res.row.layer[:n], res.row.ramp[:n]
+	fillRow(m, from, to, spec, b, &res.row)
+	return &res.row
+}
+
+// runSplit is the one split-execution loop: it partitions the batch into
+// completions and survivors and prices the split from row's terms, each
+// scaled by slowdown. row must hold the terms for len(batch).
+//
+//e3:hotpath runs one split per dispatched batch, from a table or on the fly
+func runSplit(m *ee.EEModel, from, to int, batch []workload.Sample, row *splitRow, slowdown float64, res *Result) {
 	if slowdown < 1 {
 		slowdown = 1
 	}
@@ -219,7 +283,6 @@ func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu
 		return
 	}
 	b := len(batch)
-	rampFLOPs := m.RampFLOPs()
 
 	// Partition exits up front (the decision is a pure function of the
 	// sample, so applying it before or after the time loop is equivalent)
@@ -253,22 +316,21 @@ func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu
 
 	t := 0.0
 	dead := res.padHist[0]
-	for k := from; k <= to; k++ {
-		layer := m.Base.Layers[k-1]
-		t += spec.LayerTimeW(layer.FLOPs, layer.WeightBytes, b) * slowdown
-		res.UsefulFLOPs += layer.FLOPs * float64(b)
+	for i, lt := range row.layer {
+		t += lt * slowdown
 		if dead > 0 {
 			// Charge the layer pro rata to riders whose exit already passed.
-			res.PadTime += spec.LayerTimeW(layer.FLOPs, layer.WeightBytes, b) * slowdown * (float64(dead) / float64(b))
+			res.PadTime += lt * slowdown * (float64(dead) / float64(b))
 		}
-		if m.HasRampAfter(k) || k == L {
+		if head := row.ramp[i]; head != 0 {
 			// Inline ramp head: kernels only, decision deferred.
-			t += (spec.LayerTime(rampFLOPs, b) + 2*spec.LaunchOverhead) * slowdown
-			res.RampTime += (spec.LayerTime(rampFLOPs, b) + 2*spec.LaunchOverhead) * slowdown
+			t += head * slowdown
+			res.RampTime += head * slowdown
 		}
-		dead += res.padHist[k-from+1]
+		dead += res.padHist[i+1]
 	}
 	res.Duration = t
+	res.UsefulFLOPs = row.useful
 
 	// The boundary sync applies all deferred exit decisions; it runs on
 	// the host after the device frees, so it lands in HandoffDelay.
@@ -283,6 +345,65 @@ func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu
 	}
 }
 
+// SplitTable is one split compiled for one GPU kind: its per-layer and
+// ramp terms for every batch size 1..maxBatch, plus the planned (healthy)
+// time of each. A plan's splits are fixed until the next replan, so a
+// pipeline stage compiles its table once and each batch reads it instead
+// of re-deriving layer costs. Larger batches fall back to terms computed
+// on the fly; both go through the same loop as RunSplitInto, so results
+// are bit-identical to it. The model's ramp set must not change while the
+// table is in use.
+type SplitTable struct {
+	m        *ee.EEModel
+	from, to int
+	spec     gpu.Spec
+	// rows[b-1] and planned[b-1] are batch b's terms and SplitTime.
+	rows    []splitRow
+	planned []float64
+}
+
+// CompileSplit builds the table for layers [from, to] of m on spec, for
+// batches up to maxBatch. It panics on malformed bounds, like RunSplit.
+func CompileSplit(m *ee.EEModel, from, to int, spec gpu.Spec, maxBatch int) *SplitTable {
+	checkSplit(m, from, to)
+	t := &SplitTable{
+		m: m, from: from, to: to, spec: spec,
+		rows:    make([]splitRow, maxBatch),
+		planned: make([]float64, maxBatch),
+	}
+	n := to - from + 1
+	terms := make([]float64, 2*n*maxBatch)
+	for i := range t.rows {
+		row := &t.rows[i]
+		row.layer, row.ramp, terms = terms[:n:n], terms[n:2*n:2*n], terms[2*n:]
+		fillRow(m, from, to, spec, i+1, row)
+		t.planned[i] = SplitTime(m, from, to, i+1, spec)
+	}
+	return t
+}
+
+// RunInto is RunSplitInto(m, from, to, batch, spec, slowdown, res) for
+// the table's split, reading precompiled terms when len(batch) is within
+// the table.
+//
+//e3:hotpath runs one split per dispatched pipeline batch
+func (t *SplitTable) RunInto(batch []workload.Sample, slowdown float64, res *Result) {
+	if b := len(batch); b >= 1 && b <= len(t.rows) {
+		runSplit(t.m, t.from, t.to, batch, &t.rows[b-1], slowdown, res)
+		return
+	}
+	runSplit(t.m, t.from, t.to, batch, res.scratchRow(t.m, t.from, t.to, t.spec, len(batch)), slowdown, res)
+}
+
+// Planned returns SplitTime(m, from, to, b, spec) for the table's split:
+// the device time a batch of b takes on a healthy device.
+func (t *SplitTable) Planned(b int) float64 {
+	if b >= 1 && b <= len(t.planned) {
+		return t.planned[b-1]
+	}
+	return SplitTime(t.m, t.from, t.to, b, t.spec)
+}
+
 // SplitHandoff predicts RunSplit's HandoffDelay for planning.
 func SplitHandoff(batch int, exitFrac float64) float64 {
 	h := SyncBase + float64(batch)*SyncPerSample
@@ -293,26 +414,22 @@ func SplitHandoff(batch int, exitFrac float64) float64 {
 }
 
 // SplitTime predicts RunSplit's duration for a constant batch without
-// materializing samples; exitFrac is the expected fraction of the batch
-// exiting at the boundary (drives the reform term).
-func SplitTime(m *ee.EEModel, from, to int, batch int, exitFrac float64, spec gpu.Spec) float64 {
-	L := m.Base.NumLayers()
-	if from < 1 || to > L || from > to {
-		panic(fmt.Sprintf("exec: bad split [%d,%d] for %d-layer model", from, to, L))
-	}
+// materializing samples; SplitHandoff predicts the boundary handoff.
+func SplitTime(m *ee.EEModel, from, to int, batch int, spec gpu.Spec) float64 {
+	checkSplit(m, from, to)
 	if batch <= 0 {
 		return 0
 	}
-	rampFLOPs := m.RampFLOPs()
+	L := m.Base.NumLayers()
+	head := rampHeadTime(spec, m.RampFLOPs(), batch)
 	t := 0.0
 	for k := from; k <= to; k++ {
 		l := m.Base.Layers[k-1]
 		t += spec.LayerTimeW(l.FLOPs, l.WeightBytes, batch)
 		if m.HasRampAfter(k) || k == L {
-			t += spec.LayerTime(rampFLOPs, batch) + 2*spec.LaunchOverhead
+			t += head
 		}
 	}
-	_ = exitFrac // the boundary handoff is predicted by SplitHandoff
 	return t
 }
 

@@ -263,7 +263,7 @@ func TestSplitTimePredictsRunSplit(t *testing.T) {
 	spec := gpu.Get(gpu.P100)
 	batch := mkBatch(0.1, 0.4, 0.7, 0.95)
 	run := RunSplit(m, 1, 6, batch, spec, 1)
-	pred := SplitTime(m, 1, 6, 4, 0.5, spec)
+	pred := SplitTime(m, 1, 6, 4, spec)
 	if rel := math.Abs(pred-run.Duration) / run.Duration; rel > 0.02 {
 		t.Errorf("SplitTime %v vs RunSplit %v (rel %v)", pred, run.Duration, rel)
 	}

@@ -28,7 +28,7 @@ func TestCostTableMatchesExecExactly(t *testing.T) {
 		spec := gpu.Get(kind)
 		for from := 1; from <= L; from++ {
 			for to := from; to <= L; to++ {
-				want := exec.SplitTime(m, from, to, batch, 0.5, spec)
+				want := exec.SplitTime(m, from, to, batch, spec)
 				if got := tbl.stageTime(ki, from, to); got != want {
 					t.Fatalf("stageTime(%s, %d, %d) = %v, exec.SplitTime = %v", kind, from, to, got, want)
 				}
@@ -67,7 +67,7 @@ func TestCostTableWrapperMatchesClone(t *testing.T) {
 		for ki, kind := range gpu.Kinds() {
 			spec := gpu.Get(kind)
 			for _, seg := range [][2]int{{1, b}, {b + 1, L}} {
-				want := exec.SplitTime(clone, seg[0], seg[1], batch, 0.5, spec)
+				want := exec.SplitTime(clone, seg[0], seg[1], batch, spec)
 				if got := tbl.stageTime(ki, seg[0], seg[1]); got != want {
 					t.Fatalf("wrapper stageTime(%s, %d, %d) = %v, clone SplitTime = %v",
 						kind, seg[0], seg[1], got, want)

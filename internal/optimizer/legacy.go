@@ -162,7 +162,7 @@ func stageGeometry(cfg Config, bounds []int, kinds []gpu.Kind) []Split {
 		if sIn > 0 {
 			exitFrac = (sIn - sOut) / sIn
 		}
-		st := exec.SplitTime(m, from, to, cfg.Batch, exitFrac, spec)
+		st := exec.SplitTime(m, from, to, cfg.Batch, spec)
 		// The boundary handoff (sync + reform) overlaps the next batch in
 		// pipelined execution, so it counts toward latency via CommTime
 		// rather than stage time.

@@ -7,6 +7,7 @@ import (
 	"e3/internal/cluster"
 	"e3/internal/ee"
 	"e3/internal/exec"
+	"e3/internal/gpu"
 	"e3/internal/optimizer"
 	"e3/internal/sim"
 	"e3/internal/workload"
@@ -48,7 +49,15 @@ type Pipeline struct {
 const maxCompFree = 64
 
 type stage struct {
-	split     optimizer.Split
+	split optimizer.Split
+	// table is the split compiled for the stage's GPU kind at batch sizes
+	// up to the plan's B0, built once per pipeline (so once per replan
+	// window); every batch and the straggler check read it.
+	table *exec.SplitTable
+	// res is the stage's execution scratch, reused batch after batch. Its
+	// Completions and Survivors are handed to events, so runNext gives it
+	// fresh ones before every run.
+	res       exec.Result
 	instances []*instance
 	merge     []pendingSample
 	flushArm  bool
@@ -114,6 +123,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 			return nil, fmt.Errorf("scheduler: need %d %s devices for split [%d,%d], cluster has fewer free",
 				sp.Replicas, sp.Kind, sp.From, sp.To)
 		}
+		st.table = exec.CompileSplit(p.model, sp.From, sp.To, gpu.Get(sp.Kind), plan.Batch)
 		p.stages = append(p.stages, st)
 	}
 	// Residual path time per stage, back to front.
@@ -242,18 +252,18 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		return
 	}
 
-	dev := p.clus.Devices[inst.device]
-	// Hand RunSplitInto recycled output buffers: survivors come from the
+	dev := &p.clus.Devices[inst.device]
+	// Hand the split recycled output buffers: survivors come from the
 	// batch pool (they are Put back once merged), completions from the
 	// pipeline's own free list (Put back after the grouped completion event
-	// fires). With no pool both start empty and RunSplitInto allocates as
+	// fires). With no pool both start empty and the run allocates as
 	// RunSplit would — either way the values written are identical.
-	var res exec.Result
+	res := &st.res
+	res.Completions, res.Survivors = p.getCompBuf(len(batch)), nil
 	if p.pool != nil {
-		res.Completions = p.getCompBuf(len(batch))
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
-	exec.RunSplitInto(p.model, st.split.From, st.split.To, batch, dev.Spec(), dev.Slowdown, &res)
+	st.table.RunInto(batch, dev.Slowdown, res)
 	p.coll.Util.AddBusy(dev.ID, now, res.Duration)
 	p.coll.Trace.Execute(dev.ID, string(dev.Kind), si, len(batch), now, now+res.Duration)
 	p.coll.Attr.Executed(si, batch, now, now+res.Duration)
@@ -263,7 +273,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 	// Straggler detection (§3.3): compare against the planned time for
 	// this exact batch size — partial batches have high fixed costs, so
 	// linear scaling of the stage time would flag healthy devices.
-	planned := exec.SplitTime(p.model, st.split.From, st.split.To, len(batch), 0.5, dev.Spec())
+	planned := st.table.Planned(len(batch))
 	if planned > 0 && res.Duration > p.stragglerFactor*planned {
 		inst.strikes++
 		if inst.strikes >= 2 {
