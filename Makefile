@@ -100,8 +100,9 @@ fleetgate:
 	E3_FLEET_GATE=1 $(GO) test ./internal/fleet/ -run TestFleetGate -v
 
 # Planner and data-plane microbenchmarks (cost-table build, reference vs
-# memoized search, engine heap churn, batcher flush, split execution on the
-# fly vs from a compiled table, traced runner path).
+# memoized search, engine heap churn, timer reset, batcher flush, batcher
+# arm/dispatch, split execution on the fly vs from a compiled table, traced
+# runner path).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:

@@ -53,7 +53,7 @@ func main() {
 	}
 	batcher := serving.NewBatcher(eng, pipe, batch, plan.Latency, 0.2)
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
-	c, err := serving.RunOpenLoop(eng, pipe, batcher, arr, gen, slo)
+	c, err := serving.RunOpenLoopStream(eng, pipe, batcher, trace.NewSliceStream(arr), gen, slo)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,6 +52,7 @@ var DetFlow = &Analyzer{
 var detflowSinkMethods = map[[3]string]string{
 	{"e3/internal/sim", "Engine", "At"}:    "an engine schedule time",
 	{"e3/internal/sim", "Engine", "After"}: "an engine schedule delay",
+	{"e3/internal/sim", "Timer", "Reset"}:  "an engine schedule time",
 
 	{"e3/internal/audit", "Ledger", "Arrived"}:    "ledger accounting (a digest input)",
 	{"e3/internal/audit", "Ledger", "Queued"}:     "ledger accounting (a digest input)",

@@ -20,6 +20,17 @@ func Good(e *sim.Engine, f func()) {
 	e.At(e.Now()+1, f)
 }
 
+// BadTimer re-arms a timer at a wall-clock-derived time.
+func BadTimer(e *sim.Engine, tm *sim.Timer) {
+	at := e.Now() + jitter.Scaled()
+	tm.Reset(at) // want `value derived from time\.Now \(via jitter\.Raw → jitter\.Scaled\) flows into Timer\.Reset \(an engine schedule time\)`
+}
+
+// GoodTimer re-arms a timer at virtual time.
+func GoodTimer(e *sim.Engine, tm *sim.Timer) {
+	tm.Reset(e.Now() + 1)
+}
+
 // scheduleAt passes its parameter straight into the engine, which makes
 // it a sink wrapper: callers handing it tainted values are flagged at
 // their own call site.

@@ -1,5 +1,6 @@
 // Package sim is a fixture stand-in for the real engine: just enough
-// surface for detflow's sink table (Engine.At / Engine.After) to match.
+// surface for detflow's sink table (Engine.At / Engine.After /
+// Timer.Reset) to match.
 package sim
 
 // Engine mirrors the real engine's scheduling surface.
@@ -20,4 +21,14 @@ func (e *Engine) At(t float64, f func()) {
 func (e *Engine) After(d float64, f func()) {
 	_ = d
 	_ = f
+}
+
+// Timer mirrors the real engine's reusable schedule.
+type Timer struct {
+	at float64
+}
+
+// Reset schedules the timer at absolute virtual time at.
+func (t *Timer) Reset(at float64) {
+	t.at = at
 }

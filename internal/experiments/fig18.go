@@ -59,7 +59,7 @@ func Fig19() Table {
 		r := build(eng, clus, coll)
 		b := serving.NewBatcher(eng, r, batch, est, defaultSlack)
 		gen := workload.NewGenerator(dist, 191)
-		c, err := serving.RunOpenLoop(eng, r, b, arr, gen, defaultSLO)
+		c, err := serving.RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, defaultSLO)
 		if err != nil {
 			return 0, 0
 		}

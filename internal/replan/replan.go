@@ -327,15 +327,11 @@ func Run(cfg Config) (*Result, error) {
 		b := serving.NewBatcher(eng, pipe, plan.Batch, plan.Latency, 0.2)
 		b.SetPool(pool)
 		gen.SwitchDist(mix(w))
-		// Every arrival of the window runs the same callback, so it is
-		// built once here rather than once per scheduled request.
-		arrive := func() { b.Arrive(gen.Next(eng.Now(), cfg.SLO)) }
 		// Poisson (not bursty) arrivals: each window must yield a usable
 		// profile observation, and DefaultBursty's ~18 s idle gaps would
 		// starve short windows to a few dozen samples of pure noise.
-		for _, off := range trace.Poisson(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000) {
-			eng.At(start+off, arrive)
-		}
+		st := trace.NewPoissonStream(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000)
+		serving.FeedStream(eng, b, st, start, gen, cfg.SLO)
 		if err := eng.RunAll(); err != nil {
 			return nil, abort(w, err)
 		}

@@ -23,7 +23,8 @@ type DataParallel struct {
 	rr        int
 	// ewmaBatch tracks recent per-batch service time for backlog-aware
 	// admission control.
-	ewmaBatch float64
+	ewmaBatch   float64
+	completions completionJobs
 }
 
 // NewDataParallel builds a runner over the given device indices.
@@ -31,7 +32,8 @@ func NewDataParallel(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, devi
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("scheduler: data-parallel runner needs at least one device")
 	}
-	d := &DataParallel{eng: eng, clus: clus, model: m, coll: coll}
+	d := &DataParallel{eng: eng, clus: clus, model: m, coll: coll,
+		completions: completionJobs{coll: coll}}
 	for _, idx := range devices {
 		if idx < 0 || idx >= clus.Size() {
 			return nil, fmt.Errorf("scheduler: device index %d out of range", idx)
@@ -109,13 +111,7 @@ func (d *DataParallel) runNext(inst *instance) {
 		for hi < len(comps) && comps[hi].Offset == comps[lo].Offset {
 			hi++
 		}
-		grp := comps[lo:hi]
-		d.eng.After(grp[0].Offset, func() {
-			done := d.eng.Now()
-			for _, c := range grp {
-				d.coll.Complete(c.Sample, done, c.ExitLayer)
-			}
-		})
+		d.completions.schedule(d.eng, comps[lo].Offset, comps[lo:hi])
 		lo = hi
 	}
 	d.eng.After(res.Duration, inst.rearm)

@@ -42,6 +42,10 @@ type Pipeline struct {
 	// a buffer is handed to RunSplitInto, rides the grouped completion
 	// event, and returns here once the collector has consumed it.
 	compFree [][]exec.Completion
+	// completions and xferFree pool the two events every executed batch
+	// schedules: its grouped completion and its survivor hand-off.
+	completions completionJobs
+	xferFree    []*transferJob
 }
 
 // maxCompFree bounds the completion-buffer free list, mirroring the batch
@@ -100,6 +104,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 		maxMergeWait:    plan.CycleTime,
 		stragglerFactor: 1.5,
 	}
+	p.completions = completionJobs{coll: coll, release: p.putCompBuf}
 	if p.maxMergeWait <= 0 {
 		p.maxMergeWait = 0.010
 	}
@@ -287,13 +292,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 	// this replaces (consecutive seq at equal time), and the heap carries
 	// one event per batch instead of one per sample.
 	if comps := res.Completions; len(comps) > 0 {
-		p.eng.After(comps[0].Offset, func() {
-			done := p.eng.Now()
-			for _, c := range comps {
-				p.coll.Complete(c.Sample, done, c.ExitLayer)
-			}
-			p.putCompBuf(comps)
-		})
+		p.completions.schedule(p.eng, comps[0].Offset, comps)
 	} else {
 		p.putCompBuf(res.Completions)
 	}
@@ -307,13 +306,10 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		target := p.pickInstance(si + 1)
 		comm := p.clus.Link(inst.device, target.device).
 			TransferTime(p.model.Base.Layers[st.split.To-1].ActBytes * float64(len(res.Survivors)))
-		survivors := res.Survivors
 		xferStart := now + res.Duration + res.HandoffDelay
-		p.coll.Trace.Transfer(si, len(survivors), xferStart, xferStart+comm)
+		p.coll.Trace.Transfer(si, len(res.Survivors), xferStart, xferStart+comm)
 		p.coll.Flame.Transfer(si+1, xferStart, xferStart+comm)
-		p.eng.After(res.Duration+res.HandoffDelay+comm, func() {
-			p.receive(si+1, survivors, target)
-		})
+		p.scheduleTransfer(res.Duration+res.HandoffDelay+comm, si+1, res.Survivors, target)
 	} else {
 		// No survivors to forward (all exited, or final stage): the
 		// survivors buffer is idle — recycle it now.

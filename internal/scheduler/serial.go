@@ -27,14 +27,16 @@ type Serial struct {
 	running bool
 	// draining forces partial rounds after FlushAll so end-of-run leftovers
 	// smaller than a full round still execute instead of vanishing.
-	draining bool
+	draining    bool
+	completions completionJobs
 }
 
 const serialBarrier = 1e-3
 
 // NewSerial builds the ablation runner.
 func NewSerial(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, coll *Collector) *Serial {
-	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll}
+	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll,
+		completions: completionJobs{coll: coll}}
 	for _, d := range clus.Devices {
 		coll.Util.Register(d.ID)
 		coll.Flame.Register(d.ID, string(d.Kind))
@@ -128,12 +130,7 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 			// one event finishes them all in slice order, matching the
 			// per-sample events this replaces.
 			if comps := res.Completions; len(comps) > 0 {
-				s.eng.After(elapsed+res.Duration+res.HandoffDelay, func() {
-					done := s.eng.Now()
-					for _, c := range comps {
-						s.coll.Complete(c.Sample, done, c.ExitLayer)
-					}
-				})
+				s.completions.schedule(s.eng, elapsed+res.Duration+res.HandoffDelay, comps)
 			}
 			survivors = append(survivors, res.Survivors...)
 		}

@@ -44,7 +44,7 @@ func ProfiledOpenLoop(mk func(eng *sim.Engine, coll *scheduler.Collector) (sched
 	gen.SetAudit(coll.Audit)
 	gen.SetTrace(tr)
 	b := NewBatcher(eng, r, batch, estService, 0.2)
-	c, err := RunOpenLoop(eng, r, b, arr, gen, sloDeadline)
+	c, err := RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, sloDeadline)
 	if err != nil {
 		// A truncated run cannot be audited — conservation is trivially
 		// violated when in-flight samples were abandoned mid-event-loop.

@@ -4,8 +4,6 @@
 package serving
 
 import (
-	"math"
-
 	"e3/internal/audit"
 	"e3/internal/scheduler"
 	"e3/internal/sim"
@@ -30,12 +28,9 @@ type Batcher struct {
 	SlackFrac float64
 
 	queue []workload.Sample
-	// flushGen invalidates in-flight flush timers: the sim engine has no
-	// cancellation, so each armed timer captures the generation it was
-	// armed under and fires as a no-op if a dispatch or re-arm superseded
-	// it. flushAt is the fire time of the live timer (+Inf when none).
-	flushGen int
-	flushAt  float64
+	// flushTimer is the SLA-pressure check for the queue head; its pending
+	// time is the only record of when the next check runs.
+	flushTimer *sim.Timer
 	// pool optionally recycles dispatched batch slices through the runner
 	// (nil = allocate per dispatch, the pre-fast-path behavior; pooling
 	// never changes dispatched values, only allocation reuse).
@@ -47,10 +42,9 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 	if batch < 1 {
 		batch = 1
 	}
-	return &Batcher{
-		eng: eng, runner: r, Batch: batch, EstService: estService, SlackFrac: slackFrac,
-		flushAt: math.Inf(1),
-	}
+	b := &Batcher{eng: eng, runner: r, Batch: batch, EstService: estService, SlackFrac: slackFrac}
+	b.flushTimer = eng.NewTimer(b.flush)
+	return b
 }
 
 // ledger returns the lifecycle ledger shared through the collector (nil
@@ -143,11 +137,8 @@ func clearSamples(s []workload.Sample) {
 	}
 }
 
-// disarmFlush invalidates any in-flight flush timer.
-func (b *Batcher) disarmFlush() {
-	b.flushGen++
-	b.flushAt = math.Inf(1)
-}
+// disarmFlush cancels any pending flush check.
+func (b *Batcher) disarmFlush() { b.flushTimer.Stop() }
 
 // headFireAt is the time the queue head's slack runs down to the
 // effective service estimate — the last moment a partial dispatch keeps
@@ -160,32 +151,26 @@ func (b *Batcher) headFireAt() float64 {
 	return b.queue[0].Deadline - 1.02*b.effectiveService()/(1-b.SlackFrac)
 }
 
-// armFlush schedules the SLA-pressure check for the queue head. A live
-// timer that already fires at or before the head's deadline point is kept
-// (an early fire merely re-checks and re-arms); a stale later timer is
-// superseded.
+// armFlush schedules the SLA-pressure check for the queue head. A pending
+// check that already fires at or before the head's deadline point is kept
+// (an early fire merely re-checks and re-arms); a later one is moved.
 func (b *Batcher) armFlush() {
 	if len(b.queue) == 0 {
 		return
 	}
 	fireAt := b.headFireAt()
-	if b.flushAt <= fireAt {
+	if at, ok := b.flushTimer.When(); ok && at <= fireAt {
 		return
 	}
-	b.flushGen++
-	b.flushAt = fireAt
-	gen := b.flushGen
-	delay := fireAt - b.eng.Now()
+	// A head already past its fire point is checked at once. The time is
+	// now plus the delay, as Engine.After computes it, not fireAt itself:
+	// that rounding decides exact ties with other events.
+	now := b.eng.Now()
+	delay := fireAt - now
 	if delay < 0 {
 		delay = 0
 	}
-	b.eng.After(delay, func() {
-		if gen != b.flushGen {
-			return // superseded by a dispatch or a re-arm
-		}
-		b.flushAt = math.Inf(1)
-		b.flush()
-	})
+	b.flushTimer.Reset(now + delay)
 }
 
 // flush dispatches a partial batch under SLA pressure.

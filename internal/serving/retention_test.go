@@ -133,10 +133,10 @@ func TestBatcherPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// Regression: RunOpenLoop discarded the engine's error, so an event-limit
-// abort produced a silently truncated collector. The driver must surface
-// the abort and must not clobber a stricter caller-set limit with its own
-// backstop.
+// Regression: the open-loop run discarded the engine's error, so an
+// event-limit abort produced a silently truncated collector. The run must
+// surface the abort and must not clobber a stricter caller-set limit with
+// its own backstop.
 func TestRunOpenLoopPropagatesEventLimitAbort(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.SetEventLimit(3)
@@ -145,7 +145,7 @@ func TestRunOpenLoopPropagatesEventLimitAbort(t *testing.T) {
 	gen := workload.NewGenerator(workload.Mix(0.8), 1)
 	arr := trace.Arrivals{0.001, 0.002, 0.003, 0.004, 0.005, 0.006}
 
-	_, err := RunOpenLoop(eng, f, b, arr, gen, 1.0)
+	_, err := RunOpenLoopStream(eng, f, b, trace.NewSliceStream(arr), gen, 1.0)
 	if err == nil {
 		t.Fatal("event-limit abort was swallowed; want an error naming the pending backlog")
 	}
@@ -171,7 +171,9 @@ func BenchmarkBatcherFlush(b *testing.B) {
 		}
 		samples[i] = workload.Sample{ID: int64(i + 1), Arrival: 0, Deadline: d}
 	}
-	bt.flushAt = -1 // a live-timer sentinel so flush never re-arms an event
+	// A check pending at t=0 precedes every head's fire time, so flush
+	// never re-arms.
+	bt.flushTimer.Reset(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -43,43 +43,38 @@ func drainRun(eng *sim.Engine, r scheduler.Runner, b *Batcher) (*scheduler.Colle
 	return c, err
 }
 
-// RunOpenLoop replays an arrival trace through a dynamic batcher and runs
-// the simulation to completion. It returns the runner's collector for
+// RunOpenLoopStream replays an arrival stream through a dynamic batcher
+// and runs the simulation to completion; a materialized trace streams
+// through trace.NewSliceStream. It returns the runner's collector for
 // inspection, and a non-nil error if the engine aborted on its event
 // limit (the collector then reflects a truncated run).
-func RunOpenLoop(eng *sim.Engine, r scheduler.Runner, b *Batcher, arr trace.Arrivals, gen *workload.Generator, slo float64) (*scheduler.Collector, error) {
-	for _, at := range arr {
-		at := at
-		eng.At(at, func() {
-			b.Arrive(gen.Next(eng.Now(), slo))
-		})
-	}
+func RunOpenLoopStream(eng *sim.Engine, r scheduler.Runner, b *Batcher, st trace.Stream, gen *workload.Generator, slo float64) (*scheduler.Collector, error) {
+	FeedStream(eng, b, st, 0, gen, slo)
 	return drainRun(eng, r, b)
 }
 
-// RunOpenLoopStream is RunOpenLoop over a pull-based arrival stream: one
-// self-rescheduling event consumes arrivals one at a time, so an hour at
-// 9000 req/s costs one live arrival event instead of 32M pre-scheduled
-// closures. Arrival order and times are identical to materializing the
-// stream and calling RunOpenLoop.
-func RunOpenLoopStream(eng *sim.Engine, r scheduler.Runner, b *Batcher, st trace.Stream, gen *workload.Generator, slo float64) (*scheduler.Collector, error) {
-	var step func()
-	step = func() {
+// FeedStream schedules a stream's arrivals, each shifted by offset, into
+// the batcher. One engine timer consumes the stream an arrival at a time
+// and re-arms itself for the next, so an hour at 9000 req/s keeps one
+// pending schedule instead of 32M pre-scheduled closures. Each arrival
+// draws its sample from gen at the arrival's virtual time.
+func FeedStream(eng *sim.Engine, b *Batcher, st trace.Stream, offset float64, gen *workload.Generator, slo float64) {
+	var arrivals *sim.Timer
+	arrivals = eng.NewTimer(func() {
 		b.Arrive(gen.Next(eng.Now(), slo))
 		if at, ok := st.Next(); ok {
-			eng.At(at, step)
+			arrivals.Reset(offset + at)
 		}
-	}
+	})
 	if at, ok := st.Next(); ok {
-		eng.At(at, step)
+		arrivals.Reset(offset + at)
 	}
-	return drainRun(eng, r, b)
 }
 
 // RunClosedLoop feeds full batches at a fixed offered rate for a horizon
 // (closed-loop clients always have inputs waiting, §4). Samples carry the
 // SLO deadline so goodput accounting matches the paper's definition. The
-// error reports an event-limit abort, as in RunOpenLoop.
+// error reports an event-limit abort, as in RunOpenLoopStream.
 func RunClosedLoop(eng *sim.Engine, r scheduler.Runner, gen *workload.Generator, batch int, rate, horizon, slo float64) (*scheduler.Collector, error) {
 	// Arrival times are multiples of the interval computed from an integer
 	// counter: accumulating `at += interval` drifts by one ulp per step

@@ -159,7 +159,7 @@ func TestRunOpenLoopBursty(t *testing.T) {
 	arr := trace.Bursty(trace.DefaultBursty(800), 20, 7)
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
 	gen.SetAudit(p.Collector().Audit)
-	c, _ := RunOpenLoop(eng, p, b, arr, gen, 0.1)
+	c, _ := RunOpenLoopStream(eng, p, b, trace.NewSliceStream(arr), gen, 0.1)
 	total := c.Good.Served + c.Violations + c.Dropped
 	if total != len(arr) {
 		t.Fatalf("accounted %d of %d arrivals", total, len(arr))

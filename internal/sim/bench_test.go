@@ -55,6 +55,24 @@ func BenchmarkEngineHeapChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkTimerReset measures re-arming a pending timer beside a deep
+// heap — the batcher's per-dispatch cost. Before timers, each re-arm
+// pushed a fresh closure that later popped as a no-op.
+func BenchmarkTimerReset(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine()
+	for i := 0; i < 10000; i++ {
+		e.At(float64(i), func() {})
+	}
+	tm := e.NewTimer(func() {})
+	other := e.NewTimer(func() {})
+	other.Reset(5e3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(float64(i % 8192))
+	}
+}
+
 // BenchmarkReferenceEngineHeapChurn is the retained baseline for
 // BenchmarkEngineHeapChurn.
 func BenchmarkReferenceEngineHeapChurn(b *testing.B) {

@@ -15,6 +15,12 @@
 // so it is bit-identical to the retained container/heap reference
 // implementation (ReferenceEngine), which the soak and equivalence tests
 // enforce.
+//
+// Work that is rescheduled again and again — a flush deadline that moves
+// with the queue head, an arrival stream that always has one next arrival
+// — runs on a Timer instead: one reusable, cancellable schedule per
+// callback, kept beside the heap, so a superseded deadline is overwritten
+// rather than left in the heap to fire as a no-op.
 package sim
 
 import (
@@ -53,6 +59,16 @@ type Engine struct {
 	// events is a binary min-heap of inline event values ordered by
 	// (at, seq); the slice's spare capacity is the free list.
 	events []event
+	// timers holds the pending timers in no order, each at its slot index;
+	// first is the earliest of them by (at, seq), nil when none is pending.
+	// A timer leaves the list when it fires or stops, so the engine keeps
+	// no reference to a timer with nothing scheduled.
+	timers []*Timer
+	first  *Timer
+	// drainAt is the latest time a timer schedule was superseded or
+	// stopped at. A drained engine's clock stands at least there (see
+	// Step), so cancelling a schedule never moves the end of a run.
+	drainAt Time
 	// Processed counts events executed, for diagnostics and runaway guards.
 	processed uint64
 	// limit aborts Run after this many events (0 = no limit). It exists to
@@ -68,7 +84,9 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Processed reports how many events have executed so far.
+// Processed reports how many events have executed so far: every At/After
+// callback and every timer firing. A timer schedule that Reset superseded
+// or Stop cancelled never runs and is not counted.
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // SetEventLimit aborts Run with an error after n events (0 disables the
@@ -86,15 +104,27 @@ func (e *Engine) EventLimit() uint64 { return e.limit }
 //
 //e3:hotpath every scheduled event passes through here; steady-state must not allocate
 func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: schedule at non-finite time %v", t))
-	}
+	e.checkTime(t)
 	e.seq++
 	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
 	e.siftUp(len(e.events) - 1)
+}
+
+// checkTime rejects a schedule time in the past or not finite. The test
+// is kept small enough to inline into At and Reset: !(t >= now) also
+// catches NaN, and -Inf is always in the past. The panics live in badTime.
+func (e *Engine) checkTime(t Time) {
+	if !(t >= e.now) || t > math.MaxFloat64 {
+		e.badTime(t)
+	}
+}
+
+// badTime panics with the reason checkTime rejected t.
+func (e *Engine) badTime(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	}
+	panic(fmt.Sprintf("sim: schedule at non-finite time %v", t))
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
@@ -102,8 +132,128 @@ func (e *Engine) After(d float64, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// Pending reports the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending reports the number of events waiting to run, pending timers
+// included.
+func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
+
+// Timer is a reusable, cancellable schedule for one fixed callback. At
+// most one firing is pending at a time: Reset moves it, Stop cancels it,
+// and a superseded or cancelled schedule never runs. A timer orders
+// against ordinary events exactly as the At call it stands for would,
+// because Reset takes the engine's next sequence number just as At does.
+// A cancelled schedule is not an event, but it still bounds where the
+// clock of a drained engine stands (see Step).
+//
+// Like the engine, a timer belongs to the engine's goroutine.
+type Timer struct {
+	eng *Engine
+	fn  func()
+	at  Time
+	seq uint64
+	// slot is the timer's index in the engine's pending list, -1 when it
+	// is not pending.
+	slot int
+}
+
+// NewTimer returns an idle timer that runs fn each time it fires. The
+// engine keeps no reference to it until Reset schedules it.
+func (e *Engine) NewTimer(fn func()) *Timer {
+	return &Timer{eng: e, fn: fn, slot: -1}
+}
+
+// Reset schedules the timer to fire at absolute virtual time at,
+// replacing any pending schedule. Like At, it panics on a time before now
+// or not finite. Calling Reset from the timer's own callback re-arms it.
+//
+//e3:hotpath re-armed on every batcher dispatch and every streamed arrival
+func (t *Timer) Reset(at Time) {
+	e := t.eng
+	e.checkTime(at)
+	if t.slot >= 0 {
+		e.cancelled(t.at)
+	} else {
+		t.slot = len(e.timers)
+		e.timers = append(e.timers, t)
+	}
+	e.seq++
+	t.at, t.seq = at, e.seq
+	switch {
+	case e.first == nil || t.before(e.first.at, e.first.seq):
+		e.first = t
+	case e.first == t:
+		// The earliest timer moved later; another may now lead.
+		e.first = e.earliestTimer()
+	}
+}
+
+// Stop cancels the pending schedule, if any.
+//
+//e3:hotpath cancelled on every batcher dispatch
+func (t *Timer) Stop() {
+	if t.slot >= 0 {
+		t.eng.cancelled(t.at)
+		t.eng.unlink(t)
+	}
+}
+
+// cancelled records a schedule that will not run.
+func (e *Engine) cancelled(at Time) {
+	if at > e.drainAt {
+		e.drainAt = at
+	}
+}
+
+// When reports the pending fire time; ok is false when nothing is
+// scheduled.
+func (t *Timer) When() (at Time, ok bool) {
+	return t.at, t.slot >= 0
+}
+
+// before orders the timer's schedule against another (at, seq) pair, with
+// the heap's exact tie-break.
+func (t *Timer) before(at Time, seq uint64) bool {
+	if t.at != at { //e3:exactfloat heap tie-break needs bitwise equality
+		return t.at < at
+	}
+	return t.seq < seq
+}
+
+// unlink removes a pending timer from the pending list.
+func (e *Engine) unlink(t *Timer) {
+	last := len(e.timers) - 1
+	moved := e.timers[last]
+	e.timers[t.slot] = moved
+	moved.slot = t.slot
+	e.timers[last] = nil
+	e.timers = e.timers[:last]
+	t.slot = -1
+	if e.first == t {
+		e.first = e.earliestTimer()
+	}
+}
+
+// earliestTimer scans the pending list for its earliest timer. The list
+// holds one timer per live stream or batcher, so the scan is short.
+func (e *Engine) earliestTimer() *Timer {
+	var first *Timer
+	for _, t := range e.timers {
+		if first == nil || t.before(first.at, first.seq) {
+			first = t
+		}
+	}
+	return first
+}
+
+// nextAt reports the time of the earliest pending event or timer.
+func (e *Engine) nextAt() (Time, bool) {
+	if t := e.first; t != nil && (len(e.events) == 0 || t.before(e.events[0].at, e.events[0].seq)) {
+		return t.at, true
+	}
+	if len(e.events) == 0 {
+		return 0, false
+	}
+	return e.events[0].at, true
+}
 
 // siftUp restores the heap invariant after appending at index i.
 func (e *Engine) siftUp(i int) {
@@ -140,13 +290,27 @@ func (e *Engine) siftDown() {
 	}
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event ran.
+// Step executes the single earliest pending event or timer, advancing the
+// clock to its timestamp. It reports whether anything ran.
+//
+// When nothing is pending, Step moves the clock up to the latest
+// cancelled timer schedule if that lies ahead. A drained run thus ends
+// where it would if each cancelled schedule had stayed in the heap as a
+// no-op event — the equivalence the timer property test checks — and
+// replan windows start, and goodput horizons close, at that clock.
 //
 //e3:hotpath pop path runs once per simulated event; see README "Data-plane performance"
 func (e *Engine) Step() bool {
 	n := len(e.events)
+	if t := e.first; t != nil && (n == 0 || t.before(e.events[0].at, e.events[0].seq)) {
+		e.unlink(t)
+		e.now = t.at
+		e.processed++
+		t.fn()
+		return true
+	}
 	if n == 0 {
+		e.drained()
 		return false
 	}
 	at, fn := e.events[0].at, e.events[0].fn
@@ -162,12 +326,19 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// drained settles the clock of an engine with nothing pending.
+func (e *Engine) drained() {
+	if e.drainAt > e.now {
+		e.now = e.drainAt
+	}
+}
+
 // limitErr reports an event-limit abort unambiguously: callers chaining
 // Run windows must be able to tell a limit abort (work still pending)
 // from a drained queue.
 func (e *Engine) limitErr() error {
 	return fmt.Errorf("sim: event limit %d exceeded at t=%v with %d event(s) still pending",
-		e.limit, e.now, len(e.events))
+		e.limit, e.now, e.Pending())
 }
 
 // Run executes events until the queue drains or the next event lies beyond
@@ -175,7 +346,11 @@ func (e *Engine) limitErr() error {
 // until, whichever is later, so callers can chain Run calls on a shared
 // timeline). It returns an error only if the event limit is exceeded.
 func (e *Engine) Run(until Time) error {
-	for len(e.events) > 0 && e.events[0].at <= until {
+	for {
+		at, ok := e.nextAt()
+		if !ok || at > until {
+			break
+		}
 		if e.limit > 0 && e.processed >= e.limit {
 			return e.limitErr()
 		}
@@ -188,13 +363,15 @@ func (e *Engine) Run(until Time) error {
 }
 
 // RunAll executes every pending event (including ones scheduled by other
-// events) until the queue drains.
+// events) until the queue drains, leaving the clock as Step does when
+// nothing is pending.
 func (e *Engine) RunAll() error {
-	for len(e.events) > 0 {
+	for len(e.events) > 0 || e.first != nil {
 		if e.limit > 0 && e.processed >= e.limit {
 			return e.limitErr()
 		}
 		e.Step()
 	}
+	e.drained()
 	return nil
 }

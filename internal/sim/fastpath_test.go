@@ -158,24 +158,26 @@ func TestEngineTieBreakFIFOUnderSlotReuse(t *testing.T) {
 }
 
 // TestEngineLimitErrorReportsPending pins the event-limit abort message:
-// it must carry the pending count so callers chaining Run windows can
-// tell a limit abort from a drained queue. Reverting the error format
-// fails this test.
+// it must carry the pending count — heap events and pending timers alike
+// — so callers chaining Run windows can tell a limit abort from a drained
+// queue. Reverting the error format, or counting the heap alone, fails
+// this test.
 func TestEngineLimitErrorReportsPending(t *testing.T) {
 	e := NewEngine()
 	e.SetEventLimit(3)
 	for i := 0; i < 10; i++ {
 		e.At(float64(i), func() {})
 	}
+	e.NewTimer(func() {}).Reset(100)
 	err := e.RunAll()
 	if err == nil {
 		t.Fatal("expected event-limit error")
 	}
-	if want := "7 event(s) still pending"; !strings.Contains(err.Error(), want) {
+	if want := "8 event(s) still pending"; !strings.Contains(err.Error(), want) {
 		t.Fatalf("limit error %q does not report pending count (want substring %q)", err, want)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d after limit abort, want 7", e.Pending())
+	if e.Pending() != 8 {
+		t.Fatalf("pending = %d after limit abort, want 8", e.Pending())
 	}
 }
 
