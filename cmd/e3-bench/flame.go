@@ -12,6 +12,7 @@ import (
 
 	"e3/internal/experiments"
 	"e3/internal/flame"
+	"e3/internal/scheduler"
 )
 
 // writeFlameArtifacts exports one profile in whichever of the three
@@ -58,31 +59,14 @@ func writeFlameArtifacts(prof *flame.Profile, outJSON, outFolded, outPprof strin
 // runner on the same seed and plan), exports the fold, and fails if the
 // profile does not reconcile exactly against the utilization ledger.
 func runFlameDemo(runner, outJSON, outFolded, outPprof string) int {
-	fl := flame.NewProfiler(0)
-	var (
-		err  error
-		stat flame.ReconcileStat
-	)
-	switch runner {
-	case "pipeline":
-		r, coll, _, e := experiments.RunProfiledDemo(nil, nil, fl, demoHorizon)
-		if e != nil {
-			err = e
-		} else {
-			stat = fl.Verify(coll.Util)
-			err = r.Err()
-		}
-	case "serial":
-		r, coll, _, e := experiments.RunProfiledSerialDemo(fl, demoHorizon)
-		if e != nil {
-			err = e
-		} else {
-			stat = fl.Verify(coll.Util)
-			err = r.Err()
-		}
-	default:
+	if runner != "pipeline" && runner != "serial" {
 		fmt.Fprintf(os.Stderr, "e3-bench: -flame-runner must be pipeline or serial (got %q)\n", runner)
 		return 2
+	}
+	fl := flame.NewProfiler(0)
+	rep, stat, _, _, err := experiments.RunDemo(runner, scheduler.Observers{Flame: fl}, demoHorizon)
+	if err == nil {
+		err = rep.Err()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-bench:", err)

@@ -24,6 +24,7 @@ import (
 	"e3/internal/flame"
 	"e3/internal/forecast"
 	"e3/internal/replan"
+	"e3/internal/scheduler"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
@@ -175,7 +176,7 @@ const demoHorizon = 10.0
 // per-split occupancy summary and the audit verdict.
 func exportTrace(path string) error {
 	tr := telemetry.New()
-	rep, _, plan, err := experiments.RunTracedDemo(tr, demoHorizon)
+	rep, _, _, plan, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, demoHorizon)
 	if err != nil {
 		return err
 	}
@@ -244,7 +245,7 @@ func bestOfWall(fn func() error) (float64, error) {
 func exportBench(path string) error {
 	// Stats run: unbounded tracer for the occupancy summary.
 	tr := telemetry.New()
-	rep, coll, _, err := experiments.RunTracedDemo(tr, demoHorizon)
+	rep, _, coll, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, demoHorizon)
 	if err != nil {
 		return err
 	}
@@ -270,14 +271,14 @@ func exportBench(path string) error {
 
 	// Overhead runs: telemetry off vs. the live-serving ring config.
 	off, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunTracedDemo(nil, demoHorizon)
+		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{}, demoHorizon)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	on, err := bestOfWall(func() error {
-		_, _, _, err := experiments.RunTracedDemo(telemetry.NewRing(4096), demoHorizon)
+		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: telemetry.NewRing(4096)}, demoHorizon)
 		return err
 	})
 	if err != nil {
@@ -322,10 +323,13 @@ type replanReport struct {
 	PlanDiffs       []string `json:"plan_diffs"`
 
 	// Forecast accuracy of the primary (ARIMA) run vs. the persistence
-	// baseline on the same seed and workload drift.
-	ForecastMAEARIMA       float64 `json:"forecast_mae_arima"`
-	ForecastMAEPersistence float64 `json:"forecast_mae_persistence"`
-	ARIMABeatsPersistence  bool    `json:"arima_beats_persistence"`
+	// baseline on the same seed and workload drift. ARIMABeatsPersistence
+	// is null when the comparison is inconclusive (no ARIMA fit).
+	ForecastMAEARIMA       float64        `json:"forecast_mae_arima"`
+	ForecastMAEPersistence float64        `json:"forecast_mae_persistence"`
+	ARIMABeatsPersistence  *bool          `json:"arima_beats_persistence"`
+	ForecastsARIMA         forecastCounts `json:"forecasts_arima"`
+	ForecastsPersistence   forecastCounts `json:"forecasts_persistence"`
 
 	AuditSamples    int `json:"audit_samples"`
 	AuditCompleted  int `json:"audit_completed"`
@@ -344,6 +348,34 @@ type replanReport struct {
 	FlameWindows   []flameWindowStat    `json:"flame_windows,omitempty"`
 
 	PerWindow []replan.WindowStat `json:"per_window"`
+}
+
+// forecastCounts is one forecaster's per-layer forecast tally: how many
+// it made, and how many of those no fitted model produced.
+type forecastCounts struct {
+	Forecasts   int `json:"forecasts"`
+	Fallbacks   int `json:"persistence_fallbacks"`
+	FitFailures int `json:"fit_failures"`
+}
+
+func countForecasts(s *forecast.Stats) forecastCounts {
+	return forecastCounts{Forecasts: s.Forecasts(), Fallbacks: s.PersistenceFallbacks(), FitFailures: s.FitFailures()}
+}
+
+// forecastVerdict compares the ARIMA run's forecast MAE with the
+// persistence baseline's. When every ARIMA forecast fell back to
+// persistence (too little history to fit), both runs forecast the same
+// values and the comparison says nothing: the verdict is inconclusive and
+// beats is nil.
+func forecastVerdict(arima, persistence *forecast.Stats) (verdict string, beats *bool) {
+	if c := countForecasts(arima); c.Fallbacks+c.FitFailures == c.Forecasts {
+		return "inconclusive (every ARIMA forecast fell back to persistence)", nil
+	}
+	b := arima.MAE() < persistence.MAE()
+	if b {
+		return "ARIMA beats persistence", &b
+	}
+	return "ARIMA does not beat persistence", &b
 }
 
 // flameWindowStat is one window's own compute, from differencing
@@ -447,6 +479,10 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 	fmt.Printf("\nreplans: %d (%d plan changes, %d plan-cache hits / %d misses); final plan: %s\n",
 		res.Replans, res.PlanChanges, res.PlanCacheHits, res.PlanCacheMisses, res.FinalPlan)
 	fmt.Printf("forecast MAE: arima %.4f vs persistence %.4f\n", res.MeanForecastMAE, base.MeanForecastMAE)
+	verdict, beats := forecastVerdict(res.Forecast, base.Forecast)
+	fa, fp := countForecasts(res.Forecast), countForecasts(base.Forecast)
+	fmt.Printf("forecast fallbacks (short history + fit failures, of per-layer forecasts): arima %d+%d of %d, persistence %d+%d of %d; %s\n",
+		fa.Fallbacks, fa.FitFailures, fa.Forecasts, fp.Fallbacks, fp.FitFailures, fp.Forecasts, verdict)
 	fmt.Printf("SLO budget: target %.3f, %d/%d windows breached burn threshold %.1f\n",
 		res.Budget.Target(), res.Budget.Breaches(), res.Budget.Windows(), res.Budget.BurnThreshold())
 	completed, dropped, attributed := attr.Counts()
@@ -526,7 +562,9 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 			PlanDiffs:              []string{},
 			ForecastMAEARIMA:       res.MeanForecastMAE,
 			ForecastMAEPersistence: base.MeanForecastMAE,
-			ARIMABeatsPersistence:  res.MeanForecastMAE < base.MeanForecastMAE,
+			ARIMABeatsPersistence:  beats,
+			ForecastsARIMA:         fa,
+			ForecastsPersistence:   fp,
 			AuditSamples:           res.Report.Samples,
 			AuditCompleted:         res.Report.Completed,
 			AuditDropped:           res.Report.Dropped,

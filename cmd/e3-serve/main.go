@@ -36,9 +36,12 @@ import (
 	"e3/internal/optimizer"
 	"e3/internal/profile"
 	"e3/internal/replan"
+	"e3/internal/scheduler"
 	"e3/internal/serving"
+	"e3/internal/sim"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
+	"e3/internal/trace"
 	"e3/internal/workload"
 )
 
@@ -109,8 +112,8 @@ func main() {
 				}
 				return workload.Mix(frac)
 			},
-			Method: forecast.MethodARIMA,
-			Tracer: loopTr, Attr: loopAttr,
+			Method:    forecast.MethodARIMA,
+			Observers: scheduler.Observers{Tracer: loopTr, Attr: loopAttr},
 			SLOTarget: *sloTarget, BurnThreshold: *burnThreshold,
 			Recorder: recorder,
 		})
@@ -154,8 +157,10 @@ func main() {
 		// expose.
 		attr := slo.NewAttribution(slo.DefaultTopK)
 		fl := flame.NewProfiler(0)
-		rep, coll, err := serving.ProfiledPlan(clus, m, plan, workload.Mix(*easy),
-			plan.Goodput, 10.0, sloDur.Seconds(), 1, tr, attr, fl)
+		rep, flStat, coll, err := serving.AuditedOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+			return scheduler.NewPipeline(eng, clus, m, plan, coll)
+		}, m.Base.NumLayers(), trace.Bursty(trace.DefaultBursty(plan.Goodput), 10.0, 1), workload.Mix(*easy),
+			plan.Latency, sloDur.Seconds(), plan.Batch, 1, scheduler.Observers{Tracer: tr, Attr: attr, Flame: fl})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "e3-serve: boot run failed:", err)
 			os.Exit(1)
@@ -163,7 +168,6 @@ func main() {
 		// Expose the boot run's virtual-time compute profile (where the
 		// fleet's GPU-seconds went) via /v1/flame; the exact-reconcile
 		// verdict also rides on /v1/health.
-		flStat := fl.Verify(coll.Util)
 		api.AttachFlame(fl.Profile(), flStat)
 		log.Printf("e3-serve: flame profile: %d devices reconciled, residual %dns (ok=%v)",
 			flStat.Devices, flStat.Residual, flStat.OK())

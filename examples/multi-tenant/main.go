@@ -48,23 +48,27 @@ func main() {
 		fmt.Printf("  %-11s %2d devices  plan: %v\n", a.Tenant, len(a.Devices), a.Plan)
 	}
 
+	// One serving stack per tenant (exhaustive audit ledger, no batch
+	// pool); this example feeds full batches straight to each pipeline.
 	eng := sim.NewEngine()
-	fleet, err := multi.Deploy(eng, clus, tenants, allocs)
+	stacks, err := multi.DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		log.Fatal(err)
+	}
+	byName := make(map[string]multi.ServingTenant, len(stacks))
+	for _, st := range stacks {
+		byName[st.Spec.Name] = st
 	}
 
 	// Serve both tenants at their demanded rates for 5 virtual seconds.
 	for _, tn := range tenants {
-		tn := tn
+		st := byName[tn.Name]
 		gen := workload.NewGenerator(tn.Dist, 7)
+		gen.SetAudit(st.Coll.Audit)
 		interval := float64(tn.Batch) / tn.Rate
 		for at := interval; at < 5; at += interval {
-			at := at
 			eng.At(at, func() {
-				if err := fleet.Ingest(tn.Name, gen.Batch(tn.Batch, eng.Now(), tn.SLO)); err != nil {
-					log.Fatal(err)
-				}
+				st.Pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
 			})
 		}
 	}
@@ -72,14 +76,16 @@ func main() {
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
-	fleet.FlushAll()
+	for _, st := range stacks {
+		st.Pipe.FlushAll()
+	}
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("\nserved:")
 	for _, tn := range tenants {
-		c := fleet.Collector(tn.Name)
+		c := byName[tn.Name].Coll
 		c.Good.CloseAt(eng.Now())
 		fmt.Printf("  %-11s %6.0f req/s goodput  (%d violations, %d drops)  %s\n",
 			tn.Name, c.Good.Goodput(), c.Violations, c.Dropped, c.Lat.Summarize())

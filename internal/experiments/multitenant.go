@@ -47,20 +47,21 @@ func ExtensionMultiTenant() Table {
 		return t
 	}
 	eng := sim.NewEngine()
-	fleet, err := multi.Deploy(eng, clus, tenants, allocs)
+	stacks, err := multi.DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		return t
 	}
 
-	// Offer each tenant exactly its demanded rate for 3 virtual seconds.
-	for _, tn := range tenants {
-		tn := tn
+	// Offer each tenant exactly its demanded rate for 3 virtual seconds,
+	// in full batches straight to its pipeline.
+	for _, st := range stacks {
+		tn, pipe := st.Spec, st.Pipe
 		gen := workload.NewGenerator(tn.Dist, 311)
+		gen.SetAudit(st.Coll.Audit)
 		interval := float64(tn.Batch) / tn.Rate
 		for at := interval; at < 3.0; at += interval {
-			at := at
 			eng.At(at, func() {
-				_ = fleet.Ingest(tn.Name, gen.Batch(tn.Batch, eng.Now(), tn.SLO))
+				pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
 			})
 		}
 	}
@@ -69,20 +70,16 @@ func ExtensionMultiTenant() Table {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}
-	fleet.FlushAll()
+	for _, st := range stacks {
+		st.Pipe.FlushAll()
+	}
 	if err := eng.RunAll(); err != nil {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}
 
-	for _, a := range fleet.Allocations() {
-		var tn multi.Tenant
-		for _, cand := range tenants {
-			if cand.Name == a.Tenant {
-				tn = cand
-			}
-		}
-		c := fleet.Collector(a.Tenant)
+	for _, st := range stacks {
+		a, tn, c := st.Alloc, st.Spec, st.Coll
 		c.Good.CloseAt(eng.Now())
 		total := c.Good.Served + c.Violations + c.Dropped
 		bad := 0.0

@@ -33,10 +33,10 @@ func BenchmarkTracedRunnerPath(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := telemetry.NewRing(4096)
-		rep, _, err := serving.TracedOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+		obs := scheduler.Observers{Tracer: telemetry.NewRing(4096)}
+		rep, _, _, err := serving.AuditedOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
 			return scheduler.NewPipeline(eng, mk(), dee, plan, coll)
-		}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, 8, 7, tr)
+		}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, 8, 7, obs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"e3/internal/audit"
 	"e3/internal/cluster"
 	"e3/internal/ee"
@@ -11,14 +13,12 @@ import (
 	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
-	"e3/internal/slo"
-	"e3/internal/telemetry"
 	"e3/internal/trace"
 )
 
-// The traced demo reuses the audit experiment's setting (BERT-Base
-// DeeBERT, V100×8, bursty open loop) so the exported timeline shows the
-// same run the conservation audit verifies.
+// The demo reuses the audit experiment's setting (BERT-Base DeeBERT,
+// V100×8, bursty open loop) so the exported timeline shows the same run
+// the conservation audit verifies.
 const (
 	tracedBatch   = 8
 	tracedAvgRate = 2000.0
@@ -34,64 +34,61 @@ const (
 	DemoBatch   int     = tracedBatch
 )
 
-// RunProfiledDemo plans the demo setting and replays it through the E3
-// pipeline with the given tracer, per-request attribution, and compute
-// profiler attached end to end (any may be nil; all nil measures the
-// unobserved baseline). The returned report has the tracer's counters,
-// the attribution's breakdown checks, and the flame fold's exact
-// busy/idle accounting reconciled against the ledger; horizon is virtual
-// seconds of bursty arrivals.
-func RunProfiledDemo(tr *telemetry.Tracer, attr *slo.Attribution, fl *flame.Profiler, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	base := model.BERTBase()
-	dee := ee.NewDeeBERT(base, 0.4)
-	dist := mix80()
-	mk := func() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
+// demoModel is the demo setting's early-exit model.
+func demoModel() *ee.EEModel { return ee.NewDeeBERT(model.BERTBase(), 0.4) }
 
-	plan, err := planE3(mk(), dee, dist, tracedBatch, defaultSLO, nil)
+// demoCluster is the demo setting's cluster, fresh per run.
+func demoCluster() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
+
+// planDemo plans E3 for the demo setting.
+func planDemo(dee *ee.EEModel) (optimizer.Plan, error) {
+	return planE3(demoCluster(), dee, mix80(), tracedBatch, defaultSLO, nil)
+}
+
+// RunDemo plans the demo setting and replays horizon virtual seconds of
+// its bursty arrivals through the named runner — "pipeline" (E3),
+// "dataparallel" (the baselines' eager runner) or "serial" (the §5.8.7
+// phase-synchronized ablation) — with the given observers attached end to
+// end (Observers{} measures the unobserved baseline). The returned report
+// has every attached view reconciled against the ledger; the flame stat is
+// the profiler's exact busy/idle reconcile (zero with no profiler).
+func RunDemo(runner string, obs scheduler.Observers, horizon float64) (*audit.Report, flame.ReconcileStat, *scheduler.Collector, optimizer.Plan, error) {
+	dee := demoModel()
+	plan, err := planDemo(dee)
 	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
+		return nil, flame.ReconcileStat{}, nil, optimizer.Plan{}, err
+	}
+	rep, stat, coll, err := runDemo(runner, dee, plan, obs, horizon)
+	return rep, stat, coll, plan, err
+}
+
+// runDemo replays the demo workload through the named runner under an
+// already computed plan.
+func runDemo(runner string, dee *ee.EEModel, plan optimizer.Plan, obs scheduler.Observers, horizon float64) (*audit.Report, flame.ReconcileStat, *scheduler.Collector, error) {
+	est := plan.Latency
+	var mk func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error)
+	switch runner {
+	case "pipeline":
+		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+			return scheduler.NewPipeline(eng, demoCluster(), dee, plan, coll)
+		}
+	case "dataparallel":
+		est = 0.030
+		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+			clus := demoCluster()
+			devs := make([]int, clus.Size())
+			for i := range devs {
+				devs[i] = i
+			}
+			return scheduler.NewDataParallel(eng, clus, dee, devs, coll)
+		}
+	case "serial":
+		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+			return scheduler.NewSerial(eng, demoCluster(), dee, plan, coll), nil
+		}
+	default:
+		return nil, flame.ReconcileStat{}, nil, fmt.Errorf("experiments: unknown demo runner %q (want pipeline, dataparallel or serial)", runner)
 	}
 	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	rep, coll, err := serving.ProfiledOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-		return scheduler.NewPipeline(eng, mk(), dee, plan, coll)
-	}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, tracedBatch, tracedSeed, tr, attr, fl)
-	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
-	}
-	return rep, coll, plan, nil
-}
-
-// RunProfiledSerialDemo replays the same demo workload and plan through
-// the phase-synchronized Serial runner (§5.8.7) with the compute profiler
-// attached — the other half of the serial-vs-pipeline flame diff: same
-// seed, same plan, different runner, so every delta in the profile is the
-// runner's doing.
-func RunProfiledSerialDemo(fl *flame.Profiler, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	base := model.BERTBase()
-	dee := ee.NewDeeBERT(base, 0.4)
-	dist := mix80()
-	mk := func() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
-
-	plan, err := planE3(mk(), dee, dist, tracedBatch, defaultSLO, nil)
-	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
-	}
-	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	rep, coll, err := serving.ProfiledOpenLoop(func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-		return scheduler.NewSerial(eng, mk(), dee, plan, coll), nil
-	}, base.NumLayers(), arr, dist, plan.Latency, defaultSLO, tracedBatch, tracedSeed, nil, nil, fl)
-	if err != nil {
-		return nil, nil, optimizer.Plan{}, err
-	}
-	return rep, coll, plan, nil
-}
-
-// RunObservedDemo is RunProfiledDemo without compute profiling.
-func RunObservedDemo(tr *telemetry.Tracer, attr *slo.Attribution, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	return RunProfiledDemo(tr, attr, nil, horizon)
-}
-
-// RunTracedDemo is RunObservedDemo without per-request attribution.
-func RunTracedDemo(tr *telemetry.Tracer, horizon float64) (*audit.Report, *scheduler.Collector, optimizer.Plan, error) {
-	return RunObservedDemo(tr, nil, horizon)
+	return serving.AuditedOpenLoop(mk, dee.Base.NumLayers(), arr, mix80(), est, defaultSLO, tracedBatch, tracedSeed, obs)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"e3/internal/scheduler"
 	"e3/internal/telemetry"
 )
 
@@ -14,7 +15,7 @@ import (
 // reconcile with the conservation ledger.
 func TestTracedDemoChromeExport(t *testing.T) {
 	tr := telemetry.New()
-	rep, coll, _, err := RunTracedDemo(tr, 2.0)
+	rep, _, _, _, err := RunDemo("pipeline", scheduler.Observers{Tracer: tr}, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,6 @@ func TestTracedDemoChromeExport(t *testing.T) {
 			t.Fatalf("split %d utilization %v out of [0,1]", sp.Stage, sp.Util)
 		}
 	}
-	_ = coll
 }
 
 // TestTracedDemoRingReconciles checks that ring eviction does not break
@@ -99,7 +99,7 @@ func TestTracedDemoChromeExport(t *testing.T) {
 // retained spans.
 func TestTracedDemoRingReconciles(t *testing.T) {
 	tr := telemetry.NewRing(64)
-	rep, _, _, err := RunTracedDemo(tr, 2.0)
+	rep, _, _, _, err := RunDemo("pipeline", scheduler.Observers{Tracer: tr}, 2.0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,11 +45,11 @@ func toNanos(x float64) int64 {
 // Bubble-cause leaf frames. Interior gaps are classified by what the
 // device was waiting for; boundary gaps by where in the run they sit.
 const (
-	classQueueStarved = iota // device free, nothing upstream to run
-	classTransferBlocked     // survivors in flight toward this stage
-	classFuseBlocked         // merge queue holding survivors for re-formation
-	classDrained             // after the device's last batch, to end of run
-	classIdle                // before the device's first batch (or never ran)
+	classQueueStarved    = iota // device free, nothing upstream to run
+	classTransferBlocked        // survivors in flight toward this stage
+	classFuseBlocked            // merge queue holding survivors for re-formation
+	classDrained                // after the device's last batch, to end of run
+	classIdle                   // before the device's first batch (or never ran)
 	numClasses
 )
 
@@ -110,7 +110,7 @@ type devState struct {
 
 // execKey caches the three busy-leaf folded stacks per execution shape.
 type execKey struct {
-	dev, model   string
+	dev, model      string
 	split, from, to int
 }
 
@@ -458,33 +458,18 @@ type ReconcileStat struct {
 // OK reports an exact reconcile.
 func (s ReconcileStat) OK() bool { return s.Checked && s.Residual == 0 }
 
-// Verify cross-checks the fold against the utilization tracker's busy
-// spans: per device, the flame busy total must equal the span sum in
-// integer nanoseconds *exactly* (both sides round the same floats once),
-// and busy − overlap − excess + bubble must equal the horizon. It returns
-// the totals and residual without judging them; Reconcile folds failures
-// into a conservation report.
-func (p *Profiler) Verify(util *metrics.UtilizationTracker) ReconcileStat {
-	if p == nil {
-		return ReconcileStat{}
-	}
-	return p.reconcile(nil, util)
-}
-
-// Reconcile runs Verify and folds every disagreement into the
-// conservation report, like telemetry.Reconcile: a profile that cannot
-// account for the run's GPU time exactly is a recording bug and the audit
-// must fail on it. A nil profiler reconciles vacuously.
+// Reconcile cross-checks the fold against the utilization tracker's busy
+// spans and folds every disagreement into the conservation report, like
+// telemetry.Reconcile: per device, the flame busy total must equal the
+// span sum in integer nanoseconds *exactly* (both sides round the same
+// floats once), and busy − overlap − excess + bubble must equal the
+// horizon. A profile that cannot account for the run's GPU time exactly
+// is a recording bug and the audit must fail on it. It also returns the
+// totals and residual. A nil profiler reconciles vacuously.
 func (p *Profiler) Reconcile(rep *audit.Report, util *metrics.UtilizationTracker) ReconcileStat {
 	if p == nil || rep == nil {
 		return ReconcileStat{}
 	}
-	return p.reconcile(rep, util)
-}
-
-// reconcile is the shared check; a nil rep collects the residual without
-// reporting violations.
-func (p *Profiler) reconcile(rep *audit.Report, util *metrics.UtilizationTracker) ReconcileStat {
 	pr := p.Profile()
 	stat := ReconcileStat{Devices: len(pr.Devices), Checked: true}
 	seen := make(map[string]bool, len(pr.Devices))
@@ -494,10 +479,8 @@ func (p *Profiler) reconcile(rep *audit.Report, util *metrics.UtilizationTracker
 		stat.BubbleNanos += dt.BubbleNanos
 		if got := dt.BusyNanos - dt.OverlapNanos - dt.ExcessNanos + dt.BubbleNanos; got != dt.HorizonNanos {
 			stat.Residual += absInt64(got - dt.HorizonNanos)
-			if rep != nil {
-				rep.Violate("flame: device %s accounts %dns of a %dns horizon (busy %d - overlap %d - excess %d + bubble %d)",
-					dt.ID, got, dt.HorizonNanos, dt.BusyNanos, dt.OverlapNanos, dt.ExcessNanos, dt.BubbleNanos)
-			}
+			rep.Violate("flame: device %s accounts %dns of a %dns horizon (busy %d - overlap %d - excess %d + bubble %d)",
+				dt.ID, got, dt.HorizonNanos, dt.BusyNanos, dt.OverlapNanos, dt.ExcessNanos, dt.BubbleNanos)
 		}
 		if util != nil {
 			ledger := int64(0)
@@ -506,10 +489,8 @@ func (p *Profiler) reconcile(rep *audit.Report, util *metrics.UtilizationTracker
 			}
 			if ledger != dt.BusyNanos {
 				stat.Residual += absInt64(dt.BusyNanos - ledger)
-				if rep != nil {
-					rep.Violate("flame: device %s busy %dns disagrees with utilization ledger %dns",
-						dt.ID, dt.BusyNanos, ledger)
-				}
+				rep.Violate("flame: device %s busy %dns disagrees with utilization ledger %dns",
+					dt.ID, dt.BusyNanos, ledger)
 			}
 		}
 	}
@@ -519,9 +500,7 @@ func (p *Profiler) reconcile(rep *audit.Report, util *metrics.UtilizationTracker
 				// A ledger resource the profiler never saw counts as one
 				// unit of residual so the mismatch is visible.
 				stat.Residual++
-				if rep != nil {
-					rep.Violate("flame: utilization ledger tracks device %s the profiler never saw", name)
-				}
+				rep.Violate("flame: utilization ledger tracks device %s the profiler never saw", name)
 			}
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"e3/internal/flame"
 	"e3/internal/forecast"
 	"e3/internal/replan"
+	"e3/internal/scheduler"
 )
 
 const gateHorizon = 2.0
@@ -29,14 +30,14 @@ const gateHorizon = 2.0
 func profiledDemoFold(t *testing.T) ([]byte, flame.ReconcileStat) {
 	t.Helper()
 	fl := flame.NewProfiler(0)
-	rep, coll, _, err := experiments.RunProfiledDemo(nil, nil, fl, gateHorizon)
+	rep, stat, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Flame: fl}, gateHorizon)
 	if err != nil {
 		t.Fatalf("profiled demo: %v", err)
 	}
 	if err := rep.Err(); err != nil {
 		t.Fatalf("audit: %v", err)
 	}
-	return fl.Profile().Folded(), fl.Verify(coll.Util)
+	return fl.Profile().Folded(), stat
 }
 
 func TestFlameGateDeterministicAndExact(t *testing.T) {
@@ -92,11 +93,11 @@ func TestFlameGateWorkerCountInvariant(t *testing.T) {
 
 func TestFlameGateSerialVsPipelineDiff(t *testing.T) {
 	flP := flame.NewProfiler(0)
-	if _, _, _, err := experiments.RunProfiledDemo(nil, nil, flP, gateHorizon); err != nil {
+	if _, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Flame: flP}, gateHorizon); err != nil {
 		t.Fatalf("pipeline demo: %v", err)
 	}
 	flS := flame.NewProfiler(0)
-	if _, _, _, err := experiments.RunProfiledSerialDemo(flS, gateHorizon); err != nil {
+	if _, _, _, _, err := experiments.RunDemo("serial", scheduler.Observers{Flame: flS}, gateHorizon); err != nil {
 		t.Fatalf("serial demo: %v", err)
 	}
 	d := flame.Diff(flP.Profile(), flS.Profile())

@@ -82,8 +82,8 @@ func TestFlameAccountsLedgerExactlyAcrossSeedsAndRunners(t *testing.T) {
 			for seed := int64(1); seed <= propSeeds; seed++ {
 				arr := trace.Bursty(trace.DefaultBursty(propRate), propHorizon, seed)
 				fl := flame.NewProfiler(0)
-				rep, coll, err := serving.ProfiledOpenLoop(rc.mk, base.NumLayers(), arr, dist,
-					rc.est, propSLO, propBatch, seed, nil, nil, fl)
+				rep, stat, _, err := serving.AuditedOpenLoop(rc.mk, base.NumLayers(), arr, dist,
+					rc.est, propSLO, propBatch, seed, scheduler.Observers{Flame: fl})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -92,7 +92,6 @@ func TestFlameAccountsLedgerExactlyAcrossSeedsAndRunners(t *testing.T) {
 				if err := rep.Err(); err != nil {
 					t.Fatalf("seed %d: audit: %v", seed, err)
 				}
-				stat := fl.Verify(coll.Util)
 				if !stat.Checked || stat.Devices == 0 {
 					t.Fatalf("seed %d: flame reconcile did not run (devices=%d)", seed, stat.Devices)
 				}

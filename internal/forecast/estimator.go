@@ -97,6 +97,7 @@ func (e *Estimator) predictLayer(h []float64) float64 {
 	if len(h) == 0 {
 		return 1
 	}
+	e.Stats.forecast()
 	last := h[len(h)-1]
 	if e.Method == MethodPersistence {
 		return last

@@ -7,9 +7,9 @@ const statsWindows = 64
 
 // Stats accumulates forecast-accuracy telemetry for one Estimator:
 // rolling per-layer residuals (predicted vs next observed survival),
-// MAE/MAPE gauges over the retained window, and counters for the safety
-// machinery (clamp hits, persistence fallbacks, FitARIMA failures,
-// cross-layer monotone fixes).
+// MAE/MAPE gauges over the retained window, the number of per-layer
+// forecasts made, and counters for the safety machinery (clamp hits,
+// persistence fallbacks, FitARIMA failures, cross-layer monotone fixes).
 //
 // Like audit.Ledger and telemetry.Tracer, a nil *Stats is valid and
 // records nothing, so forecasting pays nothing when telemetry is off.
@@ -30,6 +30,7 @@ type Stats struct {
 	perLayerAbs [][]float64
 
 	windows              int
+	forecasts            int
 	clampHits            int
 	persistenceFallbacks int
 	fitFailures          int
@@ -87,6 +88,13 @@ func pushBounded(h []float64, v float64) []float64 {
 		h = h[len(h)-statsWindows:]
 	}
 	return h
+}
+
+func (s *Stats) forecast() {
+	if s == nil {
+		return
+	}
+	s.forecasts++
 }
 
 func (s *Stats) clampHit() {
@@ -174,6 +182,17 @@ func (s *Stats) Windows() int {
 		return 0
 	}
 	return s.windows
+}
+
+// Forecasts counts per-layer forecasts made from a non-empty history (the
+// all-survive prior a layer gets before its first observation is not a
+// forecast). PersistenceFallbacks and FitFailures count the ones of these
+// that no fitted model produced.
+func (s *Stats) Forecasts() int {
+	if s == nil {
+		return 0
+	}
+	return s.forecasts
 }
 
 // ClampHits counts per-layer forecasts bounded by a §3.1 safety clamp

@@ -75,11 +75,15 @@ func TestStatsResidualsAndGauges(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	e := NewEstimator(2)
 	e.Stats = NewStats(2)
+	e.Predict() // no history: the all-survive prior, not a forecast
 	e.Observe(profFrom(1, 0.5))
 	e.Observe(profFrom(1, 0.5))
 	e.Predict() // 2 observations < ARIMA minimum → persistence fallback
-	if got := e.Stats.PersistenceFallbacks(); got == 0 {
-		t.Error("short-history fallback not counted")
+	if got := e.Stats.PersistenceFallbacks(); got != 2 {
+		t.Errorf("short-history fallbacks = %d, want one per layer (2)", got)
+	}
+	if got := e.Stats.Forecasts(); got != 2 {
+		t.Errorf("forecasts = %d, want 2 (the prior is not counted)", got)
 	}
 	// Oscillating series drive raw forecasts outside ±0.15 → clamp hits.
 	e2 := NewEstimator(2)
@@ -97,12 +101,13 @@ func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
 	s.predicted([]float64{1})
 	s.observed(profFrom(1))
+	s.forecast()
 	s.clampHit()
 	s.persistenceFallback()
 	s.fitFailure()
 	s.monotoneFixed()
 	if s.MAE() != 0 || s.MAPE() != 0 || s.LastMAE() != 0 || s.PerLayerMAE() != nil ||
-		s.Windows() != 0 || s.ClampHits() != 0 || s.PersistenceFallbacks() != 0 ||
+		s.Windows() != 0 || s.Forecasts() != 0 || s.ClampHits() != 0 || s.PersistenceFallbacks() != 0 ||
 		s.FitFailures() != 0 || s.MonotoneFixes() != 0 {
 		t.Error("nil Stats not inert")
 	}

@@ -1,10 +1,10 @@
 // Package multi serves several early-exit models from one shared cluster —
 // the multi-tenant shape of the paper's production infrastructure ("of
-// several services it supports...", §2.4). A Fleet partitions devices
-// across tenants by solving each tenant's minimal allocation for its
-// offered load (optimizer.MinimizeGPUs semantics) and granting leftover
-// capacity to the most-constrained tenant, then runs one E3 pipeline per
-// tenant on disjoint devices.
+// several services it supports...", §2.4). Plan partitions devices across
+// tenants by solving each tenant's minimal allocation for its offered load
+// (optimizer.MinimizeGPUs semantics) and granting leftover capacity to the
+// most-constrained tenant; DeployServing then runs one E3 serving stack
+// per tenant on disjoint devices.
 package multi
 
 import (
@@ -42,15 +42,6 @@ type Allocation struct {
 	Tenant  string
 	Plan    optimizer.Plan
 	Devices []int // indices into the shared cluster
-}
-
-// Fleet is a planned multi-tenant deployment.
-type Fleet struct {
-	eng    *sim.Engine
-	clus   *cluster.Cluster
-	allocs []Allocation
-	pipes  map[string]*scheduler.Pipeline
-	colls  map[string]*scheduler.Collector
 }
 
 // Plan partitions the cluster across tenants. Tenants are served in
@@ -197,41 +188,6 @@ func pinDevices(clus *cluster.Cluster, plan optimizer.Plan, used map[int]bool) (
 	return out, nil
 }
 
-// Deploy binds allocations to pipelines on one engine.
-func Deploy(eng *sim.Engine, clus *cluster.Cluster, tenants []Tenant, allocs []Allocation) (*Fleet, error) {
-	f := &Fleet{
-		eng: eng, clus: clus, allocs: allocs,
-		pipes: make(map[string]*scheduler.Pipeline),
-		colls: make(map[string]*scheduler.Collector),
-	}
-	used := make(map[int]bool)
-	for _, a := range allocs {
-		t := tenantOf(tenants, a.Tenant)
-		if t.Name == "" {
-			return nil, fmt.Errorf("multi: allocation for unknown tenant %q", a.Tenant)
-		}
-		// Build a view restricted to this tenant's devices so pipelines
-		// cannot double-book. Devices keep their identity via the subset
-		// construction below.
-		sub := &cluster.Cluster{Topology: clus.Topology}
-		for _, idx := range a.Devices {
-			if used[idx] {
-				return nil, fmt.Errorf("multi: device %d double-booked", idx)
-			}
-			used[idx] = true
-			sub.Devices = append(sub.Devices, clus.Devices[idx])
-		}
-		coll := scheduler.NewCollector(t.Model.Base.NumLayers(), t.SLO, eng.Now())
-		pipe, err := scheduler.NewPipeline(eng, sub, t.Model, a.Plan, coll)
-		if err != nil {
-			return nil, fmt.Errorf("multi: tenant %q: %w", a.Tenant, err)
-		}
-		f.pipes[a.Tenant] = pipe
-		f.colls[a.Tenant] = coll
-	}
-	return f, nil
-}
-
 // ServingTenant is one tenant's full serving stack on a shared engine:
 // the dynamic batcher front door, the pipeline it dispatches to, and the
 // collector (with a lifecycle ledger attached) the pipeline reports into.
@@ -284,26 +240,3 @@ func DeployServing(eng *sim.Engine, clus *cluster.Cluster, tenants []Tenant, all
 	}
 	return out, nil
 }
-
-// Ingest routes a batch to a tenant's pipeline.
-func (f *Fleet) Ingest(tenant string, batch []workload.Sample) error {
-	p, ok := f.pipes[tenant]
-	if !ok {
-		return fmt.Errorf("multi: unknown tenant %q", tenant)
-	}
-	p.Ingest(batch)
-	return nil
-}
-
-// Collector exposes a tenant's stats.
-func (f *Fleet) Collector(tenant string) *scheduler.Collector { return f.colls[tenant] }
-
-// FlushAll drains every tenant's merge queues.
-func (f *Fleet) FlushAll() {
-	for _, p := range f.pipes {
-		p.FlushAll()
-	}
-}
-
-// Allocations returns the planned partitioning.
-func (f *Fleet) Allocations() []Allocation { return f.allocs }

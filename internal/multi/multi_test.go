@@ -7,6 +7,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/scheduler"
 	"e3/internal/sim"
 	"e3/internal/workload"
 )
@@ -129,42 +130,53 @@ func TestDeployAndServeBothTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	fleet, err := Deploy(eng, clus, tenants, allocs)
+	stacks, err := DeployServing(eng, clus, tenants, allocs, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	byName := make(map[string]ServingTenant, len(stacks))
+	for _, st := range stacks {
+		byName[st.Spec.Name] = st
+	}
 
 	genR := workload.NewGenerator(workload.Mix(0.8), 61)
+	genR.SetAudit(byName["ranker"].Coll.Audit)
 	genV := workload.NewGenerator(workload.ImageNet(), 62)
+	genV.SetAudit(byName["vision"].Coll.Audit)
 	for i := 0; i < 100; i++ {
 		at := float64(i) * 0.002
 		eng.At(at, func() {
-			if err := fleet.Ingest("ranker", genR.Batch(8, eng.Now(), 10)); err != nil {
-				t.Error(err)
-			}
-			if err := fleet.Ingest("vision", genV.Batch(16, eng.Now(), 10)); err != nil {
-				t.Error(err)
-			}
+			byName["ranker"].Pipe.Ingest(genR.Batch(8, eng.Now(), 10))
+			byName["vision"].Pipe.Ingest(genV.Batch(16, eng.Now(), 10))
 		})
 	}
 	eng.SetEventLimit(10_000_000)
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	fleet.FlushAll()
+	for _, st := range stacks {
+		st.Pipe.FlushAll()
+	}
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 
-	cr := fleet.Collector("ranker")
-	cv := fleet.Collector("vision")
+	cr := byName["ranker"].Coll
+	cv := byName["vision"].Coll
 	if got := cr.Good.Served + cr.Violations; got != 800 {
 		t.Errorf("ranker served+violated = %d, want 800", got)
 	}
 	if got := cv.Good.Served + cv.Violations; got != 1600 {
 		t.Errorf("vision served+violated = %d, want 1600", got)
 	}
-	if err := fleet.Ingest("nope", nil); err == nil {
-		t.Error("unknown tenant accepted")
+	for _, c := range []*scheduler.Collector{cr, cv} {
+		if err := c.AuditReport().Err(); err != nil {
+			t.Error(err)
+		}
+	}
+	bogus := append([]Allocation(nil), allocs...)
+	bogus[0].Tenant = "nope"
+	if _, err := DeployServing(sim.NewEngine(), clus, tenants, bogus, 1, nil); err == nil {
+		t.Error("allocation for an unknown tenant accepted")
 	}
 }

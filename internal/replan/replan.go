@@ -63,21 +63,12 @@ type Config struct {
 	// Method selects the forecaster (ARIMA default, persistence baseline).
 	Method forecast.Method
 
-	// Tracer optionally records spans across the run, including replan
-	// instants on the control-plane track. Nil disables telemetry.
-	Tracer *telemetry.Tracer
-
-	// Attr optionally folds per-request critical-path breakdowns across
-	// the run; its checks reconcile into the final audit report. Nil
-	// disables attribution.
-	Attr *slo.Attribution
-
-	// Flame optionally folds the whole run's execution into a virtual-time
-	// compute profile, snapshotted at every window boundary (plan switches
-	// show up as profile shifts across Result.FlameWindows) and reconciled
-	// exactly against the utilization ledger at end of run. Nil disables
-	// profiling.
-	Flame *flame.Profiler
+	// Observers optionally watch the whole run and reconcile into the
+	// final audit report. The tracer also records replan instants on the
+	// control-plane track; the flame profile is snapshotted at every
+	// window boundary (plan switches show up as profile shifts across
+	// Result.FlameWindows).
+	scheduler.Observers
 
 	// SLOTarget is the attainment target the error budget accrues
 	// against; BurnThreshold is the window burn rate that counts as a
@@ -197,9 +188,7 @@ func Run(cfg Config) (*Result, error) {
 	eng.SetEventLimit(200_000_000)
 	coll := scheduler.NewCollector(layers, cfg.SLO, 0)
 	coll.Audit = audit.NewLedger()
-	coll.Trace = cfg.Tracer
-	coll.Attr = cfg.Attr
-	coll.Flame = cfg.Flame
+	coll.Observers = cfg.Observers
 	gen := workload.NewGenerator(mix(0), cfg.Seed)
 	gen.SetAudit(coll.Audit)
 	gen.SetTrace(cfg.Tracer)
@@ -384,12 +373,8 @@ func Run(cfg Config) (*Result, error) {
 		coll.ResetWindow()
 	}
 
-	coll.Good.CloseAt(eng.Now())
-	cfg.Flame.CloseAt(eng.Now())
-	rep := coll.AuditReport()
-	cfg.Tracer.Reconcile(rep)
-	cfg.Attr.Reconcile(rep)
-	res.FlameStat = cfg.Flame.Reconcile(rep, coll.Util)
+	rep, flameStat := coll.Close(eng.Now())
+	res.FlameStat = flameStat
 	if !rep.OK() {
 		cfg.Recorder.Trigger(slo.TriggerAuditViolation, rep.Violations[0], eng.Now())
 	}
@@ -424,7 +409,7 @@ func DriftingDemo(windows int, method forecast.Method, tr *telemetry.Tracer) Con
 			}
 			return workload.Mix(frac)
 		},
-		Method: method,
-		Tracer: tr,
+		Method:    method,
+		Observers: scheduler.Observers{Tracer: tr},
 	}
 }

@@ -8,6 +8,8 @@ package scheduler
 
 import (
 	"e3/internal/audit"
+	"e3/internal/cluster"
+	"e3/internal/exec"
 	"e3/internal/flame"
 	"e3/internal/metrics"
 	"e3/internal/profile"
@@ -23,6 +25,23 @@ type Runner interface {
 	Ingest(batch []workload.Sample)
 	// Collector exposes the runner's statistics sink.
 	Collector() *Collector
+}
+
+// Observers is the set of optional views that watch every request
+// boundary beside the audit ledger. Each field is nil-able, and a nil view
+// records nothing at zero cost. Runners and the batcher never call a view
+// directly: they report each boundary once through a Collector method,
+// which fans it out to the ledger, Util and whichever views are attached.
+type Observers struct {
+	// Tracer records queue-wait, execute, transfer and fusion spans plus
+	// terminal events, so its counters reconcile with the ledger.
+	Tracer *telemetry.Tracer
+	// Attr folds per-request critical-path breakdowns; every breakdown
+	// must sum to its request's end-to-end latency.
+	Attr *slo.Attribution
+	// Flame folds executed batches, transfers and fusion waits into a
+	// virtual-time compute profile that reconciles exactly against Util.
+	Flame *flame.Profiler
 }
 
 // Collector accumulates serving statistics.
@@ -42,26 +61,12 @@ type Collector struct {
 	DroppedByReason map[audit.Reason]int
 
 	// Audit is an optional lifecycle ledger shared by the generator, the
-	// batcher, and the runner (nil disables auditing at zero cost).
+	// batcher, and the runner (nil disables auditing at zero cost). It is
+	// the reference the observers reconcile against.
 	Audit *audit.Ledger
 
-	// Trace is an optional span tracer shared the same way (nil disables
-	// telemetry at zero cost). Runners record per-batch execute, transfer,
-	// and fusion spans; the collector records completion/drop events so the
-	// tracer's counters reconcile with the ledger.
-	Trace *telemetry.Tracer
-
-	// Attr is an optional per-request latency attribution sink shared the
-	// same way (nil disables it at zero cost). The batcher and runners feed
-	// it the same boundary events they feed the ledger; the collector
-	// records the terminal events so its counters reconcile with both.
-	Attr *slo.Attribution
-
-	// Flame is an optional virtual-time compute profiler fed the same
-	// boundary events (nil disables it at zero cost). Runners fold every
-	// executed batch, transfer, and fusion wait into it; its totals
-	// reconcile exactly against Util.
-	Flame *flame.Profiler
+	// Observers are the optional views fed the same boundaries as Audit.
+	Observers
 
 	// exitCounts[k] counts samples that exited after layer k (1-based).
 	exitCounts []int
@@ -84,6 +89,78 @@ func NewCollector(layers int, slo, start float64) *Collector {
 	}
 }
 
+// Register adds a device to the utilization ledger and the flame fold, so
+// a device that never runs a batch still appears, idle.
+func (c *Collector) Register(dev *cluster.Device) {
+	c.Util.Register(dev.ID)
+	c.Flame.Register(dev.ID, string(dev.Kind))
+}
+
+// Queued records a sample admitted to the batcher's queue at `at`.
+func (c *Collector) Queued(s workload.Sample, at float64) {
+	c.Audit.Queued(s.ID, at)
+	c.Attr.Queued(s, at)
+}
+
+// QueueWait records a batch leaving the batcher at `at`; its head waited
+// there since its arrival.
+func (c *Collector) QueueWait(batch []workload.Sample, at float64) {
+	c.Tracer.QueueWait(len(batch), batch[0].Arrival, at)
+}
+
+// Dispatched records a batch enqueued at `at` on a device (an index into
+// the cluster) serving the given stage.
+func (c *Collector) Dispatched(batch []workload.Sample, at float64, stage, device int) {
+	if c.Audit != nil {
+		for _, s := range batch {
+			c.Audit.Dispatched(s.ID, at, stage, device)
+		}
+	}
+	if c.Attr != nil {
+		for _, s := range batch {
+			c.Attr.Dispatched(s, at, stage)
+		}
+	}
+}
+
+// Executed records a batch that ran layers [from, to] of the named model
+// as the given stage on dev, starting at `start` and taking res.Duration.
+func (c *Collector) Executed(dev *cluster.Device, model string, stage, from, to int, batch []workload.Sample, start float64, res *exec.Result) {
+	end := start + res.Duration
+	c.Util.AddBusy(dev.ID, start, res.Duration)
+	c.Tracer.Execute(dev.ID, string(dev.Kind), stage, len(batch), start, end)
+	c.Attr.Executed(stage, batch, start, end)
+	c.Flame.Execute(dev.ID, string(dev.Kind), model, stage, from, to, start, end, res.RampTime, res.PadTime)
+}
+
+// Transferred records n survivors' activations moving from fromStage to
+// the next stage over [start, end].
+func (c *Collector) Transferred(fromStage, n int, start, end float64) {
+	c.Tracer.Transfer(fromStage, n, start, end)
+	c.Flame.Transfer(fromStage+1, start, end)
+}
+
+// Merged records survivors landing in a stage's merge queue at `at`.
+func (c *Collector) Merged(survivors []workload.Sample, at float64, stage int) {
+	if c.Audit != nil {
+		for _, s := range survivors {
+			c.Audit.Merged(s.ID, at, stage)
+		}
+	}
+	if c.Attr != nil {
+		for _, s := range survivors {
+			c.Attr.Merged(s, at, stage)
+		}
+	}
+}
+
+// Fused records a batch of n formed from a stage's merge queue at end,
+// whose head had waited there since start.
+func (c *Collector) Fused(stage, n int, start, end float64) {
+	c.Tracer.Fuse(stage, n, start, end)
+	c.Flame.Fuse(stage, start, end)
+}
+
 // Complete records a sample finishing at virtual time `at` having exited
 // after the given layer.
 func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
@@ -100,7 +177,7 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 		c.windowViolations++
 	}
 	c.Audit.Completed(s.ID, at, exitLayer)
-	c.Trace.Complete(at, at-s.Arrival)
+	c.Tracer.Complete(at, at-s.Arrival)
 	c.Attr.Completed(s, at)
 }
 
@@ -115,8 +192,21 @@ func (c *Collector) Drop(s workload.Sample, at float64, reason audit.Reason) {
 	c.Good.Drop(1, at)
 	c.windowViolations++
 	c.Audit.Dropped(s.ID, at, reason)
-	c.Trace.Drop(at, string(reason))
+	c.Tracer.Drop(at, string(reason))
 	c.Attr.Dropped(s, at)
+}
+
+// Close ends the run at `now`: it closes the goodput and flame horizons,
+// verifies the ledger (AuditReport), then folds each attached view's own
+// reconcile into that report. It returns the report and the flame
+// reconcile outcome (zero when no profiler is attached).
+func (c *Collector) Close(now float64) (*audit.Report, flame.ReconcileStat) {
+	c.Good.CloseAt(now)
+	c.Flame.CloseAt(now)
+	rep := c.AuditReport()
+	c.Tracer.Reconcile(rep)
+	c.Attr.Reconcile(rep)
+	return rep, c.Flame.Reconcile(rep, c.Util)
 }
 
 // AuditReport verifies the attached ledger's conservation invariants and

@@ -41,8 +41,7 @@ func NewDataParallel(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, devi
 		inst := &instance{device: idx}
 		inst.rearm = func() { d.runNext(inst) }
 		d.instances = append(d.instances, inst)
-		coll.Util.Register(clus.Devices[idx].ID)
-		coll.Flame.Register(clus.Devices[idx].ID, string(clus.Devices[idx].Kind))
+		coll.Register(&clus.Devices[idx])
 	}
 	return d, nil
 }
@@ -64,11 +63,7 @@ func (d *DataParallel) Ingest(batch []workload.Sample) {
 		}
 	}
 	d.rr++
-	now := d.eng.Now()
-	for _, s := range batch {
-		d.coll.Audit.Dispatched(s.ID, now, 0, pick.device)
-		d.coll.Attr.Dispatched(s, now, 0)
-	}
+	d.coll.Dispatched(batch, d.eng.Now(), 0, pick.device)
 	pick.queue = append(pick.queue, batch)
 	if !pick.busy {
 		d.runNext(pick)
@@ -87,15 +82,10 @@ func (d *DataParallel) runNext(inst *instance) {
 	inst.queue[n] = nil
 	inst.queue = inst.queue[:n]
 
-	dev := d.clus.Devices[inst.device]
+	dev := &d.clus.Devices[inst.device]
 	L := d.model.Base.NumLayers()
 	res := exec.RunSegment(d.model, 1, L, batch, dev.Spec(), dev.Slowdown)
-	now := d.eng.Now()
-	d.coll.Util.AddBusy(dev.ID, now, res.Duration)
-	d.coll.Trace.Execute(dev.ID, string(dev.Kind), 0, len(batch), now, now+res.Duration)
-	d.coll.Attr.Executed(0, batch, now, now+res.Duration)
-	d.coll.Flame.Execute(dev.ID, string(dev.Kind), d.model.Name, 0, 1, L,
-		now, now+res.Duration, res.RampTime, res.PadTime)
+	d.coll.Executed(dev, d.model.Name, 0, 1, L, batch, d.eng.Now(), &res)
 	if d.ewmaBatch == 0 {
 		d.ewmaBatch = res.Duration
 	} else {

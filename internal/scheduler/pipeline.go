@@ -121,8 +121,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 			}
 			used[devIdx] = true
 			st.instances = append(st.instances, &instance{device: devIdx})
-			coll.Util.Register(clus.Devices[devIdx].ID)
-			coll.Flame.Register(clus.Devices[devIdx].ID, string(clus.Devices[devIdx].Kind))
+			coll.Register(&clus.Devices[devIdx])
 		}
 		if len(st.instances) != sp.Replicas {
 			return nil, fmt.Errorf("scheduler: need %d %s devices for split [%d,%d], cluster has fewer free",
@@ -210,11 +209,7 @@ func (p *Pipeline) dispatch(si int, batch []workload.Sample) {
 
 // dispatchTo enqueues a batch on a specific instance.
 func (p *Pipeline) dispatchTo(si int, pick *instance, batch []workload.Sample) {
-	now := p.eng.Now()
-	for _, s := range batch {
-		p.coll.Audit.Dispatched(s.ID, now, si, pick.device)
-		p.coll.Attr.Dispatched(s, now, si)
-	}
+	p.coll.Dispatched(batch, p.eng.Now(), si, pick.device)
 	pick.queue = append(pick.queue, batch)
 	if !pick.busy {
 		p.runNext(si, pick)
@@ -269,11 +264,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
 	st.table.RunInto(batch, dev.Slowdown, res)
-	p.coll.Util.AddBusy(dev.ID, now, res.Duration)
-	p.coll.Trace.Execute(dev.ID, string(dev.Kind), si, len(batch), now, now+res.Duration)
-	p.coll.Attr.Executed(si, batch, now, now+res.Duration)
-	p.coll.Flame.Execute(dev.ID, string(dev.Kind), p.model.Name, si, st.split.From, st.split.To,
-		now, now+res.Duration, res.RampTime, res.PadTime)
+	p.coll.Executed(dev, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
 
 	// Straggler detection (§3.3): compare against the planned time for
 	// this exact batch size — partial batches have high fixed costs, so
@@ -307,8 +298,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		comm := p.clus.Link(inst.device, target.device).
 			TransferTime(p.model.Base.Layers[st.split.To-1].ActBytes * float64(len(res.Survivors)))
 		xferStart := now + res.Duration + res.HandoffDelay
-		p.coll.Trace.Transfer(si, len(res.Survivors), xferStart, xferStart+comm)
-		p.coll.Flame.Transfer(si+1, xferStart, xferStart+comm)
+		p.coll.Transferred(si, len(res.Survivors), xferStart, xferStart+comm)
 		p.scheduleTransfer(res.Duration+res.HandoffDelay+comm, si+1, res.Survivors, target)
 	} else {
 		// No survivors to forward (all exited, or final stage): the
@@ -325,9 +315,8 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 func (p *Pipeline) receive(si int, survivors []workload.Sample, dest *instance) {
 	st := p.stages[si]
 	now := p.eng.Now()
+	p.coll.Merged(survivors, now, si)
 	for _, s := range survivors {
-		p.coll.Audit.Merged(s.ID, now, si)
-		p.coll.Attr.Merged(s, now, si)
 		st.merge = append(st.merge, pendingSample{s: s, at: now, dest: dest})
 	}
 	// The merge queue copied every survivor by value; recycle the slice.
@@ -360,8 +349,7 @@ func (p *Pipeline) fuseAndDispatch(si, n int) {
 	st := p.stages[si]
 	headAt := st.merge[0].at
 	batch, dest := st.takeMerged(n, p.pool)
-	p.coll.Trace.Fuse(si, len(batch), headAt, p.eng.Now())
-	p.coll.Flame.Fuse(si, headAt, p.eng.Now())
+	p.coll.Fused(si, len(batch), headAt, p.eng.Now())
 	p.dispatchMerged(si, dest, batch)
 }
 

@@ -37,9 +37,8 @@ const serialBarrier = 1e-3
 func NewSerial(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, coll *Collector) *Serial {
 	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll,
 		completions: completionJobs{coll: coll}}
-	for _, d := range clus.Devices {
-		coll.Util.Register(d.ID)
-		coll.Flame.Register(d.ID, string(d.Kind))
+	for i := range clus.Devices {
+		coll.Register(&clus.Devices[i])
 	}
 	return s
 }
@@ -111,21 +110,13 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 			if hi > len(pool) {
 				hi = len(pool)
 			}
-			for _, smp := range pool[lo:hi] {
-				s.coll.Audit.Dispatched(smp.ID, now+elapsed, si, i%g)
-				s.coll.Attr.Dispatched(smp, now+elapsed, si)
-			}
+			s.coll.Dispatched(pool[lo:hi], now+elapsed, si, i%g)
 			res := exec.RunSplit(s.model, sp.From, sp.To, pool[lo:hi], spec, s.clus.Devices[i%g].Slowdown)
 			// No pipelining: the boundary handoff sits on the critical path.
 			if d := res.Duration + res.HandoffDelay; d > phaseDur {
 				phaseDur = d
 			}
-			dev := s.clus.Devices[i%g]
-			s.coll.Util.AddBusy(dev.ID, now+elapsed, res.Duration)
-			s.coll.Trace.Execute(dev.ID, string(dev.Kind), si, hi-lo, now+elapsed, now+elapsed+res.Duration)
-			s.coll.Attr.Executed(si, pool[lo:hi], now+elapsed, now+elapsed+res.Duration)
-			s.coll.Flame.Execute(dev.ID, string(dev.Kind), s.model.Name, si, sp.From, sp.To,
-				now+elapsed, now+elapsed+res.Duration, res.RampTime, res.PadTime)
+			s.coll.Executed(&s.clus.Devices[i%g], s.model.Name, si, sp.From, sp.To, pool[lo:hi], now+elapsed, &res)
 			// Every completion of this batch lands at the end of the phase;
 			// one event finishes them all in slice order, matching the
 			// per-sample events this replaces.

@@ -58,7 +58,7 @@ func TestConservationAcrossRunners(t *testing.T) {
 			t.Fatalf("seed %d: empty trace", seed)
 		}
 		for _, tc := range cases {
-			rep, c, err := AuditedOpenLoop(tc.mk, 12, arr, dist, tc.est, 0.1, 8, seed)
+			rep, _, c, err := AuditedOpenLoop(tc.mk, 12, arr, dist, tc.est, 0.1, 8, seed, scheduler.Observers{})
 			if err != nil {
 				t.Fatalf("%s/seed=%d: %v", tc.name, seed, err)
 			}

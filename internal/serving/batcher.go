@@ -47,10 +47,6 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 	return b
 }
 
-// ledger returns the lifecycle ledger shared through the collector (nil
-// when auditing is off; audit methods are nil-safe).
-func (b *Batcher) ledger() *audit.Ledger { return b.runner.Collector().Audit }
-
 // SetPool attaches a batch pool; dispatched slices are drawn from it and
 // the runner (which owns them from dispatch on) returns them when done.
 // A nil pool restores per-dispatch allocation.
@@ -64,8 +60,7 @@ func (b *Batcher) Arrive(s workload.Sample) {
 		return
 	}
 	b.queue = append(b.queue, s)
-	b.ledger().Queued(s.ID, now)
-	b.runner.Collector().Attr.Queued(s, now)
+	b.runner.Collector().Queued(s, now)
 	if len(b.queue) >= b.Batch {
 		b.dispatch(b.Batch)
 		return
@@ -123,7 +118,7 @@ func (b *Batcher) dispatch(n int) {
 	b.queue = b.queue[:m]
 	// The head entered the queue at its arrival (admission happens in
 	// Arrive), so head wait = now − arrival.
-	b.runner.Collector().Trace.QueueWait(len(batch), batch[0].Arrival, b.eng.Now())
+	b.runner.Collector().QueueWait(batch, b.eng.Now())
 	b.runner.Ingest(batch)
 	b.disarmFlush()
 	b.armFlush()

@@ -82,8 +82,8 @@ func TestAttributionSumsAcrossSeedsAndRunners(t *testing.T) {
 			for seed := int64(1); seed <= propSeeds; seed++ {
 				arr := trace.Bursty(trace.DefaultBursty(propRate), propHorizon, seed)
 				attr := slo.NewAttribution(8)
-				rep, _, err := serving.ObservedOpenLoop(rc.mk, base.NumLayers(), arr, dist,
-					rc.est, propSLO, propBatch, seed, nil, attr)
+				rep, _, _, err := serving.AuditedOpenLoop(rc.mk, base.NumLayers(), arr, dist,
+					rc.est, propSLO, propBatch, seed, scheduler.Observers{Attr: attr})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}

@@ -12,6 +12,7 @@ import (
 	"e3/internal/experiments"
 	"e3/internal/forecast"
 	"e3/internal/replan"
+	"e3/internal/scheduler"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
@@ -20,7 +21,7 @@ func TestSLOGateAttributionReconciles(t *testing.T) {
 	// Paper-scale traced demo: the same bursty 10-virtual-second run the
 	// conservation audit and telemetry reconcile gates use.
 	attr := slo.NewAttribution(slo.DefaultTopK)
-	rep, _, _, err := experiments.RunObservedDemo(nil, attr, 10.0)
+	rep, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Attr: attr}, 10.0)
 	if err != nil {
 		t.Fatalf("traced demo: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"e3/internal/experiments"
 	"e3/internal/flame"
+	"e3/internal/scheduler"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
@@ -33,13 +34,13 @@ const maxOverheadFrac = 0.5
 // slackMS absorbs absolute timer noise on runs this short.
 const slackMS = 10.0
 
-func timeDemo(tb testing.TB, mk func() (*telemetry.Tracer, *slo.Attribution, *flame.Profiler), rounds int) float64 {
+func timeDemo(tb testing.TB, mk func() scheduler.Observers, rounds int) float64 {
 	tb.Helper()
 	best := 0.0
 	for i := 0; i < rounds; i++ {
-		tr, attr, fl := mk()
+		obs := mk()
 		start := time.Now()
-		rep, coll, _, err := experiments.RunProfiledDemo(tr, attr, fl, gateHorizon)
+		rep, stat, coll, _, err := experiments.RunDemo("pipeline", obs, gateHorizon)
 		elapsed := time.Since(start).Seconds() * 1e3
 		if err != nil {
 			tb.Fatal(err)
@@ -47,17 +48,17 @@ func timeDemo(tb testing.TB, mk func() (*telemetry.Tracer, *slo.Attribution, *fl
 		if err := rep.Err(); err != nil {
 			tb.Fatalf("demo failed its audit: %v", err)
 		}
-		if fl != nil {
+		if obs.Flame != nil {
 			// Profiling rides the gate only if it also stays correct: the
 			// fold must reconcile exactly while being timed.
-			if stat := fl.Verify(coll.Util); !stat.OK() {
+			if !stat.OK() {
 				tb.Fatalf("flame reconcile residual %dns during overhead run", stat.Residual)
 			}
 		}
-		if attr != nil {
+		if obs.Attr != nil {
 			// The observed config also pays for a flight-recorder trigger,
 			// so the gate bounds the full always-on observability stack.
-			rec := &slo.Recorder{Spans: tr, Ledger: coll.Audit, Attr: attr}
+			rec := &slo.Recorder{Spans: obs.Tracer, Ledger: coll.Audit, Attr: obs.Attr}
 			if rec.Trigger(slo.TriggerEngineAbort, "overhead probe", gateHorizon) == nil {
 				tb.Fatal("recorder produced no bundle")
 			}
@@ -74,14 +75,18 @@ func TestTelemetryOverheadGate(t *testing.T) {
 		t.Skip("set E3_OVERHEAD_GATE=1 (make overhead) to run the wall-clock gate")
 	}
 	// Warm caches (first run pays lazy init for both configs alike).
-	timeDemo(t, func() (*telemetry.Tracer, *slo.Attribution, *flame.Profiler) { return nil, nil, nil }, 1)
+	timeDemo(t, func() scheduler.Observers { return scheduler.Observers{} }, 1)
 
-	off := timeDemo(t, func() (*telemetry.Tracer, *slo.Attribution, *flame.Profiler) { return nil, nil, nil }, 5)
+	off := timeDemo(t, func() scheduler.Observers { return scheduler.Observers{} }, 5)
 	// The observed config is the full live-serving stack: ring tracer,
 	// per-request attribution fold, an armed flight recorder, and the
 	// virtual-time compute profiler.
-	on := timeDemo(t, func() (*telemetry.Tracer, *slo.Attribution, *flame.Profiler) {
-		return telemetry.NewRing(4096), slo.NewAttribution(slo.DefaultTopK), flame.NewProfiler(0)
+	on := timeDemo(t, func() scheduler.Observers {
+		return scheduler.Observers{
+			Tracer: telemetry.NewRing(4096),
+			Attr:   slo.NewAttribution(slo.DefaultTopK),
+			Flame:  flame.NewProfiler(0),
+		}
 	}, 5)
 
 	bound := off*(1+maxOverheadFrac) + slackMS
@@ -98,7 +103,7 @@ func TestTelemetryOverheadGate(t *testing.T) {
 
 func BenchmarkTracedDemoOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := experiments.RunTracedDemo(nil, gateHorizon); err != nil {
+		if _, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{}, gateHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +111,8 @@ func BenchmarkTracedDemoOff(b *testing.B) {
 
 func BenchmarkTracedDemoRing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := experiments.RunTracedDemo(telemetry.NewRing(4096), gateHorizon); err != nil {
+		obs := scheduler.Observers{Tracer: telemetry.NewRing(4096)}
+		if _, _, _, _, err := experiments.RunDemo("pipeline", obs, gateHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
