@@ -99,11 +99,12 @@ flamegate:
 fleetgate:
 	E3_FLEET_GATE=1 $(GO) test ./internal/fleet/ -run TestFleetGate -v
 
-# Planner and data-plane microbenchmarks (cost-table build, reference vs
-# memoized search, engine heap churn, timer reset, batcher flush, batcher
-# arm/dispatch, split execution on the fly vs from a compiled table, traced
-# runner path).
+# Planner, data-plane and observer microbenchmarks (cost-table build,
+# reference vs memoized search, engine heap churn, timer reset, batcher
+# flush, batcher arm/dispatch, split execution on the fly vs from a
+# compiled table, traced runner path, one attributed request lifecycle,
+# one flame execute/transfer/fuse round).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/

@@ -28,11 +28,13 @@
 package flame
 
 import (
-	"fmt"
 	"math"
+	"sort"
+	"strconv"
 
 	"e3/internal/audit"
 	"e3/internal/metrics"
+	"e3/internal/telemetry"
 )
 
 // toNanos converts a virtual-seconds timestamp or duration to integer
@@ -90,9 +92,21 @@ func (r *ivlRing) overlaps(lo, hi int64) bool {
 	return false
 }
 
+// stageRings holds one stage's recent activation transfers into it and
+// fusion waits at it.
+type stageRings struct {
+	xfer, fuse ivlRing
+}
+
+// Dev is a device handle from Register: an index into the profiler's
+// device table, so Execute reaches its device without hashing an ID.
+type Dev int32
+
 // devState is one device's streaming fold state.
 type devState struct {
 	id, kind string
+	// frames is the device's escaped "gpu:<kind>;dev:<id>" stack prefix.
+	frames string
 	// started flips on the first executed batch; before that the device's
 	// whole past is a leading idle gap.
 	started bool
@@ -100,30 +114,38 @@ type devState struct {
 	// cursor): execute spans arrive start-ordered off the event loop, so a
 	// single cursor computes the exact span union.
 	lastEndN int64
-	// firstSplit/lastSplit attribute boundary gaps (leading idle, trailing
-	// drain) to the stage the device was serving.
-	firstSplit, lastSplit int
 	// Integer totals for the conservation identity
 	// busy − overlap − excess + bubble == horizon.
 	busyN, overlapN, gapN int64
+	// shapes are the execution shapes the device has run; cur indexes the
+	// last one run (-1 before the first batch), whose split the trailing
+	// drain is attributed to. gaps holds one row of bubble stacks per split
+	// the device has served.
+	shapes []execShape
+	cur    int
+	gaps   []gapRow
 }
 
-// execKey caches the three busy-leaf folded stacks per execution shape.
-type execKey struct {
-	dev, model      string
-	split, from, to int
+// execShape is one execution shape — model, split and layer range — with
+// its interned busy-leaf stacks and the index of its split's gap row.
+type execShape struct {
+	model             string
+	split, from, to   int
+	useful, ramp, pad int32
+	row               int
 }
 
-// execStacks holds the prebuilt folded stacks for one execution shape.
-type execStacks struct {
-	useful, ramp, pad string
+func (sh *execShape) is(model string, split, from, to int) bool {
+	return sh.split == split && sh.from == from && sh.to == to && sh.model == model
 }
 
-// gapKey caches bubble stacks per (device, split, class).
-type gapKey struct {
-	dev   string
+// gapRow holds a device's interned bubble stack per gap class at one
+// split: -1 until a gap of that class first lands there, except drained,
+// which is interned with the row because only Profile, which must not
+// mutate, folds it.
+type gapRow struct {
 	split int
-	class uint8
+	ids   [numClasses]int32
 }
 
 // Profiler folds boundary events into weighted stacks. All recording
@@ -137,22 +159,25 @@ type Profiler struct {
 	horizon  float64
 	horizonN int64
 
-	devs  map[string]*devState
-	order []string // device registration order; folds walk it sorted
+	// devs is the device table Dev handles index; devIdx maps a device ID
+	// to its handle and is read by Register only.
+	devs   []devState
+	devIdx map[string]Dev
 
-	// weights accumulates folded-stack → virtual nanoseconds. Boundary
-	// gaps (leading idle before the first batch) land here as they are
-	// classified; trailing gaps are closed by Profile's pure fold.
-	weights map[string]int64
+	// weights[k] accumulates virtual nanoseconds on interned folded stack
+	// names[k]. Boundary gaps (leading idle before the first batch) land
+	// here as they are classified; trailing gaps are closed by Profile's
+	// pure fold. Stacks are interned when a device first runs a shape;
+	// stackIdx dedupes them then and is never read per batch.
+	names    []string
+	weights  []int64
+	stackIdx map[string]int32
 
-	execCache map[execKey]*execStacks
-	gapCache  map[gapKey]string
-
-	// xfer[s] holds recent activation-transfer intervals *into* stage s;
-	// fuse[s] holds recent merge-queue fusion waits at stage s. Both feed
-	// gap classification only.
-	xfer map[int]*ivlRing
-	fuse map[int]*ivlRing
+	// rings[stages.Slot(s)] holds recent activation transfers *into* stage
+	// s and merge-queue fusion waits at s. Both feed gap classification
+	// only.
+	stages telemetry.StageIndex
+	rings  []stageRings
 }
 
 // NewProfiler starts a profiler whose horizon opens at virtual time start.
@@ -160,35 +185,31 @@ func NewProfiler(start float64) *Profiler {
 	return &Profiler{
 		start: start, startN: toNanos(start),
 		horizon: start, horizonN: toNanos(start),
-		devs:      make(map[string]*devState),
-		weights:   make(map[string]int64),
-		execCache: make(map[execKey]*execStacks),
-		gapCache:  make(map[gapKey]string),
-		xfer:      make(map[int]*ivlRing),
-		fuse:      make(map[int]*ivlRing),
+		devIdx:   make(map[string]Dev),
+		stackIdx: make(map[string]int32),
 	}
 }
 
 // Enabled reports whether the profiler records anything.
 func (p *Profiler) Enabled() bool { return p != nil }
 
-// Register ensures a device appears in the fold even if it never runs a
-// batch (its whole horizon is then an idle bubble), mirroring
-// metrics.UtilizationTracker.Register.
-func (p *Profiler) Register(devID, gpuKind string) {
+// Register adds a device to the fold and returns its handle for Execute;
+// registering a known ID returns its handle and keeps its first kind. A
+// device that never runs a batch still appears, its whole horizon one idle
+// bubble, mirroring metrics.UtilizationTracker.Register.
+func (p *Profiler) Register(devID, gpuKind string) Dev {
 	if p == nil {
-		return
+		return 0
 	}
-	p.dev(devID, gpuKind)
-}
-
-func (p *Profiler) dev(devID, gpuKind string) *devState {
-	d, ok := p.devs[devID]
-	if !ok {
-		d = &devState{id: devID, kind: gpuKind, lastEndN: p.startN}
-		p.devs[devID] = d
-		p.order = append(p.order, devID)
+	if d, ok := p.devIdx[devID]; ok {
+		return d
 	}
+	d := Dev(len(p.devs))
+	p.devs = append(p.devs, devState{
+		id: devID, kind: gpuKind, frames: "gpu:" + escapeFrame(gpuKind) + ";dev:" + escapeFrame(devID),
+		lastEndN: p.startN, cur: -1,
+	})
+	p.devIdx[devID] = d
 	return d
 }
 
@@ -209,18 +230,21 @@ func (p *Profiler) CloseAt(at float64) {
 	p.extendHorizon(at)
 }
 
-// Execute folds one executed batch: [start, end] busy on devID, of which
+// Execute folds one executed batch: [start, end] busy on device dev, of which
 // ramp seconds were ramp-head overhead and pad seconds were pad-waste
 // (samples riding a compiled split past their exit). Any gap since the
 // device's previous batch is classified and folded as a bubble. Calls
 // must arrive in nondecreasing start order per device — the event loop's
 // dispatch order — which lets a single cursor compute the exact busy
 // union.
-func (p *Profiler) Execute(devID, gpuKind, model string, split, from, to int, start, end, ramp, pad float64) {
+//
+//e3:hotpath runs once per executed batch; device, shape and stacks are all dense indices
+func (p *Profiler) Execute(dev Dev, model string, split, from, to int, start, end, ramp, pad float64) {
 	if p == nil {
 		return
 	}
-	d := p.dev(devID, gpuKind)
+	d := &p.devs[dev]
+	sh := p.shape(d, model, split, from, to)
 	sN, eN := toNanos(start), toNanos(end)
 	if eN < sN {
 		eN = sN
@@ -249,17 +273,15 @@ func (p *Profiler) Execute(devID, gpuKind, model string, split, from, to int, st
 	// Classify the gap (or overlap) against the device's coverage cursor.
 	if !d.started {
 		d.started = true
-		d.firstSplit, d.lastSplit = split, split
 		if lead := sN - p.startN; lead > 0 {
 			// Leading idle: the device was provisioned before its first
 			// batch arrived.
-			p.weights[p.gapStack(d, split, classIdle)] += lead
+			p.weights[p.gapID(d, sh.row, classIdle)] += lead
 			d.gapN += lead
 		}
 	} else if sN >= d.lastEndN {
 		if gap := sN - d.lastEndN; gap > 0 {
-			class := p.classifyGap(split, d.lastEndN, sN)
-			p.weights[p.gapStack(d, split, class)] += gap
+			p.weights[p.gapID(d, sh.row, p.classifyGap(split, d.lastEndN, sN))] += gap
 			d.gapN += gap
 		}
 	} else {
@@ -275,50 +297,127 @@ func (p *Profiler) Execute(devID, gpuKind, model string, split, from, to int, st
 	if eN > d.lastEndN {
 		d.lastEndN = eN
 	}
-	d.lastSplit = split
 	d.busyN += totalN
 
-	st := p.execStacks(d, model, split, from, to)
 	if usefulN > 0 {
-		p.weights[st.useful] += usefulN
+		p.weights[sh.useful] += usefulN
 	}
 	if rampN > 0 {
-		p.weights[st.ramp] += rampN
+		p.weights[sh.ramp] += rampN
 	}
 	if padN > 0 {
-		p.weights[st.pad] += padN
+		p.weights[sh.pad] += padN
 	}
+}
+
+// shape returns the device's record of an execution shape, interning its
+// stacks the first time the device runs it. A device keeps running one
+// shape until the plan changes, so the last one run is checked first.
+func (p *Profiler) shape(d *devState, model string, split, from, to int) *execShape {
+	if d.cur >= 0 && d.shapes[d.cur].is(model, split, from, to) {
+		return &d.shapes[d.cur]
+	}
+	for i := range d.shapes {
+		if d.shapes[i].is(model, split, from, to) {
+			d.cur = i
+			return &d.shapes[i]
+		}
+	}
+	d.cur = len(d.shapes)
+	d.shapes = append(d.shapes, p.internShape(d, model, split, from, to))
+	return &d.shapes[d.cur]
+}
+
+// internShape builds a new shape's folded stacks and interns them.
+func (p *Profiler) internShape(d *devState, model string, split, from, to int) execShape {
+	sh := execShape{model: model, split: split, from: from, to: to, row: p.gapRow(d, split)}
+	var modelFrame, layersFrame string
+	if model != "" {
+		// Span-replayed profiles (FromSpans) carry no model name and
+		// omit the frame rather than folding an empty one.
+		modelFrame = ";model:" + escapeFrame(model) //e3:alloc first sight of a shape on this device
+	}
+	if from > 0 || to > 0 {
+		layersFrame = ";layers:" + strconv.Itoa(from) + "-" + strconv.Itoa(to) //e3:alloc first sight of a shape on this device
+	}
+	prefix := d.frames + modelFrame + ";split:" + strconv.Itoa(split) + layersFrame //e3:alloc first sight of a shape on this device
+	sh.useful = p.intern(prefix + ";useful")                                        //e3:alloc first sight of a shape on this device
+	sh.ramp = p.intern(prefix + ";ramp-overhead")                                   //e3:alloc first sight of a shape on this device
+	sh.pad = p.intern(prefix + ";pad-waste")                                        //e3:alloc first sight of a shape on this device
+	return sh
+}
+
+// gapRow returns the index of the device's gap row for split, adding it
+// (with its drained stack interned) at first sight.
+func (p *Profiler) gapRow(d *devState, split int) int {
+	for i := range d.gaps {
+		if d.gaps[i].split == split {
+			return i
+		}
+	}
+	row := gapRow{split: split}
+	for class := range row.ids {
+		row.ids[class] = -1
+	}
+	row.ids[classDrained] = p.intern(gapStack(d, split, classDrained))
+	d.gaps = append(d.gaps, row)
+	return len(d.gaps) - 1
+}
+
+// gapID returns the bubble stack of a gap class in one of the device's
+// gap rows, interning it the first time such a gap lands there.
+func (p *Profiler) gapID(d *devState, row, class int) int32 {
+	r := &d.gaps[row]
+	if r.ids[class] < 0 {
+		r.ids[class] = p.intern(gapStack(d, r.split, class))
+	}
+	return r.ids[class]
+}
+
+// intern returns the id of a folded stack, adding it at first sight.
+func (p *Profiler) intern(stack string) int32 {
+	if k, ok := p.stackIdx[stack]; ok {
+		return k
+	}
+	k := int32(len(p.names))
+	p.names = append(p.names, stack)
+	p.weights = append(p.weights, 0)
+	p.stackIdx[stack] = k
+	return k
 }
 
 // Transfer records an activation transfer *into* toStage over
 // [start, end]; gaps at toStage that overlap it classify as
 // transfer-blocked.
+//
+//e3:hotpath runs once per inter-stage transfer; the stage resolves to a dense slot
 func (p *Profiler) Transfer(toStage int, start, end float64) {
 	if p == nil {
 		return
 	}
 	p.extendHorizon(end)
-	r := p.xfer[toStage]
-	if r == nil {
-		r = &ivlRing{}
-		p.xfer[toStage] = r
-	}
-	r.push(toNanos(start), toNanos(end))
+	p.stageRings(toStage).xfer.push(toNanos(start), toNanos(end))
 }
 
 // Fuse records a merge-queue fusion wait at stage over [start, end]; gaps
 // at that stage overlapping it classify as fuse-blocked.
+//
+//e3:hotpath runs once per fused batch; the stage resolves to a dense slot
 func (p *Profiler) Fuse(stage int, start, end float64) {
 	if p == nil {
 		return
 	}
 	p.extendHorizon(end)
-	r := p.fuse[stage]
-	if r == nil {
-		r = &ivlRing{}
-		p.fuse[stage] = r
+	p.stageRings(stage).fuse.push(toNanos(start), toNanos(end))
+}
+
+// stageRings returns a stage's interval rings, adding them at first sight.
+func (p *Profiler) stageRings(stage int) *stageRings {
+	i := p.stages.Slot(stage)
+	if i == len(p.rings) {
+		p.rings = append(p.rings, stageRings{})
 	}
-	r.push(toNanos(start), toNanos(end))
+	return &p.rings[i]
 }
 
 // classifyGap names the cause of an interior device gap [lo, hi) before a
@@ -326,56 +425,24 @@ func (p *Profiler) Fuse(stage int, start, end float64) {
 // the stage beats a fusion wait beats plain queue starvation — the
 // upstream-most cause wins.
 func (p *Profiler) classifyGap(stage int, lo, hi int64) int {
-	if r := p.xfer[stage]; r != nil && r.overlaps(lo, hi) {
+	i := p.stages.Lookup(stage)
+	switch {
+	case i < 0:
+	case p.rings[i].xfer.overlaps(lo, hi):
 		return classTransferBlocked
-	}
-	if r := p.fuse[stage]; r != nil && r.overlaps(lo, hi) {
+	case p.rings[i].fuse.overlaps(lo, hi):
 		return classFuseBlocked
 	}
 	return classQueueStarved
 }
 
-// execStacks returns the cached busy-leaf stacks for one execution shape.
-func (p *Profiler) execStacks(d *devState, model string, split, from, to int) *execStacks {
-	k := execKey{dev: d.id, model: model, split: split, from: from, to: to}
-	st, ok := p.execCache[k]
-	if !ok {
-		prefix := fmt.Sprintf("gpu:%s;dev:%s", escapeFrame(d.kind), escapeFrame(d.id))
-		if model != "" {
-			// Span-replayed profiles (FromSpans) carry no model name and
-			// omit the frame rather than folding an empty one.
-			prefix += ";model:" + escapeFrame(model)
-		}
-		prefix += fmt.Sprintf(";split:%d", split)
-		if from > 0 || to > 0 {
-			prefix += fmt.Sprintf(";layers:%d-%d", from, to)
-		}
-		st = &execStacks{
-			useful: prefix + ";useful",
-			ramp:   prefix + ";ramp-overhead",
-			pad:    prefix + ";pad-waste",
-		}
-		p.execCache[k] = st
+// gapStack names the bubble stack of a gap class at a split. A negative
+// split (a device that never ran) omits the split frame.
+func gapStack(d *devState, split, class int) string {
+	if split < 0 {
+		return d.frames + ";bubble;" + className[class] //e3:alloc first gap of its class at a device's split
 	}
-	return st
-}
-
-// gapStack returns the cached bubble stack for (device, split, class).
-// A negative split (a device that never ran) omits the split frame.
-func (p *Profiler) gapStack(d *devState, split, class int) string {
-	k := gapKey{dev: d.id, split: split, class: uint8(class)}
-	s, ok := p.gapCache[k]
-	if !ok {
-		if split < 0 {
-			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;%s",
-				escapeFrame(d.kind), escapeFrame(d.id), className[class])
-		} else {
-			s = fmt.Sprintf("gpu:%s;dev:%s;bubble;split:%d;%s",
-				escapeFrame(d.kind), escapeFrame(d.id), split, className[class])
-		}
-		p.gapCache[k] = s
-	}
-	return s
+	return d.frames + ";bubble;split:" + strconv.Itoa(split) + ";" + className[class] //e3:alloc first gap of its class at a device's split
 }
 
 // Profile folds the current state into an immutable Profile at the
@@ -393,13 +460,16 @@ func (p *Profiler) Profile() *Profile {
 		EndS:   p.horizon,
 		Stacks: make(map[string]int64, len(p.weights)+len(p.devs)),
 	}
-	// Same-key map copy: order-independent.
-	for k, v := range p.weights {
-		pr.Stacks[k] = v
+	// Every weight update adds a positive amount, so the stacks above zero
+	// are exactly the ones that received weight.
+	for k, w := range p.weights {
+		if w > 0 {
+			pr.Stacks[p.names[k]] = w
+		}
 	}
 	horizonLen := p.horizonN - p.startN
-	for _, id := range p.sortedDevs() {
-		d := p.devs[id]
+	for _, i := range p.sortedDevs() {
+		d := &p.devs[i]
 		dt := DeviceTotals{
 			ID: d.id, Kind: d.kind,
 			BusyNanos:    d.busyN,
@@ -411,13 +481,13 @@ func (p *Profiler) Profile() *Profile {
 		case !d.started:
 			// Never ran: the whole horizon is one idle bubble.
 			if horizonLen > 0 {
-				pr.Stacks[p.gapStack(d, -1, classIdle)] += horizonLen
+				pr.Stacks[gapStack(d, -1, classIdle)] += horizonLen
 				dt.BubbleNanos += horizonLen
 			}
 		case d.lastEndN < p.horizonN:
 			// Trailing drain: after the device's last batch, to end of run.
 			gap := p.horizonN - d.lastEndN
-			pr.Stacks[p.gapStack(d, d.lastSplit, classDrained)] += gap
+			pr.Stacks[p.names[d.gaps[d.shapes[d.cur].row].ids[classDrained]]] += gap
 			dt.BubbleNanos += gap
 		case d.lastEndN > p.horizonN:
 			// Work past the measurement horizon (possible only when the
@@ -430,10 +500,14 @@ func (p *Profiler) Profile() *Profile {
 	return pr
 }
 
-// sortedDevs returns device IDs in sorted order for deterministic folds.
-func (p *Profiler) sortedDevs() []string {
-	out := append([]string(nil), p.order...)
-	sortStrings(out)
+// sortedDevs returns device handles in device-ID order for deterministic
+// folds.
+func (p *Profiler) sortedDevs() []int {
+	out := make([]int, len(p.devs))
+	for i := range out {
+		out[i] = i
+	}
+	sort.Slice(out, func(i, j int) bool { return p.devs[out[i]].id < p.devs[out[j]].id })
 	return out
 }
 

@@ -38,7 +38,7 @@ func FromSpans(spans []telemetry.Span) *Profile {
 	for _, sp := range ordered {
 		switch sp.Kind {
 		case telemetry.KindExecute:
-			p.Execute(sp.Track, sp.GPU, "", sp.Stage, 0, 0, sp.Start, sp.End, 0, 0)
+			p.Execute(p.Register(sp.Track, sp.GPU), "", sp.Stage, 0, 0, sp.Start, sp.End, 0, 0)
 		case telemetry.KindTransfer:
 			// The span records the source stage; the gap it explains is at
 			// the destination.

@@ -170,12 +170,12 @@ func decodePprof(t *testing.T, data []byte) *decodedProfile {
 // queue-starved gap, and trailing drained/idle time.
 func goldenProfile() *flame.Profile {
 	p := flame.NewProfiler(0)
-	p.Register("V100-0", "V100")
-	p.Register("V100-1", "V100")
-	p.Execute("V100-0", "V100", "DeeBERT", 0, 1, 3, 0.0, 0.010, 0.001, 0.002)
+	d0 := p.Register("V100-0", "V100")
+	d1 := p.Register("V100-1", "V100")
+	p.Execute(d0, "DeeBERT", 0, 1, 3, 0.0, 0.010, 0.001, 0.002)
 	p.Transfer(1, 0.010, 0.011)
-	p.Execute("V100-1", "V100", "DeeBERT", 1, 4, 6, 0.011, 0.030, 0, 0)
-	p.Execute("V100-0", "V100", "DeeBERT", 0, 1, 3, 0.020, 0.025, 0, 0)
+	p.Execute(d1, "DeeBERT", 1, 4, 6, 0.011, 0.030, 0, 0)
+	p.Execute(d0, "DeeBERT", 0, 1, 3, 0.020, 0.025, 0, 0)
 	p.CloseAt(0.040)
 	return p.Profile()
 }

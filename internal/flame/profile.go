@@ -147,10 +147,6 @@ func JoinStack(frames []string) string {
 	return strings.Join(esc, ";")
 }
 
-// sortStrings is sort.Strings; factored so the fold code reads without an
-// import at every call site.
-func sortStrings(s []string) { sort.Strings(s) }
-
 // sortedStacks returns the profile's stacks in sorted order — the
 // canonical iteration order for every deterministic export.
 func (pr *Profile) sortedStacks() []string {

@@ -144,9 +144,10 @@ func TestReplanTelemetryTrack(t *testing.T) {
 
 // TestReplanObservedAllocsPerRequest holds the fully observed loop's
 // allocation budget: the pooled batches, the ledger's arena, the
-// self-re-arming arrival timer, the batcher's flush timer and the
-// pipeline's pooled completion and hand-off jobs keep it at most 0.6
-// allocations per request (0.44 measured; 1.20 before the timers).
+// self-re-arming arrival timer, the batcher's flush timer, the
+// pipeline's pooled completion and hand-off jobs and the observers'
+// dense state keep it at most 0.57 allocations per request (0.42
+// measured; 0.44 with map-keyed observer state, 1.20 before the timers).
 func TestReplanObservedAllocsPerRequest(t *testing.T) {
 	var requests int
 	allocs := testing.AllocsPerRun(1, func() {
@@ -163,8 +164,8 @@ func TestReplanObservedAllocsPerRequest(t *testing.T) {
 		requests = res.Report.Samples
 	})
 	perReq := allocs / float64(requests)
-	if perReq > 0.6 {
-		t.Fatalf("observed replan loop: %.2f allocs/request over %d requests, want ≤ 0.6", perReq, requests)
+	if perReq > 0.57 {
+		t.Fatalf("observed replan loop: %.2f allocs/request over %d requests, want ≤ 0.57", perReq, requests)
 	}
 	t.Logf("observed replan loop: %.2f allocs/request over %d requests", perReq, requests)
 }

@@ -68,6 +68,10 @@ type Collector struct {
 	// Observers are the optional views fed the same boundaries as Audit.
 	Observers
 
+	// flameDevs[i] is Flame's handle for cluster device i, set by Register
+	// so Executed reaches the profiler's device without hashing its ID.
+	flameDevs []flame.Dev
+
 	// exitCounts[k] counts samples that exited after layer k (1-based).
 	exitCounts []int
 	layers     int
@@ -89,11 +93,18 @@ func NewCollector(layers int, slo, start float64) *Collector {
 	}
 }
 
-// Register adds a device to the utilization ledger and the flame fold, so
-// a device that never runs a batch still appears, idle.
-func (c *Collector) Register(dev *cluster.Device) {
+// Register adds dev, the device at index device of its cluster, to the
+// utilization ledger and the flame fold, so a device that never runs a
+// batch still appears, idle. A runner registers every device it will
+// report through Executed.
+func (c *Collector) Register(dev *cluster.Device, device int) {
 	c.Util.Register(dev.ID)
-	c.Flame.Register(dev.ID, string(dev.Kind))
+	if c.Flame != nil {
+		for len(c.flameDevs) <= device {
+			c.flameDevs = append(c.flameDevs, 0)
+		}
+		c.flameDevs[device] = c.Flame.Register(dev.ID, string(dev.Kind))
+	}
 }
 
 // Queued records a sample admitted to the batcher's queue at `at`.
@@ -124,13 +135,16 @@ func (c *Collector) Dispatched(batch []workload.Sample, at float64, stage, devic
 }
 
 // Executed records a batch that ran layers [from, to] of the named model
-// as the given stage on dev, starting at `start` and taking res.Duration.
-func (c *Collector) Executed(dev *cluster.Device, model string, stage, from, to int, batch []workload.Sample, start float64, res *exec.Result) {
+// as the given stage on dev (registered at index device), starting at
+// `start` and taking res.Duration.
+func (c *Collector) Executed(dev *cluster.Device, device int, model string, stage, from, to int, batch []workload.Sample, start float64, res *exec.Result) {
 	end := start + res.Duration
 	c.Util.AddBusy(dev.ID, start, res.Duration)
 	c.Tracer.Execute(dev.ID, string(dev.Kind), stage, len(batch), start, end)
 	c.Attr.Executed(stage, batch, start, end)
-	c.Flame.Execute(dev.ID, string(dev.Kind), model, stage, from, to, start, end, res.RampTime, res.PadTime)
+	if c.Flame != nil {
+		c.Flame.Execute(c.flameDevs[device], model, stage, from, to, start, end, res.RampTime, res.PadTime)
+	}
 }
 
 // Transferred records n survivors' activations moving from fromStage to

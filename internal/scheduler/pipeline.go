@@ -121,7 +121,7 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 			}
 			used[devIdx] = true
 			st.instances = append(st.instances, &instance{device: devIdx})
-			coll.Register(&clus.Devices[devIdx])
+			coll.Register(&clus.Devices[devIdx], devIdx)
 		}
 		if len(st.instances) != sp.Replicas {
 			return nil, fmt.Errorf("scheduler: need %d %s devices for split [%d,%d], cluster has fewer free",
@@ -264,7 +264,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
 	st.table.RunInto(batch, dev.Slowdown, res)
-	p.coll.Executed(dev, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
+	p.coll.Executed(dev, inst.device, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
 
 	// Straggler detection (§3.3): compare against the planned time for
 	// this exact batch size — partial batches have high fixed costs, so

@@ -38,7 +38,7 @@ func NewSerial(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan optim
 	s := &Serial{eng: eng, clus: clus, model: plan.ExecModel(m), plan: plan, coll: coll,
 		completions: completionJobs{coll: coll}}
 	for i := range clus.Devices {
-		coll.Register(&clus.Devices[i])
+		coll.Register(&clus.Devices[i], i)
 	}
 	return s
 }
@@ -116,7 +116,7 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 			if d := res.Duration + res.HandoffDelay; d > phaseDur {
 				phaseDur = d
 			}
-			s.coll.Executed(&s.clus.Devices[i%g], s.model.Name, si, sp.From, sp.To, pool[lo:hi], now+elapsed, &res)
+			s.coll.Executed(&s.clus.Devices[i%g], i%g, s.model.Name, si, sp.From, sp.To, pool[lo:hi], now+elapsed, &res)
 			// Every completion of this batch lands at the end of the phase;
 			// one event finishes them all in slice order, matching the
 			// per-sample events this replaces.

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"e3/internal/audit"
+	"e3/internal/telemetry"
 	"e3/internal/workload"
 )
 
@@ -171,10 +172,12 @@ const DefaultTopK = 16
 // report's violation cap.
 const maxAttrErrs = 8
 
-// maxFreeStates bounds the recycled request-state free list.
-const maxFreeStates = 256
+// attrRingInit is the initial size of the id → slot ring (a power of two).
+const attrRingInit = 1024
 
-// reqState tracks one in-flight request between boundary events.
+// reqState tracks one in-flight request between boundary events. Records
+// live in a slot table and are reused: a slot's parts buffer keeps its
+// capacity from one request to the next.
 type reqState struct {
 	id      int64
 	arrival float64
@@ -202,8 +205,16 @@ type Attribution struct {
 	topK   int
 	stride int64
 
-	open map[int64]*reqState
-	free []*reqState
+	// states is the slot table of request records; free lists the slots
+	// not holding an open request. ring maps id & (len(ring)−1) to the
+	// slot+1 of the open request at that position (0 = none). Each open
+	// request owns its position: when a new id's position is taken, the
+	// ring doubles until it is not, so the ring grows with the id span of
+	// the requests in flight, never with run length.
+	states []reqState
+	free   []int32
+	ring   []int32
+	open   int
 
 	// completed/dropped are population-exact O(1) counters over every
 	// terminal event; attributed counts the breakdowns finalized in
@@ -216,9 +227,9 @@ type Attribution struct {
 
 	compTotal [NumComponents]float64
 	compCount [NumComponents]uint64
-	// computeByStage accumulates CompCompute per split.
-	computeByStage map[int]float64
-	computeCount   map[int]uint64
+	// compute[stages.Slot(s)] accumulates CompCompute for split s.
+	stages  telemetry.StageIndex
+	compute []stageCompute
 
 	// slowest holds the top-K breakdowns ordered ascending by end-to-end
 	// latency (ties broken by ID so retention is deterministic).
@@ -231,13 +242,13 @@ func NewAttribution(topK int) *Attribution {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	return &Attribution{
-		topK:           topK,
-		stride:         1,
-		open:           make(map[int64]*reqState),
-		computeByStage: make(map[int]float64),
-		computeCount:   make(map[int]uint64),
-	}
+	return &Attribution{topK: topK, stride: 1, ring: make([]int32, attrRingInit)}
+}
+
+// stageCompute is one split's running compute total.
+type stageCompute struct {
+	total float64
+	count uint64
 }
 
 // SetStride samples per-request detail for ids divisible by n while
@@ -267,31 +278,68 @@ func (a *Attribution) Stride() int64 {
 
 func (a *Attribution) trackedID(id int64) bool { return a.stride <= 1 || id%a.stride == 0 }
 
+// lookup returns id's open record, or nil.
+func (a *Attribution) lookup(id int64) *reqState {
+	if v := a.ring[id&int64(len(a.ring)-1)]; v != 0 {
+		if st := &a.states[v-1]; st.id == id {
+			return st
+		}
+	}
+	return nil
+}
+
+// state returns s's open record, opening one anchored at its arrival.
 func (a *Attribution) state(s workload.Sample) *reqState {
-	st := a.open[s.ID]
-	if st != nil {
+	if st := a.lookup(s.ID); st != nil {
 		return st
 	}
+	pos := s.ID & int64(len(a.ring)-1)
+	if a.ring[pos] != 0 {
+		a.grow(s.ID)
+		pos = s.ID & int64(len(a.ring)-1)
+	}
+	var slot int32
 	if k := len(a.free); k > 0 {
-		st = a.free[k-1]
-		a.free[k-1] = nil
+		slot = a.free[k-1]
 		a.free = a.free[:k-1]
 	} else {
-		st = &reqState{}
+		slot = int32(len(a.states))
+		a.states = append(a.states, reqState{})
 	}
+	a.ring[pos] = slot + 1
+	a.open++
+	st := &a.states[slot]
 	st.id, st.arrival, st.prevAt = s.ID, s.Arrival, s.Arrival
 	st.haveExec, st.executed = false, false
 	st.stage = -1
 	st.parts = st.parts[:0]
-	a.open[s.ID] = st
 	return st
 }
 
-func (a *Attribution) release(st *reqState) {
-	delete(a.open, st.id)
-	if len(a.free) < maxFreeStates {
-		a.free = append(a.free, st)
+// grow doubles the ring until id's position is free. Open requests never
+// collide in the doubled ring: ids apart mod n are apart mod 2n.
+func (a *Attribution) grow(id int64) {
+	for n := 2 * len(a.ring); ; n *= 2 {
+		ring := make([]int32, n) //e3:alloc ring growth, only when a new id's position is held by an open request
+		mask := int64(n - 1)
+		for _, v := range a.ring {
+			if v != 0 {
+				ring[a.states[v-1].id&mask] = v
+			}
+		}
+		if ring[id&mask] == 0 {
+			a.ring = ring
+			return
+		}
 	}
+}
+
+// release closes st's record and returns its slot to the free list.
+func (a *Attribution) release(st *reqState) {
+	pos := st.id & int64(len(a.ring)-1)
+	a.free = append(a.free, a.ring[pos]-1)
+	a.ring[pos] = 0
+	a.open--
 }
 
 // part closes the segment [st.prevAt, end] under component c. Zero-width
@@ -325,6 +373,8 @@ func (a *Attribution) resolve(st *reqState, at float64, gap Component, gapStage 
 // Queued opens the request's attribution record at batcher admission. The
 // queue-wait clock runs from the sample's arrival, which is also when the
 // batcher admits it.
+//
+//e3:hotpath runs once per admitted request; the slot table never hashes an id
 func (a *Attribution) Queued(s workload.Sample, at float64) {
 	if a == nil || !a.trackedID(s.ID) {
 		return
@@ -337,6 +387,8 @@ func (a *Attribution) Queued(s workload.Sample, at float64) {
 // boundary is queue wait before the first execution and fusion (re-batch)
 // wait afterwards. Requests ingested without a batcher (closed-loop
 // drivers) lazily open here, anchored at their arrival.
+//
+//e3:hotpath runs once per request per stage; the slot table never hashes an id
 func (a *Attribution) Dispatched(s workload.Sample, at float64, stage int) {
 	if a == nil || !a.trackedID(s.ID) {
 		return
@@ -353,12 +405,14 @@ func (a *Attribution) Dispatched(s workload.Sample, at float64, stage int) {
 // each tracked member's dispatch → start gap to instance backlog. The
 // compute part itself stays pending until the sample's next boundary
 // event, because early exits can complete before the batch does.
+//
+//e3:hotpath runs once per executed batch; the slot table never hashes an id
 func (a *Attribution) Executed(stage int, batch []workload.Sample, start, end float64) {
 	if a == nil {
 		return
 	}
 	for i := range batch {
-		st := a.open[batch[i].ID]
+		st := a.lookup(batch[i].ID)
 		if st == nil {
 			continue
 		}
@@ -371,11 +425,13 @@ func (a *Attribution) Executed(stage int, batch []workload.Sample, start, end fl
 
 // Merged records entry into stage's survivor merge queue; the gap since
 // compute end is the handoff plus inter-split transfer.
+//
+//e3:hotpath runs once per survivor per stage; the slot table never hashes an id
 func (a *Attribution) Merged(s workload.Sample, at float64, stage int) {
 	if a == nil {
 		return
 	}
-	st := a.open[s.ID]
+	st := a.lookup(s.ID)
 	if st == nil {
 		return
 	}
@@ -385,15 +441,17 @@ func (a *Attribution) Merged(s workload.Sample, at float64, stage int) {
 
 // Completed finalizes the request's breakdown at its completion time and
 // verifies that the parts partition [arrival, completion] exactly.
+//
+//e3:hotpath runs once per completed request; the slot table never hashes an id
 func (a *Attribution) Completed(s workload.Sample, at float64) {
 	if a == nil {
 		return
 	}
 	a.completed++
-	st := a.open[s.ID]
+	st := a.lookup(s.ID)
 	if st == nil {
 		if a.trackedID(s.ID) {
-			a.flag("request %d: completed with no open attribution record", s.ID)
+			a.flag("request %d: completed with no open attribution record", s.ID) //e3:alloc mismatch report, reached only on a recording bug
 		}
 		return
 	}
@@ -404,12 +462,14 @@ func (a *Attribution) Completed(s workload.Sample, at float64) {
 // Dropped closes the request's record without a breakdown: attribution
 // explains completed-request latency, and the ledger already classifies
 // drops by reason.
+//
+//e3:hotpath runs once per shed request; the slot table never hashes an id
 func (a *Attribution) Dropped(s workload.Sample, at float64) {
 	if a == nil {
 		return
 	}
 	a.dropped++
-	if st := a.open[s.ID]; st != nil {
+	if st := a.lookup(s.ID); st != nil {
 		a.release(st)
 	}
 }
@@ -417,7 +477,7 @@ func (a *Attribution) Dropped(s workload.Sample, at float64) {
 func (a *Attribution) flag(format string, args ...any) {
 	a.mismatches++
 	if len(a.errs) < maxAttrErrs {
-		a.errs = append(a.errs, fmt.Sprintf(format, args...))
+		a.errs = append(a.errs, fmt.Sprintf(format, args...)) //e3:alloc at most maxAttrErrs messages, reached only on a recording bug
 	}
 }
 
@@ -450,7 +510,7 @@ func (a *Attribution) finalize(st *reqState, at float64) {
 		a.maxResidual = residual
 	}
 	if !ok {
-		a.flag("request %d: breakdown does not partition [%v, %v]: %d part(s) summing to %v (end-to-end %v)",
+		a.flag("request %d: breakdown does not partition [%v, %v]: %d part(s) summing to %v (end-to-end %v)", //e3:alloc mismatch report, reached only on a recording bug
 			st.id, st.arrival, at, len(st.parts), sum, e2e)
 		a.release(st)
 		return
@@ -460,8 +520,12 @@ func (a *Attribution) finalize(st *reqState, at float64) {
 		a.compTotal[p.Comp] += d
 		a.compCount[p.Comp]++
 		if p.Comp == CompCompute {
-			a.computeByStage[p.Stage] += d
-			a.computeCount[p.Stage]++
+			i := a.stages.Slot(p.Stage)
+			if i == len(a.compute) {
+				a.compute = append(a.compute, stageCompute{})
+			}
+			a.compute[i].total += d
+			a.compute[i].count++
 		}
 	}
 	a.attributed++
@@ -486,8 +550,8 @@ func (a *Attribution) offerSlowest(st *reqState, at float64) {
 	if len(a.slowest) >= a.topK && !slowestLess(a.slowest[0], bd) {
 		return
 	}
-	bd.Parts = append([]Part(nil), st.parts...)
-	i := sort.Search(len(a.slowest), func(i int) bool { return !slowestLess(a.slowest[i], bd) })
+	bd.Parts = append([]Part(nil), st.parts...)                                                  //e3:alloc top-K admission: only a breakdown slower than the retained minimum
+	i := sort.Search(len(a.slowest), func(i int) bool { return !slowestLess(a.slowest[i], bd) }) //e3:alloc top-K admission: only a breakdown slower than the retained minimum
 	a.slowest = append(a.slowest, Breakdown{})
 	copy(a.slowest[i+1:], a.slowest[i:])
 	a.slowest[i] = bd
@@ -529,7 +593,7 @@ func (a *Attribution) Open() int {
 	if a == nil {
 		return 0
 	}
-	return len(a.open)
+	return a.open
 }
 
 // ComponentSeconds reports the total virtual time attributed to c across
@@ -569,8 +633,8 @@ func (a *Attribution) Reconcile(rep *audit.Report) {
 	if extra := a.mismatches - len(a.errs); extra > 0 {
 		rep.Violate("slo: ... and %d more attribution mismatch(es)", extra)
 	}
-	if len(a.open) > 0 {
-		rep.Violate("slo: %d request(s) still open after end of run", len(a.open))
+	if a.open > 0 {
+		rep.Violate("slo: %d request(s) still open after end of run", a.open)
 	}
 	if int(a.completed) != rep.Completed {
 		rep.Violate("slo: %d completion events, ledger completed %d", a.completed, rep.Completed)
@@ -614,8 +678,8 @@ type Dump struct {
 	Slowest []Breakdown `json:"slowest"`
 }
 
-// Dump snapshots the attribution. Map walks are sorted, so two identical
-// runs marshal to identical bytes.
+// Dump snapshots the attribution. Stages are listed in ascending order, so
+// two identical runs marshal to identical bytes.
 func (a *Attribution) Dump() *Dump {
 	d := &Dump{}
 	if a == nil {
@@ -629,14 +693,9 @@ func (a *Attribution) Dump() *Dump {
 			Component: c.String(), Count: a.compCount[c], TotalS: a.compTotal[c],
 		})
 	}
-	stages := make([]int, 0, len(a.computeByStage))
-	for s := range a.computeByStage {
-		stages = append(stages, s)
-	}
-	sort.Ints(stages)
-	for _, s := range stages {
+	for _, i := range a.stages.Sorted() {
 		d.ComputeByStage = append(d.ComputeByStage, StageCompute{
-			Stage: s, Count: a.computeCount[s], TotalS: a.computeByStage[s],
+			Stage: a.stages.Stage(i), Count: a.compute[i].count, TotalS: a.compute[i].total,
 		})
 	}
 	d.Slowest = a.Slowest()

@@ -146,26 +146,32 @@ type Tracer struct {
 	arrived, completed, dropped uint64
 	dropsBy                     map[string]uint64
 
-	lat     *metrics.Histogram
-	batchBy map[int]*metrics.Histogram
+	lat *metrics.Histogram
 
 	// firstAt/lastAt bound every event time seen (spans and lifecycle
 	// events), giving the observation horizon even after ring eviction.
 	firstAt, lastAt float64
 	seenAt          bool
 
-	// xferTrack/mergeTrack cache the per-stage track names: Transfer and
-	// Fuse fire once per batch, and formatting the same handful of strings
-	// millions of times was measurable on hour-long traces.
+	// perStage[stages.Slot(s)] holds stage s's batch-size histogram and
+	// track names, so Execute, Transfer and Fuse never hash a stage.
 	//
-	// Ownership: these maps — like every field above — are mutated
-	// without synchronization on the contract that one event loop owns
-	// the tracer. A tracer must never be shared across engines: two
-	// shard loops lazily inserting into the same cache map is a
-	// concurrent map write. The fleet tier gives each shard its own
-	// tracer for exactly this reason.
-	xferTrack  map[int]string
-	mergeTrack map[int]string
+	// Ownership: these — like every field above — are mutated without
+	// synchronization on the contract that one event loop owns the
+	// tracer. A tracer must never be shared across engines; the fleet
+	// tier gives each shard its own tracer for exactly this reason.
+	stages   StageIndex
+	perStage []stageTrack
+}
+
+// stageTrack is one stage's tracer state: its batch-size histogram (nil
+// until a batch executes there) and the track names its transfer and
+// fusion spans ride. Transfer and Fuse fire once per batch, and formatting
+// the same handful of strings millions of times was measurable on
+// hour-long traces, so each name is formatted once.
+type stageTrack struct {
+	batch       *metrics.Histogram
+	xfer, merge string
 }
 
 // New returns an unbounded tracer, for full-run trace export.
@@ -186,16 +192,26 @@ func newTracer(capacity int) *Tracer {
 		capacity: capacity,
 		dropsBy:  make(map[string]uint64),
 		lat:      metrics.NewLogHistogram(latHistLo, latHistHi, latHistBuckets),
-		batchBy:  make(map[int]*metrics.Histogram),
 	}
 }
 
 // Enabled reports whether spans are being recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
+// stage returns the state of stage s, adding it at first sight.
+func (t *Tracer) stage(s int) *stageTrack {
+	i := t.stages.Slot(s)
+	if i == len(t.perStage) {
+		t.perStage = append(t.perStage, stageTrack{})
+	}
+	return &t.perStage[i]
+}
+
 // Record stores one span. Spans whose End precedes their Start are
 // clamped to zero duration — they can only arise from float jitter at
 // scheduling boundaries, mirroring LatencyRecorder's clamp.
+//
+//e3:hotpath every span of every observed batch lands here; the ring overwrites in place
 func (t *Tracer) Record(s Span) {
 	if t == nil {
 		return
@@ -221,12 +237,11 @@ func (t *Tracer) Execute(track, gpuKind string, stage, batch int, start, end flo
 	}
 	t.Record(Span{Track: track, Kind: KindExecute, Start: start, End: end,
 		Stage: stage, Batch: batch, GPU: gpuKind})
-	h := t.batchBy[stage]
-	if h == nil {
-		h = metrics.NewLogHistogram(batchHistLo, batchHistHi, batchHistBuckets)
-		t.batchBy[stage] = h
+	st := t.stage(stage)
+	if st.batch == nil {
+		st.batch = metrics.NewLogHistogram(batchHistLo, batchHistHi, batchHistBuckets)
 	}
-	h.Observe(float64(batch))
+	st.batch.Observe(float64(batch))
 }
 
 // QueueWait records a dispatched batch's head wait in the batcher queue.
@@ -240,15 +255,11 @@ func (t *Tracer) Transfer(fromStage, batch int, start, end float64) {
 	if t == nil {
 		return
 	}
-	track, ok := t.xferTrack[fromStage]
-	if !ok {
-		track = fmt.Sprintf("xfer:s%d->s%d", fromStage, fromStage+1)
-		if t.xferTrack == nil {
-			t.xferTrack = make(map[int]string)
-		}
-		t.xferTrack[fromStage] = track
+	st := t.stage(fromStage)
+	if st.xfer == "" {
+		st.xfer = fmt.Sprintf("xfer:s%d->s%d", fromStage, fromStage+1)
 	}
-	t.Record(Span{Track: track,
+	t.Record(Span{Track: st.xfer,
 		Kind: KindTransfer, Start: start, End: end, Stage: fromStage, Batch: batch})
 }
 
@@ -258,15 +269,11 @@ func (t *Tracer) Fuse(stage, batch int, start, end float64) {
 	if t == nil {
 		return
 	}
-	track, ok := t.mergeTrack[stage]
-	if !ok {
-		track = fmt.Sprintf("merge:s%d", stage)
-		if t.mergeTrack == nil {
-			t.mergeTrack = make(map[int]string)
-		}
-		t.mergeTrack[stage] = track
+	st := t.stage(stage)
+	if st.merge == "" {
+		st.merge = fmt.Sprintf("merge:s%d", stage)
 	}
-	t.Record(Span{Track: track, Kind: KindFuse,
+	t.Record(Span{Track: st.merge, Kind: KindFuse,
 		Start: start, End: end, Stage: stage, Batch: batch})
 }
 
@@ -415,7 +422,10 @@ func (t *Tracer) BatchHist(stage int) *metrics.Histogram {
 	if t == nil {
 		return nil
 	}
-	return t.batchBy[stage]
+	if i := t.stages.Lookup(stage); i >= 0 {
+		return t.perStage[i].batch
+	}
+	return nil
 }
 
 // Stages returns the stage indices that have batch histograms, ascending.
@@ -423,11 +433,12 @@ func (t *Tracer) Stages() []int {
 	if t == nil {
 		return nil
 	}
-	out := make([]int, 0, len(t.batchBy))
-	for s := range t.batchBy {
-		out = append(out, s)
+	out := make([]int, 0, t.stages.Len())
+	for _, i := range t.stages.Sorted() {
+		if t.perStage[i].batch != nil {
+			out = append(out, t.stages.Stage(i))
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
