@@ -2,24 +2,28 @@
 // heterogeneous), each a complete single-goroutine serving stack —
 // its own sim.Engine, per-tenant dynamic batchers, pipeline runners,
 // sampled conservation ledgers, and batch pool — executed by a
-// deterministic parallel shard runner and fed by a GPU-aware router.
+// deterministic parallel task pool and fed by a GPU-aware router.
 //
 // Time is divided into routing epochs. At each epoch boundary the
-// coordinator (a single goroutine) mints the epoch's arrivals from
-// per-tenant Poisson streams, scores every replica from the telemetry the
-// replicas already export (queue depth, in-flight backlog, utilization,
-// SLO budget burn), routes the arrivals with a smooth weighted
-// round-robin over those scores (front-door admission shedding arrivals
-// the whole fleet is too backlogged to serve), and injects each replica's
-// share into its event loop. The shards then advance in parallel to the
-// epoch boundary — they share nothing, so one goroutine per shard is
-// safe — and barrier-synchronize before the next routing decision.
+// coordinator (a single goroutine) scores every replica from the
+// telemetry the replicas already export (queue depth, in-flight backlog,
+// utilization, SLO budget burn), routes the epoch's arrivals with a
+// smooth weighted round-robin over those scores (front-door admission
+// shedding arrivals the whole fleet is too backlogged to serve), and
+// hands each replica its share. The shards then advance in parallel to
+// the epoch boundary — they share nothing, so one goroutine per shard is
+// safe — while one more pool task mints the next epoch's arrivals from
+// the per-tenant Poisson streams, which no shard reads; everything
+// barrier-synchronizes before the next routing decision. The barrier
+// itself is left with only what must be serial: the door check and the
+// WRR pick.
 //
-// Because routing depends only on barrier-time snapshots and each shard's
-// execution between barriers is a deterministic single-goroutine event
-// loop, the fleet result — every ledger digest, every router decision —
-// is byte-identical to a serial reference execution of the same shards in
-// index order, at any worker count. The determinism property test and
+// Because routing depends only on barrier-time snapshots, minting only
+// on the streams, and each shard's execution between barriers is a
+// deterministic single-goroutine event loop, the fleet result — every
+// ledger digest, every router decision — is byte-identical to a serial
+// reference execution of the same tasks in index order, at any worker
+// count. The determinism property test, the golden digests and
 // `make fleetgate` enforce that contract.
 package fleet
 
@@ -136,6 +140,12 @@ type replicaTenant struct {
 	budget *slo.Budget
 	// lastBurn is the burn rate ObserveWindow reported at the last barrier.
 	lastBurn float64
+	// feed holds the arrivals routed here this epoch, in arrival order;
+	// arrivals walks it on the shard's engine, next being the first one
+	// not yet delivered. The router refills feed at each barrier.
+	feed     []workload.Sample
+	next     int
+	arrivals *sim.Timer
 }
 
 // Replica is one shard: a complete serving stack on its own engine. All
@@ -152,8 +162,9 @@ type Replica struct {
 	// own pool at build time (the ownership regression test pins this).
 	pool    *workload.BatchPool
 	tenants []*replicaTenant
-	// drained marks the final drain done (Good meters closed).
-	drained bool
+	// digest is Digest() as of the end of Drain, computed by the drain
+	// task so the coordinator only copies it.
+	digest string
 }
 
 // Engine exposes the shard's engine for diagnostics (events processed).
@@ -163,19 +174,27 @@ func (r *Replica) Engine() *sim.Engine { return r.eng }
 func (r *Replica) Pool() *workload.BatchPool { return r.pool }
 
 // Fleet is a built deployment: replicas plus the coordinator-owned
-// router, streams, and generators.
+// router and the per-tenant arrival sources.
 type Fleet struct {
 	cfg      Config
 	replicas []*Replica
 	router   *Router
-	// streams/gens mint each tenant's fleet-wide arrivals; both are owned
-	// by the coordinator goroutine, never a shard.
-	streams []*trace.PoissonStream
-	gens    []*workload.Generator
-	// pending holds the next not-yet-consumed arrival per tenant stream
-	// (NaN-free: ok=false when the stream is exhausted).
-	pending   []float64
-	pendingOK []bool
+	sources  []source
+}
+
+// source mints one tenant's fleet-wide arrivals. Only the mint task
+// touches it, and the router reads minted only between barriers, while
+// no mint task runs; no shard ever reads it.
+type source struct {
+	stream *trace.PoissonStream
+	gen    *workload.Generator
+	// at is the next not-yet-minted arrival; ok is false once the stream
+	// is exhausted.
+	at float64
+	ok bool
+	// minted holds the arrivals of the next epoch to route, in stream
+	// order. The buffer is reused every epoch.
+	minted []workload.Sample
 }
 
 // planScale returns the fraction of fleet-wide tenant demand replica r
@@ -216,14 +235,35 @@ func New(cfg Config) (*Fleet, error) {
 		// Distinct deterministic seeds per tenant so streams and
 		// difficulty draws are independent but reproducible.
 		seed := cfg.Seed + int64(ti)*1_000_003
-		f.streams = append(f.streams, trace.NewPoissonStream(t.Rate, cfg.Horizon, seed))
-		f.gens = append(f.gens, workload.NewGenerator(t.Dist, seed+7))
-		at, ok := f.streams[ti].Next()
-		f.pending = append(f.pending, at)
-		f.pendingOK = append(f.pendingOK, ok)
+		src := source{
+			stream: trace.NewPoissonStream(t.Rate, cfg.Horizon, seed),
+			gen:    workload.NewGenerator(t.Dist, seed+7),
+		}
+		src.at, src.ok = src.stream.Next()
+		f.sources = append(f.sources, src)
 	}
-	f.router.init(f)
 	return f, nil
+}
+
+// mint fills every tenant's minted buffer with its arrivals up to end, in
+// stream order, so IDs and difficulty draws are independent of routing.
+// It runs as a pool task beside the shards: epoch e+1 is minted while
+// the shards advance epoch e.
+func (f *Fleet) mint(end float64) {
+	for ti, t := range f.cfg.Tenants {
+		src := &f.sources[ti]
+		buf := src.minted[:0]
+		for src.ok && src.at <= end {
+			buf = append(buf, src.gen.Next(src.at, t.SLO))
+			src.at, src.ok = src.stream.Next()
+		}
+		src.minted = buf
+	}
+}
+
+// epochEnd is the barrier time closing epoch e.
+func (f *Fleet) epochEnd(e int) float64 {
+	return min(f.cfg.EpochDur*float64(e+1), f.cfg.Horizon)
 }
 
 // buildReplica plans and deploys one shard.
@@ -269,11 +309,13 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec) (*Replica, error) {
 		if st == nil {
 			return nil, fmt.Errorf("fleet: replica %d: tenant %q missing from deployment", idx, t.Name)
 		}
-		rep.tenants = append(rep.tenants, &replicaTenant{
+		rt := &replicaTenant{
 			st:       *st,
 			capacity: st.Alloc.Plan.Goodput,
 			budget:   slo.NewBudget(slo.DefaultTarget, slo.DefaultBurnThreshold),
-		})
+		}
+		rt.arrivals = eng.NewTimer(rt.deliver)
+		rep.tenants = append(rep.tenants, rt)
 	}
 	return rep, nil
 }
@@ -298,31 +340,33 @@ func planWithBackoff(clus *cluster.Cluster, tenants []multi.Tenant) ([]multi.All
 	return nil, err
 }
 
-// inject schedules one tenant's routed arrivals into the shard's event
-// loop as a single self-rescheduling closure (one live event per stream,
-// as in serving.RunOpenLoopStream). The destination ledger records the
-// arrival at its virtual time, then the batcher admits or sheds it.
-// Called by the coordinator at an epoch boundary, before the shard
-// advances; samples must be sorted by arrival time (they are — routing
-// preserves stream order).
-func (r *Replica) inject(tenantIdx int, samples []workload.Sample) {
-	if len(samples) == 0 {
-		return
+// inject hands the stack its routed share, sitting in feed: one timer
+// walks feed on the shard's engine, re-armed from its own callback for
+// each next arrival (as serving.FeedStream does), so a stack keeps at
+// most one pending schedule. Reset takes the engine's next sequence
+// number exactly as At would, so events order as if each arrival were
+// scheduled by At. Called by the coordinator at an epoch boundary,
+// before the shard advances; feed must be sorted by arrival time (it is
+// — routing preserves stream order).
+func (rt *replicaTenant) inject() {
+	rt.routed += len(rt.feed)
+	rt.next = 0
+	if len(rt.feed) > 0 {
+		rt.arrivals.Reset(rt.feed[0].Arrival)
 	}
-	rt := r.tenants[tenantIdx]
-	rt.routed += len(samples)
-	i := 0
-	var step func()
-	step = func() {
-		s := samples[i]
-		rt.st.Coll.Audit.Arrived(s.ID, r.eng.Now())
-		rt.st.Batcher.Arrive(s)
-		i++
-		if i < len(samples) {
-			r.eng.At(samples[i].Arrival, step)
-		}
+}
+
+// deliver is the arrivals timer's callback: the destination ledger
+// records the arrival at its virtual time, then the batcher admits or
+// sheds it.
+func (rt *replicaTenant) deliver() {
+	s := rt.feed[rt.next]
+	rt.st.Coll.Audit.Arrived(s.ID, s.Arrival)
+	rt.st.Batcher.Arrive(s)
+	rt.next++
+	if rt.next < len(rt.feed) {
+		rt.arrivals.Reset(rt.feed[rt.next].Arrival)
 	}
-	r.eng.At(samples[0].Arrival, step)
 }
 
 // Advance runs the shard's event loop to the barrier time. It is the
@@ -333,8 +377,8 @@ func (r *Replica) Advance(until float64) error {
 }
 
 // Drain finishes the shard after the last epoch: run the loop dry, force
-// out partial batches and merge queues, run dry again, and close the
-// goodput meters at the final clock.
+// out partial batches and merge queues, run dry again, close the goodput
+// meters at the final clock, and record the shard's digest.
 func (r *Replica) Drain() error {
 	err := r.eng.RunAll()
 	for _, rt := range r.tenants {
@@ -349,7 +393,7 @@ func (r *Replica) Drain() error {
 	for _, rt := range r.tenants {
 		rt.st.Coll.Good.CloseAt(r.eng.Now())
 	}
-	r.drained = true
+	r.digest = r.Digest()
 	return err
 }
 

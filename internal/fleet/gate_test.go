@@ -3,9 +3,14 @@ package fleet
 import (
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
+
+// gateRuns is how many alternating 1-shard/8-shard pairs the scaling
+// check times; the gate takes the median ratio.
+const gateRuns = 9
 
 // TestFleetGate is the `make fleetgate` entry point, env-gated like the
 // planner and sim gates so plain `go test ./...` stays fast and free of
@@ -16,11 +21,13 @@ import (
 //     parallel fleet reproduces the serial reference byte-for-byte —
 //     every per-shard ledger digest and the router decision log.
 //  2. Scaling (physically bounded by the host): aggregate events/s at 8
-//     shards x 8 workers must beat 1 shard by a factor scaled to the
-//     cores actually present — >=4x with 8+ cores, >=2x with 4, >=1.2x
-//     with 2, and skipped (loudly) on 1 core, where N goroutines
-//     serialize and no speedup is possible. BENCH_PR10.json records the
-//     honest curve with gomaxprocs alongside.
+//     shards must beat 1 shard by a factor scaled to the cores actually
+//     present — >=4x with 8+ cores, >=2x with 4, >=1.2x with 2, and
+//     skipped (loudly) on 1 core, where no speedup is possible. The 8
+//     shards run on min(8, cores) workers, since more workers than cores
+//     only add switching, and the factor is the median ratio over
+//     gateRuns alternating pairs.
+//     BENCH_PR10.json records the honest curve with gomaxprocs alongside.
 func TestFleetGate(t *testing.T) {
 	if os.Getenv("E3_FLEET_GATE") == "" {
 		t.Skip("set E3_FLEET_GATE=1 to run the fleet scaling gate (enabled by `make fleetgate`)")
@@ -43,7 +50,7 @@ func TestFleetGate(t *testing.T) {
 	}
 
 	// Half 2: wall-clock scaling, bounded by the machine.
-	cores := runtime.NumCPU()
+	cores := min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	required := 0.0
 	switch {
 	case cores >= 8:
@@ -59,26 +66,31 @@ func TestFleetGate(t *testing.T) {
 		return
 	}
 
-	measure := func(shards, workers int) float64 {
-		best := 0.0
-		for i := 0; i < 2; i++ {
-			start := time.Now()
-			res, err := Run(DemoConfig(shards, workers))
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				t.Fatalf("%d shards x %d workers: %v", shards, workers, err)
-			}
-			if eps := float64(res.Events) / wall; eps > best {
-				best = eps
-			}
+	// eps times one fleet run from a collected heap.
+	eps := func(shards, workers int) float64 {
+		runtime.GC() // leave the previous run's garbage out of this timing
+		start := time.Now()
+		res, err := Run(DemoConfig(shards, workers))
+		wall := time.Since(start).Seconds()
+		if err != nil {
+			t.Fatalf("%d shards x %d workers: %v", shards, workers, err)
 		}
-		return best
+		return float64(res.Events) / wall
 	}
-	one := measure(1, 1)
-	eight := measure(8, 8)
-	factor := eight / one
-	t.Logf("scaling: 1 shard %.0f events/s, 8 shards %.0f events/s — %.2fx (required >=%.1fx on %d cores)",
-		one, eight, factor, required, cores)
+	// The two sides alternate, so drift in the host's speed reaches both,
+	// and the gate takes the median of the per-pair ratios.
+	workers := min(8, cores)
+	eps(1, 1) // untimed warm-up of each side
+	eps(8, workers)
+	ratios := make([]float64, gateRuns)
+	for i := range ratios {
+		one := eps(1, 1)
+		ratios[i] = eps(8, workers) / one
+	}
+	slices.Sort(ratios)
+	factor := ratios[len(ratios)/2]
+	t.Logf("scaling: 8 shards on %d workers over 1 shard, ratios %.2f — median %.2fx (required >=%.1fx on %d cores)",
+		workers, ratios, factor, required, cores)
 	if factor < required {
 		t.Fatalf("fleet scaling %.2fx below the %.1fx bar for %d cores", factor, required, cores)
 	}

@@ -3,13 +3,9 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
-
-	"e3/internal/workload"
 )
-
-// snapKey identifies one (replica, tenant) stack in snapshot maps.
-// Indexed arrays keep everything allocation-light and ordered.
 
 // ReplicaSnapshot is the telemetry the router reads at an epoch barrier —
 // all of it already exported by the serving stacks: batcher queue depth,
@@ -71,21 +67,28 @@ type Router struct {
 	Minted      int
 	RoutedTotal int
 	ShedTotal   int
+	// snaps, inflight, lanes and picks are per-epoch scratch, reused
+	// every barrier: the telemetry snapshots, one tenant's backlog view
+	// per replica, that tenant's stack on each replica, and the replica
+	// each of its arrivals went to (-1 when shed at the door).
+	snaps    []ReplicaSnapshot
+	inflight []int
+	lanes    []*replicaTenant
+	picks    []int32
 }
 
 // NewRouter builds a router for nReplicas × nTenants credit lanes.
 func NewRouter(nReplicas, nTenants int) *Router {
-	r := &Router{nReplicas: nReplicas}
+	r := &Router{
+		nReplicas: nReplicas,
+		inflight:  make([]int, nReplicas),
+		lanes:     make([]*replicaTenant, nReplicas),
+	}
 	for i := 0; i < nTenants; i++ {
 		r.credits = append(r.credits, make([]float64, nReplicas))
 	}
 	return r
 }
-
-// init gives the router its back-reference-free view of static capacity;
-// nothing to do today beyond shape checks, kept as a hook for scorers
-// that precompute.
-func (ro *Router) init(f *Fleet) {}
 
 // minScore floors every replica's score so no replica is ever starved:
 // even a fully backlogged or budget-burning replica keeps a trickle of
@@ -114,9 +117,11 @@ func score(capacity float64, inflight int, epochDur, burn float64) float64 {
 }
 
 // Snapshots reads every (replica, tenant) stack's barrier-time telemetry
-// and derives routing scores. Replica-major, tenant-minor order.
+// and derives routing scores. Replica-major, tenant-minor order, so stack
+// (r, t) sits at r×tenants+t. The slice is router scratch, overwritten by
+// the next call.
 func (ro *Router) Snapshots(f *Fleet) []ReplicaSnapshot {
-	var out []ReplicaSnapshot
+	out := ro.snaps[:0]
 	for _, rep := range f.replicas {
 		for ti, rt := range rep.tenants {
 			arrived, completed, dropped := rt.st.Coll.Audit.Totals()
@@ -132,53 +137,65 @@ func (ro *Router) Snapshots(f *Fleet) []ReplicaSnapshot {
 			out = append(out, s)
 		}
 	}
+	ro.snaps = out
 	return out
 }
 
-// RouteEpoch mints every tenant arrival in (start, end], applies
-// front-door admission, assigns survivors to replicas by smooth WRR over
-// barrier-time scores, and injects each replica's share into its event
-// loop. Coordinator-only; must run between barriers, never concurrently
-// with shard execution.
+// RouteEpoch routes the epoch's minted arrivals in (start, end]: it
+// applies front-door admission, assigns survivors to replicas by smooth
+// WRR over barrier-time scores, and injects each replica's share into its
+// event loop. Coordinator-only; must run between barriers, never
+// concurrently with shard execution or minting.
+//
+// Each stack's share goes into its feed buffer, truncated and refilled
+// here every epoch. One buffer per stack suffices: the shard's
+// Advance(end) runs every event at or before end, every routed arrival
+// lies in (start, end], and the batcher copies each sample by value on
+// arrival, so by the next barrier the shard holds no reference into the
+// buffer. The decision log's rows are the only allocations, a fixed
+// number per epoch whatever the arrivals, plus one for each reused
+// buffer that reaches a new high-water mark.
 func (ro *Router) RouteEpoch(f *Fleet, epoch int, start, end float64) EpochDecision {
 	snaps := ro.Snapshots(f)
-	dec := EpochDecision{Epoch: epoch, End: end}
+	nt, nr := len(f.cfg.Tenants), ro.nReplicas
+	scores := make([]float64, nt*nr)
+	routed := make([]int, nt*nr)
+	dec := EpochDecision{Epoch: epoch, End: end, Tenants: make([]TenantDecision, nt)}
+	inflight, lanes := ro.inflight, ro.lanes
+	most := 0
+	for i := range f.sources {
+		most = max(most, len(f.sources[i].minted))
+	}
+	ro.picks = slices.Grow(ro.picks[:0], most)
 	for ti, t := range f.cfg.Tenants {
-		td := TenantDecision{
-			Tenant: t.Name,
-			Scores: make([]float64, ro.nReplicas),
-			Routed: make([]int, ro.nReplicas),
-		}
-		// The tenant's score row and mutable backlog view for this epoch.
-		inflight := make([]int, ro.nReplicas)
-		for _, s := range snaps {
-			if s.Tenant != t.Name {
-				continue
-			}
-			td.Scores[s.Replica] = s.Score
-			inflight[s.Replica] = s.Inflight + s.QueueDepth
-		}
+		td := &dec.Tenants[ti]
+		td.Tenant = t.Name
+		td.Scores = scores[ti*nr : (ti+1)*nr : (ti+1)*nr]
+		td.Routed = routed[ti*nr : (ti+1)*nr : (ti+1)*nr]
+		// The tenant's score row, mutable backlog view and stacks.
 		total := 0.0
-		for _, s := range td.Scores {
-			total += s
+		for r := range nr {
+			s := &snaps[r*nt+ti]
+			td.Scores[r] = s.Score
+			total += s.Score
+			inflight[r] = s.Inflight + s.QueueDepth
+			lanes[r] = f.replicas[r].tenants[ti]
 		}
-		perReplica := make([][]workload.Sample, ro.nReplicas)
-		for f.pendingOK[ti] && f.pending[ti] <= end {
-			at := f.pending[ti]
-			f.pending[ti], f.pendingOK[ti] = f.streams[ti].Next()
-			// Mint in stream order so IDs and difficulty draws are
-			// independent of routing. Shed samples consume a draw too —
-			// they existed — but reach no ledger; only the router
-			// remembers them (Minted = RoutedTotal + ShedTotal).
-			s := f.gens[ti].Next(at, t.SLO)
-			ro.Minted++
+		minted := f.sources[ti].minted
+		// Shed samples were minted too — they existed — but reach no
+		// ledger; only the router remembers them (Minted = RoutedTotal +
+		// ShedTotal).
+		ro.Minted += len(minted)
+		picks := ro.picks[:len(minted)]
+		for i := range minted {
 			// Front-door admission: if even the least-loaded replica's
 			// estimated backlog at this arrival's time — epoch-start
 			// inflight plus what we routed it this epoch, minus what it
 			// drains at planned capacity by then — cannot clear within
 			// the SLO, the deadline is hopeless fleet-wide: shed at the
 			// door instead of burning a replica's queue on it.
-			if doorHopeless(inflight, f, ti, t.SLO, at-start) {
+			if doorHopeless(inflight, lanes, t.SLO, minted[i].Arrival-start) {
+				picks[i] = -1
 				td.Shed++
 				ro.ShedTotal++
 				continue
@@ -187,12 +204,22 @@ func (ro *Router) RouteEpoch(f *Fleet, epoch int, start, end float64) EpochDecis
 			td.Routed[pick]++
 			ro.RoutedTotal++
 			inflight[pick]++
-			perReplica[pick] = append(perReplica[pick], s)
+			picks[i] = int32(pick)
 		}
-		for r, share := range perReplica {
-			f.replicas[r].inject(ti, share)
+		// Size every share before filling it, so a feed that outgrows its
+		// buffer reallocates once, not once per doubling.
+		for r, rt := range lanes {
+			rt.feed = slices.Grow(rt.feed[:0], td.Routed[r])
 		}
-		dec.Tenants = append(dec.Tenants, td)
+		for i, pick := range picks {
+			if pick >= 0 {
+				rt := lanes[pick]
+				rt.feed = append(rt.feed, minted[i])
+			}
+		}
+		for _, rt := range lanes {
+			rt.inject()
+		}
 	}
 	ro.Log = append(ro.Log, dec)
 	return dec
@@ -204,9 +231,9 @@ func (ro *Router) RouteEpoch(f *Fleet, epoch int, start, end float64) EpochDecis
 // barrier-time backlog at planned capacity for the `elapsed` seconds
 // since the epoch started, so arrivals late in an epoch are not charged
 // for backlog the replica has already worked off.
-func doorHopeless(inflight []int, f *Fleet, ti int, slo, elapsed float64) bool {
+func doorHopeless(inflight []int, lanes []*replicaTenant, slo, elapsed float64) bool {
 	for r := range inflight {
-		cap := f.replicas[r].tenants[ti].capacity
+		cap := lanes[r].capacity
 		if cap <= 0 {
 			continue
 		}

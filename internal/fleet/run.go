@@ -57,11 +57,12 @@ type Result struct {
 }
 
 // Run executes the fleet to its horizon: per epoch, the coordinator
-// routes the epoch's arrivals from barrier-time snapshots, the shard
-// runner advances every replica to the barrier (in parallel at
-// cfg.Workers, serially in index order at ≤1), and budgets burn at the
-// barrier. After the last epoch the shards drain and the run verifies
-// its conservation invariants.
+// routes the epoch's arrivals from barrier-time snapshots, the task pool
+// advances every replica to the barrier while it mints the next epoch's
+// arrivals (in parallel at cfg.Workers, serially in index order at ≤1),
+// and budgets burn at the barrier. After the last epoch the shards drain
+// and record their digests in the pool, and the run verifies its
+// conservation invariants.
 func Run(cfg Config) (*Result, error) {
 	f, err := New(cfg)
 	if err != nil {
@@ -69,22 +70,18 @@ func Run(cfg Config) (*Result, error) {
 	}
 	cfg = f.cfg // epoch clamping applied
 	epochs := 0
+	f.mint(f.epochEnd(0))
 	for start := 0.0; start < cfg.Horizon; epochs++ {
-		end := cfg.EpochDur * float64(epochs+1)
-		if end > cfg.Horizon {
-			end = cfg.Horizon
-		}
+		end := f.epochEnd(epochs)
 		f.router.RouteEpoch(f, epochs, start, end)
-		if err := runShards(f.replicas, cfg.Workers, func(r *Replica) error {
-			return r.Advance(end)
-		}); err != nil {
+		if err := f.advance(epochs); err != nil {
 			return nil, fmt.Errorf("fleet: epoch %d: %w", epochs, err)
 		}
 		f.burnBudgets(cfg.EpochDur)
 		start = end
 	}
-	if err := runShards(f.replicas, cfg.Workers, func(r *Replica) error {
-		return r.Drain()
+	if err := runTasks(len(f.replicas), cfg.Workers, func(i int) error {
+		return f.replicas[i].Drain()
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: drain: %w", err)
 	}
@@ -102,6 +99,20 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// advance runs epoch e's pool tasks once its arrivals are routed: task
+// 0, claimed first, mints epoch e+1 while tasks 1..n advance the shards
+// to epoch e's barrier.
+func (f *Fleet) advance(e int) error {
+	end, next := f.epochEnd(e), f.epochEnd(e+1)
+	return runTasks(len(f.replicas)+1, f.cfg.Workers, func(i int) error {
+		if i == 0 {
+			f.mint(next)
+			return nil
+		}
+		return f.replicas[i-1].Advance(end)
+	})
 }
 
 // burnBudgets runs at each barrier: every stack's epoch window feeds its
@@ -133,7 +144,7 @@ func (f *Fleet) collect(epochs int) *Result {
 			Index:  rep.Index,
 			GPUs:   gpuString(rep.Spec),
 			Events: rep.eng.Processed(),
-			Digest: rep.Digest(),
+			Digest: rep.digest,
 		}
 		res.Events += sr.Events
 		for ti, rt := range rep.tenants {

@@ -1,50 +1,49 @@
 package fleet
 
-// The shard runner is the fleet tier's ONLY concurrency. Everything else
-// in this package — the router, the streams, the generators, every
-// replica's engine and serving stack — is single-goroutine by the same
-// contract the eventloop analyzer enforces across the simulator. The
-// runner may parallelize exactly one thing: advancing disjoint shards
-// between two barriers. Shards share no state (each owns its engine,
-// batchers, pipelines, ledgers, and batch pool), every worker joins
-// before the function returns, and results land in index-addressed slots
-// — so execution is byte-identical to the serial index-order walk that
-// workers<=1 performs, at any worker count.
+// The task pool is the fleet tier's ONLY concurrency. Everything else in
+// this package — the router, every replica's engine and serving stack —
+// is single-goroutine by the same contract the eventloop analyzer
+// enforces across the simulator. The pool may parallelize exactly one
+// thing: disjoint tasks between two barriers. Within one epoch those are
+// the shard advances plus minting the next epoch's arrivals, which
+// touches only the streams, generators and mint buffers no shard reads;
+// after the last epoch they are the shard drains. Tasks share no state,
+// every worker joins before the function returns, and results land in
+// index-addressed slots — so execution is byte-identical to the serial
+// index-order walk that workers<=1 performs, at any worker count.
 
 import (
 	"sync"
 	"sync/atomic"
 )
 
-// runShards applies fn to every replica, in index order when workers<=1
-// (the serial reference execution), or via a deterministic worker pool
-// otherwise. The first error in index order is returned either way.
-func runShards(replicas []*Replica, workers int, fn func(*Replica) error) error {
-	errs := make([]error, len(replicas))
-	if workers <= 1 || len(replicas) == 1 {
-		for i, rep := range replicas {
-			errs[i] = fn(rep)
+// runTasks applies fn to every task index in [0, n), in index order when
+// workers<=1 (the serial reference execution), or via a deterministic
+// worker pool otherwise; workers claim indices in ascending order. The
+// first error in index order is returned either way.
+func runTasks(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	if workers <= 1 || n == 1 {
+		for i := range errs {
+			errs[i] = fn(i)
 		}
 		return firstErr(errs)
 	}
-	nw := workers
-	if nw > len(replicas) {
-		nw = len(replicas)
-	}
+	nw := min(workers, n)
 	var next atomic.Int64
-	//e3:concurrent deterministic shard pool: shards are disjoint between barriers, results land in index slots, and every worker joins before return
+	//e3:concurrent deterministic task pool: tasks are disjoint between barriers, results land in index slots, and every worker joins before return
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
-		//e3:concurrent worker goroutines are joined by wg.Wait below; each claims whole shards, so no simulator state is shared
+		//e3:concurrent worker goroutines are joined by wg.Wait below; each claims whole tasks, so no simulator state is shared
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(replicas) {
+				if i >= n {
 					return
 				}
-				errs[i] = fn(replicas[i])
+				errs[i] = fn(i)
 			}
 		}()
 	}
