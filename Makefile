@@ -36,9 +36,11 @@ test:
 
 # The batcher, runners, and collector share ledger state on the event
 # loop; -race keeps the single-goroutine discipline honest at runtime
-# where the eventloop analyzer can only check structure.
+# where the eventloop analyzer can only check structure. workload's
+# mint-ahead feed is the one producer goroutine a single-cluster run
+# starts beside its loop; metrics holds the collector's latency store.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/
+	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
 
 # End-to-end conservation audit: exits nonzero on any lifecycle violation.
 audit:
@@ -104,7 +106,8 @@ fleetgate:
 # reference vs memoized search, engine heap churn, timer reset, batcher
 # flush, batcher arm/dispatch, split execution on the fly vs from a
 # compiled table, traced runner path, one attributed request lifecycle,
-# one flame execute/transfer/fuse round, one fleet routing epoch).
+# one flame execute/transfer/fuse round, one fleet routing epoch, one
+# streamed arrival minted on the loop vs ahead of it).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:

@@ -80,3 +80,50 @@ func TestQuantileDoesNotReorderSamples(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyRecorderAcrossChunks: around and across chunk boundaries the
+// chunked store reads exactly like one flat slice: count, record order,
+// mean (same summation order) and every quantile.
+func TestLatencyRecorderAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, latChunk - 1, latChunk, latChunk + 1, 3*latChunk + 17} {
+		var r LatencyRecorder
+		raw := make([]float64, n)
+		for i := range raw {
+			raw[i] = rng.ExpFloat64() * 0.05
+			r.Observe(raw[i])
+		}
+		if r.Count() != n {
+			t.Fatalf("n=%d: Count() = %d", n, r.Count())
+		}
+		got := r.Samples()
+		if len(got) != n {
+			t.Fatalf("n=%d: Samples() has %d entries", n, len(got))
+		}
+		sum := 0.0
+		for i, v := range raw {
+			if got[i] != v {
+				t.Fatalf("n=%d: Samples()[%d] = %v, want %v", n, i, got[i], v)
+			}
+			sum += v
+		}
+		want := 0.0
+		if n > 0 {
+			want = sum / float64(n)
+		}
+		if m := r.Mean(); m != want {
+			t.Fatalf("n=%d: Mean() = %v, want %v", n, m, want)
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 0.999, 1} {
+			if g, w := r.Quantile(q), exhaustiveQuantile(raw, q); g != w {
+				t.Fatalf("n=%d: Quantile(%v) = %v, want %v", n, q, g, w)
+			}
+		}
+		if n > 0 {
+			got[0] = -1
+			if r.Samples()[0] != raw[0] {
+				t.Fatalf("n=%d: writing to Samples()'s result changed the recorder", n)
+			}
+		}
+	}
+}

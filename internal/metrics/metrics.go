@@ -12,15 +12,23 @@ import (
 
 // LatencyRecorder accumulates per-request completion latencies (seconds).
 // The zero value is ready to use.
+//
+// Observations are stored in fixed latChunk-entry chunks in record order:
+// an hour-scale run appends tens of millions of latencies, and one
+// doubling slice would copy every one of them again at each regrowth and
+// briefly hold both copies.
 type LatencyRecorder struct {
-	samples []float64
-	// sorted caches an ordered copy of samples so repeated quantile reads
-	// (every /metrics scrape calls Quantile several times) cost O(n log n)
-	// once per batch of new observations, not per call — and the
-	// record-order view in samples is never reordered.
+	chunks [][]float64
+	n      int
+	// sorted caches an ordered copy of the observations so repeated
+	// quantile reads (every /metrics scrape calls Quantile several times)
+	// cost O(n log n) once per batch of new observations, not per call.
 	sorted []float64
 	dirty  bool
 }
+
+// latChunk is the number of observations one chunk holds.
+const latChunk = 4096
 
 // Observe records one latency sample. Negative values are clamped to zero:
 // they can only arise from floating-point jitter at batch boundaries.
@@ -28,22 +36,38 @@ func (r *LatencyRecorder) Observe(lat float64) {
 	if lat < 0 {
 		lat = 0
 	}
-	r.samples = append(r.samples, lat)
+	k := len(r.chunks) - 1
+	if k < 0 || len(r.chunks[k]) == latChunk {
+		r.chunks = append(r.chunks, make([]float64, 0, latChunk))
+		k++
+	}
+	r.chunks[k] = append(r.chunks[k], lat)
+	r.n++
 	r.dirty = true
 }
 
 // Count reports the number of samples observed.
-func (r *LatencyRecorder) Count() int { return len(r.samples) }
+func (r *LatencyRecorder) Count() int { return r.n }
 
-// Samples returns the observations in record order (the live slice; do
-// not mutate). Quantile never reorders it.
-func (r *LatencyRecorder) Samples() []float64 { return r.samples }
+// Samples returns a copy of the observations in record order. Quantile
+// never reorders them.
+func (r *LatencyRecorder) Samples() []float64 {
+	return r.appendSamples(make([]float64, 0, r.n))
+}
+
+// appendSamples appends the observations to dst in record order.
+func (r *LatencyRecorder) appendSamples(dst []float64) []float64 {
+	for _, c := range r.chunks {
+		dst = append(dst, c...)
+	}
+	return dst
+}
 
 func (r *LatencyRecorder) ensureSorted() {
-	if !r.dirty && len(r.sorted) == len(r.samples) {
+	if !r.dirty && len(r.sorted) == r.n {
 		return
 	}
-	r.sorted = append(r.sorted[:0], r.samples...)
+	r.sorted = r.appendSamples(r.sorted[:0])
 	sort.Float64s(r.sorted)
 	r.dirty = false
 }
@@ -54,7 +78,7 @@ func (r *LatencyRecorder) ensureSorted() {
 // blends the two neighbouring order statistics. It returns 0 for an empty
 // recorder.
 func (r *LatencyRecorder) Quantile(q float64) float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	r.ensureSorted()
@@ -83,14 +107,16 @@ func (r *LatencyRecorder) Max() float64 { return r.Quantile(1) }
 
 // Mean returns the arithmetic mean (0 if empty).
 func (r *LatencyRecorder) Mean() float64 {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, s := range r.samples {
-		sum += s
+	for _, c := range r.chunks {
+		for _, s := range c {
+			sum += s
+		}
 	}
-	return sum / float64(len(r.samples))
+	return sum / float64(r.n)
 }
 
 // Summary is a five-number latency summary plus the mean, in seconds.
@@ -183,23 +209,47 @@ type busySpan struct {
 // sums) are kept because work dispatched near the end of a run extends
 // past the measurement horizon: crediting its full duration would count
 // busy time outside [start, end] and saturate the reported fraction.
+//
+// Each resource has a slot, assigned on first sight, so the per-batch
+// AddBusyAt indexes a slice instead of hashing the resource's name.
 type UtilizationTracker struct {
-	busy  map[string][]busySpan
+	slots map[string]int
+	// names[i] and busy[i] are slot i's resource and its intervals.
+	names []string
+	busy  [][]busySpan
 	since float64
 }
 
 // NewUtilizationTracker starts tracking at virtual time start.
 func NewUtilizationTracker(start float64) *UtilizationTracker {
-	return &UtilizationTracker{busy: make(map[string][]busySpan), since: start}
+	return &UtilizationTracker{slots: make(map[string]int), since: start}
+}
+
+// Register ensures a resource appears in the denominator even if always
+// idle, and returns its slot for AddBusyAt.
+func (u *UtilizationTracker) Register(name string) int {
+	if i, ok := u.slots[name]; ok {
+		return i
+	}
+	i := len(u.names)
+	u.slots[name] = i
+	u.names = append(u.names, name)
+	u.busy = append(u.busy, nil)
+	return i
 }
 
 // AddBusy credits d seconds of busy time to resource name beginning at
 // virtual time start.
 func (u *UtilizationTracker) AddBusy(name string, start, d float64) {
+	u.AddBusyAt(u.Register(name), start, d)
+}
+
+// AddBusyAt is AddBusy for the resource registered at slot i.
+func (u *UtilizationTracker) AddBusyAt(i int, start, d float64) {
 	if d < 0 {
 		d = 0
 	}
-	u.busy[name] = append(u.busy[name], busySpan{start: start, end: start + d})
+	u.busy[i] = append(u.busy[i], busySpan{start: start, end: start + d})
 }
 
 // busyWithin sums the spans' overlap with the measurement window
@@ -226,40 +276,25 @@ func (u *UtilizationTracker) busyWithin(spans []busySpan, end float64) float64 {
 // if they were registered via Register.
 func (u *UtilizationTracker) Utilization(end float64) float64 {
 	horizon := end - u.since
-	if horizon <= 0 || len(u.busy) == 0 {
+	if horizon <= 0 || len(u.names) == 0 {
 		return 0
 	}
-	// Sum in sorted-name order: float addition is non-associative, so a
-	// map-order walk would smear the low bits differently every run.
-	names := make([]string, 0, len(u.busy))
-	for name := range u.busy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	// Sum in sorted-name order: float addition is non-associative, and
+	// the result must not depend on the order resources registered in.
 	sum := 0.0
-	for _, name := range names {
-		frac := u.busyWithin(u.busy[name], end) / horizon
+	for _, name := range u.Resources() {
+		frac := u.busyWithin(u.busy[u.slots[name]], end) / horizon
 		if frac > 1 {
 			frac = 1
 		}
 		sum += frac
 	}
-	return sum / float64(len(u.busy))
-}
-
-// Register ensures a resource appears in the denominator even if always idle.
-func (u *UtilizationTracker) Register(name string) {
-	if _, ok := u.busy[name]; !ok {
-		u.busy[name] = nil
-	}
+	return sum / float64(len(u.names))
 }
 
 // Resources returns the tracked resource names, sorted.
 func (u *UtilizationTracker) Resources() []string {
-	out := make([]string, 0, len(u.busy))
-	for name := range u.busy {
-		out = append(out, name)
-	}
+	out := append([]string(nil), u.names...)
 	sort.Strings(out)
 	return out
 }
@@ -268,7 +303,11 @@ func (u *UtilizationTracker) Resources() []string {
 // pairs in recording order — the ledger side of the flame profiler's
 // exact reconcile. The returned slice is a copy.
 func (u *UtilizationTracker) BusySpans(name string) [][2]float64 {
-	spans := u.busy[name]
+	i, ok := u.slots[name]
+	if !ok {
+		return [][2]float64{}
+	}
+	spans := u.busy[i]
 	out := make([][2]float64, len(spans))
 	for i, s := range spans {
 		out[i] = [2]float64{s.start, s.end}
@@ -279,13 +318,13 @@ func (u *UtilizationTracker) BusySpans(name string) [][2]float64 {
 // PerResource returns each resource's busy fraction over [start, end].
 func (u *UtilizationTracker) PerResource(end float64) map[string]float64 {
 	horizon := end - u.since
-	out := make(map[string]float64, len(u.busy))
-	for name, spans := range u.busy {
+	out := make(map[string]float64, len(u.names))
+	for i, name := range u.names {
 		if horizon <= 0 {
 			out[name] = 0
 			continue
 		}
-		frac := u.busyWithin(spans, end) / horizon
+		frac := u.busyWithin(u.busy[i], end) / horizon
 		if frac > 1 {
 			frac = 1
 		}

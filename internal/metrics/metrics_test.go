@@ -93,6 +93,28 @@ func TestUtilizationTracker(t *testing.T) {
 	}
 }
 
+// TestUtilizationSlots: Register hands out one slot per resource, stable
+// across re-registration, and AddBusyAt credits the same spans AddBusy
+// does by name.
+func TestUtilizationSlots(t *testing.T) {
+	u := NewUtilizationTracker(0)
+	g0, g1 := u.Register("gpu0"), u.Register("gpu1")
+	if g0 == g1 || u.Register("gpu0") != g0 {
+		t.Fatalf("slots gpu0=%d gpu1=%d, re-registered gpu0=%d", g0, g1, u.Register("gpu0"))
+	}
+	u.AddBusyAt(g1, 1, 2)
+	u.AddBusy("gpu1", 4, 1)
+	if got := u.BusySpans("gpu1"); len(got) != 2 || got[0] != [2]float64{1, 3} || got[1] != [2]float64{4, 5} {
+		t.Errorf("gpu1 spans = %v, want [[1 3] [4 5]]", got)
+	}
+	if got := u.BusySpans("gpu0"); len(got) != 0 {
+		t.Errorf("gpu0 spans = %v, want none", got)
+	}
+	if got, want := u.Utilization(10), 0.15; math.Abs(got-want) > 1e-12 {
+		t.Errorf("utilization = %v, want %v", got, want)
+	}
+}
+
 func TestUtilizationClamped(t *testing.T) {
 	u := NewUtilizationTracker(0)
 	u.AddBusy("gpu0", 0, 100)

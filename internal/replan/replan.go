@@ -34,6 +34,11 @@ import (
 // diffHistory bounds the plan-diff ring a run retains.
 const diffHistory = 32
 
+// eventLimit is the run's runaway backstop: far above any legitimate
+// run, so hitting it means a scheduling loop. Tests lower it to abort a
+// run mid-window.
+var eventLimit uint64 = 200_000_000
+
 // Config is one windowed replan run.
 type Config struct {
 	Model   *ee.EEModel
@@ -185,7 +190,7 @@ func Run(cfg Config) (*Result, error) {
 	layers := cfg.Model.Base.NumLayers()
 
 	eng := sim.NewEngine()
-	eng.SetEventLimit(200_000_000)
+	eng.SetEventLimit(eventLimit)
 	coll := scheduler.NewCollector(layers, cfg.SLO, 0)
 	coll.Audit = audit.NewLedger()
 	coll.Observers = cfg.Observers
@@ -320,8 +325,12 @@ func Run(cfg Config) (*Result, error) {
 		// profile observation, and DefaultBursty's ~18 s idle gaps would
 		// starve short windows to a few dozen samples of pure noise.
 		st := trace.NewPoissonStream(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000)
-		serving.FeedStream(eng, b, st, start, gen, cfg.SLO)
-		if err := eng.RunAll(); err != nil {
+		stop := serving.FeedStream(eng, b, st, start, gen, cfg.SLO)
+		err = eng.RunAll()
+		// The window's stream is consumed (or the run aborted): join the
+		// feed's producer before the next window switches gen's mix.
+		stop()
+		if err != nil {
 			return nil, abort(w, err)
 		}
 		b.Flush()

@@ -1,8 +1,10 @@
 package replan
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"e3/internal/flame"
 	"e3/internal/forecast"
@@ -188,5 +190,29 @@ func TestReplanStaticMixHoldsPlan(t *testing.T) {
 	}
 	if !res.Report.OK() {
 		t.Errorf("conservation violations on static mix: %v", res.Report.Violations)
+	}
+}
+
+// TestReplanAbortJoinsFeed: an event-limit abort in the middle of a
+// window's feed returns the error, and no arrival producer outlives Run.
+func TestReplanAbortJoinsFeed(t *testing.T) {
+	defer func(l uint64) { eventLimit = l }(eventLimit)
+	// A 20 s window is about 40000 arrivals and 62000 events, so the
+	// abort lands with most of the window's stream still to mint and the
+	// producer blocked on a full set of chunks.
+	eventLimit = 9000
+	cfg := DriftingDemo(2, forecast.MethodARIMA, nil)
+	cfg.WindowDur = 20
+	before := runtime.NumGoroutine()
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "event limit") {
+		t.Fatalf("Run under a 9000-event limit returned %v, want an event-limit abort", err)
+	}
+	t.Log(err)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive Run, want %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

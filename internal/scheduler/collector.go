@@ -57,9 +57,6 @@ type Collector struct {
 	Violations int
 	Dropped    int
 
-	// DroppedByReason breaks Dropped down by classified shed reason.
-	DroppedByReason map[audit.Reason]int
-
 	// Audit is an optional lifecycle ledger shared by the generator, the
 	// batcher, and the runner (nil disables auditing at zero cost). It is
 	// the reference the observers reconcile against.
@@ -68,8 +65,10 @@ type Collector struct {
 	// Observers are the optional views fed the same boundaries as Audit.
 	Observers
 
-	// flameDevs[i] is Flame's handle for cluster device i, set by Register
-	// so Executed reaches the profiler's device without hashing its ID.
+	// utilSlots[i] and flameDevs[i] are Util's slot and Flame's handle
+	// for cluster device i, set by Register so Executed reaches both
+	// without hashing the device's ID.
+	utilSlots []int
 	flameDevs []flame.Dev
 
 	// exitCounts[k] counts samples that exited after layer k (1-based).
@@ -84,12 +83,11 @@ type Collector struct {
 // NewCollector builds a collector for an L-layer model.
 func NewCollector(layers int, slo, start float64) *Collector {
 	return &Collector{
-		SLO:             slo,
-		Good:            metrics.NewGoodputMeter(start),
-		Util:            metrics.NewUtilizationTracker(start),
-		exitCounts:      make([]int, layers+1),
-		layers:          layers,
-		DroppedByReason: make(map[audit.Reason]int),
+		SLO:        slo,
+		Good:       metrics.NewGoodputMeter(start),
+		Util:       metrics.NewUtilizationTracker(start),
+		exitCounts: make([]int, layers+1),
+		layers:     layers,
 	}
 }
 
@@ -98,7 +96,10 @@ func NewCollector(layers int, slo, start float64) *Collector {
 // batch still appears, idle. A runner registers every device it will
 // report through Executed.
 func (c *Collector) Register(dev *cluster.Device, device int) {
-	c.Util.Register(dev.ID)
+	for len(c.utilSlots) <= device {
+		c.utilSlots = append(c.utilSlots, 0)
+	}
+	c.utilSlots[device] = c.Util.Register(dev.ID)
 	if c.Flame != nil {
 		for len(c.flameDevs) <= device {
 			c.flameDevs = append(c.flameDevs, 0)
@@ -139,7 +140,7 @@ func (c *Collector) Dispatched(batch []workload.Sample, at float64, stage, devic
 // `start` and taking res.Duration.
 func (c *Collector) Executed(dev *cluster.Device, device int, model string, stage, from, to int, batch []workload.Sample, start float64, res *exec.Result) {
 	end := start + res.Duration
-	c.Util.AddBusy(dev.ID, start, res.Duration)
+	c.Util.AddBusyAt(c.utilSlots[device], start, res.Duration)
 	c.Tracer.Execute(dev.ID, string(dev.Kind), stage, len(batch), start, end)
 	c.Attr.Executed(stage, batch, start, end)
 	if c.Flame != nil {
@@ -199,10 +200,6 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 // (admission control, stale-backlog shedding, or SLA-pressure flush).
 func (c *Collector) Drop(s workload.Sample, at float64, reason audit.Reason) {
 	c.Dropped++
-	if c.DroppedByReason == nil {
-		c.DroppedByReason = make(map[audit.Reason]int)
-	}
-	c.DroppedByReason[reason]++
 	c.Good.Drop(1, at)
 	c.windowViolations++
 	c.Audit.Dropped(s.ID, at, reason)

@@ -18,6 +18,10 @@ import (
 type Batcher struct {
 	eng    *sim.Engine
 	runner scheduler.Runner
+	// coll and backlog are the runner's collector and, when it reports
+	// one, its backlog estimate, looked up once at construction.
+	coll    *scheduler.Collector
+	backlog backlogged
 	// Batch is the target batch size.
 	Batch int
 	// EstService is the expected service time once dispatched; arrivals
@@ -42,7 +46,8 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 	if batch < 1 {
 		batch = 1
 	}
-	b := &Batcher{eng: eng, runner: r, Batch: batch, EstService: estService, SlackFrac: slackFrac}
+	b := &Batcher{eng: eng, runner: r, coll: r.Collector(), Batch: batch, EstService: estService, SlackFrac: slackFrac}
+	b.backlog, _ = r.(backlogged)
 	b.flushTimer = eng.NewTimer(b.flush)
 	return b
 }
@@ -56,11 +61,11 @@ func (b *Batcher) SetPool(p *workload.BatchPool) { b.pool = p }
 func (b *Batcher) Arrive(s workload.Sample) {
 	now := b.eng.Now()
 	if b.deadlineHopeless(s, now) {
-		b.runner.Collector().Drop(s, now, audit.ReasonAdmission)
+		b.coll.Drop(s, now, audit.ReasonAdmission)
 		return
 	}
 	b.queue = append(b.queue, s)
-	b.runner.Collector().Queued(s, now)
+	b.coll.Queued(s, now)
 	if len(b.queue) >= b.Batch {
 		b.dispatch(b.Batch)
 		return
@@ -82,8 +87,8 @@ type backlogged interface {
 // shedding load that was viable at arrival.
 func (b *Batcher) effectiveService() float64 {
 	est := b.EstService
-	if bl, ok := b.runner.(backlogged); ok {
-		est += bl.BacklogDelay()
+	if b.backlog != nil {
+		est += b.backlog.BacklogDelay()
 	}
 	return est
 }
@@ -118,7 +123,7 @@ func (b *Batcher) dispatch(n int) {
 	b.queue = b.queue[:m]
 	// The head entered the queue at its arrival (admission happens in
 	// Arrive), so head wait = now − arrival.
-	b.runner.Collector().QueueWait(batch, b.eng.Now())
+	b.coll.QueueWait(batch, b.eng.Now())
 	b.runner.Ingest(batch)
 	b.disarmFlush()
 	b.armFlush()
@@ -180,7 +185,7 @@ func (b *Batcher) flush() {
 	kept := b.queue[:0]
 	for _, s := range b.queue {
 		if b.deadlineHopeless(s, now) {
-			b.runner.Collector().Drop(s, now, audit.ReasonSLAFlush)
+			b.coll.Drop(s, now, audit.ReasonSLAFlush)
 			continue
 		}
 		kept = append(kept, s)

@@ -49,25 +49,41 @@ func drainRun(eng *sim.Engine, r scheduler.Runner, b *Batcher) (*scheduler.Colle
 // inspection, and a non-nil error if the engine aborted on its event
 // limit (the collector then reflects a truncated run).
 func RunOpenLoopStream(eng *sim.Engine, r scheduler.Runner, b *Batcher, st trace.Stream, gen *workload.Generator, slo float64) (*scheduler.Collector, error) {
-	FeedStream(eng, b, st, 0, gen, slo)
+	stop := FeedStream(eng, b, st, 0, gen, slo)
+	defer stop()
 	return drainRun(eng, r, b)
 }
 
 // FeedStream schedules a stream's arrivals, each shifted by offset, into
-// the batcher. One engine timer consumes the stream an arrival at a time
-// and re-arms itself for the next, so an hour at 9000 req/s keeps one
-// pending schedule instead of 32M pre-scheduled closures. Each arrival
-// draws its sample from gen at the arrival's virtual time.
-func FeedStream(eng *sim.Engine, b *Batcher, st trace.Stream, offset float64, gen *workload.Generator, slo float64) {
+// the batcher. One engine timer walks the arrivals and re-arms itself for
+// the next, so an hour at 9000 req/s keeps one pending schedule instead of
+// 32M pre-scheduled closures. Each arrival's sample is minted ahead of the
+// loop by a workload.Feed on gen, exactly as gen.Next would mint it at
+// that virtual time, and is recorded (gen.Record) when it arrives.
+//
+// The feed's producer owns st and gen's draw state until the returned
+// stop runs: stop cancels the timer, signals the producer and joins it,
+// and is idempotent. Call it once the engine has consumed the stream, or
+// when a run aborts, before touching gen again (SwitchDist, Next).
+func FeedStream(eng *sim.Engine, b *Batcher, st trace.Stream, offset float64, gen *workload.Generator, slo float64) (stop func()) {
+	feed := gen.Feed(st, offset, slo)
+	var next workload.Sample
 	var arrivals *sim.Timer
-	arrivals = eng.NewTimer(func() {
-		b.Arrive(gen.Next(eng.Now(), slo))
-		if at, ok := st.Next(); ok {
-			arrivals.Reset(offset + at)
+	arm := func() {
+		var ok bool
+		if next, ok = feed.Next(); ok {
+			arrivals.Reset(next.Arrival)
 		}
+	}
+	arrivals = eng.NewTimer(func() {
+		gen.Record(next)
+		b.Arrive(next)
+		arm()
 	})
-	if at, ok := st.Next(); ok {
-		arrivals.Reset(offset + at)
+	arm()
+	return func() {
+		arrivals.Stop()
+		feed.Stop()
 	}
 }
 

@@ -20,12 +20,29 @@ type Sample struct {
 
 // Generator mints samples from a difficulty distribution with sequential
 // IDs. It is deterministic for a fixed seed.
+//
+// Minting has two halves. Draw is the pure mint: it advances the ID
+// counter and the RNG and reads nothing else, so it may run ahead of the
+// event loop. Record is the loop's half: it reports the arrival to the
+// attached ledger and tracer. Next is Draw followed by Record.
+//
+// Feed ownership: while a Feed started by g.Feed is live, its producer
+// goroutine owns the ID counter, the RNG and the distribution, and the
+// event loop may only Record. Draw, Next, Batch and SwitchDist panic until
+// the feed's Stop returns; Stop joins the producer, and the generator is
+// the loop's again.
 type Generator struct {
 	dist   Dist
 	rng    *rand.Rand
 	next   int64
 	ledger *audit.Ledger
 	tracer *telemetry.Tracer
+
+	// feed is the live mint-ahead feed (nil when none runs). chunks are
+	// the feeds' handoff buffers, allocated by the first feed and reused
+	// by every later one.
+	feed   *Feed
+	chunks [feedChunks][]Sample
 }
 
 // NewGenerator builds a seeded generator.
@@ -33,25 +50,53 @@ func NewGenerator(dist Dist, seed int64) *Generator {
 	return &Generator{dist: dist, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SetAudit attaches a lifecycle ledger; every minted sample records an
+// SetAudit attaches a lifecycle ledger; every recorded sample records an
 // arrival event. A nil ledger disables recording.
 func (g *Generator) SetAudit(l *audit.Ledger) { g.ledger = l }
 
-// SetTrace attaches a span tracer; every minted sample counts an arrive
+// SetTrace attaches a span tracer; every recorded sample counts an arrive
 // event so span counts can reconcile with the ledger. A nil tracer
 // disables recording.
 func (g *Generator) SetTrace(t *telemetry.Tracer) { g.tracer = t }
 
-// Next mints one sample arriving at the given time with the given SLO.
+// Next mints one sample arriving at the given time with the given SLO and
+// records its arrival.
 func (g *Generator) Next(arrival, slo float64) Sample {
+	s := g.Draw(arrival, slo)
+	g.Record(s)
+	return s
+}
+
+// Draw mints one sample arriving at the given time with the given SLO
+// without recording it.
+func (g *Generator) Draw(arrival, slo float64) Sample {
+	g.owned("Draw")
+	return g.draw(arrival, slo)
+}
+
+// draw is the mint itself: the next ID and one difficulty draw.
+func (g *Generator) draw(arrival, slo float64) Sample {
 	g.next++
-	g.ledger.Arrived(g.next, arrival)
-	g.tracer.Arrive(arrival)
 	return Sample{
 		ID:         g.next,
 		Difficulty: g.dist.Sample(g.rng),
 		Arrival:    arrival,
 		Deadline:   arrival + slo,
+	}
+}
+
+// Record reports a drawn sample's arrival to the attached ledger and
+// tracer. It runs on the event loop at the sample's arrival time, also
+// while a feed is live.
+func (g *Generator) Record(s Sample) {
+	g.ledger.Arrived(s.ID, s.Arrival)
+	g.tracer.Arrive(s.Arrival)
+}
+
+// owned panics when a live feed's producer owns the draw state.
+func (g *Generator) owned(op string) {
+	if g.feed != nil {
+		panic("workload: Generator." + op + " while a Feed is live")
 	}
 }
 
@@ -67,4 +112,7 @@ func (g *Generator) Batch(n int, arrival, slo float64) []Sample {
 
 // SwitchDist changes the difficulty distribution mid-stream, modelling the
 // workload shifts of §5.4 (80/20 → 50/50 → 20/80).
-func (g *Generator) SwitchDist(d Dist) { g.dist = d }
+func (g *Generator) SwitchDist(d Dist) {
+	g.owned("SwitchDist")
+	g.dist = d
+}
