@@ -107,8 +107,9 @@ fleetgate:
 # flush, batcher arm/dispatch, split execution on the fly vs from a
 # compiled table, traced runner path, one attributed request lifecycle,
 # one flame execute/transfer/fuse round, one fleet routing epoch, one
-# streamed arrival minted on the loop vs ahead of it).
+# streamed arrival minted on the loop vs ahead of it, exhaustive ledger
+# recording and verification over 100k samples).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/

@@ -9,6 +9,11 @@
 // self-check: E3's whole value proposition is goodput accounting under
 // SLOs (§3.1, §4), so every sample must be accounted exactly once.
 //
+// The invariants are checked online: each recorded event is compared
+// with its sample's previous one, and per-stage tallies are kept as the
+// events arrive. Verify then reads the finished tallies and walks event
+// chains only for the samples it reports as violations.
+//
 // A nil *Ledger is valid and records nothing, so call sites wire events
 // unconditionally and auditing costs nothing when disabled.
 package audit
@@ -16,7 +21,9 @@ package audit
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -106,6 +113,14 @@ type Event struct {
 // code instead of a string. Nothing is allocated for detail until the
 // first tracked id arrives. Stage, instance and exit-layer operands are
 // stored as int32.
+//
+// Recording also checks each tracked sample against its previous event
+// (the chain's tail), so the per-sample running state costs no memory
+// beyond the records themselves: a record carries a bad flag, set once
+// any invariant broke and copied forward, and every record but a
+// dispatch stores the sample's last dispatched stage (plus one) in its
+// otherwise unused b operand. Per-stage in/out tallies and the count of
+// cleanly terminated samples are kept as events arrive.
 type Ledger struct {
 	// chunks is the event arena. Every chunk but the last holds exactly
 	// chunkLen records; the first chunk grows by append, so a ledger that
@@ -124,8 +139,18 @@ type Ledger struct {
 	// exhaustive).
 	stride int64
 	// reasons interns drop reasons in first-seen order; a record's reason
-	// field indexes it.
+	// field indexes it. known flags the codes of classified reasons.
 	reasons []Reason
+	known   []bool
+	// flows tallies per-stage traffic of tracked samples as it is
+	// recorded: In and Forwarded at each dispatch, Completed or Dropped
+	// at each clean terminal. Stages in [0, denseStages) index flows;
+	// any other stage goes to farFlows.
+	flows    []StageFlow
+	farFlows map[int32]*StageFlow
+	// clean counts tracked samples whose tail is a clean terminal: their
+	// only terminal, recorded last, after no violation.
+	clean int
 	// Population-exact O(1) counters, maintained for every event whether
 	// or not its sample is tracked in detail. byReasonTotal is indexed by
 	// reason code.
@@ -141,12 +166,31 @@ type rec struct {
 	// next is the arena index of the sample's next event (0 ends the list).
 	next int32
 	// a and b carry the kind's operands: stage and instance for a
-	// dispatch, stage for a merge, exit layer for a completion.
+	// dispatch, stage for a merge, exit layer for a completion. Every
+	// kind but a dispatch stores the sample's last dispatched stage plus
+	// one in b (0 = none yet).
 	a, b int32
 	// reason is a drop's code in Ledger.reasons.
 	reason uint16
 	kind   Kind
+	// bad marks a sample that broke an invariant at or before this record.
+	bad bool
 }
+
+// lastStage returns the sample's last dispatched stage as of r, or -1
+// before its first dispatch. Stages wrap like their int32 storage.
+func (r *rec) lastStage() int32 {
+	if r.kind == KindDispatched {
+		return r.a
+	}
+	return r.b - 1
+}
+
+// terminal reports whether r is a completion or a drop.
+func (r *rec) terminal() bool { return r.kind == KindCompleted || r.kind == KindDropped }
+
+// cleanTerminal reports whether r ends a sample that broke no invariant.
+func (r *rec) cleanTerminal() bool { return r.terminal() && !r.bad }
 
 // chain locates one sample's event list in the arena.
 type chain struct{ head, tail int32 }
@@ -163,6 +207,8 @@ const (
 	// first-seen id may land and still grow the index rather than go to
 	// the sparse map.
 	denseReach = 1 << 12
+	// denseStages bounds the stages whose tallies live in Ledger.flows.
+	denseStages = 1 << 10
 )
 
 // NewLedger returns an empty exhaustive ledger.
@@ -274,6 +320,36 @@ func (l *Ledger) record(id int64, r rec) {
 	if c == nil {
 		c = l.register(id, k)
 	}
+	last := int32(-1) // the sample's last dispatched stage
+	if c.tail != 0 {
+		prev := l.at(c.tail)
+		last = prev.lastStage()
+		r.bad = prev.bad || r.at < prev.at || r.kind == KindArrived || prev.terminal()
+		if prev.cleanTerminal() {
+			// The sample was cleanly terminated; take back its terminal's
+			// tally now that an event follows it.
+			l.tallyTerminal(prev.kind, last, -1)
+			l.clean--
+		}
+	}
+	if r.kind == KindDispatched {
+		if r.a < last {
+			r.bad = true
+		}
+		if last >= 0 && r.a > last {
+			l.flow(last).Forwarded++
+		}
+		l.flow(r.a).In++
+	} else {
+		r.b = last + 1
+		if r.kind == KindDropped && !l.known[r.reason] {
+			r.bad = true
+		}
+	}
+	if r.cleanTerminal() {
+		l.tallyTerminal(r.kind, last, 1)
+		l.clean++
+	}
 	i := l.push(r)
 	if c.head == 0 {
 		c.head = i
@@ -281,6 +357,41 @@ func (l *Ledger) record(id int64, r rec) {
 		l.at(c.tail).next = i
 	}
 	c.tail = i
+}
+
+// tallyTerminal adds delta to stage's Completed or Dropped count, as kind
+// says; a terminal before any dispatch belongs to no stage.
+func (l *Ledger) tallyTerminal(kind Kind, stage, delta int32) {
+	if stage < 0 {
+		return
+	}
+	if f := l.flow(stage); kind == KindCompleted {
+		f.Completed += int(delta)
+	} else {
+		f.Dropped += int(delta)
+	}
+}
+
+// flow returns stage's running tally, creating it on first use.
+func (l *Ledger) flow(stage int32) *StageFlow {
+	if stage >= 0 && int(stage) < len(l.flows) {
+		return &l.flows[stage]
+	}
+	if stage >= 0 && stage < denseStages {
+		for len(l.flows) <= int(stage) {
+			l.flows = append(l.flows, StageFlow{})
+		}
+		return &l.flows[stage]
+	}
+	f := l.farFlows[stage]
+	if f == nil {
+		if l.farFlows == nil {
+			l.farFlows = make(map[int32]*StageFlow) //e3:alloc once per ledger, at its first stage outside the dense range
+		}
+		f = &StageFlow{} //e3:alloc once per stage outside the dense range
+		l.farFlows[stage] = f
+	}
+	return f
 }
 
 // intern returns reason's code, adding it to the table on first sight so
@@ -295,6 +406,7 @@ func (l *Ledger) intern(reason Reason) uint16 {
 		panic("audit: too many distinct drop reasons")
 	}
 	l.reasons = append(l.reasons, reason)
+	l.known = append(l.known, knownReason(reason))
 	l.byReasonTotal = append(l.byReasonTotal, 0)
 	return uint16(len(l.reasons) - 1)
 }
@@ -358,6 +470,11 @@ func (l *Ledger) appendEvents(dst []Event, id int64) []Event {
 	if c == nil {
 		return dst
 	}
+	return l.appendChain(dst, c)
+}
+
+// appendChain appends the events of one sample's chain to dst.
+func (l *Ledger) appendChain(dst []Event, c *chain) []Event {
 	for i := c.head; i != 0; {
 		r := l.at(i)
 		e := Event{Kind: r.kind, At: r.at}
@@ -498,9 +615,12 @@ func knownReason(reason Reason) bool {
 	return false
 }
 
-// Verify walks every tracked sample and checks the conservation
-// invariants, returning a report with per-stage tallies. A nil ledger
-// verifies vacuously (an empty, OK report).
+// Verify checks the conservation invariants and returns a report with
+// per-stage tallies. The per-stage tallies and per-sample checks ran as
+// events were recorded, so Verify reads the finished tallies and walks
+// the event chains only of samples that did not end in a clean terminal,
+// rendering their violations. A nil ledger verifies vacuously (an empty,
+// OK report).
 func (l *Ledger) Verify() *Report {
 	r := &Report{ByReason: make(map[Reason]int), Stages: make(map[int]*StageFlow), Stride: 1}
 	if l == nil {
@@ -518,74 +638,28 @@ func (l *Ledger) Verify() *Report {
 	r.Completed = l.completedTotal
 	r.Dropped = l.droppedTotal
 	r.ByReason = l.DropBreakdown()
-	stage := func(si int) *StageFlow {
-		f := r.Stages[si]
-		if f == nil {
-			f = &StageFlow{}
-			r.Stages[si] = f
+	// Stages keys every stage a tracked sample was dispatched into: those
+	// are exactly the tallies with In > 0.
+	flows := slices.Clone(l.flows)
+	for si := range flows {
+		if flows[si].In > 0 {
+			r.Stages[si] = &flows[si]
 		}
-		return f
 	}
-	var evs []Event
-	for _, id := range l.order {
-		evs = l.appendEvents(evs[:0], id)
-		terminals := 0
-		lastStage := -1 // last stage the sample was dispatched into
-		prevAt := 0.0
-		for i, e := range evs {
-			if i > 0 && e.At < prevAt {
-				r.addViolation("sample %d: %s at t=%v before prior event at t=%v", id, e.Kind, e.At, prevAt)
+	for si, f := range l.farFlows {
+		g := *f
+		r.Stages[int(si)] = &g
+	}
+	if l.clean != len(l.order) {
+		var evs []Event
+		for _, id := range l.order {
+			k, _ := l.key(id)
+			c := l.lookup(id, k)
+			if l.at(c.tail).cleanTerminal() {
+				continue
 			}
-			prevAt = e.At
-			if e.Kind == KindArrived && i != 0 {
-				r.addViolation("sample %d: arrival is event #%d, want first", id, i+1)
-			}
-			switch e.Kind {
-			case KindCompleted, KindDropped:
-				terminals++
-				if i != len(evs)-1 {
-					r.addViolation("sample %d: terminal %s followed by %d more event(s)", id, e.Kind, len(evs)-1-i)
-				}
-			case KindDispatched:
-				if e.Stage < lastStage {
-					r.addViolation("sample %d: dispatched to stage %d after stage %d", id, e.Stage, lastStage)
-				}
-				if lastStage >= 0 && e.Stage > lastStage {
-					stage(lastStage).Forwarded++
-				}
-				stage(e.Stage).In++
-				lastStage = e.Stage
-			}
-			if e.Kind == KindDropped && !knownReason(e.Reason) {
-				r.addViolation("sample %d: drop reason %q unclassified", id, e.Reason)
-			}
-		}
-		switch {
-		case terminals == 0:
-			r.addViolation("sample %d: no terminal event (%d event(s), last %s at t=%v)",
-				id, len(evs), evs[len(evs)-1].Kind, evs[len(evs)-1].At)
-		case terminals > 1:
-			r.addViolation("sample %d: %d terminal events, want exactly 1", id, terminals)
-		}
-		if terminals >= 1 {
-			// Attribute the first terminal to the last dispatched stage.
-			// (Population-level Completed/Dropped/ByReason totals come from
-			// the O(1) counters, exact in both modes; the stage tallies
-			// cover the detail-tracked subset.)
-			for _, e := range evs {
-				if e.Kind == KindCompleted {
-					if lastStage >= 0 {
-						stage(lastStage).Completed++
-					}
-					break
-				}
-				if e.Kind == KindDropped {
-					if lastStage >= 0 {
-						stage(lastStage).Dropped++
-					}
-					break
-				}
-			}
+			evs = l.appendChain(evs[:0], c)
+			r.checkSample(id, evs)
 		}
 	}
 	// Per-stage balance: everything dispatched in must terminate there or
@@ -606,6 +680,63 @@ func (l *Ledger) Verify() *Report {
 		}
 	}
 	return r
+}
+
+// checkSample reports one sample's invariant violations and attributes
+// its first terminal to the last stage it was dispatched into. Its
+// dispatches are already in r.Stages' In and Forwarded tallies.
+func (r *Report) checkSample(id int64, evs []Event) {
+	terminals := 0
+	lastStage := -1 // last stage the sample was dispatched into
+	prevAt := 0.0
+	for i, e := range evs {
+		if i > 0 && e.At < prevAt {
+			r.addViolation("sample %d: %s at t=%v before prior event at t=%v", id, e.Kind, e.At, prevAt)
+		}
+		prevAt = e.At
+		if e.Kind == KindArrived && i != 0 {
+			r.addViolation("sample %d: arrival is event #%d, want first", id, i+1)
+		}
+		switch e.Kind {
+		case KindCompleted, KindDropped:
+			terminals++
+			if i != len(evs)-1 {
+				r.addViolation("sample %d: terminal %s followed by %d more event(s)", id, e.Kind, len(evs)-1-i)
+			}
+		case KindDispatched:
+			if e.Stage < lastStage {
+				r.addViolation("sample %d: dispatched to stage %d after stage %d", id, e.Stage, lastStage)
+			}
+			lastStage = e.Stage
+		}
+		if e.Kind == KindDropped && !knownReason(e.Reason) {
+			r.addViolation("sample %d: drop reason %q unclassified", id, e.Reason)
+		}
+	}
+	switch {
+	case terminals == 0:
+		r.addViolation("sample %d: no terminal event (%d event(s), last %s at t=%v)",
+			id, len(evs), evs[len(evs)-1].Kind, evs[len(evs)-1].At)
+	case terminals > 1:
+		r.addViolation("sample %d: %d terminal events, want exactly 1", id, terminals)
+	}
+	if terminals == 0 || lastStage < 0 {
+		return
+	}
+	// Attribute the first terminal to the last dispatched stage.
+	// (Population-level Completed/Dropped/ByReason totals come from the
+	// O(1) counters, exact in both modes; the stage tallies cover the
+	// detail-tracked subset.)
+	for _, e := range evs {
+		if e.Kind == KindCompleted {
+			r.Stages[lastStage].Completed++
+			return
+		}
+		if e.Kind == KindDropped {
+			r.Stages[lastStage].Dropped++
+			return
+		}
+	}
 }
 
 // Totals reports the population-exact terminal counters in O(1), without
@@ -638,11 +769,24 @@ func (l *Ledger) DropBreakdown() map[Reason]int {
 // identical exactly when their digests are byte-identical — the property
 // the pooled-vs-unpooled determinism tests and the simgate check assert.
 func (l *Ledger) Digest() string {
-	var b strings.Builder
 	if l == nil {
 		return ""
 	}
-	fmt.Fprintf(&b, "totals arrived=%d completed=%d dropped=%d", l.arrivedTotal, l.completedTotal, l.droppedTotal)
+	n := 0
+	for _, ch := range l.chunks {
+		n += len(ch)
+	}
+	var b strings.Builder
+	b.Grow(64 + 32*n + 8*len(l.order))
+	// Each line renders with strconv into one reused buffer; 'g' with the
+	// shortest precision prints a float64 exactly as %v does.
+	line := make([]byte, 0, 256)
+	line = append(line, "totals arrived="...)
+	line = strconv.AppendInt(line, int64(l.arrivedTotal), 10)
+	line = append(line, " completed="...)
+	line = strconv.AppendInt(line, int64(l.completedTotal), 10)
+	line = append(line, " dropped="...)
+	line = strconv.AppendInt(line, int64(l.droppedTotal), 10)
 	byReason := l.DropBreakdown()
 	reasons := make([]string, 0, len(byReason))
 	for reason := range byReason {
@@ -650,29 +794,45 @@ func (l *Ledger) Digest() string {
 	}
 	sort.Strings(reasons)
 	for _, reason := range reasons {
-		fmt.Fprintf(&b, " %s=%d", reason, byReason[Reason(reason)])
+		line = append(line, ' ')
+		line = append(line, reason...)
+		line = append(line, '=')
+		line = strconv.AppendInt(line, int64(byReason[Reason(reason)]), 10)
 	}
-	b.WriteByte('\n')
-	var evs []Event
+	b.Write(append(line, '\n'))
 	for _, id := range l.order {
-		fmt.Fprintf(&b, "%d:", id)
-		evs = l.appendEvents(evs[:0], id)
-		for _, e := range evs {
-			fmt.Fprintf(&b, " %s@%v", e.Kind, e.At)
-			if e.Kind == KindDispatched {
-				fmt.Fprintf(&b, "(s%d,i%d)", e.Stage, e.Instance)
+		line = strconv.AppendInt(line[:0], id, 10)
+		line = append(line, ':')
+		k, _ := l.key(id)
+		for i := l.lookup(id, k).head; i != 0; {
+			r := l.at(i)
+			line = append(line, ' ')
+			line = append(line, r.kind.String()...)
+			line = append(line, '@')
+			line = strconv.AppendFloat(line, r.at, 'g', -1, 64)
+			switch r.kind {
+			case KindDispatched:
+				line = append(line, "(s"...)
+				line = strconv.AppendInt(line, int64(r.a), 10)
+				line = append(line, ",i"...)
+				line = strconv.AppendInt(line, int64(r.b), 10)
+				line = append(line, ')')
+			case KindMerged:
+				line = append(line, "(s"...)
+				line = strconv.AppendInt(line, int64(r.a), 10)
+				line = append(line, ')')
+			case KindCompleted:
+				line = append(line, "(x"...)
+				line = strconv.AppendInt(line, int64(r.a), 10)
+				line = append(line, ')')
+			case KindDropped:
+				line = append(line, '(')
+				line = append(line, l.reasons[r.reason]...)
+				line = append(line, ')')
 			}
-			if e.Kind == KindMerged {
-				fmt.Fprintf(&b, "(s%d)", e.Stage)
-			}
-			if e.Kind == KindCompleted {
-				fmt.Fprintf(&b, "(x%d)", e.ExitLayer)
-			}
-			if e.Kind == KindDropped {
-				fmt.Fprintf(&b, "(%s)", e.Reason)
-			}
+			i = r.next
 		}
-		b.WriteByte('\n')
+		b.Write(append(line, '\n'))
 	}
 	return b.String()
 }

@@ -1,0 +1,350 @@
+package audit
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// A ledger stream is encoded as bytes so the differential test and the
+// fuzz target share one event alphabet. The first byte picks the stride;
+// each following 4-byte op is one event: id, kind, operand and time. The
+// clock advances one tick per op unless the time byte's low bit is set,
+// so events may share a timestamp; the rest of the byte, signed, offsets
+// the event from the clock, so events may run backwards.
+var (
+	streamStrides = []int64{1, 3}
+	// streamIDs mixes dense ids, negative ids and ids far beyond the
+	// dense range; at stride 3 only the multiples of 3 are tracked.
+	streamIDs = []int64{
+		0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+		16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31,
+		-1, -2, -3, -6, -9, -3000, 1 << 40, 3 << 40, 3<<40 + 1, 3 << 41,
+		9 << 50, math.MaxInt64 - 1, math.MinInt64 + 2, 99_999, 100_002, 3 << 20,
+	}
+	// streamStages covers the dense tally range, negative stages, stages
+	// past it and the int32 extremes the stage encoding wraps at.
+	streamStages  = []int{0, 1, 2, 3, -1, -7, 1023, 1024, 4096, math.MaxInt32, math.MinInt32}
+	streamReasons = []Reason{ReasonAdmission, ReasonStaleShed, ReasonSLAFlush, "bogus", ""}
+)
+
+// opBytes is the size of one encoded event.
+const opBytes = 4
+
+// replayStream decodes data into a fresh ledger. Any byte string decodes:
+// every field is taken modulo its alphabet. It calls check after every
+// event whose kind byte has its high bit set.
+func replayStream(data []byte, check func(l *Ledger)) *Ledger {
+	if len(data) == 0 {
+		return NewLedger()
+	}
+	l := NewSampledLedger(streamStrides[int(data[0])%len(streamStrides)])
+	clock := 0.0
+	for op := data[1:]; len(op) >= opBytes; op = op[opBytes:] {
+		id := streamIDs[int(op[0])%len(streamIDs)]
+		operand := int(op[2])
+		if op[3]&1 == 0 {
+			clock += 0.001
+		}
+		at := clock + float64(int8(op[3])>>1)*0.01
+		switch Kind(op[1]&0x7f) % 6 {
+		case KindArrived:
+			l.Arrived(id, at)
+		case KindQueued:
+			l.Queued(id, at)
+		case KindDispatched:
+			l.Dispatched(id, at, streamStages[operand%len(streamStages)], operand%5)
+		case KindMerged:
+			l.Merged(id, at, streamStages[operand%len(streamStages)])
+		case KindCompleted:
+			l.Completed(id, at, operand%13)
+		case KindDropped:
+			l.Dropped(id, at, streamReasons[operand%len(streamReasons)])
+		}
+		if check != nil && op[1]&0x80 != 0 {
+			check(l)
+		}
+	}
+	return l
+}
+
+// genStream writes an encoded stream of mostly well-formed lifecycles
+// with random faults, each drawn with probability fault: backward
+// timestamps, early or repeated arrivals, stage regressions, odd stages,
+// unknown reasons, missing terminals and events after a terminal.
+func genStream(rng *rand.Rand, fault float64) []byte {
+	ids := rng.Perm(len(streamIDs))
+	lives := make([][]byte, 1+rng.Intn(len(streamIDs)))
+	for s := range lives {
+		id := ids[s]
+		if rng.Float64() < fault {
+			id = rng.Intn(len(streamIDs)) // may repeat another sample's id
+		}
+		hops := rng.Intn(3)
+		st := rng.Intn(4 - hops) // ordinary stages 0..3
+		if rng.Float64() < fault {
+			st = rng.Intn(len(streamStages) - hops)
+		}
+		var life []byte
+		add := func(kind, operand int) {
+			step := int8(rng.Intn(2)) // the next tick, or a tie
+			if rng.Float64() < fault {
+				step = int8(-1-rng.Intn(60)) << 1 // backward in time
+			}
+			if rng.Float64() < fault {
+				kind = rng.Intn(6)
+			}
+			life = append(life, byte(id), byte(kind), byte(operand), byte(step))
+		}
+		add(int(KindArrived), 0)
+		add(int(KindQueued), 0)
+		for ; hops >= 0; hops-- {
+			add(int(KindDispatched), st)
+			if hops > 0 {
+				add(int(KindMerged), st+1)
+				st++
+			}
+		}
+		if rng.Float64() >= fault/2 { // sometimes never terminates
+			if rng.Intn(4) == 0 {
+				reason := rng.Intn(3)
+				if rng.Float64() < fault {
+					reason = rng.Intn(len(streamReasons))
+				}
+				add(int(KindDropped), reason)
+			} else {
+				add(int(KindCompleted), 1+rng.Intn(12))
+			}
+		}
+		for rng.Float64() < fault/2 { // events after the terminal
+			add(rng.Intn(6), rng.Intn(256))
+		}
+		lives[s] = life
+	}
+	// Interleave the lifecycles, keeping each one's order, and mark some
+	// ops as points to verify mid-stream.
+	out := []byte{byte(rng.Intn(len(streamStrides)))}
+	for {
+		live := 0
+		for _, life := range lives {
+			if len(life) > 0 {
+				live++
+			}
+		}
+		if live == 0 {
+			return out
+		}
+		pick := rng.Intn(live)
+		for s, life := range lives {
+			if len(life) == 0 {
+				continue
+			}
+			if pick--; pick < 0 {
+				op := append([]byte(nil), life[:opBytes]...)
+				if rng.Intn(128) == 0 {
+					op[1] |= 0x80
+				}
+				out = append(out, op...)
+				lives[s] = life[opBytes:]
+				break
+			}
+		}
+	}
+}
+
+// diffVerify fails t unless Verify and the full-walk refVerify agree on
+// every report field, and Digest matches its fmt rendering.
+func diffVerify(t *testing.T, l *Ledger) {
+	t.Helper()
+	if got, want := l.Digest(), refDigest(l); got != want {
+		t.Fatalf("Digest differs from its fmt rendering:\n%s\n--- vs ---\n%s", got, want)
+	}
+	got, want := l.Verify(), refVerify(l)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Verify disagrees with the full walk:\n--- Verify:\n%s\nstages %v\n--- full walk:\n%s\nstages %v",
+			got, stageFlows(got), want, stageFlows(want))
+	}
+	if got.String() != want.String() {
+		t.Fatalf("String() differs:\n%s\n--- vs ---\n%s", got, want)
+	}
+}
+
+func stageFlows(r *Report) map[int]StageFlow {
+	out := make(map[int]StageFlow, len(r.Stages))
+	for si, f := range r.Stages {
+		out[si] = *f
+	}
+	return out
+}
+
+// differentialStreams returns the seeded streams the differential test
+// replays and the fuzz target seeds its corpus from.
+func differentialStreams(n int) [][]byte {
+	rng := rand.New(rand.NewSource(20))
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = genStream(rng, []float64{0, 0.02, 0.1, 0.4}[i%4])
+	}
+	return out
+}
+
+// TestVerifyMatchesFullWalk compares the online Verify with the full
+// walk it replaced on thousands of random streams, at the end of each
+// stream and at random points inside it.
+func TestVerifyMatchesFullWalk(t *testing.T) {
+	n := 3000
+	if testing.Short() {
+		n = 500
+	}
+	var truncated, failing, passing int
+	for _, data := range differentialStreams(n) {
+		l := replayStream(data, func(l *Ledger) { diffVerify(t, l) })
+		diffVerify(t, l)
+		switch r := l.Verify(); {
+		case r.truncated > 0:
+			truncated++
+		case !r.OK():
+			failing++
+		default:
+			passing++
+		}
+	}
+	// The generator must reach every kind of outcome, or the comparison
+	// proves little.
+	t.Logf("streams: %d truncated, %d failing, %d passing", truncated, failing, passing)
+	if truncated == 0 || failing == 0 || passing == 0 {
+		t.Fatalf("streams: %d truncated, %d failing, %d passing; want each > 0", truncated, failing, passing)
+	}
+}
+
+// FuzzLedgerVerify checks Verify against the full walk on arbitrary
+// streams over the same event alphabet.
+func FuzzLedgerVerify(f *testing.F) {
+	for _, data := range differentialStreams(64) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := replayStream(data, func(l *Ledger) { diffVerify(t, l) })
+		diffVerify(t, l)
+	})
+}
+
+// TestDigestFloatsMatchFmt checks Digest renders odd timestamps exactly
+// as fmt's %v did.
+func TestDigestFloatsMatchFmt(t *testing.T) {
+	l := NewLedger()
+	for i, at := range []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324,
+		math.MaxFloat64, 1e20, 1e21, 1e-4, 1e-5, 123456789.125, 0.1 + 0.2, -2.5e-7,
+	} {
+		l.Arrived(int64(i), at)
+		l.Dispatched(int64(i), at, i-3, i)
+		l.Completed(int64(i), at, i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		l.Merged(int64(-i), math.Float64frombits(rng.Uint64()), i)
+	}
+	diffVerify(t, l)
+}
+
+// TestCleanLedgerTurnsBadAfterTerminal checks that an event after a
+// clean terminal takes back the terminal's stage tally.
+func TestCleanLedgerTurnsBadAfterTerminal(t *testing.T) {
+	l := NewLedger()
+	drive(l, 100)
+	if r := l.Verify(); !r.OK() || l.clean != 100 {
+		t.Fatalf("clean ledger: ok=%v clean=%d, want true and 100: %v", r.OK(), l.clean, r.Violations)
+	}
+	l.Merged(7, 200, 1) // sample 7 completed at stage 0
+	l.Dispatched(7, 201, 1, 0)
+	r := l.Verify()
+	if r.OK() {
+		t.Fatal("event after a terminal not flagged")
+	}
+	if want := refVerify(l); !reflect.DeepEqual(stageFlows(r), stageFlows(want)) {
+		t.Fatalf("stages %v, full walk %v", stageFlows(r), stageFlows(want))
+	}
+	if l.clean != 99 {
+		t.Fatalf("clean = %d after one sample turned bad, want 99", l.clean)
+	}
+	diffVerify(t, l)
+}
+
+// TestCleanVerifyAllocsIndependentOfSamples holds Verify on a clean
+// exhaustive ledger to O(stages): ten times the samples must not add a
+// single allocation. Half the samples run a two-stage lifecycle at one
+// timestamp: ties are legal and must not send Verify walking.
+func TestCleanVerifyAllocsIndependentOfSamples(t *testing.T) {
+	allocs := func(n int64) float64 {
+		l := NewLedger()
+		drive(l, n)
+		for id := n + 1; id <= 2*n; id++ {
+			at := float64(id)
+			l.Arrived(id, at)
+			l.Queued(id, at)
+			l.Dispatched(id, at, 0, 1)
+			l.Merged(id, at, 1)
+			l.Dispatched(id, at, 1, 2)
+			l.Completed(id, at, 5)
+		}
+		if r := l.Verify(); !r.OK() || l.clean != int(2*n) {
+			t.Fatalf("%d samples: %d clean, violations %v", 2*n, l.clean, r.Violations)
+		}
+		return testing.AllocsPerRun(5, func() { l.Verify() })
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	if small != large {
+		t.Fatalf("clean Verify allocates %v times at 10k samples, %v at 100k; want equal", small, large)
+	}
+}
+
+// benchSamples is the exhaustive ledger size the benchmarks record and
+// verify.
+const benchSamples = 100_000
+
+// spoil gives one sample of a driven ledger a second terminal.
+func spoil(l *Ledger) { l.Completed(20, benchSamples+1, 1) }
+
+func BenchmarkLedgerRecord(b *testing.B) {
+	events := float64(4*benchSamples - benchSamples/5)
+	for _, bc := range []struct {
+		name  string
+		spoil bool
+	}{{"clean", false}, {"violation", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := NewLedger()
+				drive(l, benchSamples)
+				if bc.spoil {
+					spoil(l)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+		})
+	}
+}
+
+func BenchmarkLedgerVerify(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		spoil bool
+	}{{"clean", false}, {"violation", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			l := NewLedger()
+			drive(l, benchSamples)
+			if bc.spoil {
+				spoil(l)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if l.Verify().OK() == bc.spoil {
+					b.Fatal("verdict does not match the stream")
+				}
+			}
+		})
+	}
+}
