@@ -101,17 +101,21 @@ func main() {
 		// /v1/health, /metrics, and /v1/debug/bundle endpoints expose.
 		loopTr := telemetry.NewRing(2048)
 		loopAttr := slo.NewAttribution(slo.DefaultTopK)
+		// Window 0 plans from the boot profile, which the offered rate
+		// (the boot plan's goodput) assumes.
+		bootRate := plan.Goodput
 		res, err := replan.Run(replan.Config{
 			Model: m, Cluster: clus, Batch: *batch, SLO: sloDur.Seconds(),
 			Windows: *replanWindows, WindowDur: 2.0,
-			AvgRate: plan.Goodput, Seed: 424242, DriftThreshold: 0.05,
-			Workload: func(w int) workload.Dist {
+			Seed: 424242, DriftThreshold: 0.05,
+			Workload: func(w int) (workload.Dist, float64) {
 				frac := *easy
 				if *replanWindows > 1 {
 					frac -= (*easy - 0.3) * float64(w) / float64(*replanWindows-1)
 				}
-				return workload.Mix(frac)
+				return workload.Mix(frac), bootRate
 			},
+			Initial:   prof,
 			Method:    forecast.MethodARIMA,
 			Observers: scheduler.Observers{Tracer: loopTr, Attr: loopAttr},
 			SLOTarget: *sloTarget, BurnThreshold: *burnThreshold,

@@ -12,7 +12,7 @@
 //
 // Layout:
 //
-//	internal/core        the E3 system facade (profiler + optimizer + scheduler)
+//	internal/replan      the §3.1 control loop (forecast + optimizer + scheduler per window)
 //	internal/optimizer   the §3.2 planning optimization
 //	internal/forecast    ARIMA batch-profile estimation (§3.1)
 //	internal/scheduler   pipelined model-parallel execution (§3.3) + baselines

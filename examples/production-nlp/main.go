@@ -12,58 +12,50 @@ import (
 	"log"
 
 	"e3/internal/cluster"
-	"e3/internal/core"
 	"e3/internal/ee"
+	"e3/internal/forecast"
 	"e3/internal/gpu"
 	"e3/internal/model"
-	"e3/internal/sim"
+	"e3/internal/profile"
+	"e3/internal/replan"
 	"e3/internal/workload"
 )
 
 func main() {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	clus := cluster.Homogeneous(gpu.V100, 16)
-	eng := sim.NewEngine()
 
-	sys, err := core.New(eng, clus, m, core.Options{
-		SLO:            0.100,
-		Batch:          8,
-		ReplanInterval: 5, // shortened from the paper's 2 min for the demo
+	// 8,000 req/s over six 5 s windows (shortened from the paper's 2 min
+	// for the demo); hardness shifts from 80% easy to 50% easy at window 3
+	// (the §5.4 adaptability scenario). Window 0 plans from an offline
+	// profile of the expected 80%-easy traffic.
+	const rate = 8000.0
+	res, err := replan.Run(replan.Config{
+		Model: m, Cluster: clus, Batch: 8, SLO: 0.100,
+		Windows: 6, WindowDur: 5, Seed: 1,
+		DriftThreshold: 0.05,
+		Workload: func(w int) (workload.Dist, float64) {
+			if w < 3 {
+				return workload.Mix(0.8), rate
+			}
+			return workload.Mix(0.5), rate
+		},
+		Method:  forecast.MethodARIMA,
+		Initial: profile.FromDist(m, workload.Mix(0.8), 8000, 1),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.Bootstrap(workload.Mix(0.8)); err != nil {
-		log.Fatal(err)
-	}
-	sys.StartAutoReplan()
-	fmt.Println("initial plan:", sys.Plan())
-
-	// 8,000 req/s for 30 virtual seconds; hardness shifts from 80% easy to
-	// 50% easy at t=15s (the §5.4 adaptability scenario).
-	const rate = 8000.0
-	gen := workload.NewGenerator(workload.Mix(0.8), 1)
-	eng.At(15, func() { gen.SwitchDist(workload.Mix(0.5)) })
-	interval := 8 / rate
-	for at := interval; at < 30; at += interval {
-		at := at
-		eng.At(at, func() { sys.Ingest(gen.Batch(8, eng.Now(), 0.100)) })
-	}
-	eng.SetEventLimit(100_000_000)
-	if err := eng.Run(31); err != nil {
-		log.Fatal(err)
-	}
-	sys.StopAutoReplan() // the control loop would otherwise tick forever
-	sys.FlushAll()
-	if err := eng.Run(40); err != nil {
-		log.Fatal(err)
+	if !res.Report.OK() {
+		log.Fatalf("audit failed: %v", res.Report.Err())
 	}
 
-	c := sys.Collector()
-	fmt.Printf("served %d requests at %.0f req/s goodput (%.2f%% violations, %d drops)\n",
-		c.Good.Served, c.Good.Goodput(),
-		100*float64(c.Violations)/float64(c.Good.Served+c.Violations), c.Dropped)
-	fmt.Printf("latency: %s\n", c.Lat.Summarize())
-	fmt.Printf("replans: %d (profiler tracked the hardness shift)\n", sys.Replans())
-	fmt.Println("final plan:", sys.Plan())
+	fmt.Printf("%-7s %-9s %-9s %-8s %s\n", "window", "served", "slo-att", "drift", "replanned")
+	for _, w := range res.Windows {
+		fmt.Printf("%-7d %-9d %-9.4f %-8.3f %t\n", w.Window, w.Served, w.SLOAttainment, w.Drift, w.Replanned)
+	}
+	fmt.Printf("audit: %d requests, %d completed, %d dropped, conservation OK\n",
+		res.Report.Samples, res.Report.Completed, res.Report.Dropped)
+	fmt.Printf("replans: %d (profiler tracked the hardness shift)\n", res.Replans)
+	fmt.Println("final plan:", res.FinalPlan)
 }

@@ -9,10 +9,11 @@ import (
 	"log"
 
 	"e3/internal/cluster"
-	"e3/internal/core"
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/optimizer"
+	"e3/internal/profile"
 	"e3/internal/scheduler"
 	"e3/internal/sim"
 	"e3/internal/workload"
@@ -23,38 +24,41 @@ func main() {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	// Eight V100s, two per machine, 10G Ethernet between machines.
 	clus := cluster.Homogeneous(gpu.V100, 8)
-	// Virtual time: the whole run below takes milliseconds of real time.
-	eng := sim.NewEngine()
 
-	sys, err := core.New(eng, clus, m, core.Options{
-		SLO:   0.100, // 100 ms
-		Batch: 8,
+	// Profile the expected workload (80% easy inputs) and plan.
+	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
+	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
+		Model: m, Profile: prof, Batch: 8, Cluster: clus,
+		SLO: 0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Profile the expected workload (80% easy inputs) and plan.
-	if err := sys.Bootstrap(workload.Mix(0.8)); err != nil {
+	fmt.Println("plan:", plan)
+
+	// Virtual time: the whole run below takes milliseconds of real time.
+	eng := sim.NewEngine()
+	c := scheduler.NewCollector(m.Base.NumLayers(), 0.100, 0)
+	pipe, err := scheduler.NewPipeline(eng, clus, m, plan, c)
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("plan:", sys.Plan())
 
 	// Serve 2,000 batches, closed loop.
 	gen := workload.NewGenerator(workload.Mix(0.8), 1)
-	interval := 8 / sys.Plan().Goodput
+	interval := 8 / plan.Goodput
 	for i := 0; i < 2000; i++ {
 		at := float64(i) * interval
-		eng.At(at, func() { sys.Ingest(gen.Batch(8, eng.Now(), 0.100)) })
+		eng.At(at, func() { pipe.Ingest(gen.Batch(8, eng.Now(), 0.100)) })
 	}
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
-	sys.FlushAll()
+	pipe.FlushAll()
 	if err := eng.RunAll(); err != nil {
 		log.Fatal(err)
 	}
 
-	c := sys.Collector()
 	fmt.Printf("E3:        %.0f samples/s goodput, %s\n", c.Good.Goodput(), c.Lat.Summarize())
 
 	// The same load through the naive EE baseline (eager per-ramp exits).

@@ -89,7 +89,6 @@ var detflowScope = map[string]bool{
 	"e3/internal/profile":     true,
 	"e3/internal/workload":    true,
 	"e3/internal/experiments": true,
-	"e3/internal/core":        true,
 	"e3/internal/telemetry":   true,
 	"e3/internal/replan":      true,
 	"e3/internal/slo":         true,

@@ -39,7 +39,7 @@ var FloatDeadline = &Analyzer{
 		"e3/internal/metrics",
 		"e3/internal/audit",
 		"e3/internal/exec",
-		"e3/internal/core",
+		"e3/internal/replan",
 	),
 	Run: runFloatDeadline,
 }

@@ -47,7 +47,6 @@ var VirtualTime = &Analyzer{
 		"e3/internal/profile",
 		"e3/internal/workload",
 		"e3/internal/experiments",
-		"e3/internal/core",
 		"e3/internal/telemetry",
 		"e3/internal/replan",
 		"e3/internal/slo",

@@ -7,12 +7,12 @@ package experiments
 
 import (
 	"e3/internal/cluster"
-	"e3/internal/core"
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/llm"
 	"e3/internal/model"
-	"e3/internal/sim"
+	"e3/internal/profile"
+	"e3/internal/replan"
 	"e3/internal/workload"
 )
 
@@ -97,68 +97,48 @@ func ExtensionContinuous() Table {
 	return t
 }
 
-// ExtensionBuffers exercises the §3.1 spike-buffer mechanism end to end:
-// a burst beyond the steady plan's capacity engages reserved GPUs within
-// one scheduling window.
+// ExtensionBuffers exercises the §3.1 spike-buffer mechanism end to end
+// on the replan loop: six 2 s windows (steady, spike, four steady), where
+// the spike beyond the reserved plan's capacity engages the reserved GPUs
+// at the next window and a clean window releases them. Each row is a
+// phase's offered load and the plan the loop chose after it.
 func ExtensionBuffers() Table {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	clus := cluster.Homogeneous(gpu.V100, 16)
-	eng := sim.NewEngine()
-	sys, err := core.New(eng, clus, m, core.Options{
-		SLO: defaultSLO, Batch: 8, ReplanInterval: 2, BufferGPUs: 4,
-	})
 	t := Table{
 		ID:      "extension-buffers",
 		Title:   "Spike buffer resources (4 of 16 V100s reserved)",
 		Columns: []string{"phase", "offered (req/s)", "plan GPUs", "buffers active"},
 		Notes:   "extension of §3.1: overload engages the reserve at the next window, recovery releases it",
 	}
+	steady, err := planE3(clus.Subset(12), m, workload.Mix(0.8), 8, defaultSLO, nil)
 	if err != nil {
 		return t
 	}
-	if err := sys.Bootstrap(workload.Mix(0.8)); err != nil {
-		return t
+	rates := []float64{0.7, 1.9, 0.7, 0.7, 0.7, 0.7}
+	for w := range rates {
+		rates[w] *= steady.Goodput
 	}
-	sys.StartAutoReplan()
-	gen := workload.NewGenerator(workload.Mix(0.8), 291)
-
-	feed := func(from, to, rate float64) {
-		interval := 8 / rate
-		for at := from + interval; at < to; at += interval {
-			at := at
-			eng.At(at, func() { sys.Ingest(gen.Batch(8, eng.Now(), defaultSLO)) })
-		}
-	}
-	steadyRate := sys.Plan().Goodput * 0.7
-	spikeRate := sys.Plan().Goodput * 1.9
-
-	record := func(phase string, rate float64) {
-		t.Rows = append(t.Rows, []string{phase, f0(rate), itoa(sys.Plan().GPUs), boolStr(sys.BuffersActive())})
-	}
-
-	eng.SetEventLimit(100_000_000)
-	feed(0, 2, steadyRate)
-	if err := eng.Run(2.1); err != nil {
+	res, err := replan.Run(replan.Config{
+		Model: m, Cluster: clus, Batch: 8, SLO: defaultSLO,
+		Windows: len(rates), WindowDur: 2, Seed: 291,
+		Workload:   func(w int) (workload.Dist, float64) { return workload.Mix(0.8), rates[w] },
+		Initial:    profile.FromDist(m, workload.Mix(0.8), 8000, 1),
+		BufferGPUs: 4,
+	})
+	if err != nil {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}
-	record("steady", steadyRate)
-
-	feed(2.1, 4.1, spikeRate)
-	if err := eng.Run(4.3); err != nil {
-		t.Notes += " [ABORTED: " + err.Error() + "]"
-		return t
+	// The steady phase is window 0, the spike window 1, and recovery
+	// windows 2–4; window 5 runs the plan recovery left behind.
+	for _, row := range []struct {
+		phase string
+		w     int
+	}{{"steady", 0}, {"spike", 1}, {"recovered", 4}} {
+		next := res.Windows[row.w+1]
+		t.Rows = append(t.Rows, []string{row.phase, f0(rates[row.w]), itoa(next.GPUs), boolStr(next.Buffers)})
 	}
-	record("spike", spikeRate)
-
-	feed(4.3, 12.3, steadyRate)
-	if err := eng.Run(12.5); err != nil {
-		t.Notes += " [ABORTED: " + err.Error() + "]"
-		return t
-	}
-	record("recovered", steadyRate)
-
-	sys.StopAutoReplan()
 	return t
 }
 

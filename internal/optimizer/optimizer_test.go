@@ -178,6 +178,9 @@ func TestExitWrapperImprovesGoodput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !pWrapped.DisabledInteriorRamps || pBase.DisabledInteriorRamps {
+		t.Error("exit-wrapper plan flag does not follow Config.DisableInteriorRamps")
+	}
 	gain := pWrapped.Goodput/pBase.Goodput - 1
 	if gain <= 0 {
 		t.Errorf("exit-wrapper gain = %.1f%%, want positive", gain*100)

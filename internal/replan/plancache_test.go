@@ -126,8 +126,8 @@ func TestPlanCacheFIFO(t *testing.T) {
 func TestPlanCacheStableForecastGate(t *testing.T) {
 	tr := telemetry.New()
 	cfg := DriftingDemo(8, forecast.MethodARIMA, tr)
-	cfg.Workload = nil      // constant Mix(0.8): the forecast settles
-	cfg.DriftThreshold = -1 // force a replan every window
+	cfg.Workload = steadyMix // constant Mix(0.8): the forecast settles
+	cfg.DriftThreshold = -1  // force a replan every window
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestPlanCacheStableForecastGate(t *testing.T) {
 func TestPlanCacheDisabled(t *testing.T) {
 	tr := telemetry.New()
 	cfg := DriftingDemo(5, forecast.MethodARIMA, tr)
-	cfg.Workload = nil
+	cfg.Workload = steadyMix
 	cfg.DriftThreshold = -1
 	cfg.PlanCacheSize = -1
 	res, err := Run(cfg)
@@ -215,7 +215,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 // plan serves a window, never whether the plan is valid.
 func TestPlanCacheServesWithinSLO(t *testing.T) {
 	cfg := DriftingDemo(8, forecast.MethodARIMA, nil)
-	cfg.Workload = nil
+	cfg.Workload = steadyMix
 	cfg.DriftThreshold = -1
 	res, err := Run(cfg)
 	if err != nil {

@@ -1,8 +1,10 @@
 // Package replan drives E3's adaptation loop end to end on the sim clock:
 // each scheduling window predicts the next exit profile (§3.1), re-runs
 // the split/replicate planner when the forecast drifts from the plan's
-// assumptions (§3.2), serves the window's arrivals under the active plan,
-// then observes the window's measured profile back into the estimator.
+// assumptions or a spike engages or releases the buffer GPUs (§3.2,
+// §3.1), serves the window's arrivals under the active plan, then
+// observes the window's measured profile back into the estimator. It is
+// the system's one predict→plan→serve loop.
 //
 // One engine, one collector, one lifecycle ledger, and one span tracer
 // persist across every window and plan switch, so the conservation audit
@@ -39,6 +41,14 @@ const diffHistory = 32
 // run mid-window.
 var eventLimit uint64 = 200_000_000
 
+// Spike-buffer thresholds (§3.1) on a window's bad fraction, the share of
+// its outcomes that were violations or drops (1 − SLOAttainment): above
+// overloadBadFrac the reserve engages, below recoverBadFrac it is released.
+const (
+	overloadBadFrac = 0.02
+	recoverBadFrac  = 0.005
+)
+
 // Config is one windowed replan run.
 type Config struct {
 	Model   *ee.EEModel
@@ -52,18 +62,28 @@ type Config struct {
 	// seconds).
 	Windows   int
 	WindowDur float64
-	// AvgRate is the bursty arrival process's mean rate (samples/s).
-	AvgRate float64
-	Seed    int64
+	Seed      int64
 
 	// DriftThreshold triggers a replan when the forecast profile's max
 	// per-layer deviation from the active plan's assumed profile exceeds
 	// it. Zero replans every window.
 	DriftThreshold float64
 
-	// Workload selects window w's difficulty mix, modelling §5.4-style
-	// shifts. Nil holds Mix(0.8) throughout.
-	Workload func(w int) workload.Dist
+	// Workload gives window w's difficulty mix and offered Poisson rate
+	// (samples/s), modelling §5.4-style shifts and load spikes. Required.
+	Workload func(w int) (mix workload.Dist, rate float64)
+
+	// Initial, when set, is the offline profile window 0 plans from
+	// (§3.1's bootstrap); otherwise window 0 plans from the estimator's
+	// empty-history forecast, which assumes no exits.
+	Initial profile.Batch
+
+	// BufferGPUs holds this many devices back from steady-state plans
+	// (§3.1's spike buffer resources). A window whose bad fraction exceeds
+	// overloadBadFrac makes the next plans use the whole cluster; one under
+	// recoverBadFrac returns them to the reserve. Either toggle forces a
+	// replan.
+	BufferGPUs int
 
 	// Method selects the forecaster (ARIMA default, persistence baseline).
 	Method forecast.Method
@@ -124,6 +144,11 @@ type WindowStat struct {
 	// plan's assumed profile at the window boundary.
 	Drift float64 `json:"drift"`
 
+	// GPUs is the active plan's device count; Buffers marks a window whose
+	// plan may use the spike reserve.
+	GPUs    int  `json:"gpus"`
+	Buffers bool `json:"buffers"`
+
 	Replanned   bool `json:"replanned"`
 	PlanChanged bool `json:"plan_changed"`
 	// PlanCacheHit marks a replan answered from the cross-window plan
@@ -183,9 +208,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Windows < 1 || cfg.WindowDur <= 0 {
 		return nil, fmt.Errorf("replan: need at least one window of positive duration")
 	}
-	mix := cfg.Workload
-	if mix == nil {
-		mix = func(int) workload.Dist { return workload.Mix(0.8) }
+	if cfg.Workload == nil {
+		return nil, fmt.Errorf("replan: nil Workload")
 	}
 	layers := cfg.Model.Base.NumLayers()
 
@@ -194,7 +218,8 @@ func Run(cfg Config) (*Result, error) {
 	coll := scheduler.NewCollector(layers, cfg.SLO, 0)
 	coll.Audit = audit.NewLedger()
 	coll.Observers = cfg.Observers
-	gen := workload.NewGenerator(mix(0), cfg.Seed)
+	mix0, _ := cfg.Workload(0)
+	gen := workload.NewGenerator(mix0, cfg.Seed)
 	gen.SetAudit(coll.Audit)
 	gen.SetTrace(cfg.Tracer)
 	// One batch pool for the whole run: it belongs to this event loop, and
@@ -227,15 +252,23 @@ func Run(cfg Config) (*Result, error) {
 	var plan optimizer.Plan
 	var planProfile profile.Batch
 	havePlan := false
+	// reserved is the device pool steady-state plans use; buffers marks
+	// the spike reserve engaged.
+	reserved := cfg.Cluster
+	if cfg.BufferGPUs > 0 {
+		reserved = cfg.Cluster.Subset(max(1, cfg.Cluster.Size()-cfg.BufferGPUs))
+	}
+	buffers := false
 	prevServed, prevViolations, prevDropped := 0, 0, 0
 
 	// Shared planner state across every window: the planning problem the
 	// optimizer sees for window w's forecast, one memoized segment-cost
-	// table (the model/batch/cluster geometry never changes mid-run, so
-	// every window's search reuses it), and the cross-window plan cache.
-	planConfig := func(pred profile.Batch, tr *optimizer.SearchTrace) optimizer.Config {
+	// table (the model, batch and interconnect never change mid-run and
+	// the table does not depend on inventory, so every window's search
+	// reuses it, spike reserve or not), and the cross-window plan cache.
+	planConfig := func(pred profile.Batch, clus *cluster.Cluster, tr *optimizer.SearchTrace) optimizer.Config {
 		return optimizer.Config{
-			Model: cfg.Model, Profile: pred, Batch: cfg.Batch, Cluster: cfg.Cluster,
+			Model: cfg.Model, Profile: pred, Batch: cfg.Batch, Cluster: clus,
 			SLO: cfg.SLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
 			MaxSplits: cfg.MaxSplits, MaxBoundaryCands: cfg.MaxBoundaryCands,
 			Workers:    cfg.PlannerWorkers,
@@ -243,7 +276,7 @@ func Run(cfg Config) (*Result, error) {
 			Trace: tr,
 		}
 	}
-	costs := optimizer.NewCostTableFor(planConfig(profile.Batch{}, nil))
+	costs := optimizer.NewCostTableFor(planConfig(profile.Batch{}, cfg.Cluster, nil))
 	var cache *PlanCache
 	if cfg.PlanCacheSize >= 0 {
 		cache = NewPlanCache(cfg.PlanCacheSize, cfg.PlanCacheTolerance)
@@ -252,21 +285,39 @@ func Run(cfg Config) (*Result, error) {
 	for w := 0; w < cfg.Windows; w++ {
 		start := eng.Now()
 		pred := est.Predict()
+		if w == 0 && cfg.Initial.L > 0 {
+			pred = cfg.Initial
+		}
 
 		// Replan when the forecast has drifted from the active plan's
 		// assumptions (or there is no plan yet).
 		drift := 0.0
 		reason := "initial plan"
+		due := !havePlan
 		if havePlan {
 			drift = pred.MaxAbsDiff(planProfile)
 			reason = fmt.Sprintf("forecast drift %.3f > %.3f", drift, cfg.DriftThreshold)
+			due = drift > cfg.DriftThreshold
+		}
+		// Spike buffers: the last window's bad fraction engages or
+		// releases the reserve, and either toggle replans.
+		if cfg.BufferGPUs > 0 && w > 0 {
+			bad := 1 - res.Windows[w-1].SLOAttainment
+			if (!buffers && bad > overloadBadFrac) || (buffers && bad < recoverBadFrac) {
+				buffers = !buffers
+				reason, due = "spike buffers", true
+			}
+		}
+		planClus := reserved
+		if buffers {
+			planClus = cfg.Cluster
 		}
 		replanned := false
 		changed := false
 		cacheHit := false
-		if !havePlan || drift > cfg.DriftThreshold {
+		if due {
 			tr := &optimizer.SearchTrace{}
-			ocfg := planConfig(pred, tr)
+			ocfg := planConfig(pred, planClus, tr)
 			ocfg.Costs = costs
 			if cached, ok := cache.Lookup(ocfg); ok {
 				// The cache already solved a quantization-identical
@@ -320,11 +371,12 @@ func Run(cfg Config) (*Result, error) {
 		pipe.SetPool(pool)
 		b := serving.NewBatcher(eng, pipe, plan.Batch, plan.Latency, 0.2)
 		b.SetPool(pool)
-		gen.SwitchDist(mix(w))
+		mix, rate := cfg.Workload(w)
+		gen.SwitchDist(mix)
 		// Poisson (not bursty) arrivals: each window must yield a usable
 		// profile observation, and DefaultBursty's ~18 s idle gaps would
 		// starve short windows to a few dozen samples of pure noise.
-		st := trace.NewPoissonStream(cfg.AvgRate, cfg.WindowDur, cfg.Seed+int64(w)*1000)
+		st := trace.NewPoissonStream(rate, cfg.WindowDur, cfg.Seed+int64(w)*1000)
 		stop := serving.FeedStream(eng, b, st, start, gen, cfg.SLO)
 		err = eng.RunAll()
 		// The window's stream is consumed (or the run aborted): join the
@@ -368,6 +420,8 @@ func Run(cfg Config) (*Result, error) {
 			SLOAttainment: attain,
 			ForecastMAE:   est.Stats.LastMAE(),
 			Drift:         drift,
+			GPUs:          plan.GPUs,
+			Buffers:       buffers,
 			Replanned:     replanned,
 			PlanChanged:   changed,
 			PlanCacheHit:  cacheHit,
@@ -408,15 +462,14 @@ func DriftingDemo(windows int, method forecast.Method, tr *telemetry.Tracer) Con
 		SLO:            0.100,
 		Windows:        windows,
 		WindowDur:      2.0,
-		AvgRate:        2000,
 		Seed:           424242,
 		DriftThreshold: 0.05,
-		Workload: func(w int) workload.Dist {
+		Workload: func(w int) (workload.Dist, float64) {
 			frac := 0.9
 			if windows > 1 {
 				frac = 0.9 - 0.6*float64(w)/float64(windows-1)
 			}
-			return workload.Mix(frac)
+			return workload.Mix(frac), 2000
 		},
 		Method:    method,
 		Observers: scheduler.Observers{Tracer: tr},

@@ -10,9 +10,13 @@ import (
 	"e3/internal/forecast"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
+	"e3/internal/workload"
 )
 
 const testWindows = 10
+
+// steadyMix holds the drifting demo's rate with a constant Mix(0.8).
+func steadyMix(int) (workload.Dist, float64) { return workload.Mix(0.8), 2000 }
 
 // TestReplanLoopConservation: the audit ledger and telemetry reconcile
 // across every plan switch — no sample lost or double-counted when the
@@ -176,7 +180,7 @@ func TestReplanObservedAllocsPerRequest(t *testing.T) {
 // loop plans once and holds.
 func TestReplanStaticMixHoldsPlan(t *testing.T) {
 	cfg := DriftingDemo(5, forecast.MethodARIMA, nil)
-	cfg.Workload = nil // constant Mix(0.8)
+	cfg.Workload = steadyMix
 	cfg.DriftThreshold = 0.30
 	res, err := Run(cfg)
 	if err != nil {

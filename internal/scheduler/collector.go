@@ -252,16 +252,6 @@ func (c *Collector) ObservedProfile() profile.Batch {
 	return profile.NewBatch(surv)
 }
 
-// WindowBadFrac reports the fraction of this window's outcomes that were
-// violations or drops — the overload signal for buffer activation.
-func (c *Collector) WindowBadFrac() float64 {
-	total := c.windowServed + c.windowViolations
-	if total == 0 {
-		return 0
-	}
-	return float64(c.windowViolations) / float64(total)
-}
-
 // WindowCounts exposes the current window's served and violation
 // counters (drops are already folded into violations) so an external
 // budget accountant — the fleet router's per-epoch burn scoring — can
