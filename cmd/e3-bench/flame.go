@@ -2,13 +2,12 @@ package main
 
 // Flame-profiling entry points: -flame-out/-flame-folded/-flame-pprof run
 // the demo workload under the virtual-time compute profiler and export the
-// fold; -flame-diff compares two exported JSON profiles. The deeper
-// drill-down UI (top/tree/focus views) lives in cmd/e3-prof.
+// fold. Comparing two exported profiles (e3-prof -diff) and the deeper
+// drill-down views (top/tree/focus) live in cmd/e3-prof.
 
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"e3/internal/experiments"
 	"e3/internal/flame"
@@ -84,54 +83,6 @@ func runFlameDemo(runner, outJSON, outFolded, outPprof string) int {
 	if !stat.OK() {
 		fmt.Fprintln(os.Stderr, "e3-bench: flame profile failed exact reconciliation against the ledger")
 		return 1
-	}
-	return 0
-}
-
-// readFlameProfile loads a -flame-out JSON artifact.
-func readFlameProfile(path string) (*flame.Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return flame.ReadProfile(f)
-}
-
-// runFlameDiff compares two exported JSON profiles ("a.json,b.json") and
-// prints signed per-stack deltas ranked by |GPU-time moved|.
-func runFlameDiff(arg string) int {
-	parts := strings.Split(arg, ",")
-	if len(parts) != 2 {
-		fmt.Fprintln(os.Stderr, "e3-bench: -flame-diff wants two comma-separated profile paths (a.json,b.json)")
-		return 2
-	}
-	a, err := readFlameProfile(parts[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
-	}
-	b, err := readFlameProfile(parts[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
-	}
-	d := flame.Diff(a, b)
-	fmt.Printf("flame diff: A=%s (%.3fs) vs B=%s (%.3fs); %.3fs of GPU-time moved\n",
-		parts[0], float64(d.ATotalNanos)/1e9, parts[1], float64(d.BTotalNanos)/1e9,
-		float64(d.MovedNanos)/1e9)
-	const top = 20
-	for i, e := range d.Entries {
-		if i >= top {
-			fmt.Printf("  ... %d more stacks changed\n", len(d.Entries)-top)
-			break
-		}
-		fmt.Printf("  %+12.6fs  (a %10.6fs -> b %10.6fs)  %s\n",
-			float64(e.DeltaNanos)/1e9, float64(e.ANanos)/1e9, float64(e.BNanos)/1e9,
-			strings.Join(flame.SplitStack(e.Stack), ";"))
-	}
-	if len(d.Entries) == 0 {
-		fmt.Println("  profiles are identical")
 	}
 	return 0
 }

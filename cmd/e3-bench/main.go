@@ -48,7 +48,6 @@ func main() {
 	flameFolded := flag.String("flame-folded", "", "like -flame-out but write collapsed-stack text (flamegraph.pl / speedscope input)")
 	flamePprof := flag.String("flame-pprof", "", "like -flame-out but write a gzip pprof profile.proto (`go tool pprof FILE`)")
 	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run: pipeline or serial (§5.8.7 phase-synchronized baseline)")
-	flameDiff := flag.String("flame-diff", "", "compare two -flame-out JSON profiles (\"a.json,b.json\") and print signed per-stack GPU-time deltas ranked by |time moved|")
 	fleetN := flag.Int("fleet", 0, "run the fleet demo with N replica shards (multi-tenant zoo, GPU-aware epoch routing) and print per-replica accounting")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard); any count reproduces the serial reference byte-for-byte")
 	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE")
@@ -63,10 +62,6 @@ func main() {
 			fmt.Println(id)
 		}
 		return
-	}
-
-	if *flameDiff != "" {
-		os.Exit(runFlameDiff(*flameDiff))
 	}
 
 	if *planBench != "" {

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -38,7 +39,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "e3-prof: -diff wants exactly two profile paths")
 			os.Exit(2)
 		}
-		os.Exit(runDiff(flag.Arg(0), flag.Arg(1), *top))
+		os.Exit(runDiff(os.Stdout, flag.Arg(0), flag.Arg(1), *top))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "e3-prof: want exactly one profile path (or -diff a b)")
@@ -216,7 +217,9 @@ func printTree(pr *flame.Profile) {
 	walk(root, 1)
 }
 
-func runDiff(pathA, pathB string, top int) int {
+// runDiff prints to w the signed per-stack GPU-time deltas from profile A
+// to profile B, largest |delta| first; errors go to stderr.
+func runDiff(w io.Writer, pathA, pathB string, top int) int {
 	a, err := readProfile(pathA)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-prof:", err)
@@ -228,19 +231,19 @@ func runDiff(pathA, pathB string, top int) int {
 		return 1
 	}
 	d := flame.Diff(a, b)
-	fmt.Printf("diff: A=%s (%.3fs) vs B=%s (%.3fs); %.3fs of GPU-time moved\n",
+	fmt.Fprintf(w, "diff: A=%s (%.3fs) vs B=%s (%.3fs); %.3fs of GPU-time moved\n",
 		pathA, secs(d.ATotalNanos), pathB, secs(d.BTotalNanos), secs(d.MovedNanos))
 	for i, e := range d.Entries {
 		if i >= top {
-			fmt.Printf("  ... %d more stacks changed\n", len(d.Entries)-top)
+			fmt.Fprintf(w, "  ... %d more stacks changed\n", len(d.Entries)-top)
 			break
 		}
-		fmt.Printf("  %+12.6fs  (a %10.6fs -> b %10.6fs)  %s\n",
+		fmt.Fprintf(w, "  %+12.6fs  (a %10.6fs -> b %10.6fs)  %s\n",
 			secs(e.DeltaNanos), secs(e.ANanos), secs(e.BNanos),
 			strings.Join(flame.SplitStack(e.Stack), ";"))
 	}
 	if len(d.Entries) == 0 {
-		fmt.Println("  profiles are identical")
+		fmt.Fprintln(w, "  profiles are identical")
 	}
 	return 0
 }

@@ -327,10 +327,6 @@ func (m *EEModel) RampFLOPs() float64 {
 	return 2 * (h*h + h*float64(maxInt(m.Base.Classes, 2)))
 }
 
-// HeadFLOPs is the final classifier's per-sample cost, paid by every
-// sample that reaches the end of the model (also by non-EE baselines).
-func (m *EEModel) HeadFLOPs() float64 { return m.RampFLOPs() }
-
 // MeanExitLayer estimates the average exit layer over a difficulty
 // distribution by quadrature over 1000 difficulty points.
 func (m *EEModel) MeanExitLayer(cdfSamples []float64) float64 {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"e3/internal/model"
-	"e3/internal/workload"
 )
 
 // refExit is the exit decision by its definition: a disabled-ramp map
@@ -146,8 +145,7 @@ func toggle(t *testing.T, rng *rand.Rand, m *EEModel, ref refExit) {
 
 // TestExitCacheMatchesDefinition: for every policy kind, ExitLayerFor,
 // HasRampAfter and ActiveRamps equal their map-walk definitions on a fresh
-// model and after every Disable, Enable, Clone and
-// DisableUnproductiveRamps.
+// model and after every Disable, Enable and Clone.
 func TestExitCacheMatchesDefinition(t *testing.T) {
 	models := map[string]func() *EEModel{
 		"entropy-0.3":       func() *EEModel { return NewDeeBERT(model.BERTBase(), 0.3) },
@@ -179,28 +177,6 @@ func TestExitCacheMatchesDefinition(t *testing.T) {
 			checkExitCache(t, label+" clone", c, cref)
 			checkExitCache(t, label+" original beside clone", m, ref)
 		}
-
-		// DisableUnproductiveRamps, replayed on the definition: count exits
-		// over the same draws, then disable every active ramp under the bar.
-		const n, minFrac, seed = 3000, 0.04, 5
-		dist := workload.Mix(0.6)
-		counts := map[int]int{}
-		drng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			counts[cref.exitLayer(dist.Sample(drng))]++
-		}
-		want := 0
-		for _, r := range cref.active() {
-			if float64(counts[r])/n < minFrac {
-				cref.disabled[r] = true
-				want++
-			}
-		}
-		if got := c.DisableUnproductiveRamps(dist, minFrac, n, seed); got != want {
-			t.Fatalf("%s: DisableUnproductiveRamps disabled %d, definition %d", label, got, want)
-		}
-		checkExitCache(t, label+" after DisableUnproductiveRamps", c, cref)
-		checkExitCache(t, label+" original after clone pruned", m, ref)
 	}
 }
 

@@ -117,27 +117,3 @@ func TuneEntropy(build func(threshold float64) *EEModel, acc AccuracyModel, dist
 		MeanExitLayer: bestM.MeanExitLayer(diffs),
 	}, nil
 }
-
-// DisableUnproductiveRamps applies the simple §3.4 wrapper use-case
-// outside of split planning: turn off every ramp whose exit mass on the
-// workload falls below minExitFrac, keeping the rest. It returns the
-// number of ramps disabled. The receiver is mutated.
-func (m *EEModel) DisableUnproductiveRamps(dist sampler, minExitFrac float64, n int, seed int64) int {
-	if n < 1 {
-		n = 4000
-	}
-	rng := rand.New(rand.NewSource(seed))
-	counts := make(map[int]int)
-	for i := 0; i < n; i++ {
-		counts[m.ExitLayerFor(dist.Sample(rng))]++
-	}
-	disabled := 0
-	for _, r := range m.ActiveRamps() {
-		if float64(counts[r])/float64(n) < minExitFrac {
-			if err := m.Disable(r); err == nil {
-				disabled++
-			}
-		}
-	}
-	return disabled
-}

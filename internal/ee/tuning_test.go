@@ -82,32 +82,3 @@ func TestTuneEntropyBadBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestDisableUnproductiveRamps(t *testing.T) {
-	m := NewDeeBERT(model.BERTBase(), 0.4)
-	// Inputs exiting only around layer 6: every other ramp is useless.
-	disabled := m.DisableUnproductiveRamps(workload.Constant(0.5), 0.05, 4000, 6)
-	if disabled != 10 {
-		t.Errorf("disabled %d ramps, want 10 (all but ramp 6)", disabled)
-	}
-	if !m.HasRampAfter(6) {
-		t.Error("the productive ramp was disabled")
-	}
-	// Behaviour unchanged for those inputs.
-	if got := m.ExitLayerFor(0.5); got != 6 {
-		t.Errorf("exit layer after pruning = %d, want 6", got)
-	}
-}
-
-func TestDisableUnproductiveRampsKeepsBroadWorkloads(t *testing.T) {
-	m := NewDeeBERT(model.BERTBase(), 0.4)
-	before := len(m.ActiveRamps())
-	disabled := m.DisableUnproductiveRamps(workload.Mix(0.5), 0.02, 8000, 7)
-	if remaining := len(m.ActiveRamps()); remaining != before-disabled {
-		t.Errorf("ramp accounting off: %d active after disabling %d of %d", remaining, disabled, before)
-	}
-	// A broad mix keeps most mid-model ramps.
-	if disabled > 6 {
-		t.Errorf("disabled %d ramps on a broad mix, expected few", disabled)
-	}
-}

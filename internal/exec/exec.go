@@ -58,15 +58,6 @@ func rampHeadTime(spec gpu.Spec, rampFLOPs float64, batch int) float64 {
 	return spec.LayerTime(rampFLOPs, batch) + 2*spec.LaunchOverhead
 }
 
-// rampCheckTimeFrac mirrors rampCheckTime for fractional expected batches.
-func rampCheckTimeFrac(spec gpu.Spec, rampFLOPs, active float64) float64 {
-	t := spec.LayerTimeFrac(rampFLOPs, 0, active) + 2*spec.LaunchOverhead
-	if active > 1 {
-		t += SyncBase + active*SyncPerSample
-	}
-	return t
-}
-
 // Completion records one sample finishing, Offset seconds after the
 // segment started.
 type Completion struct {
@@ -428,37 +419,6 @@ func SplitTime(m *ee.EEModel, from, to int, batch int, spec gpu.Spec) float64 {
 		t += spec.LayerTimeW(l.FLOPs, l.WeightBytes, batch)
 		if m.HasRampAfter(k) || k == L {
 			t += head
-		}
-	}
-	return t
-}
-
-// SegmentTime predicts the busy time of a segment for a *fractional*
-// expected batch profile, matching RunSegment's accounting. survival[k]
-// must give the expected batch size entering layer k (1-based); it is the
-// optimizer's P(k,c,B) aggregation (§3.2).
-func SegmentTime(m *ee.EEModel, from, to int, batchAt func(k int) float64, spec gpu.Spec) float64 {
-	L := m.Base.NumLayers()
-	if from < 1 || to > L || from > to {
-		panic(fmt.Sprintf("exec: bad segment [%d,%d] for %d-layer model", from, to, L))
-	}
-	rampFLOPs := m.RampFLOPs()
-	t := 0.0
-	for k := from; k <= to; k++ {
-		b := batchAt(k)
-		if b <= 1e-9 {
-			break
-		}
-		t += spec.LayerTimeFrac(m.Base.Layers[k-1].FLOPs, m.Base.Layers[k-1].WeightBytes, b)
-		if m.HasRampAfter(k) || k == L {
-			t += rampCheckTimeFrac(spec, rampFLOPs, b)
-			next := 0.0
-			if k+1 <= L {
-				next = batchAt(k + 1)
-			}
-			if next < b-1e-9 && next > 1e-9 && k < to {
-				t += ReformOverhead + next*ReformPerSample
-			}
 		}
 	}
 	return t

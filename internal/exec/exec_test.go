@@ -293,42 +293,6 @@ func TestSplitEmptyAndBadBounds(t *testing.T) {
 	RunSplit(m, 0, 12, mkBatch(0.5), gpu.Get(gpu.V100), 1)
 }
 
-func TestSegmentTimeMatchesRunOnUniformBatch(t *testing.T) {
-	// With a constant batch (no exits inside the segment), SegmentTime
-	// must equal RunSegment's duration exactly.
-	m := ee.NewVanilla(model.BERTBase())
-	spec := gpu.Get(gpu.P100)
-	batch := mkBatch(0.9, 0.9, 0.9, 0.9)
-	run := RunSegment(m, 1, 12, batch, spec, 1)
-	pred := SegmentTime(m, 1, 12, func(int) float64 { return 4 }, spec)
-	if math.Abs(run.Duration-pred) > 1e-12 {
-		t.Errorf("SegmentTime %v != RunSegment %v", pred, run.Duration)
-	}
-}
-
-func TestSegmentTimePredictsShrinkingBatch(t *testing.T) {
-	// SegmentTime over the expected (deterministic) profile of a batch
-	// should approximate RunSegment on that concrete batch.
-	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	spec := gpu.Get(gpu.V100)
-	diffs := []float64{0.12, 0.3, 0.5, 0.7, 0.9, 0.99, 0.2, 0.6}
-	batch := mkBatch(diffs...)
-	run := RunSegment(m, 1, 12, batch, spec, 1)
-	batchAt := func(k int) float64 {
-		n := 0
-		for _, d := range diffs {
-			if m.ExitLayerFor(d) >= k {
-				n++
-			}
-		}
-		return float64(n)
-	}
-	pred := SegmentTime(m, 1, 12, batchAt, spec)
-	if rel := math.Abs(pred-run.Duration) / run.Duration; rel > 0.05 {
-		t.Errorf("SegmentTime %v vs RunSegment %v (rel err %v)", pred, run.Duration, rel)
-	}
-}
-
 // Property: no sample is lost or duplicated across a random split of the
 // model into two segments, and completion offsets are within duration.
 func TestConservationProperty(t *testing.T) {

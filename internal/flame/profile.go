@@ -7,7 +7,6 @@ package flame
 // ';', spaces, or newlines round-trip losslessly.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -173,36 +172,6 @@ func (pr *Profile) Folded() []byte {
 		}
 	}
 	return []byte(b.String())
-}
-
-// ParseFolded inverts Folded (weights on duplicate stacks accumulate).
-// Lines that are empty or lack a weight field are rejected.
-func ParseFolded(r io.Reader) (*Profile, error) {
-	pr := &Profile{Schema: ProfileSchema, Stacks: map[string]int64{}}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		txt := sc.Text()
-		if txt == "" {
-			continue
-		}
-		i := strings.LastIndexByte(txt, ' ')
-		if i <= 0 {
-			return nil, fmt.Errorf("folded line %d: no weight field", line)
-		}
-		w, err := strconv.ParseInt(txt[i+1:], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("folded line %d: weight: %w", line, err)
-		}
-		pr.Stacks[txt[:i]] += w
-		pr.TotalNanos += w
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return pr, nil
 }
 
 // WriteJSON writes the deterministic JSON encoding: encoding/json emits

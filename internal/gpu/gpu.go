@@ -110,16 +110,6 @@ func (s Spec) LayerTimeW(flopsPerSample, weightBytes float64, batch int) float64
 	return s.LaunchOverhead + weightBytes/(s.MemBWGBps*1e9) + flopsPerSample*eff/(s.PeakTFLOPS*1e12)
 }
 
-// LayerTimeFrac is LayerTimeW for a fractional expected batch, used by the
-// optimizer when consuming predicted (non-integer) batch profiles.
-func (s Spec) LayerTimeFrac(flopsPerSample, weightBytes, batch float64) float64 {
-	if batch <= 0 || flopsPerSample <= 0 {
-		return 0
-	}
-	eff := math.Sqrt(batch*batch + s.SatBatch*s.SatBatch)
-	return s.LaunchOverhead + weightBytes/(s.MemBWGBps*1e9) + flopsPerSample*eff/(s.PeakTFLOPS*1e12)
-}
-
 // Utilization reports the fraction of peak FLOPS achieved at a batch size:
 // B/sqrt(B²+Bsat²). It is what Figure 3's "GPU Util" axis measures.
 func (s Spec) Utilization(batch int) float64 {
@@ -136,19 +126,4 @@ func (s Spec) UtilizationFrac(batch float64) float64 {
 		return 0
 	}
 	return batch / math.Sqrt(batch*batch+s.SatBatch*s.SatBatch)
-}
-
-// MaxBatch estimates the largest batch that fits in device memory for a
-// model with the given per-sample working set (bytes), leaving 20%
-// headroom for weights and workspace.
-func (s Spec) MaxBatch(bytesPerSample float64) int {
-	if bytesPerSample <= 0 {
-		return 1 << 20
-	}
-	usable := s.MemGB * 1e9 * 0.8
-	n := int(usable / bytesPerSample)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -105,15 +105,6 @@ func TestUtilizationBounds(t *testing.T) {
 	}
 }
 
-func TestLayerTimeFracMatchesInt(t *testing.T) {
-	s := Get(P100)
-	for b := 1; b <= 32; b++ {
-		if got, want := s.LayerTimeFrac(2e9, 3e7, float64(b)), s.LayerTimeW(2e9, 3e7, b); math.Abs(got-want) > 1e-15 {
-			t.Errorf("frac/int mismatch at batch %d: %v vs %v", b, got, want)
-		}
-	}
-}
-
 func TestWeightBandwidthTerm(t *testing.T) {
 	s := Get(A6000)
 	// Weight reads add a constant per batch: 768 MB at 768 GB/s = 1 ms.
@@ -126,19 +117,6 @@ func TestWeightBandwidthTerm(t *testing.T) {
 	d8 := s.LayerTimeW(1e9, 768e6, 8) - s.LayerTime(1e9, 8)
 	if math.Abs(d8-1e-3) > 1e-9 {
 		t.Errorf("weight term at batch 8 = %v, want 1ms", d8)
-	}
-}
-
-func TestMaxBatch(t *testing.T) {
-	s := Get(K80) // 12 GB
-	if got := s.MaxBatch(1e9); got != 9 {
-		t.Errorf("MaxBatch(1GB/sample) on K80 = %d, want 9", got)
-	}
-	if got := s.MaxBatch(1e12); got != 1 {
-		t.Errorf("MaxBatch(huge) = %d, want clamped to 1", got)
-	}
-	if got := s.MaxBatch(0); got < 1<<19 {
-		t.Errorf("MaxBatch(0) = %d, want effectively unbounded", got)
 	}
 }
 

@@ -146,26 +146,3 @@ func GoodputStatic(m *ee.EEModel, lengths LengthDist, dist workload.Dist, batch,
 	}
 	return float64(totalReqs) / totalTime * float64(nGPU)
 }
-
-// StreamBatchTime returns the time one E3 split chain spends advancing one
-// token-iteration for a full batch: splits run graph-mode back to back.
-// Used to sanity-check plans; the real E3 numbers come from the pipeline
-// simulation over the token stream.
-func StreamBatchTime(m *ee.EEModel, bounds []int, batch []workload.Sample, spec gpu.Spec) float64 {
-	total := 0.0
-	from := 1
-	cur := batch
-	all := make([]int, 0, len(bounds)+1)
-	all = append(all, bounds...)
-	all = append(all, m.Base.NumLayers())
-	for _, b := range all {
-		res := exec.RunSplit(m, from, b, cur, spec, 1)
-		total += res.Duration
-		cur = res.Survivors
-		from = b + 1
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return total
-}

@@ -116,25 +116,6 @@ func TestGoodputScalesWithGPUs(t *testing.T) {
 	}
 }
 
-func TestStreamBatchTimeDrainsBounds(t *testing.T) {
-	calm := ee.NewCALM(model.T5Decoder(25), 0.25)
-	spec := gpu.Get(gpu.A6000)
-	batch := make([]workload.Sample, 8)
-	for i := range batch {
-		batch[i] = workload.Sample{ID: int64(i), Difficulty: 0.1} // all exit by layer 2... actually at first ramp ≥ 0.8
-	}
-	withSplit := StreamBatchTime(calm, []int{2}, batch, spec)
-	noSplit := StreamBatchTime(calm, nil, batch, spec)
-	if withSplit <= 0 || noSplit <= 0 {
-		t.Fatal("non-positive stream times")
-	}
-	// All tokens exit at the layer-2 boundary: the split chain stops
-	// there, so it must be cheaper than the single 8-layer split.
-	if withSplit >= noSplit {
-		t.Errorf("split stream %v not cheaper than unsplit %v for easy tokens", withSplit, noSplit)
-	}
-}
-
 func TestEmptyBatch(t *testing.T) {
 	m := ee.NewVanilla(model.T5Decoder(18))
 	if StaticBatchTime(m, nil, gpu.Get(gpu.A6000)) != 0 {

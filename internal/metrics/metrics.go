@@ -190,15 +190,6 @@ func (g *GoodputMeter) Goodput() float64 {
 	return float64(g.Served) / d
 }
 
-// DropRate reports the fraction of offered samples that were dropped.
-func (g *GoodputMeter) DropRate() float64 {
-	total := g.Served + g.Dropped
-	if total == 0 {
-		return 0
-	}
-	return float64(g.Dropped) / float64(total)
-}
-
 // busySpan is one contiguous busy interval of a resource in virtual time.
 type busySpan struct {
 	start, end float64
@@ -311,24 +302,6 @@ func (u *UtilizationTracker) BusySpans(name string) [][2]float64 {
 	out := make([][2]float64, len(spans))
 	for i, s := range spans {
 		out[i] = [2]float64{s.start, s.end}
-	}
-	return out
-}
-
-// PerResource returns each resource's busy fraction over [start, end].
-func (u *UtilizationTracker) PerResource(end float64) map[string]float64 {
-	horizon := end - u.since
-	out := make(map[string]float64, len(u.names))
-	for i, name := range u.names {
-		if horizon <= 0 {
-			out[name] = 0
-			continue
-		}
-		frac := u.busyWithin(u.busy[i], end) / horizon
-		if frac > 1 {
-			frac = 1
-		}
-		out[name] = frac
 	}
 	return out
 }

@@ -78,19 +78,6 @@ func (m *Model) TotalFLOPs() float64 {
 	return sum
 }
 
-// PrefixFLOPs is the per-sample compute of layers [0, k) — i.e. the cost
-// paid by a sample that exits after layer k-1.
-func (m *Model) PrefixFLOPs(k int) float64 {
-	if k > len(m.Layers) {
-		k = len(m.Layers)
-	}
-	sum := 0.0
-	for _, l := range m.Layers[:k] {
-		sum += l.FLOPs
-	}
-	return sum
-}
-
 // Validate checks structural invariants; zoo constructors are covered by
 // tests, user-assembled models should call it.
 func (m *Model) Validate() error {

@@ -72,19 +72,6 @@ func TestLlamaVocabDominatesRampCost(t *testing.T) {
 	}
 }
 
-func TestPrefixFLOPs(t *testing.T) {
-	m := BERTBase()
-	if got := m.PrefixFLOPs(0); got != 0 {
-		t.Errorf("PrefixFLOPs(0) = %v, want 0", got)
-	}
-	if got, want := m.PrefixFLOPs(6), m.TotalFLOPs()/2; math.Abs(got-want) > 1e-6*want {
-		t.Errorf("PrefixFLOPs(6) = %v, want %v", got, want)
-	}
-	if got := m.PrefixFLOPs(99); got != m.TotalFLOPs() {
-		t.Errorf("PrefixFLOPs(overshoot) = %v, want total", got)
-	}
-}
-
 func TestValidateCatchesBadModels(t *testing.T) {
 	cases := []struct {
 		name string

@@ -43,8 +43,7 @@ type cacheEntry struct {
 //
 // The cache is FIFO-bounded and deliberately lock-free: replan's control
 // loop runs on the single-threaded sim clock, so there is nothing to
-// synchronize. A nil *PlanCache is valid and never hits or stores, so
-// callers can thread an optional cache without guards.
+// synchronize.
 type PlanCache struct {
 	tol     float64
 	cap     int
@@ -55,14 +54,8 @@ type PlanCache struct {
 }
 
 // NewPlanCache builds a cache holding up to capacity plans with the given
-// per-layer profile tolerance. Non-positive arguments take the defaults.
+// per-layer profile tolerance.
 func NewPlanCache(capacity int, tolerance float64) *PlanCache {
-	if capacity <= 0 {
-		capacity = DefaultPlanCacheSize
-	}
-	if tolerance <= 0 {
-		tolerance = DefaultPlanCacheTolerance
-	}
 	return &PlanCache{tol: tolerance, cap: capacity}
 }
 
@@ -115,12 +108,8 @@ func withinTol(a, b []float64, tol float64) bool {
 	return true
 }
 
-// Lookup finds a cached plan for cfg's planning problem. Nil-safe: a nil
-// cache always misses without counting.
+// Lookup finds a cached plan for cfg's planning problem.
 func (c *PlanCache) Lookup(cfg optimizer.Config) (optimizer.Plan, bool) {
-	if c == nil {
-		return optimizer.Plan{}, false
-	}
 	ck := configKey(cfg)
 	prof := profileOf(cfg)
 	for i := range c.entries {
@@ -134,11 +123,8 @@ func (c *PlanCache) Lookup(cfg optimizer.Config) (optimizer.Plan, bool) {
 }
 
 // Store memoizes a freshly searched plan, evicting the oldest entry at
-// capacity. Nil-safe.
+// capacity.
 func (c *PlanCache) Store(cfg optimizer.Config, p optimizer.Plan) {
-	if c == nil {
-		return
-	}
 	for len(c.entries) >= c.cap {
 		c.entries = c.entries[1:]
 	}
@@ -149,8 +135,5 @@ func (c *PlanCache) Store(cfg optimizer.Config, p optimizer.Plan) {
 
 // Len reports the number of cached plans.
 func (c *PlanCache) Len() int {
-	if c == nil {
-		return 0
-	}
 	return len(c.entries)
 }

@@ -108,19 +108,9 @@ type Config struct {
 	// burn-rate breaches, audit violations, and engine aborts.
 	Recorder *slo.Recorder
 
-	// PlanCacheSize bounds the cross-window plan cache. Zero takes
-	// DefaultPlanCacheSize; negative disables caching entirely.
-	PlanCacheSize int
-	// PlanCacheTolerance is the per-layer survival deviation under which
-	// two forecasts count as the same cached problem (zero takes
-	// DefaultPlanCacheTolerance).
-	PlanCacheTolerance float64
-
-	// MaxSplits, MaxBoundaryCands and PlannerWorkers forward to the
-	// planner; zero values take the planner's defaults.
-	MaxSplits        int
-	MaxBoundaryCands int
-	PlannerWorkers   int
+	// PlannerWorkers forwards to optimizer.Config.Workers; zero takes the
+	// planner's default.
+	PlannerWorkers int
 }
 
 // WindowStat is one window's outcome.
@@ -270,17 +260,13 @@ func Run(cfg Config) (*Result, error) {
 		return optimizer.Config{
 			Model: cfg.Model, Profile: pred, Batch: cfg.Batch, Cluster: clus,
 			SLO: cfg.SLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
-			MaxSplits: cfg.MaxSplits, MaxBoundaryCands: cfg.MaxBoundaryCands,
 			Workers:    cfg.PlannerWorkers,
 			Pipelining: true, ModelParallel: true,
 			Trace: tr,
 		}
 	}
 	costs := optimizer.NewCostTableFor(planConfig(profile.Batch{}, cfg.Cluster, nil))
-	var cache *PlanCache
-	if cfg.PlanCacheSize >= 0 {
-		cache = NewPlanCache(cfg.PlanCacheSize, cfg.PlanCacheTolerance)
-	}
+	cache := NewPlanCache(DefaultPlanCacheSize, DefaultPlanCacheTolerance)
 
 	for w := 0; w < cfg.Windows; w++ {
 		start := eng.Now()
@@ -444,9 +430,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Report = rep
 	res.FinalPlan = plan
 	res.MeanForecastMAE = est.Stats.MAE()
-	if cache != nil {
-		res.PlanCacheHits, res.PlanCacheMisses = cache.Hits, cache.Misses
-	}
+	res.PlanCacheHits, res.PlanCacheMisses = cache.Hits, cache.Misses
 	return res, nil
 }
 

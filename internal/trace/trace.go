@@ -176,34 +176,6 @@ func Bursty(cfg BurstyConfig, horizon float64, seed int64) Arrivals {
 	return thinned
 }
 
-// Diurnal generates a sinusoidally-modulated Poisson process around the
-// average rate with the given period (the hours-scale variability the
-// paper's production workload exhibits, §4). depth in [0,1) scales the
-// swing: rate(t) = avg · (1 + depth·sin(2πt/period)).
-func Diurnal(avgRate, period, depth, horizon float64, seed int64) Arrivals {
-	if depth < 0 {
-		depth = 0
-	}
-	if depth > 0.95 {
-		depth = 0.95
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var out Arrivals
-	t := 0.0
-	// Thinning against the peak rate.
-	peak := avgRate * (1 + depth)
-	for {
-		t += rng.ExpFloat64() / peak
-		if t > horizon {
-			return out
-		}
-		rate := avgRate * (1 + depth*math.Sin(2*math.Pi*t/period))
-		if rng.Float64() < rate/peak {
-			out = append(out, t)
-		}
-	}
-}
-
 // Burstiness reports the squared coefficient of variation of interarrival
 // times (1 for Poisson, ≫1 for bursty traces).
 func (a Arrivals) Burstiness() float64 {

@@ -92,43 +92,3 @@ func TestRateEmptyAndZeroHorizon(t *testing.T) {
 		t.Error("empty burstiness not 0")
 	}
 }
-
-func TestDiurnalRateAndModulation(t *testing.T) {
-	const (
-		avg     = 1000.0
-		period  = 100.0
-		horizon = 400.0
-	)
-	a := Diurnal(avg, period, 0.5, horizon, 9)
-	if got := a.Rate(horizon); math.Abs(got-avg)/avg > 0.05 {
-		t.Errorf("diurnal avg rate = %v, want ~%v", got, avg)
-	}
-	// Quarter-period windows around the sine peak vs trough must differ.
-	count := func(lo, hi float64) int {
-		n := 0
-		for _, at := range a {
-			// Fold into one period.
-			ph := math.Mod(at, period)
-			if ph >= lo && ph < hi {
-				n++
-			}
-		}
-		return n
-	}
-	peak := count(15, 35)   // around period/4 (sin ≈ 1)
-	trough := count(65, 85) // around 3·period/4 (sin ≈ -1)
-	if float64(peak) < 1.8*float64(trough) {
-		t.Errorf("diurnal modulation weak: peak window %d vs trough %d", peak, trough)
-	}
-}
-
-func TestDiurnalDepthClamp(t *testing.T) {
-	a := Diurnal(100, 50, 2.0, 100, 10) // depth clamps to 0.95
-	if len(a) == 0 {
-		t.Fatal("no arrivals")
-	}
-	b := Diurnal(100, 50, -1, 100, 10) // clamps to 0 (plain Poisson)
-	if bb := b.Burstiness(); bb < 0.7 || bb > 1.3 {
-		t.Errorf("depth-0 diurnal burstiness = %v, want ~1 (Poisson)", bb)
-	}
-}
