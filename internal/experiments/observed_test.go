@@ -57,6 +57,22 @@ func observedLine(t *testing.T, name, ledgerDigest string, served, violations, d
 		sha(chrome.Bytes()), sha(dump), sha(prof.Folded()), sha(profJSON.Bytes()))
 }
 
+// flameWindowsHash hashes every per-window flame snapshot, folded and
+// JSON, in window order, so the profile at each window boundary is pinned
+// and not only the end-of-run one.
+func flameWindowsHash(t *testing.T, windows []*flame.Profile) string {
+	t.Helper()
+	var all bytes.Buffer
+	for w, prof := range windows {
+		fmt.Fprintf(&all, "window %d\n", w)
+		all.Write(prof.Folded())
+		if err := prof.WriteJSON(&all); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fmt.Sprintf("%d:%s", len(windows), sha(all.Bytes()))
+}
+
 // observedDemo runs the 2 s demo on one runner with the given views.
 func observedDemo(t *testing.T, runner string, obs scheduler.Observers) *scheduler.Collector {
 	t.Helper()
@@ -124,7 +140,8 @@ func TestObservedGolden(t *testing.T) {
 	s, vi, d := tally(bare)
 	plain := observedLine(t, "replan-4w", bareLedger.Digest(), s, vi, d, scheduler.Observers{})
 	s, vi, d = tally(res)
-	full := observedLine(t, "replan-4w", ledger.Digest(), s, vi, d, views)
+	full := observedLine(t, "replan-4w", ledger.Digest(), s, vi, d, views) +
+		" flame_windows=" + flameWindowsHash(t, res.FlameWindows)
 	if !strings.HasPrefix(full, plain+" ") {
 		t.Errorf("attaching observers changed the replan run:\n bare: %s\n full: %s", plain, full)
 	}
