@@ -36,9 +36,12 @@ test:
 
 # The batcher, runners, and collector share ledger state on the event
 # loop; -race keeps the single-goroutine discipline honest at runtime
-# where the eventloop analyzer can only check structure. workload's
-# mint-ahead feed is the one producer goroutine a single-cluster run
-# starts beside its loop; metrics holds the collector's latency store.
+# where the eventloop analyzer can only check structure. A single-cluster
+# run starts two goroutines beside its loop: workload's mint-ahead feed
+# producer, and scheduler's stream consumer (Collector.Stream), which
+# owns the ledger and the views while replan.Run and
+# serving.AuditedOpenLoop stream their boundaries to it. metrics holds
+# the collector's latency store.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
 

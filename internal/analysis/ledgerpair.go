@@ -17,10 +17,13 @@ import (
 // Concretely: within scheduler and serving, any function body that
 // performs terminal accounting — calling metrics.GoodputMeter.ServeOK or
 // .Drop, or mutating the Collector's Dropped/Violations counters — must
-// also call audit.Ledger.Completed or .Dropped in that same body, or the
-// function must carry //e3:noledger <reason> (the reason is mandatory:
-// the directive is an auditable claim that the accounting is not
-// per-sample).
+// also record the ledger event in that same body: by calling
+// audit.Ledger.Completed or .Dropped, or by calling a function of the
+// same package whose own body calls one of them (the Collector's
+// fan-out, which records every view's half of a boundary, ledger
+// included). Otherwise the function must carry //e3:noledger <reason>
+// (the reason is mandatory: the directive is an auditable claim that
+// the accounting is not per-sample).
 var LedgerPair = &Analyzer{
 	Name: "ledgerpair",
 	Doc: "terminal accounting (goodput meter hits, drop/violation counters) " +
@@ -39,18 +42,60 @@ const (
 )
 
 func runLedgerPair(pass *Pass) {
+	var fns []*ast.FuncDecl
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				fns = append(fns, fn)
 			}
-			checkLedgerPairing(pass, fn)
 		}
+	}
+	// recorders are the package's functions whose own body records a
+	// ledger terminal event; calling one pairs the caller's accounting.
+	recorders := make(map[types.Object]bool)
+	for _, fn := range fns {
+		if recordsTerminal(pass, fn.Body) {
+			recorders[pass.Info.Defs[fn.Name]] = true
+		}
+	}
+	for _, fn := range fns {
+		checkLedgerPairing(pass, fn, recorders)
 	}
 }
 
-func checkLedgerPairing(pass *Pass, fn *ast.FuncDecl) {
+// isLedgerTerminal reports whether call is audit.Ledger.Completed or
+// .Dropped.
+func isLedgerTerminal(pass *Pass, call *ast.CallExpr) bool {
+	pkgPath, recv, method, ok := pass.MethodCall(call)
+	return ok && pkgPath == auditPkg && recv == "Ledger" && (method == "Completed" || method == "Dropped")
+}
+
+// recordsTerminal reports whether body calls a ledger terminal event
+// directly.
+func recordsTerminal(pass *Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isLedgerTerminal(pass, call) {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// calleeObj resolves a call's static callee (a function or a method named
+// by a selector), or nil.
+func calleeObj(pass *Pass, call *ast.CallExpr) types.Object {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return pass.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		return pass.Info.Uses[fun.Sel]
+	}
+	return nil
+}
+
+func checkLedgerPairing(pass *Pass, fn *ast.FuncDecl, recorders map[types.Object]bool) {
 	var firstTerminal ast.Node
 	var terminalDesc string
 	hasLedger := false
@@ -58,12 +103,12 @@ func checkLedgerPairing(pass *Pass, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
+			if isLedgerTerminal(pass, n) || recorders[calleeObj(pass, n)] {
+				hasLedger = true
+			}
 			pkgPath, recv, method, ok := pass.MethodCall(n)
 			if !ok {
 				return true
-			}
-			if pkgPath == auditPkg && recv == "Ledger" && (method == "Completed" || method == "Dropped") {
-				hasLedger = true
 			}
 			if pkgPath == metricsPkg && recv == "GoodputMeter" && (method == "ServeOK" || method == "Drop") {
 				if firstTerminal == nil {

@@ -60,3 +60,26 @@ func (c *Collector) okExemptWindow() {
 func (c *Collector) badExemptNoReason() { // want `//e3:noledger needs a reason`
 	c.Violations++
 }
+
+// fanout records a view's half of a terminal boundary, ledger included.
+type fanout Collector
+
+func (f *fanout) completed(s sample, at float64) {
+	f.Audit.Completed(s.ID, at, 3)
+}
+
+// tally only counts; it records no ledger event.
+func (c *Collector) tally(s sample, at float64) {}
+
+// goodViaFanout pairs its accounting through a same-package function
+// that records the ledger event.
+func (c *Collector) goodViaFanout(s sample, at float64) {
+	c.Good.ServeOK(1, at)
+	(*fanout)(c).completed(s, at)
+}
+
+// badViaHelper calls a same-package helper that records no ledger event.
+func (c *Collector) badViaHelper(s sample, at float64) {
+	c.Good.ServeOK(1, at) // want `GoodputMeter\.ServeOK records a terminal outcome`
+	c.tally(s, at)
+}

@@ -182,7 +182,9 @@ type Result struct {
 	// FlameWindows holds one cumulative profile snapshot per window (only
 	// when a profiler was attached): FlameWindows[w] covers the run through
 	// window w's end, so window w's own compute is the Diff of snapshots
-	// w−1 and w. FlameStat is the end-of-run exact-reconcile outcome.
+	// w−1 and w. The snapshots are taken on the collector's stream
+	// consumer, so they are complete only once Run returns. FlameStat is
+	// the end-of-run exact-reconcile outcome.
 	FlameWindows []*flame.Profile
 	FlameStat    flame.ReconcileStat
 }
@@ -208,10 +210,14 @@ func Run(cfg Config) (*Result, error) {
 	coll := scheduler.NewCollector(layers, cfg.SLO, 0)
 	coll.Audit = audit.NewLedger()
 	coll.Observers = cfg.Observers
+	// The ledger and the views run on the collector's stream consumer, a
+	// second goroutine; arrivals join the same ordered stream. Every
+	// return path joins the consumer.
+	coll.Stream()
+	defer coll.Stop()
 	mix0, _ := cfg.Workload(0)
 	gen := workload.NewGenerator(mix0, cfg.Seed)
-	gen.SetAudit(coll.Audit)
-	gen.SetTrace(cfg.Tracer)
+	gen.SetSink(coll)
 	// One batch pool for the whole run: it belongs to this event loop, and
 	// every window's pipeline and batcher recycle batch slices through it.
 	pool := workload.NewBatchPool()
@@ -233,9 +239,12 @@ func Run(cfg Config) (*Result, error) {
 		rec.Attr = cfg.Attr
 	}
 	// abort triggers the recorder on an engine failure before bubbling the
-	// error: the bundle is the black box the failed run leaves behind.
+	// error: the bundle is the black box the failed run leaves behind. It
+	// joins the stream's consumer first, so the bundle sees every boundary
+	// recorded before the failure.
 	abort := func(w int, err error) error {
 		wrapped := fmt.Errorf("replan: window %d: %w", w, err)
+		coll.Stop()
 		cfg.Recorder.Trigger(slo.TriggerEngineAbort, wrapped.Error(), eng.Now())
 		return wrapped
 	}
@@ -320,8 +329,8 @@ func Run(cfg Config) (*Result, error) {
 				if d.Changed {
 					res.PlanChanges++
 				}
-				cfg.Tracer.Replan(w, start)
-				cfg.Tracer.PlanCacheHit(w, start)
+				coll.Replan(w, start)
+				coll.PlanCacheHit(w, start)
 				plan, planProfile, havePlan = cached, pred, true
 			} else if next, err := optimizer.MaximizeGoodput(ocfg); err != nil {
 				if !havePlan {
@@ -341,7 +350,7 @@ func Run(cfg Config) (*Result, error) {
 				if d.Changed {
 					res.PlanChanges++
 				}
-				cfg.Tracer.Replan(w, start)
+				coll.Replan(w, start)
 				plan, planProfile, havePlan = next, pred, true
 				res.Provenance = tr
 				cache.Store(ocfg, next)
@@ -394,7 +403,11 @@ func Run(cfg Config) (*Result, error) {
 		// control-plane instant and a flight-recorder trigger.
 		wb := budget.ObserveWindow(w, served, violations, dropped, cfg.WindowDur)
 		if wb.Breached {
-			cfg.Tracer.SLOBurn(w, eng.Now())
+			coll.SLOBurn(w, eng.Now())
+			if cfg.Recorder != nil {
+				// The bundle reads the views: let the consumer catch up.
+				coll.Sync()
+			}
 			cfg.Recorder.Trigger(slo.TriggerSLOBurn,
 				fmt.Sprintf("window %d burn rate %.2f >= %.2f", w, wb.BurnRate, budget.BurnThreshold()),
 				eng.Now())
@@ -413,17 +426,15 @@ func Run(cfg Config) (*Result, error) {
 			PlanCacheHit:  cacheHit,
 			Budget:        wb,
 		})
-		if cfg.Flame != nil {
-			// Snapshot the cumulative profile at the window boundary; the
-			// fold is pure, so this is cheap and does not disturb the
-			// accumulator.
-			res.FlameWindows = append(res.FlameWindows, cfg.Flame.Profile())
-		}
+		// Snapshot the cumulative flame profile at the window boundary (a
+		// record the consumer applies in order, not a wait); the fold is
+		// pure, so this does not disturb the accumulator.
+		coll.SnapshotFlame()
 		coll.ResetWindow()
 	}
 
 	rep, flameStat := coll.Close(eng.Now())
-	res.FlameStat = flameStat
+	res.FlameWindows, res.FlameStat = coll.FlameWindows(), flameStat
 	if !rep.OK() {
 		cfg.Recorder.Trigger(slo.TriggerAuditViolation, rep.Violations[0], eng.Now())
 	}

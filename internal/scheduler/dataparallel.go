@@ -85,7 +85,7 @@ func (d *DataParallel) runNext(inst *instance) {
 	dev := &d.clus.Devices[inst.device]
 	L := d.model.Base.NumLayers()
 	res := exec.RunSegment(d.model, 1, L, batch, dev.Spec(), dev.Slowdown)
-	d.coll.Executed(dev, inst.device, d.model.Name, 0, 1, L, batch, d.eng.Now(), &res)
+	d.coll.Executed(inst.device, d.model.Name, 0, 1, L, batch, d.eng.Now(), &res)
 	if d.ewmaBatch == 0 {
 		d.ewmaBatch = res.Duration
 	} else {

@@ -264,7 +264,7 @@ func (p *Pipeline) runNext(si int, inst *instance) {
 		res.Survivors = p.pool.Get(len(batch))[:0]
 	}
 	st.table.RunInto(batch, dev.Slowdown, res)
-	p.coll.Executed(dev, inst.device, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
+	p.coll.Executed(inst.device, p.model.Name, si, st.split.From, st.split.To, batch, now, res)
 
 	// Straggler detection (§3.3): compare against the planned time for
 	// this exact batch size — partial batches have high fixed costs, so

@@ -116,7 +116,7 @@ func (s *Serial) runRound(round [][]workload.Sample) {
 			if d := res.Duration + res.HandoffDelay; d > phaseDur {
 				phaseDur = d
 			}
-			s.coll.Executed(&s.clus.Devices[i%g], i%g, s.model.Name, si, sp.From, sp.To, pool[lo:hi], now+elapsed, &res)
+			s.coll.Executed(i%g, s.model.Name, si, sp.From, sp.To, pool[lo:hi], now+elapsed, &res)
 			// Every completion of this batch lands at the end of the phase;
 			// one event finishes them all in slice order, matching the
 			// per-sample events this replaces.

@@ -17,9 +17,11 @@ import (
 // own reconcile (tracer counts against the ledger, attribution sums,
 // flame busy/idle against the utilization ledger) folds into the same
 // report. The runner is built by mk against the engine and a
-// ledger-carrying collector. It returns the verified report, the flame
-// reconcile outcome (zero with no profiler), and the collector for
-// further inspection.
+// ledger-carrying collector. The ledger and the views run on the
+// collector's stream consumer (scheduler.Collector.Stream) and are joined
+// before it returns. It returns the verified report, the flame reconcile
+// outcome (zero with no profiler), and the collector for further
+// inspection.
 func AuditedOpenLoop(mk func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error),
 	layers int, arr trace.Arrivals, dist workload.Dist, estService, slo float64, batch int, seed int64,
 	obs scheduler.Observers) (*audit.Report, flame.ReconcileStat, *scheduler.Collector, error) {
@@ -27,18 +29,22 @@ func AuditedOpenLoop(mk func(eng *sim.Engine, coll *scheduler.Collector) (schedu
 	coll := scheduler.NewCollector(layers, slo, 0)
 	coll.Audit = audit.NewLedger()
 	coll.Observers = obs
+	// The ledger and the views run on the collector's stream consumer;
+	// Close joins it, and so does Stop on every early return.
+	coll.Stream()
 	r, err := mk(eng, coll)
 	if err != nil {
+		coll.Stop()
 		return nil, flame.ReconcileStat{}, nil, err
 	}
 	gen := workload.NewGenerator(dist, seed)
-	gen.SetAudit(coll.Audit)
-	gen.SetTrace(obs.Tracer)
+	gen.SetSink(coll)
 	b := NewBatcher(eng, r, batch, estService, 0.2)
 	c, err := RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, slo)
 	if err != nil {
 		// A truncated run cannot be audited — conservation is trivially
 		// violated when in-flight samples were abandoned mid-event-loop.
+		coll.Stop()
 		return nil, flame.ReconcileStat{}, c, err
 	}
 	rep, stat := c.Close(eng.Now())
