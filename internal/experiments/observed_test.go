@@ -19,7 +19,7 @@ import (
 	"e3/internal/telemetry"
 )
 
-var updateObserved = flag.Bool("update", false, "rewrite testdata/observed.golden")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/observed.golden and testdata/tables.golden")
 
 const observedGoldenPath = "testdata/observed.golden"
 
@@ -148,7 +148,7 @@ func TestObservedGolden(t *testing.T) {
 	lines = append(lines, full)
 
 	got := strings.Join(lines, "\n") + "\n"
-	if *updateObserved {
+	if *updateGolden {
 		if err := os.WriteFile(observedGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
