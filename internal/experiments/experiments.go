@@ -136,31 +136,54 @@ const (
 	upperRate = 60000
 )
 
-// sysKind names the three compared systems.
-type sysKind int
+// system is one of the compared serving systems, named as RunDemo names
+// its runners: "pipeline" (E3's split pipeline under plan),
+// "dataparallel" (the vanilla and naive-EE baselines' eager runner on
+// every device; plan unused) or "serial" (the §5.8.7 phase-synchronized
+// ablation under plan).
+type system struct {
+	kind  string
+	model *ee.EEModel
+	plan  optimizer.Plan
+}
 
-const (
-	sysVanilla sysKind = iota
-	sysNaiveEE
-	sysE3
-)
-
-// measureBaseline returns the sustained goodput of a data-parallel
-// baseline (vanilla or naive EE) on the given cluster.
-func measureBaseline(mk func() *cluster.Cluster, m *ee.EEModel, dist workload.Dist, batch int, slo float64, seed int64) float64 {
-	build := func() (*sim.Engine, scheduler.Runner) {
-		clus := mk()
-		eng := sim.NewEngine()
-		coll := scheduler.NewCollector(m.Base.NumLayers(), slo, 0)
+// build constructs the system's runner on the given engine, cluster and
+// collector.
+func (s system) build(eng *sim.Engine, clus *cluster.Cluster, coll *scheduler.Collector) (scheduler.Runner, error) {
+	switch s.kind {
+	case "pipeline":
+		return scheduler.NewPipeline(eng, clus, s.model, s.plan, coll)
+	case "dataparallel":
 		devs := make([]int, clus.Size())
 		for i := range devs {
 			devs[i] = i
 		}
-		d, err := scheduler.NewDataParallel(eng, clus, m, devs, coll)
+		return scheduler.NewDataParallel(eng, clus, s.model, devs, coll)
+	case "serial":
+		return scheduler.NewSerial(eng, clus, s.model, s.plan, coll), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown runner %q (want pipeline, dataparallel or serial)", s.kind)
+}
+
+// est is the batcher's service-time estimate for the system: the plan's
+// latency, or a fixed 30 ms for the data-parallel runner, which has none.
+func (s system) est() float64 {
+	if s.kind == "dataparallel" {
+		return 0.030
+	}
+	return s.plan.Latency
+}
+
+// maxGoodput returns the system's sustained goodput on fresh clusters
+// from mk (serving.MaxGoodput's closed-loop probe).
+func (s system) maxGoodput(mk func() *cluster.Cluster, dist workload.Dist, batch int, slo float64, seed int64) float64 {
+	build := func() (*sim.Engine, scheduler.Runner) {
+		eng := sim.NewEngine()
+		r, err := s.build(eng, mk(), scheduler.NewCollector(s.model.Base.NumLayers(), slo, 0))
 		if err != nil {
 			panic(err)
 		}
-		return eng, d
+		return eng, r
 	}
 	gen := func() *workload.Generator { return workload.NewGenerator(dist, seed) }
 	return serving.MaxGoodput(build, gen, batch, slo, probeHorizon, upperRate, probeTol)
@@ -180,34 +203,6 @@ func planE3(clus *cluster.Cluster, m *ee.EEModel, dist workload.Dist, batch int,
 	return optimizer.MaximizeGoodput(cfg)
 }
 
-// measureE3 returns E3's sustained goodput for a plan.
-func measureE3(mk func() *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, dist workload.Dist, batch int, slo float64, seed int64) float64 {
-	build := func() (*sim.Engine, scheduler.Runner) {
-		clus := mk()
-		eng := sim.NewEngine()
-		coll := scheduler.NewCollector(m.Base.NumLayers(), slo, 0)
-		p, err := scheduler.NewPipeline(eng, clus, m, plan, coll)
-		if err != nil {
-			panic(err)
-		}
-		return eng, p
-	}
-	gen := func() *workload.Generator { return workload.NewGenerator(dist, seed) }
-	return serving.MaxGoodput(build, gen, batch, slo, probeHorizon, upperRate, probeTol)
-}
-
-// measureE3Serial measures the §5.8.7 ablation (model parallelism off).
-func measureE3Serial(mk func() *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, dist workload.Dist, batch int, slo float64, seed int64) float64 {
-	build := func() (*sim.Engine, scheduler.Runner) {
-		clus := mk()
-		eng := sim.NewEngine()
-		coll := scheduler.NewCollector(m.Base.NumLayers(), slo, 0)
-		return eng, scheduler.NewSerial(eng, clus, m, plan, coll)
-	}
-	gen := func() *workload.Generator { return workload.NewGenerator(dist, seed) }
-	return serving.MaxGoodput(build, gen, batch, slo, probeHorizon, upperRate, probeTol)
-}
-
 // e3Goodput plans and measures in one step, returning 0 when no feasible
 // plan exists (e.g. the batch violates the SLO).
 func e3Goodput(mk func() *cluster.Cluster, m *ee.EEModel, dist workload.Dist, batch int, slo float64, seed int64, mutate func(*optimizer.Config)) float64 {
@@ -215,7 +210,7 @@ func e3Goodput(mk func() *cluster.Cluster, m *ee.EEModel, dist workload.Dist, ba
 	if err != nil {
 		return 0
 	}
-	return measureE3(mk, m, plan, dist, batch, slo, seed)
+	return system{kind: "pipeline", model: m, plan: plan}.maxGoodput(mk, dist, batch, slo, seed)
 }
 
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }

@@ -40,12 +40,11 @@ func Fig13() Table {
 	for _, b := range []int{1, 2, 4, 8} {
 		// Each baseline gets its better of the two equal-cost clusters
 		// (the paper's configurations: 16 V100, or 6 V100 + 8 P100 + 15 K80).
-		gVan := math.Max(
-			measureBaseline(hom, van, dist, b, defaultSLO, 131),
-			measureBaseline(het, van, dist, b, defaultSLO, 131))
-		gDee := math.Max(
-			measureBaseline(hom, dee, dist, b, defaultSLO, 131),
-			measureBaseline(het, dee, dist, b, defaultSLO, 131))
+		bestOf := func(m *ee.EEModel) float64 {
+			s := system{kind: "dataparallel", model: m}
+			return math.Max(s.maxGoodput(hom, dist, b, defaultSLO, 131), s.maxGoodput(het, dist, b, defaultSLO, 131))
+		}
+		gVan, gDee := bestOf(van), bestOf(dee)
 		gE3 := e3Goodput(het, dee, dist, b, defaultSLO, 131, nil)
 		best := math.Max(gVan, gDee)
 		r := 0.0
@@ -60,7 +59,7 @@ func Fig13() Table {
 // perGPUGoodput estimates a data-parallel baseline's per-GPU goodput.
 func perGPUGoodput(m *ee.EEModel, dist workload.Dist, batch int, kind gpu.Kind, slo float64, seed int64) float64 {
 	one := func() *cluster.Cluster { return cluster.Homogeneous(kind, 2) }
-	return measureBaseline(one, m, dist, batch, slo, seed) / 2
+	return system{kind: "dataparallel", model: m}.maxGoodput(one, dist, batch, slo, seed) / 2
 }
 
 // Fig14 reproduces Figure 14: the number of V100s each system needs to

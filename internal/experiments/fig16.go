@@ -38,8 +38,8 @@ func Fig16() Table {
 	}{{"80E/20H", 0.8}, {"50E/50H", 0.5}, {"20E/80H", 0.2}} {
 		dist := workload.Mix(mix.easy)
 		for _, b := range []int{1, 2, 4, 8} {
-			gVan := measureBaseline(mk, van, dist, b, defaultSLO, 161)
-			gDee := measureBaseline(mk, dee, dist, b, defaultSLO, 161)
+			gVan := system{kind: "dataparallel", model: van}.maxGoodput(mk, dist, b, defaultSLO, 161)
+			gDee := system{kind: "dataparallel", model: dee}.maxGoodput(mk, dist, b, defaultSLO, 161)
 			gE3 := e3Goodput(mk, dee, dist, b, defaultSLO, 161, nil)
 			t.Rows = append(t.Rows, []string{mix.label, itoa(b), f0(gVan), f0(gDee), f0(gE3)})
 		}
@@ -47,12 +47,15 @@ func Fig16() Table {
 	return t
 }
 
-// latencyRun serves a fixed moderate load and returns the latency summary.
-func latencyRun(mk func() *cluster.Cluster, m *ee.EEModel, build func(*sim.Engine, *cluster.Cluster, *scheduler.Collector) scheduler.Runner, dist workload.Dist, batch int, rate float64, seed int64) metrics.Summary {
+// latencyRun serves a fixed moderate load through s and returns the
+// latency summary (zero if the run cannot be built or aborts).
+func latencyRun(mk func() *cluster.Cluster, s system, dist workload.Dist, batch int, rate float64, seed int64) metrics.Summary {
 	eng := sim.NewEngine()
-	clus := mk()
-	coll := scheduler.NewCollector(m.Base.NumLayers(), defaultSLO, 0)
-	r := build(eng, clus, coll)
+	coll := scheduler.NewCollector(s.model.Base.NumLayers(), defaultSLO, 0)
+	r, err := s.build(eng, mk(), coll)
+	if err != nil {
+		return metrics.Summary{}
+	}
 	gen := workload.NewGenerator(dist, seed)
 	if _, err := serving.RunClosedLoop(eng, r, gen, batch, rate, 4.0, defaultSLO); err != nil {
 		return metrics.Summary{}
@@ -87,51 +90,19 @@ func Fig17() Table {
 		// Operate near the weakest system's capacity (the paper serves the
 		// common sustainable load): baselines queue heavily there while E3,
 		// with far more headroom, stays lightly loaded.
-		rate := 0.9 * measureBaseline(cl.mk, dee, dist, batch, defaultSLO, 171)
+		rate := 0.9 * system{kind: "dataparallel", model: dee}.maxGoodput(cl.mk, dist, batch, defaultSLO, 171)
 		if rate <= 0 {
 			rate = 500
 		}
-		rows := []struct {
-			label string
-			m     *ee.EEModel
-			build func(*sim.Engine, *cluster.Cluster, *scheduler.Collector) scheduler.Runner
-		}{
-			{"BERT-BASE", van, dataParallelBuilder(van)},
-			{"DeeBERT", dee, dataParallelBuilder(dee)},
-			{"E3", dee, pipelineBuilder(dee, cl.mk, dist, batch)},
+		labels := []string{"BERT-BASE", "DeeBERT", "E3"}
+		systems := []system{{kind: "dataparallel", model: van}, {kind: "dataparallel", model: dee}}
+		if plan, err := planE3(cl.mk(), dee, dist, batch, defaultSLO, nil); err == nil {
+			systems = append(systems, system{kind: "pipeline", model: dee, plan: plan})
 		}
-		for _, r := range rows {
-			s := latencyRun(cl.mk, r.m, r.build, dist, batch, rate, 171)
-			t.Rows = append(t.Rows, []string{cl.label, r.label, ms(s.Min), ms(s.P25), ms(s.Median), ms(s.P75), ms(s.Max)})
+		for i, sys := range systems {
+			s := latencyRun(cl.mk, sys, dist, batch, rate, 171)
+			t.Rows = append(t.Rows, []string{cl.label, labels[i], ms(s.Min), ms(s.P25), ms(s.Median), ms(s.P75), ms(s.Max)})
 		}
 	}
 	return t
-}
-
-func dataParallelBuilder(m *ee.EEModel) func(*sim.Engine, *cluster.Cluster, *scheduler.Collector) scheduler.Runner {
-	return func(eng *sim.Engine, clus *cluster.Cluster, coll *scheduler.Collector) scheduler.Runner {
-		devs := make([]int, clus.Size())
-		for i := range devs {
-			devs[i] = i
-		}
-		d, err := scheduler.NewDataParallel(eng, clus, m, devs, coll)
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}
-}
-
-func pipelineBuilder(m *ee.EEModel, mk func() *cluster.Cluster, dist workload.Dist, batch int) func(*sim.Engine, *cluster.Cluster, *scheduler.Collector) scheduler.Runner {
-	plan, err := planE3(mk(), m, dist, batch, defaultSLO, nil)
-	return func(eng *sim.Engine, clus *cluster.Cluster, coll *scheduler.Collector) scheduler.Runner {
-		if err != nil {
-			panic(err)
-		}
-		p, perr := scheduler.NewPipeline(eng, clus, m, plan, coll)
-		if perr != nil {
-			panic(perr)
-		}
-		return p
-	}
 }

@@ -52,12 +52,13 @@ func Fig19() Table {
 	)
 	arr := trace.Bursty(trace.DefaultBursty(avgRate), horizon, 191)
 
-	runOne := func(build func(*sim.Engine, *cluster.Cluster, *scheduler.Collector) scheduler.Runner, est float64) (goodput, util float64) {
+	runOne := func(s system) (goodput, util float64) {
 		eng := sim.NewEngine()
-		clus := mk()
-		coll := scheduler.NewCollector(base.NumLayers(), defaultSLO, 0)
-		r := build(eng, clus, coll)
-		b := serving.NewBatcher(eng, r, batch, est, defaultSlack)
+		r, err := s.build(eng, mk(), scheduler.NewCollector(base.NumLayers(), defaultSLO, 0))
+		if err != nil {
+			return 0, 0
+		}
+		b := serving.NewBatcher(eng, r, batch, s.est(), defaultSlack)
 		gen := workload.NewGenerator(dist, 191)
 		c, err := serving.RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, defaultSLO)
 		if err != nil {
@@ -72,12 +73,11 @@ func Fig19() Table {
 		Columns: []string{"system", "goodput (req/s)", "GPU util (%)"},
 		Notes:   "paper: E3 +29% over DeeBERT, +16% over BERT-BASE; utilization stays under 50%",
 	}
-	gVan, uVan := runOne(dataParallelBuilder(van), 0.030)
-	gDee, uDee := runOne(dataParallelBuilder(dee), 0.030)
-	plan, err := planE3(mk(), dee, dist, batch, defaultSLO, nil)
+	gVan, uVan := runOne(system{kind: "dataparallel", model: van})
+	gDee, uDee := runOne(system{kind: "dataparallel", model: dee})
 	gE3, uE3 := 0.0, 0.0
-	if err == nil {
-		gE3, uE3 = runOne(pipelineBuilder(dee, mk, dist, batch), plan.Latency)
+	if plan, err := planE3(mk(), dee, dist, batch, defaultSLO, nil); err == nil {
+		gE3, uE3 = runOne(system{kind: "pipeline", model: dee, plan: plan})
 	}
 	t.Rows = append(t.Rows,
 		[]string{"BERT-BASE", f0(gVan), f1(uVan * 100)},

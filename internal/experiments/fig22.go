@@ -42,7 +42,7 @@ func Fig22() Table {
 		if err != nil {
 			return 0
 		}
-		return measureE3(mk, m, plan, dist, batch, slo, 221)
+		return system{kind: "pipeline", model: m, plan: plan}.maxGoodput(mk, dist, batch, slo, 221)
 	}
 	for _, e := range []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
 		t.Rows = append(t.Rows, []string{f0(e * 100), f0(measure(8, e)), f0(measure(16, e))})
@@ -67,8 +67,8 @@ func Fig23() Table {
 	for _, th := range []float64{0.3, 0.4, 0.5} {
 		dee := ee.NewDeeBERT(base, th)
 		for _, b := range []int{1, 2, 4, 8} {
-			gVan := measureBaseline(mk, van, dist, b, defaultSLO, 231)
-			gDee := measureBaseline(mk, dee, dist, b, defaultSLO, 231)
+			gVan := system{kind: "dataparallel", model: van}.maxGoodput(mk, dist, b, defaultSLO, 231)
+			gDee := system{kind: "dataparallel", model: dee}.maxGoodput(mk, dist, b, defaultSLO, 231)
 			gE3 := e3Goodput(mk, dee, dist, b, defaultSLO, 231, nil)
 			r := 0.0
 			if gDee > 0 {

@@ -38,8 +38,8 @@ func Fig24() Table {
 		{0.200, 16}, {0.500, 32}, {1.000, 64},
 	}
 	for _, c := range cases {
-		gVan := measureBaseline(mk, van, dist, c.batch, c.slo, 241)
-		gDee := measureBaseline(mk, dee, dist, c.batch, c.slo, 241)
+		gVan := system{kind: "dataparallel", model: van}.maxGoodput(mk, dist, c.batch, c.slo, 241)
+		gDee := system{kind: "dataparallel", model: dee}.maxGoodput(mk, dist, c.batch, c.slo, 241)
 		gE3 := e3Goodput(mk, dee, dist, c.batch, c.slo, 241, nil)
 		t.Rows = append(t.Rows, []string{f0(c.slo * 1e3), itoa(c.batch), f0(gVan), f0(gDee), f0(gE3)})
 	}
@@ -92,12 +92,12 @@ func Fig26() Table {
 		Notes:   "paper: parallel split execution significantly outperforms serialized execution",
 	}
 	for _, b := range []int{2, 4, 8} {
-		gVan := measureBaseline(mk, van, dist, b, defaultSLO, 261)
-		gDee := measureBaseline(mk, dee, dist, b, defaultSLO, 261)
+		gVan := system{kind: "dataparallel", model: van}.maxGoodput(mk, dist, b, defaultSLO, 261)
+		gDee := system{kind: "dataparallel", model: dee}.maxGoodput(mk, dist, b, defaultSLO, 261)
 		gOn := e3Goodput(mk, dee, dist, b, defaultSLO, 261, nil)
 		gOff := 0.0
 		if planOn, err := planE3(mk(), dee, dist, b, defaultSLO, nil); err == nil {
-			gOff = measureE3Serial(mk, dee, planOn, dist, b, defaultSLO, 261)
+			gOff = system{kind: "serial", model: dee, plan: planOn}.maxGoodput(mk, dist, b, defaultSLO, 261)
 		}
 		r := 0.0
 		if gOff > 0 {

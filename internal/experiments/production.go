@@ -56,7 +56,7 @@ func Production() Table {
 		if o.useE3 {
 			g = e3Goodput(mk, o.m, dist, batch, defaultSLO, 321, nil)
 		} else {
-			g = measureBaseline(mk, o.m, dist, batch, defaultSLO, 321)
+			g = system{kind: "dataparallel", model: o.m}.maxGoodput(mk, dist, batch, defaultSLO, 321)
 		}
 		t.Rows = append(t.Rows, []string{o.label, f1(o.accuracy), f0(g), f2(costPerM(g))})
 	}

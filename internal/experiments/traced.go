@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"e3/internal/audit"
 	"e3/internal/cluster"
 	"e3/internal/ee"
@@ -65,30 +63,10 @@ func RunDemo(runner string, obs scheduler.Observers, horizon float64) (*audit.Re
 // runDemo replays the demo workload through the named runner under an
 // already computed plan.
 func runDemo(runner string, dee *ee.EEModel, plan optimizer.Plan, obs scheduler.Observers, horizon float64) (*audit.Report, flame.ReconcileStat, *scheduler.Collector, error) {
-	est := plan.Latency
-	var mk func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error)
-	switch runner {
-	case "pipeline":
-		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-			return scheduler.NewPipeline(eng, demoCluster(), dee, plan, coll)
-		}
-	case "dataparallel":
-		est = 0.030
-		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-			clus := demoCluster()
-			devs := make([]int, clus.Size())
-			for i := range devs {
-				devs[i] = i
-			}
-			return scheduler.NewDataParallel(eng, clus, dee, devs, coll)
-		}
-	case "serial":
-		mk = func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
-			return scheduler.NewSerial(eng, demoCluster(), dee, plan, coll), nil
-		}
-	default:
-		return nil, flame.ReconcileStat{}, nil, fmt.Errorf("experiments: unknown demo runner %q (want pipeline, dataparallel or serial)", runner)
+	s := system{kind: runner, model: dee, plan: plan}
+	mk := func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
+		return s.build(eng, demoCluster(), coll)
 	}
 	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	return serving.AuditedOpenLoop(mk, dee.Base.NumLayers(), arr, mix80(), est, defaultSLO, tracedBatch, tracedSeed, obs)
+	return serving.AuditedOpenLoop(mk, dee.Base.NumLayers(), arr, mix80(), s.est(), defaultSLO, tracedBatch, tracedSeed, obs)
 }

@@ -26,8 +26,8 @@ type tripleSpec struct {
 // goodputTriple measures the three systems at one batch size. A zero means
 // the configuration was infeasible (e.g. SLO-violating batch).
 func goodputTriple(s tripleSpec, batch int) (van, naive, e3 float64) {
-	van = measureBaseline(s.mkCluster, s.vanilla, s.dist, batch, s.slo, s.seed)
-	naive = measureBaseline(s.mkCluster, s.naive, s.dist, batch, s.slo, s.seed)
+	van = system{kind: "dataparallel", model: s.vanilla}.maxGoodput(s.mkCluster, s.dist, batch, s.slo, s.seed)
+	naive = system{kind: "dataparallel", model: s.naive}.maxGoodput(s.mkCluster, s.dist, batch, s.slo, s.seed)
 	e3 = e3Goodput(s.mkCluster, s.naive, s.dist, batch, s.slo, s.seed, s.e3mutate)
 	return van, naive, e3
 }
