@@ -14,6 +14,7 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/multi"
+	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/workload"
 )
@@ -65,12 +66,7 @@ func main() {
 		st := byName[tn.Name]
 		gen := workload.NewGenerator(tn.Dist, 7)
 		gen.SetAudit(st.Coll.Audit)
-		interval := float64(tn.Batch) / tn.Rate
-		for at := interval; at < 5; at += interval {
-			eng.At(at, func() {
-				st.Pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
-			})
-		}
+		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 5, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)
 	if err := eng.RunAll(); err != nil {

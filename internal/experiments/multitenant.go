@@ -6,6 +6,7 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/multi"
+	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/workload"
 )
@@ -55,15 +56,10 @@ func ExtensionMultiTenant() Table {
 	// Offer each tenant exactly its demanded rate for 3 virtual seconds,
 	// in full batches straight to its pipeline.
 	for _, st := range stacks {
-		tn, pipe := st.Spec, st.Pipe
+		tn := st.Spec
 		gen := workload.NewGenerator(tn.Dist, 311)
 		gen.SetAudit(st.Coll.Audit)
-		interval := float64(tn.Batch) / tn.Rate
-		for at := interval; at < 3.0; at += interval {
-			eng.At(at, func() {
-				pipe.Ingest(gen.Batch(tn.Batch, eng.Now(), tn.SLO))
-			})
-		}
+		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 3.0, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)
 	if err := eng.RunAll(); err != nil {

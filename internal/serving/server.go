@@ -88,10 +88,19 @@ func FeedStream(eng *sim.Engine, b *Batcher, st trace.Stream, offset float64, ge
 }
 
 // RunClosedLoop feeds full batches at a fixed offered rate for a horizon
-// (closed-loop clients always have inputs waiting, §4). Samples carry the
-// SLO deadline so goodput accounting matches the paper's definition. The
-// error reports an event-limit abort, as in RunOpenLoopStream.
+// (ScheduleClosedLoop) and runs the simulation to completion. The error
+// reports an event-limit abort, as in RunOpenLoopStream.
 func RunClosedLoop(eng *sim.Engine, r scheduler.Runner, gen *workload.Generator, batch int, rate, horizon, slo float64) (*scheduler.Collector, error) {
+	ScheduleClosedLoop(eng, r, gen, batch, rate, horizon, slo)
+	return drainRun(eng, r, nil)
+}
+
+// ScheduleClosedLoop schedules closed-loop clients, which always have
+// inputs waiting (§4): a full batch every batch/rate virtual seconds up
+// to and including horizon, minted by gen at its arrival time and
+// ingested by r. Samples carry the SLO deadline so goodput accounting
+// matches the paper's definition.
+func ScheduleClosedLoop(eng *sim.Engine, r scheduler.Runner, gen *workload.Generator, batch int, rate, horizon, slo float64) {
 	// Arrival times are multiples of the interval computed from an integer
 	// counter: accumulating `at += interval` drifts by one ulp per step
 	// over long horizons, silently dropping (or adding) the final batch.
@@ -103,7 +112,6 @@ func RunClosedLoop(eng *sim.Engine, r scheduler.Runner, gen *workload.Generator,
 			r.Ingest(gen.Batch(batch, eng.Now(), slo))
 		})
 	}
-	return drainRun(eng, r, nil)
 }
 
 // BuildFn constructs a fresh engine + runner pair for one goodput probe.
