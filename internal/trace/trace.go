@@ -21,13 +21,14 @@ func (a Arrivals) Rate(horizon float64) float64 {
 	return float64(len(a)) / horizon
 }
 
-// Uniform generates perfectly-paced arrivals at the given rate.
+// Uniform generates perfectly-paced arrivals at the given rate, the last
+// one at the horizon when rate × horizon is whole.
 func Uniform(rate, horizon float64) Arrivals {
-	n := int(rate * horizon)
-	out := make(Arrivals, 0, n)
-	step := 1 / rate
-	for t := step; t <= horizon; t += step {
-		out = append(out, t)
+	// Arrival i is i/rate from an integer index: accumulating `t += step`
+	// drifts by one ulp per step and loses the arrival at the horizon.
+	out := make(Arrivals, int(rate*horizon+1e-9))
+	for i := range out {
+		out[i] = float64(i+1) / rate
 	}
 	return out
 }

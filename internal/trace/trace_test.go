@@ -7,12 +7,18 @@ import (
 )
 
 func TestUniformRate(t *testing.T) {
-	a := Uniform(100, 10)
-	if got := a.Rate(10); math.Abs(got-100) > 1 {
-		t.Errorf("uniform rate = %v, want ~100", got)
-	}
-	if !sort.Float64sAreSorted(a) {
-		t.Error("uniform arrivals unsorted")
+	for _, tc := range []struct{ rate, horizon float64 }{{100, 10}, {100, 1}, {50, 2}, {1000, 1}} {
+		a := Uniform(tc.rate, tc.horizon)
+		if want := int(tc.rate * tc.horizon); len(a) != want {
+			t.Errorf("Uniform(%v, %v): %d arrivals, want %d", tc.rate, tc.horizon, len(a), want)
+			continue
+		}
+		if last := a[len(a)-1]; last != tc.horizon {
+			t.Errorf("Uniform(%v, %v): last arrival %v, want the horizon", tc.rate, tc.horizon, last)
+		}
+		if !sort.Float64sAreSorted(a) {
+			t.Errorf("Uniform(%v, %v): arrivals unsorted", tc.rate, tc.horizon)
+		}
 	}
 }
 
