@@ -7,6 +7,7 @@
 //	e3-bench -all                  # run everything (several minutes)
 //	e3-bench fig07 fig12 fig19     # run a selection
 //	e3-bench -trace-out demo.json  # export a Perfetto-loadable timeline
+//	e3-bench -trace-out t.json -flame-out f.json  # timeline and flame profile of one run
 //	e3-bench -bench-out bench.json # machine-readable perf + overhead stats
 //	e3-bench -windows 20 -audit    # windowed replan loop + conservation gate
 //	e3-bench -plan-bench BENCH_PR5.json  # planner search-path timings
@@ -35,7 +36,7 @@ func main() {
 	all := flag.Bool("all", false, "run every registered experiment")
 	auditRun := flag.Bool("audit", false, "run the lifecycle conservation audit (bursty open loop, all runners); exits nonzero on violations")
 	format := flag.String("format", "table", "output format: table or csv")
-	traceOut := flag.String("trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); exits nonzero if the run fails its audit")
+	traceOut := flag.String("trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); with -flame-* the same run is also profiled; exits nonzero if the run fails its audit")
 	benchOut := flag.String("bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, telemetry overhead) to FILE")
 	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate), -bench-out, and -trace-out")
 	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE")
@@ -47,7 +48,7 @@ func main() {
 	flameOut := flag.String("flame-out", "", "run under the virtual-time compute profiler and write the JSON flame profile to FILE (with -windows: profile of the whole replan run); exits nonzero unless the profile reconciles exactly")
 	flameFolded := flag.String("flame-folded", "", "like -flame-out but write collapsed-stack text (flamegraph.pl / speedscope input)")
 	flamePprof := flag.String("flame-pprof", "", "like -flame-out but write a gzip pprof profile.proto (`go tool pprof FILE`)")
-	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run: pipeline or serial (§5.8.7 phase-synchronized baseline)")
+	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run (and for -trace-out alongside it): pipeline or serial (§5.8.7 phase-synchronized baseline)")
 	fleetN := flag.Int("fleet", 0, "run the fleet demo with N replica shards (multi-tenant zoo, GPU-aware epoch routing) and print per-replica accounting")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard); any count reproduces the serial reference byte-for-byte")
 	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE")
@@ -55,6 +56,24 @@ func main() {
 	if *format != "table" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "e3-bench: unknown format %q\n", *format)
 		os.Exit(2)
+	}
+
+	// Flags that only configure the replan loop would otherwise be
+	// ignored without a word.
+	if *windows <= 0 {
+		var stray string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "attr-out", "bundle-on-failure", "slo-target", "burn-threshold":
+				if stray == "" {
+					stray = f.Name
+				}
+			}
+		})
+		if stray != "" {
+			fmt.Fprintf(os.Stderr, "e3-bench: -%s needs -windows N (it configures the replan loop)\n", stray)
+			os.Exit(2)
+		}
 	}
 
 	if *list {
@@ -89,16 +108,12 @@ func main() {
 			*flameOut, *flameFolded, *flamePprof))
 	}
 
-	if *flameOut != "" || *flameFolded != "" || *flamePprof != "" {
-		os.Exit(runFlameDemo(*flameRunner, *flameOut, *flameFolded, *flamePprof))
-	}
-
-	if *traceOut != "" || *benchOut != "" {
+	staticDemo := *traceOut != "" || *flameOut != "" || *flameFolded != "" || *flamePprof != ""
+	if staticDemo || *benchOut != "" {
 		exit := 0
-		if *traceOut != "" {
-			if err := exportTrace(*traceOut); err != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", err)
-				exit = 1
+		if staticDemo {
+			if exit = runStaticDemo(*traceOut, *flameRunner, *flameOut, *flameFolded, *flamePprof); exit == 2 {
+				os.Exit(exit)
 			}
 		}
 		if *benchOut != "" {
@@ -165,33 +180,6 @@ func main() {
 // demoHorizon is virtual seconds of bursty arrivals for the traced demo
 // (the audit experiment's setting).
 const demoHorizon = 10.0
-
-// exportTrace runs the traced demo with an unbounded tracer and writes
-// the full span timeline as Chrome trace-event JSON, printing the
-// per-split occupancy summary and the audit verdict.
-func exportTrace(path string) error {
-	tr := telemetry.New()
-	rep, _, _, plan, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, demoHorizon)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteChrome(f, tr.Spans()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("plan: %s\n", plan)
-	telemetry.Summarize(tr.Spans()).Print(os.Stdout)
-	fmt.Printf("%s\n", rep)
-	fmt.Printf("wrote %d spans to %s\n", len(tr.Spans()), path)
-	return rep.Err()
-}
 
 // benchSplit is one split's occupancy in the bench report.
 type benchSplit struct {
