@@ -184,7 +184,7 @@ func (c *Collector) Executed(device int, model string, stage, from, to int, batc
 		c.st.executed(device, model, stage, from, to, batch, start, end, res.RampTime, res.PadTime)
 		return
 	}
-	c.fan().executed(device, model, stage, from, to, len(batch), batch, start, end, res.RampTime, res.PadTime)
+	c.fan().executed(device, model, stage, from, to, batch, start, end, res.RampTime, res.PadTime)
 }
 
 // Transferred records n survivors' activations moving from fromStage to

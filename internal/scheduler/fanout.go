@@ -47,12 +47,9 @@ func (f *fanout) dispatched(batch []workload.Sample, at float64, stage, device i
 	}
 }
 
-// executed takes the batch size n apart from batch: attribution is the
-// only view that reads the members, so a streamed record carries them
-// only when one is attached.
-func (f *fanout) executed(device int, model string, stage, from, to, n int, batch []workload.Sample, start, end, ramp, pad float64) {
+func (f *fanout) executed(device int, model string, stage, from, to int, batch []workload.Sample, start, end, ramp, pad float64) {
 	d := &f.devs[device]
-	f.Tracer.Execute(d.id, d.kind, stage, n, start, end)
+	f.Tracer.Execute(d.id, d.kind, stage, len(batch), start, end)
 	f.Attr.Executed(stage, batch, start, end)
 	if f.Flame != nil {
 		f.Flame.Execute(d.flame, model, stage, from, to, start, end, ramp, pad)

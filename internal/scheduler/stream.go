@@ -21,8 +21,8 @@ import (
 // layer), an unsigned 16-bit field (a device, or a drop's reason index)
 // and a 24-bit count (a batch size, or a window index). Times travel as
 // float64 bits, so decoding is exact. Batch records carry their members'
-// ids, plus their arrivals where attribution needs them to open a
-// request. Records copy every value they carry: batches are pooled and
+// ids, and dispatch records their arrivals too, from which attribution
+// opens a request. Records copy every value they carry: batches are pooled and
 // recycled, so a record must never point into one. The few strings a
 // record needs (device names, model names, drop reasons) are interned on
 // the loop; a record introducing one carries it in its chunk's string
@@ -37,8 +37,8 @@ const (
 	opArrive       = iota + 1 // id, arrival
 	opQueue                   // at, id, arrival
 	opQueueWait               // head, at
-	opDispatch                // at, members (id[, arrival])
-	opExecute                 // start, end, ramp, pad, from|to<<32, model, [ids]
+	opDispatch                // at, members (id, arrival)
+	opExecute                 // start, end, ramp, pad, from|to<<32, model, ids
 	opTransfer                // start, end
 	opMerge                   // at, ids
 	opFuse                    // start, end
@@ -82,18 +82,15 @@ type stream struct {
 	//e3:concurrent the loop sends full chunks to the consumer and takes them back emptied
 	full, free chan *chunk
 	done       chan struct{} //e3:concurrent closed when the consumer has exited
-	// wide marks members that carry their arrival (attribution attached).
-	wide    bool
-	models  []string
-	reasons []audit.Reason
+	models     []string
+	reasons    []audit.Reason
 }
 
-func newStream(wide bool) *stream {
+func newStream() *stream {
 	s := &stream{
 		full: make(chan *chunk, streamChunks), //e3:concurrent room for every chunk: a send never blocks
 		free: make(chan *chunk, streamChunks), //e3:concurrent room for every chunk: a send never blocks
 		done: make(chan struct{}),             //e3:concurrent the consumer's exit
-		wide: wide,
 	}
 	for range streamChunks {
 		s.spare = append(s.spare, &chunk{w: make([]uint64, 0, chunkWords)})
@@ -232,37 +229,24 @@ func (s *stream) queueWait(n int, headAt, at float64) {
 }
 
 func (s *stream) dispatched(batch []workload.Sample, at float64, stage, device int) {
-	if s.wide {
-		r := s.rec(2 + 2*len(batch))
-		r[0] = head(opDispatch, stage, device, len(batch))
-		r[1] = bits(at)
-		m := r[2:]
-		for i := range batch {
-			m[2*i] = uint64(batch[i].ID)
-			m[2*i+1] = bits(batch[i].Arrival)
-		}
-		return
-	}
-	r := s.rec(2 + len(batch))
+	r := s.rec(2 + 2*len(batch))
 	r[0] = head(opDispatch, stage, device, len(batch))
 	r[1] = bits(at)
-	ids(r[2:], batch)
+	m := r[2:]
+	for i := range batch {
+		m[2*i] = uint64(batch[i].ID)
+		m[2*i+1] = bits(batch[i].Arrival)
+	}
 }
 
 func (s *stream) executed(device int, model string, stage, from, to int, batch []workload.Sample, start, end, ramp, pad float64) {
 	m := s.model(model)
-	k := 7
-	if s.wide {
-		k += len(batch)
-	}
-	r := s.rec(k)
+	r := s.rec(7 + len(batch))
 	r[0] = head(opExecute, stage, device, len(batch))
 	r[1], r[2], r[3], r[4] = bits(start), bits(end), bits(ramp), bits(pad)
 	r[5] = uint64(uint32(from)) | uint64(uint32(to))<<32
 	r[6] = m
-	if s.wide {
-		ids(r[7:], batch)
-	}
+	ids(r[7:], batch)
 }
 
 // span records a transfer or fusion of n over [start, end].
@@ -318,7 +302,6 @@ func ids(dst []uint64, batch []workload.Sample) {
 // live, plus the decoded intern tables and a reused member buffer.
 type decoder struct {
 	f       *fanout
-	wide    bool
 	batch   []workload.Sample
 	models  []string
 	reasons []audit.Reason
@@ -339,8 +322,8 @@ func (d *decoder) run(full <-chan *chunk, free chan<- *chunk, done chan<- struct
 }
 
 // members decodes n members of per words each (an id, then the arrival
-// when per is 2). With per 1 the arrivals are stale: no view that reads
-// them is attached.
+// when per is 2). With per 1 the arrivals are stale: no view reads them
+// at that boundary.
 func (d *decoder) members(w []uint64, n, per int) []workload.Sample {
 	if cap(d.batch) < n {
 		d.batch = make([]workload.Sample, n)
@@ -358,10 +341,6 @@ func (d *decoder) members(w []uint64, n, per int) []workload.Sample {
 // apply hands every record of ch to the fan-out.
 func (d *decoder) apply(ch *chunk) {
 	f, w, strs := d.f, ch.w, ch.strs
-	per := 1
-	if d.wide {
-		per = 2
-	}
 	for i := 0; i < len(w); {
 		h := w[i]
 		op, a, b, n := h&0xff, int(int16(h>>8)), int(uint16(h>>24)), int(h>>40)
@@ -376,19 +355,13 @@ func (d *decoder) apply(ch *chunk) {
 			f.queueWait(n, f64(w[i+1]), f64(w[i+2]))
 			i += 3
 		case opDispatch:
-			f.dispatched(d.members(w[i+2:], n, per), f64(w[i+1]), a, b)
-			i += 2 + per*n
+			f.dispatched(d.members(w[i+2:], n, 2), f64(w[i+1]), a, b)
+			i += 2 + 2*n
 		case opExecute:
-			var batch []workload.Sample
-			k := 7
-			if d.wide {
-				batch = d.members(w[i+7:], n, 1)
-				k += n
-			}
 			fromTo := w[i+5]
-			f.executed(b, d.models[w[i+6]], a, int(uint32(fromTo)), int(fromTo>>32), n, batch,
+			f.executed(b, d.models[w[i+6]], a, int(uint32(fromTo)), int(fromTo>>32), d.members(w[i+7:], n, 1),
 				f64(w[i+1]), f64(w[i+2]), f64(w[i+3]), f64(w[i+4]))
-			i += k
+			i += 7 + n
 		case opTransfer:
 			f.transferred(a, n, f64(w[i+1]), f64(w[i+2]))
 			i += 3
@@ -440,8 +413,8 @@ func (c *Collector) Stream() {
 	if c.st != nil {
 		return
 	}
-	c.st = newStream(c.Attr != nil)
-	d := &decoder{f: c.fan(), wide: c.st.wide}
+	c.st = newStream()
+	d := &decoder{f: c.fan()}
 	//e3:concurrent the stream's consumer; Stop joins it
 	go d.run(c.st.full, c.st.free, c.st.done)
 }

@@ -97,9 +97,7 @@ func streamScript(c *Collector, halfway func()) {
 }
 
 // observedCollector is a collector with an exhaustive ledger, the tracer
-// and the flame profiler, plus attribution when attr is set. A stream
-// carries member arrivals (the wide encoding) only when attribution is
-// attached.
+// and the flame profiler, plus attribution when attr is set.
 func observedCollector(attr bool) *Collector {
 	c := NewCollector(12, 0.05, 0)
 	c.Audit = audit.NewLedger()
@@ -143,8 +141,7 @@ func collectorOutputs(t *testing.T, c *Collector, now float64) string {
 // TestStreamMatchesInline: a streaming collector hands the ledger and
 // every view exactly the calls the inline fan-out makes, so every export
 // is byte-identical, and Sync leaves the ledger exactly as far along as
-// the loop. It runs once with attribution attached (wide records) and
-// once without (narrow records).
+// the loop. It runs once with attribution attached and once without.
 func TestStreamMatchesInline(t *testing.T) {
 	for _, attr := range []bool{true, false} {
 		inline := observedCollector(attr)

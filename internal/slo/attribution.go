@@ -200,10 +200,8 @@ type reqState struct {
 // the same emitter sites that feed the ledger and the tracer; it is not
 // safe for concurrent use (event-loop goroutine only).
 type Attribution struct {
-	// topK bounds the retained slowest-request breakdowns; stride samples
-	// per-request detail like audit.NewSampledLedger (≤1 = exhaustive).
-	topK   int
-	stride int64
+	// topK bounds the retained slowest-request breakdowns.
+	topK int
 
 	// states is the slot table of request records; free lists the slots
 	// not holding an open request. ring maps id & (len(ring)−1) to the
@@ -236,13 +234,13 @@ type Attribution struct {
 	slowest []Breakdown
 }
 
-// NewAttribution builds an exhaustive attribution retaining the topK
+// NewAttribution builds an attribution retaining the topK
 // slowest breakdowns (≤0 takes DefaultTopK).
 func NewAttribution(topK int) *Attribution {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	return &Attribution{topK: topK, stride: 1, ring: make([]int32, attrRingInit)}
+	return &Attribution{topK: topK, ring: make([]int32, attrRingInit)}
 }
 
 // stageCompute is one split's running compute total.
@@ -251,32 +249,8 @@ type stageCompute struct {
 	count uint64
 }
 
-// SetStride samples per-request detail for ids divisible by n while
-// keeping population-exact completed/dropped totals, mirroring the
-// sampled ledger. n ≤ 1 is exhaustive.
-func (a *Attribution) SetStride(n int64) {
-	if a == nil {
-		return
-	}
-	if n > 1 {
-		a.stride = n
-	} else {
-		a.stride = 1
-	}
-}
-
 // Enabled reports whether events are being folded.
 func (a *Attribution) Enabled() bool { return a != nil }
-
-// Stride reports the detail-sampling stride (1 = exhaustive, nil = 0).
-func (a *Attribution) Stride() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.stride
-}
-
-func (a *Attribution) trackedID(id int64) bool { return a.stride <= 1 || id%a.stride == 0 }
 
 // lookup returns id's open record, or nil.
 func (a *Attribution) lookup(id int64) *reqState {
@@ -376,7 +350,7 @@ func (a *Attribution) resolve(st *reqState, at float64, gap Component, gapStage 
 //
 //e3:hotpath runs once per admitted request; the slot table never hashes an id
 func (a *Attribution) Queued(s workload.Sample, at float64) {
-	if a == nil || !a.trackedID(s.ID) {
+	if a == nil {
 		return
 	}
 	a.state(s)
@@ -390,7 +364,7 @@ func (a *Attribution) Queued(s workload.Sample, at float64) {
 //
 //e3:hotpath runs once per request per stage; the slot table never hashes an id
 func (a *Attribution) Dispatched(s workload.Sample, at float64, stage int) {
-	if a == nil || !a.trackedID(s.ID) {
+	if a == nil {
 		return
 	}
 	st := a.state(s)
@@ -450,9 +424,7 @@ func (a *Attribution) Completed(s workload.Sample, at float64) {
 	a.completed++
 	st := a.lookup(s.ID)
 	if st == nil {
-		if a.trackedID(s.ID) {
-			a.flag("request %d: completed with no open attribution record", s.ID) //e3:alloc mismatch report, reached only on a recording bug
-		}
+		a.flag("request %d: completed with no open attribution record", s.ID) //e3:alloc mismatch report, reached only on a recording bug
 		return
 	}
 	a.resolve(st, at, CompCollector, st.stage)
@@ -642,9 +614,9 @@ func (a *Attribution) Reconcile(rep *audit.Report) {
 	if int(a.dropped) != rep.Dropped {
 		rep.Violate("slo: %d drop events, ledger dropped %d", a.dropped, rep.Dropped)
 	}
-	if a.stride <= 1 && a.mismatches == 0 {
+	if a.mismatches == 0 {
 		if want := a.completed - a.attributed; want != 0 {
-			rep.Violate("slo: %d completion(s) not attributed in exhaustive mode", want)
+			rep.Violate("slo: %d completion(s) not attributed", want)
 		}
 	}
 }

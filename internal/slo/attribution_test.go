@@ -137,27 +137,6 @@ func TestAttributionTopKRetention(t *testing.T) {
 	}
 }
 
-func TestAttributionStrideKeepsExactTotals(t *testing.T) {
-	a := NewAttribution(4)
-	a.SetStride(2)
-	for i := int64(0); i < 10; i++ {
-		drive(a, i)
-	}
-	completed, _, attributed := a.Counts()
-	if completed != 10 {
-		t.Fatalf("completed = %d, want population-exact 10", completed)
-	}
-	if attributed != 5 {
-		t.Fatalf("attributed = %d, want 5 (stride 2)", attributed)
-	}
-	// Sampled mode must still reconcile against a matching report.
-	rep := &audit.Report{Completed: 10}
-	a.Reconcile(rep)
-	if !rep.OK() {
-		t.Fatalf("sampled reconcile violations: %v", rep.Violations)
-	}
-}
-
 func TestAttributionReconcileCountMismatch(t *testing.T) {
 	a := NewAttribution(4)
 	drive(a, 1)
@@ -177,7 +156,6 @@ func TestAttributionNilSafe(t *testing.T) {
 	a.Merged(s, 1, 1)
 	a.Completed(s, 1)
 	a.Dropped(s, 1)
-	a.SetStride(4)
 	a.Reconcile(&audit.Report{})
 	if a.Enabled() || a.Open() != 0 || a.Mismatches() != 0 || a.Slowest() != nil {
 		t.Fatal("nil attribution must be inert")
