@@ -39,9 +39,9 @@ func bootConfig(t *testing.T, devices, windows int) (Config, optimizer.Plan) {
 	}, boot
 }
 
-// bufferRun runs the 4-of-16 reserve at the given multiples of the
+// bufferConfig is the 4-of-16 reserve at the given multiples of the
 // reserved plan's goodput, one per window.
-func bufferRun(t *testing.T, loads ...float64) []WindowStat {
+func bufferConfig(t *testing.T, loads ...float64) Config {
 	t.Helper()
 	cfg, boot := bootConfig(t, 12, len(loads))
 	rates := make([]float64, len(loads))
@@ -50,7 +50,13 @@ func bufferRun(t *testing.T, loads ...float64) []WindowStat {
 	}
 	cfg.Workload = func(w int) (workload.Dist, float64) { return workload.Mix(0.8), rates[w] }
 	cfg.BufferGPUs = 4
-	res, err := Run(cfg)
+	return cfg
+}
+
+// bufferRun runs bufferConfig and checks the audit.
+func bufferRun(t *testing.T, loads ...float64) []WindowStat {
+	t.Helper()
+	res, err := Run(bufferConfig(t, loads...))
 	if err != nil {
 		t.Fatal(err)
 	}
