@@ -77,7 +77,11 @@ func main() {
 			return eng, p
 		}
 		gen := func() *workload.Generator { return workload.NewGenerator(c.dist, 99) }
-		measured := serving.MaxGoodput(build, gen, c.batch, c.slo, 2.0, plan.Goodput*2, 0.01)
+		measured, err := serving.MaxGoodput(build, gen, c.batch, c.slo, 2.0, plan.Goodput*2, 0.01)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "e3-validate:", err)
+			os.Exit(1)
+		}
 		errFrac := math.Abs(measured-plan.Goodput) / plan.Goodput
 		status := fmt.Sprintf("%5.1f%%", errFrac*100)
 		if errFrac > *tolerance {

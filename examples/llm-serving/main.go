@@ -62,7 +62,10 @@ func main() {
 		return eng, p
 	}
 	gen := func() *workload.Generator { return workload.NewGenerator(dist, 2) }
-	tokensPerSec := serving.MaxGoodput(build, gen, batch, 10, 2, 100000, 0.01)
+	tokensPerSec, err := serving.MaxGoodput(build, gen, batch, 10, 2, 100000, 0.01)
+	if err != nil {
+		log.Fatal(err)
+	}
 	gE3 := tokensPerSec / avgTokens
 
 	fmt.Printf("\n%-22s %10s %8s\n", "system", "req/s", "vs T5")

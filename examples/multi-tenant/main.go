@@ -14,6 +14,7 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/multi"
+	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/workload"
@@ -57,8 +58,10 @@ func main() {
 		log.Fatal(err)
 	}
 	byName := make(map[string]multi.ServingTenant, len(stacks))
-	for _, st := range stacks {
+	pipes := make([]scheduler.Runner, len(stacks))
+	for i, st := range stacks {
 		byName[st.Spec.Name] = st
+		pipes[i] = st.Pipe
 	}
 
 	// Serve both tenants at their demanded rates for 5 virtual seconds.
@@ -69,13 +72,7 @@ func main() {
 		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 5, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)
-	if err := eng.RunAll(); err != nil {
-		log.Fatal(err)
-	}
-	for _, st := range stacks {
-		st.Pipe.FlushAll()
-	}
-	if err := eng.RunAll(); err != nil {
+	if err := serving.Drain(eng, nil, pipes...); err != nil {
 		log.Fatal(err)
 	}
 

@@ -15,6 +15,7 @@ import (
 	"e3/internal/optimizer"
 	"e3/internal/profile"
 	"e3/internal/scheduler"
+	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/workload"
 )
@@ -51,11 +52,7 @@ func main() {
 		at := float64(i) * interval
 		eng.At(at, func() { pipe.Ingest(gen.Batch(8, eng.Now(), 0.100)) })
 	}
-	if err := eng.RunAll(); err != nil {
-		log.Fatal(err)
-	}
-	pipe.FlushAll()
-	if err := eng.RunAll(); err != nil {
+	if err := serving.Drain(eng, nil, pipe); err != nil {
 		log.Fatal(err)
 	}
 

@@ -186,7 +186,11 @@ func (s system) maxGoodput(mk func() *cluster.Cluster, dist workload.Dist, batch
 		return eng, r
 	}
 	gen := func() *workload.Generator { return workload.NewGenerator(dist, seed) }
-	return serving.MaxGoodput(build, gen, batch, slo, probeHorizon, upperRate, probeTol)
+	g, err := serving.MaxGoodput(build, gen, batch, slo, probeHorizon, upperRate, probeTol)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // planE3 computes an E3 plan for the given setting.

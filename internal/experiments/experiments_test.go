@@ -10,6 +10,24 @@ import (
 	"testing"
 )
 
+// tables caches each experiment's table for the test process, so the
+// shape tests and TestEveryExperimentRuns run every figure once.
+var tables = map[string]Table{}
+
+// table returns Run(id), computing it on first use.
+func table(t *testing.T, id string) Table {
+	t.Helper()
+	if tab, ok := tables[id]; ok {
+		return tab
+	}
+	tab, err := Run(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables[id] = tab
+	return tab
+}
+
 func cell(t *testing.T, tab Table, row, col int) float64 {
 	t.Helper()
 	if row >= len(tab.Rows) || col >= len(tab.Rows[row]) {
@@ -45,7 +63,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestFig02Shape(t *testing.T) {
-	tab := Fig02()
+	tab := table(t, "fig02")
 	// Rows per dataset: BERT, BERT-EE, DistilBERT, DistilBERT-EE.
 	for ds := 0; ds < 2; ds++ {
 		base := ds * 4
@@ -68,7 +86,7 @@ func TestFig02Shape(t *testing.T) {
 }
 
 func TestFig03Shape(t *testing.T) {
-	tab := Fig03()
+	tab := table(t, "fig03")
 	// Batch decays monotonically; by ramp 6 roughly half the inputs left;
 	// utilization falls by >25% over the back half.
 	prev := 9.0
@@ -92,7 +110,7 @@ func TestFig07Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig07()
+	tab := table(t, "fig07")
 	// Batch 1 (row 0): DeeBERT beats BERT; E3 at or below DeeBERT.
 	if dee, bert := cell(t, tab, 0, 2), cell(t, tab, 0, 1); dee <= bert {
 		t.Errorf("batch 1: DeeBERT %v not above BERT %v", dee, bert)
@@ -124,7 +142,7 @@ func TestFig09Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig09()
+	tab := table(t, "fig09")
 	// Compression complements E3: E3 above DistilBERT-EE from batch 2 on;
 	// paper's headline 1.67x at larger batches sits in our band.
 	last := len(tab.Rows) - 1
@@ -137,7 +155,7 @@ func TestFig12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig12()
+	tab := table(t, "fig12")
 	// The EE variant loses to vanilla at every batch (LM-head ramp cost);
 	// E3 beats vanilla modestly.
 	for row := range tab.Rows {
@@ -155,7 +173,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig20OptimizerLightweight(t *testing.T) {
-	tab := Fig20()
+	tab := table(t, "fig20")
 	for row := range tab.Rows {
 		for col := 1; col <= 2; col++ {
 			if msV := cell(t, tab, row, col); msV > 5000 {
@@ -166,7 +184,7 @@ func TestFig20OptimizerLightweight(t *testing.T) {
 }
 
 func TestFig21PredictionsTrackReality(t *testing.T) {
-	tab := Fig21()
+	tab := table(t, "fig21")
 	// Mean absolute batch error at cut 1 over the ten windows must be
 	// small relative to the input batch of 8.
 	sum := 0.0
@@ -186,7 +204,7 @@ func TestFig22ErrorToleranceShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig22()
+	tab := table(t, "fig22")
 	perfect := cell(t, tab, 0, 1)
 	at20 := cell(t, tab, 2, 1)
 	worst := cell(t, tab, len(tab.Rows)-1, 1)
@@ -205,7 +223,7 @@ func TestFig25WrapperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig25()
+	tab := table(t, "fig25")
 	for row := range tab.Rows {
 		imp := cell(t, tab, row, 3)
 		if imp < 2 || imp > 25 {
@@ -218,7 +236,7 @@ func TestFig26ModelParallelShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Fig26()
+	tab := table(t, "fig26")
 	for row := range tab.Rows {
 		if r := cell(t, tab, row, 5); r < 1.3 {
 			t.Errorf("row %d: MP on/off ratio %v, want ≥ 1.3", row, r)
@@ -227,7 +245,7 @@ func TestFig26ModelParallelShape(t *testing.T) {
 }
 
 func TestAblationForecasterShape(t *testing.T) {
-	tab := AblationForecaster()
+	tab := table(t, "ablation-forecaster")
 	arima := cell(t, tab, 0, 1)
 	persist := cell(t, tab, 1, 1)
 	if arima >= persist {
@@ -236,7 +254,7 @@ func TestAblationForecasterShape(t *testing.T) {
 }
 
 func TestAblationSplitsMonotone(t *testing.T) {
-	tab := AblationSplits()
+	tab := table(t, "ablation-splits")
 	prev := 0.0
 	for row := range tab.Rows {
 		g := cell(t, tab, row, 1)

@@ -9,7 +9,7 @@ func TestExtensionTuningShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := ExtensionTuning()
+	tab := table(t, "extension-tuning")
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -46,7 +46,7 @@ func TestExtensionContinuousShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := ExtensionContinuous()
+	tab := table(t, "extension-continuous")
 	t5Static := cell(t, tab, 0, 1)
 	t5Cont := cell(t, tab, 1, 1)
 	calmCont := cell(t, tab, 2, 1)
@@ -63,7 +63,7 @@ func TestExtensionContinuousShape(t *testing.T) {
 }
 
 func TestExtensionBuffersLifecycle(t *testing.T) {
-	tab := ExtensionBuffers()
+	tab := table(t, "extension-buffers")
 	want := [][]string{
 		{"steady", "6372", "12", "no"},
 		{"spike", "17295", "16", "yes"},
@@ -75,7 +75,7 @@ func TestExtensionBuffersLifecycle(t *testing.T) {
 }
 
 func TestExtensionStragglerShape(t *testing.T) {
-	tab := ExtensionStraggler()
+	tab := table(t, "extension-straggler")
 	gHealthy := cell(t, tab, 0, 1)
 	gSlow := cell(t, tab, 1, 1)
 	exSlow := cell(t, tab, 1, 2)
@@ -88,7 +88,7 @@ func TestExtensionStragglerShape(t *testing.T) {
 }
 
 func TestExtensionMultiTenantShape(t *testing.T) {
-	tab := ExtensionMultiTenant()
+	tab := table(t, "extension-multitenant")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 tenants", len(tab.Rows))
 	}
@@ -115,7 +115,7 @@ func TestProductionStoryShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	tab := Production()
+	tab := table(t, "production")
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}

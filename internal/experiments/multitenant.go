@@ -6,6 +6,7 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/multi"
+	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/workload"
@@ -55,21 +56,16 @@ func ExtensionMultiTenant() Table {
 
 	// Offer each tenant exactly its demanded rate for 3 virtual seconds,
 	// in full batches straight to its pipeline.
-	for _, st := range stacks {
+	pipes := make([]scheduler.Runner, len(stacks))
+	for i, st := range stacks {
+		pipes[i] = st.Pipe
 		tn := st.Spec
 		gen := workload.NewGenerator(tn.Dist, 311)
 		gen.SetAudit(st.Coll.Audit)
 		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 3.0, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)
-	if err := eng.RunAll(); err != nil {
-		t.Notes += " [ABORTED: " + err.Error() + "]"
-		return t
-	}
-	for _, st := range stacks {
-		st.Pipe.FlushAll()
-	}
-	if err := eng.RunAll(); err != nil {
+	if err := serving.Drain(eng, nil, pipes...); err != nil {
 		t.Notes += " [ABORTED: " + err.Error() + "]"
 		return t
 	}

@@ -36,10 +36,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Run(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tab := table(t, id)
 			if tab.ID != id {
 				t.Errorf("table ID %q != registry id %q", tab.ID, id)
 			}

@@ -121,8 +121,8 @@ func (f *Fleet) advance(e int) error {
 func (f *Fleet) burnBudgets(epochDur float64) {
 	for _, rep := range f.replicas {
 		for _, rt := range rep.tenants {
-			served, violations := rt.st.Coll.WindowCounts()
-			wb := rt.budget.ObserveWindow(0, served, violations, 0, epochDur)
+			served, violations, dropped := rt.st.Coll.WindowCounts()
+			wb := rt.budget.ObserveWindow(0, served, violations, dropped, epochDur)
 			rt.lastBurn = wb.BurnRate
 			rt.st.Coll.ResetWindow()
 		}

@@ -84,9 +84,10 @@ type Collector struct {
 	exitCounts []int
 	layers     int
 
-	// Per-window counters for the overload detector (reset each window).
+	// Per-window outcome counters (reset each window).
 	windowServed     int
 	windowViolations int
+	windowDropped    int
 
 	// st is the live boundary stream (nil: the fan-out runs inline).
 	st *stream
@@ -243,7 +244,7 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 func (c *Collector) Drop(s workload.Sample, at float64, reason audit.Reason) {
 	c.Dropped++
 	c.Good.Drop(1, at)
-	c.windowViolations++
+	c.windowDropped++
 	if c.st != nil {
 		c.st.dropped(s, at, reason)
 		return
@@ -334,12 +335,12 @@ func (c *Collector) ObservedProfile() profile.Batch {
 	return profile.NewBatch(surv)
 }
 
-// WindowCounts exposes the current window's served and violation
-// counters (drops are already folded into violations) so an external
-// budget accountant — the fleet router's per-epoch burn scoring — can
-// feed slo.Budget.ObserveWindow without owning the collector.
-func (c *Collector) WindowCounts() (served, violations int) {
-	return c.windowServed, c.windowViolations
+// WindowCounts exposes the current window's served, violated and dropped
+// counts, so a window's accountant (the replan loop's window end, the
+// fleet router's per-epoch burn scoring) can feed slo.Budget.ObserveWindow
+// without diffing cumulative counters.
+func (c *Collector) WindowCounts() (served, violations, dropped int) {
+	return c.windowServed, c.windowViolations, c.windowDropped
 }
 
 // ResetWindow clears the exit histogram and window counters for the next
@@ -350,4 +351,5 @@ func (c *Collector) ResetWindow() {
 	}
 	c.windowServed = 0
 	c.windowViolations = 0
+	c.windowDropped = 0
 }

@@ -142,13 +142,57 @@ func TestMaxGoodputFindsSustainableRate(t *testing.T) {
 		return eng, p
 	}
 	gen := func() *workload.Generator { return workload.NewGenerator(workload.Mix(0.8), 6) }
-	got := MaxGoodput(build, gen, 8, 0.1, 4, 20000, 0.01)
+	got, err := MaxGoodput(build, gen, 8, 0.1, 4, 20000, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got <= 0 {
 		t.Fatal("no sustainable rate found")
 	}
 	// Achieved should be within a factor of the planner's estimate.
 	if got < plan.Goodput*0.5 || got > plan.Goodput*1.5 {
 		t.Errorf("measured max goodput %v vs planned %v — outside 0.5–1.5x band", got, plan.Goodput)
+	}
+}
+
+// instantRunner completes every sample of a batch the moment it arrives,
+// except that a lossy one silently forgets each batch's last sample.
+type instantRunner struct {
+	eng   *sim.Engine
+	coll  *scheduler.Collector
+	lossy bool
+}
+
+func (r *instantRunner) Ingest(b []workload.Sample) {
+	if r.lossy {
+		b = b[:len(b)-1]
+	}
+	for _, s := range b {
+		r.coll.Complete(s, r.eng.Now(), 12)
+	}
+}
+func (r *instantRunner) Collector() *scheduler.Collector { return r.coll }
+
+// TestMaxGoodputChecksConservation: every probe that runs to completion
+// must account for each sample it scheduled. A runner that loses one
+// sample per batch still looks perfectly healthy to the feasibility test
+// (zero violations, zero drops), so only the conservation check catches it.
+func TestMaxGoodputChecksConservation(t *testing.T) {
+	for _, lossy := range []bool{false, true} {
+		build := func() (*sim.Engine, scheduler.Runner) {
+			eng := sim.NewEngine()
+			return eng, &instantRunner{eng: eng, coll: scheduler.NewCollector(12, 0.1, 0), lossy: lossy}
+		}
+		gen := func() *workload.Generator { return workload.NewGenerator(workload.Mix(0.8), 6) }
+		got, err := MaxGoodput(build, gen, 8, 0.1, 1, 2000, 0.01)
+		switch {
+		case lossy && err == nil:
+			t.Errorf("runner losing a sample per batch passed every probe (goodput %.0f)", got)
+		case !lossy && err != nil:
+			t.Errorf("conserving runner failed the check: %v", err)
+		case !lossy && got <= 0:
+			t.Errorf("conserving runner sustained no rate")
+		}
 	}
 }
 
