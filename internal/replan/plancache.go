@@ -132,8 +132,3 @@ func (c *PlanCache) Store(cfg optimizer.Config, p optimizer.Plan) {
 		confKey: configKey(cfg), profile: profileOf(cfg), plan: p,
 	})
 }
-
-// Len reports the number of cached plans.
-func (c *PlanCache) Len() int {
-	return len(c.entries)
-}

@@ -91,8 +91,8 @@ func TestPlanCacheFIFO(t *testing.T) {
 	d := cacheProblem(flatSurv(12, 0.8))
 	c.Store(a, optimizer.Plan{GPUs: 1})
 	c.Store(b, optimizer.Plan{GPUs: 2})
-	if c.Len() != 2 {
-		t.Fatalf("len %d, want 2", c.Len())
+	if len(c.entries) != 2 {
+		t.Fatalf("len %d, want 2", len(c.entries))
 	}
 	c.Store(d, optimizer.Plan{GPUs: 3}) // evicts the oldest (a)
 	if _, ok := c.Lookup(a); ok {
