@@ -10,20 +10,22 @@ import (
 // it rebuilds every tracked sample's events and re-derives every
 // violation and per-stage tally from scratch. It and refDigest are kept
 // as the oracles the differential and fuzz tests compare Verify and
-// Digest against.
-func refVerify(l *Ledger) *Report {
+// Digest against. Both walk ids, the tracked ids in first-seen order as
+// the caller kept them, never the ledger's own index, so an ordering bug
+// in the ledger cannot pass both sides.
+func refVerify(l *Ledger, ids []int64) *Report {
 	r := &Report{ByReason: make(map[Reason]int), Stages: make(map[int]*StageFlow), Stride: 1}
 	if l == nil {
 		return r
 	}
 	r.Stride = l.stride
-	r.Tracked = len(l.order)
+	r.Tracked = len(ids)
 	if l.stride > 1 {
 		// Sampled mode: population totals come from the exact O(1)
 		// counters; per-sample invariants below cover the tracked subset.
 		r.Samples = l.arrivedTotal
 	} else {
-		r.Samples = len(l.order)
+		r.Samples = len(ids)
 	}
 	r.Completed = l.completedTotal
 	r.Dropped = l.droppedTotal
@@ -37,7 +39,7 @@ func refVerify(l *Ledger) *Report {
 		return f
 	}
 	var evs []Event
-	for _, id := range l.order {
+	for _, id := range ids {
 		evs = l.appendEvents(evs[:0], id)
 		terminals := 0
 		lastStage := -1 // last stage the sample was dispatched into
@@ -118,8 +120,9 @@ func refVerify(l *Ledger) *Report {
 	return r
 }
 
-// refDigest is Digest as rendered with fmt before it moved to strconv.
-func refDigest(l *Ledger) string {
+// refDigest is Digest as rendered with fmt before it moved to strconv,
+// walking ids like refVerify.
+func refDigest(l *Ledger, ids []int64) string {
 	var b strings.Builder
 	if l == nil {
 		return ""
@@ -136,7 +139,7 @@ func refDigest(l *Ledger) string {
 	}
 	b.WriteByte('\n')
 	var evs []Event
-	for _, id := range l.order {
+	for _, id := range ids {
 		fmt.Fprintf(&b, "%d:", id)
 		evs = l.appendEvents(evs[:0], id)
 		for _, e := range evs {
@@ -157,4 +160,34 @@ func refDigest(l *Ledger) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// firstSeen keeps a stream's tracked ids in first-seen order, apart from
+// the ledger: note is called with every recorded id and applies the
+// ledger's stride the way its documentation states it.
+type firstSeen struct {
+	stride int64
+	seen   map[int64]bool
+	ids    []int64
+}
+
+func newFirstSeen(stride int64) *firstSeen {
+	return &firstSeen{stride: stride, seen: make(map[int64]bool)}
+}
+
+func (f *firstSeen) note(id int64) {
+	if f.stride > 1 && id%f.stride != 0 || f.seen[id] {
+		return
+	}
+	f.seen[id] = true
+	f.ids = append(f.ids, id)
+}
+
+// idRange returns lo..hi, the first-seen order of drive(l, hi) when lo is 1.
+func idRange(lo, hi int64) []int64 {
+	ids := make([]int64, 0, hi-lo+1)
+	for id := lo; id <= hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }
