@@ -203,3 +203,25 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
+
+func TestOrdinal(t *testing.T) {
+	for _, tc := range []struct {
+		n    int64
+		want string
+	}{
+		{0, "0th"}, {1, "1st"}, {2, "2nd"}, {3, "3rd"}, {4, "4th"}, {7, "7th"},
+		{10, "10th"}, {11, "11th"}, {12, "12th"}, {13, "13th"}, {14, "14th"},
+		{21, "21st"}, {22, "22nd"}, {23, "23rd"}, {100, "100th"}, {101, "101st"},
+		{111, "111th"}, {112, "112th"}, {113, "113th"}, {1000, "1000th"}, {1002, "1002nd"},
+	} {
+		if got := ordinal(tc.n); got != tc.want {
+			t.Errorf("ordinal(%d) = %q, want %q", tc.n, got, tc.want)
+		}
+	}
+	l := NewSampledLedger(3)
+	l.Arrived(3, 0)
+	l.Completed(3, 1, 1)
+	if s := l.Verify().String(); !strings.Contains(s, "[sampled: every 3rd of 1 audited") {
+		t.Errorf("stride-3 report %q does not say every 3rd", s)
+	}
+}
