@@ -2,8 +2,9 @@
 // readable JSON artifacts (the BENCH_PR*.json zoo). Every emitter —
 // -bench-out, -plan-bench, -sim-bench — wraps its kind-specific payload
 // in a Report carrying the schema version, the workload seed, the trace
-// parameters, and a flat headline-metrics map, so downstream tooling can
-// index artifacts without knowing every payload shape. Decode also
+// parameters, the host that ran it, and a flat headline-metrics map, so
+// downstream tooling can index artifacts without knowing every payload
+// shape. Decode also
 // accepts the pre-envelope files (no "schema" key) as Schema 0 with the
 // whole document as payload, so old BENCH files stay readable.
 package bench
@@ -12,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/debug"
 )
 
 // CurrentSchema is the envelope version this package writes.
@@ -38,13 +41,44 @@ type Report struct {
 	// Seed is the workload seed the run used (0 when not seed-driven).
 	Seed  int64        `json:"seed,omitempty"`
 	Trace *TraceParams `json:"trace_params,omitempty"`
+	// Host records the machine and build that produced the report; files
+	// written before it existed decode with an empty host.
+	Host Host `json:"host"`
 	// Metrics is the flat headline-scalar index (throughput, p99, ...).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// Wrap builds an envelope around a payload value.
+// Host is the machine and build a report was measured on.
+type Host struct {
+	GoMaxProcs int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+	// Revision and Modified are the binary's VCS stamp (vcs.revision and
+	// vcs.modified); a binary built without one, such as a test, leaves
+	// them empty.
+	Revision string `json:"revision,omitempty"`
+	Modified bool   `json:"modified,omitempty"`
+}
+
+// thisHost describes the running process.
+func thisHost() Host {
+	h := Host{GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				h.Revision = s.Value
+			case "vcs.modified":
+				h.Modified = s.Value == "true"
+			}
+		}
+	}
+	return h
+}
+
+// Wrap builds an envelope around a payload value, recording the host.
 func Wrap(kind string, seed int64, tp *TraceParams, metrics map[string]float64, payload any) (*Report, error) {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -52,7 +86,7 @@ func Wrap(kind string, seed int64, tp *TraceParams, metrics map[string]float64, 
 	}
 	return &Report{
 		Schema: CurrentSchema, Tool: "e3-bench", Kind: kind,
-		Seed: seed, Trace: tp, Metrics: metrics, Payload: raw,
+		Seed: seed, Trace: tp, Host: thisHost(), Metrics: metrics, Payload: raw,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package bench_test
 import (
 	"encoding/json"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"e3/internal/bench"
@@ -36,6 +37,38 @@ func TestWrapRoundTrip(t *testing.T) {
 	}
 	if p.Throughput != 1234.5 {
 		t.Fatalf("payload lost: %+v", p)
+	}
+}
+
+// TestWrapRecordsHost checks every wrapped report carries the host it
+// ran on through a round trip, and that an envelope written before the
+// host field decodes with an empty one.
+func TestWrapRecordsHost(t *testing.T) {
+	env, err := bench.Wrap("sim-bench", 0, nil, nil, struct{}{})
+	if err != nil {
+		t.Fatalf("Wrap: %v", err)
+	}
+	h := env.Host
+	if h.GoMaxProcs != runtime.GOMAXPROCS(0) || h.NumCPU != runtime.NumCPU() || h.GoVersion != runtime.Version() {
+		t.Fatalf("host %+v, want GOMAXPROCS %d, %d CPUs, %s", h, runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.Version())
+	}
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	got, err := bench.Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.Host != h {
+		t.Fatalf("host after round trip %+v, want %+v", got.Host, h)
+	}
+	old, err := bench.Decode([]byte(`{"schema": 1, "tool": "e3-bench", "kind": "plan-bench", "payload": {}}`))
+	if err != nil {
+		t.Fatalf("Decode old envelope: %v", err)
+	}
+	if old.Host != (bench.Host{}) {
+		t.Fatalf("old envelope decoded with host %+v, want empty", old.Host)
 	}
 }
 
