@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lintgate test race audit replan overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify build vet lint lintgate test race fuzz audit replan overhead bench plangate simgate slogate flamegate fleetgate
 
 verify: build vet lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
@@ -44,6 +44,12 @@ test:
 # the collector's latency store.
 race:
 	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
+
+# Fuzz the ledger's online checks and digest against the full-walk
+# oracles for 30 s. Only fuzzed operands reach the record's wide spill
+# path; the seeded differential test under `make test` covers the rest.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzLedgerVerify -fuzztime 30s ./internal/audit/
 
 # End-to-end conservation audit: exits nonzero on any lifecycle violation.
 audit:
