@@ -15,8 +15,8 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 // Bulk samples take ids [bulkBase, bulkBase+bulkSamples), four to six
 // events each: even the stride-7 ledger stores more records than one
-// arena chunk holds, and waves interleave samples so their event lists
-// cross chunk boundaries.
+// arena page holds, and waves interleave samples so their event lists
+// cross page boundaries.
 const (
 	bulkBase    = 1000
 	bulkSamples = 30_000
@@ -26,7 +26,7 @@ const (
 // scriptLedger drives l through every storage edge case: id 0, negative
 // ids, sparse ids far beyond the dense range, events before Arrived, a
 // double terminal, unknown drop reasons, a dispatch-stage regression, and
-// a clean bulk stream longer than one arena chunk. Ids that are multiples
+// a clean bulk stream longer than one arena page. Ids that are multiples
 // of 7 exercise the same cases on a stride-7 ledger.
 func scriptLedger(l *Ledger) {
 	// id 0: a clean two-stage completion.
