@@ -6,6 +6,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/telemetry"
 	"e3/internal/workload"
 )
 
@@ -84,6 +85,52 @@ func TestFleetHeterogeneousReplicas(t *testing.T) {
 	}
 	if big <= small {
 		t.Errorf("capacity-blind routing: 4-GPU replica got %d, 2-GPU got %d", big, small)
+	}
+}
+
+// TestShardTracersReconcile attaches a tracer to every shard stack's
+// collector and runs a small fleet epoch by epoch. Every routed arrival
+// must reach the stack's views through its collector, so each tracer
+// counts as many arrivals as its ledger and reconciles against it
+// without a violation.
+func TestShardTracersReconcile(t *testing.T) {
+	cfg := tinyConfig(5, 2)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, rep := range f.replicas {
+		for _, rt := range rep.tenants {
+			rt.st.Coll.Tracer = telemetry.NewRing(64)
+		}
+	}
+	f.mint(f.epochEnd(0))
+	for e, start := 0, 0.0; start < cfg.Horizon; e++ {
+		end := f.epochEnd(e)
+		f.router.RouteEpoch(f, e, start, end)
+		if err := f.advance(e); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		f.burnBudgets(cfg.EpochDur)
+		start = end
+	}
+	for _, rep := range f.replicas {
+		if err := rep.Drain(); err != nil {
+			t.Fatalf("shard %d drain: %v", rep.Index, err)
+		}
+		for ti, rt := range rep.tenants {
+			coll := rt.st.Coll
+			arrived, _, _ := coll.Audit.Totals()
+			traced, _, _ := coll.Tracer.Counts()
+			if arrived == 0 || int(traced) != arrived {
+				t.Errorf("shard %d tenant %d: tracer counted %d arrivals, ledger %d", rep.Index, ti, traced, arrived)
+			}
+			rpt := coll.AuditReport()
+			coll.Tracer.Reconcile(rpt)
+			if err := rpt.Err(); err != nil {
+				t.Errorf("shard %d tenant %d: %v", rep.Index, ti, err)
+			}
+		}
 	}
 }
 
