@@ -68,7 +68,7 @@ func main() {
 	for _, tn := range tenants {
 		st := byName[tn.Name]
 		gen := workload.NewGenerator(tn.Dist, 7)
-		gen.SetAudit(st.Coll.Audit)
+		gen.SetSink(st.Coll)
 		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 5, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)

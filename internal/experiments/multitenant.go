@@ -61,7 +61,7 @@ func ExtensionMultiTenant() Table {
 		pipes[i] = st.Pipe
 		tn := st.Spec
 		gen := workload.NewGenerator(tn.Dist, 311)
-		gen.SetAudit(st.Coll.Audit)
+		gen.SetSink(st.Coll)
 		serving.ScheduleClosedLoop(eng, st.Pipe, gen, tn.Batch, tn.Rate, 3.0, tn.SLO)
 	}
 	eng.SetEventLimit(50_000_000)

@@ -358,12 +358,12 @@ func (rt *replicaTenant) inject() {
 	}
 }
 
-// deliver is the arrivals timer's callback: the destination ledger
+// deliver is the arrivals timer's callback: the destination collector
 // records the arrival at its virtual time, then the batcher admits or
 // sheds it.
 func (rt *replicaTenant) deliver() {
 	s := rt.feed[rt.next]
-	rt.st.Coll.Audit.Arrived(s.ID, s.Arrival)
+	rt.st.Coll.Arrived(s.ID, s.Arrival)
 	rt.st.Batcher.Arrive(s)
 	rt.next++
 	if rt.next < len(rt.feed) {

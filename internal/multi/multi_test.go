@@ -140,9 +140,9 @@ func TestDeployAndServeBothTenants(t *testing.T) {
 	}
 
 	genR := workload.NewGenerator(workload.Mix(0.8), 61)
-	genR.SetAudit(byName["ranker"].Coll.Audit)
+	genR.SetSink(byName["ranker"].Coll)
 	genV := workload.NewGenerator(workload.ImageNet(), 62)
-	genV.SetAudit(byName["vision"].Coll.Audit)
+	genV.SetSink(byName["vision"].Coll)
 	for i := 0; i < 100; i++ {
 		at := float64(i) * 0.002
 		eng.At(at, func() {

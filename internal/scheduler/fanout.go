@@ -20,9 +20,9 @@ func (f *fanout) register(device int, id, kind string) {
 	f.devs[device] = devView{id: id, kind: kind, flame: f.Flame.Register(id, kind)}
 }
 
-func (f *fanout) arrived(s workload.Sample) {
-	f.Audit.Arrived(s.ID, s.Arrival)
-	f.Tracer.Arrive(s.Arrival)
+func (f *fanout) arrived(id int64, at float64) {
+	f.Audit.Arrived(id, at)
+	f.Tracer.Arrive(at)
 }
 
 func (f *fanout) queued(s workload.Sample, at float64) {

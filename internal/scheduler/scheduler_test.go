@@ -56,7 +56,7 @@ func TestPipelineServesEverySample(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
-	gen.SetAudit(coll.Audit)
+	gen.SetSink(coll)
 	const batches = 50
 	feed(t, eng, p, gen, 8, batches, plan.CycleTime/float64(len(plan.Splits)), 10 /* loose SLO */)
 	p.FlushAll()
@@ -209,7 +209,7 @@ func TestDataParallelVanilla(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := workload.NewGenerator(workload.Mix(0.8), 13)
-	gen.SetAudit(coll.Audit)
+	gen.SetSink(coll)
 	feed(t, eng, d, gen, 8, 100, 0.004, 10)
 	if got := coll.Good.Served; got != 800 {
 		t.Errorf("vanilla served %d, want 800", got)
@@ -283,7 +283,7 @@ func TestSerialSlowerThanPipeline(t *testing.T) {
 			v.eng = eng
 		}
 		gen := workload.NewGenerator(workload.Mix(0.8), 15)
-		gen.SetAudit(r.Collector().Audit)
+		gen.SetSink(r.Collector())
 		for i := 0; i < batches; i++ {
 			r.Ingest(gen.Batch(8, 0, 10))
 		}

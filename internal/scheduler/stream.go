@@ -206,11 +206,11 @@ func (s *stream) reason(reason audit.Reason) int {
 	return len(s.reasons) - 1
 }
 
-func (s *stream) arrived(smp workload.Sample) {
+func (s *stream) arrived(id int64, at float64) {
 	r := s.rec(3)
 	r[0] = head(opArrive, 0, 0, 0)
-	r[1] = uint64(smp.ID)
-	r[2] = bits(smp.Arrival)
+	r[1] = uint64(id)
+	r[2] = bits(at)
 }
 
 func (s *stream) queued(smp workload.Sample, at float64) {
@@ -346,7 +346,7 @@ func (d *decoder) apply(ch *chunk) {
 		op, a, b, n := h&0xff, int(int16(h>>8)), int(uint16(h>>24)), int(h>>40)
 		switch op {
 		case opArrive:
-			f.arrived(workload.Sample{ID: int64(w[i+1]), Arrival: f64(w[i+2])})
+			f.arrived(int64(w[i+1]), f64(w[i+2]))
 			i += 3
 		case opQueue:
 			f.queued(workload.Sample{ID: int64(w[i+2]), Arrival: f64(w[i+3])}, f64(w[i+1]))

@@ -46,7 +46,7 @@ func streamScript(c *Collector, halfway func()) {
 		for i := range batch {
 			id++
 			batch[i] = workload.Sample{ID: id, Arrival: t, Deadline: t + 0.05}
-			c.Arrived(batch[i])
+			c.Arrived(id, t)
 			if id%97 == 0 {
 				c.Drop(batch[i], t, reasons[int(id/97)%len(reasons)])
 				continue

@@ -78,7 +78,7 @@ func runFeed(t *testing.T, feed feeder, n int, offset float64, seed int64) feedO
 	}
 	b := NewBatcher(eng, p, feedPlan.Batch, 0.02, 0.2)
 	gen := workload.NewGenerator(workload.Mix(0.8), seed)
-	gen.SetAudit(coll.Audit)
+	gen.SetSink(coll)
 	stop := feed(eng, b, trace.NewSliceStream(arr[:n]), offset, gen, 0.1)
 	defer stop()
 	if _, err := drainRun(eng, p, b); err != nil {

@@ -202,7 +202,7 @@ func TestRunOpenLoopBursty(t *testing.T) {
 	b := NewBatcher(eng, p, 8, plan.Latency, 0.2)
 	arr := trace.Bursty(trace.DefaultBursty(800), 20, 7)
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
-	gen.SetAudit(p.Collector().Audit)
+	gen.SetSink(p.Collector())
 	c, _ := RunOpenLoopStream(eng, p, b, trace.NewSliceStream(arr), gen, 0.1)
 	total := c.Good.Served + c.Violations + c.Dropped
 	if total != len(arr) {
