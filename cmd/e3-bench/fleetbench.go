@@ -1,8 +1,8 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"slices"
 	"time"
@@ -50,14 +50,13 @@ type fleetBenchReport struct {
 }
 
 // runFleetOnce executes one fleet configuration and prints its summary.
-func runFleetOnce(shards, workers int) int {
+func runFleetOnce(shards, workers int) error {
 	cfg := fleet.DemoConfig(shards, workers)
 	start := time.Now()
 	res, err := fleet.Run(cfg)
 	wall := time.Since(start).Seconds()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	fmt.Printf("fleet: %d shard(s) x %d worker(s), %d epochs over %gs virtual\n",
 		shards, workers, res.Epochs, cfg.Horizon)
@@ -76,7 +75,7 @@ func runFleetOnce(shards, workers int) int {
 	}
 	fmt.Printf("\nfront door: %d minted = %d routed + %d shed; %d events in %.2fs wall (%.0f events/s)\n",
 		res.Minted, res.Routed, res.DoorShed, res.Events, wall, float64(res.Events)/wall)
-	return 0
+	return nil
 }
 
 // fleetBenchRuns is how many timed parallel runs each curve point takes;
@@ -88,7 +87,7 @@ const fleetBenchRuns = 5
 // BENCH_PR10.json. A point whose workers exceed the cores the process
 // can run on keeps its digest check and events/s but reports its
 // scaling as unmeasured.
-func runFleetBench(outPath string) int {
+func runFleetBench(outPath string) error {
 	rep := fleetBenchReport{
 		Note: "fleet tier: sharded parallel simulation with GPU-aware routing; " +
 			"aggregate events/s across N replica shards at N workers, with every " +
@@ -111,8 +110,7 @@ func runFleetBench(outPath string) int {
 		// the timed parallel run below owns its own caches.
 		ref, err := fleet.Run(fleet.DemoConfig(shards, 1))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", err)
-			return 1
+			return err
 		}
 		cfg := fleet.DemoConfig(shards, shards)
 		var res *fleet.Result
@@ -123,8 +121,7 @@ func runFleetBench(outPath string) int {
 			res, err = fleet.Run(cfg)
 			walls[i] = time.Since(start).Seconds()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", err)
-				return 1
+				return err
 			}
 			digestOK = digestOK && res.Digests() == ref.Digests()
 		}
@@ -159,8 +156,7 @@ func runFleetBench(outPath string) int {
 		}
 	}
 	if !rep.DeterminismOK {
-		fmt.Fprintln(os.Stderr, "e3-bench: a parallel fleet run diverged from its serial reference — determinism violation")
-		return 1
+		return errors.New("a parallel fleet run diverged from its serial reference — determinism violation")
 	}
 
 	metrics := map[string]float64{
@@ -178,9 +174,8 @@ func runFleetBench(outPath string) int {
 		err = bench.WriteFile(outPath, env)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	fmt.Printf("wrote %s (scaling at 8 shards: %s on GOMAXPROCS=%d, %d CPUs)\n", outPath, at8, rep.GoMaxProcs, rep.NumCPU)
-	return 0
+	return nil
 }

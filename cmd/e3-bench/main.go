@@ -8,6 +8,7 @@
 //	e3-bench fig07 fig12 fig19     # run a selection
 //	e3-bench -trace-out demo.json  # export a Perfetto-loadable timeline
 //	e3-bench -trace-out t.json -flame-out f.json  # timeline and flame profile of one run
+//	e3-bench -flame-out f.json -flame-out f.folded -flame-out f.pb.gz  # one profile, three formats
 //	e3-bench -bench-out bench.json # machine-readable perf + overhead stats
 //	e3-bench -windows 20 -audit    # windowed replan loop + conservation gate
 //	e3-bench -plan-bench BENCH_PR5.json  # planner search-path timings
@@ -17,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -36,26 +38,29 @@ func main() {
 	all := flag.Bool("all", false, "run every registered experiment")
 	auditRun := flag.Bool("audit", false, "run the lifecycle conservation audit (bursty open loop, all runners); exits nonzero on violations")
 	format := flag.String("format", "table", "output format: table or csv")
-	traceOut := flag.String("trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); with -flame-* the same run is also profiled; exits nonzero if the run fails its audit")
-	benchOut := flag.String("bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, telemetry overhead) to FILE")
+	var out outputs
+	flag.StringVar(&out.trace, "trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); with -flame-out the same run is also profiled; exits nonzero if the run fails its audit")
+	flag.StringVar(&out.bench, "bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, telemetry overhead) to FILE")
 	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate), -bench-out, and -trace-out")
 	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE")
 	simBench := flag.String("sim-bench", "", "run the data-plane fast-path benchmark (paper-scale 9000 req/s x 1h trace, engine churn micro, pooled-vs-unpooled determinism check) and write the JSON report to FILE")
-	bundleOnFailure := flag.String("bundle-on-failure", "", "with -windows: attach the flight recorder and, if any trigger fires (audit violation, SLO burn breach, engine abort), write its diagnostic bundle to FILE")
-	attrOut := flag.String("attr-out", "", "with -windows: write the per-request latency-attribution dump (component totals, per-stage compute, top-k slowest breakdowns) to FILE")
+	flag.StringVar(&out.bundle, "bundle-on-failure", "", "with -windows: attach the flight recorder and, if any trigger fires (audit violation, SLO burn breach, engine abort), write its diagnostic bundle to FILE")
+	flag.StringVar(&out.attr, "attr-out", "", "with -windows: write the per-request latency-attribution dump (component totals, per-stage compute, top-k slowest breakdowns) to FILE")
 	sloTarget := flag.Float64("slo-target", slo.DefaultTarget, "with -windows: SLO attainment target the error budget is tracked against")
 	burnThreshold := flag.Float64("burn-threshold", slo.DefaultBurnThreshold, "with -windows: burn-rate alert threshold (1 = burning exactly the budget)")
-	flameOut := flag.String("flame-out", "", "run under the virtual-time compute profiler and write the JSON flame profile to FILE (with -windows: profile of the whole replan run); exits nonzero unless the profile reconciles exactly")
-	flameFolded := flag.String("flame-folded", "", "like -flame-out but write collapsed-stack text (flamegraph.pl / speedscope input)")
-	flamePprof := flag.String("flame-pprof", "", "like -flame-out but write a gzip pprof profile.proto (`go tool pprof FILE`)")
+	flag.Func("flame-out", "run under the virtual-time compute profiler and write the flame profile to FILE (with -windows: profile of the whole replan run); repeat to write more files, each in the format its extension names: .folded collapsed stacks (flamegraph.pl / speedscope input), .pb.gz gzip pprof profile.proto (go tool pprof FILE), anything else JSON; exits nonzero unless the profile reconciles exactly", func(path string) error {
+		if path != "" {
+			out.flame = append(out.flame, path)
+		}
+		return nil
+	})
 	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run (and for -trace-out alongside it): pipeline or serial (§5.8.7 phase-synchronized baseline)")
 	fleetN := flag.Int("fleet", 0, "run the fleet demo with N replica shards (multi-tenant zoo, GPU-aware epoch routing) and print per-replica accounting")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard); any count reproduces the serial reference byte-for-byte")
 	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE")
 	flag.Parse()
 	if *format != "table" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "e3-bench: unknown format %q\n", *format)
-		os.Exit(2)
+		usage("unknown format %q", *format)
 	}
 
 	// Flags that only configure the replan loop would otherwise be
@@ -71,8 +76,7 @@ func main() {
 			}
 		})
 		if stray != "" {
-			fmt.Fprintf(os.Stderr, "e3-bench: -%s needs -windows N (it configures the replan loop)\n", stray)
-			os.Exit(2)
+			usage("-%s needs -windows N (it configures the replan loop)", stray)
 		}
 	}
 
@@ -83,98 +87,93 @@ func main() {
 		return
 	}
 
-	if *planBench != "" {
-		os.Exit(runPlanBench(*planBench))
+	// Every runtime error ends here: it is printed, and the process exits
+	// 1 once every requested run has had its turn.
+	exit := 0
+	report := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "e3-bench:", err)
+			exit = 1
+		}
 	}
-
-	if *simBench != "" {
-		os.Exit(runSimBench(*simBench))
-	}
-
-	if *fleetBench != "" {
-		os.Exit(runFleetBench(*fleetBench))
-	}
-
-	if *fleetN > 0 {
+	staticDemo := out.trace != "" || len(out.flame) > 0
+	switch {
+	case *planBench != "":
+		report(runPlanBench(*planBench))
+	case *simBench != "":
+		report(runSimBench(*simBench))
+	case *fleetBench != "":
+		report(runFleetBench(*fleetBench))
+	case *fleetN > 0:
 		workers := *fleetWorkers
 		if workers <= 0 {
 			workers = *fleetN
 		}
-		os.Exit(runFleetOnce(*fleetN, workers))
-	}
-
-	if *windows > 0 {
-		os.Exit(runReplan(*windows, *auditRun, *benchOut, *traceOut, *bundleOnFailure, *attrOut, *sloTarget, *burnThreshold,
-			*flameOut, *flameFolded, *flamePprof))
-	}
-
-	staticDemo := *traceOut != "" || *flameOut != "" || *flameFolded != "" || *flamePprof != ""
-	if staticDemo || *benchOut != "" {
-		exit := 0
+		report(runFleetOnce(*fleetN, workers))
+	case *windows > 0:
+		report(runReplan(*windows, *auditRun, out, *sloTarget, *burnThreshold))
+	case staticDemo || out.bench != "":
 		if staticDemo {
-			if exit = runStaticDemo(*traceOut, *flameRunner, *flameOut, *flameFolded, *flamePprof); exit == 2 {
-				os.Exit(exit)
+			if len(out.flame) > 0 && *flameRunner != "pipeline" && *flameRunner != "serial" {
+				usage("-flame-runner must be pipeline or serial (got %q)", *flameRunner)
 			}
+			report(runStaticDemo(out, *flameRunner))
 		}
-		if *benchOut != "" {
-			if err := exportBench(*benchOut); err != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", err)
-				exit = 1
-			}
+		if out.bench != "" {
+			report(exportBench(out.bench))
 		}
-		os.Exit(exit)
-	}
-
-	if *auditRun {
+	case *auditRun:
 		start := time.Now()
 		t, violations := experiments.RunAudit()
-		if *format == "csv" {
-			fmt.Printf("# %s: %s\n", t.ID, t.Title)
-			t.CSV(os.Stdout)
-		} else {
-			t.Print(os.Stdout)
-			fmt.Printf("  (completed in %.1fs)\n\n", time.Since(start).Seconds())
-		}
+		printTable(t, *format, start)
 		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "e3-bench: audit found %d conservation violation(s)\n", violations)
-			os.Exit(1)
+			report(fmt.Errorf("audit found %d conservation violation(s)", violations))
 		}
-		return
-	}
-
-	var ids []string
-	switch {
-	case *all:
-		ids = experiments.IDs()
-	case *fig != "":
-		ids = []string{*fig}
 	default:
-		ids = flag.Args()
-	}
-	if len(ids) == 0 {
-		fmt.Fprintln(os.Stderr, "e3-bench: nothing to run; try -list, -all, or -fig <id>")
-		os.Exit(2)
-	}
-
-	exit := 0
-	for _, id := range ids {
-		start := time.Now()
-		t, err := experiments.Run(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", err)
-			exit = 1
-			continue
+		var ids []string
+		switch {
+		case *all:
+			ids = experiments.IDs()
+		case *fig != "":
+			ids = []string{*fig}
+		default:
+			ids = flag.Args()
 		}
-		if *format == "csv" {
-			fmt.Printf("# %s: %s\n", t.ID, t.Title)
-			t.CSV(os.Stdout)
-			fmt.Println()
-		} else {
-			t.Print(os.Stdout)
-			fmt.Printf("  (completed in %.1fs)\n\n", time.Since(start).Seconds())
+		if len(ids) == 0 {
+			usage("nothing to run; try -list, -all, or -fig <id>")
+		}
+		for _, id := range ids {
+			start := time.Now()
+			t, err := experiments.Run(id)
+			if err != nil {
+				report(err)
+				continue
+			}
+			printTable(t, *format, start)
+			if *format == "csv" {
+				fmt.Println()
+			}
 		}
 	}
 	os.Exit(exit)
+}
+
+// usage reports a command-line mistake and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "e3-bench: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// printTable prints an experiment's table in the requested format; the
+// table format adds the run's wall time since start.
+func printTable(t experiments.Table, format string, start time.Time) {
+	if format == "csv" {
+		fmt.Printf("# %s: %s\n", t.ID, t.Title)
+		t.CSV(os.Stdout)
+		return
+	}
+	t.Print(os.Stdout)
+	fmt.Printf("  (completed in %.1fs)\n\n", time.Since(start).Seconds())
 }
 
 // demoHorizon is virtual seconds of bursty arrivals for the traced demo
@@ -324,7 +323,7 @@ type replanReport struct {
 	SLOTarget      float64 `json:"slo_target"`
 	BudgetBreaches int     `json:"budget_breaches"`
 
-	// Flame profiling of the whole replan run (only with -flame-*): the
+	// Flame profiling of the whole replan run (only with -flame-out): the
 	// exact-reconcile verdict plus each window's own busy/bubble time
 	// (deltas of the cumulative boundary snapshots).
 	FlameReconcile *flame.ReconcileStat `json:"flame_reconcile,omitempty"`
@@ -385,15 +384,13 @@ func flameWindowStats(snaps []*flame.Profile) []flameWindowStat {
 }
 
 // runReplan drives the windowed predict→plan→serve→observe loop on the
-// drifting-mix demo, prints the per-window table, and returns the process
-// exit code. auditGate makes any conservation or reconcile violation
-// fatal (the `make verify` gate). bundlePath arms the flight recorder and
-// dumps its bundle when any trigger fires; attrPath writes the
-// per-request latency-attribution dump.
-func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, attrPath string, sloTarget, burnThreshold float64,
-	flameOut, flameFolded, flamePprof string) int {
+// drifting-mix demo and prints the per-window table, then writes the
+// artifacts out names. auditGate makes any conservation or reconcile
+// violation fatal (the `make verify` gate). out.bundle arms the flight
+// recorder, whose bundle is written only when a trigger fires.
+func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshold float64) error {
 	var tr *telemetry.Tracer
-	if tracePath != "" {
+	if out.trace != "" {
 		tr = telemetry.New()
 	}
 	cfg := replan.DriftingDemo(windows, forecast.MethodARIMA, tr)
@@ -401,13 +398,11 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 	cfg.Attr = attr
 	cfg.SLOTarget = sloTarget
 	cfg.BurnThreshold = burnThreshold
-	var fl *flame.Profiler
-	if flameOut != "" || flameFolded != "" || flamePprof != "" {
-		fl = flame.NewProfiler(0)
-		cfg.Flame = fl
+	if len(out.flame) > 0 {
+		cfg.Flame = flame.NewProfiler(0)
 	}
 	var rec *slo.Recorder
-	if bundlePath != "" {
+	if out.bundle != "" {
 		// The recorder needs a span ring to snapshot; give the run one
 		// when -trace-out didn't already attach a tracer.
 		if cfg.Tracer == nil {
@@ -419,14 +414,12 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 	start := time.Now()
 	res, err := replan.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	// Persistence baseline: same seed, same drift, forecaster swapped.
 	base, err := replan.Run(replan.DriftingDemo(windows, forecast.MethodPersistence, nil))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 
 	fmt.Printf("replan loop: %d windows x 2s virtual (drifting mix, ARIMA forecaster)\n\n", windows)
@@ -474,65 +467,40 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 	fmt.Printf("%s\n", res.Report)
 	fmt.Printf("(completed in %.1fs)\n", time.Since(start).Seconds())
 
-	if tracePath != "" {
-		f, ferr := os.Create(tracePath)
-		if ferr == nil {
-			ferr = telemetry.WriteChrome(f, tr.Spans())
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
+	if out.trace != "" {
+		if err := writeTraceFile(out.trace, tr); err != nil {
+			return err
 		}
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", ferr)
-			return 1
-		}
-		fmt.Printf("wrote %d spans to %s\n", len(tr.Spans()), tracePath)
+		fmt.Printf("wrote %d spans to %s\n", len(tr.Spans()), out.trace)
 	}
-	if bundlePath != "" {
+	if out.bundle != "" {
 		if rec.TriggerCount() == 0 {
 			fmt.Println("flight recorder: no triggers fired; no bundle written")
 		} else {
-			f, ferr := os.Create(bundlePath)
-			if ferr == nil {
-				ferr = rec.Last().WriteJSON(f)
-				if cerr := f.Close(); ferr == nil {
-					ferr = cerr
-				}
+			if err := writeArtifact(out.bundle, rec.Last().WriteJSON); err != nil {
+				return err
 			}
-			if ferr != nil {
-				fmt.Fprintln(os.Stderr, "e3-bench:", ferr)
-				return 1
-			}
-			fmt.Printf("flight recorder: %d trigger(s) fired; wrote bundle to %s\n", rec.TriggerCount(), bundlePath)
+			fmt.Printf("flight recorder: %d trigger(s) fired; wrote bundle to %s\n", rec.TriggerCount(), out.bundle)
 		}
 	}
-	if attrPath != "" {
-		f, ferr := os.Create(attrPath)
-		if ferr == nil {
-			enc := json.NewEncoder(f)
+	if out.attr != "" {
+		if err := writeArtifact(out.attr, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
-			ferr = enc.Encode(attr.Dump())
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
+			return enc.Encode(attr.Dump())
+		}); err != nil {
+			return err
 		}
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", ferr)
-			return 1
-		}
-		fmt.Printf("wrote attribution dump to %s\n", attrPath)
+		fmt.Printf("wrote attribution dump to %s\n", out.attr)
 	}
-	if fl != nil {
-		if werr := writeFlameArtifacts(fl.Profile(), flameOut, flameFolded, flamePprof); werr != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", werr)
-			return 1
+	if cfg.Flame != nil {
+		if err := writeFlame(cfg.Flame.Profile(), out.flame); err != nil {
+			return err
 		}
-		fmt.Printf("flame reconcile: residual %dns over %d devices — %s\n",
-			res.FlameStat.Residual, res.FlameStat.Devices,
-			map[bool]string{true: "exact", false: "MISMATCH"}[res.FlameStat.OK()])
+		fmt.Println(reconcileVerdict(res.FlameStat))
 	}
-	if benchPath != "" {
-		out := replanReport{
+	if out.bench != "" {
+		rep := replanReport{
 			Experiment:             "replan-loop (BERT-Base DeeBERT, V100x8, easy mix 0.9->0.3)",
 			Windows:                windows,
 			WindowDurS:             2.0,
@@ -557,41 +525,38 @@ func runReplan(windows int, auditGate bool, benchPath, tracePath, bundlePath, at
 			PerWindow:              res.Windows,
 		}
 		for _, d := range res.Diffs.Items() {
-			out.PlanDiffs = append(out.PlanDiffs, d.String())
+			rep.PlanDiffs = append(rep.PlanDiffs, d.String())
 		}
-		if fl != nil {
+		if cfg.Flame != nil {
 			stat := res.FlameStat
-			out.FlameReconcile = &stat
-			out.FlameWindows = flameWindowStats(res.FlameWindows)
+			rep.FlameReconcile = &stat
+			rep.FlameWindows = flameWindowStats(res.FlameWindows)
 		}
-		env, werr := bench.Wrap("replan-loop", out.Seed,
-			&bench.TraceParams{Windows: windows, WindowDurS: out.WindowDurS, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
+		env, err := bench.Wrap("replan-loop", rep.Seed,
+			&bench.TraceParams{Windows: windows, WindowDurS: rep.WindowDurS, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
 			map[string]float64{
 				"replans":            float64(res.Replans),
 				"plan_changes":       float64(res.PlanChanges),
 				"forecast_mae_arima": res.MeanForecastMAE,
 				"budget_breaches":    float64(res.Budget.Breaches()),
-			}, out)
-		if werr == nil {
-			werr = bench.WriteFile(benchPath, env)
+			}, rep)
+		if err == nil {
+			err = bench.WriteFile(out.bench, env)
 		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", werr)
-			return 1
+		if err != nil {
+			return err
 		}
-		fmt.Printf("wrote replan stats to %s\n", benchPath)
+		fmt.Printf("wrote replan stats to %s\n", out.bench)
 	}
 
 	if auditGate {
 		if err := res.Report.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", err)
-			return 1
+			return err
 		}
 		if err := base.Report.Err(); err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench: persistence baseline:", err)
-			return 1
+			return fmt.Errorf("persistence baseline: %w", err)
 		}
 		fmt.Println("audit: ok (sample lifecycle conserved across all plan switches)")
 	}
-	return 0
+	return nil
 }

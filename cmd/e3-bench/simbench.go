@@ -1,8 +1,8 @@
 package main
 
 import (
+	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -99,7 +99,7 @@ func churn(eng simEngineAPI, n uint64) (nsPerEv, allocsPerEv float64) {
 }
 
 // runSimBench measures the data-plane fast path and writes BENCH_PR6.json.
-func runSimBench(outPath string) int {
+func runSimBench(outPath string) error {
 	rep := simBenchReport{
 		Note: "data-plane fast path: value-heap engine, pooled batches, grouped " +
 			"completion events, sampled conservation audit; baseline measured pre-PR " +
@@ -131,8 +131,7 @@ func runSimBench(outPath string) int {
 	detCfg.Rate, detCfg.Horizon, detCfg.AuditStride = 3000, 4, 1
 	detPlan, err := experiments.PlanSimBench(detCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	detCfg.Plan = &detPlan
 	for _, seed := range rep.DeterminismSeeds {
@@ -140,22 +139,19 @@ func runSimBench(outPath string) int {
 		detCfg.Pooled = true
 		pooled, err := experiments.RunSimBench(detCfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", err)
-			return 1
+			return err
 		}
 		detCfg.Pooled = false
 		plain, err := experiments.RunSimBench(detCfg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "e3-bench:", err)
-			return 1
+			return err
 		}
 		if pooled.Digest != plain.Digest || pooled.Events != plain.Events {
 			rep.DeterminismOK = false
 		}
 	}
 	if !rep.DeterminismOK {
-		fmt.Fprintln(os.Stderr, "e3-bench: pooled and unpooled runs diverged — determinism violation")
-		return 1
+		return errors.New("pooled and unpooled runs diverged — determinism violation")
 	}
 	fmt.Printf("determinism: pooled == unpooled across seeds %v\n", rep.DeterminismSeeds)
 
@@ -164,8 +160,7 @@ func runSimBench(outPath string) int {
 	cfg := experiments.DefaultSimBench()
 	plan, err := experiments.PlanSimBench(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	cfg.Plan = &plan
 	m0 := mallocs()
@@ -174,8 +169,7 @@ func runSimBench(outPath string) int {
 	wall := time.Since(start).Seconds()
 	dm := mallocs() - m0
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	rep.Trace = simTraceStats{
 		Rate:        cfg.Rate,
@@ -195,8 +189,7 @@ func runSimBench(outPath string) int {
 	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, audit ok=%v\n",
 		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, res.AuditOK)
 	if !res.AuditOK {
-		fmt.Fprintf(os.Stderr, "e3-bench: conservation audit failed: %v\n", res.Report.Violations)
-		return 1
+		return fmt.Errorf("conservation audit failed: %v", res.Report.Violations)
 	}
 
 	env, err := bench.Wrap("sim-bench", 0,
@@ -210,9 +203,8 @@ func runSimBench(outPath string) int {
 		err = bench.WriteFile(outPath, env)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "e3-bench:", err)
-		return 1
+		return err
 	}
 	fmt.Printf("wrote %s\n", outPath)
-	return 0
+	return nil
 }
