@@ -8,12 +8,15 @@ package flame_test
 //  2. The fold reconciles exactly (zero integer-nanosecond residual)
 //     against the utilization ledger.
 //  3. Folded output is independent of planner worker count (the replan
-//     loop profiled with 1 worker matches 4 workers byte for byte).
+//     loop profiled at GOMAXPROCS 1, where the planner searches with one
+//     worker, matches GOMAXPROCS 4, where it searches with four, byte
+//     for byte).
 //  4. The serial-vs-pipeline diff on the same seed and plan is non-empty
 //     — the §5.8.7 comparison the paper's bubble analysis rides on.
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"e3/internal/experiments"
@@ -58,20 +61,22 @@ func TestFlameGateDeterministicAndExact(t *testing.T) {
 	}
 }
 
-// replanFold profiles the drifting replan demo at a given planner worker
-// count and returns the folded bytes plus the loop's reconcile verdict.
-func replanFold(t *testing.T, workers int) ([]byte, flame.ReconcileStat) {
+// replanFold profiles the drifting replan demo at a given GOMAXPROCS,
+// which sizes the planner's default worker pool (min(GOMAXPROCS, 8)), and
+// returns the folded bytes plus the loop's reconcile verdict. It restores
+// GOMAXPROCS before returning.
+func replanFold(t *testing.T, procs int) ([]byte, flame.ReconcileStat) {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	fl := flame.NewProfiler(0)
 	cfg := replan.DriftingDemo(4, forecast.MethodARIMA, nil)
-	cfg.PlannerWorkers = workers
 	cfg.Flame = fl
 	res, err := replan.Run(cfg)
 	if err != nil {
-		t.Fatalf("replan (workers=%d): %v", workers, err)
+		t.Fatalf("replan (GOMAXPROCS=%d): %v", procs, err)
 	}
 	if err := res.Report.Err(); err != nil {
-		t.Fatalf("replan audit (workers=%d): %v", workers, err)
+		t.Fatalf("replan audit (GOMAXPROCS=%d): %v", procs, err)
 	}
 	if len(res.FlameWindows) != 4 {
 		t.Fatalf("want 4 per-window flame snapshots, got %d", len(res.FlameWindows))
@@ -83,7 +88,7 @@ func TestFlameGateWorkerCountInvariant(t *testing.T) {
 	one, statOne := replanFold(t, 1)
 	four, statFour := replanFold(t, 4)
 	if !statOne.OK() || !statFour.OK() {
-		t.Fatalf("replan flame reconcile not exact: workers=1 residual %dns, workers=4 residual %dns",
+		t.Fatalf("replan flame reconcile not exact: GOMAXPROCS=1 residual %dns, GOMAXPROCS=4 residual %dns",
 			statOne.Residual, statFour.Residual)
 	}
 	if !bytes.Equal(one, four) {

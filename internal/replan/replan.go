@@ -107,10 +107,6 @@ type Config struct {
 	// forecast stats, ledger, budget, and attribution, and triggers on
 	// burn-rate breaches, audit violations, and engine aborts.
 	Recorder *slo.Recorder
-
-	// PlannerWorkers forwards to optimizer.Config.Workers; zero takes the
-	// planner's default.
-	PlannerWorkers int
 }
 
 // WindowStat is one window's outcome.
@@ -278,8 +274,8 @@ func newLoop(cfg Config) *loop {
 		est: forecast.NewEstimator(layers), budget: slo.NewBudget(cfg.SLOTarget, cfg.BurnThreshold),
 		problem: optimizer.Config{
 			Model: cfg.Model, Batch: cfg.Batch, Cluster: cfg.Cluster,
-			SLO: cfg.SLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
-			Workers: cfg.PlannerWorkers, Pipelining: true, ModelParallel: true,
+			SLO: cfg.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac,
+			Pipelining: true, ModelParallel: true,
 		},
 		cache: NewPlanCache(DefaultPlanCacheSize, DefaultPlanCacheTolerance), reserved: cfg.Cluster,
 	}
@@ -395,7 +391,7 @@ func (l *loop) serve(w int) error {
 		return err
 	}
 	pipe.SetPool(l.pool)
-	b := serving.NewBatcher(l.eng, pipe, l.active.Batch, l.active.Latency, 0.2)
+	b := serving.NewBatcher(l.eng, pipe, l.active.Batch, l.active.Latency, optimizer.DefaultSlackFrac)
 	b.SetPool(l.pool)
 	mix, rate := l.cfg.Workload(w)
 	l.gen.SwitchDist(mix)
