@@ -78,7 +78,7 @@ func main() {
 	bootTrace := &optimizer.SearchTrace{}
 	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
 		Model: m, Profile: prof, Batch: *batch, Cluster: clus,
-		SLO: sloDur.Seconds(), SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+		SLO: sloDur.Seconds(), SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 		Trace: bootTrace,
 	})
 	if err != nil {

@@ -60,7 +60,7 @@ func main() {
 		prof := profile.FromDist(m, c.dist, 8000, 1)
 		plan, err := optimizer.MaximizeGoodput(optimizer.Config{
 			Model: m, Profile: prof, Batch: c.batch, Cluster: clus,
-			SLO: c.slo, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+			SLO: c.slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 		})
 		if err != nil {
 			fmt.Printf("%-12s %14s %14s %8s\n", c.name, "-", "-", "infeasible")

@@ -35,7 +35,7 @@ func main() {
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
 	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
 		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: slo, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+		SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	batcher := serving.NewBatcher(eng, pipe, batch, plan.Latency, 0.2)
+	batcher := serving.NewBatcher(eng, pipe, batch, plan.Latency, optimizer.DefaultSlackFrac)
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
 	c, err := serving.RunOpenLoopStream(eng, pipe, batcher, trace.NewSliceStream(arr), gen, slo)
 	if err != nil {

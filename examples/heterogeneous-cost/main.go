@@ -27,7 +27,7 @@ func main() {
 	het := cluster.PaperHeterogeneous()
 	cfg := optimizer.Config{
 		Model: m, Profile: prof, Batch: 8, Cluster: het,
-		SLO: 0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+		SLO: 0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	}
 	plan, err := optimizer.MaximizeGoodput(cfg)
 	if err != nil {
@@ -64,7 +64,7 @@ func main() {
 		cfgV := optimizer.Config{
 			Model: van, Profile: vanProf, Batch: 8,
 			Cluster: cluster.New(map[gpu.Kind]int{k: 64}, 2),
-			SLO:     0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+			SLO:     0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 		}
 		p, err := optimizer.MinimizeCost(cfgV, target)
 		if err != nil {

@@ -45,7 +45,7 @@ func main() {
 	prof := profile.FromDist(calm, dist, 8000, 1)
 	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
 		Model: calm, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: 0.100 * avgTokens / 4, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+		SLO: 0.100 * avgTokens / 4, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,7 @@ func main() {
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
 	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
 		Model: m, Profile: prof, Batch: 8, Cluster: clus,
-		SLO: 0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+		SLO: 0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	})
 	if err != nil {
 		log.Fatal(err)

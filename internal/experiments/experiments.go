@@ -125,8 +125,7 @@ func Run(id string) (Table, error) {
 
 // Defaults mirror the paper's setup.
 const (
-	defaultSLO   = 0.100
-	defaultSlack = 0.2
+	defaultSLO = 0.100
 	// probeHorizon is virtual seconds per goodput probe; short enough to
 	// keep experiments fast, long enough to reach steady state.
 	probeHorizon = 2.0
@@ -198,7 +197,7 @@ func planE3(clus *cluster.Cluster, m *ee.EEModel, dist workload.Dist, batch int,
 	prof := profile.FromDist(m, dist, 8000, 1)
 	cfg := optimizer.Config{
 		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: slo, SlackFrac: defaultSlack, MinExitFrac: optimizer.DefaultMinExitFrac,
+		SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac,
 		Pipelining: true, ModelParallel: true,
 	}
 	if mutate != nil {

@@ -84,7 +84,7 @@ func Fig14() Table {
 		nE3 := "-"
 		prof := profile.FromDist(dee, dist, 8000, 1)
 		cfg := optimizer.Config{Model: dee, Profile: prof, Batch: b, Cluster: big,
-			SLO: defaultSLO, SlackFrac: defaultSlack, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
+			SLO: defaultSLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
 		if p, err := optimizer.MinimizeGPUs(cfg, target); err == nil {
 			nE3 = itoa(p.GPUs)
 		}
@@ -153,7 +153,7 @@ func cheapestBaseline(m *ee.EEModel, dist workload.Dist, batch int, target float
 func cheapestE3(m *ee.EEModel, dist workload.Dist, batch int, target float64, pool *cluster.Cluster) string {
 	prof := profile.FromDist(m, dist, 8000, 1)
 	cfg := optimizer.Config{Model: m, Profile: prof, Batch: batch, Cluster: pool,
-		SLO: defaultSLO, SlackFrac: defaultSlack, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
+		SLO: defaultSLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
 	p, err := optimizer.MinimizeCost(cfg, target)
 	if err != nil {
 		return "-"

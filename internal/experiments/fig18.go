@@ -5,6 +5,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/optimizer"
 	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
@@ -58,7 +59,7 @@ func Fig19() Table {
 		if err != nil {
 			return 0, 0
 		}
-		b := serving.NewBatcher(eng, r, batch, s.est(), defaultSlack)
+		b := serving.NewBatcher(eng, r, batch, s.est(), optimizer.DefaultSlackFrac)
 		gen := workload.NewGenerator(dist, 191)
 		c, err := serving.RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, defaultSLO)
 		if err != nil {

@@ -40,7 +40,7 @@ func Fig20() Table {
 		prof := profile.FromDist(m, mix80(), 8000, 1)
 		timeIt := func(clus *cluster.Cluster) float64 {
 			cfg := optimizer.Config{Model: m, Profile: prof, Batch: 8, Cluster: clus,
-				SLO: 0.25, SlackFrac: defaultSlack, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+				SLO: 0.25, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 				MaxSplits: 4}
 			// Figure 20 measures the optimizer's real compute cost, not
 			// simulated behaviour, so the wall clock is the instrument here.

@@ -35,7 +35,7 @@ func Fig22() Table {
 	measure := func(batch int, errFrac float64) float64 {
 		cfg := optimizer.Config{
 			Model: m, Profile: truth.WithError(errFrac), Batch: batch, Cluster: mk(),
-			SLO: slo, SlackFrac: defaultSlack, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+			SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 			DisableInteriorRamps: true,
 		}
 		plan, err := optimizer.MaximizeGoodput(cfg)

@@ -76,7 +76,7 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		prof := profile.FromDist(t.Model, t.Dist, 8000, 1)
 		cfg := optimizer.Config{
 			Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
-			SLO: t.SLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+			SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 		}
 		plan, err := optimizer.MinimizeGPUs(cfg, t.Rate)
 		if err != nil {
@@ -111,7 +111,7 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		prof := profile.FromDist(t.Model, t.Dist, 8000, 1)
 		cfg := optimizer.Config{
 			Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
-			SLO: t.SLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
+			SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 		}
 		if plan, err := optimizer.MaximizeGoodput(cfg); err == nil && plan.Goodput > allocs[worst].Plan.Goodput {
 			allocs[worst].Plan = plan
@@ -201,10 +201,6 @@ type ServingTenant struct {
 	Coll    *scheduler.Collector
 }
 
-// slackFrac is the SLO headroom the batcher reserves (paper: 20%), the
-// same value every E3 experiment uses.
-const slackFrac = 0.2
-
 // DeployServing binds allocations to complete serving stacks on one
 // engine: per tenant, a collector with a sampled conservation ledger
 // (auditStride ≤ 1 = exhaustive), a pipeline restricted to the tenant's
@@ -234,7 +230,7 @@ func DeployServing(eng *sim.Engine, clus *cluster.Cluster, tenants []Tenant, all
 			return nil, fmt.Errorf("multi: tenant %q: %w", a.Tenant, err)
 		}
 		pipe.SetPool(pool)
-		b := serving.NewBatcher(eng, pipe, t.Batch, a.Plan.Latency, slackFrac)
+		b := serving.NewBatcher(eng, pipe, t.Batch, a.Plan.Latency, optimizer.DefaultSlackFrac)
 		b.SetPool(pool)
 		out = append(out, ServingTenant{Spec: t, Alloc: a, Batcher: b, Pipe: pipe, Coll: coll})
 	}

@@ -35,7 +35,9 @@ const (
 	// DefaultMinExitFrac prunes boundary candidates below 2% predicted
 	// exit mass.
 	DefaultMinExitFrac = 0.02
-	// DefaultSlackFrac reserves the paper's 20% SLO headroom.
+	// DefaultSlackFrac reserves the paper's 20% SLO headroom: the planner
+	// plans for SLO·(1−slack), and every serving stack's batcher sheds
+	// against the same slack.
 	DefaultSlackFrac = 0.2
 	// DefaultMaxBoundaryCands caps the exit ramps considered as split
 	// boundaries, ranked by predicted exit mass.

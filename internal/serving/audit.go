@@ -3,6 +3,7 @@ package serving
 import (
 	"e3/internal/audit"
 	"e3/internal/flame"
+	"e3/internal/optimizer"
 	"e3/internal/scheduler"
 	"e3/internal/sim"
 	"e3/internal/trace"
@@ -39,7 +40,7 @@ func AuditedOpenLoop(mk func(eng *sim.Engine, coll *scheduler.Collector) (schedu
 	}
 	gen := workload.NewGenerator(dist, seed)
 	gen.SetSink(coll)
-	b := NewBatcher(eng, r, batch, estService, 0.2)
+	b := NewBatcher(eng, r, batch, estService, optimizer.DefaultSlackFrac)
 	c, err := RunOpenLoopStream(eng, r, b, trace.NewSliceStream(arr), gen, slo)
 	if err != nil {
 		// A truncated run cannot be audited — conservation is trivially

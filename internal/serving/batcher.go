@@ -22,14 +22,14 @@ type Batcher struct {
 	// one, its backlog estimate, looked up once at construction.
 	coll    *scheduler.Collector
 	backlog backlogged
-	// Batch is the target batch size.
-	Batch int
-	// EstService is the expected service time once dispatched; arrivals
+	// batch is the target batch size.
+	batch int
+	// estService is the expected service time once dispatched; arrivals
 	// whose remaining slack is below it are dropped, and queued heads
 	// force dispatch when their slack runs down to it.
-	EstService float64
-	// SlackFrac reserves SLO headroom (paper: 20%).
-	SlackFrac float64
+	estService float64
+	// slackFrac reserves SLO headroom (paper: 20%).
+	slackFrac float64
 
 	queue []workload.Sample
 	// flushTimer is the SLA-pressure check for the queue head; its pending
@@ -46,7 +46,7 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 	if batch < 1 {
 		batch = 1
 	}
-	b := &Batcher{eng: eng, runner: r, coll: r.Collector(), Batch: batch, EstService: estService, SlackFrac: slackFrac}
+	b := &Batcher{eng: eng, runner: r, coll: r.Collector(), batch: batch, estService: estService, slackFrac: slackFrac}
 	b.backlog, _ = r.(backlogged)
 	b.flushTimer = eng.NewTimer(b.flush)
 	return b
@@ -66,8 +66,8 @@ func (b *Batcher) Arrive(s workload.Sample) {
 	}
 	b.queue = append(b.queue, s)
 	b.coll.Queued(s, now)
-	if len(b.queue) >= b.Batch {
-		b.dispatch(b.Batch)
+	if len(b.queue) >= b.batch {
+		b.dispatch(b.batch)
 		return
 	}
 	b.armFlush()
@@ -86,7 +86,7 @@ type backlogged interface {
 // backlog it would fire after queued samples had already become hopeless,
 // shedding load that was viable at arrival.
 func (b *Batcher) effectiveService() float64 {
-	est := b.EstService
+	est := b.estService
 	if b.backlog != nil {
 		est += b.backlog.BacklogDelay()
 	}
@@ -96,7 +96,7 @@ func (b *Batcher) effectiveService() float64 {
 // deadlineHopeless reports whether a sample can no longer meet its SLA
 // even if dispatched immediately, accounting for the runner's backlog.
 func (b *Batcher) deadlineHopeless(s workload.Sample, now float64) bool {
-	slack := (s.Deadline - now) * (1 - b.SlackFrac)
+	slack := (s.Deadline - now) * (1 - b.slackFrac)
 	return slack < b.effectiveService()
 }
 
@@ -148,7 +148,7 @@ func (b *Batcher) disarmFlush() { b.flushTimer.Stop() }
 // The early slack (1.02x) sits safely inside the pressure check's 1.05x
 // tolerance, so the flush still dispatches rather than re-arming forever.
 func (b *Batcher) headFireAt() float64 {
-	return b.queue[0].Deadline - 1.02*b.effectiveService()/(1-b.SlackFrac)
+	return b.queue[0].Deadline - 1.02*b.effectiveService()/(1-b.slackFrac)
 }
 
 // armFlush schedules the SLA-pressure check for the queue head. A pending
@@ -196,9 +196,9 @@ func (b *Batcher) flush() {
 		return
 	}
 	head := b.queue[0]
-	slack := (head.Deadline - now) * (1 - b.SlackFrac)
+	slack := (head.Deadline - now) * (1 - b.slackFrac)
 	if slack <= b.effectiveService()*1.05 {
-		b.dispatch(b.Batch) // dispatch re-arms for the next head
+		b.dispatch(b.batch) // dispatch re-arms for the next head
 		return
 	}
 	b.armFlush()
@@ -207,7 +207,7 @@ func (b *Batcher) flush() {
 // Flush force-dispatches all queued samples (end of run).
 func (b *Batcher) Flush() {
 	for len(b.queue) > 0 {
-		b.dispatch(b.Batch)
+		b.dispatch(b.batch)
 	}
 }
 
