@@ -41,9 +41,10 @@ test:
 # producer, and scheduler's stream consumer (Collector.Stream), which
 # owns the ledger and the views while replan.Run and
 # serving.AuditedOpenLoop stream their boundaries to it. metrics holds
-# the collector's latency store.
+# the collector's latency store. ee's compiled exit table is read by every
+# fleet shard of one model at once, so it must be built eagerly.
 race:
-	$(GO) test -race ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
+	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
 
 # Fuzz the ledger's online checks and digest against the full-walk
 # oracles for 30 s. Only fuzzed operands reach the record's wide spill
@@ -115,7 +116,8 @@ fleetgate:
 # reference vs memoized search, engine heap churn, timer reset, batcher
 # flush, batcher arm/dispatch, split execution on the fly vs from a
 # compiled table, traced runner path, one attributed request lifecycle,
-# one flame execute/transfer/fuse round, one fleet routing epoch, one
+# one flame execute/transfer/fuse round, one fleet routing epoch, fleet
+# setup with one plan per distinct inventory (BenchmarkFleetNew), one
 # streamed arrival minted on the loop vs ahead of it, exhaustive ledger
 # recording and verification over 100k samples).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`

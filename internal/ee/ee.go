@@ -104,12 +104,12 @@ func (p Policy) DepthScale() float64 {
 
 // EEModel is a base model plus exit ramps.
 //
-// The exit decision is compiled at construction: the policy's depth scale
-// and the enabled-ramp list are computed by New and kept current by
-// Disable and Enable, so ExitLayerFor and HasRampAfter read plain slices
-// and floats. Nothing is filled in lazily — fleet shards share one model
-// across goroutines. Policy is fixed once New returns; build a new model
-// to change it.
+// The exit decision is compiled at construction: the policy's depth scale,
+// the enabled-ramp list and the per-layer exit table are computed by New
+// and rebuilt by Disable, Enable and Clone, so ExitLayerFor and
+// HasRampAfter read plain slices and floats. Nothing is filled in lazily —
+// fleet shards share one model across goroutines. Policy is fixed once New
+// returns; build a new model to change it.
 type EEModel struct {
 	Name   string
 	Base   *model.Model
@@ -120,6 +120,9 @@ type EEModel struct {
 	rampAfter []int
 	// enabled is the ascending subset of rampAfter that is not disabled.
 	enabled []int
+	// exitAt[k], for k in [0,L], is the first enabled ramp ≥ k, or L if
+	// there is none: the exit layer of an input ready at depth k.
+	exitAt []int
 	// An input of difficulty d (clamped to [0,1]) becomes exit-ready at
 	// depth fraction max(0, d·scale + shift): scale is the policy's
 	// DepthScale, shift the patience offset (0 for threshold policies).
@@ -165,7 +168,25 @@ func New(name string, base *model.Model, p Policy, rampAfter []int, lmHead bool)
 	if p.Kind == Patience {
 		m.shift = float64(p.Patience-p.RefPatience) / float64(L)
 	}
+	m.compileExits()
 	return m, nil
+}
+
+// compileExits rebuilds exitAt from enabled. Every method that changes
+// enabled calls it before returning.
+func (m *EEModel) compileExits() {
+	L := m.Base.NumLayers()
+	if len(m.exitAt) != L+1 {
+		m.exitAt = make([]int, L+1)
+	}
+	next := L
+	for k, i := L, len(m.enabled)-1; k >= 0; k-- {
+		if i >= 0 && m.enabled[i] == k {
+			next = k
+			i--
+		}
+		m.exitAt[k] = next
+	}
 }
 
 // mustNew panics on error; used by the preset constructors whose inputs
@@ -242,6 +263,7 @@ func (m *EEModel) Clone() *EEModel {
 	cp := *m
 	cp.rampAfter = append([]int(nil), m.rampAfter...)
 	cp.enabled = append([]int(nil), m.enabled...)
+	cp.exitAt = append([]int(nil), m.exitAt...)
 	return &cp
 }
 
@@ -252,7 +274,9 @@ func (m *EEModel) Ramps() []int { return append([]int(nil), m.rampAfter...) }
 func (m *EEModel) ActiveRamps() []int { return append([]int(nil), m.enabled...) }
 
 // HasRampAfter reports whether an enabled ramp follows layer k.
-func (m *EEModel) HasRampAfter(k int) bool { return contains(m.enabled, k) }
+func (m *EEModel) HasRampAfter(k int) bool {
+	return k >= 0 && k < len(m.exitAt)-1 && m.exitAt[k] == k
+}
 
 // Disable turns off the ramp after layer k (the §3.4 exit-wrapper).
 func (m *EEModel) Disable(k int) error {
@@ -261,6 +285,7 @@ func (m *EEModel) Disable(k int) error {
 	}
 	if i := sort.SearchInts(m.enabled, k); i < len(m.enabled) && m.enabled[i] == k {
 		m.enabled = append(m.enabled[:i], m.enabled[i+1:]...)
+		m.compileExits()
 	}
 	return nil
 }
@@ -274,6 +299,7 @@ func (m *EEModel) Enable(k int) error {
 		m.enabled = append(m.enabled, 0)
 		copy(m.enabled[i+1:], m.enabled[i:])
 		m.enabled[i] = k
+		m.compileExits()
 	}
 	return nil
 }
@@ -287,15 +313,17 @@ func contains(sorted []int, k int) bool {
 // ExitLayerFor returns the 1-based layer after which an input of the given
 // difficulty leaves the model: a ramp position, or NumLayers() if it runs
 // to the final classifier. Deterministic given difficulty.
+//
+// Ramps sit at integer layers, so the first enabled ramp at or past the
+// ready depth is exitAt[⌈ready⌉]; a NaN depth or one past L runs the
+// full model.
 func (m *EEModel) ExitLayerFor(difficulty float64) int {
-	L := m.Base.NumLayers()
+	L := len(m.exitAt) - 1
 	ready := m.readyDepth(difficulty) * float64(L)
-	for _, r := range m.enabled {
-		if float64(r) >= ready {
-			return r
-		}
+	if !(ready <= float64(L)) {
+		return L
 	}
-	return L
+	return m.exitAt[int(math.Ceil(ready))]
 }
 
 // readyDepth returns the depth fraction at which the input becomes

@@ -3,6 +3,7 @@ package ee
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"e3/internal/model"
@@ -71,11 +72,13 @@ func (r refExit) active() []int {
 	return out
 }
 
-// probeDifficulties spans [0,1] finely, straddles it, and lands on (and
-// one ulp either side of) every difficulty whose ready depth is exactly a
+// probeDifficulties spans [0,1] finely, straddles it (infinities
+// included), touches it at the smallest subnormal, and lands on (and one
+// ulp either side of) every difficulty whose ready depth is exactly a
 // layer index — where an off-by-one-ulp cache would pick another ramp.
 func probeDifficulties(m *EEModel) []float64 {
 	out := []float64{-0.5, math.Copysign(0, -1), 0, 1, 1.5, math.NaN()}
+	out = append(out, math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64)
 	for i := 0; i <= 1000; i++ {
 		out = append(out, float64(i)/1000)
 	}
@@ -204,4 +207,50 @@ func TestNewRejectsInvalidPolicy(t *testing.T) {
 		}
 	}()
 	NewDeeBERT(base, 1.5)
+}
+
+// TestSharedModelConcurrentReads: fleet shards read one model from several
+// goroutines at once. Four readers of ExitLayerFor and HasRampAfter must
+// all see the serial answers; under -race, any table filled on first read
+// instead of at construction fails here.
+func TestSharedModelConcurrentReads(t *testing.T) {
+	m := NewLlamaEE(model.Llama318B())
+	diffs := probeDifficulties(m)
+	L := m.Base.NumLayers()
+	wantExit := make([]int, len(diffs))
+	for i, d := range diffs {
+		wantExit[i] = m.ExitLayerFor(d)
+	}
+	wantRamp := make([]bool, L+3)
+	for k := -1; k <= L+1; k++ {
+		wantRamp[k+1] = m.HasRampAfter(k)
+	}
+
+	// A fresh model: its first reads are the concurrent ones.
+	shared := NewLlamaEE(model.Llama318B())
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, d := range diffs {
+				if got := shared.ExitLayerFor(d); got != wantExit[i] {
+					errs <- "ExitLayerFor disagrees with the serial read"
+					return
+				}
+			}
+			for k := -1; k <= L+1; k++ {
+				if shared.HasRampAfter(k) != wantRamp[k+1] {
+					errs <- "HasRampAfter disagrees with the serial read"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -218,6 +218,10 @@ func planScale(cfg Config, r int) float64 {
 // shard-owned batch pool. Planning that cannot sustain the scaled demand
 // retries at half the demand (twice) before failing — the router and the
 // replicas' own admission control absorb the shortfall at run time.
+//
+// The plan is a pure function of the tenants and the replica's
+// inventory, so it is solved once per distinct inventory and deployed,
+// read-only, onto every replica with that inventory.
 func New(cfg Config) (*Fleet, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -226,8 +230,9 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.EpochDur = cfg.Horizon
 	}
 	f := &Fleet{cfg: cfg, router: NewRouter(len(cfg.Replicas), len(cfg.Tenants))}
+	plans := make(map[string]inventoryPlan)
 	for i, spec := range cfg.Replicas {
-		rep, err := buildReplica(cfg, i, spec)
+		rep, err := buildReplica(cfg, i, spec, plans)
 		if err != nil {
 			return nil, err
 		}
@@ -268,31 +273,44 @@ func (f *Fleet) epochEnd(e int) float64 {
 	return min(f.cfg.EpochDur*float64(e+1), f.cfg.Horizon)
 }
 
-// buildReplica plans and deploys one shard.
-func buildReplica(cfg Config, idx int, spec ReplicaSpec) (*Replica, error) {
+// inventoryPlan is what planning yields for one replica inventory: the
+// tenants at the inventory's share of fleet demand and their allocations.
+// Replicas with that inventory share it and never write to it.
+type inventoryPlan struct {
+	tenants []multi.Tenant
+	allocs  []multi.Allocation
+}
+
+// buildReplica deploys one shard, planning its inventory first unless
+// plans already holds it (keyed by ReplicaSpec.describe).
+func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]inventoryPlan) (*Replica, error) {
 	clus := cluster.New(spec.GPUs, 2)
-	scale := planScale(cfg, idx)
-	tenants := make([]multi.Tenant, 0, len(cfg.Tenants))
-	for _, t := range cfg.Tenants {
-		tenants = append(tenants, multi.Tenant{
-			Name: t.Name, Model: t.Model, Dist: t.Dist,
-			Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
-		})
-	}
-	allocs, err := planWithBackoff(clus, tenants)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
+	key := spec.describe()
+	p, ok := plans[key]
+	if !ok {
+		scale := planScale(cfg, idx)
+		for _, t := range cfg.Tenants {
+			p.tenants = append(p.tenants, multi.Tenant{
+				Name: t.Name, Model: t.Model, Dist: t.Dist,
+				Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
+			})
+		}
+		var err error
+		if p.allocs, err = planWithBackoff(clus, p.tenants); err != nil {
+			return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
+		}
+		plans[key] = p
 	}
 	eng := sim.NewEngine()
 	// Runaway backstop scaled to this shard's expected share of events
 	// (~2 events/request steady state, 8x headroom, 1M floor).
 	expect := 0.0
-	for _, t := range tenants {
+	for _, t := range p.tenants {
 		expect += t.Rate * cfg.Horizon
 	}
 	eng.SetEventLimit(uint64(expect)*8 + 1_000_000)
 	pool := workload.NewBatchPool()
-	stacks, err := multi.DeployServing(eng, clus, tenants, allocs, cfg.AuditStride, pool)
+	stacks, err := multi.DeployServing(eng, clus, p.tenants, p.allocs, cfg.AuditStride, pool)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
 	}

@@ -69,16 +69,14 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 	copy(order, tenants)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].Rate > order[j].Rate })
 
+	// Each tenant's exit profile is drawn once and serves both its minimal
+	// plan and a leftover-grant replan; allocs[i] belongs to order[i].
 	remaining := clus.Counts()
+	profs := make([]profile.Batch, len(order))
 	var allocs []Allocation
-	for _, t := range order {
-		sub := clusterFromCounts(remaining, clus)
-		prof := profile.FromDist(t.Model, t.Dist, 8000, 1)
-		cfg := optimizer.Config{
-			Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
-			SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		}
-		plan, err := optimizer.MinimizeGPUs(cfg, t.Rate)
+	for i, t := range order {
+		profs[i] = profile.FromDist(t.Model, t.Dist, 8000, 1)
+		plan, err := optimizer.MinimizeGPUs(planConfig(t, profs[i], clusterFromCounts(remaining, clus)), t.Rate)
 		if err != nil {
 			return nil, fmt.Errorf("multi: tenant %q: %w", t.Name, err)
 		}
@@ -94,12 +92,11 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 	if total(remaining) > 0 {
 		worst, worstHeadroom := -1, 0.0
 		for i, a := range allocs {
-			head := a.Plan.Goodput / rateOf(order, a.Tenant)
+			head := a.Plan.Goodput / order[i].Rate
 			if worst == -1 || head < worstHeadroom {
 				worst, worstHeadroom = i, head
 			}
 		}
-		t := tenantOf(order, allocs[worst].Tenant)
 		pool := make(map[gpu.Kind]int, len(remaining))
 		for k, n := range remaining {
 			pool[k] = n
@@ -107,12 +104,7 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		for _, s := range allocs[worst].Plan.Splits {
 			pool[s.Kind] += s.Replicas
 		}
-		sub := clusterFromCounts(pool, clus)
-		prof := profile.FromDist(t.Model, t.Dist, 8000, 1)
-		cfg := optimizer.Config{
-			Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
-			SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		}
+		cfg := planConfig(order[worst], profs[worst], clusterFromCounts(pool, clus))
 		if plan, err := optimizer.MaximizeGoodput(cfg); err == nil && plan.Goodput > allocs[worst].Plan.Goodput {
 			allocs[worst].Plan = plan
 		}
@@ -130,14 +122,12 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 	return allocs, nil
 }
 
-// rateOf finds a tenant's demanded rate.
-func rateOf(ts []Tenant, name string) float64 {
-	for _, t := range ts {
-		if t.Name == name {
-			return t.Rate
-		}
+// planConfig is the optimizer problem for one tenant on a sub-cluster.
+func planConfig(t Tenant, prof profile.Batch, sub *cluster.Cluster) optimizer.Config {
+	return optimizer.Config{
+		Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
+		SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
 	}
-	return 1
 }
 
 func tenantOf(ts []Tenant, name string) Tenant {
