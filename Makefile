@@ -119,8 +119,10 @@ fleetgate:
 # one flame execute/transfer/fuse round, one fleet routing epoch, fleet
 # setup with one plan per distinct inventory (BenchmarkFleetNew), one
 # streamed arrival minted on the loop vs ahead of it, exhaustive ledger
-# recording and verification over 100k samples).
+# recording and verification over 100k samples, one chunked busy span
+# recorded (BenchmarkUtilizationAdd), p50 and p999 selected over 10k and
+# 1M latencies with no sorted copy (BenchmarkLatencyQuantile)).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/metrics/

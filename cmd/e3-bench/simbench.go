@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"time"
 
 	"e3/internal/bench"
@@ -27,6 +31,9 @@ type simTraceStats struct {
 	Goodput     float64 `json:"goodput_req_per_s"`
 	AuditStride int64   `json:"audit_stride"`
 	AuditOK     bool    `json:"audit_ok"`
+	// PeakRSSMB is the process's peak resident set (VmHWM) in MiB after
+	// the trace, or 0 where /proc does not report it.
+	PeakRSSMB float64 `json:"peak_rss_mb"`
 }
 
 // simEngineStats compares the index-based value heap against the retained
@@ -58,6 +65,27 @@ type simBenchReport struct {
 	BaselineEventsPerS  float64 `json:"baseline_events_per_sec"`
 	BaselineAllocsPerEv float64 `json:"baseline_allocs_per_event"`
 	SpeedupVsBaseline   float64 `json:"speedup_vs_baseline"`
+}
+
+// peakRSSMB is this process's peak resident set (VmHWM) in MiB, or 0 if
+// /proc does not report it.
+func peakRSSMB() float64 {
+	f, err := os.Open("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // mallocs reads the cumulative allocation count.
@@ -184,10 +212,11 @@ func runSimBench(outPath string) error {
 		Goodput:     res.Goodput,
 		AuditStride: cfg.AuditStride,
 		AuditOK:     res.AuditOK,
+		PeakRSSMB:   peakRSSMB(),
 	}
 	rep.SpeedupVsBaseline = rep.Trace.EventsPerS / rep.BaselineEventsPerS
-	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, audit ok=%v\n",
-		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, res.AuditOK)
+	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, peak RSS %.0f MiB, audit ok=%v\n",
+		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, rep.Trace.PeakRSSMB, res.AuditOK)
 	if !res.AuditOK {
 		return fmt.Errorf("conservation audit failed: %v", res.Report.Violations)
 	}

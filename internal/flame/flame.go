@@ -558,9 +558,9 @@ func (p *Profiler) Reconcile(rep *audit.Report, util *metrics.UtilizationTracker
 		}
 		if util != nil {
 			ledger := int64(0)
-			for _, sp := range util.BusySpans(dt.ID) {
-				ledger += toNanos(sp[1]) - toNanos(sp[0])
-			}
+			util.EachBusySpan(dt.ID, func(start, end float64) {
+				ledger += toNanos(end) - toNanos(start)
+			})
 			if ledger != dt.BusyNanos {
 				stat.Residual += absInt64(dt.BusyNanos - ledger)
 				rep.Violate("flame: device %s busy %dns disagrees with utilization ledger %dns",

@@ -1,0 +1,39 @@
+package metrics
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+var quantileSink float64
+
+// BenchmarkUtilizationAdd records one busy span per op on one device; its
+// B/op is the chunked store's per-span cost (16 B plus chunk slack).
+func BenchmarkUtilizationAdd(b *testing.B) {
+	u := NewUtilizationTracker(0)
+	slot := u.Register("gpu0")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		u.AddBusyAt(slot, float64(i)*1e-3, 5e-4)
+	}
+}
+
+// BenchmarkLatencyQuantile reads the p50 and p999 of n recorded
+// latencies per op; selection over the chunks allocates nothing at any n.
+func BenchmarkLatencyQuantile(b *testing.B) {
+	for _, n := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var r LatencyRecorder
+			for i := 0; i < n; i++ {
+				r.Observe(rng.ExpFloat64() * 0.05)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				quantileSink = r.Quantile(0.5) + r.Quantile(0.999)
+			}
+		})
+	}
+}

@@ -1,0 +1,388 @@
+package metrics
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"testing"
+)
+
+// boundaryCounts are entry counts at and around every place the chunked
+// store changes shape: the first chunk (63/64/65), each doubled chunk
+// size, each cumulative chunk boundary while sizes double, and the
+// largest chunk (4095/4096/4097) and the first chunks after it.
+func boundaryCounts() []int {
+	ns := []int{0, 1, 2}
+	around := func(b int) { ns = append(ns, b-1, b, b+1) }
+	for size := firstChunk; size <= maxChunk; size *= 2 {
+		around(size)
+	}
+	total := 0
+	for size := firstChunk; total < 3*maxChunk; size = min(2*size, maxChunk) {
+		total += size
+		around(total)
+	}
+	return ns
+}
+
+// flatBusy is the flat-slice oracle for one resource: the clipped
+// recording-order sum UtilizationTracker computed before its spans were
+// chunked.
+func flatBusy(spans []busySpan, since, end float64) float64 {
+	total := 0.0
+	for _, s := range spans {
+		lo, hi := s.start, s.end
+		if lo < since {
+			lo = since
+		}
+		if hi > end {
+			hi = end
+		}
+		if hi > lo {
+			total += hi - lo
+		}
+	}
+	return total
+}
+
+// flatUtilization is the oracle for Utilization over per-resource flat
+// span slices: fractions clamped to 1, summed in sorted-name order.
+func flatUtilization(spans map[string][]busySpan, since, end float64) float64 {
+	horizon := end - since
+	if horizon <= 0 || len(spans) == 0 {
+		return 0
+	}
+	names := make([]string, 0, len(spans))
+	for name := range spans {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	sum := 0.0
+	for _, name := range names {
+		frac := flatBusy(spans[name], since, end) / horizon
+		if frac > 1 {
+			frac = 1
+		}
+		sum += frac
+	}
+	return sum / float64(len(names))
+}
+
+func nanos(x float64) int64 { return int64(math.Round(x * 1e9)) }
+
+// TestChunkedSpansMatchFlatOracle: at every chunk boundary, a tracker's
+// chunked spans read exactly like one flat slice per resource. Spans
+// overlap, start before the window, have zero or negative length, and
+// run past the query end; Utilization must match the flat oracle bit for
+// bit at query ends before, inside and after the spans, and EachBusySpan
+// must yield every span in recording order, so the flame reconcile's
+// integer-nanosecond busy sum matches too.
+func TestChunkedSpansMatchFlatOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	devices := []string{"gpu1", "gpu0", "gpu2"}
+	for _, n := range boundaryCounts() {
+		since := float64(rng.Intn(3))
+		u := NewUtilizationTracker(since)
+		flat := make(map[string][]busySpan)
+		// gpu2 stays idle: registered, so it counts in the mean.
+		flat["gpu2"] = nil
+		for _, name := range devices {
+			u.Register(name)
+		}
+		for _, name := range devices[:2] {
+			for i := 0; i < n; i++ {
+				start := rng.Float64()*12 - 1
+				var d float64
+				switch rng.Intn(10) {
+				case 0:
+					d = 0
+				case 1:
+					d = -rng.Float64() // clamped to zero length
+				default:
+					d = rng.ExpFloat64() * 0.05
+				}
+				u.AddBusy(name, start, d)
+				flat[name] = append(flat[name], busySpan{start: start, end: start + max(d, 0)})
+			}
+		}
+		ends := []float64{since - 1, since, since + 0.001, 5, 10.5, 11.5, 20}
+		for i := 0; i < 8; i++ {
+			ends = append(ends, rng.Float64()*14-1)
+		}
+		for _, end := range ends {
+			got, want := u.Utilization(end), flatUtilization(flat, since, end)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d since=%v: Utilization(%v) = %v, flat oracle %v", n, since, end, got, want)
+			}
+		}
+		for _, name := range devices {
+			var seen []busySpan
+			var ns int64
+			u.EachBusySpan(name, func(start, end float64) {
+				seen = append(seen, busySpan{start: start, end: end})
+				ns += nanos(end) - nanos(start)
+			})
+			want := flat[name]
+			if len(seen) != len(want) {
+				t.Fatalf("n=%d %s: EachBusySpan yielded %d spans, want %d", n, name, len(seen), len(want))
+			}
+			var wantNs int64
+			for i, s := range want {
+				if seen[i] != s {
+					t.Fatalf("n=%d %s: span %d = %v, want %v", n, name, i, seen[i], s)
+				}
+				wantNs += nanos(s.end) - nanos(s.start)
+			}
+			if ns != wantNs {
+				t.Fatalf("n=%d %s: busy %dns, flat oracle %dns", n, name, ns, wantNs)
+			}
+		}
+	}
+}
+
+// sameQuantile reports whether a selected order statistic equals the
+// sort oracle's bit for bit. sort.Float64s leaves -0 and +0 in no defined
+// order, so when the input holds both, either zero matches a zero.
+func sameQuantile(got, want float64, mixedZeros bool) bool {
+	if math.Float64bits(got) == math.Float64bits(want) {
+		return true
+	}
+	return mixedZeros && got == 0 && want == 0
+}
+
+// TestQuantileSelectMatchesSortOracle pins Quantile, Min, Max and
+// Summarize to a sorted copy plus type-7 interpolation on inputs that
+// stress the order-preserving key: NaN (sorted first), ±0, +Inf,
+// duplicates, all-equal samples, and every chunk boundary.
+func TestQuantileSelectMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	nan := math.NaN()
+	families := []struct {
+		name string
+		draw func() float64
+	}{
+		{"exp", func() float64 { return rng.ExpFloat64() * 0.05 }},
+		{"dups", func() float64 { return float64(rng.Intn(5)) * 0.125 }},
+		{"all-equal", func() float64 { return 0.0375 }},
+		{"all-nan", func() float64 { return nan }},
+		{"all-neg0", func() float64 { return math.Copysign(0, -1) }},
+		{"mixed", func() float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return nan
+			case 1:
+				return math.Copysign(0, -1)
+			case 2:
+				return 0
+			case 3:
+				return math.Inf(1)
+			case 4:
+				return -rng.Float64() // clamped to +0
+			default:
+				return rng.Float64() * math.Pow(2, float64(rng.Intn(80)-40))
+			}
+		}},
+	}
+	qs := []float64{-1, 0, 1e-9, 0.001, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-12, 1, 2}
+	for _, fam := range families {
+		name := fam.name
+		for _, n := range boundaryCounts() {
+			var r LatencyRecorder
+			for i := 0; i < n; i++ {
+				r.Observe(fam.draw())
+			}
+			raw := r.Samples()
+			var pos, neg bool
+			sum := 0.0
+			for _, v := range raw {
+				pos = pos || math.Float64bits(v) == 0
+				neg = neg || math.Float64bits(v) == 1<<63
+				sum += v
+			}
+			mixedZeros := pos && neg
+			for _, q := range append(qs, rng.Float64(), rng.Float64()) {
+				if got, want := r.Quantile(q), exhaustiveQuantile(raw, q); !sameQuantile(got, want, mixedZeros) {
+					t.Fatalf("%s n=%d: Quantile(%v) = %v (%#x), sort oracle %v (%#x)",
+						name, n, q, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+			want := Summary{
+				Min: exhaustiveQuantile(raw, 0), P25: exhaustiveQuantile(raw, 0.25),
+				Median: exhaustiveQuantile(raw, 0.5), P75: exhaustiveQuantile(raw, 0.75),
+				Max: exhaustiveQuantile(raw, 1), Count: n,
+			}
+			if n > 0 {
+				want.Mean = sum / float64(n)
+			}
+			got := r.Summarize()
+			for _, f := range [][2]float64{
+				{got.Min, want.Min}, {got.P25, want.P25}, {got.Median, want.Median}, {got.P75, want.P75},
+				{got.Max, want.Max}, {got.Mean, want.Mean}, {r.Min(), want.Min}, {r.Max(), want.Max},
+			} {
+				if !sameQuantile(f[0], f[1], mixedZeros) {
+					t.Fatalf("%s n=%d: Summarize() = %+v, Min() %v, Max() %v; sort oracle %+v", name, n, got, r.Min(), r.Max(), want)
+				}
+			}
+			if got.Count != n {
+				t.Fatalf("%s n=%d: Summarize().Count = %d", name, n, got.Count)
+			}
+		}
+	}
+}
+
+// TestQuantileBetweenLongRuns: when more samples than one selection
+// gathers share a key, a quantile that interpolates between the last of
+// them and the first sample of the next key must read both.
+func TestQuantileBetweenLongRuns(t *testing.T) {
+	const run = gatherMax + 88
+	rng := rand.New(rand.NewSource(32))
+	var r LatencyRecorder
+	for _, i := range rng.Perm(3 * run) {
+		r.Observe(float64(1 + i/run))
+	}
+	raw := r.Samples()
+	n := float64(len(raw) - 1)
+	for _, pos := range []float64{run - 1.5, run - 1, run - 0.5, run - 0.25, 2*run - 0.5, 2*run + 0.5} {
+		q := pos / n
+		if got, want := r.Quantile(q), exhaustiveQuantile(raw, q); got != want {
+			t.Fatalf("Quantile(%v) at position %v = %v, sort oracle %v", q, pos, got, want)
+		}
+	}
+}
+
+// TestOrderKeyIsSortOrder: orderKey orders floats as sort.Float64s does
+// (NaN first, -0 before +0 where sort leaves them tied) and keyFloat
+// inverts it bit for bit, NaN payloads included.
+func TestOrderKeyIsSortOrder(t *testing.T) {
+	vals := []float64{
+		math.NaN(), math.Copysign(math.NaN(), -1), math.Float64frombits(0x7FFFFFFFFFFFFFFF),
+		math.Float64frombits(0xFFFFFFFFFFFFFFFF), math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1, math.MaxFloat64, math.Inf(1),
+	}
+	for _, v := range vals {
+		if b := math.Float64bits(keyFloat(orderKey(v))); b != math.Float64bits(v) {
+			t.Fatalf("keyFloat(orderKey(%#x)) = %#x", math.Float64bits(v), b)
+		}
+	}
+	for i, a := range vals {
+		for _, b := range vals[i+1:] {
+			aNaN, bNaN := math.IsNaN(a), math.IsNaN(b)
+			switch {
+			case aNaN && bNaN:
+			case bNaN:
+				t.Fatalf("vals out of order: NaN %#x after %v", math.Float64bits(b), a)
+			case aNaN || a <= b:
+				if orderKey(a) >= orderKey(b) {
+					t.Fatalf("orderKey(%v) = %#x ≥ orderKey(%v) = %#x", a, orderKey(a), b, orderKey(b))
+				}
+			}
+		}
+	}
+}
+
+// allocBytes reports the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestChunkedStoreNeverMoves: every stored entry keeps its address as the
+// store grows, so no entry is ever copied.
+func TestChunkedStoreNeverMoves(t *testing.T) {
+	var c chunked[busySpan]
+	const n = 3*maxChunk + 100
+	addrs := make([]*busySpan, 0, n)
+	for i := 0; i < n; i++ {
+		c.add(busySpan{start: float64(i)})
+		addrs = append(addrs, &c.tail[len(c.tail)-1])
+	}
+	i := 0
+	for k := 0; k < c.chunks(); k++ {
+		ch := c.chunk(k)
+		for j := range ch {
+			if &ch[j] != addrs[i] || ch[j].start != float64(i) {
+				t.Fatalf("entry %d moved or changed", i)
+			}
+			i++
+		}
+	}
+	if i != n || c.len() != n {
+		t.Fatalf("store holds %d entries (len %d), want %d", i, c.len(), n)
+	}
+}
+
+// TestChunkedGrowthAllocations: recording N spans or N latencies
+// allocates one element per entry plus at most one chunk of slack and
+// the chunk headers, where a doubling slice allocates about twice what
+// it keeps.
+func TestChunkedGrowthAllocations(t *testing.T) {
+	const n = 1 << 18
+	headers := uint64(3 * 24 * (n/maxChunk + 8))
+	u := NewUtilizationTracker(0)
+	slot := u.Register("gpu0")
+	spans := allocBytes(func() {
+		for i := 0; i < n; i++ {
+			u.AddBusyAt(slot, float64(i), 1e-3)
+		}
+	})
+	if limit := uint64(n+maxChunk)*16 + headers; spans > limit {
+		t.Errorf("%d spans allocated %d B, want ≤ %d", n, spans, limit)
+	}
+	var r LatencyRecorder
+	lats := allocBytes(func() {
+		for i := 0; i < n; i++ {
+			r.Observe(float64(i))
+		}
+	})
+	if limit := uint64(n+maxChunk)*8 + headers; lats > limit {
+		t.Errorf("%d latencies allocated %d B, want ≤ %d", n, lats, limit)
+	}
+}
+
+// TestSmallTrackerStaysSmall: a device holding up to 64 spans costs at
+// most 1 KiB of span storage.
+func TestSmallTrackerStaysSmall(t *testing.T) {
+	const devices = 8
+	for _, spans := range []int{1, 64} {
+		u := NewUtilizationTracker(0)
+		for d := 0; d < devices; d++ {
+			u.Register(string(rune('a' + d)))
+		}
+		got := allocBytes(func() {
+			for d := 0; d < devices; d++ {
+				for i := 0; i < spans; i++ {
+					u.AddBusyAt(d, float64(i), 0.5)
+				}
+			}
+		})
+		if got > devices*1024 {
+			t.Errorf("%d spans on each of %d devices allocated %d B, want ≤ %d", spans, devices, got, devices*1024)
+		}
+	}
+}
+
+// TestQuantileWorkingMemoryIsConstant: reads cost the same at 10k and at
+// 1M samples, all-equal samples included — no sorted copy.
+func TestQuantileWorkingMemoryIsConstant(t *testing.T) {
+	read := func(n int, v func(i int) float64) uint64 {
+		var r LatencyRecorder
+		for i := 0; i < n; i++ {
+			r.Observe(v(i))
+		}
+		return allocBytes(func() {
+			quantileSink = r.Quantile(0.5) + r.Quantile(0.999) + r.Summarize().Median
+		})
+	}
+	spread := func(i int) float64 { return float64(i%9973) * 1e-4 }
+	equal := func(int) float64 { return 0.02 }
+	for name, v := range map[string]func(int) float64{"spread": spread, "all-equal": equal} {
+		small, large := read(10_000, v), read(1_000_000, v)
+		if small != large {
+			t.Errorf("%s: quantile reads allocated %d B at n=10k but %d B at n=1M", name, small, large)
+		}
+	}
+}

@@ -6,8 +6,12 @@ import (
 	"testing"
 )
 
-// exhaustiveQuantile recomputes the type-7 quantile from scratch — the
-// oracle the cached-sort fast path must match exactly.
+// latChunk is the store's largest chunk; TestLatencyRecorderAcrossChunks
+// reads around its boundaries.
+const latChunk = maxChunk
+
+// exhaustiveQuantile recomputes the type-7 quantile from a sorted copy —
+// the oracle the copy-free selection must match exactly.
 func exhaustiveQuantile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0
@@ -35,7 +39,8 @@ func exhaustiveQuantile(samples []float64, q float64) float64 {
 
 // TestQuantileCacheMatchesExhaustiveResort interleaves Observe and
 // Quantile calls and pins every read to the exhaustive re-sort oracle:
-// the dirty-flag cache must be invisible except in cost.
+// a read must see every sample recorded before it, and repeated reads
+// must agree.
 func TestQuantileCacheMatchesExhaustiveResort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var r LatencyRecorder
@@ -45,8 +50,7 @@ func TestQuantileCacheMatchesExhaustiveResort(t *testing.T) {
 		v := rng.Float64()
 		r.Observe(v)
 		raw = append(raw, v)
-		// Read mid-stream at irregular intervals so the cache is
-		// exercised in both dirty and clean states, including repeated
+		// Read mid-stream at irregular intervals, including repeated
 		// reads with no new samples.
 		if i%7 == 0 {
 			for _, q := range qs {

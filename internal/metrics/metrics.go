@@ -7,28 +7,21 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
 // LatencyRecorder accumulates per-request completion latencies (seconds).
 // The zero value is ready to use.
 //
-// Observations are stored in fixed latChunk-entry chunks in record order:
-// an hour-scale run appends tens of millions of latencies, and one
-// doubling slice would copy every one of them again at each regrowth and
-// briefly hold both copies.
+// Observations are kept in record order in a chunked store, so an
+// hour-scale run's tens of millions of latencies are never copied as the
+// store grows. Quantile selects the order statistics it needs over the
+// stored chunks instead of sorting a copy, so reads allocate nothing and
+// never reorder the samples.
 type LatencyRecorder struct {
-	chunks [][]float64
-	n      int
-	// sorted caches an ordered copy of the observations so repeated
-	// quantile reads (every /metrics scrape calls Quantile several times)
-	// cost O(n log n) once per batch of new observations, not per call.
-	sorted []float64
-	dirty  bool
+	lat chunked[float64]
 }
-
-// latChunk is the number of observations one chunk holds.
-const latChunk = 4096
 
 // Observe records one latency sample. Negative values are clamped to zero:
 // they can only arise from floating-point jitter at batch boundaries.
@@ -36,67 +29,165 @@ func (r *LatencyRecorder) Observe(lat float64) {
 	if lat < 0 {
 		lat = 0
 	}
-	k := len(r.chunks) - 1
-	if k < 0 || len(r.chunks[k]) == latChunk {
-		r.chunks = append(r.chunks, make([]float64, 0, latChunk))
-		k++
-	}
-	r.chunks[k] = append(r.chunks[k], lat)
-	r.n++
-	r.dirty = true
+	r.lat.add(lat)
 }
 
 // Count reports the number of samples observed.
-func (r *LatencyRecorder) Count() int { return r.n }
+func (r *LatencyRecorder) Count() int { return r.lat.len() }
 
-// Samples returns a copy of the observations in record order. Quantile
-// never reorders them.
+// Samples returns a copy of the observations in record order.
 func (r *LatencyRecorder) Samples() []float64 {
-	return r.appendSamples(make([]float64, 0, r.n))
-}
-
-// appendSamples appends the observations to dst in record order.
-func (r *LatencyRecorder) appendSamples(dst []float64) []float64 {
-	for _, c := range r.chunks {
-		dst = append(dst, c...)
+	out := make([]float64, 0, r.lat.len())
+	for i := 0; i < r.lat.chunks(); i++ {
+		out = append(out, r.lat.chunk(i)...)
 	}
-	return dst
-}
-
-func (r *LatencyRecorder) ensureSorted() {
-	if !r.dirty && len(r.sorted) == r.n {
-		return
-	}
-	r.sorted = r.appendSamples(r.sorted[:0])
-	sort.Float64s(r.sorted)
-	r.dirty = false
+	return out
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) using linear
 // interpolation between closest ranks (the "type 7" estimator NumPy and R
 // default to): the quantile position is q·(n−1), and a fractional position
-// blends the two neighbouring order statistics. It returns 0 for an empty
-// recorder.
+// blends the two neighbouring order statistics. Ranks follow
+// sort.Float64s's order, NaNs first. It returns 0 for an empty recorder.
 func (r *LatencyRecorder) Quantile(q float64) float64 {
-	if r.n == 0 {
+	n := r.lat.len()
+	if n == 0 {
 		return 0
 	}
-	r.ensureSorted()
-	s := r.sorted
-	if q <= 0 {
-		return s[0]
-	}
+	rank := 0
 	if q >= 1 {
-		return s[len(s)-1]
+		rank = n - 1
 	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
+	if q > 0 && q < 1 {
+		pos := q * float64(n-1)
+		lo := int(math.Floor(pos))
+		if hi := int(math.Ceil(pos)); lo != hi {
+			frac := pos - float64(lo)
+			a, b := r.rankKeys(lo, true)
+			return keyFloat(a)*(1-frac) + keyFloat(b)*frac
+		}
+		rank = lo
 	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	key, _ := r.rankKeys(rank, false)
+	return keyFloat(key)
+}
+
+// orderKey maps x to a key whose unsigned order is sort.Float64s's order
+// of the values: every NaN first, then -Inf up to +Inf, with -0 before
+// +0 (sort.Float64s leaves the two zeros in no defined order). The
+// sign-flip transform orders every non-NaN float and sends positive NaNs
+// above +Inf and negative NaNs below -Inf; subtracting nanShift rotates
+// the positive NaNs round to the bottom. The map is a bijection, so
+// keyFloat recovers x bit for bit.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return b - nanShift
+}
+
+// nanShift is the sign-flipped bits of the smallest positive NaN.
+const nanShift = 0xFFF0000000000001
+
+// keyFloat inverts orderKey.
+func keyFloat(k uint64) float64 {
+	b := k + nanShift
+	if b>>63 != 0 {
+		b &^= 1 << 63
+	} else {
+		b = ^b
+	}
+	return math.Float64frombits(b)
+}
+
+// gatherMax bounds how many candidate keys rankKeys copies out to
+// finish its selection by sorting.
+const gatherMax = 512
+
+// rankKeys returns the key of the k-th smallest sample (0-based) and, if
+// pair is set, of the (k+1)-th (k+1 < Count()); otherwise next is key.
+//
+// It selects by radix: each pass over the chunks histograms the next key
+// byte among the samples that share the bytes fixed so far, and fixes the
+// byte that holds rank k. Once at most gatherMax samples share the prefix,
+// one more pass copies their keys into a fixed buffer and sorting it
+// finishes the selection. Working memory is one histogram and that buffer
+// whatever the count, and samples that share a key, however many, are
+// never copied.
+func (r *LatencyRecorder) rankKeys(k int, pair bool) (key, next uint64) {
+	// equal counts the samples that share the prefix fixed so far.
+	equal := 0
+	for shift := 56; shift >= 0; shift -= 8 {
+		// Keys whose bits above this byte equal the prefix fixed so far
+		// are still in the running; Go's shift by 64 yields 0, so the
+		// first pass admits every key.
+		high := ^uint64(0) << (shift + 8)
+		var hist [256]int
+		for i := 0; i < r.lat.chunks(); i++ {
+			for _, v := range r.lat.chunk(i) {
+				if x := orderKey(v); x&high == key {
+					hist[x>>shift&0xff]++
+				}
+			}
+		}
+		d := 0
+		for k >= hist[d] {
+			k -= hist[d]
+			d++
+		}
+		key |= uint64(d) << shift
+		equal = hist[d]
+		if equal <= gatherMax {
+			return r.sortedRank(key, ^uint64(0)<<shift, k, pair)
+		}
+	}
+	// More than gatherMax samples share the whole key, so the next rank
+	// holds the same key unless k is the last of them.
+	if !pair || k+1 < equal {
+		return key, key
+	}
+	return key, r.keyAbove(key)
+}
+
+// sortedRank finishes rankKeys: it sorts the keys that match prefix under
+// mask (at most gatherMax) and returns the k-th of them and, if pair is
+// set, the key after it.
+func (r *LatencyRecorder) sortedRank(prefix, mask uint64, k int, pair bool) (key, next uint64) {
+	var buf [gatherMax]uint64
+	cand := buf[:0]
+	for i := 0; i < r.lat.chunks(); i++ {
+		for _, v := range r.lat.chunk(i) {
+			if x := orderKey(v); x&mask == prefix {
+				cand = append(cand, x)
+			}
+		}
+	}
+	slices.Sort(cand)
+	key = cand[k]
+	switch {
+	case !pair:
+		return key, key
+	case k+1 < len(cand):
+		return key, cand[k+1]
+	}
+	return key, r.keyAbove(key)
+}
+
+// keyAbove returns the smallest sample key greater than key; one must
+// exist.
+func (r *LatencyRecorder) keyAbove(key uint64) uint64 {
+	next := ^uint64(0)
+	for i := 0; i < r.lat.chunks(); i++ {
+		for _, v := range r.lat.chunk(i) {
+			if x := orderKey(v); x > key && x < next {
+				next = x
+			}
+		}
+	}
+	return next
 }
 
 // Min returns the smallest sample (0 if empty).
@@ -107,16 +198,17 @@ func (r *LatencyRecorder) Max() float64 { return r.Quantile(1) }
 
 // Mean returns the arithmetic mean (0 if empty).
 func (r *LatencyRecorder) Mean() float64 {
-	if r.n == 0 {
+	n := r.lat.len()
+	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, c := range r.chunks {
-		for _, s := range c {
+	for i := 0; i < r.lat.chunks(); i++ {
+		for _, s := range r.lat.chunk(i) {
 			sum += s
 		}
 	}
-	return sum / float64(r.n)
+	return sum / float64(n)
 }
 
 // Summary is a five-number latency summary plus the mean, in seconds.
@@ -202,12 +294,17 @@ type busySpan struct {
 // busy time outside [start, end] and saturate the reported fraction.
 //
 // Each resource has a slot, assigned on first sight, so the per-batch
-// AddBusyAt indexes a slice instead of hashing the resource's name.
+// AddBusyAt indexes a slice instead of hashing the resource's name. Each
+// slot keeps its intervals in a chunked store, so an hour of batches is
+// never copied as it grows. The intervals themselves are kept, not
+// running sums: Utilization clips them to its end and sums them in
+// recording order, which sums taken at record time cannot reproduce bit
+// for bit once intervals overlap.
 type UtilizationTracker struct {
 	slots map[string]int
 	// names[i] and busy[i] are slot i's resource and its intervals.
 	names []string
-	busy  [][]busySpan
+	busy  []chunked[busySpan]
 	since float64
 }
 
@@ -225,7 +322,7 @@ func (u *UtilizationTracker) Register(name string) int {
 	i := len(u.names)
 	u.slots[name] = i
 	u.names = append(u.names, name)
-	u.busy = append(u.busy, nil)
+	u.busy = append(u.busy, chunked[busySpan]{})
 	return i
 }
 
@@ -240,23 +337,26 @@ func (u *UtilizationTracker) AddBusyAt(i int, start, d float64) {
 	if d < 0 {
 		d = 0
 	}
-	u.busy[i] = append(u.busy[i], busySpan{start: start, end: start + d})
+	u.busy[i].add(busySpan{start: start, end: start + d})
 }
 
-// busyWithin sums the spans' overlap with the measurement window
-// [u.since, end].
-func (u *UtilizationTracker) busyWithin(spans []busySpan, end float64) float64 {
+// busyWithin sums slot i's spans' overlap with the measurement window
+// [u.since, end] in recording order.
+func (u *UtilizationTracker) busyWithin(i int, end float64) float64 {
 	total := 0.0
-	for _, s := range spans {
-		lo, hi := s.start, s.end
-		if lo < u.since {
-			lo = u.since
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			total += hi - lo
+	spans := &u.busy[i]
+	for c := 0; c < spans.chunks(); c++ {
+		for _, s := range spans.chunk(c) {
+			lo, hi := s.start, s.end
+			if lo < u.since {
+				lo = u.since
+			}
+			if hi > end {
+				hi = end
+			}
+			if hi > lo {
+				total += hi - lo
+			}
 		}
 	}
 	return total
@@ -274,7 +374,7 @@ func (u *UtilizationTracker) Utilization(end float64) float64 {
 	// the result must not depend on the order resources registered in.
 	sum := 0.0
 	for _, name := range u.Resources() {
-		frac := u.busyWithin(u.busy[u.slots[name]], end) / horizon
+		frac := u.busyWithin(u.slots[name], end) / horizon
 		if frac > 1 {
 			frac = 1
 		}
@@ -290,18 +390,18 @@ func (u *UtilizationTracker) Resources() []string {
 	return out
 }
 
-// BusySpans returns one resource's raw busy intervals as [start, end]
-// pairs in recording order — the ledger side of the flame profiler's
-// exact reconcile. The returned slice is a copy.
-func (u *UtilizationTracker) BusySpans(name string) [][2]float64 {
+// EachBusySpan calls fn with each of one resource's raw busy intervals,
+// in recording order, reading them in place — the ledger side of the
+// flame profiler's exact reconcile. An unknown resource has none.
+func (u *UtilizationTracker) EachBusySpan(name string, fn func(start, end float64)) {
 	i, ok := u.slots[name]
 	if !ok {
-		return [][2]float64{}
+		return
 	}
-	spans := u.busy[i]
-	out := make([][2]float64, len(spans))
-	for i, s := range spans {
-		out[i] = [2]float64{s.start, s.end}
+	spans := &u.busy[i]
+	for c := 0; c < spans.chunks(); c++ {
+		for _, s := range spans.chunk(c) {
+			fn(s.start, s.end)
+		}
 	}
-	return out
 }

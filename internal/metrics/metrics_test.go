@@ -100,11 +100,19 @@ func TestUtilizationSlots(t *testing.T) {
 	}
 	u.AddBusyAt(g1, 1, 2)
 	u.AddBusy("gpu1", 4, 1)
-	if got := u.BusySpans("gpu1"); len(got) != 2 || got[0] != [2]float64{1, 3} || got[1] != [2]float64{4, 5} {
+	spans := func(name string) [][2]float64 {
+		var out [][2]float64
+		u.EachBusySpan(name, func(start, end float64) { out = append(out, [2]float64{start, end}) })
+		return out
+	}
+	if got := spans("gpu1"); len(got) != 2 || got[0] != [2]float64{1, 3} || got[1] != [2]float64{4, 5} {
 		t.Errorf("gpu1 spans = %v, want [[1 3] [4 5]]", got)
 	}
-	if got := u.BusySpans("gpu0"); len(got) != 0 {
+	if got := spans("gpu0"); len(got) != 0 {
 		t.Errorf("gpu0 spans = %v, want none", got)
+	}
+	if got := spans("gpu9"); len(got) != 0 {
+		t.Errorf("unregistered gpu9 spans = %v, want none", got)
 	}
 	if got, want := u.Utilization(10), 0.15; math.Abs(got-want) > 1e-12 {
 		t.Errorf("utilization = %v, want %v", got, want)
