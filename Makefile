@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build vet lint lintgate test race fuzz audit replan overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify build vet lint lintgate test race fuzz audit replan validate overhead bench plangate simgate slogate flamegate fleetgate
 
-verify: build vet lintgate test race audit replan overhead plangate simgate slogate flamegate fleetgate
+verify: build vet lintgate test race audit replan validate overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
 
 build:
@@ -38,7 +38,7 @@ test:
 # loop; -race keeps the single-goroutine discipline honest at runtime
 # where the eventloop analyzer can only check structure. A single-cluster
 # run starts two goroutines beside its loop: workload's mint-ahead feed
-# producer, and scheduler's stream consumer (Collector.Stream), which
+# producer, and scheduler's stream consumer (Collector.Observe), which
 # owns the ledger and the views while replan.Run and
 # serving.AuditedOpenLoop stream their boundaries to it. metrics holds
 # the collector's latency store. ee's compiled exit table is read by every
@@ -60,6 +60,12 @@ audit:
 # loop must keep the sample ledger exact across every plan switch.
 replan:
 	$(GO) run ./cmd/e3-bench -windows 12 -audit
+
+# Planner-vs-simulator gate: for every zoo model, the planned goodput
+# must match the goodput measured on the simulated pipeline within
+# e3-validate's tolerance (35%); exits nonzero otherwise.
+validate:
+	$(GO) run ./cmd/e3-validate
 
 # Telemetry overhead gate: ring-traced demo runs must stay within a
 # bounded wall-clock factor of untraced runs. Env-gated so plain

@@ -47,11 +47,10 @@ func main() {
 
 	eng := sim.NewEngine()
 	coll := scheduler.NewCollector(m.Base.NumLayers(), slo, 0)
-	pipe, err := scheduler.NewPipeline(eng, clus, m, plan, coll)
+	pipe, batcher, err := serving.Deploy(eng, clus, m, plan, coll, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	batcher := serving.NewBatcher(eng, pipe, batch, plan.Latency, optimizer.DefaultSlackFrac)
 	gen := workload.NewGenerator(workload.Mix(0.8), 7)
 	c, err := serving.RunOpenLoopStream(eng, pipe, batcher, trace.NewSliceStream(arr), gen, slo)
 	if err != nil {

@@ -60,7 +60,7 @@ func main() {
 
 	// The same load through the naive EE baseline (eager per-ramp exits).
 	engB := sim.NewEngine()
-	collB := scheduler.NewCollector(12, 0.100, 0)
+	collB := scheduler.NewCollector(m.Base.NumLayers(), 0.100, 0)
 	devs := make([]int, clus.Size())
 	for i := range devs {
 		devs[i] = i

@@ -110,15 +110,13 @@ func RunSimBench(cfg SimBenchConfig) (SimBenchResult, error) {
 	eng.SetEventLimit(uint64(cfg.Rate*cfg.Horizon)*8 + 1_000_000)
 	coll := scheduler.NewCollector(base.NumLayers(), defaultSLO, 0)
 	coll.Audit = audit.NewSampledLedger(cfg.AuditStride)
-	pipe, err := scheduler.NewPipeline(eng, clus, dee, plan, coll)
+	var pool *workload.BatchPool
+	if cfg.Pooled {
+		pool = workload.NewBatchPool()
+	}
+	pipe, b, err := serving.Deploy(eng, clus, dee, plan, coll, pool)
 	if err != nil {
 		return SimBenchResult{}, err
-	}
-	b := serving.NewBatcher(eng, pipe, cfg.Batch, plan.Latency, optimizer.DefaultSlackFrac)
-	if cfg.Pooled {
-		pool := workload.NewBatchPool()
-		b.SetPool(pool)
-		pipe.SetPool(pool)
 	}
 	gen := workload.NewGenerator(dist, cfg.Seed)
 	gen.SetSink(coll)

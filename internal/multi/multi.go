@@ -193,10 +193,10 @@ type ServingTenant struct {
 
 // DeployServing binds allocations to complete serving stacks on one
 // engine: per tenant, a collector with a sampled conservation ledger
-// (auditStride ≤ 1 = exhaustive), a pipeline restricted to the tenant's
-// pinned devices, and a dynamic batcher in front. All tenants share the
-// given batch pool — legal because they share one event loop; the pool,
-// like the engine, is owned by that loop (a nil pool disables recycling).
+// (auditStride ≤ 1 = exhaustive), then serving.Deploy's pipeline and
+// batcher on the tenant's pinned devices. All tenants share the given
+// batch pool — legal because they share one event loop; the pool, like
+// the engine, is owned by that loop (a nil pool disables recycling).
 func DeployServing(eng *sim.Engine, clus *cluster.Cluster, tenants []Tenant, allocs []Allocation, auditStride int64, pool *workload.BatchPool) ([]ServingTenant, error) {
 	out := make([]ServingTenant, 0, len(allocs))
 	used := make(map[int]bool)
@@ -215,13 +215,10 @@ func DeployServing(eng *sim.Engine, clus *cluster.Cluster, tenants []Tenant, all
 		}
 		coll := scheduler.NewCollector(t.Model.Base.NumLayers(), t.SLO, eng.Now())
 		coll.Audit = audit.NewSampledLedger(auditStride)
-		pipe, err := scheduler.NewPipeline(eng, sub, t.Model, a.Plan, coll)
+		pipe, b, err := serving.Deploy(eng, sub, t.Model, a.Plan, coll, pool)
 		if err != nil {
 			return nil, fmt.Errorf("multi: tenant %q: %w", a.Tenant, err)
 		}
-		pipe.SetPool(pool)
-		b := serving.NewBatcher(eng, pipe, t.Batch, a.Plan.Latency, optimizer.DefaultSlackFrac)
-		b.SetPool(pool)
 		out = append(out, ServingTenant{Spec: t, Alloc: a, Batcher: b, Pipe: pipe, Coll: coll})
 	}
 	return out, nil

@@ -281,11 +281,9 @@ func newLoop(cfg Config) *loop {
 	}
 	l.problem.Costs = optimizer.NewCostTableFor(l.problem)
 	l.eng.SetEventLimit(eventLimit)
-	l.coll.Audit = audit.NewLedger()
-	l.coll.Observers = cfg.Observers
 	// The ledger and the views run on the collector's stream consumer, a
 	// second goroutine; arrivals join the same ordered stream.
-	l.coll.Stream()
+	l.coll.Observe(cfg.Observers)
 	l.gen.SetSink(l.coll)
 	l.est.Method = cfg.Method
 	l.est.Stats = forecast.NewStats(layers)
@@ -386,13 +384,10 @@ func (l *loop) plan(w int) error {
 // pipeline + batcher (the collector, ledger and tracer persist) and
 // drains them. An error aborts the run.
 func (l *loop) serve(w int) error {
-	pipe, err := scheduler.NewPipeline(l.eng, l.cfg.Cluster, l.cfg.Model, l.active, l.coll)
+	pipe, b, err := serving.Deploy(l.eng, l.cfg.Cluster, l.cfg.Model, l.active, l.coll, l.pool)
 	if err != nil {
 		return err
 	}
-	pipe.SetPool(l.pool)
-	b := serving.NewBatcher(l.eng, pipe, l.active.Batch, l.active.Latency, optimizer.DefaultSlackFrac)
-	b.SetPool(l.pool)
 	mix, rate := l.cfg.Workload(w)
 	l.gen.SwitchDist(mix)
 	// Poisson (not bursty) arrivals: each window must yield a usable

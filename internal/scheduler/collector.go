@@ -33,7 +33,7 @@ type Runner interface {
 // directly: they report each boundary once through a Collector method,
 // which fans it out to the ledger, Util and whichever views are attached.
 //
-// Once the collector streams (Collector.Stream), the ledger and the views
+// Once the collector streams (Collector.Observe), the ledger and the views
 // belong to its consumer goroutine: read them only after Close or
 // AuditReport, or inside a flight-recorder trigger that follows Sync.
 type Observers struct {
@@ -54,7 +54,7 @@ type Observers struct {
 // counters) is updated on the event loop at every boundary, because the
 // estimator and the spike buffers read it at each window end. The ledger
 // and the views are fed by the fan-out (fanout): inline by default, or,
-// after Stream, by one consumer goroutine that applies an ordered record
+// after Observe, by one consumer goroutine that applies an ordered record
 // stream. Either way each view sees the same calls in the same order.
 type Collector struct {
 	SLO float64

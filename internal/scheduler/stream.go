@@ -401,18 +401,19 @@ func (d *decoder) apply(ch *chunk) {
 	}
 }
 
-// Stream moves the ledger and the views off the calling goroutine: from
-// now on every boundary is encoded into the stream and one consumer
-// goroutine applies it (see stream). Attach Audit and the Observers
-// before calling it, and feed arrivals through the collector
-// (workload.Generator.SetSink). The views are the consumer's until the
-// next barrier: Sync, AuditReport, Stop or Close. The caller must Stop
-// (or Close) the collector on every path, aborts included, so the
-// consumer never outlives the run.
-func (c *Collector) Stream() {
+// Observe attaches an exhaustive ledger and obs and moves them off the
+// calling goroutine: every boundary is then encoded into the stream, and
+// one consumer goroutine applies it. Once streaming it does nothing. Feed
+// arrivals through the collector (workload.Generator.SetSink). The views
+// are the consumer's until the next barrier: Sync, AuditReport, Stop or
+// Close. Stop (or Close) the collector on every path, aborts included, so
+// the consumer never outlives the run.
+func (c *Collector) Observe(obs Observers) {
 	if c.st != nil {
 		return
 	}
+	c.Audit = audit.NewLedger()
+	c.Observers = obs
 	c.st = newStream()
 	d := &decoder{f: c.fan()}
 	//e3:concurrent the stream's consumer; Stop joins it

@@ -96,16 +96,14 @@ func streamScript(c *Collector, halfway func()) {
 	}
 }
 
-// observedCollector is a collector with an exhaustive ledger, the tracer
-// and the flame profiler, plus attribution when attr is set.
-func observedCollector(attr bool) *Collector {
-	c := NewCollector(12, 0.05, 0)
-	c.Audit = audit.NewLedger()
-	c.Observers = Observers{Tracer: telemetry.New(), Flame: flame.NewProfiler(0)}
+// observers is the tracer and the flame profiler, plus attribution when
+// attr is set.
+func observers(attr bool) Observers {
+	obs := Observers{Tracer: telemetry.New(), Flame: flame.NewProfiler(0)}
 	if attr {
-		c.Attr = slo.NewAttribution(slo.DefaultTopK)
+		obs.Attr = slo.NewAttribution(slo.DefaultTopK)
 	}
-	return c
+	return obs
 }
 
 // collectorOutputs renders everything the ledger and the views export
@@ -144,12 +142,14 @@ func collectorOutputs(t *testing.T, c *Collector, now float64) string {
 // the loop. It runs once with attribution attached and once without.
 func TestStreamMatchesInline(t *testing.T) {
 	for _, attr := range []bool{true, false} {
-		inline := observedCollector(attr)
+		inline := NewCollector(12, 0.05, 0)
+		inline.Audit = audit.NewLedger()
+		inline.Observers = observers(attr)
 		streamScript(inline, func() {})
 
-		streamed := observedCollector(attr)
+		streamed := NewCollector(12, 0.05, 0)
 		before := runtime.NumGoroutine()
-		streamed.Stream()
+		streamed.Observe(observers(attr))
 		streamScript(streamed, func() {
 			streamed.Sync()
 			arrived, completed, dropped := streamed.Audit.Totals()

@@ -21,24 +21,35 @@ type pooledStack struct {
 	id  int64
 }
 
-func newPooledStack(t testing.TB) *pooledStack {
+// newPooledStack wires the stack by hand, or through Deploy when deploy
+// is set; the plan's latency is the hand-wired batcher's estimate, so
+// both stacks are configured alike.
+func newPooledStack(t testing.TB, deploy bool) *pooledStack {
 	plan := optimizer.Plan{
 		Splits: []optimizer.Split{
 			{From: 1, To: 6, Kind: gpu.V100, Replicas: 1, StageTime: 0.010, CommTime: 0.001},
 			{From: 7, To: 12, Kind: gpu.V100, Replicas: 1, StageTime: 0.010},
 		},
 		Batch:         4,
+		Latency:       0.02,
 		CycleTime:     0.010,
 		Pipelined:     true,
 		ModelParallel: true,
 	}
 	eng := sim.NewEngine()
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	p, err := scheduler.NewPipeline(eng, cluster.Homogeneous(gpu.V100, 2), m, plan, scheduler.NewCollector(12, 0.1, 0))
+	clus, coll, pool := cluster.Homogeneous(gpu.V100, 2), scheduler.NewCollector(12, 0.1, 0), workload.NewBatchPool()
+	if deploy {
+		_, b, err := Deploy(eng, clus, m, plan, coll, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &pooledStack{eng: eng, b: b}
+	}
+	p, err := scheduler.NewPipeline(eng, clus, m, plan, coll)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := workload.NewBatchPool()
 	p.SetPool(pool)
 	b := NewBatcher(eng, p, plan.Batch, 0.02, 0.2)
 	b.SetPool(pool)
@@ -69,24 +80,27 @@ func (s *pooledStack) cycle() error {
 // pipeline arrival/dispatch/flush cycle allocates nothing. The flush
 // check is one reusable engine timer, and completion and hand-off events
 // are pooled jobs; before that, every arm of the flush check built a
-// closure and every executed batch built two more.
+// closure and every executed batch built two more. The stack Deploy
+// builds passes too, so Deploy hands the pool to both halves.
 func TestWarmDataPlaneCycleAllocatesNothing(t *testing.T) {
-	s := newPooledStack(t)
-	for i := 0; i < 50; i++ {
-		if err := s.cycle(); err != nil {
-			t.Fatal(err)
+	for _, deploy := range []bool{false, true} {
+		s := newPooledStack(t, deploy)
+		for i := 0; i < 50; i++ {
+			if err := s.cycle(); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	got := testing.AllocsPerRun(200, func() {
-		if err := s.cycle(); err != nil {
-			t.Fatal(err)
+		got := testing.AllocsPerRun(200, func() {
+			if err := s.cycle(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("deploy %v: warm arrival/dispatch/flush cycle: %v allocations, want 0", deploy, got)
 		}
-	})
-	if got != 0 {
-		t.Errorf("warm arrival/dispatch/flush cycle: %v allocations, want 0", got)
-	}
-	if c := s.b.runner.Collector(); c.Dropped != 0 || c.Good.Served+c.Violations != int(s.id) {
-		t.Errorf("cycle lost work: %d arrived, %d completed, %d dropped", s.id, c.Good.Served+c.Violations, c.Dropped)
+		if c := s.b.runner.Collector(); c.Dropped != 0 || c.Good.Served+c.Violations != int(s.id) {
+			t.Errorf("deploy %v: cycle lost work: %d arrived, %d completed, %d dropped", deploy, s.id, c.Good.Served+c.Violations, c.Dropped)
+		}
 	}
 }
 
@@ -94,7 +108,7 @@ func TestWarmDataPlaneCycleAllocatesNothing(t *testing.T) {
 // on a warm pooled pipeline: per op, one cycle of five arrivals, one full
 // and one flushed partial batch, run to drain.
 func BenchmarkBatcherArmDispatch(b *testing.B) {
-	s := newPooledStack(b)
+	s := newPooledStack(b, false)
 	for i := 0; i < 50; i++ {
 		if err := s.cycle(); err != nil {
 			b.Fatal(err)

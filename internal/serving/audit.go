@@ -19,20 +19,18 @@ import (
 // flame busy/idle against the utilization ledger) folds into the same
 // report. The runner is built by mk against the engine and a
 // ledger-carrying collector. The ledger and the views run on the
-// collector's stream consumer (scheduler.Collector.Stream) and are joined
-// before it returns. It returns the verified report, the flame reconcile
-// outcome (zero with no profiler), and the collector for further
-// inspection.
+// collector's stream consumer (scheduler.Collector.Observe) and are
+// joined before it returns. It returns the verified report, the flame
+// reconcile outcome (zero with no profiler), and the collector for
+// further inspection.
 func AuditedOpenLoop(mk func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error),
 	layers int, arr trace.Arrivals, dist workload.Dist, estService, slo float64, batch int, seed int64,
 	obs scheduler.Observers) (*audit.Report, flame.ReconcileStat, *scheduler.Collector, error) {
 	eng := sim.NewEngine()
 	coll := scheduler.NewCollector(layers, slo, 0)
-	coll.Audit = audit.NewLedger()
-	coll.Observers = obs
 	// The ledger and the views run on the collector's stream consumer;
 	// Close joins it, and so does Stop on every early return.
-	coll.Stream()
+	coll.Observe(obs)
 	r, err := mk(eng, coll)
 	if err != nil {
 		coll.Stop()

@@ -5,6 +5,9 @@ package serving
 
 import (
 	"e3/internal/audit"
+	"e3/internal/cluster"
+	"e3/internal/ee"
+	"e3/internal/optimizer"
 	"e3/internal/scheduler"
 	"e3/internal/sim"
 	"e3/internal/workload"
@@ -56,6 +59,20 @@ func NewBatcher(eng *sim.Engine, r scheduler.Runner, batch int, estService, slac
 // the runner (which owns them from dispatch on) returns them when done.
 // A nil pool restores per-dispatch allocation.
 func (b *Batcher) SetPool(p *workload.BatchPool) { b.pool = p }
+
+// Deploy is the one place a plan becomes a serving stack: an E3 pipeline
+// on clus reporting to coll, behind a batcher sized and timed by plan,
+// both recycling batches through pool (nil = no recycling).
+func Deploy(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan optimizer.Plan, coll *scheduler.Collector, pool *workload.BatchPool) (*scheduler.Pipeline, *Batcher, error) {
+	pipe, err := scheduler.NewPipeline(eng, clus, m, plan, coll)
+	if err != nil {
+		return nil, nil, err
+	}
+	pipe.SetPool(pool)
+	b := NewBatcher(eng, pipe, plan.Batch, plan.Latency, optimizer.DefaultSlackFrac)
+	b.SetPool(pool)
+	return pipe, b, nil
+}
 
 // Arrive accepts one request at the current virtual time.
 func (b *Batcher) Arrive(s workload.Sample) {
