@@ -1,15 +1,22 @@
 # One-command verification for the builder and CI. `make verify` runs the
-# full recipe in dependency order: cheap structural checks first (build,
-# vet, invariant lint), then the test suites, then the race detector over
+# full recipe in dependency order: cheap structural checks first (format,
+# build, vet, invariant lint), then the test suites, then the race detector over
 # the event-loop packages, and finally the end-to-end lifecycle
 # conservation audit.
 
 GO ?= go
 
-.PHONY: verify build vet lint lintgate test race fuzz audit replan validate overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate overhead bench plangate simgate slogate flamegate fleetgate
 
-verify: build vet lintgate test race audit replan validate overhead plangate simgate slogate flamegate fleetgate
+verify: fmt build vet lintgate test race audit replan validate overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
+
+# Format gate: fails, listing the files, if gofmt would rewrite any Go
+# source. The directories are named because .bench_build/ holds a module
+# cache.
+fmt:
+	@unformatted="$$(gofmt -l cmd internal examples benchmark *.go)"; \
+	test -z "$$unformatted" || { echo "gofmt -l:"; echo "$$unformatted"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -57,13 +57,9 @@ func planBenchProblems() []struct {
 	cfg  optimizer.Config
 } {
 	mk := func(m *ee.EEModel, batch int, c *cluster.Cluster, slo float64, splits int) optimizer.Config {
-		return optimizer.Config{
-			Model:   m,
-			Profile: profile.FromDist(m, workload.Mix(0.8), 4000, 1),
-			Batch:   batch, Cluster: c,
-			SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac,
-			MaxSplits: splits, Pipelining: true, ModelParallel: true,
-		}
+		cfg := optimizer.NewConfig(m, profile.FromDist(m, workload.Mix(0.8), 4000, 1), batch, c, slo)
+		cfg.MaxSplits = splits
+		return cfg
 	}
 	deebert := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	large := ee.NewDeeBERT(model.BERTLarge(), 0.4)

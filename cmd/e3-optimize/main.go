@@ -34,8 +34,8 @@ func main() {
 	maxSplits := flag.Int("max-splits", optimizer.DefaultMaxSplits, "max pipeline splits the search considers")
 	maxCands := flag.Int("max-cands", optimizer.DefaultMaxBoundaryCands, "max boundary candidates ranked by exit mass (negative = uncapped)")
 	workers := flag.Int("workers", 0, "parallel search workers (0 = one per core up to 8; any value yields identical plans)")
-	minExit := flag.Float64("min-exit", optimizer.DefaultMinExitFrac, "min exit mass for a boundary candidate (0 keeps every ramp)")
-	slack := flag.Float64("slack", optimizer.DefaultSlackFrac, "fraction of the SLO reserved as headroom (0 spends the whole SLO)")
+	minExit := flag.Float64("min-exit", optimizer.DefaultMinExitFrac, "min exit mass for a boundary candidate, in [0, 1] (0 keeps every ramp)")
+	slack := flag.Float64("slack", optimizer.DefaultSlackFrac, "fraction of the SLO reserved as headroom, in [0, 1) (0 spends the whole SLO)")
 	jsonOut := flag.Bool("json", false, "emit the plan as JSON (for pinning/diffing deployments)")
 	explain := flag.Bool("explain", false, "print the search provenance: candidates enumerated, rejections by reason, winner and runners-up")
 	explainJSON := flag.String("explain-json", "", "write the machine-readable search trace to FILE")

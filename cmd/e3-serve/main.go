@@ -76,11 +76,9 @@ func main() {
 
 	prof := profile.FromDist(m, workload.Mix(*easy), 8000, 1)
 	bootTrace := &optimizer.SearchTrace{}
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: *batch, Cluster: clus,
-		SLO: sloDur.Seconds(), SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		Trace: bootTrace,
-	})
+	boot := optimizer.NewConfig(m, prof, *batch, clus, sloDur.Seconds())
+	boot.Trace = bootTrace
+	plan, err := optimizer.MaximizeGoodput(boot)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-serve: planning failed:", err)
 		os.Exit(1)

@@ -58,10 +58,7 @@ func main() {
 		}
 		clus := cluster.Homogeneous(gpu.V100, *gpus)
 		prof := profile.FromDist(m, c.dist, 8000, 1)
-		plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-			Model: m, Profile: prof, Batch: c.batch, Cluster: clus,
-			SLO: c.slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		})
+		plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, c.batch, clus, c.slo))
 		if err != nil {
 			fmt.Printf("%-12s %14s %14s %8s\n", c.name, "-", "-", "infeasible")
 			continue

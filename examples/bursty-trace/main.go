@@ -33,10 +33,7 @@ func main() {
 	clus := cluster.Homogeneous(gpu.V100, 16)
 
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, batch, clus, slo))
 	if err != nil {
 		log.Fatal(err)
 	}

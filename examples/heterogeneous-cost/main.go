@@ -25,10 +25,7 @@ func main() {
 
 	// Maximize goodput on the paper's cost-matched heterogeneous cluster.
 	het := cluster.PaperHeterogeneous()
-	cfg := optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: het,
-		SLO: 0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
+	cfg := optimizer.NewConfig(m, prof, 8, het, 0.100)
 	plan, err := optimizer.MaximizeGoodput(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -61,12 +58,7 @@ func main() {
 	best := 0.0
 	var bestKind gpu.Kind
 	for _, k := range []gpu.Kind{gpu.V100, gpu.P100, gpu.K80} {
-		cfgV := optimizer.Config{
-			Model: van, Profile: vanProf, Batch: 8,
-			Cluster: cluster.New(map[gpu.Kind]int{k: 64}, 2),
-			SLO:     0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		}
-		p, err := optimizer.MinimizeCost(cfgV, target)
+		p, err := optimizer.MinimizeCost(optimizer.NewConfig(van, vanProf, 8, cluster.New(map[gpu.Kind]int{k: 64}, 2), 0.100), target)
 		if err != nil {
 			continue
 		}

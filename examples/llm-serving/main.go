@@ -43,10 +43,7 @@ func main() {
 	// stream (each "sample" is one token pass).
 	clus := cluster.Homogeneous(gpu.A6000, nGPU)
 	prof := profile.FromDist(calm, dist, 8000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: calm, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: 0.100 * avgTokens / 4, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(calm, prof, batch, clus, 0.100*avgTokens/4))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,10 +28,7 @@ func main() {
 
 	// Profile the expected workload (80% easy inputs) and plan.
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: clus,
-		SLO: 0.100, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, clus, 0.100))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 // HotAlloc guards the allocation-free fast paths PR 5 and PR 6 bought
 // with benchmarks: the engine's push/pop, the batch pool's get/put, the
-// pipelined runner's RunSplitInto, the sampled ledger's record. Those
+// pipelined runner's SplitTable.RunInto, the sampled ledger's record. Those
 // wins are fragile — one fmt.Sprintf or escaping closure added three
 // helpers down restores per-event garbage, and nothing but a benchmark
 // regression would notice. Annotating a function //e3:hotpath <reason>

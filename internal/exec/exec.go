@@ -97,8 +97,8 @@ type Result struct {
 	// padHist is reusable scratch for the pad attribution: exit counts per
 	// layer offset within the split (see runSplit).
 	padHist []int
-	// row is reusable scratch for terms computed on the fly (RunSplitInto,
-	// and SplitTable batches larger than the table).
+	// row is reusable scratch for terms computed on the fly (RunSplit, and
+	// SplitTable batches larger than the table).
 	row splitRow
 }
 
@@ -149,8 +149,9 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 		if !checkHere {
 			continue
 		}
-		t += rampCheckTime(spec, rampFLOPs, active) * slowdown
-		res.RampTime += rampCheckTime(spec, rampFLOPs, active) * slowdown
+		check := rampCheckTime(spec, rampFLOPs, active) * slowdown
+		t += check
+		res.RampTime += check
 
 		exited := 0
 		for i, e := range exitAt {
@@ -162,8 +163,9 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 		}
 		active -= exited
 		if exited > 0 && active > 0 && k < to {
-			t += (ReformOverhead + float64(active)*ReformPerSample) * slowdown
-			res.RampTime += (ReformOverhead + float64(active)*ReformPerSample) * slowdown
+			reform := (ReformOverhead + float64(active)*ReformPerSample) * slowdown
+			t += reform
+			res.RampTime += reform
 		}
 	}
 
@@ -171,7 +173,6 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 		for i, e := range exitAt {
 			if e >= from {
 				res.Survivors = append(res.Survivors, batch[i])
-				_ = e
 			}
 		}
 	}
@@ -186,24 +187,13 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 // happens. Samples whose exit ramp lies inside the split therefore ride
 // along to the boundary — E3's compute saving comes from not forwarding
 // them to the next split, not from shrinking mid-split.
+// It computes the split's per-layer terms on the fly; a SplitTable reads
+// them precompiled.
 func RunSplit(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spec, slowdown float64) Result {
-	var res Result
-	RunSplitInto(m, from, to, batch, spec, slowdown, &res)
-	return res
-}
-
-// RunSplitInto is RunSplit writing into a caller-owned Result whose
-// Completions/Survivors backing arrays are reused across calls — the hot
-// path runs one split per dispatched batch, so recycling the two slices
-// removes the dominant steady-state allocation. Scalar fields are reset
-// and the slices truncated to length zero (capacity kept); the caller must
-// treat any previous contents of res as dead. It computes the split's
-// per-layer terms on the fly; a SplitTable reads them precompiled.
-//
-//e3:hotpath runs one split per dispatched batch; recycled Result slices are the point
-func RunSplitInto(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spec, slowdown float64, res *Result) {
 	checkSplit(m, from, to)
-	runSplit(m, from, to, batch, res.scratchRow(m, from, to, spec, len(batch)), slowdown, res)
+	var res Result
+	runSplit(m, from, to, batch, res.scratchRow(m, from, to, spec, len(batch)), slowdown, &res)
+	return res
 }
 
 // checkSplit panics on malformed split bounds — those are planner bugs.
@@ -341,8 +331,8 @@ func runSplit(m *ee.EEModel, from, to int, batch []workload.Sample, row *splitRo
 // time of each. A plan's splits are fixed until the next replan, so a
 // pipeline stage compiles its table once and each batch reads it instead
 // of re-deriving layer costs. Larger batches fall back to terms computed
-// on the fly; both go through the same loop as RunSplitInto, so results
-// are bit-identical to it. The model's ramp set must not change while the
+// on the fly; both go through the same loop as RunSplit, so results are
+// bit-identical to it. The model's ramp set must not change while the
 // table is in use.
 type SplitTable struct {
 	m        *ee.EEModel
@@ -373,9 +363,14 @@ func CompileSplit(m *ee.EEModel, from, to int, spec gpu.Spec, maxBatch int) *Spl
 	return t
 }
 
-// RunInto is RunSplitInto(m, from, to, batch, spec, slowdown, res) for
-// the table's split, reading precompiled terms when len(batch) is within
-// the table.
+// RunInto is RunSplit(m, from, to, batch, spec, slowdown) for the table's
+// split, reading precompiled terms when len(batch) is within the table. It
+// writes into a caller-owned Result whose Completions/Survivors backing
+// arrays are reused across calls — the hot path runs one split per
+// dispatched batch, so recycling the two slices removes the dominant
+// steady-state allocation. Scalar fields are reset and the slices
+// truncated to length zero (capacity kept); the caller must treat any
+// previous contents of res as dead.
 //
 //e3:hotpath runs one split per dispatched pipeline batch
 func (t *SplitTable) RunInto(batch []workload.Sample, slowdown float64, res *Result) {

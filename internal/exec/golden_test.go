@@ -180,8 +180,8 @@ func checkGolden(t *testing.T, path string, got []string) {
 // TestSplitGoldenRunSplit pins split execution to a golden file recorded
 // from exec.RunSplit before stages were compiled into tables: every Result
 // field, over five models, random splits, batch sizes 1..B0+1 and two
-// slowdowns. RunSplit and RunSplitInto with one warm Result (scratch
-// reused across calls) must both reproduce it bit for bit.
+// slowdowns. TestSplitGoldenTable replays the same records through one
+// warm Result.
 func TestSplitGoldenRunSplit(t *testing.T) {
 	runSplit := goldenRecords(func(_ int, sp goldenSplit, batch []workload.Sample, s float64) exec.Result {
 		return exec.RunSplit(sp.m, sp.from, sp.to, batch, sp.spec, s)
@@ -191,12 +191,6 @@ func TestSplitGoldenRunSplit(t *testing.T) {
 		return
 	}
 	checkGolden(t, "RunSplit", runSplit)
-
-	var warm exec.Result
-	checkGolden(t, "RunSplitInto", goldenRecords(func(_ int, sp goldenSplit, batch []workload.Sample, s float64) exec.Result {
-		exec.RunSplitInto(sp.m, sp.from, sp.to, batch, sp.spec, s, &warm)
-		return warm
-	}))
 }
 
 func writeGolden(t *testing.T, lines []string) {

@@ -195,11 +195,7 @@ func (s system) maxGoodput(mk func() *cluster.Cluster, dist workload.Dist, batch
 // planE3 computes an E3 plan for the given setting.
 func planE3(clus *cluster.Cluster, m *ee.EEModel, dist workload.Dist, batch int, slo float64, mutate func(*optimizer.Config)) (optimizer.Plan, error) {
 	prof := profile.FromDist(m, dist, 8000, 1)
-	cfg := optimizer.Config{
-		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac,
-		Pipelining: true, ModelParallel: true,
-	}
+	cfg := optimizer.NewConfig(m, prof, batch, clus, slo)
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -83,9 +83,7 @@ func Fig14() Table {
 		nDee := gpusFor(target, perGPUGoodput(dee, dist, b, gpu.V100, defaultSLO, 141))
 		nE3 := "-"
 		prof := profile.FromDist(dee, dist, 8000, 1)
-		cfg := optimizer.Config{Model: dee, Profile: prof, Batch: b, Cluster: big,
-			SLO: defaultSLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
-		if p, err := optimizer.MinimizeGPUs(cfg, target); err == nil {
+		if p, err := optimizer.MinimizeGPUs(optimizer.NewConfig(dee, prof, b, big, defaultSLO), target); err == nil {
 			nE3 = itoa(p.GPUs)
 		}
 		t.Rows = append(t.Rows, []string{itoa(b), nVan, nDee, nE3})
@@ -152,9 +150,7 @@ func cheapestBaseline(m *ee.EEModel, dist workload.Dist, batch int, target float
 
 func cheapestE3(m *ee.EEModel, dist workload.Dist, batch int, target float64, pool *cluster.Cluster) string {
 	prof := profile.FromDist(m, dist, 8000, 1)
-	cfg := optimizer.Config{Model: m, Profile: prof, Batch: batch, Cluster: pool,
-		SLO: defaultSLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true}
-	p, err := optimizer.MinimizeCost(cfg, target)
+	p, err := optimizer.MinimizeCost(optimizer.NewConfig(m, prof, batch, pool, defaultSLO), target)
 	if err != nil {
 		return "-"
 	}

@@ -33,11 +33,8 @@ func Fig22() Table {
 	}
 	truth := profile.FromDist(m, dist, 8000, 1)
 	measure := func(batch int, errFrac float64) float64 {
-		cfg := optimizer.Config{
-			Model: m, Profile: truth.WithError(errFrac), Batch: batch, Cluster: mk(),
-			SLO: slo, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-			DisableInteriorRamps: true,
-		}
+		cfg := optimizer.NewConfig(m, truth.WithError(errFrac), batch, mk(), slo)
+		cfg.DisableInteriorRamps = true
 		plan, err := optimizer.MaximizeGoodput(cfg)
 		if err != nil {
 			return 0

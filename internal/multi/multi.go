@@ -76,7 +76,7 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 	var allocs []Allocation
 	for i, t := range order {
 		profs[i] = profile.FromDist(t.Model, t.Dist, 8000, 1)
-		plan, err := optimizer.MinimizeGPUs(planConfig(t, profs[i], clusterFromCounts(remaining, clus)), t.Rate)
+		plan, err := optimizer.MinimizeGPUs(optimizer.NewConfig(t.Model, profs[i], t.Batch, clusterFromCounts(remaining, clus), t.SLO), t.Rate)
 		if err != nil {
 			return nil, fmt.Errorf("multi: tenant %q: %w", t.Name, err)
 		}
@@ -104,7 +104,8 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		for _, s := range allocs[worst].Plan.Splits {
 			pool[s.Kind] += s.Replicas
 		}
-		cfg := planConfig(order[worst], profs[worst], clusterFromCounts(pool, clus))
+		t := order[worst]
+		cfg := optimizer.NewConfig(t.Model, profs[worst], t.Batch, clusterFromCounts(pool, clus), t.SLO)
 		if plan, err := optimizer.MaximizeGoodput(cfg); err == nil && plan.Goodput > allocs[worst].Plan.Goodput {
 			allocs[worst].Plan = plan
 		}
@@ -120,14 +121,6 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		allocs[i].Devices = devs
 	}
 	return allocs, nil
-}
-
-// planConfig is the optimizer problem for one tenant on a sub-cluster.
-func planConfig(t Tenant, prof profile.Batch, sub *cluster.Cluster) optimizer.Config {
-	return optimizer.Config{
-		Model: t.Model, Profile: prof, Batch: t.Batch, Cluster: sub,
-		SLO: t.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
 }
 
 func tenantOf(ts []Tenant, name string) Tenant {

@@ -22,13 +22,9 @@ type benchCase struct {
 
 func benchCases(b *testing.B) []benchCase {
 	mk := func(m *ee.EEModel, batch int, c *cluster.Cluster, slo float64, splits int) Config {
-		return Config{
-			Model:   m,
-			Profile: profile.FromDist(m, workload.Mix(0.8), 4000, 1),
-			Batch:   batch, Cluster: c,
-			SLO: slo, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac,
-			MaxSplits: splits, Pipelining: true, ModelParallel: true,
-		}
+		cfg := NewConfig(m, profile.FromDist(m, workload.Mix(0.8), 4000, 1), batch, c, slo)
+		cfg.MaxSplits = splits
+		return cfg
 	}
 	deebert := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	large := ee.NewDeeBERT(model.BERTLarge(), 0.4)

@@ -173,12 +173,7 @@ func TestCostTableProfileIndependent(t *testing.T) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	clus := cluster.Homogeneous(gpu.V100, 8)
 	mk := func(easy float64) Config {
-		return Config{
-			Model: m, Profile: profile.FromDist(m, workload.Mix(easy), 4000, 1),
-			Batch: 8, Cluster: clus,
-			SLO: 0.1, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac,
-			Pipelining: true, ModelParallel: true,
-		}
+		return NewConfig(m, profile.FromDist(m, workload.Mix(easy), 4000, 1), 8, clus, 0.1)
 	}
 	tbl := NewCostTableFor(mk(0.9))
 	for _, easy := range []float64{0.2, 0.5, 0.9} {

@@ -49,10 +49,7 @@ func TestPlanInvariantsProperty(t *testing.T) {
 			clus = cluster.Homogeneous(gpu.V100, n)
 		}
 
-		cfg := Config{
-			Model: m, Profile: prof, Batch: batch, Cluster: clus,
-			SLO: 0.5, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		}
+		cfg := NewConfig(m, prof, batch, clus, 0.5)
 		plan, err := MaximizeGoodput(cfg)
 
 		// The retained reference search and the memoized path (with a

@@ -45,10 +45,8 @@ func TestPlannerRespectsMemory(t *testing.T) {
 	// emitted splits fit.
 	m := ee.NewLlamaEE(model.Llama318B())
 	prof := profile.FromDist(m, workload.BoolQ(), 4000, 1)
-	cfg := Config{
-		Model: m, Profile: prof, Batch: 4, Cluster: cluster.Homogeneous(gpu.K80, 24),
-		SLO: 5, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac, Pipelining: true, ModelParallel: true, MaxSplits: 4,
-	}
+	cfg := NewConfig(m, prof, 4, cluster.Homogeneous(gpu.K80, 24), 5)
+	cfg.MaxSplits = 4
 	plan, err := MaximizeGoodput(cfg)
 	if err != nil {
 		// Infeasible is acceptable; producing an over-memory plan is not.
@@ -67,11 +65,7 @@ func TestMemoryForcesSplitAcrossKinds(t *testing.T) {
 	m := ee.NewLlamaEE(model.Llama318B())
 	prof := profile.FromDist(m, workload.BoolQ(), 4000, 1)
 	clus := cluster.New(map[gpu.Kind]int{gpu.K80: 8, gpu.A6000: 4}, 2)
-	cfg := Config{
-		Model: m, Profile: prof, Batch: 4, Cluster: clus,
-		SLO: 5, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
-	plan, err := MaximizeGoodput(cfg)
+	plan, err := MaximizeGoodput(NewConfig(m, prof, 4, clus, 5))
 	if err != nil {
 		t.Fatalf("no feasible plan on mixed cluster: %v", err)
 	}

@@ -26,9 +26,9 @@ import (
 	"e3/internal/profile"
 )
 
-// Tunable defaults. Config fields using negative-means-default sentinels
-// reference these so callers can both request the default explicitly and
-// configure the true zero ("prune nothing", "no slack").
+// Tunable defaults. NewConfig applies DefaultSlackFrac and
+// DefaultMinExitFrac; a zero MaxSplits or MaxBoundaryCands selects its
+// default when the search runs.
 const (
 	// DefaultMaxSplits bounds the partition search depth.
 	DefaultMaxSplits = 3
@@ -51,9 +51,9 @@ type Config struct {
 	// Batch is B0, the constant batch size every split instance runs.
 	Batch   int
 	Cluster *cluster.Cluster
-	// SLO is the end-to-end latency bound (seconds); SlackFrac reserves
-	// headroom (the paper uses 20%). A zero SlackFrac means no slack;
-	// negative selects DefaultSlackFrac.
+	// SLO is the end-to-end latency bound (seconds); SlackFrac, in
+	// [0, 1), reserves headroom (the paper uses 20%). A zero SlackFrac
+	// means no slack.
 	SLO       float64
 	SlackFrac float64
 
@@ -70,9 +70,8 @@ type Config struct {
 
 	// MaxSplits bounds the partition search (0 selects DefaultMaxSplits).
 	MaxSplits int
-	// MinExitFrac prunes boundary candidates with less predicted exit
-	// mass. Zero keeps every active ramp; negative selects
-	// DefaultMinExitFrac.
+	// MinExitFrac, in [0, 1], prunes boundary candidates with less
+	// predicted exit mass. Zero keeps every active ramp.
 	MinExitFrac float64
 	// MaxBoundaryCands caps how many exit ramps (ranked by predicted exit
 	// mass) the search considers as split boundaries. Zero selects
@@ -97,19 +96,22 @@ type Config struct {
 	Trace *SearchTrace
 }
 
+// NewConfig is E3's planning problem (§3.2): plan for the SLO less
+// DefaultSlackFrac, cut only at ramps with at least DefaultMinExitFrac
+// predicted exit mass, and pipeline model-parallel splits. Each §5.8
+// ablation and every search bound is a field set on the result.
+func NewConfig(m *ee.EEModel, prof profile.Batch, batch int, clus *cluster.Cluster, slo float64) Config {
+	return Config{
+		Model: m, Profile: prof, Batch: batch, Cluster: clus,
+		SLO: slo, SlackFrac: DefaultSlackFrac, MinExitFrac: DefaultMinExitFrac,
+		Pipelining: true, ModelParallel: true,
+	}
+}
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.MaxSplits == 0 {
 		out.MaxSplits = DefaultMaxSplits
-	}
-	// Negative means "default" so that explicit zeros stay configurable:
-	// MinExitFrac 0 keeps every active ramp, SlackFrac 0 spends the whole
-	// SLO.
-	if out.MinExitFrac < 0 {
-		out.MinExitFrac = DefaultMinExitFrac
-	}
-	if out.SlackFrac < 0 {
-		out.SlackFrac = DefaultSlackFrac
 	}
 	if out.MaxBoundaryCands == 0 {
 		out.MaxBoundaryCands = DefaultMaxBoundaryCands
@@ -139,6 +141,13 @@ func (c *Config) validate() error {
 	}
 	if c.SLO <= 0 {
 		return errors.New("optimizer: non-positive SLO")
+	}
+	// The negated comparisons also reject NaN.
+	if !(c.SlackFrac >= 0 && c.SlackFrac < 1) {
+		return fmt.Errorf("optimizer: SlackFrac %v outside [0, 1)", c.SlackFrac)
+	}
+	if !(c.MinExitFrac >= 0 && c.MinExitFrac <= 1) {
+		return fmt.Errorf("optimizer: MinExitFrac %v outside [0, 1]", c.MinExitFrac)
 	}
 	return nil
 }

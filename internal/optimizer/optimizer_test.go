@@ -15,10 +15,7 @@ import (
 func bertConfig(batch int, easyFrac float64, c *cluster.Cluster) Config {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(easyFrac), 8000, 1)
-	return Config{
-		Model: m, Profile: prof, Batch: batch, Cluster: c,
-		SLO: 0.100, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
+	return NewConfig(m, prof, batch, c, 0.100)
 }
 
 func TestMaximizeGoodputBasic(t *testing.T) {
@@ -312,11 +309,7 @@ func TestVanillaModelGetsSingleSplit(t *testing.T) {
 	// one data-parallel split.
 	m := ee.NewVanilla(model.BERTBase())
 	prof := profile.FromDist(m, workload.Mix(0.8), 2000, 2)
-	cfg := Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: cluster.Homogeneous(gpu.V100, 16),
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
-	p, err := MaximizeGoodput(cfg)
+	p, err := MaximizeGoodput(NewConfig(m, prof, 8, cluster.Homogeneous(gpu.V100, 16), 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -226,7 +227,7 @@ func TestExplicitZeroMinExitFracHonored(t *testing.T) {
 	// Find a workload mix where the 2% default actually drops tail ramps,
 	// so the two semantics are distinguishable.
 	for _, easy := range []float64{0.9, 0.98, 0.2, 0.05} {
-		def := mk(easy, -1)
+		def := mk(easy, DefaultMinExitFrac)
 		if _, err := MaximizeGoodput(def); err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +277,7 @@ func TestExplicitZeroSlackFracHonored(t *testing.T) {
 	}
 
 	def := tight
-	def.SlackFrac = -1 // default 20%
+	def.SlackFrac = DefaultSlackFrac
 	pd, err := MaximizeGoodput(def)
 	if err == nil && pd.Latency > (1-DefaultSlackFrac)*def.SLO+1e-12 {
 		t.Errorf("default slack admitted latency %.4f over the slacked budget %.4f",
@@ -287,16 +288,12 @@ func TestExplicitZeroSlackFracHonored(t *testing.T) {
 	}
 }
 
-// TestWithDefaultsSentinels pins the negative-means-default contract.
+// TestWithDefaultsSentinels pins the zero and negative encodings that
+// remain, and that SlackFrac and MinExitFrac have none: values outside
+// their ranges are rejected rather than defaulted.
 func TestWithDefaultsSentinels(t *testing.T) {
-	neg := &Config{MinExitFrac: -1, SlackFrac: -0.5, Workers: -3, MaxBoundaryCands: -2}
+	neg := &Config{Workers: -3, MaxBoundaryCands: -2}
 	out := neg.withDefaults()
-	if out.MinExitFrac != DefaultMinExitFrac {
-		t.Errorf("negative MinExitFrac -> %v, want default %v", out.MinExitFrac, DefaultMinExitFrac)
-	}
-	if out.SlackFrac != DefaultSlackFrac {
-		t.Errorf("negative SlackFrac -> %v, want default %v", out.SlackFrac, DefaultSlackFrac)
-	}
 	if out.Workers != 1 {
 		t.Errorf("negative Workers -> %d, want 1 (serial)", out.Workers)
 	}
@@ -319,6 +316,25 @@ func TestWithDefaultsSentinels(t *testing.T) {
 	}
 	if zero.Workers < 1 {
 		t.Errorf("zero Workers -> %d, want >= 1", zero.Workers)
+	}
+
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"SlackFrac", func(c *Config) { c.SlackFrac = -0.5 }},
+		{"SlackFrac", func(c *Config) { c.SlackFrac = 1 }},
+		{"SlackFrac", func(c *Config) { c.SlackFrac = math.NaN() }},
+		{"MinExitFrac", func(c *Config) { c.MinExitFrac = -1 }},
+		{"MinExitFrac", func(c *Config) { c.MinExitFrac = 1.5 }},
+	} {
+		cfg := bertConfig(8, 0.8, cluster.Homogeneous(gpu.V100, 8))
+		tc.set(&cfg)
+		_, err := MaximizeGoodput(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("SlackFrac %v, MinExitFrac %v: err %v, want a %s range error",
+				cfg.SlackFrac, cfg.MinExitFrac, err, tc.field)
+		}
 	}
 }
 

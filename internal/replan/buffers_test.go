@@ -22,11 +22,7 @@ func bootConfig(t *testing.T, devices, windows int) (Config, optimizer.Plan) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	clus := cluster.Homogeneous(gpu.V100, 16)
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
-	boot, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: clus.Subset(devices),
-		SLO: 0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
-		Pipelining: true, ModelParallel: true,
-	})
+	boot, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, clus.Subset(devices), 0.100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,7 @@ import (
 )
 
 func cacheProblem(surv []float64) optimizer.Config {
-	return optimizer.Config{
-		Model:   ee.NewDeeBERT(model.BERTBase(), 0.4),
-		Profile: profile.NewBatch(surv),
-		Batch:   8,
-		Cluster: cluster.Homogeneous(gpu.V100, 8),
-		SLO:     0.100, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
-		Pipelining: true, ModelParallel: true,
-	}
+	return optimizer.NewConfig(ee.NewDeeBERT(model.BERTBase(), 0.4), profile.NewBatch(surv), 8, cluster.Homogeneous(gpu.V100, 8), 0.100)
 }
 
 func flatSurv(L int, v float64) []float64 {

@@ -272,12 +272,8 @@ func newLoop(cfg Config) *loop {
 		cfg: cfg, eng: sim.NewEngine(), coll: scheduler.NewCollector(layers, cfg.SLO, 0),
 		gen: workload.NewGenerator(mix0, cfg.Seed), pool: workload.NewBatchPool(),
 		est: forecast.NewEstimator(layers), budget: slo.NewBudget(cfg.SLOTarget, cfg.BurnThreshold),
-		problem: optimizer.Config{
-			Model: cfg.Model, Batch: cfg.Batch, Cluster: cfg.Cluster,
-			SLO: cfg.SLO, SlackFrac: optimizer.DefaultSlackFrac, MinExitFrac: optimizer.DefaultMinExitFrac,
-			Pipelining: true, ModelParallel: true,
-		},
-		cache: NewPlanCache(DefaultPlanCacheSize, DefaultPlanCacheTolerance), reserved: cfg.Cluster,
+		problem: optimizer.NewConfig(cfg.Model, profile.Batch{}, cfg.Batch, cfg.Cluster, cfg.SLO),
+		cache:   NewPlanCache(DefaultPlanCacheSize, DefaultPlanCacheTolerance), reserved: cfg.Cluster,
 	}
 	l.problem.Costs = optimizer.NewCostTableFor(l.problem)
 	l.eng.SetEventLimit(eventLimit)

@@ -39,7 +39,7 @@ type Pipeline struct {
 	// recycling (identical behavior, more allocation).
 	pool *workload.BatchPool
 	// compFree recycles completion buffers (active only when pool is set):
-	// a buffer is handed to RunSplitInto, rides the grouped completion
+	// a buffer is handed to SplitTable.RunInto, rides the grouped completion
 	// event, and returns here once the collector has consumed it.
 	compFree [][]exec.Completion
 	// completions and xferFree pool the two events every executed batch

@@ -19,11 +19,7 @@ func testPlan(t *testing.T, clus *cluster.Cluster, batch int, easyFrac float64) 
 	t.Helper()
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(easyFrac), 8000, 1)
-	cfg := optimizer.Config{
-		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
-	p, err := optimizer.MaximizeGoodput(cfg)
+	p, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, batch, clus, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

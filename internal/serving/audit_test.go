@@ -24,10 +24,7 @@ func TestConservationAcrossRunners(t *testing.T) {
 	mkClus := func() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
 
 	prof := profile.FromDist(m, dist, 8000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: mkClus(),
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, mkClus(), 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,10 +198,9 @@ func replanFixture(t *testing.T) (optimizer.Plan, *optimizer.SearchTrace) {
 	tr := &optimizer.SearchTrace{}
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(0.8), 4000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: cluster.Homogeneous(gpu.V100, 8),
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true, Trace: tr,
-	})
+	cfg := optimizer.NewConfig(m, prof, 8, cluster.Homogeneous(gpu.V100, 8), 0.1)
+	cfg.Trace = tr
+	plan, err := optimizer.MaximizeGoodput(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

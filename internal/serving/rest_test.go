@@ -21,10 +21,7 @@ func testAPI(t *testing.T) *API {
 	t.Helper()
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(0.8), 4000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: m, Profile: prof, Batch: 8, Cluster: cluster.Homogeneous(gpu.V100, 8),
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, cluster.Homogeneous(gpu.V100, 8), 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}

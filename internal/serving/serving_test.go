@@ -22,11 +22,7 @@ func pipelineSetup(t *testing.T, nGPU, batch int) (*sim.Engine, *scheduler.Pipel
 	clus := cluster.Homogeneous(gpu.V100, nGPU)
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
-	cfg := optimizer.Config{
-		Model: m, Profile: prof, Batch: batch, Cluster: clus,
-		SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-	}
-	plan, err := optimizer.MaximizeGoodput(cfg)
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, batch, clus, 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +120,8 @@ func TestMaxGoodputFindsSustainableRate(t *testing.T) {
 		clus := cluster.Homogeneous(gpu.V100, 8)
 		m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 		prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
-		cfg := optimizer.Config{
-			Model: m, Profile: prof, Batch: 8, Cluster: clus,
-			SLO: 0.1, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac, Pipelining: true, ModelParallel: true,
-		}
 		var err error
-		plan, err = optimizer.MaximizeGoodput(cfg)
+		plan, err = optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, clus, 0.1))
 		if err != nil {
 			t.Fatal(err)
 		}

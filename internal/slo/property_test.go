@@ -37,11 +37,7 @@ func propPlan(t *testing.T, dee *ee.EEModel, dist workload.Dist) optimizer.Plan 
 	t.Helper()
 	clus := cluster.Homogeneous(gpu.V100, 8)
 	prof := profile.FromDist(dee, dist, 8000, 1)
-	plan, err := optimizer.MaximizeGoodput(optimizer.Config{
-		Model: dee, Profile: prof, Batch: propBatch, Cluster: clus,
-		SLO: propSLO, SlackFrac: 0.2, MinExitFrac: optimizer.DefaultMinExitFrac,
-		Pipelining: true, ModelParallel: true,
-	})
+	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(dee, prof, propBatch, clus, propSLO))
 	if err != nil {
 		t.Fatalf("planning failed: %v", err)
 	}
