@@ -132,7 +132,9 @@ fleetgate:
 # one flame execute/transfer/fuse round, one fleet routing epoch, fleet
 # setup with one plan per distinct inventory (BenchmarkFleetNew), one
 # streamed arrival minted on the loop vs ahead of it, exhaustive ledger
-# recording and verification over 100k samples, one chunked busy span
+# recording over 100k samples (BenchmarkLedgerRecord: drive's clean and
+# one-violation streams and the replan loop's 4/6/8-event mix, in ns/event
+# and B/sample) and verification, one chunked busy span
 # recorded (BenchmarkUtilizationAdd), p50 and p999 selected over 10k and
 # 1M latencies with no sorted copy (BenchmarkLatencyQuantile)).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`

@@ -14,6 +14,12 @@
 // events arrive. Verify then reads the finished tallies and walks event
 // chains only for the samples it reports as violations.
 //
+// Storage scales with the samples in flight plus a compact record of the
+// finished ones: an open sample's events sit in a reusable in-flight
+// slot, and a cleanly terminated sample's chain is written once as a
+// packed run of 32-bit words, about 70 bytes per request on the replan
+// loop, into a store the garbage collector never scans.
+//
 // A nil *Ledger is valid and records nothing, so call sites wire events
 // unconditionally and auditing costs nothing when disabled.
 package audit
@@ -105,50 +111,66 @@ type Event struct {
 // (tens of millions of requests) where exhaustive tracking would dominate
 // both memory and the event loop's hot path.
 //
-// Per-event detail lives in a pointer-free arena of 16-byte records, so
-// the garbage collector never scans it. A record packs its kind and
-// operand into one word; the rare operand that does not fit (a negative
-// one, a dispatch's stage past 12 bits or instance past 16, anything
-// past 28) goes to a per-ledger spill slice. Stage, instance and exit-layer operands are int32. Each
-// tracked sample's events form a linked list through the arena. A dense
-// index keyed by id/stride holds one 16-byte entry per sample: its
-// list's head and tail and its running state. Ids outside the dense
-// range (negative, or far beyond every id seen so far) go to a small
-// sparse map. The arena and both indexes grow a page at a time and copy
-// nothing; their first pages start small, and nothing is allocated for
-// detail until the first tracked id arrives. Drop reasons are interned
-// per ledger, so a record stores a code instead of a string. No slice
-// lists the ids: each one's first record is pushed as it registers, so
-// sorting chain heads recovers the first-seen order.
+// A tracked sample's events live in an in-flight slot while it is open.
+// Slots sit in a free-listed table, and a slot's event buffer keeps its
+// capacity from one sample to the next, so the table grows with the
+// samples in flight, never with run length. At the sample's clean
+// terminal — its only terminal, recorded after no violation — its chain
+// is written once as a packed run of 32-bit words into a pointer-free
+// paged store and the slot is freed. A run holds same-time mask words,
+// one op word per event, then two words for each time whose bits differ
+// from the previous event's (see encode). An op word packs the kind and
+// operand; the rare operand that does not fit (a negative one, a
+// dispatch's stage past 12 bits or instance past 16, anything past 28)
+// goes to a per-ledger spill slice. Stage, instance and exit-layer
+// operands are int32. Samples that never end, or turn bad, stay in their
+// slots; an event after a clean terminal decodes the run back into a
+// slot.
+//
+// A dense index keyed by id/stride holds one 8-byte entry per sample:
+// its run's offset or its slot, and its first-seen rank. Ids outside the
+// dense range (negative, or far beyond every id seen so far) go to a
+// small sparse map. The run store and both indexes grow a page at a time
+// and copy nothing; their first pages start small, and nothing is
+// allocated for detail until the first tracked id arrives. Neither the
+// store nor the indexes hold pointers, so the garbage collector never
+// scans them. Drop reasons are interned per ledger, so an op word stores
+// a code instead of a string. No slice lists the ids: Verify and Digest
+// rebuild first-seen order from the stored ranks.
 //
 // Recording also checks each tracked sample against its previous event
-// (the chain's tail) and its running state in the index entry: the last
-// dispatched stage and a bad flag, set once any invariant broke.
-// Per-stage in/out tallies and the count of cleanly terminated samples
-// are kept as events arrive.
+// and its running state in the slot: the last dispatched stage and a bad
+// flag, set once any invariant broke. Per-stage in/out tallies and the
+// count of cleanly terminated samples are kept as events arrive.
 type Ledger struct {
-	// recs is the event arena, paged (see page); last is the index of
-	// the newest record. Record 0 is never used: index 0 means "none" in
-	// chains and next links.
-	recs [][]rec
-	last int32
+	// runs is the packed-run store. Word 0 is never used, so a run's
+	// offset is positive; end is the offset of the next run.
+	runs [][]uint32
+	end  int32
+	// slots holds the open samples' running state and events; free lists
+	// the slots holding none.
+	slots []slot
+	free  []int32
+	// crossing is where a run that crosses a page boundary is encoded.
+	crossing []uint32
 	// dense indexes tracked ids by id/stride. sparse maps any other
-	// tracked id to its chain in spill, in registration order.
-	dense  chains
+	// tracked id to its entry in spill, in registration order.
+	dense  entries
 	sparse map[int64]int32
-	spill  chains
-	// samples counts tracked ids. Each one's first record is pushed as
-	// it registers, so chain heads rise in first-seen order, the order
-	// Verify and Digest walk (see firstSeen).
+	spill  entries
+	// samples counts tracked ids. A sample's first-seen rank is the
+	// count of ids tracked before it.
 	samples int
-	// wide holds the operands of records whose operands do not pack
-	// into their op word; no real run records one.
+	// wide holds the operands of events whose operands do not pack into
+	// their op word; no real run records one.
 	wide []operands
 	// stride samples per-event detail for ids divisible by it (≤1 =
-	// exhaustive).
+	// exhaustive); div tests that divisibility without dividing.
 	stride int64
-	// reasons interns drop reasons in first-seen order; a record's reason
-	// field indexes it. known flags the codes of classified reasons.
+	div    divisor
+	// reasons interns drop reasons in first-seen order; an op word's
+	// reason field indexes it. known flags the codes of classified
+	// reasons.
 	reasons []Reason
 	known   []bool
 	// flows tallies per-stage traffic of tracked samples as it is
@@ -157,8 +179,8 @@ type Ledger struct {
 	// any other stage goes to farFlows.
 	flows    []StageFlow
 	farFlows map[int32]*StageFlow
-	// clean counts tracked samples whose tail is a clean terminal: their
-	// only terminal, recorded last, after no violation.
+	// clean counts tracked samples stored as runs: those whose last
+	// event is a clean terminal.
 	clean int
 	// Population-exact O(1) counters, maintained for every event whether
 	// or not its sample is tracked in detail. byReasonTotal is indexed by
@@ -169,64 +191,78 @@ type Ledger struct {
 	byReasonTotal  []int
 }
 
-// rec is one stored event: 16 bytes, no pointers.
-type rec struct {
-	at float64
-	// next is the arena index of the sample's next event (0 ends the list).
-	next int32
-	// op packs the kind, a wide flag and a 28-bit operand: stage |
-	// instance<<12 for a dispatch, the stage for a merge, the exit layer
-	// for a completion, the reason code for a drop (see pack). A wide
-	// record's operand indexes Ledger.wide instead.
+// ev is one event of an open sample: its time's bits and its op word,
+// which packs the kind, a wide flag and a 28-bit operand: stage |
+// instance<<12 for a dispatch, the stage for a merge, the exit layer for
+// a completion, the reason code for a drop (see pack). A wide op word's
+// operand indexes Ledger.wide instead.
+type ev struct {
+	at uint64
 	op uint32
 }
 
-// kind returns the recorded transition.
-func (r *rec) kind() Kind { return Kind(r.op & kindMask) }
+// opKind returns the transition an op word records.
+func opKind(op uint32) Kind { return Kind(op & kindMask) }
 
 // terminal reports whether k is a completion or a drop.
 func (k Kind) terminal() bool { return k == KindCompleted || k == KindDropped }
 
-// operands is a record's pair of int32 operands: a is a dispatch's or a
+// operands is an event's pair of int32 operands: a is a dispatch's or a
 // merge's stage, a completion's exit layer or a drop's reason code; b is
 // a dispatch's instance.
 type operands struct{ a, b int32 }
 
-// chain locates one sample's event list in the arena and carries the
-// sample's running state: 16 bytes.
-type chain struct {
-	head, tail int32
-	// last is the sample's last dispatched stage plus one (0 = none
-	// yet). It wraps like the int32 stage it stores.
+// entry locates one tracked sample: 8 bytes.
+type entry struct {
+	// loc is the offset of the sample's run when positive, ^slot of its
+	// open slot when negative, and 0 before its first event.
+	loc int32
+	// rank is the sample's first-seen rank among tracked ids.
+	rank int32
+}
+
+// slot holds one open tracked sample.
+type slot struct {
+	// evs holds the sample's events so far; it is empty while the slot
+	// is free and keeps its capacity for the slot's next sample.
+	evs  []ev
+	id   int64
+	rank int32
+	// last is the sample's last dispatched stage (-1 = none yet).
 	last int32
 	// bad marks a sample that broke an invariant.
 	bad bool
 }
 
-// chains is a paged array of chain entries (see page).
-type chains struct {
-	pages [][]chain
+// entries is a paged array of index entries (see page).
+type entries struct {
+	pages [][]entry
 	// n counts the entries the pages hold.
 	n int32
 }
 
-// at returns entry i < c.n.
-func (c *chains) at(i int32) *chain {
+// at returns entry i < a.n.
+func (a *entries) at(i int32) *entry {
 	p, o := page(i)
-	return &c.pages[p][o]
+	return &a.pages[p][o]
 }
 
 // grow adds one page.
-func (c *chains) grow() {
-	size := pageSize(len(c.pages))
-	c.pages = append(c.pages, make([]chain, size)) //e3:alloc index growth: one page per pageLen ids, nothing copied
-	c.n += int32(size)
+func (a *entries) grow() {
+	size := pageSize(len(a.pages))
+	a.pages = append(a.pages, make([]entry, size)) //e3:alloc index growth: one page per pageLen ids, nothing copied
+	a.n += int32(size)
 }
 
-// page locates entry i of a paged array: the arena and the indexes are
-// lists of pages that grow one page at a time and never move an entry,
-// so growing one copies nothing. Every page holds pageLen entries but
-// the first, which is allocated as segments of 64, 128, … pageLen/2
+// growRuns adds one page to the run store.
+func (l *Ledger) growRuns() {
+	l.runs = append(l.runs, make([]uint32, pageSize(len(l.runs)))) //e3:alloc run store growth: one page per pageLen words, nothing copied
+}
+
+// page locates entry i of a paged array: the run store and the indexes
+// are lists of pages that grow one page at a time and never move an
+// entry, so growing one copies nothing. Every page holds pageLen entries
+// but the first, which is allocated as segments of 64, 128, … pageLen/2
 // entries, so an array that holds a handful of entries stays small.
 // Shifting i by firstLen puts segment s at [firstLen<<s, firstLen<<(s+1)).
 func page(i int32) (p, o int32) {
@@ -246,10 +282,72 @@ func pageSize(p int) int {
 	return pageLen
 }
 
+// cursor reads the run store one word at a time, crossing pages as it
+// goes.
+type cursor struct {
+	pages [][]uint32
+	pg    []uint32
+	p     int32
+	o     int
+}
+
+// cursorAt returns a cursor at word i of a run.
+func cursorAt(pages [][]uint32, i int32) cursor {
+	p, o := page(i)
+	return cursor{pages: pages, pg: pages[p], p: p, o: int(o)}
+}
+
+// turn moves c to the start of the next page.
+func (c *cursor) turn() {
+	c.p++
+	c.pg, c.o = c.pages[c.p], 0
+}
+
+// next reads one word.
+func (c *cursor) next() uint32 {
+	if c.o == len(c.pg) {
+		c.turn()
+	}
+	v := c.pg[c.o]
+	c.o++
+	return v
+}
+
+// divisor tests int64s for divisibility by a fixed d > 1 with a
+// multiply, a rotate and a compare (Granlund and Montgomery): for
+// d = d₀·2ᵏ with d₀ odd, an unsigned u is a multiple of d exactly when
+// u·d₀⁻¹ mod 2⁶⁴, rotated right by k, is at most ⌊(2⁶⁴−1)/d⌋. A signed id
+// is tested by its magnitude, which is exact for math.MinInt64 too.
+type divisor struct {
+	inv uint64 // d₀⁻¹ mod 2⁶⁴
+	k   int
+	max uint64
+}
+
+// newDivisor precomputes the test for d > 1.
+func newDivisor(d int64) divisor {
+	k := bits.TrailingZeros64(uint64(d))
+	d0 := uint64(d) >> k
+	// Newton's iteration doubles the correct low bits of an odd
+	// number's inverse each step; d0 is its own inverse mod 8.
+	inv := d0
+	for range 5 {
+		inv *= 2 - d0*inv
+	}
+	return divisor{inv: inv, k: k, max: math.MaxUint64 / uint64(d)}
+}
+
+// divides reports whether id is a multiple of the divisor.
+func (v divisor) divides(id int64) bool {
+	m := id >> 63
+	u := uint64((id ^ m) - m) // |id|, and 2⁶³ for math.MinInt64
+	return bits.RotateLeft64(u*v.inv, -v.k) <= v.max
+}
+
 const (
-	// A record's op word: kindBits of kind, the wide flag, then
-	// operandBits of operand, of which a dispatch gives stageBits to the
-	// stage and the rest to the instance.
+	// An op word: kindBits of kind, the wide flag, then operandBits of
+	// operand, of which a dispatch gives stageBits to the stage and the
+	// rest to the instance.
 	kindBits     = 3
 	kindMask     = 1<<kindBits - 1
 	wideFlag     = 1 << kindBits
@@ -258,13 +356,19 @@ const (
 	stageBits    = 12
 	stageMask    = 1<<stageBits - 1
 
+	// Mask word m of a run flags in bit j that event maskEvents·m+j has
+	// the same time bits as the event before it; its top bit flags that
+	// another mask word follows.
+	maskEvents = 31
+	moreMasks  = 1 << maskEvents
+
 	pageBits = 14
 	pageLen  = 1 << pageBits
 	pageMask = pageLen - 1
 	// firstBits sizes the first page's smallest segment.
 	firstBits = 6
 	firstLen  = 1 << firstBits
-	// maxEntries keeps every arena and index position within int32.
+	// maxEntries keeps every store and index position within int32.
 	maxEntries = math.MaxInt32 - pageLen
 	// denseReach is how far past twice the dense index's length a
 	// first-seen id may land and still grow the index rather than go to
@@ -276,7 +380,7 @@ const (
 
 // NewLedger returns an empty exhaustive ledger.
 func NewLedger() *Ledger {
-	return &Ledger{stride: 1}
+	return &Ledger{stride: 1, end: 1}
 }
 
 // NewSampledLedger returns a ledger that audits per-sample invariants on
@@ -286,6 +390,7 @@ func NewSampledLedger(stride int64) *Ledger {
 	l := NewLedger()
 	if stride > 1 {
 		l.stride = stride
+		l.div = newDivisor(stride)
 	}
 	return l
 }
@@ -302,19 +407,22 @@ func (l *Ledger) Stride() int64 {
 }
 
 // key maps an id to its dense-index key; tracked is false when the id's
-// per-event detail is not sampled.
+// per-event detail is not sampled. Only tracked ids are divided.
 func (l *Ledger) key(id int64) (k int64, tracked bool) {
 	if l.stride <= 1 {
 		return id, true
 	}
-	return id / l.stride, id%l.stride == 0
+	if !l.div.divides(id) {
+		return 0, false
+	}
+	return id / l.stride, true
 }
 
-// lookup returns a tracked id's chain, or nil before its first event.
-func (l *Ledger) lookup(id, k int64) *chain {
+// lookup returns a tracked id's entry, or nil before its first event.
+func (l *Ledger) lookup(id, k int64) *entry {
 	if k >= 0 && k < int64(l.dense.n) {
-		if c := l.dense.at(int32(k)); c.head != 0 {
-			return c
+		if e := l.dense.at(int32(k)); e.loc != 0 {
+			return e
 		}
 	}
 	if len(l.sparse) > 0 {
@@ -325,9 +433,20 @@ func (l *Ledger) lookup(id, k int64) *chain {
 	return nil
 }
 
-// register gives a first-seen tracked id an empty chain.
-func (l *Ledger) register(id, k int64) *chain {
+// register ranks a first-seen tracked id and opens a slot for it.
+func (l *Ledger) register(id, k int64) *entry {
+	if l.samples >= maxEntries {
+		panic("audit: too many samples")
+	}
+	e := l.place(id, k)
+	e.rank = int32(l.samples)
 	l.samples++
+	l.open(e, id)
+	return e
+}
+
+// place returns the index entry for a first-seen tracked id.
+func (l *Ledger) place(id, k int64) *entry {
 	if n := int64(l.dense.n); k >= 0 && k < 2*n+denseReach && k < maxEntries {
 		for int64(l.dense.n) <= k {
 			l.dense.grow()
@@ -348,10 +467,151 @@ func (l *Ledger) register(id, k int64) *chain {
 	return l.spill.at(j)
 }
 
-// at returns the arena record at index i.
-func (l *Ledger) at(i int32) *rec {
-	p, o := page(i)
-	return &l.recs[p][o]
+// open points e at a free slot, set up for sample id.
+func (l *Ledger) open(e *entry, id int64) *slot {
+	var i int32
+	if n := len(l.free); n > 0 {
+		i = l.free[n-1]
+		l.free = l.free[:n-1]
+	} else {
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, slot{})
+	}
+	s := &l.slots[i]
+	s.id, s.rank, s.last, s.bad = id, e.rank, -1, false
+	e.loc = ^i
+	return s
+}
+
+// reopen decodes a cleanly terminated sample's run back into a slot, so
+// an event can follow its terminal.
+func (l *Ledger) reopen(e *entry, id int64) *slot {
+	run := e.loc
+	s := l.open(e, id)
+	s.evs = l.decode(s.evs, run)
+	for _, v := range s.evs {
+		if opKind(v.op) == KindDispatched {
+			s.last = l.unpack(v.op).a
+		}
+	}
+	return s
+}
+
+// close writes s's events as a packed run at the end of the store,
+// points e at it and frees the slot.
+func (l *Ledger) close(e *entry, s *slot) {
+	evs := s.evs
+	size := (len(evs)+maskEvents-1)/maskEvents + len(evs)
+	var prev uint64
+	for _, v := range evs {
+		if v.at != prev {
+			size += 2
+		}
+		prev = v.at
+	}
+	start := l.end
+	if int64(start)+int64(size) > maxEntries {
+		panic("audit: run store full")
+	}
+	p, o := page(start)
+	for int(p) >= len(l.runs) {
+		l.growRuns()
+	}
+	if pg := l.runs[p]; int(o)+size <= len(pg) {
+		encode(pg[o:int(o)+size], evs)
+	} else {
+		// The run crosses a page boundary: encode it apart, then copy
+		// it over page by page.
+		if cap(l.crossing) < size {
+			l.crossing = make([]uint32, size) //e3:alloc once per longest page-crossing run
+		}
+		run := l.crossing[:size]
+		encode(run, evs)
+		for {
+			run = run[copy(l.runs[p][o:], run):]
+			if len(run) == 0 {
+				break
+			}
+			if p++; int(p) == len(l.runs) {
+				l.growRuns()
+			}
+			o = 0
+		}
+	}
+	l.end += int32(size)
+	i := ^e.loc
+	e.loc = start
+	s.evs = evs[:0]
+	l.free = append(l.free, i)
+}
+
+// encode writes evs as a packed run filling run. The run holds, in
+// order: a same-time mask word per maskEvents events (see moreMasks),
+// one op word per event, and the low and high words of each time whose
+// bits differ from the previous event's. A sample's first event
+// compares with +0.
+func encode(run []uint32, evs []ev) {
+	masks := (len(evs) + maskEvents - 1) / maskEvents
+	ops, times := run[masks:masks+len(evs)], run[masks+len(evs):]
+	var prev uint64
+	for i, v := range evs {
+		m, j := i/maskEvents, i%maskEvents
+		if j == 0 {
+			run[m] = 0
+			if i+maskEvents < len(evs) {
+				run[m] = moreMasks
+			}
+		}
+		ops[i] = v.op
+		if v.at == prev {
+			run[m] |= 1 << j
+		} else {
+			times[0], times[1] = uint32(v.at), uint32(v.at>>32)
+			times = times[2:]
+		}
+		prev = v.at
+	}
+}
+
+// decode appends the events of the run at offset run to dst. The run's
+// op words end at its terminal, so they count its events.
+func (l *Ledger) decode(dst []ev, run int32) []ev {
+	masks := cursorAt(l.runs, run)
+	c := masks
+	for c.next()&moreMasks != 0 { // skip to the op words
+	}
+	first := len(dst)
+	for {
+		op := c.next()
+		dst = append(dst, ev{op: op})
+		if opKind(op).terminal() {
+			break
+		}
+	}
+	var at uint64
+	var m uint32
+	for j := range dst[first:] {
+		if j%maskEvents == 0 {
+			m = masks.next()
+		}
+		if m&1 == 0 {
+			lo := c.next()
+			at = uint64(lo) | uint64(c.next())<<32
+		}
+		m >>= 1
+		dst[first+j].at = at
+	}
+	return dst
+}
+
+// chain returns the events of the sample at e: its open slot's buffer,
+// or its run decoded into *buf.
+func (l *Ledger) chain(buf *[]ev, e entry) []ev {
+	if e.loc < 0 {
+		return l.slots[^e.loc].evs
+	}
+	*buf = l.decode((*buf)[:0], e.loc)
+	return *buf
 }
 
 // pack returns the op word of an event of kind k with operands o,
@@ -380,31 +640,16 @@ func (l *Ledger) pack(k Kind, o operands) uint32 {
 	return uint32(k) | v<<operandShift
 }
 
-// unpack returns r's operands.
-func (l *Ledger) unpack(r *rec) operands {
-	v := r.op >> operandShift
+// unpack returns an op word's operands.
+func (l *Ledger) unpack(op uint32) operands {
+	v := op >> operandShift
 	switch {
-	case r.op&wideFlag != 0:
+	case op&wideFlag != 0:
 		return l.wide[v]
-	case r.kind() == KindDispatched:
+	case opKind(op) == KindDispatched:
 		return operands{int32(v & stageMask), int32(v >> stageBits)}
 	}
 	return operands{a: int32(v)}
-}
-
-// push appends r to the arena and returns its index.
-func (l *Ledger) push(r rec) int32 {
-	i := l.last + 1
-	p, o := page(i)
-	if int(p) == len(l.recs) {
-		if i >= maxEntries {
-			panic("audit: event arena full")
-		}
-		l.recs = append(l.recs, make([]rec, pageSize(len(l.recs)))) //e3:alloc arena growth: one page per pageLen events, nothing copied
-	}
-	l.recs[p][o] = r
-	l.last = i
-	return i
 }
 
 //e3:hotpath runs once per lifecycle event; sampled mode counts in O(1) and must not allocate off the detail path
@@ -421,55 +666,58 @@ func (l *Ledger) record(id int64, kind Kind, at float64, o operands) {
 		l.droppedTotal++
 		l.byReasonTotal[o.a]++
 	}
-	k, tracked := l.key(id)
-	if !tracked {
-		return
+	if k, tracked := l.key(id); tracked {
+		l.track(id, k, kind, at, o)
 	}
-	c := l.lookup(id, k)
-	if c == nil {
-		c = l.register(id, k)
+}
+
+// track records an event of a tracked sample and checks it against the
+// sample's previous one.
+func (l *Ledger) track(id, k int64, kind Kind, at float64, o operands) {
+	e := l.lookup(id, k)
+	if e == nil {
+		e = l.register(id, k)
 	}
-	last := c.last - 1 // the sample's last dispatched stage
-	var prev *rec
-	if c.tail != 0 {
-		prev = l.at(c.tail)
-		if prev.kind().terminal() {
-			if !c.bad {
+	var s *slot
+	if e.loc < 0 {
+		s = &l.slots[^e.loc]
+	} else {
+		s = l.reopen(e, id)
+	}
+	if n := len(s.evs); n > 0 {
+		prev := s.evs[n-1]
+		if pk := opKind(prev.op); pk.terminal() {
+			if !s.bad {
 				// The sample was cleanly terminated; take back its
 				// terminal's tally now that an event follows it.
-				l.tallyTerminal(prev.kind(), last, -1)
+				l.tallyTerminal(pk, s.last, -1)
 				l.clean--
 			}
-			c.bad = true
+			s.bad = true
 		}
-		if at < prev.at || kind == KindArrived {
-			c.bad = true
+		if at < math.Float64frombits(prev.at) || kind == KindArrived {
+			s.bad = true
 		}
 	}
 	switch {
 	case kind == KindDispatched:
-		if o.a < last {
-			c.bad = true
+		if o.a < s.last {
+			s.bad = true
 		}
-		if last >= 0 && o.a > last {
-			l.flow(last).Forwarded++
+		if s.last >= 0 && o.a > s.last {
+			l.flow(s.last).Forwarded++
 		}
 		l.flow(o.a).In++
-		c.last = o.a + 1
+		s.last = o.a
 	case kind == KindDropped && !l.known[o.a]:
-		c.bad = true
+		s.bad = true
 	}
-	if kind.terminal() && !c.bad {
-		l.tallyTerminal(kind, last, 1)
+	s.evs = append(s.evs, ev{at: math.Float64bits(at), op: l.pack(kind, o)})
+	if kind.terminal() && !s.bad {
+		l.tallyTerminal(kind, s.last, 1)
 		l.clean++
+		l.close(e, s)
 	}
-	i := l.push(rec{at: at, op: l.pack(kind, o)})
-	if prev == nil {
-		c.head = i
-	} else {
-		prev.next = i
-	}
-	c.tail = i
 }
 
 // tallyTerminal adds delta to stage's Completed or Dropped count, as kind
@@ -579,19 +827,19 @@ func (l *Ledger) appendEvents(dst []Event, id int64) []Event {
 	if !tracked {
 		return dst
 	}
-	c := l.lookup(id, k)
-	if c == nil {
+	e := l.lookup(id, k)
+	if e == nil {
 		return dst
 	}
-	return l.appendChain(dst, c)
+	var buf []ev
+	return l.appendChain(dst, l.chain(&buf, *e))
 }
 
-// appendChain appends the events of one sample's chain to dst.
-func (l *Ledger) appendChain(dst []Event, c *chain) []Event {
-	for i := c.head; i != 0; {
-		r := l.at(i)
-		e := Event{Kind: r.kind(), At: r.at}
-		switch o := l.unpack(r); e.Kind {
+// appendChain appends evs, expanded, to dst.
+func (l *Ledger) appendChain(dst []Event, evs []ev) []Event {
+	for _, v := range evs {
+		e := Event{Kind: opKind(v.op), At: math.Float64frombits(v.at)}
+		switch o := l.unpack(v.op); e.Kind {
 		case KindDispatched:
 			e.Stage, e.Instance = int(o.a), int(o.b)
 		case KindMerged:
@@ -602,7 +850,6 @@ func (l *Ledger) appendChain(dst []Event, c *chain) []Event {
 			e.Reason = l.reasons[o.a]
 		}
 		dst = append(dst, e)
-		i = r.next
 	}
 	return dst
 }
@@ -781,9 +1028,18 @@ func (l *Ledger) Verify() *Report {
 		r.Stages[int(si)] = &g
 	}
 	if l.clean != l.samples {
+		// The samples that did not end cleanly are exactly those still
+		// in slots.
+		open := make([]*slot, 0, len(l.slots)-len(l.free))
+		for i := range l.slots {
+			if len(l.slots[i].evs) > 0 {
+				open = append(open, &l.slots[i])
+			}
+		}
+		slices.SortFunc(open, func(a, b *slot) int { return cmp.Compare(a.rank, b.rank) })
 		var evs []Event
-		for _, s := range l.firstSeen(false) {
-			evs = l.appendChain(evs[:0], s.c)
+		for _, s := range open {
+			evs = l.appendChain(evs[:0], s.evs)
 			r.checkSample(s.id, evs)
 		}
 	}
@@ -807,36 +1063,26 @@ func (l *Ledger) Verify() *Report {
 	return r
 }
 
-// seen is one tracked sample, located for a walk in first-seen order.
-type seen struct {
-	id int64
-	c  *chain
-}
-
-// firstSeen returns the tracked samples in first-seen order: every one
-// when all is set, else those that did not end in a clean terminal.
-// Each sample's first record was pushed as it registered, so sorting by
-// chain head recovers the order.
-func (l *Ledger) firstSeen(all bool) []seen {
-	var out []seen
-	keep := func(c *chain) bool { return c.head != 0 && (all || c.bad || !l.at(c.tail).kind().terminal()) }
+// firstSeen returns every tracked sample's id and entry in first-seen
+// order, placing each at its rank.
+func (l *Ledger) firstSeen() ([]int64, []entry) {
+	ids := make([]int64, l.samples)
+	es := make([]entry, l.samples)
 	k := int64(0)
 	for _, pg := range l.dense.pages {
-		for o := range pg {
-			if keep(&pg[o]) {
-				out = append(out, seen{k * l.stride, &pg[o]})
+		for _, e := range pg {
+			if e.loc != 0 {
+				ids[e.rank], es[e.rank] = k*l.stride, e
 			}
 			k++
 		}
 	}
-	//e3:unordered heads are distinct, so the sort below fixes the order
+	//e3:unordered each id lands at its own rank
 	for id, j := range l.sparse {
-		if c := l.spill.at(j); keep(c) {
-			out = append(out, seen{id, c})
-		}
+		e := *l.spill.at(j)
+		ids[e.rank], es[e.rank] = id, e
 	}
-	slices.SortFunc(out, func(a, b seen) int { return cmp.Compare(a.c.head, b.c.head) })
-	return out
+	return ids, es
 }
 
 // checkSample reports one sample's invariant violations and attributes
@@ -930,7 +1176,9 @@ func (l *Ledger) Digest() string {
 		return ""
 	}
 	var b strings.Builder
-	b.Grow(64 + 32*int(l.last) + 8*l.samples)
+	// A run takes about 2.3 words per event, and an event renders in
+	// about 30 bytes.
+	b.Grow(64 + 13*int(l.end) + 8*l.samples)
 	// Each line renders with strconv into one reused buffer; 'g' with the
 	// shortest precision prints a float64 exactly as %v does.
 	line := make([]byte, 0, 256)
@@ -953,17 +1201,18 @@ func (l *Ledger) Digest() string {
 		line = strconv.AppendInt(line, int64(byReason[Reason(reason)]), 10)
 	}
 	b.Write(append(line, '\n'))
-	for _, s := range l.firstSeen(true) {
-		line = strconv.AppendInt(line[:0], s.id, 10)
+	ids, es := l.firstSeen()
+	var buf []ev
+	for i, id := range ids {
+		line = strconv.AppendInt(line[:0], id, 10)
 		line = append(line, ':')
-		for i := s.c.head; i != 0; {
-			r := l.at(i)
-			kind := r.kind()
+		for _, v := range l.chain(&buf, es[i]) {
+			kind := opKind(v.op)
 			line = append(line, ' ')
 			line = append(line, kind.String()...)
 			line = append(line, '@')
-			line = strconv.AppendFloat(line, r.at, 'g', -1, 64)
-			switch o := l.unpack(r); kind {
+			line = strconv.AppendFloat(line, math.Float64frombits(v.at), 'g', -1, 64)
+			switch o := l.unpack(v.op); kind {
 			case KindDispatched:
 				line = append(line, "(s"...)
 				line = strconv.AppendInt(line, int64(o.a), 10)
@@ -983,7 +1232,6 @@ func (l *Ledger) Digest() string {
 				line = append(line, l.reasons[o.a]...)
 				line = append(line, ')')
 			}
-			i = r.next
 		}
 		b.Write(append(line, '\n'))
 	}

@@ -14,9 +14,9 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // Bulk samples take ids [bulkBase, bulkBase+bulkSamples), four to six
-// events each: even the stride-7 ledger stores more records than one
-// arena page holds, and waves interleave samples so their event lists
-// cross page boundaries.
+// events each: even the stride-7 ledger writes more run words than one
+// store page holds, and waves interleave samples so several are open at
+// once and runs cross page boundaries.
 const (
 	bulkBase    = 1000
 	bulkSamples = 30_000
@@ -26,7 +26,7 @@ const (
 // scriptLedger drives l through every storage edge case: id 0, negative
 // ids, sparse ids far beyond the dense range, events before Arrived, a
 // double terminal, unknown drop reasons, a dispatch-stage regression, and
-// a clean bulk stream longer than one arena page. Ids that are multiples
+// a clean bulk stream longer than one run-store page. Ids that are multiples
 // of 7 exercise the same cases on a stride-7 ledger.
 func scriptLedger(l *Ledger) {
 	// id 0: a clean two-stage completion.

@@ -1,9 +1,12 @@
 package audit
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -251,10 +254,60 @@ func FuzzLedgerVerify(f *testing.F) {
 	for _, data := range differentialStreams(64) {
 		f.Add(data)
 	}
+	for _, data := range storageStreams() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
 		diffVerify(t, l, ids)
 	})
+}
+
+// storageStreams returns encoded streams aimed at the run store: at
+// either stride, a sample whose events all share one time, a chain
+// longer than one mask word, and samples reopened after a clean
+// terminal, one of them a long chain.
+func storageStreams() [][]byte {
+	var out [][]byte
+	for stride := byte(0); stride < byte(len(streamStrides)); stride++ {
+		same, long, reopen := []byte{stride}, []byte{stride}, []byte{stride}
+		// op encodes one event of id; a tie keeps the clock.
+		op := func(dst []byte, id, kind, operand byte, tie bool) []byte {
+			var at byte
+			if tie {
+				at = 1
+			}
+			return append(dst, id, kind, operand, at)
+		}
+		lifecycle := func(dst []byte, id byte, tie bool, merges int) []byte {
+			dst = op(dst, id, byte(KindArrived), 0, false)
+			dst = op(dst, id, byte(KindQueued), 0, true)
+			dst = op(dst, id, byte(KindDispatched), 0, tie)
+			for range merges {
+				dst = op(dst, id, byte(KindMerged), 0, tie)
+			}
+			return op(dst, id, byte(KindCompleted), 3, tie)
+		}
+		same = lifecycle(same, 3, true, 2)
+		same = lifecycle(same, 6, false, 1)
+		long = lifecycle(long, 3, false, 40)
+		long = lifecycle(long, 6, true, 70)
+		reopen = lifecycle(reopen, 3, false, 1)
+		reopen = lifecycle(reopen, 6, true, 35)
+		reopen = op(reopen, 3, byte(KindMerged), 1, true)
+		reopen = op(reopen, 6, byte(KindDispatched), 1, false)
+		reopen = op(reopen, 3, byte(KindCompleted)|0x80, 2, false)
+		out = append(out, same, long, reopen)
+	}
+	return out
+}
+
+// TestStorageStreams replays the fuzz target's store-aimed seeds.
+func TestStorageStreams(t *testing.T) {
+	for _, data := range storageStreams() {
+		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
+		diffVerify(t, l, ids)
+	}
 }
 
 // TestDigestFloatsMatchFmt checks Digest renders odd timestamps exactly
@@ -373,22 +426,93 @@ const benchSamples = 100_000
 // spoil gives one sample of a driven ledger a second terminal.
 func spoil(l *Ledger) { l.Completed(20, benchSamples+1, 1) }
 
+// mixEvent is one event of a replayed stream.
+type mixEvent struct {
+	id    int64
+	kind  Kind
+	at    float64
+	stage int
+}
+
+// replanMix returns n samples' events shaped like the replan loop's, in
+// time order: a sample arrives, queues at its arrival's time, and is
+// dispatched into one, two or three stages (38/35/27% of samples), with
+// a merge before each later dispatch, then completes, so it has 4, 6 or
+// 8 events. 22% of dispatches take their predecessor's time. Arrivals
+// come every 0.2 ms and samples overlap in flight.
+func replanMix(n int) []mixEvent {
+	rng := rand.New(rand.NewSource(34))
+	out := make([]mixEvent, 0, 6*n)
+	for id := int64(1); id <= int64(n); id++ {
+		at := float64(id) * 2e-4
+		add := func(kind Kind, stage int) { out = append(out, mixEvent{id, kind, at, stage}) }
+		add(KindArrived, 0)
+		add(KindQueued, 0)
+		hops := 1
+		if r := rng.Float64(); r >= 0.73 {
+			hops = 3
+		} else if r >= 0.38 {
+			hops = 2
+		}
+		for s := 0; s < hops; s++ {
+			if s > 0 {
+				at += rng.ExpFloat64() * 2e-3
+				add(KindMerged, s)
+			}
+			if rng.Float64() >= 0.22 {
+				at += rng.ExpFloat64() * 2e-3
+			}
+			add(KindDispatched, s)
+		}
+		at += rng.ExpFloat64() * 5e-3
+		add(KindCompleted, 4*hops)
+	}
+	slices.SortStableFunc(out, func(a, b mixEvent) int { return cmp.Compare(a.at, b.at) })
+	return out
+}
+
+// replay records evs into l.
+func replay(l *Ledger, evs []mixEvent) {
+	for _, e := range evs {
+		switch e.kind {
+		case KindArrived:
+			l.Arrived(e.id, e.at)
+		case KindQueued:
+			l.Queued(e.id, e.at)
+		case KindDispatched:
+			l.Dispatched(e.id, e.at, e.stage, int(e.id%4))
+		case KindMerged:
+			l.Merged(e.id, e.at, e.stage)
+		case KindCompleted:
+			l.Completed(e.id, e.at, e.stage)
+		}
+	}
+}
+
+// BenchmarkLedgerRecord records 100k exhaustive samples: drive's clean
+// mix, the same with one violation, and the replan loop's mix
+// (replanMix).
 func BenchmarkLedgerRecord(b *testing.B) {
-	events := float64(4*benchSamples - benchSamples/5)
+	mix := replanMix(benchSamples)
 	for _, bc := range []struct {
-		name  string
-		spoil bool
-	}{{"clean", false}, {"violation", true}} {
+		name   string
+		events int
+		record func(l *Ledger)
+	}{
+		{"clean", 4*benchSamples - benchSamples/5, func(l *Ledger) { drive(l, benchSamples) }},
+		{"violation", 4*benchSamples - benchSamples/5 + 1, func(l *Ledger) { drive(l, benchSamples); spoil(l) }},
+		{"replan-mix", len(mix), func(l *Ledger) { replay(l, mix) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				l := NewLedger()
-				drive(l, benchSamples)
-				if bc.spoil {
-					spoil(l)
-				}
+				bc.record(NewLedger())
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/events, "ns/event")
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.events), "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/benchSamples, "B/sample")
 		})
 	}
 }

@@ -82,7 +82,7 @@ func TestSampledLedgerMemoryBoundedByStride(t *testing.T) {
 	if got := l.Samples(); got != 0 {
 		t.Fatalf("untracked ids left %d samples in detail, want 0", got)
 	}
-	// Ten tracked ids take a few KB: the arena's and the index's first
+	// Ten tracked ids take a few KB: the run store's and the index's first
 	// pages start small.
 	if got := allocBytes(func() { drive(l, 10_000) }); got > 4<<10 {
 		t.Fatalf("tracking 10 ids allocated %d bytes, want ≤ 4 KB", got)
@@ -103,16 +103,13 @@ func TestSampledLedgerMemoryBoundedByStride(t *testing.T) {
 	}
 }
 
-// TestExhaustiveRecordAllocs holds the arena's allocation profile: a
-// record and an index entry take 16 bytes each, and over 100k samples
-// recording amortizes to at most 0.01 allocations per event (the
-// map-of-slices store it replaced made ~0.7).
+// TestExhaustiveRecordAllocs holds the store's allocation profile: an
+// index entry takes 8 bytes, and over 100k samples recording amortizes
+// to at most 0.01 allocations per event (a map-of-slices store made
+// ~0.7).
 func TestExhaustiveRecordAllocs(t *testing.T) {
-	if size := unsafe.Sizeof(rec{}); size != 16 {
-		t.Fatalf("arena record is %d bytes, want 16", size)
-	}
-	if size := unsafe.Sizeof(chain{}); size != 16 {
-		t.Fatalf("index entry is %d bytes, want 16", size)
+	if size := unsafe.Sizeof(entry{}); size != 8 {
+		t.Fatalf("index entry is %d bytes, want 8", size)
 	}
 	const samples = 100_000
 	events := 4*samples - samples/5 // drive drops every 5th sample before dispatch
@@ -132,9 +129,10 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestExhaustiveRecordBytes bounds everything recording 100k exhaustive
-// samples allocates: 16 bytes per event and per sample, plus one
-// partly filled page of the index and one of the arena. Nothing grows by
-// copying, so nothing else is left over.
+// samples allocates: 12 bytes per event (an op word and a time) and per
+// sample (a mask word and an index entry), plus one partly filled page
+// of the index and one of the run store, and one slot that every sample
+// reuses. Nothing grows by copying, so nothing else is left over.
 func TestExhaustiveRecordBytes(t *testing.T) {
 	const samples = 100_000
 	const events = 4*samples - samples/5
@@ -143,7 +141,7 @@ func TestExhaustiveRecordBytes(t *testing.T) {
 		l = NewLedger()
 		drive(l, samples)
 	})
-	if bound := uint64(16*events + 16*samples + 2*16*pageLen); got > bound {
+	if bound := uint64(12*events + 12*samples + 8*pageLen + 4*pageLen + 1<<10); got > bound {
 		t.Fatalf("recording %d samples (%d events) allocated %d bytes, want ≤ %d", samples, events, got, bound)
 	}
 	if l.Samples() != samples {
@@ -152,7 +150,7 @@ func TestExhaustiveRecordBytes(t *testing.T) {
 }
 
 // TestLedgerEventsRoundTrip checks Events reconstructs every field of a
-// sample's lifecycle, including one that spans several arena pages.
+// sample's lifecycle, including one of more than a page of events.
 func TestLedgerEventsRoundTrip(t *testing.T) {
 	l := NewLedger()
 	l.Arrived(3, 0.5)
@@ -259,5 +257,32 @@ func TestLedgerDigestDeterministic(t *testing.T) {
 	var nilLedger *Ledger
 	if nilLedger.Digest() != "" {
 		t.Fatal("nil ledger digest not empty")
+	}
+}
+
+// TestKeyDivisibilityMatchesDivision checks the sampled ledger's
+// multiply-rotate divisibility test against % and its key against /, on
+// a dense id range around zero and the ids around the int64 extremes and
+// their nearest multiples of the stride.
+func TestKeyDivisibilityMatchesDivision(t *testing.T) {
+	for _, stride := range []int64{2, 3, 7, 8, 12, 100, 1000, 1024, 1<<61 - 1, math.MaxInt64} {
+		l := NewSampledLedger(stride)
+		ids := idRange(-5000, 5000)
+		for _, edge := range []int64{math.MinInt64, math.MaxInt64, math.MinInt64 / stride * stride, math.MaxInt64 / stride * stride, stride, -stride} {
+			for d := int64(-3); d <= 3; d++ {
+				if id := edge + d; (d < 0) == (id < edge) { // no wraparound
+					ids = append(ids, id)
+				}
+			}
+		}
+		for _, id := range ids {
+			k, tracked := l.key(id)
+			if want := id%stride == 0; tracked != want {
+				t.Fatalf("stride %d: id %d tracked=%v, want %v", stride, id, tracked, want)
+			}
+			if tracked && k != id/stride {
+				t.Fatalf("stride %d: id %d key %d, want %d", stride, id, k, id/stride)
+			}
+		}
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/multi"
+	"e3/internal/profile"
 	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
@@ -230,9 +231,12 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.EpochDur = cfg.Horizon
 	}
 	f := &Fleet{cfg: cfg, router: NewRouter(len(cfg.Replicas), len(cfg.Tenants))}
+	// A tenant's exit profile does not depend on its rate, so one draw
+	// serves every inventory's plan and every backoff retry.
+	profs := multi.Profiles(tenantsAt(cfg, 1))
 	plans := make(map[string]inventoryPlan)
 	for i, spec := range cfg.Replicas {
-		rep, err := buildReplica(cfg, i, spec, plans)
+		rep, err := buildReplica(cfg, i, spec, plans, profs)
 		if err != nil {
 			return nil, err
 		}
@@ -281,22 +285,30 @@ type inventoryPlan struct {
 	allocs  []multi.Allocation
 }
 
+// tenantsAt returns the fleet's tenants with their rates scaled by
+// scale, in config order.
+func tenantsAt(cfg Config, scale float64) []multi.Tenant {
+	out := make([]multi.Tenant, len(cfg.Tenants))
+	for i, t := range cfg.Tenants {
+		out[i] = multi.Tenant{
+			Name: t.Name, Model: t.Model, Dist: t.Dist,
+			Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
+		}
+	}
+	return out
+}
+
 // buildReplica deploys one shard, planning its inventory first unless
-// plans already holds it (keyed by ReplicaSpec.describe).
-func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]inventoryPlan) (*Replica, error) {
+// plans already holds it (keyed by ReplicaSpec.describe). profs holds
+// the tenants' exit profiles in config order.
+func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]inventoryPlan, profs []profile.Batch) (*Replica, error) {
 	clus := cluster.New(spec.GPUs, 2)
 	key := spec.describe()
 	p, ok := plans[key]
 	if !ok {
-		scale := planScale(cfg, idx)
-		for _, t := range cfg.Tenants {
-			p.tenants = append(p.tenants, multi.Tenant{
-				Name: t.Name, Model: t.Model, Dist: t.Dist,
-				Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
-			})
-		}
+		p.tenants = tenantsAt(cfg, planScale(cfg, idx))
 		var err error
-		if p.allocs, err = planWithBackoff(clus, p.tenants); err != nil {
+		if p.allocs, err = planWithBackoff(clus, p.tenants, profs); err != nil {
 			return nil, fmt.Errorf("fleet: replica %d: %w", idx, err)
 		}
 		plans[key] = p
@@ -343,13 +355,15 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]invent
 // planWithBackoff partitions a replica cluster across tenants, halving
 // every tenant's demanded rate (up to twice) when the inventory cannot
 // sustain it — a deliberately degraded plan beats refusing to serve.
-func planWithBackoff(clus *cluster.Cluster, tenants []multi.Tenant) ([]multi.Allocation, error) {
+// profs holds the tenants' exit profiles, indexed like tenants; every
+// retry reuses them.
+func planWithBackoff(clus *cluster.Cluster, tenants []multi.Tenant, profs []profile.Batch) ([]multi.Allocation, error) {
 	scaled := make([]multi.Tenant, len(tenants))
 	copy(scaled, tenants)
 	var err error
 	for attempt := 0; attempt < 3; attempt++ {
 		var allocs []multi.Allocation
-		allocs, err = multi.Plan(clus, scaled)
+		allocs, err = multi.PlanProfiled(clus, scaled, profs)
 		if err == nil {
 			return allocs, nil
 		}

@@ -2,7 +2,11 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+
+	"e3/internal/cluster"
+	"e3/internal/multi"
 )
 
 // sharesPlan reports whether two replicas deploy the same allocations:
@@ -89,5 +93,28 @@ func BenchmarkFleetNew(b *testing.B) {
 				builtFleet = f
 			}
 		})
+	}
+}
+
+// TestPlanProfiledMatchesPlan checks that planning with the exit
+// profiles drawn once, as New does, allocates exactly what multi.Plan
+// does when it draws them itself: the demo zoo on both demo inventories.
+func TestPlanProfiledMatchesPlan(t *testing.T) {
+	cfg := HeteroConfig(2, 1)
+	profs := multi.Profiles(tenantsAt(cfg, 1))
+	for i, spec := range cfg.Replicas {
+		clus := cluster.New(spec.GPUs, 2)
+		tenants := tenantsAt(cfg, planScale(cfg, i))
+		want, err := multi.Plan(clus, tenants)
+		if err != nil {
+			t.Fatalf("%s: Plan: %v", spec.describe(), err)
+		}
+		got, err := multi.PlanProfiled(clus, tenants, profs)
+		if err != nil {
+			t.Fatalf("%s: PlanProfiled: %v", spec.describe(), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: PlanProfiled allocated %+v, Plan %+v", spec.describe(), got, want)
+		}
 	}
 }

@@ -48,34 +48,53 @@ type Allocation struct {
 // descending rate-demand order; each receives the minimal device set
 // sustaining its rate, drawn from the remaining inventory. Leftover
 // devices go to the tenant with the least headroom. It fails if any
-// tenant cannot be satisfied.
+// tenant cannot be satisfied. Each tenant's exit profile is drawn from
+// its Dist; PlanProfiled takes them already drawn.
 func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
-	if len(tenants) == 0 {
-		return nil, errors.New("multi: no tenants")
+	if err := validate(tenants); err != nil {
+		return nil, err
 	}
-	names := make(map[string]bool)
-	for _, t := range tenants {
-		if t.Name == "" {
-			return nil, errors.New("multi: tenant with empty name")
-		}
-		if names[t.Name] {
-			return nil, fmt.Errorf("multi: duplicate tenant %q", t.Name)
-		}
-		names[t.Name] = true
+	return PlanProfiled(clus, tenants, Profiles(tenants))
+}
+
+// Profiles draws each tenant's exit profile as Plan does, indexed like
+// tenants. A profile does not depend on the tenant's rate.
+func Profiles(tenants []Tenant) []profile.Batch {
+	profs := make([]profile.Batch, len(tenants))
+	for i, t := range tenants {
+		profs[i] = profile.FromDist(t.Model, t.Dist, 8000, 1)
+	}
+	return profs
+}
+
+// PlanProfiled is Plan with each tenant's exit profile given, indexed
+// like tenants, so a caller that plans the same tenants more than once
+// draws them once.
+func PlanProfiled(clus *cluster.Cluster, tenants []Tenant, profiles []profile.Batch) ([]Allocation, error) {
+	if err := validate(tenants); err != nil {
+		return nil, err
+	}
+	if len(profiles) != len(tenants) {
+		return nil, fmt.Errorf("multi: %d profiles for %d tenants", len(profiles), len(tenants))
 	}
 
 	// Hardest demands first so they get first pick of the inventory.
+	byRate := make([]int, len(tenants))
+	for i := range byRate {
+		byRate[i] = i
+	}
+	sort.SliceStable(byRate, func(i, j int) bool { return tenants[byRate[i]].Rate > tenants[byRate[j]].Rate })
 	order := make([]Tenant, len(tenants))
-	copy(order, tenants)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Rate > order[j].Rate })
+	profs := make([]profile.Batch, len(tenants))
+	for i, ti := range byRate {
+		order[i], profs[i] = tenants[ti], profiles[ti]
+	}
 
-	// Each tenant's exit profile is drawn once and serves both its minimal
-	// plan and a leftover-grant replan; allocs[i] belongs to order[i].
+	// Each tenant's exit profile serves both its minimal plan and a
+	// leftover-grant replan; allocs[i] belongs to order[i].
 	remaining := clus.Counts()
-	profs := make([]profile.Batch, len(order))
 	var allocs []Allocation
 	for i, t := range order {
-		profs[i] = profile.FromDist(t.Model, t.Dist, 8000, 1)
 		plan, err := optimizer.MinimizeGPUs(optimizer.NewConfig(t.Model, profs[i], t.Batch, clusterFromCounts(remaining, clus), t.SLO), t.Rate)
 		if err != nil {
 			return nil, fmt.Errorf("multi: tenant %q: %w", t.Name, err)
@@ -121,6 +140,24 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 		allocs[i].Devices = devs
 	}
 	return allocs, nil
+}
+
+// validate rejects an empty tenant list and empty or duplicate names.
+func validate(tenants []Tenant) error {
+	if len(tenants) == 0 {
+		return errors.New("multi: no tenants")
+	}
+	names := make(map[string]bool)
+	for _, t := range tenants {
+		if t.Name == "" {
+			return errors.New("multi: tenant with empty name")
+		}
+		if names[t.Name] {
+			return fmt.Errorf("multi: duplicate tenant %q", t.Name)
+		}
+		names[t.Name] = true
+	}
+	return nil
 }
 
 func tenantOf(ts []Tenant, name string) Tenant {

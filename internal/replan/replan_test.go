@@ -149,7 +149,7 @@ func TestReplanTelemetryTrack(t *testing.T) {
 }
 
 // TestReplanObservedAllocsPerRequest holds the fully observed loop's
-// allocation budget: the pooled batches, the ledger's arena, the
+// allocation budget: the pooled batches, the ledger's paged stores, the
 // self-re-arming arrival timer, the batcher's flush timer, the
 // pipeline's pooled completion and hand-off jobs and the observers'
 // dense state keep it at most 0.57 allocations per request (0.42

@@ -39,9 +39,25 @@ func (b Beta) Sample(rng *rand.Rand) float64 {
 	if x+y == 0 {
 		return 0.5
 	}
-	v := x / (x + y)
-	// Clamp away from the exact endpoints so downstream logs/ratios are safe.
-	return math.Min(math.Max(v, 1e-9), 1-1e-9)
+	return clampUnit(x / (x + y))
+}
+
+// clampUnit clamps v into [1e-9, 1−1e-9], away from the exact endpoints
+// so downstream logs and ratios are safe. It returns what
+// math.Min(math.Max(v, 1e-9), 1-1e-9) does, bit for bit, with two
+// comparisons on the common path; a NaN, of any payload, becomes
+// math.NaN() as it does there.
+func clampUnit(v float64) float64 {
+	if v >= 1e-9 && v <= 1-1e-9 {
+		return v
+	}
+	if v < 1e-9 {
+		return 1e-9
+	}
+	if v > 1-1e-9 {
+		return 1 - 1e-9
+	}
+	return math.NaN()
 }
 
 // Mean is α/(α+β).

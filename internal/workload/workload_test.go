@@ -225,3 +225,38 @@ func TestSwitchDist(t *testing.T) {
 		t.Fatalf("post-switch difficulty %v", s.Difficulty)
 	}
 }
+
+// TestClampUnitMatchesMinMax checks the two-comparison clamp against the
+// math.Min/math.Max expression it replaced, bit for bit: on the edge
+// values and their neighbouring floats, then on 1M seeded draws of
+// arbitrary bit patterns, values around [0, 1] and Beta ratios.
+func TestClampUnitMatchesMinMax(t *testing.T) {
+	oracle := func(v float64) float64 { return math.Min(math.Max(v, 1e-9), 1-1e-9) }
+	check := func(v float64) {
+		if got, want := clampUnit(v), oracle(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clampUnit(%v [%#x]) = %v [%#x], want %v [%#x]",
+				v, math.Float64bits(v), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 0.5, 1, -1, 5e-324}
+	for _, v := range []float64{1e-9, 1 - 1e-9} {
+		edges = append(edges, v, math.Nextafter(v, 0), math.Nextafter(v, 2))
+	}
+	for _, v := range edges {
+		check(v)
+		check(-v)
+	}
+	rng := rand.New(rand.NewSource(34))
+	x, y := newGamma(0.3), newGamma(0.4)
+	for i := 0; i < 1_000_000; i++ {
+		switch i % 3 {
+		case 0:
+			check(math.Float64frombits(rng.Uint64()))
+		case 1:
+			check(1.2*rng.Float64() - 0.1)
+		default:
+			a, b := x.sample(rng), y.sample(rng)
+			check(a / (a + b))
+		}
+	}
+}
