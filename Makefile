@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples overhead bench plangate simgate slogate flamegate fleetgate
 
-verify: fmt build vet lintgate test race audit replan validate overhead plangate simgate slogate flamegate fleetgate
+verify: fmt build vet lintgate test race audit replan validate examples overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
 
 # Format gate: fails, listing the files, if gofmt would rewrite any Go
@@ -74,6 +74,18 @@ replan:
 validate:
 	$(GO) run ./cmd/e3-validate
 
+# Example gate: builds every program under examples/, runs it, and diffs
+# its stdout against the checked-in examples/<name>/expected.txt. The
+# examples are deterministic, so any moved line is a behaviour change;
+# regenerate an expected file only for an intended one.
+examples:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for ex in examples/*/; do \
+		ex="$${ex%/}"; name="$$(basename "$$ex")"; echo "== $$name"; \
+		$(GO) build -o "$$tmp/$$name" "./$$ex" && "$$tmp/$$name" > "$$tmp/$$name.out" && \
+		diff -u "$$ex/expected.txt" "$$tmp/$$name.out" || exit 1; \
+	done
+
 # Telemetry overhead gate: ring-traced demo runs must stay within a
 # bounded wall-clock factor of untraced runs. Env-gated so plain
 # `go test ./...` stays fast and timing-noise-free.
@@ -134,9 +146,10 @@ fleetgate:
 # streamed arrival minted on the loop vs ahead of it, exhaustive ledger
 # recording over 100k samples (BenchmarkLedgerRecord: drive's clean and
 # one-violation streams and the replan loop's 4/6/8-event mix, in ns/event
-# and B/sample) and verification, one chunked busy span
-# recorded (BenchmarkUtilizationAdd), p50 and p999 selected over 10k and
-# 1M latencies with no sorted copy (BenchmarkLatencyQuantile)).
+# and B/sample) and verification, one busy span recorded back to back and
+# from two overlapping instances, both ~0 B/op since each span folds once
+# no query can clip it (BenchmarkUtilizationAdd), p50 and p999 selected
+# over 10k and 1M latencies with no sorted copy (BenchmarkLatencyQuantile)).
 # `e3-bench -plan-bench BENCH_PR5.json` / `-sim-bench BENCH_PR6.json`
 # write the same comparisons as JSON.
 bench:

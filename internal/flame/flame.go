@@ -14,21 +14,21 @@
 // fed by the same boundary hooks that drive slo.Attribution (execute,
 // transfer, fuse), so the profile cannot drift from the run it describes:
 // Reconcile checks the per-device busy totals against
-// metrics.UtilizationTracker's spans *exactly* and folds any disagreement
-// into the conservation report, like telemetry.Reconcile.
+// metrics.UtilizationTracker's busy nanoseconds *exactly* and folds any
+// disagreement into the conservation report, like telemetry.Reconcile.
 //
 // All weights are integer virtual nanoseconds. Every span endpoint is
-// rounded once (toNanos) and all arithmetic after that is integer, so
-// totals are associative: the same seed produces byte-identical folded
-// output regardless of accumulation order, and busy + bubble − overlap −
-// excess == horizon holds with zero residual, not "within epsilon".
+// rounded once (metrics.Nanos, the utilization tracker's own rule) and
+// all arithmetic after that is integer, so totals are associative: the
+// same seed produces byte-identical folded output regardless of
+// accumulation order, and busy + bubble − overlap − excess == horizon
+// holds with zero residual, not "within epsilon".
 //
 // Like audit.Ledger and telemetry.Tracer, a nil *Profiler is valid and
 // records nothing; call sites thread it unconditionally.
 package flame
 
 import (
-	"math"
 	"sort"
 	"strconv"
 
@@ -36,13 +36,6 @@ import (
 	"e3/internal/metrics"
 	"e3/internal/telemetry"
 )
-
-// toNanos converts a virtual-seconds timestamp or duration to integer
-// virtual nanoseconds. Each float is rounded exactly once at the profiler
-// boundary; everything downstream is integer math.
-func toNanos(x float64) int64 {
-	return int64(math.Round(x * 1e9))
-}
 
 // Bubble-cause leaf frames. Interior gaps are classified by what the
 // device was waiting for; boundary gaps by where in the run they sit.
@@ -183,8 +176,8 @@ type Profiler struct {
 // NewProfiler starts a profiler whose horizon opens at virtual time start.
 func NewProfiler(start float64) *Profiler {
 	return &Profiler{
-		start: start, startN: toNanos(start),
-		horizon: start, horizonN: toNanos(start),
+		start: start, startN: metrics.Nanos(start),
+		horizon: start, horizonN: metrics.Nanos(start),
 		devIdx:   make(map[string]Dev),
 		stackIdx: make(map[string]int32),
 	}
@@ -216,7 +209,7 @@ func (p *Profiler) Register(devID, gpuKind string) Dev {
 func (p *Profiler) extendHorizon(at float64) {
 	if at > p.horizon {
 		p.horizon = at
-		p.horizonN = toNanos(at)
+		p.horizonN = metrics.Nanos(at)
 	}
 }
 
@@ -245,7 +238,7 @@ func (p *Profiler) Execute(dev Dev, model string, split, from, to int, start, en
 	}
 	d := &p.devs[dev]
 	sh := p.shape(d, model, split, from, to)
-	sN, eN := toNanos(start), toNanos(end)
+	sN, eN := metrics.Nanos(start), metrics.Nanos(end)
 	if eN < sN {
 		eN = sN
 	}
@@ -255,7 +248,7 @@ func (p *Profiler) Execute(dev Dev, model string, split, from, to int, start, en
 	// independently, so the integer dust (at most a couple of nanoseconds)
 	// lands in useful: the three leaves always sum to the span exactly.
 	totalN := eN - sN
-	rampN, padN := toNanos(ramp), toNanos(pad)
+	rampN, padN := metrics.Nanos(ramp), metrics.Nanos(pad)
 	if rampN < 0 {
 		rampN = 0
 	}
@@ -396,7 +389,7 @@ func (p *Profiler) Transfer(toStage int, start, end float64) {
 		return
 	}
 	p.extendHorizon(end)
-	p.stageRings(toStage).xfer.push(toNanos(start), toNanos(end))
+	p.stageRings(toStage).xfer.push(metrics.Nanos(start), metrics.Nanos(end))
 }
 
 // Fuse records a merge-queue fusion wait at stage over [start, end]; gaps
@@ -408,7 +401,7 @@ func (p *Profiler) Fuse(stage int, start, end float64) {
 		return
 	}
 	p.extendHorizon(end)
-	p.stageRings(stage).fuse.push(toNanos(start), toNanos(end))
+	p.stageRings(stage).fuse.push(metrics.Nanos(start), metrics.Nanos(end))
 }
 
 // stageRings returns a stage's interval rings, adding them at first sight.
@@ -533,10 +526,10 @@ type ReconcileStat struct {
 func (s ReconcileStat) OK() bool { return s.Checked && s.Residual == 0 }
 
 // Reconcile cross-checks the fold against the utilization tracker's busy
-// spans and folds every disagreement into the conservation report, like
+// time and folds every disagreement into the conservation report, like
 // telemetry.Reconcile: per device, the flame busy total must equal the
-// span sum in integer nanoseconds *exactly* (both sides round the same
-// floats once), and busy − overlap − excess + bubble must equal the
+// tracker's BusyNanos *exactly* (both sides round the same floats once,
+// with metrics.Nanos), and busy − overlap − excess + bubble must equal the
 // horizon. A profile that cannot account for the run's GPU time exactly
 // is a recording bug and the audit must fail on it. It also returns the
 // totals and residual. A nil profiler reconciles vacuously.
@@ -557,11 +550,7 @@ func (p *Profiler) Reconcile(rep *audit.Report, util *metrics.UtilizationTracker
 				dt.ID, got, dt.HorizonNanos, dt.BusyNanos, dt.OverlapNanos, dt.ExcessNanos, dt.BubbleNanos)
 		}
 		if util != nil {
-			ledger := int64(0)
-			util.EachBusySpan(dt.ID, func(start, end float64) {
-				ledger += toNanos(end) - toNanos(start)
-			})
-			if ledger != dt.BusyNanos {
+			if ledger := util.BusyNanos(dt.ID); ledger != dt.BusyNanos {
 				stat.Residual += absInt64(dt.BusyNanos - ledger)
 				rep.Violate("flame: device %s busy %dns disagrees with utilization ledger %dns",
 					dt.ID, dt.BusyNanos, ledger)

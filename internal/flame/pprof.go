@@ -16,6 +16,8 @@ package flame
 import (
 	"compress/gzip"
 	"io"
+
+	"e3/internal/metrics"
 )
 
 // profile.proto field numbers (only the ones we emit).
@@ -172,7 +174,7 @@ func (pr *Profile) WritePprof(w io.Writer) error {
 	for _, s := range strs {
 		out.stringField(profStringTable, s)
 	}
-	out.int64Field(profDuration, toNanos(pr.EndS)-toNanos(pr.StartS))
+	out.int64Field(profDuration, metrics.Nanos(pr.EndS)-metrics.Nanos(pr.StartS))
 	out.bytesField(profPeriodType, valueType(1, 2))
 	out.int64Field(profPeriod, 1)
 

@@ -431,9 +431,22 @@ func (r *Replica) Drain() error {
 // digest in config-tenant order. Equal digests mean byte-identical shard
 // executions.
 func (r *Replica) Digest() string {
-	out := ""
-	for _, rt := range r.tenants {
-		out += "tenant " + rt.st.Spec.Name + "\n" + rt.st.Coll.Audit.Digest()
+	// Render each ledger digest once and size the result up front, so
+	// the join copies each part once instead of the growing prefix once
+	// per tenant.
+	digests := make([]string, len(r.tenants))
+	size := 0
+	for i, rt := range r.tenants {
+		digests[i] = rt.st.Coll.Audit.Digest()
+		size += len("tenant \n") + len(rt.st.Spec.Name) + len(digests[i])
 	}
-	return out
+	var b strings.Builder
+	b.Grow(size)
+	for i, rt := range r.tenants {
+		b.WriteString("tenant ")
+		b.WriteString(rt.st.Spec.Name)
+		b.WriteByte('\n')
+		b.WriteString(digests[i])
+	}
+	return b.String()
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // TenantResult is one (replica, tenant) stack's terminal accounting.
@@ -199,11 +201,20 @@ func (r *Result) Verify() error {
 // index order plus the router's decision log. Byte-equal Digests ⇒ the
 // two runs were identical.
 func (r *Result) Digests() string {
-	out := ""
+	size := len(r.RouterDigest)
 	for _, sr := range r.Shards {
-		out += fmt.Sprintf("shard %d\n%s", sr.Index, sr.Digest)
+		size += len("shard \n") + len(strconv.Itoa(sr.Index)) + len(sr.Digest)
 	}
-	return out + r.RouterDigest
+	var b strings.Builder
+	b.Grow(size)
+	for _, sr := range r.Shards {
+		b.WriteString("shard ")
+		b.WriteString(strconv.Itoa(sr.Index))
+		b.WriteByte('\n')
+		b.WriteString(sr.Digest)
+	}
+	b.WriteString(r.RouterDigest)
+	return b.String()
 }
 
 // gpuString renders a replica's inventory deterministically.

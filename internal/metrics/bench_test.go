@@ -8,14 +8,22 @@ import (
 
 var quantileSink float64
 
-// BenchmarkUtilizationAdd records one busy span per op on one device; its
-// B/op is the chunked store's per-span cost (16 B plus chunk slack).
+// BenchmarkUtilizationAdd records one busy span per op on one device,
+// back to back or from two overlapping instances. Each span folds once
+// the watermark passes its end, so B/op is ~0 at any run length.
 func BenchmarkUtilizationAdd(b *testing.B) {
-	u := NewUtilizationTracker(0)
-	slot := u.Register("gpu0")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		u.AddBusyAt(slot, float64(i)*1e-3, 5e-4)
+	for _, c := range []struct {
+		name string
+		dur  float64
+	}{{"back-to-back", 1e-3}, {"two-instance", 1.9e-3}} {
+		b.Run(c.name, func(b *testing.B) {
+			u := NewUtilizationTracker(0)
+			slot := u.Register("gpu0")
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				u.AddBusyAt(slot, float64(i)*1e-3, c.dur)
+			}
+		})
 	}
 }
 

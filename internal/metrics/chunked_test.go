@@ -27,8 +27,8 @@ func boundaryCounts() []int {
 }
 
 // flatBusy is the flat-slice oracle for one resource: the clipped
-// recording-order sum UtilizationTracker computed before its spans were
-// chunked.
+// recording-order sum over every span UtilizationTracker has recorded,
+// as it computed it when it kept them all.
 func flatBusy(spans []busySpan, since, end float64) float64 {
 	total := 0.0
 	for _, s := range spans {
@@ -71,17 +71,27 @@ func flatUtilization(spans map[string][]busySpan, since, end float64) float64 {
 
 func nanos(x float64) int64 { return int64(math.Round(x * 1e9)) }
 
-// TestChunkedSpansMatchFlatOracle: at every chunk boundary, a tracker's
-// chunked spans read exactly like one flat slice per resource. Spans
-// overlap, start before the window, have zero or negative length, and
-// run past the query end; Utilization must match the flat oracle bit for
-// bit at query ends before, inside and after the spans, and EachBusySpan
-// must yield every span in recording order, so the flame reconcile's
-// integer-nanosecond busy sum matches too.
-func TestChunkedSpansMatchFlatOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestUtilizationMatchesFlatOracle: a tracker that folds its spans reads
+// exactly like one flat slice of every span per resource. Two devices
+// record streams that advance in time with two instances each, so spans
+// overlap; some records arrive out of order, have zero, negative or NaN
+// duration, a NaN start, a long tail that blocks the fold, or start
+// before the window. Between batches of adds, Utilization must match the
+// flat oracle bit for bit at the watermark, at ends inside pending spans
+// and past every span; an end before the watermark must panic; and
+// BusyNanos must equal the oracle's integer-nanosecond sum.
+func TestUtilizationMatchesFlatOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	nan := math.NaN()
 	devices := []string{"gpu1", "gpu0", "gpu2"}
-	for _, n := range boundaryCounts() {
+	for _, n := range []int{0, 1, 2, 3, 17, 64, 65, 1000, 20_000} {
 		since := float64(rng.Intn(3))
 		u := NewUtilizationTracker(since)
 		flat := make(map[string][]busySpan)
@@ -90,53 +100,78 @@ func TestChunkedSpansMatchFlatOracle(t *testing.T) {
 		for _, name := range devices {
 			u.Register(name)
 		}
-		for _, name := range devices[:2] {
-			for i := 0; i < n; i++ {
-				start := rng.Float64()*12 - 1
-				var d float64
-				switch rng.Intn(10) {
+		clock := map[string]float64{"gpu1": since - 1, "gpu0": since - 0.5}
+		watermark := math.Inf(-1)
+		check := func() {
+			ends := []float64{watermark, math.Nextafter(watermark, math.Inf(1)), watermark + 0.01, watermark + 1e3, since + 50}
+			for _, name := range devices[:2] {
+				spans := flat[name]
+				// Ends inside spans recorded last, which a query may
+				// still clip.
+				for k := max(len(spans)-4, 0); k < len(spans); k++ {
+					if s := spans[k]; s.end > watermark {
+						ends = append(ends, s.end, math.Max(s.start, watermark)+(s.end-math.Max(s.start, watermark))*rng.Float64())
+					}
+				}
+			}
+			for _, end := range ends {
+				if math.IsInf(end, -1) || end < watermark {
+					continue
+				}
+				got, want := u.Utilization(end), flatUtilization(flat, since, end)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d since=%v: Utilization(%v) = %v, flat oracle %v", n, since, end, got, want)
+				}
+			}
+			if !math.IsInf(watermark, -1) {
+				before := math.Nextafter(watermark, math.Inf(-1))
+				if !panics(func() { u.Utilization(before) }) {
+					t.Fatalf("n=%d: Utilization(%v) before the watermark %v did not panic", n, before, watermark)
+				}
+			}
+			for _, name := range devices {
+				var want int64
+				for _, s := range flat[name] {
+					want += nanos(s.end) - nanos(s.start)
+				}
+				if got := u.BusyNanos(name); got != want {
+					t.Fatalf("n=%d %s: BusyNanos = %d, flat oracle %d", n, name, got, want)
+				}
+			}
+		}
+		check()
+		for added := 0; added < n; {
+			for batch := 1 + rng.Intn(64); batch > 0 && added < n; batch-- {
+				added++
+				name := devices[rng.Intn(2)]
+				clock[name] += rng.ExpFloat64() * 0.01
+				start := clock[name]
+				// Two instances per device: each span lasts about two
+				// inter-start gaps, so consecutive spans overlap.
+				d := rng.ExpFloat64() * 0.02
+				switch rng.Intn(24) {
 				case 0:
 					d = 0
 				case 1:
 					d = -rng.Float64() // clamped to zero length
-				default:
-					d = rng.ExpFloat64() * 0.05
+				case 2:
+					d = nan
+				case 3:
+					start = nan
+				case 4:
+					start -= rng.Float64() * 0.5 // out of order
+				case 5:
+					d = 2 + rng.Float64() // a long tail that blocks the fold
+				case 6:
+					start = since - 2*rng.Float64() // before the window
 				}
 				u.AddBusy(name, start, d)
 				flat[name] = append(flat[name], busySpan{start: start, end: start + max(d, 0)})
-			}
-		}
-		ends := []float64{since - 1, since, since + 0.001, 5, 10.5, 11.5, 20}
-		for i := 0; i < 8; i++ {
-			ends = append(ends, rng.Float64()*14-1)
-		}
-		for _, end := range ends {
-			got, want := u.Utilization(end), flatUtilization(flat, since, end)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d since=%v: Utilization(%v) = %v, flat oracle %v", n, since, end, got, want)
-			}
-		}
-		for _, name := range devices {
-			var seen []busySpan
-			var ns int64
-			u.EachBusySpan(name, func(start, end float64) {
-				seen = append(seen, busySpan{start: start, end: end})
-				ns += nanos(end) - nanos(start)
-			})
-			want := flat[name]
-			if len(seen) != len(want) {
-				t.Fatalf("n=%d %s: EachBusySpan yielded %d spans, want %d", n, name, len(seen), len(want))
-			}
-			var wantNs int64
-			for i, s := range want {
-				if seen[i] != s {
-					t.Fatalf("n=%d %s: span %d = %v, want %v", n, name, i, seen[i], s)
+				if start > watermark {
+					watermark = start
 				}
-				wantNs += nanos(s.end) - nanos(s.start)
 			}
-			if ns != wantNs {
-				t.Fatalf("n=%d %s: busy %dns, flat oracle %dns", n, name, ns, wantNs)
-			}
+			check()
 		}
 	}
 }
@@ -315,22 +350,43 @@ func TestChunkedStoreNeverMoves(t *testing.T) {
 	}
 }
 
-// TestChunkedGrowthAllocations: recording N spans or N latencies
-// allocates one element per entry plus at most one chunk of slack and
-// the chunk headers, where a doubling slice allocates about twice what
-// it keeps.
+// TestChunkedGrowthAllocations: recording N latencies allocates one
+// element per entry plus at most one chunk of slack and the chunk
+// headers, where a doubling slice allocates about twice what it keeps.
+// Recording N busy spans allocates a bound that does not grow with N:
+// back to back, from two overlapping instances per device, or with some
+// NaN-ended spans, each device keeps only the spans still in flight.
 func TestChunkedGrowthAllocations(t *testing.T) {
 	const n = 1 << 18
 	headers := uint64(3 * 24 * (n/maxChunk + 8))
-	u := NewUtilizationTracker(0)
-	slot := u.Register("gpu0")
-	spans := allocBytes(func() {
-		for i := 0; i < n; i++ {
-			u.AddBusyAt(slot, float64(i), 1e-3)
+	const devices = 4
+	for _, pattern := range []struct {
+		name       string
+		start, dur func(i int) float64
+	}{
+		{"back-to-back", func(i int) float64 { return float64(i) * 1e-3 }, func(int) float64 { return 1e-3 }},
+		{"two-instance", func(i int) float64 { return float64(i) * 1e-3 }, func(i int) float64 { return 1.9e-3 + float64(i%3)*1e-4 }},
+		// A NaN-ended span adds nothing at any end, so it must fold at
+		// once rather than pin every span behind it.
+		{"nan-ended", func(i int) float64 { return float64(i) * 1e-3 }, func(i int) float64 {
+			if i%1024 == 0 {
+				return math.NaN()
+			}
+			return 1e-3
+		}},
+	} {
+		u := NewUtilizationTracker(0)
+		for d := 0; d < devices; d++ {
+			u.Register(string(rune('a' + d)))
 		}
-	})
-	if limit := uint64(n+maxChunk)*16 + headers; spans > limit {
-		t.Errorf("%d spans allocated %d B, want ≤ %d", n, spans, limit)
+		spans := allocBytes(func() {
+			for i := 0; i < n; i++ {
+				u.AddBusyAt(i%devices, pattern.start(i/devices), pattern.dur(i/devices))
+			}
+		})
+		if limit := uint64(devices * 1024); spans > limit {
+			t.Errorf("%s: %d spans on %d devices allocated %d B, want ≤ %d", pattern.name, n, devices, spans, limit)
+		}
 	}
 	var r LatencyRecorder
 	lats := allocBytes(func() {
@@ -343,8 +399,8 @@ func TestChunkedGrowthAllocations(t *testing.T) {
 	}
 }
 
-// TestSmallTrackerStaysSmall: a device holding up to 64 spans costs at
-// most 1 KiB of span storage.
+// TestSmallTrackerStaysSmall: a device that records up to 64 spans costs
+// at most 128 B of span storage.
 func TestSmallTrackerStaysSmall(t *testing.T) {
 	const devices = 8
 	for _, spans := range []int{1, 64} {
@@ -359,8 +415,8 @@ func TestSmallTrackerStaysSmall(t *testing.T) {
 				}
 			}
 		})
-		if got > devices*1024 {
-			t.Errorf("%d spans on each of %d devices allocated %d B, want ≤ %d", spans, devices, got, devices*1024)
+		if got > devices*128 {
+			t.Errorf("%d spans on each of %d devices allocated %d B, want ≤ %d", spans, devices, got, devices*128)
 		}
 	}
 }

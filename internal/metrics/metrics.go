@@ -1,7 +1,8 @@
 // Package metrics collects serving statistics: request latencies, goodput,
-// GPU utilization, and dollar cost. All aggregation is exact (samples are
-// retained) because experiment populations are modest; quantiles therefore
-// match the paper's box-plot semantics precisely.
+// GPU utilization, and dollar cost. All aggregation is exact. Latency
+// samples are retained, so quantiles match the paper's box-plot semantics
+// precisely; busy intervals are folded into running sums as soon as no
+// admissible utilization query can clip them.
 package metrics
 
 import (
@@ -282,35 +283,62 @@ func (g *GoodputMeter) Goodput() float64 {
 	return float64(g.Served) / d
 }
 
+// Nanos converts a virtual-seconds timestamp or duration to integer
+// virtual nanoseconds. It is the one rounding rule shared by the
+// utilization tracker's busy totals and the flame profiler, so the two
+// agree to the nanosecond.
+func Nanos(x float64) int64 {
+	return int64(math.Round(x * 1e9))
+}
+
 // busySpan is one contiguous busy interval of a resource in virtual time.
 type busySpan struct {
 	start, end float64
 }
 
+// busySlot is one resource's busy time: the folded sum and the spans a
+// query can still clip.
+type busySlot struct {
+	// done is the recording-order sum of the folded spans' lengths
+	// within the window; pending[head:] are the spans not yet folded, in
+	// recording order.
+	done    float64
+	pending []busySpan
+	head    int
+	// nanos is the unclipped busy total in integer nanoseconds.
+	nanos int64
+}
+
 // UtilizationTracker records busy intervals per resource so experiments
-// can report average GPU utilization over a horizon. Intervals (not bare
-// sums) are kept because work dispatched near the end of a run extends
-// past the measurement horizon: crediting its full duration would count
-// busy time outside [start, end] and saturate the reported fraction.
+// can report average GPU utilization over a horizon. Work dispatched near
+// the end of a run extends past the measurement horizon, so crediting
+// its full duration would count busy time outside [start, end] and
+// saturate the reported fraction: Utilization clips each interval to its
+// end and sums the clipped lengths in recording order.
+//
+// Queries must not end before the watermark, the latest interval start
+// recorded on any resource (Utilization panics otherwise). An interval
+// that ends by the watermark is then never clipped at the high side, so
+// its clipped length is fixed: AddBusyAt folds it into a running sum,
+// taking each resource's intervals from the head of its pending list so
+// the sum is the recording-order partial sum bit for bit. Only intervals
+// still in flight at the watermark are kept, and memory is bounded by
+// in-flight work, not by the length of the run.
 //
 // Each resource has a slot, assigned on first sight, so the per-batch
-// AddBusyAt indexes a slice instead of hashing the resource's name. Each
-// slot keeps its intervals in a chunked store, so an hour of batches is
-// never copied as it grows. The intervals themselves are kept, not
-// running sums: Utilization clips them to its end and sums them in
-// recording order, which sums taken at record time cannot reproduce bit
-// for bit once intervals overlap.
+// AddBusyAt indexes a slice instead of hashing the resource's name.
 type UtilizationTracker struct {
 	slots map[string]int
-	// names[i] and busy[i] are slot i's resource and its intervals.
-	names []string
-	busy  []chunked[busySpan]
-	since float64
+	// names[i] and busy[i] are slot i's resource and its busy time.
+	names     []string
+	busy      []busySlot
+	since     float64
+	watermark float64
 }
 
 // NewUtilizationTracker starts tracking at virtual time start.
 func NewUtilizationTracker(start float64) *UtilizationTracker {
-	return &UtilizationTracker{slots: make(map[string]int), since: start}
+	return &UtilizationTracker{slots: make(map[string]int), since: start, watermark: math.Inf(-1)}
 }
 
 // Register ensures a resource appears in the denominator even if always
@@ -322,7 +350,7 @@ func (u *UtilizationTracker) Register(name string) int {
 	i := len(u.names)
 	u.slots[name] = i
 	u.names = append(u.names, name)
-	u.busy = append(u.busy, chunked[busySpan]{})
+	u.busy = append(u.busy, busySlot{})
 	return i
 }
 
@@ -332,40 +360,72 @@ func (u *UtilizationTracker) AddBusy(name string, start, d float64) {
 	u.AddBusyAt(u.Register(name), start, d)
 }
 
-// AddBusyAt is AddBusy for the resource registered at slot i.
+// AddBusyAt is AddBusy for the resource registered at slot i. It raises
+// the watermark to start and folds the slot's leading intervals that end
+// by it.
 func (u *UtilizationTracker) AddBusyAt(i int, start, d float64) {
 	if d < 0 {
 		d = 0
 	}
-	u.busy[i].add(busySpan{start: start, end: start + d})
+	// A NaN start compares false and never raises the watermark.
+	if start > u.watermark {
+		u.watermark = start
+	}
+	s := &u.busy[i]
+	span := busySpan{start: start, end: start + d}
+	s.nanos += Nanos(span.end) - Nanos(span.start)
+	if len(s.pending) == cap(s.pending) && s.head > 0 {
+		s.pending = s.pending[:copy(s.pending, s.pending[s.head:])]
+		s.head = 0
+	}
+	s.pending = append(s.pending, span)
+	// Written as !(end > watermark) so a NaN-ended span, which adds
+	// nothing at any query end, folds at once.
+	for s.head < len(s.pending) && !(s.pending[s.head].end > u.watermark) {
+		s.done += u.clipped(s.pending[s.head], u.watermark)
+		s.head++
+	}
+	if s.head == len(s.pending) {
+		s.pending, s.head = s.pending[:0], 0
+	}
+}
+
+// clipped returns the length of s's overlap with [u.since, end], or 0.
+func (u *UtilizationTracker) clipped(s busySpan, end float64) float64 {
+	lo, hi := s.start, s.end
+	if lo < u.since {
+		lo = u.since
+	}
+	if hi > end {
+		hi = end
+	}
+	if hi > lo {
+		return hi - lo
+	}
+	return 0
 }
 
 // busyWithin sums slot i's spans' overlap with the measurement window
-// [u.since, end] in recording order.
+// [u.since, end] in recording order: the folded sum, then each pending
+// span clipped to end.
 func (u *UtilizationTracker) busyWithin(i int, end float64) float64 {
-	total := 0.0
-	spans := &u.busy[i]
-	for c := 0; c < spans.chunks(); c++ {
-		for _, s := range spans.chunk(c) {
-			lo, hi := s.start, s.end
-			if lo < u.since {
-				lo = u.since
-			}
-			if hi > end {
-				hi = end
-			}
-			if hi > lo {
-				total += hi - lo
-			}
-		}
+	s := &u.busy[i]
+	total := s.done
+	for _, span := range s.pending[s.head:] {
+		total += u.clipped(span, end)
 	}
 	return total
 }
 
 // Utilization reports mean busy fraction across all tracked resources over
 // [start, end]. Resources that never reported busy time count as idle only
-// if they were registered via Register.
+// if they were registered via Register. It panics if end is before the
+// watermark, the latest busy interval start recorded: the intervals such a
+// query would clip have been folded.
 func (u *UtilizationTracker) Utilization(end float64) float64 {
+	if end < u.watermark {
+		panic(fmt.Sprintf("metrics: Utilization(%v) ends before the latest recorded busy start %v", end, u.watermark))
+	}
 	horizon := end - u.since
 	if horizon <= 0 || len(u.names) == 0 {
 		return 0
@@ -390,18 +450,14 @@ func (u *UtilizationTracker) Resources() []string {
 	return out
 }
 
-// EachBusySpan calls fn with each of one resource's raw busy intervals,
-// in recording order, reading them in place — the ledger side of the
-// flame profiler's exact reconcile. An unknown resource has none.
-func (u *UtilizationTracker) EachBusySpan(name string, fn func(start, end float64)) {
+// BusyNanos reports one resource's busy time in integer nanoseconds,
+// unclipped: the sum over its intervals of Nanos(end) − Nanos(start), the
+// ledger side of the flame profiler's exact reconcile. An unknown
+// resource has none.
+func (u *UtilizationTracker) BusyNanos(name string) int64 {
 	i, ok := u.slots[name]
 	if !ok {
-		return
+		return 0
 	}
-	spans := &u.busy[i]
-	for c := 0; c < spans.chunks(); c++ {
-		for _, s := range spans.chunk(c) {
-			fn(s.start, s.end)
-		}
-	}
+	return u.busy[i].nanos
 }

@@ -90,7 +90,7 @@ func TestUtilizationTracker(t *testing.T) {
 }
 
 // TestUtilizationSlots: Register hands out one slot per resource, stable
-// across re-registration, and AddBusyAt credits the same spans AddBusy
+// across re-registration, and AddBusyAt credits the same busy time AddBusy
 // does by name.
 func TestUtilizationSlots(t *testing.T) {
 	u := NewUtilizationTracker(0)
@@ -100,22 +100,16 @@ func TestUtilizationSlots(t *testing.T) {
 	}
 	u.AddBusyAt(g1, 1, 2)
 	u.AddBusy("gpu1", 4, 1)
-	spans := func(name string) [][2]float64 {
-		var out [][2]float64
-		u.EachBusySpan(name, func(start, end float64) { out = append(out, [2]float64{start, end}) })
-		return out
-	}
-	if got := spans("gpu1"); len(got) != 2 || got[0] != [2]float64{1, 3} || got[1] != [2]float64{4, 5} {
-		t.Errorf("gpu1 spans = %v, want [[1 3] [4 5]]", got)
-	}
-	if got := spans("gpu0"); len(got) != 0 {
-		t.Errorf("gpu0 spans = %v, want none", got)
-	}
-	if got := spans("gpu9"); len(got) != 0 {
-		t.Errorf("unregistered gpu9 spans = %v, want none", got)
+	for name, want := range map[string]int64{"gpu1": 3e9, "gpu0": 0, "gpu9": 0} {
+		if got := u.BusyNanos(name); got != want {
+			t.Errorf("BusyNanos(%s) = %d, want %d", name, got, want)
+		}
 	}
 	if got, want := u.Utilization(10), 0.15; math.Abs(got-want) > 1e-12 {
 		t.Errorf("utilization = %v, want %v", got, want)
+	}
+	if got := u.Resources(); len(got) != 2 {
+		t.Errorf("resources = %v; querying an unregistered name must not register it", got)
 	}
 }
 
