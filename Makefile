@@ -49,9 +49,10 @@ test:
 # owns the ledger and the views while replan.Run and
 # serving.AuditedOpenLoop stream their boundaries to it. metrics holds
 # the collector's latency store. ee's compiled exit table is read by every
-# fleet shard of one model at once, so it must be built eagerly.
+# fleet shard of one model at once, so it must be built eagerly. tasks is
+# the worker pool the planner's search and the fleet's shards run on.
 race:
-	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/
+	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/ ./internal/tasks/
 
 # Fuzz the ledger's online checks and digest against the full-walk
 # oracles for 30 s. Only fuzzed operands reach the record's wide spill

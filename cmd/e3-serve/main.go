@@ -86,7 +86,7 @@ func main() {
 	log.Printf("e3-serve: %s", plan)
 
 	// The boot plan's search provenance is always exposed; a replan loop
-	// replaces it with the last invocation's trace plus the diff history.
+	// replaces it with the last search's trace plus the diff history.
 	cp := &serving.ControlPlane{Provenance: bootTrace}
 	recorder := &slo.Recorder{}
 	if *replanWindows > 0 {
@@ -135,12 +135,7 @@ func main() {
 		}
 		plan = res.FinalPlan
 		log.Printf("e3-serve: serving adapted plan: %s", plan)
-		cp = &serving.ControlPlane{
-			Provenance: res.Provenance, Forecast: res.Forecast,
-			Diffs: res.Diffs, Replans: res.Replans, PlanChanges: res.PlanChanges,
-			PlanCacheHits: res.PlanCacheHits, PlanCacheMisses: res.PlanCacheMisses,
-			Budget: res.Budget,
-		}
+		cp = &res.ControlPlane
 	}
 
 	api := serving.NewAPI(m, plan)

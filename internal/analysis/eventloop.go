@@ -51,10 +51,10 @@ var eventLoopScope = []string{
 	"e3/internal/slo",
 	"e3/internal/flame",
 	// The fleet tier runs N event loops, but each shard's code is still
-	// loop-owned: the ONLY sanctioned concurrency is the shard runner's
-	// annotated worker pool (internal/fleet/runner.go). A goroutine
-	// leaked into per-shard loop code is exactly the bug this scope
-	// exists to catch — now at N loops instead of one.
+	// loop-owned: the ONLY sanctioned concurrency is the annotated worker
+	// pool the shards run on (internal/tasks, outside this scope). A
+	// goroutine leaked into per-shard loop code is exactly the bug this
+	// scope exists to catch — now at N loops instead of one.
 	"e3/internal/fleet",
 }
 

@@ -15,8 +15,9 @@ import (
 // concurrency construct.
 //
 // Suppression composes with the per-construct //e3:concurrent directives:
-// a construct annotated at its own line (the optimizer's deterministic,
-// joined-before-return worker pool) is considered safe for callers too,
+// a construct annotated at its own line (the deterministic,
+// joined-before-return worker pool in internal/tasks that the planner and
+// the fleet share) is considered safe for callers too,
 // and the boundary call site itself may carry //e3:concurrent when the
 // whole callee is a sanctioned concurrent edge.
 var EventLoopInterproc = &Analyzer{

@@ -4,6 +4,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/multi"
 	"e3/internal/workload"
 )
 
@@ -11,9 +12,9 @@ import (
 // GLUE, ResNet on ImageNet, and Llama on BoolQ, each with its paper SLO
 // regime. Rates are fleet-wide and scale with the replica count so each
 // shard sees comparable per-cluster load regardless of fleet size.
-func DemoTenants(replicas int) []TenantSpec {
+func DemoTenants(replicas int) []multi.Tenant {
 	scale := float64(replicas)
-	return []TenantSpec{
+	return []multi.Tenant{
 		{
 			Name:  "bert-sst2",
 			Model: ee.NewDeeBERT(model.BERTBase(), 0.4),

@@ -1,8 +1,8 @@
 // Package fleet scales E3 past one cluster: N replica clusters (possibly
 // heterogeneous), each a complete single-goroutine serving stack —
 // its own sim.Engine, per-tenant dynamic batchers, pipeline runners,
-// sampled conservation ledgers, and batch pool — executed by a
-// deterministic parallel task pool and fed by a GPU-aware router.
+// sampled conservation ledgers, and batch pool — executed by the
+// deterministic task pool (package tasks) and fed by a GPU-aware router.
 //
 // Time is divided into routing epochs. At each epoch boundary the
 // coordinator (a single goroutine) scores every replica from the
@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"e3/internal/cluster"
-	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/multi"
 	"e3/internal/profile"
@@ -45,20 +44,6 @@ import (
 	"e3/internal/trace"
 	"e3/internal/workload"
 )
-
-// TenantSpec is one model deployment served fleet-wide. Rate is the
-// aggregate offered load across the whole fleet; the router decides how
-// it lands on replicas.
-type TenantSpec struct {
-	Name  string
-	Model *ee.EEModel
-	Dist  workload.Dist
-	// Rate is the fleet-wide Poisson arrival rate (req/s).
-	Rate float64
-	// SLO and Batch follow the usual E3 meanings.
-	SLO   float64
-	Batch int
-}
 
 // ReplicaSpec describes one replica cluster's inventory. Replicas may be
 // heterogeneous — the router's scores absorb capacity differences.
@@ -91,7 +76,10 @@ func (r ReplicaSpec) describe() string {
 
 // Config parameterizes a fleet run.
 type Config struct {
-	Tenants  []TenantSpec
+	// Tenants are the model deployments served fleet-wide. Each Rate is
+	// the aggregate Poisson arrival rate (req/s) across the whole fleet;
+	// the router decides how it lands on replicas.
+	Tenants  []multi.Tenant
 	Replicas []ReplicaSpec
 	// Horizon is the arrival-trace length in virtual seconds; EpochDur the
 	// routing-epoch length (both virtual).
@@ -290,10 +278,8 @@ type inventoryPlan struct {
 func tenantsAt(cfg Config, scale float64) []multi.Tenant {
 	out := make([]multi.Tenant, len(cfg.Tenants))
 	for i, t := range cfg.Tenants {
-		out[i] = multi.Tenant{
-			Name: t.Name, Model: t.Model, Dist: t.Dist,
-			Rate: t.Rate * scale, SLO: t.SLO, Batch: t.Batch,
-		}
+		t.Rate *= scale
+		out[i] = t
 	}
 	return out
 }

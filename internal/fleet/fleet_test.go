@@ -6,6 +6,7 @@ import (
 	"e3/internal/ee"
 	"e3/internal/gpu"
 	"e3/internal/model"
+	"e3/internal/multi"
 	"e3/internal/telemetry"
 	"e3/internal/workload"
 )
@@ -18,7 +19,7 @@ func testResNet() *ee.EEModel { return ee.NewBranchyNet(model.ResNet50()) }
 // each shard busy enough to form batches every epoch.
 func tinyConfig(seed int64, workers int) Config {
 	return Config{
-		Tenants: []TenantSpec{
+		Tenants: []multi.Tenant{
 			{Name: "bert", Model: testBERT(), Dist: workload.SST2(), Rate: 400, SLO: 0.100, Batch: 8},
 			{Name: "resnet", Model: testResNet(), Dist: workload.ImageNet(), Rate: 240, SLO: 0.150, Batch: 8},
 		},

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"e3/internal/tasks"
 )
 
 // TenantResult is one (replica, tenant) stack's terminal accounting.
@@ -82,7 +84,7 @@ func Run(cfg Config) (*Result, error) {
 		f.burnBudgets(cfg.EpochDur)
 		start = end
 	}
-	if err := runTasks(len(f.replicas), cfg.Workers, func(i int) error {
+	if err := tasks.Run(len(f.replicas), cfg.Workers, func(i int) error {
 		return f.replicas[i].Drain()
 	}); err != nil {
 		return nil, fmt.Errorf("fleet: drain: %w", err)
@@ -108,7 +110,7 @@ func Run(cfg Config) (*Result, error) {
 // to epoch e's barrier.
 func (f *Fleet) advance(e int) error {
 	end, next := f.epochEnd(e), f.epochEnd(e+1)
-	return runTasks(len(f.replicas)+1, f.cfg.Workers, func(i int) error {
+	return tasks.Run(len(f.replicas)+1, f.cfg.Workers, func(i int) error {
 		if i == 0 {
 			f.mint(next)
 			return nil
@@ -144,7 +146,7 @@ func (f *Fleet) collect(epochs int) *Result {
 	for _, rep := range f.replicas {
 		sr := ShardResult{
 			Index:  rep.Index,
-			GPUs:   gpuString(rep.Spec),
+			GPUs:   rep.Spec.describe(),
 			Events: rep.eng.Processed(),
 			Digest: rep.digest,
 		}
@@ -215,9 +217,4 @@ func (r *Result) Digests() string {
 	}
 	b.WriteString(r.RouterDigest)
 	return b.String()
-}
-
-// gpuString renders a replica's inventory deterministically.
-func gpuString(spec ReplicaSpec) string {
-	return spec.describe()
 }

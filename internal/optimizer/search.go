@@ -4,21 +4,21 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"e3/internal/exec"
 	"e3/internal/gpu"
+	"e3/internal/tasks"
 )
 
 // This file is the planner's fast path: candidate stage times, fits, and
 // transfers come from the memoized CostTable; whole kind-assignment
 // subtrees die against admissible bounds (branch-and-bound); partitions
-// are evaluated on a bounded worker pool. The search is engineered to
-// return a byte-identical winner and SearchTrace to the serial reference:
-// partitions are processed in the reference's enumeration order, each
-// partition's tally is merged in that order, and the incumbent is frozen
-// per fixed-size chunk — so the result does not depend on Workers.
+// are evaluated on the shared worker pool (package tasks). The search is
+// engineered to return a byte-identical winner and SearchTrace to the
+// serial reference: partitions are processed in the reference's
+// enumeration order, each partition's tally is merged in that order, and
+// the incumbent is frozen per fixed-size chunk — so the result does not
+// depend on Workers.
 
 // objKind selects the planning objective.
 type objKind int
@@ -203,34 +203,10 @@ func runFast(cfg Config, obj objective) (Plan, bool) {
 		chunk := parts[lo:hi]
 		tallies := make([]*partTally, len(chunk))
 		inc := incumbent{plan: best, found: found}
-		if cfg.Workers <= 1 || len(chunk) == 1 {
-			for i, b := range chunk {
-				tallies[i] = sc.evalPartition(b, inc)
-			}
-		} else {
-			nw := cfg.Workers
-			if nw > len(chunk) {
-				nw = len(chunk)
-			}
-			var next atomic.Int64
-			//e3:concurrent deterministic worker pool: chunk results merge in enumeration order and every worker joins before return
-			var wg sync.WaitGroup
-			for w := 0; w < nw; w++ {
-				wg.Add(1)
-				//e3:concurrent worker goroutines are joined by wg.Wait below; no simulator state is shared
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(chunk) {
-							return
-						}
-						tallies[i] = sc.evalPartition(chunk[i], inc)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		tasks.Run(len(chunk), cfg.Workers, func(i int) error {
+			tallies[i] = sc.evalPartition(chunk[i], inc)
+			return nil
+		})
 		// Merge in enumeration order: the total order over candidates is
 		// exactly the serial one, so "strictly better replaces, first seen
 		// wins ties" resolves identically for any worker count.

@@ -51,22 +51,33 @@ func (b *Batch) clamp() {
 
 // FromDifficulties builds the exact profile of a concrete set of inputs.
 func FromDifficulties(m *ee.EEModel, diffs []float64) Batch {
-	L := m.Base.NumLayers()
-	surv := make([]float64, L)
-	if len(diffs) == 0 {
+	counts := make([]int, m.Base.NumLayers()+1)
+	for _, d := range diffs {
+		counts[m.ExitLayerFor(d)]++
+	}
+	return FromExitCounts(counts)
+}
+
+// FromExitCounts builds the profile of an exit histogram over an L-layer
+// model, L = len(counts)−1: counts[k] samples exited after layer k
+// (1-based). Every sample enters layer 1; an empty histogram survives
+// everywhere.
+func FromExitCounts(counts []int) Batch {
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	surv := make([]float64, len(counts)-1)
+	if total == 0 {
 		for k := range surv {
 			surv[k] = 1
 		}
 		return NewBatch(surv)
 	}
-	counts := make([]int, L+2)
-	for _, d := range diffs {
-		counts[m.ExitLayerFor(d)]++
-	}
-	alive := len(diffs)
-	for k := 1; k <= L; k++ {
-		surv[k-1] = float64(alive) / float64(len(diffs))
-		alive -= counts[k]
+	alive := total
+	for k := range surv {
+		surv[k] = float64(alive) / float64(total)
+		alive -= counts[k+1]
 	}
 	return NewBatch(surv)
 }

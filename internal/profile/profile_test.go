@@ -30,6 +30,25 @@ func TestFromDifficultiesExact(t *testing.T) {
 	if got := p.At(13); got != 0 {
 		t.Errorf("At(L+1) = %v, want 0", got)
 	}
+
+	// The same inputs as an exit histogram give the same profile, bit for
+	// bit.
+	counts := make([]int, 13)
+	counts[2], counts[6], counts[12] = 1, 1, 2
+	h := FromExitCounts(counts)
+	if h.L != p.L {
+		t.Fatalf("histogram L = %d, want %d", h.L, p.L)
+	}
+	for k := 1; k <= p.L; k++ {
+		if h.At(k) != p.At(k) {
+			t.Errorf("histogram At(%d) = %v, want %v", k, h.At(k), p.At(k))
+		}
+	}
+	// Survival is alive/total, divided once per layer.
+	h = FromExitCounts([]int{0, 1, 0, 2})
+	if h.L != 3 || h.At(1) != 1 || h.At(2) != float64(2)/float64(3) || h.At(3) != float64(2)/float64(3) {
+		t.Errorf("FromExitCounts({0,1,0,2}) = %v, want [1 2/3 2/3]", h.Survival[1:])
+	}
 }
 
 func TestExitFracSumsToOne(t *testing.T) {
@@ -53,6 +72,9 @@ func TestEmptyDifficultiesIsAllSurvive(t *testing.T) {
 		if p.At(k) != 1 {
 			t.Fatalf("empty profile At(%d) = %v, want 1", k, p.At(k))
 		}
+	}
+	if h := FromExitCounts(make([]int, 13)); h.L != 12 || h.MaxAbsDiff(p) != 0 {
+		t.Errorf("empty histogram = %v, want all ones over 12 layers", h)
 	}
 }
 

@@ -4,101 +4,93 @@ import (
 	"testing"
 
 	"e3/internal/cluster"
-	"e3/internal/ee"
 	"e3/internal/forecast"
 	"e3/internal/gpu"
-	"e3/internal/model"
 	"e3/internal/optimizer"
 	"e3/internal/profile"
 	"e3/internal/telemetry"
 )
 
-func cacheProblem(surv []float64) optimizer.Config {
-	return optimizer.NewConfig(ee.NewDeeBERT(model.BERTBase(), 0.4), profile.NewBatch(surv), 8, cluster.Homogeneous(gpu.V100, 8), 0.100)
-}
-
-func flatSurv(L int, v float64) []float64 {
+func flatProfile(L int, v float64) profile.Batch {
 	s := make([]float64, L)
 	for i := range s {
 		s[i] = v
 	}
-	return s
+	return profile.NewBatch(s)
 }
 
-// TestPlanCacheToleranceMatching: forecasts within the per-layer tolerance
-// share a cached plan; forecasts beyond it, or any other planner input
-// change, do not.
+// TestPlanCacheToleranceMatching: a forecast within the per-layer
+// tolerance of a cached one, searched on the same inventory, reuses its
+// plan (the oldest such entry first); a forecast beyond it, of another
+// depth, or on another inventory does not.
 func TestPlanCacheToleranceMatching(t *testing.T) {
-	c := NewPlanCache(4, 0.02)
-	base := cacheProblem(flatSurv(12, 0.500))
-	p := optimizer.Plan{GPUs: 3}
-	c.Store(base, p)
+	l := &loop{res: &Result{}}
+	l.store("8xV100", flatProfile(12, 0.500), optimizer.Plan{GPUs: 3})
+	l.store("8xV100", flatProfile(12, 0.510), optimizer.Plan{GPUs: 4})
 
-	near := cacheProblem(flatSurv(12, 0.515)) // within 0.02 everywhere
-	if got, ok := c.Lookup(near); !ok || got.GPUs != 3 {
-		t.Error("forecast within tolerance missed the cache")
+	if got, ok := l.lookup("8xV100", flatProfile(12, 0.515)); !ok || got.GPUs != 3 {
+		t.Errorf("forecast within tolerance: got %+v hit=%t, want the oldest entry (3 GPUs)", got, ok)
 	}
-	far := cacheProblem(flatSurv(12, 0.55)) // 0.05 away
-	if _, ok := c.Lookup(far); ok {
+	if got, ok := l.lookup("8xV100", flatProfile(12, 0.525)); !ok || got.GPUs != 4 {
+		t.Errorf("forecast within tolerance of the newer entry only: got %+v hit=%t, want 4 GPUs", got, ok)
+	}
+	if _, ok := l.lookup("8xV100", flatProfile(12, 0.55)); ok {
 		t.Error("forecast beyond tolerance hit the cache")
 	}
-
-	batch := base
-	batch.Batch = 16
-	if _, ok := c.Lookup(batch); ok {
-		t.Error("batch change hit the cache")
+	if _, ok := l.lookup("8xV100", flatProfile(6, 0.5)); ok {
+		t.Error("forecast of another depth hit the cache")
 	}
-	clus := base
-	clus.Cluster = cluster.Homogeneous(gpu.V100, 4)
-	if _, ok := c.Lookup(clus); ok {
-		t.Error("cluster change hit the cache")
+	if _, ok := l.lookup("4xV100", flatProfile(12, 0.5)); ok {
+		t.Error("another device pool hit the cache")
 	}
-	knob := base
-	knob.MaxSplits = 5
-	if _, ok := c.Lookup(knob); ok {
-		t.Error("MaxSplits change hit the cache")
-	}
-	slo := base
-	slo.SLO = 0.2
-	if _, ok := c.Lookup(slo); ok {
-		t.Error("SLO change hit the cache")
-	}
-
-	// Disabling a ramp changes the model's planning identity even though
-	// the pointer is unchanged.
-	ramps := base.Model.ActiveRamps()
-	if err := base.Model.Disable(ramps[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Lookup(base); ok {
-		t.Error("active-ramp change hit the cache")
+	if l.res.PlanCacheHits != 2 || l.res.PlanCacheMisses != 3 {
+		t.Errorf("hits=%d misses=%d, want 2/3", l.res.PlanCacheHits, l.res.PlanCacheMisses)
 	}
 }
 
-// TestPlanCacheFIFO: bounded capacity evicts oldest-first, the hit/miss
-// counters track Lookup outcomes.
+// TestPlanCacheFIFO: the cache holds planCacheSize plans and evicts the
+// oldest first; the hit/miss counters track lookup outcomes.
 func TestPlanCacheFIFO(t *testing.T) {
-	c := NewPlanCache(2, 0.02)
-	a := cacheProblem(flatSurv(12, 0.2))
-	b := cacheProblem(flatSurv(12, 0.5))
-	d := cacheProblem(flatSurv(12, 0.8))
-	c.Store(a, optimizer.Plan{GPUs: 1})
-	c.Store(b, optimizer.Plan{GPUs: 2})
-	if len(c.entries) != 2 {
-		t.Fatalf("len %d, want 2", len(c.entries))
+	l := &loop{res: &Result{}}
+	surv := func(i int) profile.Batch { return flatProfile(12, 0.05*float64(i)) }
+	for i := 0; i <= planCacheSize; i++ { // one more than fits
+		l.store("8xV100", surv(i), optimizer.Plan{GPUs: i})
 	}
-	c.Store(d, optimizer.Plan{GPUs: 3}) // evicts the oldest (a)
-	if _, ok := c.Lookup(a); ok {
+	if len(l.cache) != planCacheSize {
+		t.Fatalf("len %d, want %d", len(l.cache), planCacheSize)
+	}
+	if _, ok := l.lookup("8xV100", surv(0)); ok {
 		t.Error("oldest entry survived eviction")
 	}
-	if got, ok := c.Lookup(b); !ok || got.GPUs != 2 {
-		t.Error("entry b evicted early")
+	if got, ok := l.lookup("8xV100", surv(1)); !ok || got.GPUs != 1 {
+		t.Error("second-oldest entry evicted early")
 	}
-	if got, ok := c.Lookup(d); !ok || got.GPUs != 3 {
-		t.Error("entry d missing")
+	if got, ok := l.lookup("8xV100", surv(planCacheSize)); !ok || got.GPUs != planCacheSize {
+		t.Error("newest entry missing")
 	}
-	if c.Hits != 2 || c.Misses != 1 {
-		t.Errorf("hits=%d misses=%d, want 2/1", c.Hits, c.Misses)
+	if l.res.PlanCacheHits != 2 || l.res.PlanCacheMisses != 1 {
+		t.Errorf("hits=%d misses=%d, want 2/1", l.res.PlanCacheHits, l.res.PlanCacheMisses)
+	}
+}
+
+// TestPlanCachePoolsByInventory: the reserved and full device pools are
+// keyed by what they hold, so a spike reserve that leaves the pool
+// unchanged (a one-device cluster) shares cached plans across the
+// toggle, and one that shrinks it does not.
+func TestPlanCachePoolsByInventory(t *testing.T) {
+	for _, tc := range []struct {
+		gpus, buffers int
+		same          bool
+	}{{1, 1, true}, {8, 0, true}, {8, 2, false}} {
+		cfg := DriftingDemo(1, forecast.MethodARIMA, nil)
+		cfg.Cluster = cluster.Homogeneous(gpu.V100, tc.gpus)
+		cfg.BufferGPUs = tc.buffers
+		l := newLoop(cfg)
+		l.coll.Stop()
+		if got := l.reservedInv == l.fullInv; got != tc.same {
+			t.Errorf("%d GPUs, %d buffers: reserved %q, full %q; same=%t, want %t",
+				tc.gpus, tc.buffers, l.reservedInv, l.fullInv, got, tc.same)
+		}
 	}
 }
 

@@ -149,31 +149,19 @@ type WindowStat struct {
 // Result is one run's outcome.
 type Result struct {
 	Windows []WindowStat
-	// Diffs retains the most recent plan diffs (bounded); Replans counts
-	// planner invocations, PlanChanges the ones whose plan differed.
-	Diffs       *optimizer.DiffRing
-	Replans     int
-	PlanChanges int
-	// PlanCacheHits counts replans served from the cross-window cache;
-	// PlanCacheMisses counts the ones that ran a search.
-	PlanCacheHits   int
-	PlanCacheMisses int
+	// ControlPlane holds the bounded diff history, the replan and
+	// plan-cache counters, the last search's provenance, the estimator's
+	// accuracy telemetry over the whole run, and the error budget (never
+	// nil: budget accounting always runs).
+	serving.ControlPlane
 
 	FinalPlan optimizer.Plan
-	// Provenance is the last planner invocation's search trace.
-	Provenance *optimizer.SearchTrace
-	// Forecast is the estimator's accuracy telemetry over the whole run.
-	Forecast *forecast.Stats
 	// MeanForecastMAE is the rolling MAE gauge at end of run.
 	MeanForecastMAE float64
 
 	// Report is the conservation audit over the entire run, with the
 	// tracer's counters reconciled in.
 	Report *audit.Report
-
-	// Budget is the run's error-budget tracker (never nil: budget
-	// accounting always runs).
-	Budget *slo.Budget
 
 	// FlameWindows holds one cumulative profile snapshot per window (only
 	// when a profiler was attached): FlameWindows[w] covers the run through
@@ -226,7 +214,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Report = rep
 	res.FinalPlan = l.active
 	res.MeanForecastMAE = l.est.Stats.MAE()
-	res.PlanCacheHits, res.PlanCacheMisses = l.cache.Hits, l.cache.Misses
 	return res, nil
 }
 
@@ -246,10 +233,15 @@ type loop struct {
 	// the forecast, device pool and search trace. It carries one memoized
 	// segment-cost table: the model, batch and interconnect never change
 	// mid-run and the table does not depend on inventory, so every
-	// window's search reuses it, spike reserve or not. cache is the
-	// cross-window plan cache.
+	// window's search reuses it, spike reserve or not.
 	problem optimizer.Config
-	cache   *PlanCache
+	// cache holds the plans this run searched, oldest first, keyed by
+	// the device pool and the forecast: the only planner inputs that
+	// differ between windows. reservedInv and fullInv key the two
+	// device pools by inventory, so pools with the same devices share
+	// entries.
+	cache                []cachedPlan
+	reservedInv, fullInv string
 
 	// active is the plan being served, assumed the profile it was planned
 	// for. reserved is the device pool steady-state plans use; buffers
@@ -272,8 +264,8 @@ func newLoop(cfg Config) *loop {
 		cfg: cfg, eng: sim.NewEngine(), coll: scheduler.NewCollector(layers, cfg.SLO, 0),
 		gen: workload.NewGenerator(mix0, cfg.Seed), pool: workload.NewBatchPool(),
 		est: forecast.NewEstimator(layers), budget: slo.NewBudget(cfg.SLOTarget, cfg.BurnThreshold),
-		problem: optimizer.NewConfig(cfg.Model, profile.Batch{}, cfg.Batch, cfg.Cluster, cfg.SLO),
-		cache:   NewPlanCache(DefaultPlanCacheSize, DefaultPlanCacheTolerance), reserved: cfg.Cluster,
+		problem:  optimizer.NewConfig(cfg.Model, profile.Batch{}, cfg.Batch, cfg.Cluster, cfg.SLO),
+		reserved: cfg.Cluster,
 	}
 	l.problem.Costs = optimizer.NewCostTableFor(l.problem)
 	l.eng.SetEventLimit(eventLimit)
@@ -283,7 +275,9 @@ func newLoop(cfg Config) *loop {
 	l.gen.SetSink(l.coll)
 	l.est.Method = cfg.Method
 	l.est.Stats = forecast.NewStats(layers)
-	l.res = &Result{Diffs: optimizer.NewDiffRing(diffHistory), Forecast: l.est.Stats, Budget: l.budget}
+	l.res = &Result{ControlPlane: serving.ControlPlane{
+		Diffs: optimizer.NewDiffRing(diffHistory), Forecast: l.est.Stats, Budget: l.budget,
+	}}
 	// Arm the flight recorder with every source this run owns; it
 	// snapshots them all into one bundle when a trigger fires.
 	if rec := cfg.Recorder; rec != nil {
@@ -297,14 +291,16 @@ func newLoop(cfg Config) *loop {
 	if cfg.BufferGPUs > 0 {
 		l.reserved = cfg.Cluster.Subset(max(1, cfg.Cluster.Size()-cfg.BufferGPUs))
 	}
+	l.reservedInv, l.fullInv = fmt.Sprint(l.reserved.Counts()), fmt.Sprint(cfg.Cluster.Counts())
 	return l
 }
 
 // plan opens window w: it forecasts the window's profile and replans when
 // the forecast has drifted from the active plan's assumptions, there is
 // no plan yet, or the spike buffers engage or release. A replan reuses a
-// cached plan for a matching problem, else searches. Only a failed search
-// with no plan to fall back on is an error.
+// plan cached for the same device pool and a nearby forecast, else
+// searches. Only a failed search with no plan to fall back on is an
+// error.
 func (l *loop) plan(w int) error {
 	l.win = WindowStat{Window: w, Start: l.eng.Now()}
 	pred := l.est.Predict()
@@ -330,19 +326,19 @@ func (l *loop) plan(w int) error {
 	if !due {
 		return nil
 	}
-	clus := l.reserved
+	clus, inv := l.reserved, l.reservedInv
 	if l.buffers {
-		clus = l.cfg.Cluster
+		clus, inv = l.cfg.Cluster, l.fullInv
 	}
-	tr := &optimizer.SearchTrace{}
-	ocfg := l.problem
-	ocfg.Profile, ocfg.Cluster, ocfg.Trace = pred, clus, tr
-	// A hit reuses the winner of a quantization-identical problem without
-	// searching. The reuse is still a replan: it pushes a diff and a
+	// A hit reuses the winner searched on the same pool for a nearby
+	// forecast. The reuse is still a replan: it pushes a diff and a
 	// control-plane span, plus a plan-cache span marking the skipped
 	// search.
-	next, hit := l.cache.Lookup(ocfg)
+	next, hit := l.lookup(inv, pred)
 	if !hit {
+		tr := &optimizer.SearchTrace{}
+		ocfg := l.problem
+		ocfg.Profile, ocfg.Cluster, ocfg.Trace = pred, clus, tr
 		var err error
 		next, err = optimizer.MaximizeGoodput(ocfg)
 		if err != nil && !l.havePlan {
@@ -355,7 +351,7 @@ func (l *loop) plan(w int) error {
 			l.res.Replans++
 			return nil
 		}
-		l.cache.Store(ocfg, next)
+		l.store(inv, pred, next)
 	}
 	d := optimizer.DiffPlans(l.active, next)
 	d.Window, d.At, d.Reason = w, l.win.Start, reason

@@ -318,23 +318,7 @@ func (c *Collector) AuditReport() *audit.Report {
 // ObservedProfile reconstructs the survival profile from the exit
 // histogram — the measurement E3's estimator consumes each window (§3.1).
 func (c *Collector) ObservedProfile() profile.Batch {
-	total := 0
-	for _, n := range c.exitCounts {
-		total += n
-	}
-	surv := make([]float64, c.layers)
-	if total == 0 {
-		for k := range surv {
-			surv[k] = 1
-		}
-		return profile.NewBatch(surv)
-	}
-	alive := total
-	for k := 1; k <= c.layers; k++ {
-		surv[k-1] = float64(alive) / float64(total)
-		alive -= c.exitCounts[k]
-	}
-	return profile.NewBatch(surv)
+	return profile.FromExitCounts(c.exitCounts)
 }
 
 // WindowCounts exposes the current window's served, violated and dropped

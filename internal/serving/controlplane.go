@@ -10,12 +10,13 @@ import (
 )
 
 // ControlPlane bundles the control-plane observability state a server
-// exposes: the active plan's search provenance, the forecaster's accuracy
-// telemetry, and the bounded replan history. Any field may be nil; the
+// exposes: the last planner search's provenance, the forecaster's
+// accuracy telemetry, and the bounded replan history. Any field may be nil; the
 // endpoints render what is present.
 type ControlPlane struct {
-	// Provenance is the search trace of the planning invocation that
-	// produced the active plan.
+	// Provenance is the trace of the most recent planner search. A failed
+	// search sets it too; a replan answered from the plan cache leaves it
+	// as it was.
 	Provenance *optimizer.SearchTrace
 	// Forecast is the estimator's accuracy telemetry.
 	Forecast *forecast.Stats
