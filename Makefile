@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples serve-smoke overhead bench plangate simgate slogate flamegate fleetgate
 
-verify: fmt build vet lintgate test race audit replan validate examples overhead plangate simgate slogate flamegate fleetgate
+verify: fmt build vet lintgate test race audit replan validate examples serve-smoke overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
 
 # Format gate: fails, listing the files, if gofmt would rewrite any Go
@@ -86,6 +86,26 @@ examples:
 		$(GO) build -o "$$tmp/$$name" "./$$ex" && "$$tmp/$$name" > "$$tmp/$$name.out" && \
 		diff -u "$$ex/expected.txt" "$$tmp/$$name.out" || exit 1; \
 	done
+
+# Server boot gate: builds e3-serve, boots it on 127.0.0.1 with the boot
+# audit, a 2-window replan loop and a 2-replica fleet, waits for /healthz,
+# then requires "ready":true from /v1/health and a conserved fleet on
+# /metrics. The trap stops the server and removes the build on every path.
+serve-smoke:
+	@tmp="$$(mktemp -d)"; pid=; \
+	trap 'test -z "$$pid" || kill "$$pid" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	fail() { echo "serve-smoke: $$1"; cat "$$tmp/serve.log"; exit 1; }; \
+	url=http://127.0.0.1:18931; \
+	$(GO) build -o "$$tmp/e3-serve" ./cmd/e3-serve || exit 1; \
+	"$$tmp/e3-serve" -addr 127.0.0.1:18931 -audit -replan-windows 2 -fleet 2 > "$$tmp/serve.log" 2>&1 & pid=$$!; \
+	up=; for i in $$(seq 1 120); do \
+		kill -0 "$$pid" 2>/dev/null || break; \
+		curl -sf "$$url/healthz" > /dev/null && { up=1; break; }; sleep 0.5; \
+	done; \
+	test -n "$$up" || fail "e3-serve did not come up"; \
+	curl -s "$$url/v1/health" | grep -q '"ready":true' || fail "/v1/health is not ready"; \
+	curl -s "$$url/metrics" | grep -qx 'e3_fleet_conserved 1' || fail "/metrics lacks e3_fleet_conserved 1"; \
+	echo "serve-smoke: e3-serve booted ready with a conserved fleet"
 
 # Telemetry overhead gate: ring-traced demo runs must stay within a
 # bounded wall-clock factor of untraced runs. Env-gated so plain

@@ -76,19 +76,22 @@ func main() {
 
 	prof := profile.FromDist(m, workload.Mix(*easy), 8000, 1)
 	bootTrace := &optimizer.SearchTrace{}
-	boot := optimizer.NewConfig(m, prof, *batch, clus, sloDur.Seconds())
-	boot.Trace = bootTrace
-	plan, err := optimizer.MaximizeGoodput(boot)
+	problem := optimizer.NewConfig(m, prof, *batch, clus, sloDur.Seconds())
+	problem.Trace = bootTrace
+	plan, err := optimizer.MaximizeGoodput(problem)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-serve: planning failed:", err)
 		os.Exit(1)
 	}
 	log.Printf("e3-serve: %s", plan)
 
-	// The boot plan's search provenance is always exposed; a replan loop
-	// replaces it with the last search's trace plus the diff history.
-	cp := &serving.ControlPlane{Provenance: bootTrace}
-	recorder := &slo.Recorder{}
+	// boot collects what the boot runs leave for the API. The boot plan's
+	// search provenance is always exposed; a replan loop replaces it with
+	// the last search's trace plus the diff history.
+	boot := serving.Boot{
+		ControlPlane: &serving.ControlPlane{Provenance: bootTrace},
+		Recorder:     &slo.Recorder{},
+	}
 	if *replanWindows > 0 {
 		// Drive the windowed predict→plan→serve→observe loop on this
 		// deployment with the easy fraction drifting away from the boot
@@ -117,7 +120,7 @@ func main() {
 			Method:    forecast.MethodARIMA,
 			Observers: scheduler.Observers{Tracer: loopTr, Attr: loopAttr},
 			SLOTarget: *sloTarget, BurnThreshold: *burnThreshold,
-			Recorder: recorder,
+			Recorder: boot.Recorder,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "e3-serve: replan loop failed:", err)
@@ -135,11 +138,9 @@ func main() {
 		}
 		plan = res.FinalPlan
 		log.Printf("e3-serve: serving adapted plan: %s", plan)
-		cp = &res.ControlPlane
+		boot.ControlPlane = &res.ControlPlane
 	}
 
-	api := serving.NewAPI(m, plan)
-	api.AttachControlPlane(cp)
 	var tr *telemetry.Tracer
 	if *traceRing > 0 {
 		tr = telemetry.NewRing(*traceRing)
@@ -165,15 +166,15 @@ func main() {
 		// Expose the boot run's virtual-time compute profile (where the
 		// fleet's GPU-seconds went) via /v1/flame; the exact-reconcile
 		// verdict also rides on /v1/health.
-		api.AttachFlame(fl.Profile(), flStat)
+		boot.Flame, boot.FlameStat = fl.Profile(), flStat
 		log.Printf("e3-serve: flame profile: %d devices reconciled, residual %dns (ok=%v)",
 			flStat.Devices, flStat.Residual, flStat.OK())
 		// When no replan loop armed the recorder, arm it with the boot
 		// run's state so /v1/debug/bundle can dump it on a later trigger.
-		if recorder.Ledger == nil {
-			recorder.Spans = tr
-			recorder.Ledger = coll.Audit
-			recorder.Attr = attr
+		if rec := boot.Recorder; rec.Ledger == nil {
+			rec.Spans = tr
+			rec.Ledger = coll.Audit
+			rec.Attr = attr
 		}
 		if *auditBoot {
 			log.Printf("e3-serve: %s", rep)
@@ -181,14 +182,13 @@ func main() {
 				fmt.Fprintln(os.Stderr, "e3-serve: refusing to serve a plan that fails conservation")
 				os.Exit(1)
 			}
-			api.AttachAudit(rep)
+			boot.Audit = rep
 		}
 		if tr != nil {
-			api.AttachTelemetry(tr)
+			boot.Tracer = tr
 			log.Printf("e3-serve: telemetry ring holds %d of %d recorded spans", len(tr.Spans()), tr.Total())
 		}
 	}
-	api.AttachRecorder(recorder)
 
 	if *fleetN > 0 {
 		// Boot-time fleet run: N replica clusters under the demo zoo,
@@ -205,10 +205,10 @@ func main() {
 		}
 		log.Printf("e3-serve: fleet: %d replicas x %d workers, %d epochs: %d minted = %d routed + %d shed, %d events",
 			*fleetN, workers, res.Epochs, res.Minted, res.Routed, res.DoorShed, res.Events)
-		api.AttachFleet(res.Status())
+		boot.Fleet = res.Status()
 	}
 
-	handler := api.Handler()
+	handler := serving.NewAPI(m, plan, boot).Handler()
 	if *pprofDebug {
 		// pprof is opt-in: profiling endpoints leak heap contents and cost
 		// CPU, so they stay off unless explicitly requested. The routes live

@@ -7,5 +7,5 @@ type GoodputMeter struct{ Served int }
 // ServeOK credits n on-time completions at virtual time t.
 func (g *GoodputMeter) ServeOK(n int, t float64) {}
 
-// Drop debits n shed samples at virtual time t.
-func (g *GoodputMeter) Drop(n int, t float64) {}
+// Drop records a shed sample at virtual time t.
+func (g *GoodputMeter) Drop(t float64) {}

@@ -22,7 +22,7 @@ type Collector struct {
 // badDrop sheds into the counters with no ledger event.
 func (c *Collector) badDrop(s sample, at float64) {
 	c.Dropped++ // want `Collector\.Dropped records a terminal outcome`
-	c.Good.Drop(1, at)
+	c.Good.Drop(at)
 }
 
 // badComplete credits goodput with no ledger event.
@@ -38,7 +38,7 @@ func (c *Collector) badViolationTally(s sample, at float64) {
 // goodDrop pairs the accounting with the lifecycle event.
 func (c *Collector) goodDrop(s sample, at float64) {
 	c.Dropped++
-	c.Good.Drop(1, at)
+	c.Good.Drop(at)
 	c.Audit.Dropped(s.ID, at, "stale-shed")
 }
 

@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"e3/internal/gpu"
 	"e3/internal/simnet"
@@ -90,6 +91,22 @@ func (c *Cluster) Counts() map[gpu.Kind]int {
 		out[d.Kind]++
 	}
 	return out
+}
+
+// Describe renders an inventory deterministically as count×kind terms in
+// kind order, e.g. "4xK80+2xV100". Equal inventories render equally, so
+// the string keys per-inventory plans.
+func Describe(counts map[gpu.Kind]int) string {
+	kinds := make([]string, 0, len(counts))
+	for k := range counts {
+		kinds = append(kinds, string(k))
+	}
+	sort.Strings(kinds)
+	parts := make([]string, 0, len(kinds))
+	for _, k := range kinds {
+		parts = append(parts, fmt.Sprintf("%dx%s", counts[gpu.Kind(k)], k))
+	}
+	return strings.Join(parts, "+")
 }
 
 // CostPerSecond is the rental price of the whole cluster, USD per second.

@@ -100,3 +100,19 @@ func TestDeterministicLayout(t *testing.T) {
 		}
 	}
 }
+
+func TestDescribe(t *testing.T) {
+	for _, tc := range []struct {
+		counts map[gpu.Kind]int
+		want   string
+	}{
+		{nil, ""},
+		{map[gpu.Kind]int{gpu.V100: 4}, "4xV100"},
+		{PaperEvaluation().Counts(), "7xA6000+15xK80+8xP100+16xV100"},
+		{map[gpu.Kind]int{gpu.V100: 2, gpu.K80: 0}, "0xK80+2xV100"},
+	} {
+		if got := Describe(tc.counts); got != tc.want {
+			t.Errorf("Describe(%v) = %q, want %q", tc.counts, got, tc.want)
+		}
+	}
+}

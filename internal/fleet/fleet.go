@@ -30,7 +30,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"e3/internal/cluster"
@@ -60,20 +59,6 @@ func (r ReplicaSpec) Size() int {
 	return n
 }
 
-// describe renders the inventory deterministically (kinds sorted).
-func (r ReplicaSpec) describe() string {
-	kinds := make([]string, 0, len(r.GPUs))
-	for k := range r.GPUs {
-		kinds = append(kinds, string(k))
-	}
-	sort.Strings(kinds)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%dx%s", r.GPUs[gpu.Kind(k)], k))
-	}
-	return strings.Join(parts, "+")
-}
-
 // Config parameterizes a fleet run.
 type Config struct {
 	// Tenants are the model deployments served fleet-wide. Each Rate is
@@ -96,24 +81,14 @@ type Config struct {
 
 // validate rejects configs the build cannot honor.
 func (c Config) validate() error {
-	if len(c.Tenants) == 0 {
-		return errors.New("fleet: no tenants")
+	if err := multi.ValidateTenants(c.Tenants); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if len(c.Replicas) == 0 {
 		return errors.New("fleet: no replicas")
 	}
 	if c.Horizon <= 0 || c.EpochDur <= 0 {
 		return errors.New("fleet: horizon and epoch duration must be positive")
-	}
-	seen := make(map[string]bool)
-	for _, t := range c.Tenants {
-		if t.Name == "" {
-			return errors.New("fleet: tenant with empty name")
-		}
-		if seen[t.Name] {
-			return fmt.Errorf("fleet: duplicate tenant %q", t.Name)
-		}
-		seen[t.Name] = true
 	}
 	return nil
 }
@@ -285,11 +260,11 @@ func tenantsAt(cfg Config, scale float64) []multi.Tenant {
 }
 
 // buildReplica deploys one shard, planning its inventory first unless
-// plans already holds it (keyed by ReplicaSpec.describe). profs holds
+// plans already holds it (keyed by cluster.Describe). profs holds
 // the tenants' exit profiles in config order.
 func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]inventoryPlan, profs []profile.Batch) (*Replica, error) {
 	clus := cluster.New(spec.GPUs, 2)
-	key := spec.describe()
+	key := cluster.Describe(spec.GPUs)
 	p, ok := plans[key]
 	if !ok {
 		p.tenants = tenantsAt(cfg, planScale(cfg, idx))

@@ -107,14 +107,14 @@ func TestPlanProfiledMatchesPlan(t *testing.T) {
 		tenants := tenantsAt(cfg, planScale(cfg, i))
 		want, err := multi.Plan(clus, tenants)
 		if err != nil {
-			t.Fatalf("%s: Plan: %v", spec.describe(), err)
+			t.Fatalf("%s: Plan: %v", cluster.Describe(spec.GPUs), err)
 		}
 		got, err := multi.PlanProfiled(clus, tenants, profs)
 		if err != nil {
-			t.Fatalf("%s: PlanProfiled: %v", spec.describe(), err)
+			t.Fatalf("%s: PlanProfiled: %v", cluster.Describe(spec.GPUs), err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: PlanProfiled allocated %+v, Plan %+v", spec.describe(), got, want)
+			t.Fatalf("%s: PlanProfiled allocated %+v, Plan %+v", cluster.Describe(spec.GPUs), got, want)
 		}
 	}
 }

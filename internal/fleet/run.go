@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"e3/internal/cluster"
 	"e3/internal/tasks"
 )
 
@@ -146,7 +147,7 @@ func (f *Fleet) collect(epochs int) *Result {
 	for _, rep := range f.replicas {
 		sr := ShardResult{
 			Index:  rep.Index,
-			GPUs:   rep.Spec.describe(),
+			GPUs:   cluster.Describe(rep.Spec.GPUs),
 			Events: rep.eng.Processed(),
 			Digest: rep.digest,
 		}

@@ -237,12 +237,13 @@ func (s Summary) String() string {
 		s.Min*1e3, s.P25*1e3, s.Median*1e3, s.P75*1e3, s.Max*1e3, s.Count)
 }
 
-// GoodputMeter tracks served/dropped samples over a virtual-time horizon.
+// GoodputMeter tracks served samples over a virtual-time horizon. Drops
+// and SLO violations are counted by the collector; here they only extend
+// the horizon.
 type GoodputMeter struct {
-	Served  int // completed within SLO
-	Dropped int // dropped by admission control or missed SLO
-	start   float64
-	end     float64
+	Served int // completed within SLO
+	start  float64
+	end    float64
 }
 
 // NewGoodputMeter starts a meter at virtual time start.
@@ -258,9 +259,8 @@ func (g *GoodputMeter) ServeOK(n int, t float64) {
 	}
 }
 
-// Drop records n samples dropped or SLO-violated at virtual time t.
-func (g *GoodputMeter) Drop(n int, t float64) {
-	g.Dropped += n
+// Drop records a sample dropped or SLO-violated at virtual time t.
+func (g *GoodputMeter) Drop(t float64) {
 	if t > g.end {
 		g.end = t
 	}

@@ -61,9 +61,12 @@ func TestGoodputMeter(t *testing.T) {
 	if got := g.Goodput(); math.Abs(got-20) > 1e-9 {
 		t.Errorf("goodput = %v, want 20", got)
 	}
-	g.Drop(50, 10)
-	if g.Served != 200 || g.Dropped != 50 {
-		t.Errorf("served %d dropped %d, want 200 and 50", g.Served, g.Dropped)
+	g.Drop(12)
+	if g.Served != 200 {
+		t.Errorf("served %d, want 200", g.Served)
+	}
+	if got := g.Goodput(); math.Abs(got-200.0/12) > 1e-9 {
+		t.Errorf("goodput after a drop at 12 = %v, want %v", got, 200.0/12)
 	}
 	g.CloseAt(20)
 	if got := g.Goodput(); math.Abs(got-10) > 1e-9 {

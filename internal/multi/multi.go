@@ -51,7 +51,7 @@ type Allocation struct {
 // tenant cannot be satisfied. Each tenant's exit profile is drawn from
 // its Dist; PlanProfiled takes them already drawn.
 func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
-	if err := validate(tenants); err != nil {
+	if err := ValidateTenants(tenants); err != nil {
 		return nil, err
 	}
 	return PlanProfiled(clus, tenants, Profiles(tenants))
@@ -71,7 +71,7 @@ func Profiles(tenants []Tenant) []profile.Batch {
 // like tenants, so a caller that plans the same tenants more than once
 // draws them once.
 func PlanProfiled(clus *cluster.Cluster, tenants []Tenant, profiles []profile.Batch) ([]Allocation, error) {
-	if err := validate(tenants); err != nil {
+	if err := ValidateTenants(tenants); err != nil {
 		return nil, err
 	}
 	if len(profiles) != len(tenants) {
@@ -142,8 +142,9 @@ func PlanProfiled(clus *cluster.Cluster, tenants []Tenant, profiles []profile.Ba
 	return allocs, nil
 }
 
-// validate rejects an empty tenant list and empty or duplicate names.
-func validate(tenants []Tenant) error {
+// ValidateTenants rejects an empty tenant list and empty or duplicate
+// tenant names.
+func ValidateTenants(tenants []Tenant) error {
 	if len(tenants) == 0 {
 		return errors.New("multi: no tenants")
 	}

@@ -291,7 +291,7 @@ func newLoop(cfg Config) *loop {
 	if cfg.BufferGPUs > 0 {
 		l.reserved = cfg.Cluster.Subset(max(1, cfg.Cluster.Size()-cfg.BufferGPUs))
 	}
-	l.reservedInv, l.fullInv = fmt.Sprint(l.reserved.Counts()), fmt.Sprint(cfg.Cluster.Counts())
+	l.reservedInv, l.fullInv = cluster.Describe(l.reserved.Counts()), cluster.Describe(cfg.Cluster.Counts())
 	return l
 }
 

@@ -231,7 +231,7 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 		c.windowServed++
 	} else {
 		c.Violations++
-		c.Good.Drop(1, at)
+		c.Good.Drop(at)
 		c.windowViolations++
 	}
 	if c.st != nil {
@@ -245,7 +245,7 @@ func (c *Collector) Complete(s workload.Sample, at float64, exitLayer int) {
 // (admission control, stale-backlog shedding, or SLA-pressure flush).
 func (c *Collector) Drop(s workload.Sample, at float64, reason audit.Reason) {
 	c.Dropped++
-	c.Good.Drop(1, at)
+	c.Good.Drop(at)
 	c.windowDropped++
 	if c.st != nil {
 		c.st.dropped(s, at, reason)

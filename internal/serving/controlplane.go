@@ -1,9 +1,6 @@
 package serving
 
 import (
-	"fmt"
-	"net/http"
-
 	"e3/internal/forecast"
 	"e3/internal/optimizer"
 	"e3/internal/slo"
@@ -33,15 +30,6 @@ type ControlPlane struct {
 	Budget *slo.Budget
 }
 
-// AttachControlPlane exposes control-plane observability through /v1/plan
-// (provenance + replan history) and /metrics (forecast accuracy, safety
-// counters, replan counters).
-func (a *API) AttachControlPlane(cp *ControlPlane) {
-	a.mu.Lock()
-	a.cp = cp
-	a.mu.Unlock()
-}
-
 // ReplanJSON is the /v1/plan replan-history block.
 type ReplanJSON struct {
 	Invocations     int                  `json:"invocations"`
@@ -56,82 +44,55 @@ type ReplanJSON struct {
 // controlPlaneJSON renders the attached control plane into a plan
 // response. Caller holds a.mu.
 func (a *API) controlPlaneJSON(resp *PlanResponse) {
-	if a.cp == nil {
+	cp := a.boot.ControlPlane
+	if cp == nil {
 		return
 	}
-	resp.Provenance = a.cp.Provenance
+	resp.Provenance = cp.Provenance
 	rj := &ReplanJSON{
-		Invocations:     a.cp.Replans,
-		PlanChanges:     a.cp.PlanChanges,
-		PlanCacheHits:   a.cp.PlanCacheHits,
-		PlanCacheMisses: a.cp.PlanCacheMisses,
-		HistoryTotal:    a.cp.Diffs.Total(),
-		HistoryEvicted:  a.cp.Diffs.Evicted(),
+		Invocations:     cp.Replans,
+		PlanChanges:     cp.PlanChanges,
+		PlanCacheHits:   cp.PlanCacheHits,
+		PlanCacheMisses: cp.PlanCacheMisses,
+		HistoryTotal:    cp.Diffs.Total(),
+		HistoryEvicted:  cp.Diffs.Evicted(),
 		History:         []optimizer.PlanDiff{},
 	}
-	if items := a.cp.Diffs.Items(); items != nil {
+	if items := cp.Diffs.Items(); items != nil {
 		rj.History = items
 	}
 	resp.Replans = rj
 }
 
-// writeControlPlaneMetrics appends the forecast and replan series to a
-// /metrics scrape. Caller holds a.mu.
-func (a *API) writeControlPlaneMetrics(w http.ResponseWriter) {
-	if a.cp == nil {
+// writeControlPlaneMetrics appends the forecast, replan and error-budget
+// series to a /metrics scrape. Caller holds a.mu.
+func (a *API) writeControlPlaneMetrics(e expo) {
+	cp := a.boot.ControlPlane
+	if cp == nil {
 		return
 	}
-	if st := a.cp.Forecast; st != nil {
-		fmt.Fprintln(w, "# HELP e3_forecast_mae Rolling mean absolute per-layer forecast error.")
-		fmt.Fprintln(w, "# TYPE e3_forecast_mae gauge")
-		fmt.Fprintf(w, "e3_forecast_mae %g\n", st.MAE())
-		fmt.Fprintln(w, "# HELP e3_forecast_mape Rolling mean absolute percentage forecast error (fraction).")
-		fmt.Fprintln(w, "# TYPE e3_forecast_mape gauge")
-		fmt.Fprintf(w, "e3_forecast_mape %g\n", st.MAPE())
-		fmt.Fprintln(w, "# HELP e3_forecast_windows_total Prediction/observation pairs scored.")
-		fmt.Fprintln(w, "# TYPE e3_forecast_windows_total counter")
-		fmt.Fprintf(w, "e3_forecast_windows_total %d\n", st.Windows())
-		fmt.Fprintln(w, "# HELP e3_forecast_safety_total Forecast safety interventions by kind.")
-		fmt.Fprintln(w, "# TYPE e3_forecast_safety_total counter")
-		fmt.Fprintf(w, "e3_forecast_safety_total{event=\"clamp\"} %d\n", st.ClampHits())
-		fmt.Fprintf(w, "e3_forecast_safety_total{event=\"fit-failure\"} %d\n", st.FitFailures())
-		fmt.Fprintf(w, "e3_forecast_safety_total{event=\"monotone-fix\"} %d\n", st.MonotoneFixes())
-		fmt.Fprintf(w, "e3_forecast_safety_total{event=\"persistence-fallback\"} %d\n", st.PersistenceFallbacks())
+	if st := cp.Forecast; st != nil {
+		e.one("e3_forecast_mae", "gauge", "Rolling mean absolute per-layer forecast error.", st.MAE())
+		e.one("e3_forecast_mape", "gauge", "Rolling mean absolute percentage forecast error (fraction).", st.MAPE())
+		e.one("e3_forecast_windows_total", "counter", "Prediction/observation pairs scored.", st.Windows())
+		e.family("e3_forecast_safety_total", "counter", "Forecast safety interventions by kind.")
+		e.sample("e3_forecast_safety_total", st.ClampHits(), "event", "clamp")
+		e.sample("e3_forecast_safety_total", st.FitFailures(), "event", "fit-failure")
+		e.sample("e3_forecast_safety_total", st.MonotoneFixes(), "event", "monotone-fix")
+		e.sample("e3_forecast_safety_total", st.PersistenceFallbacks(), "event", "persistence-fallback")
 	}
-	fmt.Fprintln(w, "# HELP e3_replan_invocations_total Planner invocations by the replan loop.")
-	fmt.Fprintln(w, "# TYPE e3_replan_invocations_total counter")
-	fmt.Fprintf(w, "e3_replan_invocations_total %d\n", a.cp.Replans)
-	fmt.Fprintln(w, "# HELP e3_replan_plan_changes_total Replans that changed the deployment.")
-	fmt.Fprintln(w, "# TYPE e3_replan_plan_changes_total counter")
-	fmt.Fprintf(w, "e3_replan_plan_changes_total %d\n", a.cp.PlanChanges)
-	fmt.Fprintln(w, "# HELP e3_replan_plan_cache_hits_total Replans answered from the cross-window plan cache.")
-	fmt.Fprintln(w, "# TYPE e3_replan_plan_cache_hits_total counter")
-	fmt.Fprintf(w, "e3_replan_plan_cache_hits_total %d\n", a.cp.PlanCacheHits)
-	fmt.Fprintln(w, "# HELP e3_replan_plan_cache_misses_total Replans that ran a fresh plan search.")
-	fmt.Fprintln(w, "# TYPE e3_replan_plan_cache_misses_total counter")
-	fmt.Fprintf(w, "e3_replan_plan_cache_misses_total %d\n", a.cp.PlanCacheMisses)
-	if b := a.cp.Budget; b != nil {
-		fmt.Fprintln(w, "# HELP e3_slo_budget_target Attainment target the error budget is tracked against.")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_target gauge")
-		fmt.Fprintf(w, "e3_slo_budget_target %g\n", b.Target())
-		fmt.Fprintln(w, "# HELP e3_slo_budget_windows_total Windows folded into the error budget.")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_windows_total counter")
-		fmt.Fprintf(w, "e3_slo_budget_windows_total %d\n", b.Windows())
-		fmt.Fprintln(w, "# HELP e3_slo_budget_breaches_total Windows whose burn rate crossed the alert threshold.")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_breaches_total counter")
-		fmt.Fprintf(w, "e3_slo_budget_breaches_total %d\n", b.Breaches())
+	e.one("e3_replan_invocations_total", "counter", "Planner invocations by the replan loop.", cp.Replans)
+	e.one("e3_replan_plan_changes_total", "counter", "Replans that changed the deployment.", cp.PlanChanges)
+	e.one("e3_replan_plan_cache_hits_total", "counter", "Replans answered from the cross-window plan cache.", cp.PlanCacheHits)
+	e.one("e3_replan_plan_cache_misses_total", "counter", "Replans that ran a fresh plan search.", cp.PlanCacheMisses)
+	if b := cp.Budget; b != nil {
 		last := b.Last()
-		fmt.Fprintln(w, "# HELP e3_slo_budget_attainment Last window's SLO attainment fraction.")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_attainment gauge")
-		fmt.Fprintf(w, "e3_slo_budget_attainment %g\n", last.Attainment)
-		fmt.Fprintln(w, "# HELP e3_slo_budget_burn_rate Last window's error-budget burn rate (1 = burning exactly the budget).")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_burn_rate gauge")
-		fmt.Fprintf(w, "e3_slo_budget_burn_rate %g\n", last.BurnRate)
-		fmt.Fprintln(w, "# HELP e3_slo_budget_remaining Fraction of the cumulative error budget still unspent.")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_remaining gauge")
-		fmt.Fprintf(w, "e3_slo_budget_remaining %g\n", last.BudgetRemaining)
-		fmt.Fprintln(w, "# HELP e3_slo_budget_exhaustion_seconds Projected seconds until budget exhaustion at the current burn rate (-1 = never).")
-		fmt.Fprintln(w, "# TYPE e3_slo_budget_exhaustion_seconds gauge")
-		fmt.Fprintf(w, "e3_slo_budget_exhaustion_seconds %g\n", last.ExhaustionIn)
+		e.one("e3_slo_budget_target", "gauge", "Attainment target the error budget is tracked against.", b.Target())
+		e.one("e3_slo_budget_windows_total", "counter", "Windows folded into the error budget.", b.Windows())
+		e.one("e3_slo_budget_breaches_total", "counter", "Windows whose burn rate crossed the alert threshold.", b.Breaches())
+		e.one("e3_slo_budget_attainment", "gauge", "Last window's SLO attainment fraction.", last.Attainment)
+		e.one("e3_slo_budget_burn_rate", "gauge", "Last window's error-budget burn rate (1 = burning exactly the budget).", last.BurnRate)
+		e.one("e3_slo_budget_remaining", "gauge", "Fraction of the cumulative error budget still unspent.", last.BudgetRemaining)
+		e.one("e3_slo_budget_exhaustion_seconds", "gauge", "Projected seconds until budget exhaustion at the current burn rate (-1 = never).", last.ExhaustionIn)
 	}
 }

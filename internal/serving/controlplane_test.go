@@ -38,8 +38,7 @@ func getJSON(t *testing.T, url string, v any) {
 // provenance or replans blocks; with a fresh (empty) one, the replan block
 // is present with an empty-but-non-null history.
 func TestPlanEndpointEmptyHistory(t *testing.T) {
-	api := testAPI(t)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(testAPI(t).Handler())
 	defer srv.Close()
 
 	var bare map[string]json.RawMessage
@@ -51,9 +50,10 @@ func TestPlanEndpointEmptyHistory(t *testing.T) {
 		t.Error("replans present without an attached control plane")
 	}
 
-	api.AttachControlPlane(&ControlPlane{Diffs: optimizer.NewDiffRing(4)})
+	withCP := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{Diffs: optimizer.NewDiffRing(4)}}).Handler())
+	defer withCP.Close()
 	var resp PlanResponse
-	getJSON(t, srv.URL+"/v1/plan", &resp)
+	getJSON(t, withCP.URL+"/v1/plan", &resp)
 	if resp.Replans == nil {
 		t.Fatal("replans block missing")
 	}
@@ -68,18 +68,15 @@ func TestPlanEndpointEmptyHistory(t *testing.T) {
 // TestPlanEndpointPostReplan: provenance and the diff history round-trip
 // through /v1/plan after replans.
 func TestPlanEndpointPostReplan(t *testing.T) {
-	api := testAPI(t)
 	// Re-run the planner with provenance attached to get a real trace.
 	plan, trace := replanFixture(t)
 	ring := optimizer.NewDiffRing(4)
 	d := optimizer.DiffPlans(optimizer.Plan{}, plan)
 	d.Window, d.At, d.Reason = 0, 0, "initial plan"
 	ring.Push(d)
-	api.AttachControlPlane(&ControlPlane{
+	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{
 		Provenance: trace, Diffs: ring, Replans: 1, PlanChanges: 1,
-	})
-
-	srv := httptest.NewServer(api.Handler())
+	}}).Handler())
 	defer srv.Close()
 	var resp PlanResponse
 	getJSON(t, srv.URL+"/v1/plan", &resp)
@@ -110,13 +107,12 @@ func TestPlanEndpointPostReplan(t *testing.T) {
 // TestPlanEndpointRingWrap: a wrapped diff ring reports eviction and
 // serves only the retained tail, oldest first.
 func TestPlanEndpointRingWrap(t *testing.T) {
-	api := testAPI(t)
 	ring := optimizer.NewDiffRing(3)
 	for i := 0; i < 7; i++ {
 		ring.Push(optimizer.PlanDiff{Window: i, Changed: true, Reason: fmt.Sprintf("w%d", i)})
 	}
-	api.AttachControlPlane(&ControlPlane{Diffs: ring, Replans: 7, PlanChanges: 7, PlanCacheHits: 2, PlanCacheMisses: 5})
-	srv := httptest.NewServer(api.Handler())
+	cp := &ControlPlane{Diffs: ring, Replans: 7, PlanChanges: 7, PlanCacheHits: 2, PlanCacheMisses: 5}
+	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: cp}).Handler())
 	defer srv.Close()
 	var resp PlanResponse
 	getJSON(t, srv.URL+"/v1/plan", &resp)
@@ -139,18 +135,16 @@ func TestPlanEndpointRingWrap(t *testing.T) {
 // TestMetricsControlPlaneSeries: the forecast and replan series appear
 // with the attached values.
 func TestMetricsControlPlaneSeries(t *testing.T) {
-	api := testAPI(t)
 	est := forecast.NewEstimator(2)
 	est.Stats = forecast.NewStats(2)
 	est.Method = forecast.MethodPersistence
 	est.Observe(profFromSurv(1, 0.5))
 	est.Predict()
 	est.Observe(profFromSurv(1, 0.4))
-	api.AttachControlPlane(&ControlPlane{
+	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{
 		Forecast: est.Stats, Diffs: optimizer.NewDiffRing(4), Replans: 3, PlanChanges: 2,
 		PlanCacheHits: 5, PlanCacheMisses: 4,
-	})
-	srv := httptest.NewServer(api.Handler())
+	}}).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -7,21 +7,10 @@ package serving
 // growing log), so serving it is O(stacks) per request.
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 
 	"e3/internal/flame"
 )
-
-// AttachFlame exposes a compute profile and its reconcile verdict through
-// /v1/flame; the verdict also gates /v1/health readiness.
-func (a *API) AttachFlame(prof *flame.Profile, stat flame.ReconcileStat) {
-	a.mu.Lock()
-	a.flameProf = prof
-	a.flameStat = stat
-	a.mu.Unlock()
-}
 
 // FlameResponse is the default (JSON) /v1/flame body.
 type FlameResponse struct {
@@ -32,37 +21,22 @@ type FlameResponse struct {
 // writeFlameMetrics emits the e3_flame_* rollup series for /metrics:
 // per-leaf busy weight, per-cause bubble weight, and the reconcile
 // verdict. Silent when no profile is attached. The caller holds a.mu.
-func (a *API) writeFlameMetrics(w http.ResponseWriter) {
-	if a.flameProf == nil {
+func (a *API) writeFlameMetrics(e expo) {
+	if a.boot.Flame == nil {
 		return
 	}
-	busy, bubble := a.flameProf.Rollup()
-	writeLabeled := func(name, help, label string, vals map[string]int64) {
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s counter\n", name)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s{%s=\"%s\"} %d\n", name, label, promEscape(k), vals[k])
-		}
+	busy, bubble := a.boot.Flame.Rollup()
+	e.family("e3_flame_busy_nanos_total", "counter", "Virtual busy nanoseconds of the profiled run by leaf frame.")
+	for _, class := range sortedKeys(busy) {
+		e.sample("e3_flame_busy_nanos_total", busy[class], "class", class)
 	}
-	writeLabeled("e3_flame_busy_nanos_total",
-		"Virtual busy nanoseconds of the profiled run by leaf frame.", "class", busy)
-	writeLabeled("e3_flame_bubble_nanos_total",
-		"Virtual idle nanoseconds of the profiled run by bubble cause.", "cause", bubble)
-	ok := 0
-	if a.flameStat.OK() {
-		ok = 1
+	e.family("e3_flame_bubble_nanos_total", "counter", "Virtual idle nanoseconds of the profiled run by bubble cause.")
+	for _, cause := range sortedKeys(bubble) {
+		e.sample("e3_flame_bubble_nanos_total", bubble[cause], "cause", cause)
 	}
-	fmt.Fprintln(w, "# HELP e3_flame_reconcile_ok Whether the flame profile reconciled exactly against the ledger.")
-	fmt.Fprintln(w, "# TYPE e3_flame_reconcile_ok gauge")
-	fmt.Fprintf(w, "e3_flame_reconcile_ok %d\n", ok)
-	fmt.Fprintln(w, "# HELP e3_flame_residual_nanos Total integer disagreement of the flame reconcile.")
-	fmt.Fprintln(w, "# TYPE e3_flame_residual_nanos gauge")
-	fmt.Fprintf(w, "e3_flame_residual_nanos %d\n", a.flameStat.Residual)
+	stat := a.boot.FlameStat
+	e.one("e3_flame_reconcile_ok", "gauge", "Whether the flame profile reconciled exactly against the ledger.", stat.OK())
+	e.one("e3_flame_residual_nanos", "gauge", "Total integer disagreement of the flame reconcile.", stat.Residual)
 }
 
 // handleFlameV1 serves the attached profile. ?format=folded returns
@@ -70,16 +44,14 @@ func (a *API) writeFlameMetrics(w http.ResponseWriter) {
 // `go tool pprof`); the default is the JSON summary with the reconcile
 // verdict. 404 when the server booted without profiling.
 func (a *API) handleFlameV1(w http.ResponseWriter, r *http.Request) {
-	a.mu.Lock()
-	prof, stat := a.flameProf, a.flameStat
-	a.mu.Unlock()
+	prof := a.boot.Flame
 	if prof == nil {
 		http.Error(w, "no compute profile attached", http.StatusNotFound)
 		return
 	}
 	switch r.URL.Query().Get("format") {
 	case "", "json":
-		writeJSON(w, FlameResponse{Reconcile: stat, Profile: prof})
+		writeJSON(w, FlameResponse{Reconcile: a.boot.FlameStat, Profile: prof})
 	case "folded":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(prof.Folded())

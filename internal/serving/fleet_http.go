@@ -5,10 +5,7 @@ package serving
 // completed fleet run into a FleetStatus; the API renders it as
 // per-replica rows in /v1/health and e3_fleet_* series on /metrics.
 
-import (
-	"fmt"
-	"net/http"
-)
+import "strconv"
 
 // FleetTenantStatus is one (replica, tenant) stack's terminal row.
 type FleetTenantStatus struct {
@@ -46,82 +43,47 @@ type FleetStatus struct {
 	Rows      []FleetReplicaStatus `json:"rows"`
 }
 
-// AttachFleet exposes a fleet run's status through /v1/health and
-// /metrics.
-func (a *API) AttachFleet(fs *FleetStatus) {
-	a.mu.Lock()
-	a.fleet = fs
-	a.mu.Unlock()
-}
-
 // writeFleetMetrics renders the e3_fleet_* series. Caller holds a.mu.
-func (a *API) writeFleetMetrics(w http.ResponseWriter) {
-	fs := a.fleet
+func (a *API) writeFleetMetrics(e expo) {
+	fs := a.boot.Fleet
 	if fs == nil {
 		return
 	}
-	fmt.Fprintln(w, "# HELP e3_fleet_replicas Replica shards in the attached fleet run.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_replicas gauge")
-	fmt.Fprintf(w, "e3_fleet_replicas %d\n", fs.Replicas)
-	fmt.Fprintln(w, "# HELP e3_fleet_workers Shard-runner worker count of the attached fleet run.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_workers gauge")
-	fmt.Fprintf(w, "e3_fleet_workers %d\n", fs.Workers)
-	fmt.Fprintln(w, "# HELP e3_fleet_epochs_total Routing epochs executed.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_epochs_total counter")
-	fmt.Fprintf(w, "e3_fleet_epochs_total %d\n", fs.Epochs)
+	e.one("e3_fleet_replicas", "gauge", "Replica shards in the attached fleet run.", fs.Replicas)
+	e.one("e3_fleet_workers", "gauge", "Shard-runner worker count of the attached fleet run.", fs.Workers)
+	e.one("e3_fleet_epochs_total", "counter", "Routing epochs executed.", fs.Epochs)
+	e.family("e3_fleet_samples_total", "counter", "Fleet front-door accounting by outcome.")
+	e.sample("e3_fleet_samples_total", fs.Minted, "outcome", "minted")
+	e.sample("e3_fleet_samples_total", fs.Routed, "outcome", "routed")
+	e.sample("e3_fleet_samples_total", fs.DoorShed, "outcome", "door_shed")
+	e.one("e3_fleet_events_total", "counter", "Simulator events processed, summed across shards.", fs.Events)
+	e.one("e3_fleet_conserved", "gauge", "Whether the fleet's conservation invariants held (1 = yes).", fs.Conserved)
 
-	fmt.Fprintln(w, "# HELP e3_fleet_samples_total Fleet front-door accounting by outcome.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_samples_total counter")
-	fmt.Fprintf(w, "e3_fleet_samples_total{outcome=\"minted\"} %d\n", fs.Minted)
-	fmt.Fprintf(w, "e3_fleet_samples_total{outcome=\"routed\"} %d\n", fs.Routed)
-	fmt.Fprintf(w, "e3_fleet_samples_total{outcome=\"door_shed\"} %d\n", fs.DoorShed)
-
-	fmt.Fprintln(w, "# HELP e3_fleet_events_total Simulator events processed, summed across shards.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_events_total counter")
-	fmt.Fprintf(w, "e3_fleet_events_total %d\n", fs.Events)
-
-	fmt.Fprintln(w, "# HELP e3_fleet_conserved Whether the fleet's conservation invariants held (1 = yes).")
-	fmt.Fprintln(w, "# TYPE e3_fleet_conserved gauge")
-	conserved := 0
-	if fs.Conserved {
-		conserved = 1
-	}
-	fmt.Fprintf(w, "e3_fleet_conserved %d\n", conserved)
-
-	fmt.Fprintln(w, "# HELP e3_fleet_replica_events_total Events processed per replica shard.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_replica_events_total counter")
+	e.family("e3_fleet_replica_events_total", "counter", "Events processed per replica shard.")
 	for _, row := range fs.Rows {
-		fmt.Fprintf(w, "e3_fleet_replica_events_total{replica=\"%d\",gpus=\"%s\"} %d\n",
-			row.Index, promEscape(row.GPUs), row.Events)
+		e.sample("e3_fleet_replica_events_total", row.Events, "replica", strconv.Itoa(row.Index), "gpus", row.GPUs)
 	}
-
-	fmt.Fprintln(w, "# HELP e3_fleet_tenant_samples_total Per-replica per-tenant outcomes of the attached fleet run.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_tenant_samples_total counter")
+	const tenantSamples = "e3_fleet_tenant_samples_total"
+	e.family(tenantSamples, "counter", "Per-replica per-tenant outcomes of the attached fleet run.")
 	for _, row := range fs.Rows {
+		rep := strconv.Itoa(row.Index)
 		for _, tr := range row.Tenants {
-			base := fmt.Sprintf("replica=\"%d\",tenant=\"%s\"", row.Index, promEscape(tr.Tenant))
-			fmt.Fprintf(w, "e3_fleet_tenant_samples_total{%s,outcome=\"routed\"} %d\n", base, tr.Routed)
-			fmt.Fprintf(w, "e3_fleet_tenant_samples_total{%s,outcome=\"served\"} %d\n", base, tr.Served)
-			fmt.Fprintf(w, "e3_fleet_tenant_samples_total{%s,outcome=\"violated\"} %d\n", base, tr.Violations)
-			fmt.Fprintf(w, "e3_fleet_tenant_samples_total{%s,outcome=\"dropped\"} %d\n", base, tr.Dropped)
+			e.sample(tenantSamples, tr.Routed, "replica", rep, "tenant", tr.Tenant, "outcome", "routed")
+			e.sample(tenantSamples, tr.Served, "replica", rep, "tenant", tr.Tenant, "outcome", "served")
+			e.sample(tenantSamples, tr.Violations, "replica", rep, "tenant", tr.Tenant, "outcome", "violated")
+			e.sample(tenantSamples, tr.Dropped, "replica", rep, "tenant", tr.Tenant, "outcome", "dropped")
 		}
 	}
-
-	fmt.Fprintln(w, "# HELP e3_fleet_tenant_goodput_per_sec Goodput per (replica, tenant) stack.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_tenant_goodput_per_sec gauge")
+	e.family("e3_fleet_tenant_goodput_per_sec", "gauge", "Goodput per (replica, tenant) stack.")
 	for _, row := range fs.Rows {
 		for _, tr := range row.Tenants {
-			fmt.Fprintf(w, "e3_fleet_tenant_goodput_per_sec{replica=\"%d\",tenant=\"%s\"} %g\n",
-				row.Index, promEscape(tr.Tenant), tr.GoodputPS)
+			e.sample("e3_fleet_tenant_goodput_per_sec", tr.GoodputPS, "replica", strconv.Itoa(row.Index), "tenant", tr.Tenant)
 		}
 	}
-
-	fmt.Fprintln(w, "# HELP e3_fleet_tenant_burn_rate Final-epoch SLO budget burn per (replica, tenant) stack.")
-	fmt.Fprintln(w, "# TYPE e3_fleet_tenant_burn_rate gauge")
+	e.family("e3_fleet_tenant_burn_rate", "gauge", "Final-epoch SLO budget burn per (replica, tenant) stack.")
 	for _, row := range fs.Rows {
 		for _, tr := range row.Tenants {
-			fmt.Fprintf(w, "e3_fleet_tenant_burn_rate{replica=\"%d\",tenant=\"%s\"} %g\n",
-				row.Index, promEscape(tr.Tenant), tr.BurnRate)
+			e.sample("e3_fleet_tenant_burn_rate", tr.BurnRate, "replica", strconv.Itoa(row.Index), "tenant", tr.Tenant)
 		}
 	}
 }

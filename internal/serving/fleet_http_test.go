@@ -27,9 +27,7 @@ func testFleetStatus(conserved bool) *FleetStatus {
 // TestHealthV1FleetRows checks the per-replica rows ride on /v1/health
 // and that a conserved fleet leaves readiness intact.
 func TestHealthV1FleetRows(t *testing.T) {
-	api := testAPI(t)
-	api.AttachFleet(testFleetStatus(true))
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(true)}).Handler())
 	defer srv.Close()
 
 	var hr HealthResponse
@@ -50,9 +48,7 @@ func TestHealthV1FleetRows(t *testing.T) {
 // TestHealthV1FleetConservationGatesReadiness: a fleet run whose
 // invariants failed must fail the probe.
 func TestHealthV1FleetConservationGatesReadiness(t *testing.T) {
-	api := testAPI(t)
-	api.AttachFleet(testFleetStatus(false))
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(false)}).Handler())
 	defer srv.Close()
 
 	var hr HealthResponse
@@ -66,9 +62,7 @@ func TestHealthV1FleetConservationGatesReadiness(t *testing.T) {
 
 // TestMetricsFleetSeries checks the e3_fleet_* exposition.
 func TestMetricsFleetSeries(t *testing.T) {
-	api := testAPI(t)
-	api.AttachFleet(testFleetStatus(true))
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(true)}).Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")

@@ -11,13 +11,6 @@ import (
 	"e3/internal/slo"
 )
 
-// AttachRecorder exposes a flight recorder through /v1/debug/bundle.
-func (a *API) AttachRecorder(rec *slo.Recorder) {
-	a.mu.Lock()
-	a.recorder = rec
-	a.mu.Unlock()
-}
-
 // HealthAudit is the last audit run's verdict.
 type HealthAudit struct {
 	OK         bool `json:"ok"`
@@ -71,43 +64,43 @@ func (a *API) handleHealthV1(w http.ResponseWriter, _ *http.Request) {
 		PlanGPUs:   a.plan.GPUs,
 	}
 	ready := resp.PlanLoaded
-	if a.auditRep != nil {
+	if rep := a.boot.Audit; rep != nil {
 		resp.Audit = &HealthAudit{
-			OK:         a.auditRep.OK(),
-			Samples:    a.auditRep.Samples,
-			Violations: len(a.auditRep.Violations),
+			OK:         rep.OK(),
+			Samples:    rep.Samples,
+			Violations: len(rep.Violations),
 		}
 		ready = ready && resp.Audit.OK
 	}
-	if a.flameStat.Checked {
+	if stat := a.boot.FlameStat; stat.Checked {
 		resp.Flame = &HealthFlame{
-			OK:            a.flameStat.OK(),
-			Devices:       a.flameStat.Devices,
-			ResidualNanos: a.flameStat.Residual,
+			OK:            stat.OK(),
+			Devices:       stat.Devices,
+			ResidualNanos: stat.Residual,
 		}
 		ready = ready && resp.Flame.OK
 	}
-	if a.cp != nil {
+	if cp := a.boot.ControlPlane; cp != nil {
 		// A provenance-only control plane (static boot plan, no replan
 		// loop configured) carries no loop artifacts; only gate readiness
 		// on loop liveness when the loop was supposed to run.
-		loopConfigured := a.cp.Replans > 0 || a.cp.PlanChanges > 0 ||
-			a.cp.Forecast != nil || a.cp.Diffs != nil || a.cp.Budget != nil
+		loopConfigured := cp.Replans > 0 || cp.PlanChanges > 0 ||
+			cp.Forecast != nil || cp.Diffs != nil || cp.Budget != nil
 		if loopConfigured {
 			resp.Replan = &HealthReplan{
-				Alive:       a.cp.Replans > 0,
-				Invocations: a.cp.Replans,
-				PlanChanges: a.cp.PlanChanges,
+				Alive:       cp.Replans > 0,
+				Invocations: cp.Replans,
+				PlanChanges: cp.PlanChanges,
 			}
 			ready = ready && resp.Replan.Alive
 		}
-		resp.Budget = a.cp.Budget.Snapshot()
+		resp.Budget = cp.Budget.Snapshot()
 	}
-	if a.fleet != nil {
+	if fs := a.boot.Fleet; fs != nil {
 		// The fleet block carries one row per replica; a run whose
 		// conservation invariants failed is not servable.
-		resp.Fleet = a.fleet
-		ready = ready && a.fleet.Conserved
+		resp.Fleet = fs
+		ready = ready && fs.Conserved
 	}
 	resp.Ready = ready
 	if !ready {
@@ -130,12 +123,13 @@ type BundleResponse struct {
 func (a *API) handleDebugBundle(w http.ResponseWriter, _ *http.Request) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.recorder == nil {
+	rec := a.boot.Recorder
+	if rec == nil {
 		http.Error(w, "no flight recorder attached", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, BundleResponse{
-		Triggers: a.recorder.TriggerCount(),
-		Bundle:   a.recorder.Last(),
+		Triggers: rec.TriggerCount(),
+		Bundle:   rec.Last(),
 	})
 }

@@ -42,14 +42,12 @@ func TestHealthV1PlanOnly(t *testing.T) {
 }
 
 func TestHealthV1AuditVerdictGatesReadiness(t *testing.T) {
-	api := testAPI(t)
 	led := audit.NewLedger()
 	led.Arrived(1, 0)
 	led.Queued(1, 0)
 	led.Completed(1, 0.01, 4)
 	rep := led.Verify()
-	api.AttachAudit(rep)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Audit: rep}).Handler())
 	defer srv.Close()
 
 	var hr HealthResponse
@@ -71,14 +69,12 @@ func TestHealthV1AuditVerdictGatesReadiness(t *testing.T) {
 }
 
 func TestHealthV1ReplanAliveAndBudget(t *testing.T) {
-	api := testAPI(t)
 	bud := slo.NewBudget(0.99, 2.0)
 	bud.ObserveWindow(0, 99, 1, 0, 2.0)
 	// A control plane with zero invocations means the replan loop never
 	// ran: not ready.
 	cp := &ControlPlane{Budget: bud}
-	api.AttachControlPlane(cp)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: cp}).Handler())
 	defer srv.Close()
 
 	var hr HealthResponse
@@ -116,11 +112,9 @@ func TestDebugBundleNoRecorder(t *testing.T) {
 }
 
 func TestDebugBundleEmptyAndPostFailure(t *testing.T) {
-	api := testAPI(t)
 	attr := slo.NewAttribution(4)
 	rec := &slo.Recorder{Attr: attr}
-	api.AttachRecorder(rec)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Recorder: rec}).Handler())
 	defer srv.Close()
 
 	// Attached but never triggered: 200 with zero triggers and no bundle.
@@ -157,15 +151,13 @@ func TestDebugBundleEmptyAndPostFailure(t *testing.T) {
 func TestDebugBundleRingWrap(t *testing.T) {
 	// A recorder over a small ring must serve only the span tail and
 	// report what the ring evicted, keeping the endpoint bounded.
-	api := testAPI(t)
 	tr := telemetry.NewRing(8)
 	for i := 0; i < 100; i++ {
 		tr.Execute("g0", "V100", 0, 4, float64(i), float64(i)+0.5)
 	}
 	rec := &slo.Recorder{Spans: tr, MaxSpans: 4}
-	api.AttachRecorder(rec)
 	rec.Trigger(slo.TriggerEngineAbort, "wrap", 100.0)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Recorder: rec}).Handler())
 	defer srv.Close()
 
 	var br BundleResponse

@@ -1,13 +1,8 @@
 package serving
 
 import (
-	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-
-	"e3/internal/metrics"
-	"e3/internal/telemetry"
 )
 
 // Live observability endpoints. /metrics serves Prometheus text
@@ -15,125 +10,55 @@ import (
 // O(buckets) regardless of how many requests the attached run served);
 // /v1/trace serves the tracer's ring-buffered recent spans as JSON.
 
-// AttachTelemetry exposes a tracer — typically the ring tracer fed by the
-// boot-time simulated run — through /metrics and /v1/trace.
-func (a *API) AttachTelemetry(tr *telemetry.Tracer) {
-	a.mu.Lock()
-	a.tracer = tr
-	a.mu.Unlock()
-}
-
-// promEscape escapes a Prometheus label value.
-func promEscape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '\\':
-			out = append(out, '\\', '\\')
-		case '"':
-			out = append(out, '\\', '"')
-		case '\n':
-			out = append(out, '\\', 'n')
-		default:
-			out = append(out, s[i])
-		}
-	}
-	return string(out)
-}
-
-// writePromHistogram renders one histogram in Prometheus exposition
-// format. extraLabels must be pre-rendered (`split="0"`) or empty.
-func writePromHistogram(w http.ResponseWriter, name, help, extraLabels string, h *metrics.Histogram, typed bool) {
-	if typed {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	}
-	sep := ""
-	if extraLabels != "" {
-		sep = ","
-	}
-	bounds, cum := h.Buckets()
-	for i, b := range bounds {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%s\"} %d\n",
-			name, extraLabels, sep, strconv.FormatFloat(b, 'g', -1, 64), cum[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, extraLabels, sep, h.Count())
-	if extraLabels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
-		fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, extraLabels, h.Sum())
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, extraLabels, h.Count())
-	}
-}
-
+// handleMetrics writes the scrape in a fixed section order: the live
+// /v1/infer series, then the control plane, flame and fleet sections, then
+// the boot run's tracer.
 func (a *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	e := expo{w}
 
-	fmt.Fprintln(w, "# HELP e3_infer_requests_total Inference requests served over HTTP.")
-	fmt.Fprintln(w, "# TYPE e3_infer_requests_total counter")
-	fmt.Fprintf(w, "e3_infer_requests_total %d\n", a.served)
-
-	layers := make([]int, 0, len(a.exitCounts))
-	for k := range a.exitCounts {
-		layers = append(layers, k)
+	e.one("e3_infer_requests_total", "counter", "Inference requests served over HTTP.", a.served)
+	e.family("e3_exit_layer_total", "counter", "Requests by early-exit layer.")
+	for _, k := range sortedKeys(a.exitCounts) {
+		e.sample("e3_exit_layer_total", a.exitCounts[k], "layer", strconv.Itoa(k))
 	}
-	sort.Ints(layers)
-	fmt.Fprintln(w, "# HELP e3_exit_layer_total Requests by early-exit layer.")
-	fmt.Fprintln(w, "# TYPE e3_exit_layer_total counter")
-	for _, k := range layers {
-		fmt.Fprintf(w, "e3_exit_layer_total{layer=\"%d\"} %d\n", k, a.exitCounts[k])
-	}
+	e.family("e3_infer_predicted_latency_seconds", "histogram", "Plan-predicted latency of live inference requests.")
+	e.histogram("e3_infer_predicted_latency_seconds", a.inferLat)
 
-	writePromHistogram(w, "e3_infer_predicted_latency_seconds",
-		"Plan-predicted latency of live inference requests.", "", a.inferLat, true)
+	a.writeControlPlaneMetrics(e)
+	a.writeFlameMetrics(e)
+	a.writeFleetMetrics(e)
 
-	a.writeControlPlaneMetrics(w)
-	a.writeFlameMetrics(w)
-	a.writeFleetMetrics(w)
-
-	if a.tracer == nil {
+	tr := a.boot.Tracer
+	if tr == nil {
 		return
 	}
-	arrived, completed, dropped := a.tracer.Counts()
-	fmt.Fprintln(w, "# HELP e3_sim_samples_total Samples of the attached simulated run by outcome.")
-	fmt.Fprintln(w, "# TYPE e3_sim_samples_total counter")
-	fmt.Fprintf(w, "e3_sim_samples_total{outcome=\"arrived\"} %d\n", arrived)
-	fmt.Fprintf(w, "e3_sim_samples_total{outcome=\"completed\"} %d\n", completed)
-	fmt.Fprintf(w, "e3_sim_samples_total{outcome=\"dropped\"} %d\n", dropped)
+	arrived, completed, dropped := tr.Counts()
+	e.family("e3_sim_samples_total", "counter", "Samples of the attached simulated run by outcome.")
+	e.sample("e3_sim_samples_total", arrived, "outcome", "arrived")
+	e.sample("e3_sim_samples_total", completed, "outcome", "completed")
+	e.sample("e3_sim_samples_total", dropped, "outcome", "dropped")
 
-	reasons := make([]string, 0, len(a.tracer.DropsByReason()))
-	for reason := range a.tracer.DropsByReason() {
-		reasons = append(reasons, reason)
-	}
-	sort.Strings(reasons)
-	fmt.Fprintln(w, "# HELP e3_sim_drops_total Dropped samples of the attached run by reason.")
-	fmt.Fprintln(w, "# TYPE e3_sim_drops_total counter")
-	for _, reason := range reasons {
-		fmt.Fprintf(w, "e3_sim_drops_total{reason=\"%s\"} %d\n",
-			promEscape(reason), a.tracer.DropsByReason()[reason])
+	drops := tr.DropsByReason()
+	e.family("e3_sim_drops_total", "counter", "Dropped samples of the attached run by reason.")
+	for _, reason := range sortedKeys(drops) {
+		e.sample("e3_sim_drops_total", drops[reason], "reason", reason)
 	}
 
-	writePromHistogram(w, "e3_sim_latency_seconds",
-		"Completion latency of the attached simulated run.", "", a.tracer.LatencyHist(), true)
+	e.family("e3_sim_latency_seconds", "histogram", "Completion latency of the attached simulated run.")
+	e.histogram("e3_sim_latency_seconds", tr.LatencyHist())
 
-	stages := a.tracer.Stages()
-	first := true
-	for _, st := range stages {
-		writePromHistogram(w, "e3_split_batch_size",
-			"Executed batch sizes per split of the attached run.",
-			fmt.Sprintf("split=\"%d\"", st), a.tracer.BatchHist(st), first)
-		first = false
+	if stages := tr.Stages(); len(stages) > 0 {
+		e.family("e3_split_batch_size", "histogram", "Executed batch sizes per split of the attached run.")
+		for _, st := range stages {
+			e.histogram("e3_split_batch_size", tr.BatchHist(st), "split", strconv.Itoa(st))
+		}
 	}
 
-	fmt.Fprintln(w, "# HELP e3_trace_spans_total Spans recorded by the tracer (including ring-evicted).")
-	fmt.Fprintln(w, "# TYPE e3_trace_spans_total counter")
-	fmt.Fprintf(w, "e3_trace_spans_total %d\n", a.tracer.Total())
-	fmt.Fprintln(w, "# HELP e3_trace_spans_evicted_total Spans evicted from the ring buffer.")
-	fmt.Fprintln(w, "# TYPE e3_trace_spans_evicted_total counter")
-	fmt.Fprintf(w, "e3_trace_spans_evicted_total %d\n", a.tracer.Evicted())
+	e.one("e3_trace_spans_total", "counter", "Spans recorded by the tracer (including ring-evicted).", tr.Total())
+	e.one("e3_trace_spans_evicted_total", "counter", "Spans evicted from the ring buffer.", tr.Evicted())
 }
 
 // SpanJSON is one span of the /v1/trace response.
@@ -159,10 +84,10 @@ func (a *API) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	resp := TraceResponse{Spans: []SpanJSON{}}
-	if a.tracer != nil {
-		resp.TotalRecorded = a.tracer.Total()
-		resp.Evicted = a.tracer.Evicted()
-		for _, s := range a.tracer.Spans() {
+	if tr := a.boot.Tracer; tr != nil {
+		resp.TotalRecorded = tr.Total()
+		resp.Evicted = tr.Evicted()
+		for _, s := range tr.Spans() {
 			resp.Spans = append(resp.Spans, SpanJSON{
 				Track: s.Track, Kind: s.Kind.String(), Start: s.Start, End: s.End,
 				Stage: s.Stage, Batch: s.Batch, GPU: s.GPU,

@@ -3,6 +3,7 @@ package serving
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -74,9 +75,7 @@ func TestMetricsWithoutTelemetry(t *testing.T) {
 }
 
 func TestMetricsGolden(t *testing.T) {
-	api := testAPI(t)
-	api.AttachTelemetry(testTracer(0))
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: testTracer(0)}).Handler())
 	defer srv.Close()
 
 	// One live inference so the live sections are non-trivial too.
@@ -120,13 +119,11 @@ func TestMetricsGolden(t *testing.T) {
 }
 
 func TestMetricsBucketsCumulative(t *testing.T) {
-	api := testAPI(t)
 	tr := telemetry.New()
 	for _, lat := range []float64{0.001, 0.01, 0.1, 1.0} {
 		tr.Complete(lat, lat)
 	}
-	api.AttachTelemetry(tr)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: tr}).Handler())
 	defer srv.Close()
 	out, _ := get(t, srv.URL+"/metrics")
 
@@ -178,9 +175,7 @@ func TestTraceEmpty(t *testing.T) {
 }
 
 func TestTraceGolden(t *testing.T) {
-	api := testAPI(t)
-	api.AttachTelemetry(testTracer(0))
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: testTracer(0)}).Handler())
 	defer srv.Close()
 	body, _ := get(t, srv.URL+"/v1/trace")
 	var tr TraceResponse
@@ -207,13 +202,11 @@ func TestTraceGolden(t *testing.T) {
 }
 
 func TestTraceRingWrap(t *testing.T) {
-	api := testAPI(t)
 	tr := telemetry.NewRing(2)
 	for i := 0; i < 5; i++ {
 		tr.Execute("g0", "V100", 0, i+1, float64(i), float64(i)+0.5)
 	}
-	api.AttachTelemetry(tr)
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: tr}).Handler())
 	defer srv.Close()
 	body, _ := get(t, srv.URL+"/v1/trace")
 	var out TraceResponse
@@ -229,5 +222,174 @@ func TestTraceRingWrap(t *testing.T) {
 	// Oldest-first: batches 4 then 5 survive.
 	if out.Spans[0].Batch != 4 || out.Spans[1].Batch != 5 {
 		t.Fatalf("ring order wrong: %+v", out.Spans)
+	}
+}
+
+// promSample is one parsed exposition sample line.
+type promSample struct {
+	name   string
+	labels [][2]string // in line order
+	value  string
+}
+
+// parsePromSample parses `name{a="x",b="y"} value`, unescaping label
+// values.
+func parsePromSample(line string) (promSample, error) {
+	var s promSample
+	i := strings.IndexAny(line, "{ ")
+	if i <= 0 {
+		return s, fmt.Errorf("no metric name in %q", line)
+	}
+	s.name = line[:i]
+	rest := line[i:]
+	if rest[0] == '{' {
+		rest = rest[1:]
+		for rest != "" && rest[0] != '}' {
+			eq := strings.IndexByte(rest, '=')
+			if eq <= 0 || len(rest) < eq+2 || rest[eq+1] != '"' {
+				return s, fmt.Errorf("bad label in %q", line)
+			}
+			name := rest[:eq]
+			rest = rest[eq+2:]
+			var val strings.Builder
+			for {
+				if rest == "" {
+					return s, fmt.Errorf("unterminated label value in %q", line)
+				}
+				c := rest[0]
+				rest = rest[1:]
+				if c == '"' {
+					break
+				}
+				if c == '\\' {
+					if rest == "" {
+						return s, fmt.Errorf("dangling escape in %q", line)
+					}
+					switch rest[0] {
+					case '\\', '"':
+						c = rest[0]
+					case 'n':
+						c = '\n'
+					default:
+						return s, fmt.Errorf("unknown escape \\%c in %q", rest[0], line)
+					}
+					rest = rest[1:]
+				}
+				val.WriteByte(c)
+			}
+			s.labels = append(s.labels, [2]string{name, val.String()})
+			rest = strings.TrimPrefix(rest, ",")
+		}
+		if rest == "" {
+			return s, fmt.Errorf("unterminated label set in %q", line)
+		}
+		rest = rest[1:]
+	}
+	if !strings.HasPrefix(rest, " ") || strings.ContainsAny(rest[1:], " {}") {
+		return s, fmt.Errorf("bad value in %q", line)
+	}
+	s.value = rest[1:]
+	return s, nil
+}
+
+// TestMetricsExposition checks the shape of the golden scrape: every
+// family declares exactly one # HELP and one # TYPE before its first
+// sample, every sample belongs to a declared family (histograms through
+// _bucket/_sum/_count), each histogram series' buckets never decrease and
+// end at le="+Inf" equal to its _count, and an escaped label value
+// round-trips.
+func TestMetricsExposition(t *testing.T) {
+	scrape := strings.TrimPrefix(goldenBodies(t)["/metrics"], "200\n")
+	help, typ := map[string]int{}, map[string]string{}
+	typeLines, sampled := map[string]int{}, map[string]bool{}
+	lastBucket := map[string]float64{} // histogram series -> last cumulative count
+	infBucket := map[string]string{}
+	counts := map[string]string{}
+	gotReason := false
+	for _, line := range strings.Split(strings.TrimSuffix(scrape, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			if sampled[f[2]] {
+				t.Errorf("%s header after its first sample: %q", f[2], line)
+			}
+			switch f[1] {
+			case "HELP":
+				help[f[2]]++
+			case "TYPE":
+				typeLines[f[2]]++
+				typ[f[2]] = f[3]
+			default:
+				t.Errorf("unknown comment line %q", line)
+			}
+			continue
+		}
+		s, err := parsePromSample(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := strconv.ParseFloat(s.value, 64); err != nil {
+			t.Errorf("unparseable value in %q", line)
+		}
+		family, suffix := s.name, ""
+		if _, ok := typ[family]; !ok {
+			for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(s.name, sfx); base != s.name && typ[base] == "histogram" {
+					family, suffix = base, sfx
+				}
+			}
+		}
+		if typ[family] == "" || help[family] == 0 {
+			t.Errorf("sample of undeclared family: %q", line)
+			continue
+		}
+		if typ[family] == "histogram" && suffix == "" {
+			t.Errorf("histogram sample without a series suffix: %q", line)
+		}
+		sampled[family] = true
+
+		series, le := family, ""
+		for _, l := range s.labels {
+			if l[0] == "le" {
+				le = l[1]
+			} else {
+				series += "," + l[0] + "=" + l[1]
+			}
+			if l[0] == "reason" && l[1] == escapedReason {
+				gotReason = true
+			}
+		}
+		switch suffix {
+		case "_bucket":
+			v, _ := strconv.ParseFloat(s.value, 64)
+			if last, ok := lastBucket[series]; ok && v < last {
+				t.Errorf("bucket decreases to %v after %v: %q", v, last, line)
+			}
+			lastBucket[series] = v
+			if le == "+Inf" {
+				infBucket[series] = s.value
+			}
+		case "_count":
+			counts[series] = s.value
+		}
+	}
+	for name, n := range help {
+		if n != 1 || typeLines[name] != 1 {
+			t.Errorf("%s has %d # HELP and %d # TYPE lines, want 1 and 1", name, n, typeLines[name])
+		}
+	}
+	for name := range typeLines {
+		if help[name] == 0 {
+			t.Errorf("%s has # TYPE but no # HELP", name)
+		}
+	}
+	if len(counts) == 0 {
+		t.Fatal("no histogram series in the scrape")
+	}
+	for series, n := range counts {
+		if infBucket[series] != n {
+			t.Errorf("%s: le=\"+Inf\" bucket %q != _count %q", series, infBucket[series], n)
+		}
+	}
+	if !gotReason {
+		t.Errorf("drop reason %q did not round-trip through the label escape", escapedReason)
 	}
 }

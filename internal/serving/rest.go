@@ -3,6 +3,7 @@ package serving
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 
@@ -21,11 +22,15 @@ import (
 // the response reports the exit decision and the plan-predicted latency.
 type API struct {
 	// net/http runs each handler on its own goroutine, so the REST edge is
-	// the one place in serving that is genuinely concurrent; the mutex
-	// guards only the API's own counters, never event-loop state.
+	// the one place in serving that is genuinely concurrent. The mutex
+	// guards the live /v1/infer counters and serializes the handlers'
+	// reads of the boot parts, whose types are not safe for concurrent
+	// use (/v1/flame alone reads unlocked: a profile is immutable); it
+	// never guards event-loop state.
 	mu    sync.Mutex //e3:concurrent net/http handlers run on server goroutines
 	model *ee.EEModel
 	plan  optimizer.Plan
+	boot  Boot
 
 	served     int
 	exitCounts map[int]int
@@ -33,32 +38,37 @@ type API struct {
 	// /metrics histogram (fixed buckets: a scrape never walks per-request
 	// state).
 	inferLat *metrics.Histogram
-	// auditRep is the verified lifecycle report of a boot-time audit run
-	// (nil when the server started without -audit).
-	auditRep *audit.Report
-	// tracer holds the boot run's spans and histograms for /metrics and
-	// /v1/trace (nil when the server started without telemetry).
-	tracer *telemetry.Tracer
-	// cp holds the control-plane observability state for /v1/plan and
-	// /metrics (nil when none is attached).
-	cp *ControlPlane
-	// recorder holds the flight recorder for /v1/debug/bundle (nil when
-	// none is attached).
-	recorder *slo.Recorder
-	// flameProf/flameStat hold the boot-time traced run's virtual-time
-	// compute profile and its exact-reconcile verdict for /v1/flame and
-	// /v1/health (nil/zero when the server booted without profiling).
-	flameProf *flame.Profile
-	flameStat flame.ReconcileStat
-	// fleet holds the boot-time fleet run's status for /v1/health rows
-	// and e3_fleet_* metrics (nil when the server booted without -fleet).
-	fleet *FleetStatus
 }
 
-// NewAPI builds the handler set for a planned model.
-func NewAPI(m *ee.EEModel, plan optimizer.Plan) *API {
+// Boot is what a server's boot runs leave for the API to expose. Every
+// part is optional: a nil part's blocks and /metrics sections are absent.
+type Boot struct {
+	// Audit is a boot-time audit run's verified lifecycle report
+	// (/v1/stats, and its verdict gates /v1/health).
+	Audit *audit.Report
+	// Tracer holds the boot run's spans and histograms (/metrics,
+	// /v1/trace).
+	Tracer *telemetry.Tracer
+	// ControlPlane is the planner provenance, forecast telemetry and
+	// replan history (/v1/plan, /metrics, /v1/health).
+	ControlPlane *ControlPlane
+	// Recorder is the flight recorder behind /v1/debug/bundle.
+	Recorder *slo.Recorder
+	// Flame is the boot run's virtual-time compute profile (/v1/flame,
+	// /metrics); FlameStat is its exact-reconcile verdict, which also
+	// gates /v1/health.
+	Flame     *flame.Profile
+	FlameStat flame.ReconcileStat
+	// Fleet is a boot-time fleet run's status (/v1/health rows and the
+	// e3_fleet_* series).
+	Fleet *FleetStatus
+}
+
+// NewAPI builds the handler set for a planned model and the parts its
+// boot runs produced.
+func NewAPI(m *ee.EEModel, plan optimizer.Plan, boot Boot) *API {
 	return &API{
-		model: plan.ExecModel(m), plan: plan, exitCounts: make(map[int]int),
+		model: plan.ExecModel(m), plan: plan, boot: boot, exitCounts: make(map[int]int),
 		inferLat: metrics.NewLogHistogram(1e-4, 10.0, 40),
 	}
 }
@@ -99,14 +109,22 @@ type InferResponse struct {
 	PredictedLatencyMS float64 `json:"predicted_latency_ms"`
 }
 
+// maxInferBody caps a /v1/infer body; a valid one is a few dozen bytes.
+const maxInferBody = 4 << 10
+
 func (a *API) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxInferBody))
+	if err := dec.Decode(&req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad request: body must hold exactly one JSON object", http.StatusBadRequest)
 		return
 	}
 	if req.Difficulty < 0 || req.Difficulty > 1 {
@@ -180,13 +198,6 @@ func (a *API) handlePlan(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, resp)
 }
 
-// AttachAudit exposes a verified lifecycle audit through /v1/stats.
-func (a *API) AttachAudit(rep *audit.Report) {
-	a.mu.Lock()
-	a.auditRep = rep
-	a.mu.Unlock()
-}
-
 // AuditJSON summarizes a conservation audit for /v1/stats.
 type AuditJSON struct {
 	Samples    int `json:"samples"`
@@ -212,15 +223,15 @@ func (a *API) handleStats(w http.ResponseWriter, _ *http.Request) {
 		counts[k] = v
 	}
 	resp := StatsResponse{Served: a.served, ExitCounts: counts, DropReasons: map[string]int{}}
-	if a.auditRep != nil {
-		for reason, n := range a.auditRep.ByReason {
+	if rep := a.boot.Audit; rep != nil {
+		for reason, n := range rep.ByReason {
 			resp.DropReasons[string(reason)] = n
 		}
 		resp.Audit = &AuditJSON{
-			Samples:    a.auditRep.Samples,
-			Completed:  a.auditRep.Completed,
-			Dropped:    a.auditRep.Dropped,
-			Violations: len(a.auditRep.Violations),
+			Samples:    rep.Samples,
+			Completed:  rep.Completed,
+			Dropped:    rep.Dropped,
+			Violations: len(rep.Violations),
 		}
 	}
 	writeJSON(w, resp)

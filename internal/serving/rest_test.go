@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"e3/internal/audit"
@@ -19,13 +20,19 @@ import (
 
 func testAPI(t *testing.T) *API {
 	t.Helper()
+	return bootAPI(t, Boot{})
+}
+
+// bootAPI builds the test API over the given boot parts.
+func bootAPI(t *testing.T, boot Boot) *API {
+	t.Helper()
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(0.8), 4000, 1)
 	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, cluster.Homogeneous(gpu.V100, 8), 0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewAPI(m, plan)
+	return NewAPI(m, plan, boot)
 }
 
 func TestRESTHealth(t *testing.T) {
@@ -105,6 +112,28 @@ func TestRESTInferValidation(t *testing.T) {
 		t.Errorf("bad json status %d, want 400", resp.StatusCode)
 	}
 
+	// A body must hold exactly one JSON object (trailing whitespace is
+	// fine) and stay under the size cap.
+	for _, tc := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"trailing whitespace", "{\"difficulty\":0.3} \n", http.StatusOK},
+		{"trailing garbage", `{"difficulty":0.3}garbage`, http.StatusBadRequest},
+		{"second object", `{"difficulty":0.3}{"difficulty":0.4}`, http.StatusBadRequest},
+		{"oversized", `{"difficulty":0.3,"pad":"` + strings.Repeat("x", 8<<10) + `"}`, http.StatusBadRequest},
+	} {
+		resp, err = http.Post(srv.URL+"/v1/infer", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+
 	// Wrong method.
 	resp, err = http.Get(srv.URL + "/v1/infer")
 	if err != nil {
@@ -182,12 +211,11 @@ func TestRESTStats(t *testing.T) {
 		t.Errorf("drop_reasons = %v, want empty map", stats.DropReasons)
 	}
 	if stats.Audit != nil {
-		t.Errorf("audit block present without AttachAudit: %+v", stats.Audit)
+		t.Errorf("audit block present without a boot audit: %+v", stats.Audit)
 	}
 }
 
 func TestRESTStatsAuditBreakdown(t *testing.T) {
-	api := testAPI(t)
 	l := audit.NewLedger()
 	l.Arrived(1, 0)
 	l.Completed(1, 0.01, 12)
@@ -199,9 +227,7 @@ func TestRESTStatsAuditBreakdown(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	api.AttachAudit(rep)
-
-	srv := httptest.NewServer(api.Handler())
+	srv := httptest.NewServer(bootAPI(t, Boot{Audit: rep}).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
@@ -216,7 +242,7 @@ func TestRESTStatsAuditBreakdown(t *testing.T) {
 		t.Errorf("drop_reasons[sla-flush] = %d, want 2", got)
 	}
 	if stats.Audit == nil {
-		t.Fatal("audit block missing after AttachAudit")
+		t.Fatal("audit block missing with a boot audit")
 	}
 	if stats.Audit.Samples != 3 || stats.Audit.Completed != 1 || stats.Audit.Dropped != 2 || stats.Audit.Violations != 0 {
 		t.Errorf("audit block = %+v, want {3 1 2 0}", stats.Audit)

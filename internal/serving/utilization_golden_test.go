@@ -21,7 +21,7 @@ import (
 	"e3/internal/workload"
 )
 
-var updateUtil = flag.Bool("update", false, "rewrite testdata/utilization.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 const utilGoldenPath = "testdata/utilization.golden"
 
@@ -107,7 +107,7 @@ func TestUtilizationGolden(t *testing.T) {
 		lines = append(lines, utilLine(run.kind+" drained", u, eng.Now()))
 	}
 	got := strings.Join(lines, "\n") + "\n"
-	if *updateUtil {
+	if *update {
 		if err := os.WriteFile(utilGoldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
