@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples serve-smoke overhead bench plangate simgate slogate flamegate fleetgate
+.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples serve-smoke overhead bench bench-smoke plangate simgate slogate flamegate fleetgate
 
-verify: fmt build vet lintgate test race audit replan validate examples serve-smoke overhead plangate simgate slogate flamegate fleetgate
+verify: fmt build vet lintgate test race bench-smoke audit replan validate examples serve-smoke overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
 
 # Format gate: fails, listing the files, if gofmt would rewrite any Go
@@ -59,6 +59,13 @@ race:
 # path; the seeded differential test under `make test` covers the rest.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLedgerVerify -fuzztime 30s ./internal/audit/
+
+# Benchmark smoke: runs every benchmark under internal/ once, so a
+# benchmark that no longer builds, panics or fails its own checks is
+# caught without timing anything. The root BenchmarkFig* benchmarks stay
+# out: each one regenerates a whole figure.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # End-to-end conservation audit: exits nonzero on any lifecycle violation.
 audit:

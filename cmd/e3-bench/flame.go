@@ -109,7 +109,7 @@ func runStaticDemo(out outputs, flameRunner string) error {
 		runner = flameRunner
 		obs.Flame = flame.NewProfiler(0)
 	}
-	rep, stat, _, plan, err := experiments.RunDemo(runner, obs, demoHorizon)
+	rep, stat, _, plan, err := experiments.RunDemo(runner, obs, experiments.DemoHorizon)
 	if err != nil {
 		return err
 	}

@@ -176,10 +176,6 @@ func printTable(t experiments.Table, format string, start time.Time) {
 	fmt.Printf("  (completed in %.1fs)\n\n", time.Since(start).Seconds())
 }
 
-// demoHorizon is virtual seconds of bursty arrivals for the traced demo
-// (the audit experiment's setting).
-const demoHorizon = 10.0
-
 // benchSplit is one split's occupancy in the bench report.
 type benchSplit struct {
 	Split     int     `json:"split"`
@@ -227,7 +223,7 @@ func bestOfWall(fn func() error) (float64, error) {
 func exportBench(path string) error {
 	// Stats run: unbounded tracer for the occupancy summary.
 	tr := telemetry.New()
-	rep, _, coll, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, demoHorizon)
+	rep, _, coll, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, experiments.DemoHorizon)
 	if err != nil {
 		return err
 	}
@@ -236,11 +232,11 @@ func exportBench(path string) error {
 	}
 	out := benchReport{
 		Experiment:      "traced-demo (BERT-Base DeeBERT, V100x8, bursty open loop)",
-		HorizonVirtualS: demoHorizon,
+		HorizonVirtualS: experiments.DemoHorizon,
 		Samples:         rep.Samples,
 		Completed:       rep.Completed,
 		Dropped:         rep.Dropped,
-		ThroughputRPS:   float64(rep.Completed) / demoHorizon,
+		ThroughputRPS:   float64(rep.Completed) / experiments.DemoHorizon,
 		P50MS:           coll.Lat.Quantile(0.50) * 1e3,
 		P99MS:           coll.Lat.Quantile(0.99) * 1e3,
 	}
@@ -253,14 +249,14 @@ func exportBench(path string) error {
 
 	// Overhead runs: telemetry off vs. the live-serving ring config.
 	off, err := bestOfWall(func() error {
-		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{}, demoHorizon)
+		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{}, experiments.DemoHorizon)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	on, err := bestOfWall(func() error {
-		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: telemetry.NewRing(4096)}, demoHorizon)
+		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: telemetry.NewRing(4096)}, experiments.DemoHorizon)
 		return err
 	})
 	if err != nil {
@@ -273,7 +269,7 @@ func exportBench(path string) error {
 	}
 
 	env, err := bench.Wrap("traced-demo", experiments.DemoSeed,
-		&bench.TraceParams{HorizonS: demoHorizon, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
+		&bench.TraceParams{HorizonS: experiments.DemoHorizon, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
 		map[string]float64{
 			"throughput_rps":         out.ThroughputRPS,
 			"p99_ms":                 out.P99MS,
@@ -422,7 +418,7 @@ func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshol
 		return err
 	}
 
-	fmt.Printf("replan loop: %d windows x 2s virtual (drifting mix, ARIMA forecaster)\n\n", windows)
+	fmt.Printf("replan loop: %d windows x %gs virtual (drifting mix, ARIMA forecaster)\n\n", windows, cfg.WindowDur)
 	fmt.Printf("%-7s %-10s %-9s %-7s %-8s %-9s %-8s %-8s %-7s %s\n",
 		"window", "goodput/s", "slo-att", "burn", "bgt-rem", "fcst-mae", "drift", "replan", "cache", "plan")
 	for _, ws := range res.Windows {
@@ -503,8 +499,8 @@ func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshol
 		rep := replanReport{
 			Experiment:             "replan-loop (BERT-Base DeeBERT, V100x8, easy mix 0.9->0.3)",
 			Windows:                windows,
-			WindowDurS:             2.0,
-			Seed:                   424242,
+			WindowDurS:             cfg.WindowDur,
+			Seed:                   cfg.Seed,
 			Replans:                res.Replans,
 			PlanChanges:            res.PlanChanges,
 			PlanCacheHits:          res.PlanCacheHits,
@@ -532,8 +528,9 @@ func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshol
 			rep.FlameReconcile = &stat
 			rep.FlameWindows = flameWindowStats(res.FlameWindows)
 		}
+		_, rate := cfg.Workload(0)
 		env, err := bench.Wrap("replan-loop", rep.Seed,
-			&bench.TraceParams{Windows: windows, WindowDurS: rep.WindowDurS, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
+			&bench.TraceParams{Windows: windows, WindowDurS: rep.WindowDurS, AvgRate: rate, Batch: cfg.Batch},
 			map[string]float64{
 				"replans":            float64(res.Replans),
 				"plan_changes":       float64(res.PlanChanges),

@@ -52,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 	clus := cluster.New(counts, 2)
-	prof := profile.FromDist(m, workload.Mix(*easy), 8000, 1)
+	prof := profile.Offline(m, workload.Mix(*easy))
 
 	var trace *optimizer.SearchTrace
 	if *explain || *explainJSON != "" {

@@ -74,7 +74,7 @@ func main() {
 	}
 	clus := cluster.New(counts, 2)
 
-	prof := profile.FromDist(m, workload.Mix(*easy), 8000, 1)
+	prof := profile.Offline(m, workload.Mix(*easy))
 	bootTrace := &optimizer.SearchTrace{}
 	problem := optimizer.NewConfig(m, prof, *batch, clus, sloDur.Seconds())
 	problem.Trace = bootTrace

@@ -57,7 +57,7 @@ func main() {
 			os.Exit(2)
 		}
 		clus := cluster.Homogeneous(gpu.V100, *gpus)
-		prof := profile.FromDist(m, c.dist, 8000, 1)
+		prof := profile.Offline(m, c.dist)
 		plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, c.batch, clus, c.slo))
 		if err != nil {
 			fmt.Printf("%-12s %14s %14s %8s\n", c.name, "-", "-", "infeasible")

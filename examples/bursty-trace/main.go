@@ -32,7 +32,7 @@ func main() {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	clus := cluster.Homogeneous(gpu.V100, 16)
 
-	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
+	prof := profile.Offline(m, workload.Mix(0.8))
 	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, batch, clus, slo))
 	if err != nil {
 		log.Fatal(err)

@@ -21,7 +21,7 @@ import (
 
 func main() {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
+	prof := profile.Offline(m, workload.Mix(0.8))
 
 	// Maximize goodput on the paper's cost-matched heterogeneous cluster.
 	het := cluster.PaperHeterogeneous()

@@ -42,7 +42,7 @@ func main() {
 	// E3: plan token-level splits, then measure the pipeline on the token
 	// stream (each "sample" is one token pass).
 	clus := cluster.Homogeneous(gpu.A6000, nGPU)
-	prof := profile.FromDist(calm, dist, 8000, 1)
+	prof := profile.Offline(calm, dist)
 	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(calm, prof, batch, clus, 0.100*avgTokens/4))
 	if err != nil {
 		log.Fatal(err)

@@ -41,7 +41,7 @@ func main() {
 			return workload.Mix(0.5), rate
 		},
 		Method:  forecast.MethodARIMA,
-		Initial: profile.FromDist(m, workload.Mix(0.8), 8000, 1),
+		Initial: profile.Offline(m, workload.Mix(0.8)),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -27,7 +27,7 @@ func main() {
 	clus := cluster.Homogeneous(gpu.V100, 8)
 
 	// Profile the expected workload (80% easy inputs) and plan.
-	prof := profile.FromDist(m, workload.Mix(0.8), 8000, 1)
+	prof := profile.Offline(m, workload.Mix(0.8))
 	plan, err := optimizer.MaximizeGoodput(optimizer.NewConfig(m, prof, 8, clus, 0.100))
 	if err != nil {
 		log.Fatal(err)

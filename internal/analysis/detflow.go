@@ -96,6 +96,7 @@ var detflowScope = map[string]bool{
 	"e3/internal/optimizer":   true,
 	"e3/internal/forecast":    true,
 	"e3/internal/ee":          true,
+	"e3/internal/store":       true,
 }
 
 // taintInfo describes why a function's return value (or an object) is

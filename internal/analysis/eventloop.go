@@ -50,6 +50,7 @@ var eventLoopScope = []string{
 	"e3/internal/replan",
 	"e3/internal/slo",
 	"e3/internal/flame",
+	"e3/internal/store",
 	// The fleet tier runs N event loops, but each shard's code is still
 	// loop-owned: the ONLY sanctioned concurrency is the annotated worker
 	// pool the shards run on (internal/tasks, outside this scope). A

@@ -172,13 +172,20 @@ func pkgPathOf(info *types.Info, e ast.Expr) (string, bool) {
 func funcOf(info *types.Info, e ast.Expr) *types.Func {
 	switch e := unparen(e).(type) {
 	case *ast.Ident:
-		if fn, ok := info.Uses[e].(*types.Func); ok {
-			return fn
-		}
+		return usedFunc(info, e)
 	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-			return fn
-		}
+		return usedFunc(info, e.Sel)
+	}
+	return nil
+}
+
+// usedFunc returns the declared function or method id names, or nil. A
+// use of a generic function, or of a method of a generic type, resolves
+// to its declaration, so call edges reach the one body every
+// instantiation shares.
+func usedFunc(info *types.Info, id *ast.Ident) *types.Func {
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.Origin()
 	}
 	return nil
 }
@@ -273,14 +280,14 @@ func collectFuncFacts(pkg *Package, fd *ast.FuncDecl, ff *FuncFacts) {
 			collectCallAllocs(info, n, selfAppends, addAlloc)
 		case *ast.Ident:
 			if !callFuns[ast.Expr(n)] && !selIdents[n] {
-				if fn, ok := info.Uses[n].(*types.Func); ok && fn.Pkg() != nil {
+				if fn := usedFunc(info, n); fn != nil && fn.Pkg() != nil {
 					ff.Calls = append(ff.Calls, CallSite{Pos: n.Pos(), Callee: fn, Ref: true})
 				}
 			}
 		case *ast.SelectorExpr:
 			selIdents[n.Sel] = true
 			if !callFuns[ast.Expr(n)] {
-				if fn, ok := info.Uses[n.Sel].(*types.Func); ok && fn.Pkg() != nil {
+				if fn := usedFunc(info, n.Sel); fn != nil && fn.Pkg() != nil {
 					ff.Calls = append(ff.Calls, CallSite{Pos: n.Pos(), Callee: fn, Ref: true})
 				}
 			}

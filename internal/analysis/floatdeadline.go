@@ -40,6 +40,7 @@ var FloatDeadline = &Analyzer{
 		"e3/internal/audit",
 		"e3/internal/exec",
 		"e3/internal/replan",
+		"e3/internal/store",
 	),
 	Run: runFloatDeadline,
 }

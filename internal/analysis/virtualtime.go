@@ -51,6 +51,7 @@ var VirtualTime = &Analyzer{
 		"e3/internal/replan",
 		"e3/internal/slo",
 		"e3/internal/flame",
+		"e3/internal/store",
 	),
 	Run: runVirtualTime,
 }

@@ -33,6 +33,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"e3/internal/store"
 )
 
 // Kind enumerates lifecycle transitions.
@@ -112,14 +114,15 @@ type Event struct {
 // both memory and the event loop's hot path.
 //
 // A tracked sample's events live in an in-flight slot while it is open.
-// Slots sit in a free-listed table, and a slot's event buffer keeps its
-// capacity from one sample to the next, so the table grows with the
-// samples in flight, never with run length. At the sample's clean
-// terminal — its only terminal, recorded after no violation — its chain
-// is written once as a packed run of 32-bit words into a pointer-free
-// paged store and the slot is freed. A run holds same-time mask words,
-// one op word per event, then two words for each time whose bits differ
-// from the previous event's (see encode). An op word packs the kind and
+// Slots sit in a free-listed table (store.Slots), and a slot's event
+// buffer keeps its capacity from one sample to the next, so the table
+// grows with the samples in flight, never with run length. At the
+// sample's clean terminal — its only terminal, recorded after no
+// violation — its chain is written once as a packed run of 32-bit words
+// into a pointer-free paged store (store.Pages) and the slot is freed. A
+// run holds same-time mask words, one op word per event, then two words
+// for each time whose bits differ from the previous event's (see
+// encode). An op word packs the kind and
 // operand; the rare operand that does not fit (a negative one, a
 // dispatch's stage past 12 bits or instance past 16, anything past 28)
 // goes to a per-ledger spill slice. Stage, instance and exit-layer
@@ -143,21 +146,21 @@ type Event struct {
 // flag, set once any invariant broke. Per-stage in/out tallies and the
 // count of cleanly terminated samples are kept as events arrive.
 type Ledger struct {
-	// runs is the packed-run store. Word 0 is never used, so a run's
-	// offset is positive; end is the offset of the next run.
-	runs [][]uint32
+	// runs is the packed-run store, grown a page at a time. Word 0 is
+	// never used, so a run's offset is positive; end is the offset of the
+	// next run.
+	runs store.Pages[uint32]
 	end  int32
-	// slots holds the open samples' running state and events; free lists
-	// the slots holding none.
-	slots []slot
-	free  []int32
+	// slots holds the open samples' running state and events.
+	slots store.Slots[slot]
 	// crossing is where a run that crosses a page boundary is encoded.
 	crossing []uint32
 	// dense indexes tracked ids by id/stride. sparse maps any other
-	// tracked id to its entry in spill, in registration order.
-	dense  entries
+	// tracked id to its entry in spill, in registration order. Both grow
+	// a page at a time.
+	dense  store.Pages[entry]
 	sparse map[int64]int32
-	spill  entries
+	spill  store.Pages[entry]
 	// samples counts tracked ids. A sample's first-seen rank is the
 	// count of ids tracked before it.
 	samples int
@@ -234,84 +237,8 @@ type slot struct {
 	bad bool
 }
 
-// entries is a paged array of index entries (see page).
-type entries struct {
-	pages [][]entry
-	// n counts the entries the pages hold.
-	n int32
-}
-
-// at returns entry i < a.n.
-func (a *entries) at(i int32) *entry {
-	p, o := page(i)
-	return &a.pages[p][o]
-}
-
-// grow adds one page.
-func (a *entries) grow() {
-	size := pageSize(len(a.pages))
-	a.pages = append(a.pages, make([]entry, size)) //e3:alloc index growth: one page per pageLen ids, nothing copied
-	a.n += int32(size)
-}
-
-// growRuns adds one page to the run store.
-func (l *Ledger) growRuns() {
-	l.runs = append(l.runs, make([]uint32, pageSize(len(l.runs)))) //e3:alloc run store growth: one page per pageLen words, nothing copied
-}
-
-// page locates entry i of a paged array: the run store and the indexes
-// are lists of pages that grow one page at a time and never move an
-// entry, so growing one copies nothing. Every page holds pageLen entries
-// but the first, which is allocated as segments of 64, 128, … pageLen/2
-// entries, so an array that holds a handful of entries stays small.
-// Shifting i by firstLen puts segment s at [firstLen<<s, firstLen<<(s+1)).
-func page(i int32) (p, o int32) {
-	j := uint32(i) + firstLen
-	if j >= pageLen {
-		return int32(j>>pageBits) + pageBits - firstBits - 1, int32(j & pageMask)
-	}
-	h := bits.Len32(j) - 1
-	return int32(h - firstBits), int32(j - 1<<h)
-}
-
-// pageSize returns the number of entries of page p.
-func pageSize(p int) int {
-	if p < pageBits-firstBits {
-		return firstLen << p
-	}
-	return pageLen
-}
-
-// cursor reads the run store one word at a time, crossing pages as it
-// goes.
-type cursor struct {
-	pages [][]uint32
-	pg    []uint32
-	p     int32
-	o     int
-}
-
-// cursorAt returns a cursor at word i of a run.
-func cursorAt(pages [][]uint32, i int32) cursor {
-	p, o := page(i)
-	return cursor{pages: pages, pg: pages[p], p: p, o: int(o)}
-}
-
-// turn moves c to the start of the next page.
-func (c *cursor) turn() {
-	c.p++
-	c.pg, c.o = c.pages[c.p], 0
-}
-
-// next reads one word.
-func (c *cursor) next() uint32 {
-	if c.o == len(c.pg) {
-		c.turn()
-	}
-	v := c.pg[c.o]
-	c.o++
-	return v
-}
+// word returns word i of the run store.
+func (l *Ledger) word(i int32) uint32 { return *l.runs.At(int(i)) }
 
 // divisor tests int64s for divisibility by a fixed d > 1 with a
 // multiply, a rotate and a compare (Granlund and Montgomery): for
@@ -362,14 +289,8 @@ const (
 	maskEvents = 31
 	moreMasks  = 1 << maskEvents
 
-	pageBits = 14
-	pageLen  = 1 << pageBits
-	pageMask = pageLen - 1
-	// firstBits sizes the first page's smallest segment.
-	firstBits = 6
-	firstLen  = 1 << firstBits
 	// maxEntries keeps every store and index position within int32.
-	maxEntries = math.MaxInt32 - pageLen
+	maxEntries = math.MaxInt32 - store.PageLen
 	// denseReach is how far past twice the dense index's length a
 	// first-seen id may land and still grow the index rather than go to
 	// the sparse map.
@@ -420,14 +341,14 @@ func (l *Ledger) key(id int64) (k int64, tracked bool) {
 
 // lookup returns a tracked id's entry, or nil before its first event.
 func (l *Ledger) lookup(id, k int64) *entry {
-	if k >= 0 && k < int64(l.dense.n) {
-		if e := l.dense.at(int32(k)); e.loc != 0 {
+	if k >= 0 && k < int64(l.dense.Len()) {
+		if e := l.dense.At(int(k)); e.loc != 0 {
 			return e
 		}
 	}
 	if len(l.sparse) > 0 {
 		if j, ok := l.sparse[id]; ok {
-			return l.spill.at(j)
+			return l.spill.At(int(j))
 		}
 	}
 	return nil
@@ -447,37 +368,29 @@ func (l *Ledger) register(id, k int64) *entry {
 
 // place returns the index entry for a first-seen tracked id.
 func (l *Ledger) place(id, k int64) *entry {
-	if n := int64(l.dense.n); k >= 0 && k < 2*n+denseReach && k < maxEntries {
-		for int64(l.dense.n) <= k {
-			l.dense.grow()
+	if n := int64(l.dense.Len()); k >= 0 && k < 2*n+denseReach && k < maxEntries {
+		for int64(l.dense.Len()) <= k {
+			l.dense.Grow()
 		}
-		return l.dense.at(int32(k))
+		return l.dense.At(int(k))
 	}
 	if l.sparse == nil {
 		l.sparse = make(map[int64]int32) //e3:alloc once per ledger, at its first id outside the dense range
 	}
 	j := int32(len(l.sparse))
-	if j == l.spill.n {
+	if int(j) == l.spill.Len() {
 		if j >= maxEntries {
 			panic("audit: sparse index full")
 		}
-		l.spill.grow()
+		l.spill.Grow()
 	}
 	l.sparse[id] = j
-	return l.spill.at(j)
+	return l.spill.At(int(j))
 }
 
 // open points e at a free slot, set up for sample id.
 func (l *Ledger) open(e *entry, id int64) *slot {
-	var i int32
-	if n := len(l.free); n > 0 {
-		i = l.free[n-1]
-		l.free = l.free[:n-1]
-	} else {
-		i = int32(len(l.slots))
-		l.slots = append(l.slots, slot{})
-	}
-	s := &l.slots[i]
+	i, s := l.slots.Open()
 	s.id, s.rank, s.last, s.bad = id, e.rank, -1, false
 	e.loc = ^i
 	return s
@@ -513,12 +426,12 @@ func (l *Ledger) close(e *entry, s *slot) {
 	if int64(start)+int64(size) > maxEntries {
 		panic("audit: run store full")
 	}
-	p, o := page(start)
-	for int(p) >= len(l.runs) {
-		l.growRuns()
+	p, o := store.Locate(int(start))
+	for p >= l.runs.NumPages() {
+		l.runs.Grow()
 	}
-	if pg := l.runs[p]; int(o)+size <= len(pg) {
-		encode(pg[o:int(o)+size], evs)
+	if pg := l.runs.Page(p); o+size <= len(pg) {
+		encode(pg[o:o+size], evs)
 	} else {
 		// The run crosses a page boundary: encode it apart, then copy
 		// it over page by page.
@@ -528,12 +441,12 @@ func (l *Ledger) close(e *entry, s *slot) {
 		run := l.crossing[:size]
 		encode(run, evs)
 		for {
-			run = run[copy(l.runs[p][o:], run):]
+			run = run[copy(l.runs.Page(p)[o:], run):]
 			if len(run) == 0 {
 				break
 			}
-			if p++; int(p) == len(l.runs) {
-				l.growRuns()
+			if p++; p == l.runs.NumPages() {
+				l.runs.Grow()
 			}
 			o = 0
 		}
@@ -542,7 +455,7 @@ func (l *Ledger) close(e *entry, s *slot) {
 	i := ^e.loc
 	e.loc = start
 	s.evs = evs[:0]
-	l.free = append(l.free, i)
+	l.slots.Free(i)
 }
 
 // encode writes evs as a packed run filling run. The run holds, in
@@ -576,13 +489,15 @@ func encode(run []uint32, evs []ev) {
 // decode appends the events of the run at offset run to dst. The run's
 // op words end at its terminal, so they count its events.
 func (l *Ledger) decode(dst []ev, run int32) []ev {
-	masks := cursorAt(l.runs, run)
-	c := masks
-	for c.next()&moreMasks != 0 { // skip to the op words
+	mask, c := run, run
+	for l.word(c)&moreMasks != 0 { // skip to the op words
+		c++
 	}
+	c++
 	first := len(dst)
 	for {
-		op := c.next()
+		op := l.word(c)
+		c++
 		dst = append(dst, ev{op: op})
 		if opKind(op).terminal() {
 			break
@@ -592,11 +507,12 @@ func (l *Ledger) decode(dst []ev, run int32) []ev {
 	var m uint32
 	for j := range dst[first:] {
 		if j%maskEvents == 0 {
-			m = masks.next()
+			m = l.word(mask)
+			mask++
 		}
 		if m&1 == 0 {
-			lo := c.next()
-			at = uint64(lo) | uint64(c.next())<<32
+			at = uint64(l.word(c)) | uint64(l.word(c+1))<<32
+			c += 2
 		}
 		m >>= 1
 		dst[first+j].at = at
@@ -608,7 +524,7 @@ func (l *Ledger) decode(dst []ev, run int32) []ev {
 // or its run decoded into *buf.
 func (l *Ledger) chain(buf *[]ev, e entry) []ev {
 	if e.loc < 0 {
-		return l.slots[^e.loc].evs
+		return l.slots.At(^e.loc).evs
 	}
 	*buf = l.decode((*buf)[:0], e.loc)
 	return *buf
@@ -680,7 +596,7 @@ func (l *Ledger) track(id, k int64, kind Kind, at float64, o operands) {
 	}
 	var s *slot
 	if e.loc < 0 {
-		s = &l.slots[^e.loc]
+		s = l.slots.At(^e.loc)
 	} else {
 		s = l.reopen(e, id)
 	}
@@ -1030,10 +946,10 @@ func (l *Ledger) Verify() *Report {
 	if l.clean != l.samples {
 		// The samples that did not end cleanly are exactly those still
 		// in slots.
-		open := make([]*slot, 0, len(l.slots)-len(l.free))
-		for i := range l.slots {
-			if len(l.slots[i].evs) > 0 {
-				open = append(open, &l.slots[i])
+		open := make([]*slot, 0, l.slots.InUse())
+		for i := range int32(l.slots.Len()) {
+			if s := l.slots.At(i); len(s.evs) > 0 {
+				open = append(open, s)
 			}
 		}
 		slices.SortFunc(open, func(a, b *slot) int { return cmp.Compare(a.rank, b.rank) })
@@ -1069,8 +985,8 @@ func (l *Ledger) firstSeen() ([]int64, []entry) {
 	ids := make([]int64, l.samples)
 	es := make([]entry, l.samples)
 	k := int64(0)
-	for _, pg := range l.dense.pages {
-		for _, e := range pg {
+	for p := range l.dense.NumPages() {
+		for _, e := range l.dense.Page(p) {
 			if e.loc != 0 {
 				ids[e.rank], es[e.rank] = k*l.stride, e
 			}
@@ -1079,7 +995,7 @@ func (l *Ledger) firstSeen() ([]int64, []entry) {
 	}
 	//e3:unordered each id lands at its own rank
 	for id, j := range l.sparse {
-		e := *l.spill.at(j)
+		e := *l.spill.At(int(j))
 		ids[e.rank], es[e.rank] = id, e
 	}
 	return ids, es

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"e3/internal/store"
 )
 
 // A ledger stream is encoded as bytes so the differential test and the
@@ -352,7 +354,7 @@ func TestFirstSeenOrder(t *testing.T) {
 				l.Completed(id, float64(len(order)+i), 1)
 			}
 		}
-		if stride == 1 && len(l.dense.pages) <= pageBits-firstBits {
+		if stride == 1 && l.dense.NumPages() <= store.FirstPages {
 			t.Fatalf("the dense index never passed its first page")
 		}
 		diffVerify(t, l, seen.ids)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"e3/internal/store"
 )
 
 // drive pushes n samples through a clean arrive→queue→dispatch→terminal
@@ -141,7 +143,7 @@ func TestExhaustiveRecordBytes(t *testing.T) {
 		l = NewLedger()
 		drive(l, samples)
 	})
-	if bound := uint64(12*events + 12*samples + 8*pageLen + 4*pageLen + 1<<10); got > bound {
+	if bound := uint64(12*events + 12*samples + 8*store.PageLen + 4*store.PageLen + 1<<10); got > bound {
 		t.Fatalf("recording %d samples (%d events) allocated %d bytes, want ≤ %d", samples, events, got, bound)
 	}
 	if l.Samples() != samples {
@@ -155,7 +157,7 @@ func TestLedgerEventsRoundTrip(t *testing.T) {
 	l := NewLedger()
 	l.Arrived(3, 0.5)
 	want := []Event{{Kind: KindArrived, At: 0.5}}
-	for i := 0; i < pageLen+10; i++ {
+	for i := 0; i < store.PageLen+10; i++ {
 		at := 1 + float64(i)
 		l.Dispatched(3, at, i%5, i%7)
 		l.Merged(4, at, i%3) // interleaved with another sample

@@ -170,7 +170,7 @@ func TestEventsMatchModel(t *testing.T) {
 			}
 		}
 		check()
-		if len(l.free) == len(l.slots) {
+		if l.slots.InUse() == 0 {
 			t.Fatalf("stride %d: every slot is free; open, reopened and odd samples should hold some", stride)
 		}
 	}
@@ -196,10 +196,10 @@ func TestCleanSamplesFreeTheirSlots(t *testing.T) {
 	if r := l.Verify(); !r.OK() || l.clean != 100_000 {
 		t.Fatalf("clean = %d, violations %v", l.clean, r.Violations)
 	}
-	if len(l.slots) > most || most < 2 {
-		t.Fatalf("%d slots for at most %d samples open at once", len(l.slots), most)
+	if l.slots.Len() > most || most < 2 {
+		t.Fatalf("%d slots for at most %d samples open at once", l.slots.Len(), most)
 	}
-	if len(l.free) != len(l.slots) {
-		t.Fatalf("%d of %d slots free after every sample closed", len(l.free), len(l.slots))
+	if l.slots.InUse() != 0 {
+		t.Fatalf("%d of %d slots open after every sample closed", l.slots.InUse(), l.slots.Len())
 	}
 }

@@ -45,7 +45,7 @@ func RunAudit() (Table, int) {
 			Attr:   slo.NewAttribution(slo.DefaultTopK),
 			Flame:  flame.NewProfiler(0),
 		}
-		rep, _, _, err := runDemo(runner, dee, plan, obs, tracedHorizon)
+		rep, _, _, err := runDemo(runner, dee, plan, obs, DemoHorizon)
 		if err != nil {
 			t.Rows = append(t.Rows, []string{runner, "-", "-", "-", "-", "-", "-", "-", "build failed: " + err.Error()})
 			violations++

@@ -123,7 +123,7 @@ func ExtensionBuffers() Table {
 		Model: m, Cluster: clus, Batch: 8, SLO: defaultSLO,
 		Windows: len(rates), WindowDur: 2, Seed: 291,
 		Workload:   func(w int) (workload.Dist, float64) { return workload.Mix(0.8), rates[w] },
-		Initial:    profile.FromDist(m, workload.Mix(0.8), 8000, 1),
+		Initial:    profile.Offline(m, workload.Mix(0.8)),
 		BufferGPUs: 4,
 	})
 	if err != nil {

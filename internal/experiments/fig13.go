@@ -82,7 +82,7 @@ func Fig14() Table {
 		nVan := gpusFor(target, perGPUGoodput(van, dist, b, gpu.V100, defaultSLO, 141))
 		nDee := gpusFor(target, perGPUGoodput(dee, dist, b, gpu.V100, defaultSLO, 141))
 		nE3 := "-"
-		prof := profile.FromDist(dee, dist, 8000, 1)
+		prof := profile.Offline(dee, dist)
 		if p, err := optimizer.MinimizeGPUs(optimizer.NewConfig(dee, prof, b, big, defaultSLO), target); err == nil {
 			nE3 = itoa(p.GPUs)
 		}
@@ -149,7 +149,7 @@ func cheapestBaseline(m *ee.EEModel, dist workload.Dist, batch int, target float
 }
 
 func cheapestE3(m *ee.EEModel, dist workload.Dist, batch int, target float64, pool *cluster.Cluster) string {
-	prof := profile.FromDist(m, dist, 8000, 1)
+	prof := profile.Offline(m, dist)
 	p, err := optimizer.MinimizeCost(optimizer.NewConfig(m, prof, batch, pool, defaultSLO), target)
 	if err != nil {
 		return "-"

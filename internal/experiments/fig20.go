@@ -37,7 +37,7 @@ func Fig20() Table {
 	het := cluster.PaperEvaluation()
 	for _, c := range cases {
 		m := c.mk()
-		prof := profile.FromDist(m, mix80(), 8000, 1)
+		prof := profile.Offline(m, mix80())
 		timeIt := func(clus *cluster.Cluster) float64 {
 			cfg := optimizer.NewConfig(m, prof, 8, clus, 0.25)
 			cfg.MaxSplits = 4

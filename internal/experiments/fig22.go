@@ -31,7 +31,7 @@ func Fig22() Table {
 		Columns: []string{"error (%)", "batch 8 (samples/s)", "batch 16 (samples/s)"},
 		Notes:   "paper: ~4-8% goodput loss at 20% error; large errors only shrink gains, never break correctness",
 	}
-	truth := profile.FromDist(m, dist, 8000, 1)
+	truth := profile.Offline(m, dist)
 	measure := func(batch int, errFrac float64) float64 {
 		cfg := optimizer.NewConfig(m, truth.WithError(errFrac), batch, mk(), slo)
 		cfg.DisableInteriorRamps = true

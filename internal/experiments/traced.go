@@ -14,22 +14,16 @@ import (
 	"e3/internal/trace"
 )
 
-// The demo reuses the audit experiment's setting (BERT-Base DeeBERT,
-// V100×8, bursty open loop) so the exported timeline shows the same run
-// the conservation audit verifies.
+// The demo setting is the audit experiment's (BERT-Base DeeBERT, V100×8,
+// bursty open loop), so the exported timeline shows the same run the
+// conservation audit verifies: its batch size, mean arrival rate, horizon
+// in virtual seconds and seed. Report envelopes and flame artifacts that
+// describe demo runs read them too.
 const (
-	tracedBatch   = 8
-	tracedAvgRate = 2000.0
-	tracedHorizon = 10.0
-	tracedSeed    = 424242
-)
-
-// DemoSeed and DemoAvgRate export the demo setting's workload parameters
-// for report envelopes and flame artifacts that describe demo runs.
-const (
-	DemoSeed    int64   = tracedSeed
-	DemoAvgRate float64 = tracedAvgRate
-	DemoBatch   int     = tracedBatch
+	DemoBatch   int     = 8
+	DemoAvgRate float64 = 2000
+	DemoHorizon float64 = 10
+	DemoSeed    int64   = 424242
 )
 
 // demoModel is the demo setting's early-exit model.
@@ -40,7 +34,7 @@ func demoCluster() *cluster.Cluster { return cluster.Homogeneous(gpu.V100, 8) }
 
 // planDemo plans E3 for the demo setting.
 func planDemo(dee *ee.EEModel) (optimizer.Plan, error) {
-	return planE3(demoCluster(), dee, mix80(), tracedBatch, defaultSLO, nil)
+	return planE3(demoCluster(), dee, mix80(), DemoBatch, defaultSLO, nil)
 }
 
 // RunDemo plans the demo setting and replays horizon virtual seconds of
@@ -67,6 +61,6 @@ func runDemo(runner string, dee *ee.EEModel, plan optimizer.Plan, obs scheduler.
 	mk := func(eng *sim.Engine, coll *scheduler.Collector) (scheduler.Runner, error) {
 		return s.build(eng, demoCluster(), coll)
 	}
-	arr := trace.Bursty(trace.DefaultBursty(tracedAvgRate), horizon, tracedSeed)
-	return serving.AuditedOpenLoop(mk, dee.Base.NumLayers(), arr, mix80(), s.est(), defaultSLO, tracedBatch, tracedSeed, obs)
+	arr := trace.Bursty(trace.DefaultBursty(DemoAvgRate), horizon, DemoSeed)
+	return serving.AuditedOpenLoop(mk, dee.Base.NumLayers(), arr, mix80(), s.est(), defaultSLO, DemoBatch, DemoSeed, obs)
 }

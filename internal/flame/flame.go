@@ -34,6 +34,7 @@ import (
 
 	"e3/internal/audit"
 	"e3/internal/metrics"
+	"e3/internal/store"
 	"e3/internal/telemetry"
 )
 
@@ -59,36 +60,24 @@ var className = [numClasses]string{
 // memory in run length.
 const ringSize = 64
 
-// ivlRing is a fixed-size ring of [start, end) intervals in nanos.
-type ivlRing struct {
-	buf  [ringSize][2]int64
-	n    int
-	next int
+// stageRings holds one stage's ringSize most recent activation transfers
+// into it and fusion waits at it, as [start, end) intervals in nanos.
+type stageRings struct {
+	xfer, fuse store.Ring[[2]int64]
 }
 
-func (r *ivlRing) push(s, e int64) {
-	r.buf[r.next] = [2]int64{s, e}
-	r.next = (r.next + 1) % ringSize
-	if r.n < ringSize {
-		r.n++
-	}
-}
-
-// overlaps reports whether any retained interval intersects [lo, hi).
-func (r *ivlRing) overlaps(lo, hi int64) bool {
-	for i := 0; i < r.n; i++ {
-		iv := r.buf[i]
-		if iv[0] < hi && iv[1] > lo {
-			return true
+// overlaps reports whether any interval r keeps intersects [lo, hi). It
+// scans newest first, since a gap most often overlaps the latest activity.
+func overlaps(r *store.Ring[[2]int64], lo, hi int64) bool {
+	older, newer := r.Slices()
+	for _, run := range [2][][2]int64{newer, older} {
+		for i := len(run) - 1; i >= 0; i-- {
+			if iv := run[i]; iv[0] < hi && iv[1] > lo {
+				return true
+			}
 		}
 	}
 	return false
-}
-
-// stageRings holds one stage's recent activation transfers into it and
-// fusion waits at it.
-type stageRings struct {
-	xfer, fuse ivlRing
 }
 
 // Dev is a device handle from Register: an index into the profiler's
@@ -389,7 +378,7 @@ func (p *Profiler) Transfer(toStage int, start, end float64) {
 		return
 	}
 	p.extendHorizon(end)
-	p.stageRings(toStage).xfer.push(metrics.Nanos(start), metrics.Nanos(end))
+	p.stageRings(toStage).xfer.Push([2]int64{metrics.Nanos(start), metrics.Nanos(end)})
 }
 
 // Fuse records a merge-queue fusion wait at stage over [start, end]; gaps
@@ -401,14 +390,14 @@ func (p *Profiler) Fuse(stage int, start, end float64) {
 		return
 	}
 	p.extendHorizon(end)
-	p.stageRings(stage).fuse.push(metrics.Nanos(start), metrics.Nanos(end))
+	p.stageRings(stage).fuse.Push([2]int64{metrics.Nanos(start), metrics.Nanos(end)})
 }
 
 // stageRings returns a stage's interval rings, adding them at first sight.
 func (p *Profiler) stageRings(stage int) *stageRings {
 	i := p.stages.Slot(stage)
 	if i == len(p.rings) {
-		p.rings = append(p.rings, stageRings{})
+		p.rings = append(p.rings, stageRings{xfer: store.NewRing[[2]int64](ringSize), fuse: store.NewRing[[2]int64](ringSize)})
 	}
 	return &p.rings[i]
 }
@@ -421,9 +410,9 @@ func (p *Profiler) classifyGap(stage int, lo, hi int64) int {
 	i := p.stages.Lookup(stage)
 	switch {
 	case i < 0:
-	case p.rings[i].xfer.overlaps(lo, hi):
+	case overlaps(&p.rings[i].xfer, lo, hi):
 		return classTransferBlocked
-	case p.rings[i].fuse.overlaps(lo, hi):
+	case overlaps(&p.rings[i].fuse, lo, hi):
 		return classFuseBlocked
 	}
 	return classQueueStarved

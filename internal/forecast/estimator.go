@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"e3/internal/profile"
+	"e3/internal/store"
 )
 
 // Method selects the forecasting algorithm.
@@ -14,6 +15,17 @@ const (
 	MethodPersistence
 )
 
+// The forecaster's fixed shape: ARIMA(1,1,0) — an autoregression on
+// window-to-window differences, which tracks drifting exit rates and stays
+// numerically stable on the short histories a 2-minute window produces —
+// fitted to each layer's last historyWindows observations, once a layer
+// has minFitWindows of them.
+const (
+	arP, arD, arQ  = 1, 1, 0
+	historyWindows = 64
+	minFitWindows  = arP + arD + arQ + 4
+)
+
 // Estimator is E3's online batch-profile estimator. The workload is cut
 // into fixed scheduling windows (2 minutes in the paper); at each window
 // boundary the scheduler Observes the window's measured survival profile,
@@ -21,28 +33,32 @@ const (
 // layer, clamped to a valid monotone profile so mispredictions can never
 // produce an impossible plan (the paper's "safety checks").
 type Estimator struct {
-	L       int
-	Method  Method
-	P, D, Q int
-	// MaxHistory bounds the sliding window of retained observations.
-	MaxHistory int
+	L      int
+	Method Method
 
 	// Stats optionally accumulates forecast-accuracy telemetry (residuals,
 	// clamp/fallback counters). Nil (the default) records nothing at zero
 	// cost.
 	Stats *Stats
 
-	histories [][]float64 // per layer (0-based k-1), survival series
+	// histories holds each layer's (0-based k-1) last historyWindows
+	// survival observations; series is the copy of one that a fit reads.
+	histories []store.Ring[float64]
+	series    []float64
 }
 
-// NewEstimator builds an estimator for an L-layer model with the default
-// ARIMA(1,1,0) orders — an autoregression on window-to-window differences,
-// which tracks drifting exit rates and stays numerically stable on the
-// short histories a 2-minute window produces.
+// NewEstimator builds an ARIMA estimator for an L-layer model.
 func NewEstimator(l int) *Estimator {
-	e := &Estimator{L: l, Method: MethodARIMA, P: 1, D: 1, Q: 0, MaxHistory: 64}
-	e.histories = make([][]float64, l)
-	return e
+	return &Estimator{L: l, Method: MethodARIMA, histories: windowRings(l)}
+}
+
+// windowRings returns n empty rings of historyWindows values.
+func windowRings(n int) []store.Ring[float64] {
+	rs := make([]store.Ring[float64], n)
+	for k := range rs {
+		rs[k] = store.NewRing[float64](historyWindows)
+	}
+	return rs
 }
 
 // Observe appends one window's measured survival profile. When Stats is
@@ -50,11 +66,7 @@ func NewEstimator(l int) *Estimator {
 func (e *Estimator) Observe(p profile.Batch) {
 	e.Stats.observed(p)
 	for k := 1; k <= e.L; k++ {
-		h := append(e.histories[k-1], p.At(k))
-		if len(h) > e.MaxHistory {
-			h = h[len(h)-e.MaxHistory:]
-		}
-		e.histories[k-1] = h
+		e.histories[k-1].Push(p.At(k))
 	}
 }
 
@@ -63,7 +75,7 @@ func (e *Estimator) Observations() int {
 	if e.L == 0 {
 		return 0
 	}
-	return len(e.histories[0])
+	return e.histories[0].Len()
 }
 
 // Predict forecasts the next window's survival profile. With no history it
@@ -77,7 +89,7 @@ func (e *Estimator) Observations() int {
 func (e *Estimator) Predict() profile.Batch {
 	surv := make([]float64, e.L)
 	for k := 0; k < e.L; k++ {
-		surv[k] = e.predictLayer(e.histories[k])
+		surv[k] = e.predictLayer(&e.histories[k])
 	}
 	fixed := false
 	for k := 1; k < e.L; k++ {
@@ -87,28 +99,29 @@ func (e *Estimator) Predict() profile.Batch {
 		}
 	}
 	if fixed {
-		e.Stats.monotoneFixed()
+		e.Stats.count(monotoneFixes)
 	}
 	e.Stats.predicted(surv)
 	return profile.NewBatch(surv)
 }
 
-func (e *Estimator) predictLayer(h []float64) float64 {
-	if len(h) == 0 {
+func (e *Estimator) predictLayer(h *store.Ring[float64]) float64 {
+	if h.Len() == 0 {
 		return 1
 	}
-	e.Stats.forecast()
-	last := h[len(h)-1]
+	e.Stats.count(forecasts)
+	last := h.Last()
 	if e.Method == MethodPersistence {
 		return last
 	}
-	if len(h) < e.P+e.D+e.Q+4 {
-		e.Stats.persistenceFallback()
+	if h.Len() < minFitWindows {
+		e.Stats.count(persistenceFallbacks)
 		return last
 	}
-	m, err := FitARIMA(h, e.P, e.D, e.Q)
+	e.series = h.AppendTo(e.series[:0])
+	m, err := FitARIMA(e.series, arP, arD, arQ)
 	if err != nil {
-		e.Stats.fitFailure()
+		e.Stats.count(fitFailures)
 		return last
 	}
 	pred := m.Forecast(1)[0]
@@ -130,7 +143,7 @@ func (e *Estimator) predictLayer(h []float64) float64 {
 		pred = 1
 	}
 	if pred != raw {
-		e.Stats.clampHit()
+		e.Stats.count(clampHits)
 	}
 	return pred
 }

@@ -74,12 +74,11 @@ func TestEstimatorClampsWildForecasts(t *testing.T) {
 
 func TestEstimatorWindowBound(t *testing.T) {
 	e := NewEstimator(1)
-	e.MaxHistory = 8
-	for i := 0; i < 100; i++ {
+	for i := 0; i < historyWindows+36; i++ {
 		e.Observe(profFrom(1))
 	}
-	if got := e.Observations(); got != 8 {
-		t.Errorf("history length = %d, want bounded to 8", got)
+	if got := e.Observations(); got != historyWindows {
+		t.Errorf("history length = %d, want bounded to %d", got, historyWindows)
 	}
 }
 

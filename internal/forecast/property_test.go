@@ -57,7 +57,7 @@ func TestPredictSafetyProperties(t *testing.T) {
 			prev = v
 			// Long enough history: every layer's forecast stays near its
 			// last observation (persistence is exact; ARIMA is clamped).
-			if n >= e.P+e.D+e.Q+4 {
+			if n >= minFitWindows {
 				if d := v - last.At(k); d > 0.15+1e-12 || d < -0.15-1e-12 {
 					t.Fatalf("trial %d (method %d, n=%d): At(%d)=%v drifts %v from last obs %v",
 						trial, method, n, k, v, d, last.At(k))

@@ -1,9 +1,9 @@
 package forecast
 
-import "e3/internal/profile"
-
-// statsWindows bounds the rolling residual history Stats retains.
-const statsWindows = 64
+import (
+	"e3/internal/profile"
+	"e3/internal/store"
+)
 
 // Stats accumulates forecast-accuracy telemetry for one Estimator:
 // rolling per-layer residuals (predicted vs next observed survival),
@@ -15,31 +15,42 @@ const statsWindows = 64
 // records nothing, so forecasting pays nothing when telemetry is off.
 // Attach one via Estimator.Stats.
 type Stats struct {
-	layers int
-
 	// lastPred holds the most recent Predict output awaiting its matching
 	// observation.
 	lastPred []float64
 	hasPred  bool
 
 	// absResid/pctResid are rolling rings of per-window mean residuals
-	// (absolute and percentage) across layers; perLayerAbs accumulates the
-	// same residuals per layer.
-	absResid    []float64
-	pctResid    []float64
-	perLayerAbs [][]float64
+	// (absolute and percentage) across layers; perLayerAbs keeps the same
+	// residuals per layer. Every scored window pushes one absResid, so its
+	// push count is the number of windows scored.
+	absResid    store.Ring[float64]
+	pctResid    store.Ring[float64]
+	perLayerAbs []store.Ring[float64]
 
-	windows              int
-	forecasts            int
-	clampHits            int
-	persistenceFallbacks int
-	fitFailures          int
-	monotoneFixes        int
+	counts [numCounters]int
 }
 
-// NewStats builds telemetry for an l-layer estimator.
+// counter indexes Stats.counts.
+type counter int
+
+const (
+	forecasts counter = iota
+	clampHits
+	persistenceFallbacks
+	fitFailures
+	monotoneFixes
+	numCounters
+)
+
+// NewStats builds telemetry for an l-layer estimator; it keeps the
+// residuals of the last historyWindows scored windows.
 func NewStats(l int) *Stats {
-	return &Stats{layers: l, perLayerAbs: make([][]float64, l)}
+	return &Stats{
+		absResid:    store.NewRing[float64](historyWindows),
+		pctResid:    store.NewRing[float64](historyWindows),
+		perLayerAbs: windowRings(l),
+	}
 }
 
 // predicted records one Predict output (the actually-used, post-clamp
@@ -56,15 +67,15 @@ func (s *Stats) predicted(surv []float64) {
 // accumulates residuals. Observations with no pending prediction (e.g.
 // the very first window) are ignored.
 func (s *Stats) observed(p profile.Batch) {
-	if s == nil || !s.hasPred || len(s.lastPred) != s.layers {
+	if s == nil || !s.hasPred || len(s.lastPred) != len(s.perLayerAbs) {
 		return
 	}
 	s.hasPred = false
 	absSum, pctSum := 0.0, 0.0
 	pctN := 0
-	for k := 1; k <= s.layers; k++ {
-		obs := p.At(k)
-		resid := s.lastPred[k-1] - obs
+	for k := range s.perLayerAbs {
+		obs := p.At(k + 1)
+		resid := s.lastPred[k] - obs
 		if resid < 0 {
 			resid = -resid
 		}
@@ -73,67 +84,39 @@ func (s *Stats) observed(p profile.Batch) {
 			pctSum += resid / obs
 			pctN++
 		}
-		s.perLayerAbs[k-1] = pushBounded(s.perLayerAbs[k-1], resid)
+		s.perLayerAbs[k].Push(resid)
 	}
-	s.absResid = pushBounded(s.absResid, absSum/float64(s.layers))
+	s.absResid.Push(absSum / float64(len(s.perLayerAbs)))
 	if pctN > 0 {
-		s.pctResid = pushBounded(s.pctResid, pctSum/float64(pctN))
+		s.pctResid.Push(pctSum / float64(pctN))
 	}
-	s.windows++
 }
 
-func pushBounded(h []float64, v float64) []float64 {
-	h = append(h, v)
-	if len(h) > statsWindows {
-		h = h[len(h)-statsWindows:]
+// count adds one to counter c.
+func (s *Stats) count(c counter) {
+	if s != nil {
+		s.counts[c]++
 	}
-	return h
 }
 
-func (s *Stats) forecast() {
+// get reads counter c (0 for a nil Stats).
+func (s *Stats) get(c counter) int {
 	if s == nil {
-		return
+		return 0
 	}
-	s.forecasts++
+	return s.counts[c]
 }
 
-func (s *Stats) clampHit() {
-	if s == nil {
-		return
-	}
-	s.clampHits++
-}
-
-func (s *Stats) persistenceFallback() {
-	if s == nil {
-		return
-	}
-	s.persistenceFallbacks++
-}
-
-func (s *Stats) fitFailure() {
-	if s == nil {
-		return
-	}
-	s.fitFailures++
-}
-
-func (s *Stats) monotoneFixed() {
-	if s == nil {
-		return
-	}
-	s.monotoneFixes++
-}
-
-func mean(h []float64) float64 {
-	if len(h) == 0 {
+// mean averages the values h keeps, summing them oldest first.
+func mean(h *store.Ring[float64]) float64 {
+	if h.Len() == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, v := range h {
-		sum += v
+	for i := range h.Len() {
+		sum += h.At(i)
 	}
-	return sum / float64(len(h))
+	return sum / float64(h.Len())
 }
 
 // MAE is the mean absolute per-layer forecast error over the retained
@@ -142,7 +125,7 @@ func (s *Stats) MAE() float64 {
 	if s == nil {
 		return 0
 	}
-	return mean(s.absResid)
+	return mean(&s.absResid)
 }
 
 // MAPE is the mean absolute percentage error over the retained windows,
@@ -152,16 +135,16 @@ func (s *Stats) MAPE() float64 {
 	if s == nil {
 		return 0
 	}
-	return mean(s.pctResid)
+	return mean(&s.pctResid)
 }
 
 // LastMAE is the most recent window's mean absolute error (0 with no
 // scored windows).
 func (s *Stats) LastMAE() float64 {
-	if s == nil || len(s.absResid) == 0 {
+	if s == nil || s.absResid.Len() == 0 {
 		return 0
 	}
-	return s.absResid[len(s.absResid)-1]
+	return s.absResid.Last()
 }
 
 // PerLayerMAE reports the rolling mean absolute error for each layer.
@@ -169,9 +152,9 @@ func (s *Stats) PerLayerMAE() []float64 {
 	if s == nil {
 		return nil
 	}
-	out := make([]float64, s.layers)
+	out := make([]float64, len(s.perLayerAbs))
 	for k := range s.perLayerAbs {
-		out[k] = mean(s.perLayerAbs[k])
+		out[k] = mean(&s.perLayerAbs[k])
 	}
 	return out
 }
@@ -181,52 +164,27 @@ func (s *Stats) Windows() int {
 	if s == nil {
 		return 0
 	}
-	return s.windows
+	return s.absResid.Total()
 }
 
 // Forecasts counts per-layer forecasts made from a non-empty history (the
 // all-survive prior a layer gets before its first observation is not a
 // forecast). PersistenceFallbacks and FitFailures count the ones of these
 // that no fitted model produced.
-func (s *Stats) Forecasts() int {
-	if s == nil {
-		return 0
-	}
-	return s.forecasts
-}
+func (s *Stats) Forecasts() int { return s.get(forecasts) }
 
 // ClampHits counts per-layer forecasts bounded by a §3.1 safety clamp
 // (±0.15 of the last observation or the [0,1] range).
-func (s *Stats) ClampHits() int {
-	if s == nil {
-		return 0
-	}
-	return s.clampHits
-}
+func (s *Stats) ClampHits() int { return s.get(clampHits) }
 
 // PersistenceFallbacks counts per-layer forecasts that fell back to
 // predict-last-value because the history was too short for ARIMA.
-func (s *Stats) PersistenceFallbacks() int {
-	if s == nil {
-		return 0
-	}
-	return s.persistenceFallbacks
-}
+func (s *Stats) PersistenceFallbacks() int { return s.get(persistenceFallbacks) }
 
 // FitFailures counts FitARIMA errors (each also falls back to
 // persistence).
-func (s *Stats) FitFailures() int {
-	if s == nil {
-		return 0
-	}
-	return s.fitFailures
-}
+func (s *Stats) FitFailures() int { return s.get(fitFailures) }
 
 // MonotoneFixes counts Predict calls whose per-layer forecasts violated
 // cross-layer monotonicity and were repaired by the running-min clamp.
-func (s *Stats) MonotoneFixes() int {
-	if s == nil {
-		return 0
-	}
-	return s.monotoneFixes
-}
+func (s *Stats) MonotoneFixes() int { return s.get(monotoneFixes) }

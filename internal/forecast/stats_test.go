@@ -101,11 +101,9 @@ func TestStatsNilSafe(t *testing.T) {
 	var s *Stats
 	s.predicted([]float64{1})
 	s.observed(profFrom(1))
-	s.forecast()
-	s.clampHit()
-	s.persistenceFallback()
-	s.fitFailure()
-	s.monotoneFixed()
+	for c := range numCounters {
+		s.count(c)
+	}
 	if s.MAE() != 0 || s.MAPE() != 0 || s.LastMAE() != 0 || s.PerLayerMAE() != nil ||
 		s.Windows() != 0 || s.Forecasts() != 0 || s.ClampHits() != 0 || s.PersistenceFallbacks() != 0 ||
 		s.FitFailures() != 0 || s.MonotoneFixes() != 0 {
@@ -129,14 +127,14 @@ func TestStatsRollingWindowBound(t *testing.T) {
 	e := NewEstimator(1)
 	e.Stats = NewStats(1)
 	e.Method = MethodPersistence
-	for i := 0; i < 3*statsWindows; i++ {
+	for i := 0; i < 3*historyWindows; i++ {
 		e.Predict()
 		e.Observe(profFrom(1))
 	}
-	if len(e.Stats.absResid) > statsWindows {
-		t.Errorf("residual ring grew to %d, bound is %d", len(e.Stats.absResid), statsWindows)
+	if e.Stats.absResid.Len() > historyWindows {
+		t.Errorf("residual ring grew to %d, bound is %d", e.Stats.absResid.Len(), historyWindows)
 	}
-	if e.Stats.Windows() != 3*statsWindows {
-		t.Errorf("windows = %d, want %d", e.Stats.Windows(), 3*statsWindows)
+	if e.Stats.Windows() != 3*historyWindows {
+		t.Errorf("windows = %d, want %d", e.Stats.Windows(), 3*historyWindows)
 	}
 }

@@ -28,7 +28,7 @@ func BenchmarkUtilizationAdd(b *testing.B) {
 }
 
 // BenchmarkLatencyQuantile reads the p50 and p999 of n recorded
-// latencies per op; selection over the chunks allocates nothing at any n.
+// latencies per op; selection over the pages allocates nothing at any n.
 func BenchmarkLatencyQuantile(b *testing.B) {
 	for _, n := range []int{10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

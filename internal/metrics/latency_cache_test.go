@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"e3/internal/store"
 )
 
-// latChunk is the store's largest chunk; TestLatencyRecorderAcrossChunks
+// latChunk is the store's full page; TestLatencyRecorderAcrossChunks
 // reads around its boundaries.
-const latChunk = maxChunk
+const latChunk = store.PageLen
 
 // exhaustiveQuantile recomputes the type-7 quantile from a sorted copy —
 // the oracle the copy-free selection must match exactly.
@@ -85,8 +87,8 @@ func TestQuantileDoesNotReorderSamples(t *testing.T) {
 	}
 }
 
-// TestLatencyRecorderAcrossChunks: around and across chunk boundaries the
-// chunked store reads exactly like one flat slice: count, record order,
+// TestLatencyRecorderAcrossChunks: around and across page boundaries the
+// paged store reads exactly like one flat slice: count, record order,
 // mean (same summation order) and every quantile.
 func TestLatencyRecorderAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -10,18 +10,20 @@ import (
 	"math"
 	"slices"
 	"sort"
+
+	"e3/internal/store"
 )
 
 // LatencyRecorder accumulates per-request completion latencies (seconds).
 // The zero value is ready to use.
 //
-// Observations are kept in record order in a chunked store, so an
+// Observations are kept in record order in a paged store, so an
 // hour-scale run's tens of millions of latencies are never copied as the
 // store grows. Quantile selects the order statistics it needs over the
-// stored chunks instead of sorting a copy, so reads allocate nothing and
+// stored pages instead of sorting a copy, so reads allocate nothing and
 // never reorder the samples.
 type LatencyRecorder struct {
-	lat chunked[float64]
+	lat store.Pages[float64]
 }
 
 // Observe records one latency sample. Negative values are clamped to zero:
@@ -30,17 +32,17 @@ func (r *LatencyRecorder) Observe(lat float64) {
 	if lat < 0 {
 		lat = 0
 	}
-	r.lat.add(lat)
+	r.lat.Append(lat)
 }
 
 // Count reports the number of samples observed.
-func (r *LatencyRecorder) Count() int { return r.lat.len() }
+func (r *LatencyRecorder) Count() int { return r.lat.Len() }
 
 // Samples returns a copy of the observations in record order.
 func (r *LatencyRecorder) Samples() []float64 {
-	out := make([]float64, 0, r.lat.len())
-	for i := 0; i < r.lat.chunks(); i++ {
-		out = append(out, r.lat.chunk(i)...)
+	out := make([]float64, 0, r.lat.Len())
+	for p := range r.lat.NumPages() {
+		out = append(out, r.lat.Page(p)...)
 	}
 	return out
 }
@@ -51,7 +53,7 @@ func (r *LatencyRecorder) Samples() []float64 {
 // blends the two neighbouring order statistics. Ranks follow
 // sort.Float64s's order, NaNs first. It returns 0 for an empty recorder.
 func (r *LatencyRecorder) Quantile(q float64) float64 {
-	n := r.lat.len()
+	n := r.lat.Len()
 	if n == 0 {
 		return 0
 	}
@@ -111,7 +113,7 @@ const gatherMax = 512
 // rankKeys returns the key of the k-th smallest sample (0-based) and, if
 // pair is set, of the (k+1)-th (k+1 < Count()); otherwise next is key.
 //
-// It selects by radix: each pass over the chunks histograms the next key
+// It selects by radix: each pass over the pages histograms the next key
 // byte among the samples that share the bytes fixed so far, and fixes the
 // byte that holds rank k. Once at most gatherMax samples share the prefix,
 // one more pass copies their keys into a fixed buffer and sorting it
@@ -127,8 +129,8 @@ func (r *LatencyRecorder) rankKeys(k int, pair bool) (key, next uint64) {
 		// first pass admits every key.
 		high := ^uint64(0) << (shift + 8)
 		var hist [256]int
-		for i := 0; i < r.lat.chunks(); i++ {
-			for _, v := range r.lat.chunk(i) {
+		for p := range r.lat.NumPages() {
+			for _, v := range r.lat.Page(p) {
 				if x := orderKey(v); x&high == key {
 					hist[x>>shift&0xff]++
 				}
@@ -159,8 +161,8 @@ func (r *LatencyRecorder) rankKeys(k int, pair bool) (key, next uint64) {
 func (r *LatencyRecorder) sortedRank(prefix, mask uint64, k int, pair bool) (key, next uint64) {
 	var buf [gatherMax]uint64
 	cand := buf[:0]
-	for i := 0; i < r.lat.chunks(); i++ {
-		for _, v := range r.lat.chunk(i) {
+	for p := range r.lat.NumPages() {
+		for _, v := range r.lat.Page(p) {
 			if x := orderKey(v); x&mask == prefix {
 				cand = append(cand, x)
 			}
@@ -181,8 +183,8 @@ func (r *LatencyRecorder) sortedRank(prefix, mask uint64, k int, pair bool) (key
 // exist.
 func (r *LatencyRecorder) keyAbove(key uint64) uint64 {
 	next := ^uint64(0)
-	for i := 0; i < r.lat.chunks(); i++ {
-		for _, v := range r.lat.chunk(i) {
+	for p := range r.lat.NumPages() {
+		for _, v := range r.lat.Page(p) {
 			if x := orderKey(v); x > key && x < next {
 				next = x
 			}
@@ -199,13 +201,13 @@ func (r *LatencyRecorder) Max() float64 { return r.Quantile(1) }
 
 // Mean returns the arithmetic mean (0 if empty).
 func (r *LatencyRecorder) Mean() float64 {
-	n := r.lat.len()
+	n := r.lat.Len()
 	if n == 0 {
 		return 0
 	}
 	sum := 0.0
-	for i := 0; i < r.lat.chunks(); i++ {
-		for _, s := range r.lat.chunk(i) {
+	for p := range r.lat.NumPages() {
+		for _, s := range r.lat.Page(p) {
 			sum += s
 		}
 	}

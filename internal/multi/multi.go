@@ -62,7 +62,7 @@ func Plan(clus *cluster.Cluster, tenants []Tenant) ([]Allocation, error) {
 func Profiles(tenants []Tenant) []profile.Batch {
 	profs := make([]profile.Batch, len(tenants))
 	for i, t := range tenants {
-		profs[i] = profile.FromDist(t.Model, t.Dist, 8000, 1)
+		profs[i] = profile.Offline(t.Model, t.Dist)
 	}
 	return profs
 }

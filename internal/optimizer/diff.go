@@ -3,6 +3,8 @@ package optimizer
 import (
 	"fmt"
 	"strings"
+
+	"e3/internal/store"
 )
 
 // PlanDiff is the structured difference between two consecutive plans —
@@ -120,18 +122,12 @@ func (d PlanDiff) String() string {
 // long-lived server's replan history cannot grow with uptime. Like the
 // telemetry span ring, a nil *DiffRing is valid and records nothing.
 type DiffRing struct {
-	capacity int
-	items    []PlanDiff
-	next     int
-	total    int
+	diffs store.Ring[PlanDiff]
 }
 
 // NewDiffRing builds a ring retaining the most recent capacity diffs.
 func NewDiffRing(capacity int) *DiffRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &DiffRing{capacity: capacity}
+	return &DiffRing{diffs: store.NewRing[PlanDiff](max(capacity, 1))}
 }
 
 // Push appends one diff, evicting the oldest once full.
@@ -139,13 +135,7 @@ func (r *DiffRing) Push(d PlanDiff) {
 	if r == nil {
 		return
 	}
-	r.total++
-	if len(r.items) == r.capacity {
-		r.items[r.next] = d
-		r.next = (r.next + 1) % r.capacity
-		return
-	}
-	r.items = append(r.items, d)
+	r.diffs.Push(d)
 }
 
 // Items returns the retained diffs oldest-first (a copy).
@@ -153,13 +143,7 @@ func (r *DiffRing) Items() []PlanDiff {
 	if r == nil {
 		return nil
 	}
-	out := make([]PlanDiff, 0, len(r.items))
-	if len(r.items) == r.capacity {
-		out = append(out, r.items[r.next:]...)
-		out = append(out, r.items[:r.next]...)
-		return out
-	}
-	return append(out, r.items...)
+	return r.diffs.AppendTo(make([]PlanDiff, 0, r.diffs.Len()))
 }
 
 // Total reports diffs pushed over the ring's lifetime, including evicted
@@ -168,7 +152,7 @@ func (r *DiffRing) Total() int {
 	if r == nil {
 		return 0
 	}
-	return r.total
+	return r.diffs.Total()
 }
 
 // Evicted reports how many diffs the ring has discarded.
@@ -176,5 +160,5 @@ func (r *DiffRing) Evicted() int {
 	if r == nil {
 		return 0
 	}
-	return r.total - len(r.items)
+	return r.diffs.Evicted()
 }

@@ -82,6 +82,15 @@ func FromExitCounts(counts []int) Batch {
 	return NewBatch(surv)
 }
 
+// Offline is §3.1's offline profile of a workload: its survival estimated
+// from a fixed draw of 8000 difficulties (seed 1), which plans before any
+// traffic has been observed.
+func Offline(m *ee.EEModel, dist interface {
+	Sample(*rand.Rand) float64
+}) Batch {
+	return FromDist(m, dist, 8000, 1)
+}
+
 // FromDist estimates the profile of a difficulty distribution by drawing n
 // samples with a fixed seed.
 func FromDist(m *ee.EEModel, dist interface {

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"e3/internal/audit"
+	"e3/internal/store"
 	"e3/internal/telemetry"
 	"e3/internal/workload"
 )
@@ -203,16 +204,11 @@ type Attribution struct {
 	// topK bounds the retained slowest-request breakdowns.
 	topK int
 
-	// states is the slot table of request records; free lists the slots
-	// not holding an open request. ring maps id & (len(ring)−1) to the
-	// slot+1 of the open request at that position (0 = none). Each open
-	// request owns its position: when a new id's position is taken, the
-	// ring doubles until it is not, so the ring grows with the id span of
-	// the requests in flight, never with run length.
-	states []reqState
-	free   []int32
-	ring   []int32
-	open   int
+	// states is the slot table of request records, and ids maps each
+	// open request's id to its slot; both grow with the requests in
+	// flight, never with run length.
+	states store.Slots[reqState]
+	ids    store.IDRing
 
 	// completed/dropped are population-exact O(1) counters over every
 	// terminal event; attributed counts the breakdowns finalized in
@@ -240,7 +236,7 @@ func NewAttribution(topK int) *Attribution {
 	if topK <= 0 {
 		topK = DefaultTopK
 	}
-	return &Attribution{topK: topK, ring: make([]int32, attrRingInit)}
+	return &Attribution{topK: topK, ids: store.NewIDRing(attrRingInit)}
 }
 
 // stageCompute is one split's running compute total.
@@ -254,35 +250,24 @@ func (a *Attribution) Enabled() bool { return a != nil }
 
 // lookup returns id's open record, or nil.
 func (a *Attribution) lookup(id int64) *reqState {
-	if v := a.ring[id&int64(len(a.ring)-1)]; v != 0 {
-		if st := &a.states[v-1]; st.id == id {
+	if slot, ok := a.ids.Get(id); ok {
+		if st := a.states.At(slot); st.id == id {
 			return st
 		}
 	}
 	return nil
 }
 
+// idOf returns the id of the request open in slot.
+func (a *Attribution) idOf(slot int32) int64 { return a.states.At(slot).id }
+
 // state returns s's open record, opening one anchored at its arrival.
 func (a *Attribution) state(s workload.Sample) *reqState {
 	if st := a.lookup(s.ID); st != nil {
 		return st
 	}
-	pos := s.ID & int64(len(a.ring)-1)
-	if a.ring[pos] != 0 {
-		a.grow(s.ID)
-		pos = s.ID & int64(len(a.ring)-1)
-	}
-	var slot int32
-	if k := len(a.free); k > 0 {
-		slot = a.free[k-1]
-		a.free = a.free[:k-1]
-	} else {
-		slot = int32(len(a.states))
-		a.states = append(a.states, reqState{})
-	}
-	a.ring[pos] = slot + 1
-	a.open++
-	st := &a.states[slot]
+	slot, st := a.states.Open()
+	a.ids.Put(s.ID, slot, a.idOf)
 	st.id, st.arrival, st.prevAt = s.ID, s.Arrival, s.Arrival
 	st.haveExec, st.executed = false, false
 	st.stage = -1
@@ -290,30 +275,9 @@ func (a *Attribution) state(s workload.Sample) *reqState {
 	return st
 }
 
-// grow doubles the ring until id's position is free. Open requests never
-// collide in the doubled ring: ids apart mod n are apart mod 2n.
-func (a *Attribution) grow(id int64) {
-	for n := 2 * len(a.ring); ; n *= 2 {
-		ring := make([]int32, n) //e3:alloc ring growth, only when a new id's position is held by an open request
-		mask := int64(n - 1)
-		for _, v := range a.ring {
-			if v != 0 {
-				ring[a.states[v-1].id&mask] = v
-			}
-		}
-		if ring[id&mask] == 0 {
-			a.ring = ring
-			return
-		}
-	}
-}
-
 // release closes st's record and returns its slot to the free list.
 func (a *Attribution) release(st *reqState) {
-	pos := st.id & int64(len(a.ring)-1)
-	a.free = append(a.free, a.ring[pos]-1)
-	a.ring[pos] = 0
-	a.open--
+	a.states.Free(a.ids.Remove(st.id))
 }
 
 // part closes the segment [st.prevAt, end] under component c. Zero-width
@@ -565,7 +529,7 @@ func (a *Attribution) Open() int {
 	if a == nil {
 		return 0
 	}
-	return a.open
+	return a.states.InUse()
 }
 
 // ComponentSeconds reports the total virtual time attributed to c across
@@ -605,8 +569,8 @@ func (a *Attribution) Reconcile(rep *audit.Report) {
 	if extra := a.mismatches - len(a.errs); extra > 0 {
 		rep.Violate("slo: ... and %d more attribution mismatch(es)", extra)
 	}
-	if a.open > 0 {
-		rep.Violate("slo: %d request(s) still open after end of run", a.open)
+	if a.states.InUse() > 0 {
+		rep.Violate("slo: %d request(s) still open after end of run", a.states.InUse())
 	}
 	if int(a.completed) != rep.Completed {
 		rep.Violate("slo: %d completion events, ledger completed %d", a.completed, rep.Completed)

@@ -15,6 +15,7 @@ import (
 	"e3/internal/audit"
 	"e3/internal/forecast"
 	"e3/internal/optimizer"
+	"e3/internal/store"
 	"e3/internal/telemetry"
 )
 
@@ -122,8 +123,9 @@ type Recorder struct {
 	// MaxSpans bounds spans per bundle (≤0 takes defaultBundleSpans).
 	MaxSpans int
 
-	seq      int
-	triggers []TriggerEvent
+	// triggers logs the most recent maxTriggerLog triggers; its push
+	// count numbers them.
+	triggers store.Ring[TriggerEvent]
 	last     *Bundle
 }
 
@@ -133,16 +135,13 @@ func (r *Recorder) Trigger(reason, detail string, at float64) *Bundle {
 	if r == nil {
 		return nil
 	}
-	r.seq++
-	ev := TriggerEvent{Seq: r.seq, Reason: reason, Detail: detail, At: at}
-	if len(r.triggers) >= maxTriggerLog {
-		copy(r.triggers, r.triggers[1:])
-		r.triggers = r.triggers[:maxTriggerLog-1]
+	if r.triggers.Total() == 0 {
+		r.triggers = store.NewRing[TriggerEvent](maxTriggerLog)
 	}
-	r.triggers = append(r.triggers, ev)
+	ev := TriggerEvent{Seq: r.triggers.Total() + 1, Reason: reason, Detail: detail, At: at}
+	r.triggers.Push(ev)
 
-	b := &Bundle{Trigger: ev}
-	b.Triggers = append(b.Triggers, r.triggers...)
+	b := &Bundle{Trigger: ev, Triggers: r.triggers.AppendTo(nil)}
 	r.snapshotSpans(b)
 	if r.Diffs != nil {
 		diffs := r.Diffs.Items()
@@ -216,7 +215,7 @@ func (r *Recorder) TriggerCount() int {
 	if r == nil {
 		return 0
 	}
-	return r.seq
+	return r.triggers.Total()
 }
 
 // Triggers returns the recent-trigger log, oldest first (a copy).
@@ -224,5 +223,5 @@ func (r *Recorder) Triggers() []TriggerEvent {
 	if r == nil {
 		return nil
 	}
-	return append([]TriggerEvent(nil), r.triggers...)
+	return r.triggers.AppendTo(nil)
 }

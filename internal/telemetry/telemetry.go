@@ -24,6 +24,7 @@ import (
 
 	"e3/internal/audit"
 	"e3/internal/metrics"
+	"e3/internal/store"
 )
 
 // Kind classifies a span.
@@ -135,13 +136,9 @@ const (
 // counters and histograms. It is not safe for concurrent use: like the
 // ledger, all recording happens on the event loop's goroutine.
 type Tracer struct {
-	spans []Span
-	// capacity bounds the span store (0 = unbounded, for trace export);
-	// next is the ring's write cursor once it is full.
-	capacity int
-	next     int
-
-	total uint64 // spans recorded, including evicted ones
+	// spans keeps the recorded spans: the most recent capacity of them for
+	// a ring, every one for trace export (capacity 0).
+	spans store.Ring[Span]
 
 	arrived, completed, dropped uint64
 	dropsBy                     map[string]uint64
@@ -189,9 +186,9 @@ func NewRing(capacity int) *Tracer {
 
 func newTracer(capacity int) *Tracer {
 	return &Tracer{
-		capacity: capacity,
-		dropsBy:  make(map[string]uint64),
-		lat:      metrics.NewLogHistogram(latHistLo, latHistHi, latHistBuckets),
+		spans:   store.NewRing[Span](capacity),
+		dropsBy: make(map[string]uint64),
+		lat:     metrics.NewLogHistogram(latHistLo, latHistHi, latHistBuckets),
 	}
 }
 
@@ -221,13 +218,7 @@ func (t *Tracer) Record(s Span) {
 	}
 	t.extendHorizon(s.Start)
 	t.extendHorizon(s.End)
-	t.total++
-	if t.capacity > 0 && len(t.spans) == t.capacity {
-		t.spans[t.next] = s
-		t.next = (t.next + 1) % t.capacity
-		return
-	}
-	t.spans = append(t.spans, s)
+	t.spans.Push(s)
 }
 
 // Execute records one batch running stage on the given device track.
@@ -363,13 +354,7 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(t.spans))
-	if t.capacity > 0 && len(t.spans) == t.capacity {
-		out = append(out, t.spans[t.next:]...)
-		out = append(out, t.spans[:t.next]...)
-		return out
-	}
-	return append(out, t.spans...)
+	return t.spans.AppendTo(make([]Span, 0, t.spans.Len()))
 }
 
 // Total reports spans recorded over the tracer's lifetime, including ones
@@ -378,7 +363,7 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total
+	return uint64(t.spans.Total())
 }
 
 // Evicted reports how many spans the ring has discarded.
@@ -386,7 +371,7 @@ func (t *Tracer) Evicted() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.total - uint64(len(t.spans))
+	return uint64(t.spans.Evicted())
 }
 
 // Counts reports the lifecycle counters: samples minted, completed, and
