@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt build vet lint lintgate test race fuzz audit replan validate examples serve-smoke overhead bench bench-smoke plangate simgate slogate flamegate fleetgate
+.PHONY: verify fmt build vet lint lintgate test benchmark-check race fuzz audit replan validate examples serve-smoke overhead bench bench-smoke plangate simgate slogate flamegate fleetgate
 
-verify: fmt build vet lintgate test race bench-smoke audit replan validate examples serve-smoke overhead plangate simgate slogate flamegate fleetgate
+verify: fmt build vet lintgate test benchmark-check race bench-smoke audit replan validate examples serve-smoke overhead plangate simgate slogate flamegate fleetgate
 	@echo "verify: all checks passed"
 
 # Format gate: fails, listing the files, if gofmt would rewrite any Go
@@ -40,6 +40,14 @@ lintgate:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own Go module, so build, vet and test above never
+# compile it; a deleted or renamed name it uses would otherwise fail only
+# in a benchmark run. -short skips its minute-long smoke run; the
+# equivalence, spec and unit tests still run.
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
 
 # The batcher, runners, and collector share ledger state on the event
 # loop; -race keeps the single-goroutine discipline honest at runtime

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"e3/internal/bench"
+	"e3/internal/cliutil"
 	"e3/internal/experiments"
 	"e3/internal/flame"
 	"e3/internal/forecast"
@@ -31,6 +32,17 @@ import (
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 )
+
+// modeFlags maps each flag that only configures one mode to the flag that
+// turns that mode on.
+var modeFlags = map[string]string{
+	"attr-out":          "windows",
+	"bundle-on-failure": "windows",
+	"slo-target":        "windows",
+	"burn-threshold":    "windows",
+	"fleet-workers":     "fleet",
+	"flame-runner":      "flame-out",
+}
 
 func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -63,21 +75,9 @@ func main() {
 		usage("unknown format %q", *format)
 	}
 
-	// Flags that only configure the replan loop would otherwise be
-	// ignored without a word.
-	if *windows <= 0 {
-		var stray string
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "attr-out", "bundle-on-failure", "slo-target", "burn-threshold":
-				if stray == "" {
-					stray = f.Name
-				}
-			}
-		})
-		if stray != "" {
-			usage("-%s needs -windows N (it configures the replan loop)", stray)
-		}
+	on := map[string]bool{"windows": *windows > 0, "fleet": *fleetN > 0, "flame-out": len(out.flame) > 0}
+	if name, mode := cliutil.StrayFlag(flag.CommandLine, modeFlags, on); name != "" {
+		usage("-%s needs -%s (it only configures that mode)", name, mode)
 	}
 
 	if *list {

@@ -2,10 +2,14 @@ package main
 
 import (
 	"testing"
+	"time"
 
+	"e3/internal/cliutil/clitest"
 	"e3/internal/forecast"
 	"e3/internal/replan"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
 
 // TestForecastVerdict runs the drifting demo under both forecasters: at 4
 // windows every ARIMA forecast falls back to persistence (too little
@@ -41,6 +45,26 @@ func TestForecastVerdict(t *testing.T) {
 		if !tc.inconclusive && !*beats {
 			t.Errorf("%d windows: %s (MAE %.5f vs %.5f)", tc.windows, verdict,
 				arima.MeanForecastMAE, persistence.MeanForecastMAE)
+		}
+	}
+}
+
+// TestModeFlagsNeedTheirMode gives each mode-only flag without its mode:
+// every one must exit 2 with a one-line message instead of being ignored.
+func TestModeFlagsNeedTheirMode(t *testing.T) {
+	values := map[string]string{
+		"attr-out": "attr.json", "bundle-on-failure": "bundle.json", "slo-target": "0.9",
+		"burn-threshold": "2", "fleet-workers": "2", "flame-runner": "serial",
+	}
+	for name, mode := range modeFlags {
+		v, ok := values[name]
+		if !ok {
+			t.Fatalf("no test value for -%s", name)
+		}
+		code, stderr := clitest.Run(t, 20*time.Second, "-"+name, v)
+		want := "e3-bench: -" + name + " needs -" + mode + " (it only configures that mode)\n"
+		if code != 2 || stderr != want {
+			t.Errorf("-%s %s: exit %d, stderr %q; want exit 2 and %q", name, v, code, stderr, want)
 		}
 	}
 }

@@ -34,6 +34,10 @@ func main() {
 	focus := flag.String("focus", "", "only count stacks containing this exact frame (e.g. split=2, dev=V100-3, transfer-blocked)")
 	flag.Parse()
 
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "e3-prof: -top must be ≥ 0 (got %d)\n", *top)
+		os.Exit(2)
+	}
 	if *diff {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "e3-prof: -diff wants exactly two profile paths")

@@ -5,9 +5,29 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"e3/internal/cliutil/clitest"
 	"e3/internal/flame"
 )
+
+func TestMain(m *testing.M) { clitest.Main(m, main) }
+
+// TestRejectsNegativeTop: a negative -top must exit 2 with a one-line
+// message, for the flat listing and for -diff alike.
+func TestRejectsNegativeTop(t *testing.T) {
+	p := writeProfile(t, "p.json", map[string]int64{flame.JoinStack([]string{"dev:V100-0", "exec"}): 1})
+	for _, args := range [][]string{
+		{"-top", "-1", p},
+		{"-top", "-1", "-tree", p},
+		{"-top", "-3", "-diff", p, p},
+	} {
+		code, stderr := clitest.Run(t, 20*time.Second, args...)
+		if code != 2 || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "e3-prof: ") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one e3-prof line", args, code, stderr)
+		}
+	}
+}
 
 // writeProfile saves a hand-built profile with the given stack weights
 // (nanoseconds) as a JSON artifact and returns its path.

@@ -45,6 +45,14 @@ import (
 	"e3/internal/workload"
 )
 
+// modeFlags maps each flag that only configures one mode to the flag that
+// turns that mode on.
+var modeFlags = map[string]string{
+	"slo-target":     "replan-windows",
+	"burn-threshold": "replan-windows",
+	"fleet-workers":  "fleet",
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	modelName := flag.String("model", "bert-base", "model: bert-base, bert-large, distilbert, resnet50")
@@ -55,13 +63,18 @@ func main() {
 	auditBoot := flag.Bool("audit", false, "verify the plan with a boot-time lifecycle conservation audit and expose it via /v1/stats")
 	traceRing := flag.Int("trace-ring", 4096, "retain the most recent N spans of the boot-time simulated run for /metrics and /v1/trace (0 disables boot telemetry)")
 	replanWindows := flag.Int("replan-windows", 0, "run the windowed replan loop for N windows at boot and expose its provenance, forecast telemetry, and plan-diff history via /v1/plan and /metrics")
-	sloTarget := flag.Float64("slo-target", slo.DefaultTarget, "SLO attainment target the error budget accrues against")
-	burnThreshold := flag.Float64("burn-threshold", slo.DefaultBurnThreshold, "window burn rate that counts as a budget breach")
+	sloTarget := flag.Float64("slo-target", slo.DefaultTarget, "with -replan-windows: SLO attainment target the error budget accrues against")
+	burnThreshold := flag.Float64("burn-threshold", slo.DefaultBurnThreshold, "with -replan-windows: window burn rate that counts as a budget breach")
 	pprofDebug := flag.Bool("pprof", false, "expose net/http/pprof profiling under /debug/pprof/ (off by default; enable only on trusted networks)")
 	fleetN := flag.Int("fleet", 0, "run the N-replica fleet demo (multi-tenant zoo, GPU-aware epoch routing) at boot and expose per-replica rows via /v1/health and e3_fleet_* series via /metrics")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard)")
 	flag.Parse()
 
+	on := map[string]bool{"replan-windows": *replanWindows > 0, "fleet": *fleetN > 0}
+	if name, mode := cliutil.StrayFlag(flag.CommandLine, modeFlags, on); name != "" {
+		fmt.Fprintf(os.Stderr, "e3-serve: -%s needs -%s (it only configures that mode)\n", name, mode)
+		os.Exit(2)
+	}
 	m, err := cliutil.BuildModel(*modelName, 0.4)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "e3-serve:", err)

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"e3/internal/flame"
@@ -43,6 +44,17 @@ func main() {
 	attribute := flag.String("attribute", "", "print the top-k slowest requests of a latency-attribution dump exported by e3-bench -attr-out, then exit")
 	topk := flag.Int("topk", 10, "with -attribute: number of slowest requests to print")
 	flag.Parse()
+
+	// A negative size panics in the generators, and a negative Poisson rate
+	// runs time backwards and never reaches the horizon.
+	switch {
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		usage("-rate must be positive and finite (got %v)", *rate)
+	case !(*horizon > 0) || math.IsInf(*horizon, 1):
+		usage("-horizon must be positive and finite (got %v)", *horizon)
+	case *topk < 0:
+		usage("-topk must be ≥ 0 (got %d)", *topk)
+	}
 
 	if *summarize != "" {
 		if err := summarizeChrome(*summarize); err != nil {
@@ -69,8 +81,7 @@ func main() {
 	case "bursty":
 		arr = trace.Bursty(trace.DefaultBursty(*rate), *horizon, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "e3-trace: unknown kind %q\n", *kind)
-		os.Exit(2)
+		usage("unknown kind %q", *kind)
 	}
 
 	if !*summary {
@@ -82,6 +93,12 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "e3-trace: %d arrivals over %.0fs (avg %.1f req/s, burstiness CV²=%.1f)\n",
 		len(arr), *horizon, arr.Rate(*horizon), arr.Burstiness())
+}
+
+// usage reports a command-line mistake and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "e3-trace: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // summarizeChrome reads an exported span timeline and prints per-split

@@ -18,18 +18,7 @@ func TestRepositoryIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := analysis.NewModuleLoader(wd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadPatterns([]string{"./..."})
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
+	loader, pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the pattern expansion is dropping most of the tree", len(pkgs))
 	}

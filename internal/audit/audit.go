@@ -316,9 +316,6 @@ func NewSampledLedger(stride int64) *Ledger {
 	return l
 }
 
-// Enabled reports whether events are being recorded.
-func (l *Ledger) Enabled() bool { return l != nil }
-
 // Stride reports the detail-sampling stride (1 = exhaustive, nil = 0).
 func (l *Ledger) Stride() int64 {
 	if l == nil {

@@ -111,15 +111,6 @@ func Decode(data []byte) (*Report, error) {
 	return &rep, nil
 }
 
-// ReadFile decodes an envelope (or legacy document) from disk.
-func ReadFile(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
 // WriteFile writes the envelope as indented JSON with a trailing newline
 // (the convention every BENCH artifact follows).
 func WriteFile(path string, rep *Report) error {

@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -91,7 +92,11 @@ func TestDecodeAllExistingBenchArtifacts(t *testing.T) {
 		t.Fatalf("expected at least 4 BENCH_PR*.json artifacts at the repo root, found %d: %v", len(paths), paths)
 	}
 	for _, path := range paths {
-		rep, err := bench.ReadFile(path)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := bench.Decode(data)
 		if err != nil {
 			t.Errorf("%s: %v", filepath.Base(path), err)
 			continue

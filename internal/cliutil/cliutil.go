@@ -1,8 +1,9 @@
 // Package cliutil holds the flag-parsing helpers shared by the e3 command
-// line tools: GPU cluster specs and model names.
+// line tools: GPU cluster specs, model names and mode-only flags.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -78,4 +79,17 @@ func BuildModel(name string, entropy float64) (*ee.EEModel, error) {
 	default:
 		return nil, fmt.Errorf("cliutil: unknown model %q (try %s)", name, strings.Join(ModelNames(), ", "))
 	}
+}
+
+// StrayFlag returns the first flag set on fs, in lexical order, that
+// needs maps to a mode flag which on reports off, together with that mode
+// flag; both are empty when every set flag's mode is on. It finds the
+// flags a command would otherwise ignore without a word.
+func StrayFlag(fs *flag.FlagSet, needs map[string]string, on map[string]bool) (name, mode string) {
+	fs.Visit(func(f *flag.Flag) {
+		if m, ok := needs[f.Name]; ok && !on[m] && name == "" {
+			name, mode = f.Name, m
+		}
+	})
+	return name, mode
 }

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"flag"
 	"testing"
 
 	"e3/internal/gpu"
@@ -58,5 +59,32 @@ func TestBuildModelAllNames(t *testing.T) {
 func TestBuildModelCaseInsensitive(t *testing.T) {
 	if _, err := BuildModel("BERT-Base", 0.4); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestStrayFlag(t *testing.T) {
+	needs := map[string]string{"workers": "fleet", "target": "windows", "out": "windows"}
+	for _, tc := range []struct {
+		args       []string
+		on         map[string]bool
+		name, mode string
+	}{
+		{[]string{"-workers", "2"}, map[string]bool{"fleet": false}, "workers", "fleet"},
+		{[]string{"-workers", "2"}, map[string]bool{"fleet": true}, "", ""},
+		{[]string{"-workers", "0"}, nil, "workers", "fleet"},           // set to its default still counts
+		{[]string{"-target", "1", "-out", "f"}, nil, "out", "windows"}, // lexical order
+		{[]string{"-fleet", "3"}, nil, "", ""},                         // not mode-only
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.Int("workers", 0, "")
+		fs.Int("fleet", 0, "")
+		fs.Float64("target", 0, "")
+		fs.String("out", "", "")
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		if name, mode := StrayFlag(fs, needs, tc.on); name != tc.name || mode != tc.mode {
+			t.Errorf("%v with %v: StrayFlag = (%q, %q), want (%q, %q)", tc.args, tc.on, name, mode, tc.name, tc.mode)
+		}
 	}
 }

@@ -17,14 +17,14 @@ func benchBatch(n int) []workload.Sample {
 	return out
 }
 
-// BenchmarkRunSegmentEager measures the eager (naive-EE) execution path.
-func BenchmarkRunSegmentEager(b *testing.B) {
+// BenchmarkRunEager measures the eager (naive-EE) execution path.
+func BenchmarkRunEager(b *testing.B) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	spec := gpu.Get(gpu.V100)
 	batch := benchBatch(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RunSegment(m, 1, 12, batch, spec, 1)
+		RunEager(m, batch, spec, 1)
 	}
 }
 

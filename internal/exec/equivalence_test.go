@@ -31,7 +31,7 @@ func TestGraphEagerExitEquivalence(t *testing.T) {
 		}
 
 		eagerExits := map[int64]int{}
-		res := RunSegment(m, 1, 12, batch, spec, 1)
+		res := RunEager(m, batch, spec, 1)
 		for _, c := range res.Completions {
 			eagerExits[c.Sample.ID] = c.ExitLayer
 		}

@@ -102,14 +102,11 @@ type Result struct {
 	row splitRow
 }
 
-// RunSegment executes layers [from, to] (1-based, inclusive) of m over the
-// batch on the given GPU spec, with a straggler slowdown factor (1 =
-// healthy). It panics on malformed segment bounds — those are planner bugs.
-func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.Spec, slowdown float64) Result {
-	L := m.Base.NumLayers()
-	if from < 1 || to > L || from > to {
-		panic(fmt.Sprintf("exec: bad segment [%d,%d] for %d-layer model", from, to, L))
-	}
+// RunEager executes every layer of m over the batch on the given GPU spec
+// the way the vanilla and naive-EE baselines run it: each exit check
+// synchronizes, and exits shrink the batch at once. slowdown is a
+// straggler factor (1 = healthy).
+func RunEager(m *ee.EEModel, batch []workload.Sample, spec gpu.Spec, slowdown float64) Result {
 	if slowdown < 1 {
 		slowdown = 1
 	}
@@ -119,28 +116,18 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 		return res
 	}
 
-	// Partition samples by exit layer once.
+	// Partition samples by exit layer once; an exited sample is marked -1.
+	L := m.Base.NumLayers()
 	exitAt := make([]int, len(batch))
 	for i, s := range batch {
 		exitAt[i] = m.ExitLayerFor(s.Difficulty)
-		if exitAt[i] < from {
-			// Defensive: a sample routed past its exit point completes
-			// immediately (upstream should have removed it).
-			res.Completions = append(res.Completions, Completion{Sample: s, Offset: 0, ExitLayer: exitAt[i]})
-			exitAt[i] = -1
-		}
 	}
 
 	t := 0.0
-	active := 0
-	for _, e := range exitAt {
-		if e >= from {
-			active++
-		}
-	}
+	active := len(batch)
 	rampFLOPs := m.RampFLOPs()
 
-	for k := from; k <= to && active > 0; k++ {
+	for k := 1; k <= L && active > 0; k++ {
 		layer := m.Base.Layers[k-1]
 		t += spec.LayerTimeW(layer.FLOPs, layer.WeightBytes, active) * slowdown
 		res.UsefulFLOPs += layer.FLOPs * float64(active)
@@ -155,25 +142,17 @@ func RunSegment(m *ee.EEModel, from, to int, batch []workload.Sample, spec gpu.S
 
 		exited := 0
 		for i, e := range exitAt {
-			if e == k || (k == L && e >= from) {
+			if e == k || (k == L && e > 0) {
 				res.Completions = append(res.Completions, Completion{Sample: batch[i], Offset: t, ExitLayer: e})
 				exitAt[i] = -1
 				exited++
 			}
 		}
 		active -= exited
-		if exited > 0 && active > 0 && k < to {
+		if exited > 0 && active > 0 && k < L {
 			reform := (ReformOverhead + float64(active)*ReformPerSample) * slowdown
 			t += reform
 			res.RampTime += reform
-		}
-	}
-
-	if to < L {
-		for i, e := range exitAt {
-			if e >= from {
-				res.Survivors = append(res.Survivors, batch[i])
-			}
 		}
 	}
 	res.Duration = t

@@ -24,7 +24,7 @@ func TestVanillaFullPass(t *testing.T) {
 	m := ee.NewVanilla(model.BERTBase())
 	spec := gpu.Get(gpu.V100)
 	batch := mkBatch(0.1, 0.5, 0.9, 0.99)
-	res := RunSegment(m, 1, 12, batch, spec, 1)
+	res := RunEager(m, batch, spec, 1)
 	if len(res.Completions) != 4 || len(res.Survivors) != 0 {
 		t.Fatalf("completions=%d survivors=%d, want 4/0", len(res.Completions), len(res.Survivors))
 	}
@@ -52,7 +52,7 @@ func TestEarlyExitsCompleteSooner(t *testing.T) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	spec := gpu.Get(gpu.V100)
 	batch := mkBatch(0.1, 0.95) // exit at layer ~2 and ~12
-	res := RunSegment(m, 1, 12, batch, spec, 1)
+	res := RunEager(m, batch, spec, 1)
 	if len(res.Completions) != 2 {
 		t.Fatalf("completions = %d, want 2", len(res.Completions))
 	}
@@ -72,55 +72,10 @@ func TestDrainedBatchSkipsLayers(t *testing.T) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	spec := gpu.Get(gpu.V100)
 	// Single easy sample: exits at layer ~2; remaining 10 layers skipped.
-	easy := RunSegment(m, 1, 12, mkBatch(0.12), spec, 1)
-	hard := RunSegment(m, 1, 12, mkBatch(0.99), spec, 1)
+	easy := RunEager(m, mkBatch(0.12), spec, 1)
+	hard := RunEager(m, mkBatch(0.99), spec, 1)
 	if easy.Duration >= hard.Duration/2 {
 		t.Errorf("easy single-sample run %v not well under half of hard %v", easy.Duration, hard.Duration)
-	}
-}
-
-func TestSegmentSurvivors(t *testing.T) {
-	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	spec := gpu.Get(gpu.V100)
-	// Difficulties map to exit layers ~2, ~6, ~11, 12.
-	batch := mkBatch(0.12, 0.5, 0.9, 0.99)
-	res := RunSegment(m, 1, 6, batch, spec, 1)
-	if len(res.Completions) != 2 {
-		t.Fatalf("completions in [1,6] = %d, want 2", len(res.Completions))
-	}
-	if len(res.Survivors) != 2 {
-		t.Fatalf("survivors = %d, want 2", len(res.Survivors))
-	}
-	// Survivors keep their identity.
-	if res.Survivors[0].ID != 3 || res.Survivors[1].ID != 4 {
-		t.Errorf("survivor IDs = %d,%d, want 3,4", res.Survivors[0].ID, res.Survivors[1].ID)
-	}
-}
-
-func TestSecondSegmentContinues(t *testing.T) {
-	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	spec := gpu.Get(gpu.V100)
-	batch := mkBatch(0.12, 0.5, 0.9, 0.99)
-	first := RunSegment(m, 1, 6, batch, spec, 1)
-	second := RunSegment(m, 7, 12, first.Survivors, spec, 1)
-	if got := len(first.Completions) + len(second.Completions); got != 4 {
-		t.Fatalf("total completions across segments = %d, want 4", got)
-	}
-	if len(second.Survivors) != 0 {
-		t.Errorf("final segment left %d survivors", len(second.Survivors))
-	}
-}
-
-func TestMisroutedSampleCompletesImmediately(t *testing.T) {
-	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
-	spec := gpu.Get(gpu.V100)
-	// Exit layer ~2 but routed into segment [7,12].
-	res := RunSegment(m, 7, 12, mkBatch(0.12), spec, 1)
-	if len(res.Completions) != 1 || res.Completions[0].Offset != 0 {
-		t.Fatalf("misrouted sample: %+v", res.Completions)
-	}
-	if res.Duration != 0 {
-		t.Errorf("duration = %v, want 0 (nothing to compute)", res.Duration)
 	}
 }
 
@@ -128,13 +83,13 @@ func TestStragglerSlowdownScales(t *testing.T) {
 	m := ee.NewVanilla(model.BERTBase())
 	spec := gpu.Get(gpu.V100)
 	batch := mkBatch(0.5, 0.5)
-	healthy := RunSegment(m, 1, 12, batch, spec, 1)
-	slow := RunSegment(m, 1, 12, batch, spec, 2)
+	healthy := RunEager(m, batch, spec, 1)
+	slow := RunEager(m, batch, spec, 2)
 	if math.Abs(slow.Duration-2*healthy.Duration) > 1e-12 {
 		t.Errorf("slowdown 2 gave %v, want %v", slow.Duration, 2*healthy.Duration)
 	}
 	// Sub-1 slowdowns clamp to healthy.
-	clamped := RunSegment(m, 1, 12, batch, spec, 0.5)
+	clamped := RunEager(m, batch, spec, 0.5)
 	if clamped.Duration != healthy.Duration {
 		t.Error("slowdown < 1 not clamped")
 	}
@@ -142,23 +97,9 @@ func TestStragglerSlowdownScales(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	m := ee.NewVanilla(model.BERTBase())
-	res := RunSegment(m, 1, 12, nil, gpu.Get(gpu.V100), 1)
+	res := RunEager(m, nil, gpu.Get(gpu.V100), 1)
 	if res.Duration != 0 || len(res.Completions) != 0 || len(res.Survivors) != 0 {
 		t.Errorf("empty batch result: %+v", res)
-	}
-}
-
-func TestBadSegmentPanics(t *testing.T) {
-	m := ee.NewVanilla(model.BERTBase())
-	for _, c := range [][2]int{{0, 5}, {5, 13}, {8, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("segment %v did not panic", c)
-				}
-			}()
-			RunSegment(m, c[0], c[1], mkBatch(0.5), gpu.Get(gpu.V100), 1)
-		}()
 	}
 }
 
@@ -181,7 +122,7 @@ func TestNaiveEESlowerThanVanillaAtLargeBatch(t *testing.T) {
 			for i := range batch {
 				batch[i] = workload.Sample{ID: int64(i), Difficulty: dist.Sample(rng)}
 			}
-			total += RunSegment(m, 1, 12, batch, spec, 1).Duration
+			total += RunEager(m, batch, spec, 1).Duration
 		}
 		return total / float64(trials*b)
 	}
@@ -233,7 +174,7 @@ func TestSplitCheaperThanEagerAtScale(t *testing.T) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	spec := gpu.Get(gpu.V100)
 	batch := mkBatch(0.99, 0.99, 0.99, 0.99, 0.99, 0.99, 0.99, 0.99)
-	eager := RunSegment(m, 1, 12, batch, spec, 1)
+	eager := RunEager(m, batch, spec, 1)
 	s1 := RunSplit(m, 1, 6, batch, spec, 1)
 	s2 := RunSplit(m, 7, 12, s1.Survivors, spec, 1)
 	if got := s1.Duration + s2.Duration; got >= eager.Duration {
@@ -293,33 +234,25 @@ func TestSplitEmptyAndBadBounds(t *testing.T) {
 	RunSplit(m, 0, 12, mkBatch(0.5), gpu.Get(gpu.V100), 1)
 }
 
-// Property: no sample is lost or duplicated across a random split of the
-// model into two segments, and completion offsets are within duration.
+// Property: one eager pass neither loses nor duplicates a sample, and
+// every completion offset lies within the pass's duration.
 func TestConservationProperty(t *testing.T) {
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	spec := gpu.Get(gpu.K80)
 	rng := rand.New(rand.NewSource(22))
-	f := func(rawDiffs []uint16, rawCut uint8) bool {
+	f := func(rawDiffs []uint16) bool {
 		if len(rawDiffs) == 0 || len(rawDiffs) > 64 {
 			return true
 		}
-		cut := int(rawCut%10) + 1 // split after layer 1..10
 		batch := make([]workload.Sample, len(rawDiffs))
 		for i, r := range rawDiffs {
 			batch[i] = workload.Sample{ID: int64(i + 1), Difficulty: float64(r) / 65535}
 		}
-		r1 := RunSegment(m, 1, cut, batch, spec, 1)
-		r2 := RunSegment(m, cut+1, 12, r1.Survivors, spec, 1)
+		res := RunEager(m, batch, spec, 1)
 		seen := make(map[int64]int)
-		for _, c := range r1.Completions {
+		for _, c := range res.Completions {
 			seen[c.Sample.ID]++
-			if c.Offset < 0 || c.Offset > r1.Duration+1e-12 {
-				return false
-			}
-		}
-		for _, c := range r2.Completions {
-			seen[c.Sample.ID]++
-			if c.Offset < 0 || c.Offset > r2.Duration+1e-12 {
+			if c.Offset < 0 || c.Offset > res.Duration+1e-12 {
 				return false
 			}
 		}

@@ -9,6 +9,8 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/optimizer"
+	"e3/internal/profile"
+	"e3/internal/workload"
 )
 
 func init() {
@@ -24,8 +26,8 @@ func AblationForecaster() Table {
 	const cut = 7
 
 	run := func(method forecast.Method) (trendMAE, shiftMAE float64) {
-		w := newWindowEstimator(m)
-		w.est.Method = method
+		est := forecast.NewEstimator(m.Base.NumLayers())
+		est.Method = method
 		// Steady drift in easy fraction (hardness rising through the day),
 		// then a level shift.
 		easyAt := func(i int) float64 {
@@ -35,12 +37,13 @@ func AblationForecaster() Table {
 			return 0.85
 		}
 		for i := 0; i < 8; i++ {
-			w.observeWindow(easyAt(i), int64(300+i))
+			est.Observe(profile.FromDist(m, workload.Mix(easyAt(i)), windowSamples, int64(300+i)))
 		}
 		nT, nS := 0, 0
 		for i := 8; i < 26; i++ {
-			pred := w.predict()
-			actual := w.observeWindow(easyAt(i), int64(300+i))
+			pred := est.Predict()
+			actual := profile.FromDist(m, workload.Mix(easyAt(i)), windowSamples, int64(300+i))
+			est.Observe(actual)
 			err := math.Abs(pred.At(cut) - actual.At(cut))
 			if i < 22 {
 				trendMAE += err

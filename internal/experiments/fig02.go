@@ -34,7 +34,7 @@ func meanLatencyBatch1(m *ee.EEModel, dist workload.Dist, seed int64) float64 {
 	const n = 2000
 	for i := 0; i < n; i++ {
 		batch := []workload.Sample{{Difficulty: dist.Sample(rng)}}
-		total += exec.RunSegment(m, 1, m.Base.NumLayers(), batch, spec, 1).Duration
+		total += exec.RunEager(m, batch, spec, 1).Duration
 	}
 	return total / n
 }

@@ -5,9 +5,11 @@ import (
 
 	"e3/internal/cluster"
 	"e3/internal/ee"
+	"e3/internal/forecast"
 	"e3/internal/model"
 	"e3/internal/optimizer"
 	"e3/internal/profile"
+	"e3/internal/workload"
 )
 
 func init() {
@@ -56,6 +58,10 @@ func Fig20() Table {
 	return t
 }
 
+// windowSamples is how many synthetic inputs measure one scheduling
+// window's profile in Fig21 and the forecaster ablation.
+const windowSamples = 12000
+
 // Fig21 reproduces Figure 21: the online batch-profile estimator's
 // predictions versus reality at two model cuts over ten scheduling
 // windows, under a drifting workload.
@@ -71,15 +77,17 @@ func Fig21() Table {
 			"cut2 predicted", "cut2 actual"},
 		Notes: "paper: predictions closely match reality",
 	}
-	est := newWindowEstimator(m)
-	// Warm up on a drifting easy fraction, then report ten windows.
+	est := forecast.NewEstimator(m.Base.NumLayers())
+	// Warm up on a drifting easy fraction, then report ten windows. Each
+	// window's profile is measured on synthetic traffic and observed.
 	easyAt := func(w int) float64 { return 0.75 - 0.02*float64(w%12) }
 	for w := 0; w < 8; w++ {
-		est.observeWindow(easyAt(w), int64(210+w))
+		est.Observe(profile.FromDist(m, workload.Mix(easyAt(w)), windowSamples, int64(210+w)))
 	}
 	for w := 0; w < 10; w++ {
-		pred := est.predict()
-		actual := est.observeWindow(easyAt(8+w), int64(218+w))
+		pred := est.Predict()
+		actual := profile.FromDist(m, workload.Mix(easyAt(8+w)), windowSamples, int64(218+w))
+		est.Observe(actual)
 		t.Rows = append(t.Rows, []string{
 			itoa(w + 1),
 			f2(pred.At(cut1+1) * inputBatch), f2(actual.At(cut1+1) * inputBatch),

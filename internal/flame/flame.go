@@ -172,9 +172,6 @@ func NewProfiler(start float64) *Profiler {
 	}
 }
 
-// Enabled reports whether the profiler records anything.
-func (p *Profiler) Enabled() bool { return p != nil }
-
 // Register adds a device to the fold and returns its handle for Execute;
 // registering a known ID returns its handle and keeps its first kind. A
 // device that never runs a batch still appears, its whole horizon one idle

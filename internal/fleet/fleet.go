@@ -133,9 +133,6 @@ type Replica struct {
 	digest string
 }
 
-// Engine exposes the shard's engine for diagnostics (events processed).
-func (r *Replica) Engine() *sim.Engine { return r.eng }
-
 // Pool exposes the shard-owned batch pool (ownership regression test).
 func (r *Replica) Pool() *workload.BatchPool { return r.pool }
 

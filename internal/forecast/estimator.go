@@ -49,16 +49,11 @@ type Estimator struct {
 
 // NewEstimator builds an ARIMA estimator for an L-layer model.
 func NewEstimator(l int) *Estimator {
-	return &Estimator{L: l, Method: MethodARIMA, histories: windowRings(l)}
-}
-
-// windowRings returns n empty rings of historyWindows values.
-func windowRings(n int) []store.Ring[float64] {
-	rs := make([]store.Ring[float64], n)
-	for k := range rs {
-		rs[k] = store.NewRing[float64](historyWindows)
+	e := &Estimator{L: l, Method: MethodARIMA, histories: make([]store.Ring[float64], l)}
+	for k := range e.histories {
+		e.histories[k] = store.NewRing[float64](historyWindows)
 	}
-	return rs
+	return e
 }
 
 // Observe appends one window's measured survival profile. When Stats is
@@ -68,14 +63,6 @@ func (e *Estimator) Observe(p profile.Batch) {
 	for k := 1; k <= e.L; k++ {
 		e.histories[k-1].Push(p.At(k))
 	}
-}
-
-// Observations reports how many windows have been observed.
-func (e *Estimator) Observations() int {
-	if e.L == 0 {
-		return 0
-	}
-	return e.histories[0].Len()
 }
 
 // Predict forecasts the next window's survival profile. With no history it

@@ -77,7 +77,7 @@ func TestEstimatorWindowBound(t *testing.T) {
 	for i := 0; i < historyWindows+36; i++ {
 		e.Observe(profFrom(1))
 	}
-	if got := e.Observations(); got != historyWindows {
+	if got := e.histories[0].Len(); got != historyWindows {
 		t.Errorf("history length = %d, want bounded to %d", got, historyWindows)
 	}
 }

@@ -21,12 +21,14 @@ type Stats struct {
 	hasPred  bool
 
 	// absResid/pctResid are rolling rings of per-window mean residuals
-	// (absolute and percentage) across layers; perLayerAbs keeps the same
-	// residuals per layer. Every scored window pushes one absResid, so its
-	// push count is the number of windows scored.
-	absResid    store.Ring[float64]
-	pctResid    store.Ring[float64]
-	perLayerAbs []store.Ring[float64]
+	// (absolute and percentage) across the layers. Every scored window
+	// pushes one absResid, so its push count is the number of windows
+	// scored.
+	absResid store.Ring[float64]
+	pctResid store.Ring[float64]
+	// layers is the estimator's layer count; a prediction of any other
+	// length is not scored.
+	layers int
 
 	counts [numCounters]int
 }
@@ -47,9 +49,9 @@ const (
 // residuals of the last historyWindows scored windows.
 func NewStats(l int) *Stats {
 	return &Stats{
-		absResid:    store.NewRing[float64](historyWindows),
-		pctResid:    store.NewRing[float64](historyWindows),
-		perLayerAbs: windowRings(l),
+		absResid: store.NewRing[float64](historyWindows),
+		pctResid: store.NewRing[float64](historyWindows),
+		layers:   l,
 	}
 }
 
@@ -67,13 +69,13 @@ func (s *Stats) predicted(surv []float64) {
 // accumulates residuals. Observations with no pending prediction (e.g.
 // the very first window) are ignored.
 func (s *Stats) observed(p profile.Batch) {
-	if s == nil || !s.hasPred || len(s.lastPred) != len(s.perLayerAbs) {
+	if s == nil || !s.hasPred || len(s.lastPred) != s.layers {
 		return
 	}
 	s.hasPred = false
 	absSum, pctSum := 0.0, 0.0
 	pctN := 0
-	for k := range s.perLayerAbs {
+	for k := range s.layers {
 		obs := p.At(k + 1)
 		resid := s.lastPred[k] - obs
 		if resid < 0 {
@@ -84,9 +86,8 @@ func (s *Stats) observed(p profile.Batch) {
 			pctSum += resid / obs
 			pctN++
 		}
-		s.perLayerAbs[k].Push(resid)
 	}
-	s.absResid.Push(absSum / float64(len(s.perLayerAbs)))
+	s.absResid.Push(absSum / float64(s.layers))
 	if pctN > 0 {
 		s.pctResid.Push(pctSum / float64(pctN))
 	}
@@ -145,18 +146,6 @@ func (s *Stats) LastMAE() float64 {
 		return 0
 	}
 	return s.absResid.Last()
-}
-
-// PerLayerMAE reports the rolling mean absolute error for each layer.
-func (s *Stats) PerLayerMAE() []float64 {
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, len(s.perLayerAbs))
-	for k := range s.perLayerAbs {
-		out[k] = mean(&s.perLayerAbs[k])
-	}
-	return out
 }
 
 // Windows reports how many prediction/observation pairs have been scored.

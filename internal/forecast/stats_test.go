@@ -57,10 +57,6 @@ func TestStatsResidualsAndGauges(t *testing.T) {
 	if got := e.Stats.LastMAE(); math.Abs(got-0.05) > 1e-12 {
 		t.Errorf("LastMAE = %v, want 0.05", got)
 	}
-	pl := e.Stats.PerLayerMAE()
-	if math.Abs(pl[0]-0) > 1e-12 || math.Abs(pl[1]-0.1) > 1e-12 {
-		t.Errorf("per-layer MAE = %v, want [0, 0.1]", pl)
-	}
 	// MAPE: layer 1 0/1, layer 2 0.1/0.4 = 0.25 → mean 0.125.
 	if got := e.Stats.MAPE(); math.Abs(got-0.125) > 1e-12 {
 		t.Errorf("MAPE = %v, want 0.125", got)
@@ -104,7 +100,7 @@ func TestStatsNilSafe(t *testing.T) {
 	for c := range numCounters {
 		s.count(c)
 	}
-	if s.MAE() != 0 || s.MAPE() != 0 || s.LastMAE() != 0 || s.PerLayerMAE() != nil ||
+	if s.MAE() != 0 || s.MAPE() != 0 || s.LastMAE() != 0 ||
 		s.Windows() != 0 || s.Forecasts() != 0 || s.ClampHits() != 0 || s.PersistenceFallbacks() != 0 ||
 		s.FitFailures() != 0 || s.MonotoneFixes() != 0 {
 		t.Error("nil Stats not inert")

@@ -39,7 +39,6 @@ func RunContinuous(m *ee.EEModel, reqs []Request, slots int, spec gpu.Spec) Cont
 	if slots < 1 {
 		slots = 1
 	}
-	L := m.Base.NumLayers()
 	var stats ContinuousBatchStats
 	queue := append([]Request(nil), reqs...)
 	active := make([]*continuousState, 0, slots)
@@ -56,7 +55,7 @@ func RunContinuous(m *ee.EEModel, reqs []Request, slots int, spec gpu.Spec) Cont
 		for i, st := range active {
 			batch[i] = workload.Sample{ID: int64(i), Difficulty: st.req.Difficulties[st.next]}
 		}
-		res := exec.RunSegment(m, 1, L, batch, spec, 1)
+		res := exec.RunEager(m, batch, spec, 1)
 		stats.Elapsed += res.Duration
 		stats.Iterations++
 		filled += len(active)

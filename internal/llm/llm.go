@@ -111,7 +111,6 @@ func StaticBatchTime(m *ee.EEModel, reqs []Request, spec gpu.Spec) float64 {
 			maxLen = r.Tokens()
 		}
 	}
-	L := m.Base.NumLayers()
 	total := 0.0
 	for it := 0; it < maxLen; it++ {
 		batch := make([]workload.Sample, len(reqs))
@@ -122,7 +121,7 @@ func StaticBatchTime(m *ee.EEModel, reqs []Request, spec gpu.Spec) float64 {
 			}
 			batch[i] = workload.Sample{ID: int64(i), Difficulty: d}
 		}
-		total += exec.RunSegment(m, 1, L, batch, spec, 1).Duration
+		total += exec.RunEager(m, batch, spec, 1).Duration
 	}
 	return total
 }

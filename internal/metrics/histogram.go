@@ -48,12 +48,6 @@ func NewLogHistogram(lo, hi float64, buckets int) *Histogram {
 	return h
 }
 
-// Growth returns the ratio between consecutive bucket bounds — the
-// relative tolerance of Quantile.
-func (h *Histogram) Growth() float64 {
-	return math.Pow(h.bounds[len(h.bounds)-1]/h.bounds[0], 1/float64(len(h.bounds)-1))
-}
-
 // Observe records one value. Negative values are clamped to zero, matching
 // LatencyRecorder.
 func (h *Histogram) Observe(v float64) {
@@ -77,21 +71,6 @@ func (h *Histogram) Count() uint64 { return h.total }
 
 // Sum reports the sum of observed values.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean reports the arithmetic mean (0 if empty). The mean is exact — it is
-// accumulated from the raw values, not reconstructed from buckets.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest observed value (0 if empty).
-func (h *Histogram) Min() float64 { return h.minSeen }
-
-// Max returns the largest observed value (0 if empty).
-func (h *Histogram) Max() float64 { return h.maxSeen }
 
 // Quantile returns an approximation of the q-th quantile: the bucket
 // holding the target rank is located and the value interpolated linearly

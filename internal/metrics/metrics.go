@@ -193,12 +193,6 @@ func (r *LatencyRecorder) keyAbove(key uint64) uint64 {
 	return next
 }
 
-// Min returns the smallest sample (0 if empty).
-func (r *LatencyRecorder) Min() float64 { return r.Quantile(0) }
-
-// Max returns the largest sample (0 if empty).
-func (r *LatencyRecorder) Max() float64 { return r.Quantile(1) }
-
 // Mean returns the arithmetic mean (0 if empty).
 func (r *LatencyRecorder) Mean() float64 {
 	n := r.lat.Len()
@@ -356,15 +350,9 @@ func (u *UtilizationTracker) Register(name string) int {
 	return i
 }
 
-// AddBusy credits d seconds of busy time to resource name beginning at
-// virtual time start.
-func (u *UtilizationTracker) AddBusy(name string, start, d float64) {
-	u.AddBusyAt(u.Register(name), start, d)
-}
-
-// AddBusyAt is AddBusy for the resource registered at slot i. It raises
-// the watermark to start and folds the slot's leading intervals that end
-// by it.
+// AddBusyAt credits d seconds of busy time, beginning at virtual time
+// start, to the resource registered at slot i. It raises the watermark to
+// start and folds the slot's leading intervals that end by it.
 func (u *UtilizationTracker) AddBusyAt(i int, start, d float64) {
 	if d < 0 {
 		d = 0

@@ -35,8 +35,8 @@ func TestLatencyEmpty(t *testing.T) {
 func TestLatencyNegativeClamped(t *testing.T) {
 	var r LatencyRecorder
 	r.Observe(-1)
-	if r.Min() != 0 {
-		t.Errorf("negative latency not clamped: min=%v", r.Min())
+	if r.Quantile(0) != 0 {
+		t.Errorf("negative latency not clamped: min=%v", r.Quantile(0))
 	}
 }
 
@@ -85,7 +85,7 @@ func TestUtilizationTracker(t *testing.T) {
 	u := NewUtilizationTracker(0)
 	u.Register("gpu0")
 	u.Register("gpu1")
-	u.AddBusy("gpu0", 0, 5)
+	u.AddBusyAt(u.Register("gpu0"), 0, 5)
 	got := u.Utilization(10)
 	if math.Abs(got-0.25) > 1e-9 {
 		t.Errorf("utilization = %v, want 0.25", got)
@@ -93,8 +93,8 @@ func TestUtilizationTracker(t *testing.T) {
 }
 
 // TestUtilizationSlots: Register hands out one slot per resource, stable
-// across re-registration, and AddBusyAt credits the same busy time AddBusy
-// does by name.
+// across re-registration, and AddBusyAt credits busy time to the slot's
+// resource by name.
 func TestUtilizationSlots(t *testing.T) {
 	u := NewUtilizationTracker(0)
 	g0, g1 := u.Register("gpu0"), u.Register("gpu1")
@@ -102,7 +102,7 @@ func TestUtilizationSlots(t *testing.T) {
 		t.Fatalf("slots gpu0=%d gpu1=%d, re-registered gpu0=%d", g0, g1, u.Register("gpu0"))
 	}
 	u.AddBusyAt(g1, 1, 2)
-	u.AddBusy("gpu1", 4, 1)
+	u.AddBusyAt(u.Register("gpu1"), 4, 1)
 	for name, want := range map[string]int64{"gpu1": 3e9, "gpu0": 0, "gpu9": 0} {
 		if got := u.BusyNanos(name); got != want {
 			t.Errorf("BusyNanos(%s) = %d, want %d", name, got, want)
@@ -118,7 +118,7 @@ func TestUtilizationSlots(t *testing.T) {
 
 func TestUtilizationClamped(t *testing.T) {
 	u := NewUtilizationTracker(0)
-	u.AddBusy("gpu0", 0, 100)
+	u.AddBusyAt(u.Register("gpu0"), 0, 100)
 	if got := u.Utilization(10); got != 1 {
 		t.Errorf("utilization = %v, want clamped to 1", got)
 	}
@@ -134,13 +134,13 @@ func TestUtilizationClampsBusyToHorizon(t *testing.T) {
 	u.Register("gpu0")
 	// Dispatched at t=9.5 with 10s of service: only 0.5s lies inside the
 	// [0, 10] measurement window.
-	u.AddBusy("gpu0", 9.5, 10)
+	u.AddBusyAt(u.Register("gpu0"), 9.5, 10)
 	if got, want := u.Utilization(10), 0.05; math.Abs(got-want) > 1e-9 {
 		t.Errorf("utilization = %v, want %v (busy clamped to horizon)", got, want)
 	}
 	// Work entirely before the tracking window start counts as zero.
 	v := NewUtilizationTracker(5)
-	v.AddBusy("gpu0", 0, 4)
+	v.AddBusyAt(v.Register("gpu0"), 0, 4)
 	if got := v.Utilization(10); got != 0 {
 		t.Errorf("utilization = %v, want 0 for pre-window busy time", got)
 	}
@@ -160,7 +160,7 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
 			v := r.Quantile(q)
-			if v < prev || v < r.Min() || v > r.Max() {
+			if v < prev || v < r.Quantile(0) || v > r.Quantile(1) {
 				return false
 			}
 			prev = v

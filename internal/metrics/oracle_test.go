@@ -167,7 +167,7 @@ func TestUtilizationMatchesFlatOracle(t *testing.T) {
 				case 6:
 					start = since - 2*rng.Float64() // before the window
 				}
-				u.AddBusy(name, start, d)
+				u.AddBusyAt(u.Register(name), start, d)
 				flat[name] = append(flat[name], busySpan{start: start, end: start + max(d, 0)})
 				if start > watermark {
 					watermark = start
@@ -255,10 +255,10 @@ func TestQuantileSelectMatchesSortOracle(t *testing.T) {
 			got := r.Summarize()
 			for _, f := range [][2]float64{
 				{got.Min, want.Min}, {got.P25, want.P25}, {got.Median, want.Median}, {got.P75, want.P75},
-				{got.Max, want.Max}, {got.Mean, want.Mean}, {r.Min(), want.Min}, {r.Max(), want.Max},
+				{got.Max, want.Max}, {got.Mean, want.Mean}, {r.Quantile(0), want.Min}, {r.Quantile(1), want.Max},
 			} {
 				if !sameQuantile(f[0], f[1], mixedZeros) {
-					t.Fatalf("%s n=%d: Summarize() = %+v, Min() %v, Max() %v; sort oracle %+v", name, n, got, r.Min(), r.Max(), want)
+					t.Fatalf("%s n=%d: Summarize() = %+v, Quantile(0) %v, Quantile(1) %v; sort oracle %+v", name, n, got, r.Quantile(0), r.Quantile(1), want)
 				}
 			}
 			if got.Count != n {

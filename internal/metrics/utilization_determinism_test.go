@@ -10,7 +10,7 @@ func utilizationFixture(order []int) *UtilizationTracker {
 	u := NewUtilizationTracker(0)
 	for _, i := range order {
 		name := string(rune('a' + i))
-		u.AddBusy(name, 0, float64(i+1)/10)
+		u.AddBusyAt(u.Register(name), 0, float64(i+1)/10)
 	}
 	return u
 }

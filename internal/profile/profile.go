@@ -123,10 +123,6 @@ func (b Batch) After(k int) float64 { return b.At(k + 1) }
 // BatchAt scales the profile to a concrete input batch size.
 func (b Batch) BatchAt(k, b0 int) float64 { return b.At(k) * float64(b0) }
 
-// ExitFracAt returns the fraction of a fresh batch exiting exactly at the
-// ramp after layer k.
-func (b Batch) ExitFracAt(k int) float64 { return b.At(k) - b.After(k) }
-
 // MaxAbsDiff is the largest pointwise survival difference between two
 // profiles over the same model — the drift metric the scheduler monitors
 // to trigger re-planning (§3.1).

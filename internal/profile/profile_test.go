@@ -56,7 +56,7 @@ func TestExitFracSumsToOne(t *testing.T) {
 	p := FromDist(m, workload.Mix(0.5), 5000, 1)
 	sum := 0.0
 	for k := 1; k <= p.L-1; k++ {
-		sum += p.ExitFracAt(k)
+		sum += p.At(k) - p.After(k) // the fraction exiting at layer k's ramp
 	}
 	// Remaining mass exits at the final layer: survival entering L.
 	sum += p.At(p.L)

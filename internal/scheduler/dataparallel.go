@@ -84,14 +84,14 @@ func (d *DataParallel) runNext(inst *instance) {
 
 	dev := &d.clus.Devices[inst.device]
 	L := d.model.Base.NumLayers()
-	res := exec.RunSegment(d.model, 1, L, batch, dev.Spec(), dev.Slowdown)
+	res := exec.RunEager(d.model, batch, dev.Spec(), dev.Slowdown)
 	d.coll.Executed(inst.device, d.model.Name, 0, 1, L, batch, d.eng.Now(), &res)
 	if d.ewmaBatch == 0 {
 		d.ewmaBatch = res.Duration
 	} else {
 		d.ewmaBatch = 0.9*d.ewmaBatch + 0.1*res.Duration
 	}
-	// RunSegment emits completions in ramp order with non-decreasing
+	// RunEager emits completions in ramp order with non-decreasing
 	// offsets; samples exiting at the same ramp share one. Group each
 	// equal-offset run into a single engine event — within-run order is the
 	// slice order and runs stay in emission order, so execution matches the

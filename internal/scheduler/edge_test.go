@@ -102,7 +102,7 @@ func TestSerialFlushPartialRound(t *testing.T) {
 	coll := NewCollector(12, 10, 0)
 	s := NewSerial(eng, clus, m, plan, coll)
 	gen := workload.NewGenerator(workload.Mix(0.8), 33)
-	// Fewer batches than devices: only Flush starts the round.
+	// Fewer batches than devices: only FlushAll starts the round.
 	for i := 0; i < 3; i++ {
 		s.Ingest(gen.Batch(8, 0, 10))
 	}
@@ -110,14 +110,14 @@ func TestSerialFlushPartialRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if coll.Good.Served != 0 {
-		t.Fatalf("round started before Flush with %d/%d batches", 3, clus.Size())
+		t.Fatalf("round started before FlushAll with %d/%d batches", 3, clus.Size())
 	}
-	s.Flush()
+	s.FlushAll()
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := coll.Good.Served + coll.Violations; got != 24 {
-		t.Errorf("served+violated = %d of 24 after Flush", got)
+		t.Errorf("served+violated = %d of 24 after FlushAll", got)
 	}
 }
 
@@ -135,7 +135,7 @@ func TestSerialBackToBackRounds(t *testing.T) {
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	s.Flush()
+	s.FlushAll()
 	if err := eng.RunAll(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func (f *fanout) register(device int, id, kind string) {
 
 func (f *fanout) arrived(id int64, at float64) {
 	f.Audit.Arrived(id, at)
-	f.Tracer.Arrive(at)
+	f.Tracer.Arrive()
 }
 
 func (f *fanout) queued(s workload.Sample, at float64) {
@@ -81,13 +81,13 @@ func (f *fanout) fused(stage, n int, start, end float64) {
 
 func (f *fanout) completed(s workload.Sample, at float64, exitLayer int) {
 	f.Audit.Completed(s.ID, at, exitLayer)
-	f.Tracer.Complete(at, at-s.Arrival)
+	f.Tracer.Complete(at - s.Arrival)
 	f.Attr.Completed(s, at)
 }
 
 func (f *fanout) dropped(s workload.Sample, at float64, reason audit.Reason) {
 	f.Audit.Dropped(s.ID, at, reason)
-	f.Tracer.Drop(at, string(reason))
+	f.Tracer.Drop(string(reason))
 	f.Attr.Dropped(s, at)
 }
 

@@ -154,9 +154,6 @@ func NewPipeline(eng *sim.Engine, clus *cluster.Cluster, m *ee.EEModel, plan opt
 // Collector implements Runner.
 func (p *Pipeline) Collector() *Collector { return p.coll }
 
-// Plan returns the executing plan.
-func (p *Pipeline) Plan() optimizer.Plan { return p.plan }
-
 // SetPool attaches a batch pool shared with the batcher: ingested batches
 // are returned once their samples have been copied into completions and
 // survivors, and survivor slices once merged. A nil pool (the default)

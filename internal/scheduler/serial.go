@@ -56,9 +56,6 @@ func (s *Serial) Ingest(batch []workload.Sample) {
 	s.tryRound(false)
 }
 
-// Flush runs a final partial round.
-func (s *Serial) Flush() { s.tryRound(true) }
-
 // FlushAll implements the serving layer's end-of-run Flusher hook: it
 // keeps forcing partial rounds until the pending queue is empty, so no
 // ingested sample is silently abandoned.

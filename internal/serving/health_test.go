@@ -149,13 +149,13 @@ func TestDebugBundleEmptyAndPostFailure(t *testing.T) {
 }
 
 func TestDebugBundleRingWrap(t *testing.T) {
-	// A recorder over a small ring must serve only the span tail and
+	// A recorder over a small ring must serve only the ring's tail and
 	// report what the ring evicted, keeping the endpoint bounded.
 	tr := telemetry.NewRing(8)
 	for i := 0; i < 100; i++ {
 		tr.Execute("g0", "V100", 0, 4, float64(i), float64(i)+0.5)
 	}
-	rec := &slo.Recorder{Spans: tr, MaxSpans: 4}
+	rec := &slo.Recorder{Spans: tr}
 	rec.Trigger(slo.TriggerEngineAbort, "wrap", 100.0)
 	srv := httptest.NewServer(bootAPI(t, Boot{Recorder: rec}).Handler())
 	defer srv.Close()
@@ -165,10 +165,10 @@ func TestDebugBundleRingWrap(t *testing.T) {
 		t.Fatalf("status %d, want 200", code)
 	}
 	b := br.Bundle
-	if b == nil || len(b.Spans) != 4 || b.SpansTotal != 100 || b.SpansDropped != 96 {
+	if b == nil || len(b.Spans) != 8 || b.SpansTotal != 100 || b.SpansDropped != 92 {
 		t.Fatalf("ring-wrap bundle spans = %+v", b)
 	}
-	if b.Spans[3].Start != 99 {
+	if b.Spans[7].Start != 99 {
 		t.Fatalf("bundle tail must end at the newest span, got start %v", b.Spans[3].Start)
 	}
 }

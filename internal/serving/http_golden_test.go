@@ -42,7 +42,7 @@ const escapedReason = "quota \"gold\"\\tier\nB"
 func goldenAPI(t *testing.T) *API {
 	t.Helper()
 	tr := testTracer(0)
-	tr.Drop(0.03, escapedReason)
+	tr.Drop(escapedReason)
 
 	led := audit.NewLedger()
 	led.Arrived(1, 0)

@@ -37,17 +37,17 @@ func testTracer(capacity int) *telemetry.Tracer {
 	} else {
 		tr = telemetry.New()
 	}
-	tr.Arrive(0.00)
-	tr.Arrive(0.01)
-	tr.Arrive(0.02)
+	tr.Arrive()
+	tr.Arrive()
+	tr.Arrive()
 	tr.QueueWait(2, 0.00, 0.05)
 	tr.Execute("v100-0", "V100", 0, 2, 0.05, 0.10)
 	tr.Transfer(0, 1, 0.10, 0.11)
 	tr.Fuse(1, 1, 0.11, 0.12)
 	tr.Execute("v100-1", "V100", 1, 1, 0.12, 0.15)
-	tr.Complete(0.10, 0.10)
-	tr.Complete(0.15, 0.14)
-	tr.Drop(0.02, "admission")
+	tr.Complete(0.10)
+	tr.Complete(0.14)
+	tr.Drop("admission")
 	return tr
 }
 
@@ -121,7 +121,7 @@ func TestMetricsGolden(t *testing.T) {
 func TestMetricsBucketsCumulative(t *testing.T) {
 	tr := telemetry.New()
 	for _, lat := range []float64{0.001, 0.01, 0.1, 1.0} {
-		tr.Complete(lat, lat)
+		tr.Complete(lat)
 	}
 	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: tr}).Handler())
 	defer srv.Close()

@@ -124,9 +124,6 @@ type Part struct {
 	End   float64 `json:"end_s"`
 }
 
-// Duration is the part's extent in virtual seconds.
-func (p Part) Duration() float64 { return p.End - p.Start }
-
 // Breakdown is one completed request's full critical-path attribution.
 type Breakdown struct {
 	ID         int64   `json:"id"`
@@ -244,9 +241,6 @@ type stageCompute struct {
 	total float64
 	count uint64
 }
-
-// Enabled reports whether events are being folded.
-func (a *Attribution) Enabled() bool { return a != nil }
 
 // lookup returns id's open record, or nil.
 func (a *Attribution) lookup(id int64) *reqState {
@@ -530,15 +524,6 @@ func (a *Attribution) Open() int {
 		return 0
 	}
 	return a.states.InUse()
-}
-
-// ComponentSeconds reports the total virtual time attributed to c across
-// all finalized breakdowns.
-func (a *Attribution) ComponentSeconds(c Component) float64 {
-	if a == nil || c >= NumComponents {
-		return 0
-	}
-	return a.compTotal[c]
 }
 
 // Slowest returns the retained top-K breakdowns, slowest first (a copy).

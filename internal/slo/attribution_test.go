@@ -62,7 +62,7 @@ func TestAttributionPipelineSequence(t *testing.T) {
 			t.Fatalf("%v = %v, want %v", comp, got, want)
 		}
 	}
-	if got := a.ComponentSeconds(CompCompute); math.Abs(got-0.4) > 1e-12 {
+	if got := a.Dump().Components[CompCompute].TotalS; math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("aggregate compute = %v, want 0.4", got)
 	}
 }
@@ -157,7 +157,7 @@ func TestAttributionNilSafe(t *testing.T) {
 	a.Completed(s, 1)
 	a.Dropped(s, 1)
 	a.Reconcile(&audit.Report{})
-	if a.Enabled() || a.Open() != 0 || a.Mismatches() != 0 || a.Slowest() != nil {
+	if a.Open() != 0 || a.Mismatches() != 0 || a.Slowest() != nil {
 		t.Fatal("nil attribution must be inert")
 	}
 	if d := a.Dump(); d == nil || d.Completed != 0 {

@@ -28,8 +28,8 @@ const (
 )
 
 const (
-	// defaultBundleSpans bounds spans per bundle when MaxSpans is unset.
-	defaultBundleSpans = 512
+	// maxBundleSpans bounds spans per bundle.
+	maxBundleSpans = 512
 	// maxBundleDiffs bounds retained plan diffs per bundle.
 	maxBundleDiffs = 8
 	// maxTriggerLog bounds the recorder's recent-trigger log.
@@ -120,9 +120,6 @@ type Recorder struct {
 	Budget   *Budget
 	Attr     *Attribution
 
-	// MaxSpans bounds spans per bundle (≤0 takes defaultBundleSpans).
-	MaxSpans int
-
 	// triggers logs the most recent maxTriggerLog triggers; its push
 	// count numbers them.
 	triggers store.Ring[TriggerEvent]
@@ -182,13 +179,9 @@ func (r *Recorder) snapshotSpans(b *Bundle) {
 	if r.Spans == nil {
 		return
 	}
-	max := r.MaxSpans
-	if max <= 0 {
-		max = defaultBundleSpans
-	}
 	spans := r.Spans.Spans()
-	if len(spans) > max {
-		spans = spans[len(spans)-max:]
+	if len(spans) > maxBundleSpans {
+		spans = spans[len(spans)-maxBundleSpans:]
 	}
 	b.SpansTotal = r.Spans.Total()
 	b.SpansDropped = b.SpansTotal - uint64(len(spans))
@@ -216,12 +209,4 @@ func (r *Recorder) TriggerCount() int {
 		return 0
 	}
 	return r.triggers.Total()
-}
-
-// Triggers returns the recent-trigger log, oldest first (a copy).
-func (r *Recorder) Triggers() []TriggerEvent {
-	if r == nil {
-		return nil
-	}
-	return r.triggers.AppendTo(nil)
 }

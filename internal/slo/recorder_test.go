@@ -11,7 +11,7 @@ import (
 func TestRecorderNil(t *testing.T) {
 	var r *Recorder
 	if r.Trigger(TriggerEngineAbort, "x", 1.0) != nil || r.Last() != nil ||
-		r.TriggerCount() != 0 || r.Triggers() != nil {
+		r.TriggerCount() != 0 {
 		t.Fatal("nil recorder must be inert")
 	}
 }
@@ -35,8 +35,9 @@ func TestRecorderEmptySources(t *testing.T) {
 }
 
 func TestRecorderSnapshotsSources(t *testing.T) {
-	tr := telemetry.NewRing(8)
-	for i := 0; i < 20; i++ {
+	const recorded = maxBundleSpans + 20
+	tr := telemetry.NewRing(maxBundleSpans + 8)
+	for i := 0; i < recorded; i++ {
 		tr.Execute("g0", "V100", 0, 4, float64(i), float64(i)+0.5)
 	}
 	led := audit.NewLedger()
@@ -48,14 +49,14 @@ func TestRecorderSnapshotsSources(t *testing.T) {
 	attr := NewAttribution(4)
 	drive(attr, 1)
 
-	r := &Recorder{Spans: tr, Ledger: led, Budget: bud, Attr: attr, MaxSpans: 4}
+	r := &Recorder{Spans: tr, Ledger: led, Budget: bud, Attr: attr}
 	b := r.Trigger(TriggerSLOBurn, "window 0", 2.0)
 
-	if len(b.Spans) != 4 || b.SpansTotal != 20 || b.SpansDropped != 16 {
-		t.Fatalf("span tail = %d spans, total=%d dropped=%d; want 4/20/16",
-			len(b.Spans), b.SpansTotal, b.SpansDropped)
+	if len(b.Spans) != maxBundleSpans || b.SpansTotal != recorded || b.SpansDropped != 20 {
+		t.Fatalf("span tail = %d spans, total=%d dropped=%d; want %d/%d/20",
+			len(b.Spans), b.SpansTotal, b.SpansDropped, maxBundleSpans, recorded)
 	}
-	if b.Spans[len(b.Spans)-1].Start != 19 {
+	if b.Spans[len(b.Spans)-1].Start != recorded-1 {
 		t.Fatalf("span tail must end with the newest span: %+v", b.Spans)
 	}
 	if b.Ledger == nil || b.Ledger.Arrived != 1 || b.Ledger.Completed != 1 {
@@ -77,7 +78,7 @@ func TestRecorderTriggerLogCapped(t *testing.T) {
 	if r.TriggerCount() != maxTriggerLog+8 {
 		t.Fatalf("TriggerCount = %d", r.TriggerCount())
 	}
-	log := r.Triggers()
+	log := r.Last().Triggers
 	if len(log) != maxTriggerLog {
 		t.Fatalf("trigger log holds %d, want cap %d", len(log), maxTriggerLog)
 	}

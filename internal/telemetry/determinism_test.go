@@ -12,7 +12,7 @@ import (
 func tracerWithDrops() *Tracer {
 	tr := New()
 	for _, reason := range []string{"zeta", "admission", "mu", "alpha", "stale", "omega", "beta", "kappa"} {
-		tr.Drop(float64(len(reason)), reason)
+		tr.Drop(reason)
 	}
 	return tr
 }

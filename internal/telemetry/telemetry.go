@@ -145,11 +145,6 @@ type Tracer struct {
 
 	lat *metrics.Histogram
 
-	// firstAt/lastAt bound every event time seen (spans and lifecycle
-	// events), giving the observation horizon even after ring eviction.
-	firstAt, lastAt float64
-	seenAt          bool
-
 	// perStage[stages.Slot(s)] holds stage s's batch-size histogram and
 	// track names, so Execute, Transfer and Fuse never hash a stage.
 	//
@@ -192,9 +187,6 @@ func newTracer(capacity int) *Tracer {
 	}
 }
 
-// Enabled reports whether spans are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // stage returns the state of stage s, adding it at first sight.
 func (t *Tracer) stage(s int) *stageTrack {
 	i := t.stages.Slot(s)
@@ -216,8 +208,6 @@ func (t *Tracer) Record(s Span) {
 	if s.End < s.Start {
 		s.End = s.Start
 	}
-	t.extendHorizon(s.Start)
-	t.extendHorizon(s.End)
 	t.spans.Push(s)
 }
 
@@ -296,54 +286,28 @@ func (t *Tracer) SLOBurn(window int, at float64) {
 		Start: at, End: at, Stage: -1, Batch: window})
 }
 
-// extendHorizon widens the observation window to include event time at.
-func (t *Tracer) extendHorizon(at float64) {
-	if !t.seenAt || at < t.firstAt {
-		t.firstAt = at
-	}
-	if !t.seenAt || at > t.lastAt {
-		t.lastAt = at
-	}
-	t.seenAt = true
-}
-
-// Horizon reports the virtual-time window [start, end] covered by every
-// recorded event, surviving ring eviction. Zeroes when nothing was
-// recorded.
-func (t *Tracer) Horizon() (start, end float64) {
-	if t == nil || !t.seenAt {
-		return 0, 0
-	}
-	return t.firstAt, t.lastAt
-}
-
-// Arrive counts a sample minted by the generator at virtual time at.
-func (t *Tracer) Arrive(at float64) {
+// Arrive counts a sample minted by the generator.
+func (t *Tracer) Arrive() {
 	if t == nil {
 		return
 	}
-	t.extendHorizon(at)
 	t.arrived++
 }
 
-// Complete counts a sample finishing at virtual time at and observes its
-// completion latency.
-func (t *Tracer) Complete(at, latency float64) {
+// Complete counts a finished sample and observes its completion latency.
+func (t *Tracer) Complete(latency float64) {
 	if t == nil {
 		return
 	}
-	t.extendHorizon(at)
 	t.completed++
 	t.lat.Observe(latency)
 }
 
-// Drop counts a sample shed without execution at virtual time at, by
-// reason.
-func (t *Tracer) Drop(at float64, reason string) {
+// Drop counts a sample shed without execution, by reason.
+func (t *Tracer) Drop(reason string) {
 	if t == nil {
 		return
 	}
-	t.extendHorizon(at)
 	t.dropped++
 	t.dropsBy[reason]++
 }

@@ -13,12 +13,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.QueueWait(8, 0, 0.5)
 	tr.Transfer(0, 4, 1, 1.1)
 	tr.Fuse(1, 8, 1, 1.2)
-	tr.Arrive(0)
-	tr.Complete(1, 1)
-	tr.Drop(2, "admission")
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports Enabled")
-	}
+	tr.Arrive()
+	tr.Complete(1)
+	tr.Drop("admission")
 	if tr.Spans() != nil || tr.Total() != 0 || tr.Evicted() != 0 {
 		t.Fatal("nil tracer retained state")
 	}
@@ -28,9 +25,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if tr.LatencyHist() != nil || tr.BatchHist(0) != nil || tr.Stages() != nil {
 		t.Fatal("nil tracer returned histograms")
-	}
-	if s, e := tr.Horizon(); s != 0 || e != 0 {
-		t.Fatal("nil tracer has a horizon")
 	}
 	tr.Reconcile(&audit.Report{}) // must not panic or violate
 }
@@ -66,10 +60,6 @@ func TestRingEvictsOldestKeepsOrder(t *testing.T) {
 		if want := float64(4 + i); s.Start != want {
 			t.Fatalf("span %d start = %v, want %v (oldest-first order)", i, s.Start, want)
 		}
-	}
-	// Horizon still covers evicted spans.
-	if lo, hi := tr.Horizon(); lo != 0 || hi != 6.5 {
-		t.Fatalf("Horizon = [%v, %v], want [0, 6.5]", lo, hi)
 	}
 }
 
@@ -108,12 +98,12 @@ func TestExecuteFeedsBatchHistogram(t *testing.T) {
 
 func TestLifecycleCountersAndLatency(t *testing.T) {
 	tr := New()
-	tr.Arrive(0)
-	tr.Arrive(0.1)
-	tr.Arrive(0.2)
-	tr.Complete(1.0, 0.05)
-	tr.Complete(1.1, 0.07)
-	tr.Drop(0.3, "admission")
+	tr.Arrive()
+	tr.Arrive()
+	tr.Arrive()
+	tr.Complete(0.05)
+	tr.Complete(0.07)
+	tr.Drop("admission")
 	a, c, d := tr.Counts()
 	if a != 3 || c != 2 || d != 1 {
 		t.Fatalf("Counts = (%d, %d, %d), want (3, 2, 1)", a, c, d)
@@ -123,9 +113,6 @@ func TestLifecycleCountersAndLatency(t *testing.T) {
 	}
 	if n := tr.LatencyHist().Count(); n != 2 {
 		t.Fatalf("latency observations = %d, want 2", n)
-	}
-	if lo, hi := tr.Horizon(); lo != 0 || hi != 1.1 {
-		t.Fatalf("Horizon = [%v, %v], want [0, 1.1]", lo, hi)
 	}
 }
 
@@ -141,10 +128,10 @@ func reconcileReport(samples, completed int, byReason map[audit.Reason]int) *aud
 
 func TestReconcileAgreement(t *testing.T) {
 	tr := New()
-	tr.Arrive(0)
-	tr.Arrive(0.1)
-	tr.Complete(1, 0.5)
-	tr.Drop(0.2, string(audit.ReasonAdmission))
+	tr.Arrive()
+	tr.Arrive()
+	tr.Complete(0.5)
+	tr.Drop(string(audit.ReasonAdmission))
 	rep := reconcileReport(2, 1, map[audit.Reason]int{audit.ReasonAdmission: 1})
 	tr.Reconcile(rep)
 	if len(rep.Violations) != 0 {
@@ -154,11 +141,11 @@ func TestReconcileAgreement(t *testing.T) {
 
 func TestReconcileFlagsEveryMismatch(t *testing.T) {
 	tr := New()
-	tr.Arrive(0) // 1 arrival; report claims 2
-	tr.Complete(1, 0.5)
-	tr.Complete(1.1, 0.5) // 2 completions; report claims 1
-	tr.Drop(0.2, "admission")
-	tr.Drop(0.3, "stale-shed") // reason the report lacks
+	tr.Arrive() // 1 arrival; report claims 2
+	tr.Complete(0.5)
+	tr.Complete(0.5) // 2 completions; report claims 1
+	tr.Drop("admission")
+	tr.Drop("stale-shed") // reason the report lacks
 	rep := reconcileReport(2, 1, map[audit.Reason]int{audit.ReasonAdmission: 1})
 	tr.Reconcile(rep)
 	// arrived, completed, dropped totals, and the stale-shed reason all
@@ -170,6 +157,6 @@ func TestReconcileFlagsEveryMismatch(t *testing.T) {
 
 func TestReconcileNilReportIsSafe(t *testing.T) {
 	tr := New()
-	tr.Arrive(0)
+	tr.Arrive()
 	tr.Reconcile(nil)
 }
