@@ -9,9 +9,15 @@
 //	e3-bench -trace-out demo.json  # export a Perfetto-loadable timeline
 //	e3-bench -trace-out t.json -flame-out f.json  # timeline and flame profile of one run
 //	e3-bench -flame-out f.json -flame-out f.folded -flame-out f.pb.gz  # one profile, three formats
-//	e3-bench -bench-out bench.json # machine-readable perf + overhead stats
+//	e3-bench -bench-out bench.json # machine-readable stats + observer overhead gate
 //	e3-bench -windows 20 -audit    # windowed replan loop + conservation gate
-//	e3-bench -plan-bench BENCH_PR5.json  # planner search-path timings
+//	e3-bench -plan-bench BENCH_PR5.json  # planner search-path timings + plan gate
+//	e3-bench -sim-bench BENCH_PR6.json   # paper-scale data plane + events/s floor
+//	e3-bench -fleet-bench BENCH_PR10.json  # fleet scaling curve + scaling gate
+//
+// Each timing report (-bench-out on the static demo, -plan-bench,
+// -sim-bench, -fleet-bench) is also the gate on its number: it records its
+// bar and verdict in its report and exits 1 when the bar fails.
 package main
 
 import (
@@ -20,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"e3/internal/bench"
@@ -33,15 +40,29 @@ import (
 	"e3/internal/telemetry"
 )
 
-// modeFlags maps each flag that only configures one mode to the flag that
-// turns that mode on.
-var modeFlags = map[string]string{
-	"attr-out":          "windows",
-	"bundle-on-failure": "windows",
-	"slo-target":        "windows",
-	"burn-threshold":    "windows",
-	"fleet-workers":     "fleet",
-	"flame-runner":      "flame-out",
+// modeFlags maps each flag that starts or configures a run to the runs
+// that read it, each run named by the flag that starts it. The static
+// demo starts from any of -trace-out, -flame-out and -bench-out and reads
+// each of them that is set; -flame-runner picks its flame run's runner.
+var modeFlags = map[string][]string{
+	"list":              {"list"},
+	"plan-bench":        {"plan-bench"},
+	"sim-bench":         {"sim-bench"},
+	"fleet-bench":       {"fleet-bench"},
+	"fleet":             {"fleet"},
+	"fleet-workers":     {"fleet"},
+	"windows":           {"windows"},
+	"attr-out":          {"windows"},
+	"bundle-on-failure": {"windows"},
+	"slo-target":        {"windows"},
+	"burn-threshold":    {"windows"},
+	"trace-out":         {"trace-out", "windows"},
+	"flame-out":         {"flame-out", "windows"},
+	"bench-out":         {"bench-out", "windows"},
+	"flame-runner":      {"flame-out"},
+	"audit":             {"audit", "windows"},
+	"all":               {"all"},
+	"fig":               {"fig"},
 }
 
 func main() {
@@ -52,10 +73,10 @@ func main() {
 	format := flag.String("format", "table", "output format: table or csv")
 	var out outputs
 	flag.StringVar(&out.trace, "trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); with -flame-out the same run is also profiled; exits nonzero if the run fails its audit")
-	flag.StringVar(&out.bench, "bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, telemetry overhead) to FILE")
+	flag.StringVar(&out.bench, "bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, the full observed stack's wall-clock overhead and its bound) to FILE; exits 1 if the overhead exceeds the bound")
 	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate), -bench-out, and -trace-out")
-	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE")
-	simBench := flag.String("sim-bench", "", "run the data-plane fast-path benchmark (paper-scale 9000 req/s x 1h trace, engine churn micro, pooled-vs-unpooled determinism check) and write the JSON report to FILE")
+	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE; exits 1 if the memoized search misses its bar")
+	simBench := flag.String("sim-bench", "", "run the data-plane fast-path benchmark (paper-scale 9000 req/s x 1h trace, engine churn micro) and write the JSON report to FILE; exits 1 below the events/s floor")
 	flag.StringVar(&out.bundle, "bundle-on-failure", "", "with -windows: attach the flight recorder and, if any trigger fires (audit violation, SLO burn breach, engine abort), write its diagnostic bundle to FILE")
 	flag.StringVar(&out.attr, "attr-out", "", "with -windows: write the per-request latency-attribution dump (component totals, per-stage compute, top-k slowest breakdowns) to FILE")
 	sloTarget := flag.Float64("slo-target", slo.DefaultTarget, "with -windows: SLO attainment target the error budget is tracked against")
@@ -69,22 +90,49 @@ func main() {
 	flameRunner := flag.String("flame-runner", "pipeline", "runner for the flame demo run (and for -trace-out alongside it): pipeline or serial (§5.8.7 phase-synchronized baseline)")
 	fleetN := flag.Int("fleet", 0, "run the fleet demo with N replica shards (multi-tenant zoo, GPU-aware epoch routing) and print per-replica accounting")
 	fleetWorkers := flag.Int("fleet-workers", 0, "with -fleet: shard-runner worker count (0 = one per shard); any count reproduces the serial reference byte-for-byte")
-	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE")
+	fleetBench := flag.String("fleet-bench", "", "run the 1/2/4/8-shard fleet scaling curve (parallel-vs-serial digest check at every point) and write the JSON report to FILE; exits 1 below the 8-shard scaling bar for the cores present")
 	flag.Parse()
 	if *format != "table" && *format != "csv" {
 		usage("unknown format %q", *format)
 	}
-
-	on := map[string]bool{"windows": *windows > 0, "fleet": *fleetN > 0, "flame-out": len(out.flame) > 0}
-	if name, mode := cliutil.StrayFlag(flag.CommandLine, modeFlags, on); name != "" {
-		usage("-%s needs -%s (it only configures that mode)", name, mode)
+	if *fleetWorkers < 0 {
+		usage("-fleet-workers must not be negative (got %d)", *fleetWorkers)
 	}
 
-	if *list {
-		for _, id := range experiments.IDs() {
-			fmt.Println(id)
+	// The run is the first of these flags that is on; every other flag
+	// in modeFlags that is set must be one the run reads.
+	run := ""
+	given := map[string]bool{}
+	for _, m := range []struct {
+		flag string
+		on   bool
+	}{
+		{"list", *list}, {"plan-bench", *planBench != ""}, {"sim-bench", *simBench != ""},
+		{"fleet-bench", *fleetBench != ""}, {"fleet", *fleetN > 0}, {"windows", *windows > 0},
+		{"trace-out", out.trace != ""}, {"flame-out", len(out.flame) > 0}, {"bench-out", out.bench != ""},
+		{"audit", *auditRun}, {"all", *all}, {"fig", *fig != ""},
+	} {
+		given[m.flag] = m.on
+		if m.on && run == "" {
+			run = m.flag
 		}
-		return
+	}
+	on := map[string]bool{run: true}
+	if run == "trace-out" || run == "flame-out" || run == "bench-out" {
+		on = map[string]bool{"trace-out": given["trace-out"], "flame-out": given["flame-out"], "bench-out": given["bench-out"]}
+	}
+	if name, mode := cliutil.StrayFlag(flag.CommandLine, modeFlags, on); name != "" {
+		switch {
+		case name == mode && !given[name]:
+			usage("-%s %s starts no run", name, flag.Lookup(name).Value)
+		case given[name] || given[mode]:
+			usage("-%s cannot combine with -%s", name, run)
+		default:
+			usage("-%s needs -%s (it only configures that mode)", name, mode)
+		}
+	}
+	if run != "" && flag.NArg() > 0 {
+		usage("-%s cannot combine with experiment IDs as arguments (%s)", run, strings.Join(flag.Args(), " "))
 	}
 
 	// Every runtime error ends here: it is printed, and the process exits
@@ -96,24 +144,27 @@ func main() {
 			exit = 1
 		}
 	}
-	staticDemo := out.trace != "" || len(out.flame) > 0
-	switch {
-	case *planBench != "":
+	switch run {
+	case "list":
+		for _, id := range experiments.IDs() {
+			fmt.Println(id)
+		}
+	case "plan-bench":
 		report(runPlanBench(*planBench))
-	case *simBench != "":
+	case "sim-bench":
 		report(runSimBench(*simBench))
-	case *fleetBench != "":
+	case "fleet-bench":
 		report(runFleetBench(*fleetBench))
-	case *fleetN > 0:
+	case "fleet":
 		workers := *fleetWorkers
-		if workers <= 0 {
+		if workers == 0 {
 			workers = *fleetN
 		}
 		report(runFleetOnce(*fleetN, workers))
-	case *windows > 0:
+	case "windows":
 		report(runReplan(*windows, *auditRun, out, *sloTarget, *burnThreshold))
-	case staticDemo || out.bench != "":
-		if staticDemo {
+	case "trace-out", "flame-out", "bench-out":
+		if out.trace != "" || len(out.flame) > 0 {
 			if len(out.flame) > 0 && *flameRunner != "pipeline" && *flameRunner != "serial" {
 				usage("-flame-runner must be pipeline or serial (got %q)", *flameRunner)
 			}
@@ -122,7 +173,7 @@ func main() {
 		if out.bench != "" {
 			report(exportBench(out.bench))
 		}
-	case *auditRun:
+	case "audit":
 		start := time.Now()
 		t, violations := experiments.RunAudit()
 		printTable(t, *format, start)
@@ -131,10 +182,10 @@ func main() {
 		}
 	default:
 		var ids []string
-		switch {
-		case *all:
+		switch run {
+		case "all":
 			ids = experiments.IDs()
-		case *fig != "":
+		case "fig":
 			ids = []string{*fig}
 		default:
 			ids = flag.Args()
@@ -196,32 +247,74 @@ type benchReport struct {
 	P50MS           float64      `json:"p50_ms"`
 	P99MS           float64      `json:"p99_ms"`
 	Splits          []benchSplit `json:"splits"`
-	// Wall-clock cost of the demo run with telemetry off vs. with a
-	// 4096-span ring attached (best of three), and the relative overhead.
-	UntracedWallMS       float64 `json:"untraced_wall_ms"`
-	TracedWallMS         float64 `json:"traced_wall_ms"`
-	TelemetryOverheadPct float64 `json:"telemetry_overhead_pct"`
+	// Wall-clock cost of the demo run with no observers vs. with the full
+	// observed stack (4096-span ring, attribution, flame profiler), each
+	// the best of overheadRuns after the stats run; the relative overhead;
+	// and the overhead gate's bound and verdict (see overheadPass).
+	UntracedWallMS      float64 `json:"untraced_wall_ms"`
+	ObservedWallMS      float64 `json:"observed_wall_ms"`
+	ObservedOverheadPct float64 `json:"observed_overhead_pct"`
+	BoundMS             float64 `json:"observed_bound_ms"`
+	Pass                bool    `json:"pass"`
 }
 
-// bestOfWall times fn three times and returns the fastest wall-clock
-// duration in milliseconds.
-func bestOfWall(fn func() error) (float64, error) {
+// The overhead gate: the full observed stack may take overheadFactor
+// times the untraced demo's wall time, plus overheadSlackMS of absolute
+// timer noise on runs this short. overheadRuns is how many timed runs
+// each side takes its best of.
+const (
+	overheadFactor  = 1.5
+	overheadSlackMS = 10.0
+	overheadRuns    = 5
+)
+
+// overheadPass is the overhead gate's verdict on the best untraced and
+// observed wall times, with the bound it checked the observed run
+// against.
+func overheadPass(untracedMS, observedMS float64) (boundMS float64, pass bool) {
+	boundMS = untracedMS*overheadFactor + overheadSlackMS
+	return boundMS, observedMS <= boundMS
+}
+
+// timeDemo runs the demo runs times with the observers mk attaches and
+// returns the fastest run's wall time in milliseconds. Every run must
+// pass its audit; after its timed region, an observed run must also
+// reconcile its flame profile exactly and yield a flight-recorder bundle.
+func timeDemo(runs int, mk func() scheduler.Observers) (float64, error) {
 	best := 0.0
-	for i := 0; i < 3; i++ {
+	for i := 0; i < runs; i++ {
+		obs := mk()
 		start := time.Now()
-		if err := fn(); err != nil {
+		rep, stat, coll, _, err := experiments.RunDemo("pipeline", obs, experiments.DemoHorizon)
+		ms := time.Since(start).Seconds() * 1e3
+		if err != nil {
 			return 0, err
 		}
-		if ms := time.Since(start).Seconds() * 1e3; i == 0 || ms < best {
+		if err := rep.Err(); err != nil {
+			return 0, err
+		}
+		if obs.Flame != nil && !stat.OK() {
+			return 0, fmt.Errorf("flame reconcile residual %dns during an overhead run", stat.Residual)
+		}
+		if obs.Attr != nil {
+			rec := &slo.Recorder{Spans: obs.Tracer, Ledger: coll.Audit, Attr: obs.Attr}
+			if rec.Trigger(slo.TriggerEngineAbort, "overhead probe", experiments.DemoHorizon) == nil {
+				return 0, fmt.Errorf("flight recorder produced no bundle during an overhead run")
+			}
+		}
+		if i == 0 || ms < best {
 			best = ms
 		}
 	}
 	return best, nil
 }
 
-// exportBench measures the traced demo and writes the JSON report.
+// exportBench measures the traced demo and the overhead of the full
+// observed stack on it, writes the JSON report and fails if the overhead
+// gate does.
 func exportBench(path string) error {
-	// Stats run: unbounded tracer for the occupancy summary.
+	// Stats run: unbounded tracer for the occupancy summary. It also pays
+	// lazy initialization before either side of the overhead runs.
 	tr := telemetry.New()
 	rep, _, coll, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: tr}, experiments.DemoHorizon)
 	if err != nil {
@@ -247,33 +340,30 @@ func exportBench(path string) error {
 		})
 	}
 
-	// Overhead runs: telemetry off vs. the live-serving ring config.
-	off, err := bestOfWall(func() error {
-		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{}, experiments.DemoHorizon)
-		return err
-	})
-	if err != nil {
+	// Overhead runs: no observers vs. the full live-serving stack.
+	untraced := func() scheduler.Observers { return scheduler.Observers{} }
+	observed := func() scheduler.Observers {
+		return scheduler.Observers{
+			Tracer: telemetry.NewRing(4096),
+			Attr:   slo.NewAttribution(slo.DefaultTopK),
+			Flame:  flame.NewProfiler(0),
+		}
+	}
+	if out.UntracedWallMS, err = timeDemo(overheadRuns, untraced); err != nil {
 		return err
 	}
-	on, err := bestOfWall(func() error {
-		_, _, _, _, err := experiments.RunDemo("pipeline", scheduler.Observers{Tracer: telemetry.NewRing(4096)}, experiments.DemoHorizon)
-		return err
-	})
-	if err != nil {
+	if out.ObservedWallMS, err = timeDemo(overheadRuns, observed); err != nil {
 		return err
 	}
-	out.UntracedWallMS = off
-	out.TracedWallMS = on
-	if off > 0 {
-		out.TelemetryOverheadPct = (on - off) / off * 100
-	}
+	out.ObservedOverheadPct = (out.ObservedWallMS - out.UntracedWallMS) / out.UntracedWallMS * 100
+	out.BoundMS, out.Pass = overheadPass(out.UntracedWallMS, out.ObservedWallMS)
 
 	env, err := bench.Wrap("traced-demo", experiments.DemoSeed,
 		&bench.TraceParams{HorizonS: experiments.DemoHorizon, AvgRate: experiments.DemoAvgRate, Batch: experiments.DemoBatch},
 		map[string]float64{
-			"throughput_rps":         out.ThroughputRPS,
-			"p99_ms":                 out.P99MS,
-			"telemetry_overhead_pct": out.TelemetryOverheadPct,
+			"throughput_rps":        out.ThroughputRPS,
+			"p99_ms":                out.P99MS,
+			"observed_overhead_pct": out.ObservedOverheadPct,
 		}, out)
 	if err != nil {
 		return err
@@ -281,8 +371,12 @@ func exportBench(path string) error {
 	if err := bench.WriteFile(path, env); err != nil {
 		return err
 	}
-	fmt.Printf("wrote benchmark stats to %s (throughput %.1f req/s, p99 %.1fms, telemetry overhead %.1f%%)\n",
-		path, out.ThroughputRPS, out.P99MS, out.TelemetryOverheadPct)
+	fmt.Printf("wrote benchmark stats to %s (throughput %.1f req/s, p99 %.1fms)\n", path, out.ThroughputRPS, out.P99MS)
+	fmt.Printf("overhead gate: observed stack %.2fms vs untraced %.2fms (%+.1f%%; bar <= %gx untraced + %gms = %.2fms): pass=%v\n",
+		out.ObservedWallMS, out.UntracedWallMS, out.ObservedOverheadPct, overheadFactor, overheadSlackMS, out.BoundMS, out.Pass)
+	if !out.Pass {
+		return fmt.Errorf("observed stack took %.2fms, over the %.2fms bound", out.ObservedWallMS, out.BoundMS)
+	}
 	return nil
 }
 

@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"time"
 
 	"e3/internal/bench"
 	"e3/internal/cluster"
@@ -16,7 +18,9 @@ import (
 
 // planBenchCase is one planner problem timed across the three search
 // paths: the retained pre-memoization reference, the memoized serial
-// search, and the memoized parallel search (default worker pool).
+// search, and the memoized parallel search (default worker pool). Speedup
+// is the reference over the default-pool search, the path planner callers
+// take.
 type planBenchCase struct {
 	Case     string `json:"case"`
 	Layers   int    `json:"layers"`
@@ -33,41 +37,63 @@ type planBenchCase struct {
 
 // planBenchReport is the machine-readable -plan-bench payload
 // (BENCH_PR5.json): before/after planner timings plus the widened search
-// the fast path makes affordable.
+// the fast path makes affordable, and the plan gate's verdict on them.
 type planBenchReport struct {
 	Note       string          `json:"note"`
 	GoMaxProcs int             `json:"gomaxprocs"`
 	Cases      []planBenchCase `json:"cases"`
 
-	// LargeSearch runs the paper cluster with doubled boundary candidates
-	// and five splits; LargeVsOldDefault compares it to the reference
-	// search at the old default size.
+	// LargeSearch runs the gate case with doubled boundary candidates and
+	// five splits; LargeVsOldDefault compares it to the reference search
+	// at the default size.
 	LargeSearchMS     float64 `json:"large_search_ms"`
 	LargeMaxCands     int     `json:"large_max_cands"`
 	LargeMaxSplits    int     `json:"large_max_splits"`
 	LargeSearched     int     `json:"large_candidates_searched"`
 	LargeVsOldDefault float64 `json:"large_vs_old_default_reference"`
+
+	// GateCase is the case the bar is checked on, SpeedupBar its least
+	// Speedup, and Pass the verdict (see planPass).
+	GateCase   string  `json:"gate_case"`
+	SpeedupBar float64 `json:"speedup_bar"`
+	Pass       bool    `json:"pass"`
+}
+
+// The plan gate: on planGateCase, the paper-evaluation cluster at four
+// splits that the replan loop searches every drifted window, the memoized
+// search must beat the reference search by planSpeedupBar.
+const (
+	planGateCase   = "small/4kind"
+	planSpeedupBar = 3.0
+)
+
+// planPass is the plan gate's verdict on the gate case's reference and
+// memoized search times and the widened search's: the memoized search is
+// at least planSpeedupBar times faster than the reference, and the
+// widened search takes no longer than the reference at the default size.
+func planPass(refMS, memoMS, widenedMS float64) bool {
+	return refMS/memoMS >= planSpeedupBar && widenedMS <= refMS
+}
+
+// planProblem is one named planner problem of the -plan-bench grid.
+type planProblem struct {
+	name string
+	cfg  optimizer.Config
 }
 
 // planBenchProblems mirrors the BenchmarkSearch grid in
 // internal/optimizer/bench_test.go: model scales crossed with cluster
-// heterogeneity.
-func planBenchProblems() []struct {
-	name string
-	cfg  optimizer.Config
-} {
+// heterogeneity, each planned from the offline profile.
+func planBenchProblems() []planProblem {
 	mk := func(m *ee.EEModel, batch int, c *cluster.Cluster, slo float64, splits int) optimizer.Config {
-		cfg := optimizer.NewConfig(m, profile.FromDist(m, workload.Mix(0.8), 4000, 1), batch, c, slo)
+		cfg := optimizer.NewConfig(m, profile.Offline(m, workload.Mix(0.8)), batch, c, slo)
 		cfg.MaxSplits = splits
 		return cfg
 	}
 	deebert := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	large := ee.NewDeeBERT(model.BERTLarge(), 0.4)
 	llama := ee.NewLlamaEE(model.Llama318B())
-	return []struct {
-		name string
-		cfg  optimizer.Config
-	}{
+	return []planProblem{
 		{"small/1kind", mk(deebert, 8, cluster.Homogeneous(gpu.V100, 16), 0.100, 3)},
 		{"small/4kind", mk(deebert, 8, cluster.PaperEvaluation(), 0.100, 4)},
 		{"bert-large/2kind", mk(large, 8, cluster.New(map[gpu.Kind]int{gpu.V100: 12, gpu.A6000: 8}, 4), 0.250, 3)},
@@ -76,15 +102,41 @@ func planBenchProblems() []struct {
 	}
 }
 
-// runPlanBench times every grid case on all three planner paths, checks
-// the winners agree, and writes the report (the BENCH_PR5.json artifact).
+// bestOfWall times fn three times and returns the fastest wall-clock
+// duration in milliseconds.
+func bestOfWall(fn func() error) (float64, error) {
+	best := 0.0
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		if ms := time.Since(start).Seconds() * 1e3; i == 0 || ms < best {
+			best = ms
+		}
+	}
+	return best, nil
+}
+
+// runPlanBench times every grid case on all three planner paths after one
+// untimed warm-up, checks the winners agree, times the widened search,
+// writes the report (the BENCH_PR5.json artifact) and fails if the plan
+// gate does.
 func runPlanBench(path string) error {
 	rep := planBenchReport{
-		Note: "planner wall-clock, best of 3; reference = pre-memoization search " +
+		Note: "planner wall-clock, best of 3 after one warm-up; reference = pre-memoization search " +
 			"retained as oracle; memo = segment-cost-table search with dominance pruning",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
+		GateCase:   planGateCase,
+		SpeedupBar: planSpeedupBar,
 	}
-	for _, p := range planBenchProblems() {
+	problems := planBenchProblems()
+	gate := slices.IndexFunc(problems, func(p planProblem) bool { return p.name == planGateCase })
+	// Warm-up: the timed paths below then all find lazy state built.
+	if _, err := optimizer.MaximizeGoodput(problems[gate].cfg); err != nil {
+		return fmt.Errorf("%s: %w", planGateCase, err)
+	}
+	for _, p := range problems {
 		var refPlan, fastPlan optimizer.Plan
 		refMS, err := bestOfWall(func() (e error) {
 			refPlan, e = optimizer.MaximizeGoodputReference(p.cfg)
@@ -130,25 +182,19 @@ func runPlanBench(path string) error {
 			MemoSerialMS:   serMS,
 			MemoParallelMS: parMS,
 		}
-		if serMS > 0 {
-			c.Speedup = refMS / serMS
+		if parMS > 0 {
+			c.Speedup = refMS / parMS
 		}
 		rep.Cases = append(rep.Cases, c)
 		fmt.Printf("%-18s reference %8.2fms  memo %8.2fms  parallel %8.2fms  speedup %6.1fx  (searched %d, pruned %d)\n",
 			p.name, refMS, serMS, parMS, c.Speedup, c.Searched, c.Pruned)
 	}
 
-	// The widened search: 2x boundary candidates, 5 splits, on the paper
-	// cluster — affordable now, compared against the old default-size
-	// reference search.
-	large := optimizer.Config{}
-	for _, p := range planBenchProblems() {
-		if p.name == "small/4kind" {
-			large = p.cfg
-			break
-		}
-	}
-	oldRefMS := rep.Cases[1].ReferenceMS
+	// The widened search: 2x boundary candidates, 5 splits, on the gate
+	// case — affordable now, compared against the default-size reference
+	// search.
+	gateCase := rep.Cases[gate]
+	large := problems[gate].cfg
 	large.MaxBoundaryCands = 20
 	large.MaxSplits = 5
 	largeTrace := &optimizer.SearchTrace{}
@@ -170,10 +216,11 @@ func runPlanBench(path string) error {
 	rep.LargeMaxSplits = 5
 	rep.LargeSearched = largeTrace.Enumerated
 	if largeMS > 0 {
-		rep.LargeVsOldDefault = oldRefMS / largeMS
+		rep.LargeVsOldDefault = gateCase.ReferenceMS / largeMS
 	}
-	fmt.Printf("%-18s memo %8.2fms (searched %d) — %.1fx faster than the reference at the OLD default size\n",
+	fmt.Printf("%-18s memo %8.2fms (searched %d) — %.1fx faster than the reference at the default size\n",
 		"large(20c/5s)", largeMS, rep.LargeSearched, rep.LargeVsOldDefault)
+	rep.Pass = planPass(gateCase.ReferenceMS, gateCase.MemoParallelMS, largeMS)
 
 	env, err := bench.Wrap("plan-bench", 0, nil, map[string]float64{
 		"large_search_ms":           rep.LargeSearchMS,
@@ -187,5 +234,10 @@ func runPlanBench(path string) error {
 		return err
 	}
 	fmt.Printf("wrote planner benchmarks to %s\n", path)
+	fmt.Printf("plan gate on %s: memoized %.1fx faster than the reference (bar >= %gx); widened search %.2fms vs reference %.2fms (bar <= reference): pass=%v\n",
+		planGateCase, gateCase.Speedup, planSpeedupBar, largeMS, gateCase.ReferenceMS, rep.Pass)
+	if !rep.Pass {
+		return fmt.Errorf("plan gate failed on %s", planGateCase)
+	}
 	return nil
 }

@@ -45,12 +45,12 @@ import (
 	"e3/internal/workload"
 )
 
-// modeFlags maps each flag that only configures one mode to the flag that
-// turns that mode on.
-var modeFlags = map[string]string{
-	"slo-target":     "replan-windows",
-	"burn-threshold": "replan-windows",
-	"fleet-workers":  "fleet",
+// modeFlags maps each flag that only configures one mode to that mode,
+// named by the flag that turns it on.
+var modeFlags = map[string][]string{
+	"slo-target":     {"replan-windows"},
+	"burn-threshold": {"replan-windows"},
+	"fleet-workers":  {"fleet"},
 }
 
 func main() {

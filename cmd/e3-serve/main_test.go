@@ -19,7 +19,7 @@ func TestModeFlagsNeedTheirMode(t *testing.T) {
 			t.Fatalf("no test value for -%s", name)
 		}
 		code, stderr := clitest.Run(t, 20*time.Second, "-"+name, v)
-		want := "e3-serve: -" + name + " needs -" + mode + " (it only configures that mode)\n"
+		want := "e3-serve: -" + name + " needs -" + mode[0] + " (it only configures that mode)\n"
 		if code != 2 || stderr != want {
 			t.Errorf("-%s %s: exit %d, stderr %q; want exit 2 and %q", name, v, code, stderr, want)
 		}

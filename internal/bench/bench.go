@@ -1,12 +1,12 @@
 // Package bench defines the shared envelope for e3-bench's machine-
 // readable JSON artifacts (the BENCH_PR*.json zoo). Every emitter —
-// -bench-out, -plan-bench, -sim-bench — wraps its kind-specific payload
-// in a Report carrying the schema version, the workload seed, the trace
-// parameters, the host that ran it, and a flat headline-metrics map, so
-// downstream tooling can index artifacts without knowing every payload
-// shape. Decode also
-// accepts the pre-envelope files (no "schema" key) as Schema 0 with the
-// whole document as payload, so old BENCH files stay readable.
+// -bench-out, -windows N -bench-out, -plan-bench, -sim-bench and
+// -fleet-bench — wraps its kind-specific payload in a Report carrying the
+// schema version, the workload seed, the trace parameters, the host that
+// ran it, and a flat headline-metrics map, so downstream tooling can index
+// artifacts without knowing every payload shape. Decode also accepts the
+// pre-envelope files (no "schema" key) as Schema 0 with the whole document
+// as payload, so old BENCH files stay readable.
 package bench
 
 import (
@@ -35,7 +35,8 @@ type Report struct {
 	// whose entire document is the payload.
 	Schema int `json:"schema"`
 	// Tool and Kind identify the emitter ("e3-bench") and the artifact
-	// family ("traced-demo", "replan-loop", "plan-bench", "sim-bench").
+	// family ("traced-demo", "replan-loop", "plan-bench", "sim-bench",
+	// "fleet-bench").
 	Tool string `json:"tool,omitempty"`
 	Kind string `json:"kind,omitempty"`
 	// Seed is the workload seed the run used (0 when not seed-driven).

@@ -5,6 +5,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -82,14 +83,17 @@ func BuildModel(name string, entropy float64) (*ee.EEModel, error) {
 }
 
 // StrayFlag returns the first flag set on fs, in lexical order, that
-// needs maps to a mode flag which on reports off, together with that mode
-// flag; both are empty when every set flag's mode is on. It finds the
-// flags a command would otherwise ignore without a word.
-func StrayFlag(fs *flag.FlagSet, needs map[string]string, on map[string]bool) (name, mode string) {
+// needs maps to modes of which on reports none, together with the first of
+// those modes; both are empty when every set flag has a mode on. A mode is
+// named by the flag that turns it on, and a flag may serve several modes.
+// It finds the flags a command would otherwise ignore without a word.
+func StrayFlag(fs *flag.FlagSet, needs map[string][]string, on map[string]bool) (name, mode string) {
 	fs.Visit(func(f *flag.Flag) {
-		if m, ok := needs[f.Name]; ok && !on[m] && name == "" {
-			name, mode = f.Name, m
+		modes, ok := needs[f.Name]
+		if !ok || name != "" || slices.ContainsFunc(modes, func(m string) bool { return on[m] }) {
+			return
 		}
+		name, mode = f.Name, modes[0]
 	})
 	return name, mode
 }

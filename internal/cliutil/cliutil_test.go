@@ -63,7 +63,7 @@ func TestBuildModelCaseInsensitive(t *testing.T) {
 }
 
 func TestStrayFlag(t *testing.T) {
-	needs := map[string]string{"workers": "fleet", "target": "windows", "out": "windows"}
+	needs := map[string][]string{"workers": {"fleet"}, "target": {"windows"}, "out": {"windows", "demo"}}
 	for _, tc := range []struct {
 		args       []string
 		on         map[string]bool
@@ -74,6 +74,7 @@ func TestStrayFlag(t *testing.T) {
 		{[]string{"-workers", "0"}, nil, "workers", "fleet"},           // set to its default still counts
 		{[]string{"-target", "1", "-out", "f"}, nil, "out", "windows"}, // lexical order
 		{[]string{"-fleet", "3"}, nil, "", ""},                         // not mode-only
+		{[]string{"-out", "f"}, map[string]bool{"demo": true}, "", ""}, // any of its modes
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.Int("workers", 0, "")
