@@ -23,6 +23,11 @@ type fleetPoint struct {
 	Events     uint64  `json:"events"`
 	WallS      float64 `json:"wall_s"`
 	EventsPerS float64 `json:"events_per_sec"`
+	// AllocBytesPerRequest is what the last timed k-shard run allocated
+	// (the runtime's TotalAlloc delta, fleet.New's planning included)
+	// per minted request: the fleet's memory cost per request. It is
+	// measured, not gated.
+	AllocBytesPerRequest float64 `json:"alloc_bytes_per_request"`
 	// ScalingX is the median, over fleetPairs alternating pairs, of this
 	// point's aggregate events/s over a 1-shard run's; null on one core,
 	// where no speedup is possible.
@@ -108,21 +113,26 @@ func runFleetOnce(shards, workers int) error {
 // curve point; the point reports the median ratio.
 const fleetPairs = 9
 
-// fleetEventsPerS times one fleet run from a collected heap, so the
+// fleetTimedRun times one fleet run from a collected heap, so the
 // previous run's garbage stays out of its wall time, checks its digests
-// against the serial reference ref, and returns its aggregate events/s.
-func fleetEventsPerS(shards, workers int, ref *fleet.Result) (float64, error) {
+// against the serial reference ref, and returns its aggregate events/s
+// and the bytes it allocated per minted request.
+func fleetTimedRun(shards, workers int, ref *fleet.Result) (eps, allocPerReq float64, err error) {
 	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	alloc := ms.TotalAlloc
 	start := time.Now()
 	res, err := fleet.Run(fleet.DemoConfig(shards, workers))
 	wall := time.Since(start).Seconds()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	runtime.ReadMemStats(&ms)
 	if res.Digests() != ref.Digests() {
-		return 0, fmt.Errorf("%d shards x %d workers: parallel run diverged from its serial reference — determinism violation", shards, workers)
+		return 0, 0, fmt.Errorf("%d shards x %d workers: parallel run diverged from its serial reference — determinism violation", shards, workers)
 	}
-	return float64(res.Events) / wall, nil
+	return float64(res.Events) / wall, float64(ms.TotalAlloc-alloc) / float64(res.Minted), nil
 }
 
 // runFleetBench measures the 1/2/4/8-shard scaling curve, each point
@@ -165,17 +175,18 @@ func runFleetBench(outPath string) error {
 		}
 		workers := min(shards, cores)
 		// Untimed warm-up of the k-shard side, then the pairs.
-		if _, err := fleetEventsPerS(shards, workers, ref); err != nil {
+		if _, _, err := fleetTimedRun(shards, workers, ref); err != nil {
 			return err
 		}
 		eps := make([]float64, fleetPairs)
 		ratios := make([]float64, fleetPairs)
+		alloc := 0.0 // the last timed k-shard run's bytes per request
 		for i := range eps {
-			base, err := fleetEventsPerS(1, 1, one)
+			base, _, err := fleetTimedRun(1, 1, one)
 			if err != nil {
 				return err
 			}
-			if eps[i], err = fleetEventsPerS(shards, workers, ref); err != nil {
+			if eps[i], alloc, err = fleetTimedRun(shards, workers, ref); err != nil {
 				return err
 			}
 			ratios[i] = eps[i] / base
@@ -183,15 +194,16 @@ func runFleetBench(outPath string) error {
 		slices.Sort(eps)
 		slices.Sort(ratios)
 		pt := fleetPoint{
-			Shards:     shards,
-			Workers:    workers,
-			Minted:     ref.Minted,
-			Served:     ref.Served,
-			DoorShed:   ref.DoorShed,
-			Events:     ref.Events,
-			WallS:      float64(ref.Events) / eps[fleetPairs/2],
-			EventsPerS: eps[fleetPairs/2],
-			DigestOK:   par.Digests() == ref.Digests(),
+			Shards:               shards,
+			Workers:              workers,
+			Minted:               ref.Minted,
+			Served:               ref.Served,
+			DoorShed:             ref.DoorShed,
+			Events:               ref.Events,
+			WallS:                float64(ref.Events) / eps[fleetPairs/2],
+			EventsPerS:           eps[fleetPairs/2],
+			DigestOK:             par.Digests() == ref.Digests(),
+			AllocBytesPerRequest: alloc,
 		}
 		scaling := "unmeasured on one core"
 		if rep.ScalingBar > 0 {
@@ -201,8 +213,8 @@ func runFleetBench(outPath string) error {
 		}
 		rep.DeterminismOK = rep.DeterminismOK && pt.DigestOK
 		rep.Curve = append(rep.Curve, pt)
-		fmt.Printf("fleet-bench: %d shards x %d workers — %d events in %.3fs wall (%.0f events/s, scaling %s), parallel==serial: %v\n",
-			pt.Shards, pt.Workers, pt.Events, pt.WallS, pt.EventsPerS, scaling, pt.DigestOK)
+		fmt.Printf("fleet-bench: %d shards x %d workers — %d events in %.3fs wall (%.0f events/s, scaling %s, %.0f B allocated/request), parallel==serial: %v\n",
+			pt.Shards, pt.Workers, pt.Events, pt.WallS, pt.EventsPerS, scaling, pt.AllocBytesPerRequest, pt.DigestOK)
 		if shards == 8 {
 			rep.ScalingAt8 = pt.ScalingX
 		}

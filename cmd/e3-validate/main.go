@@ -66,6 +66,7 @@ func main() {
 		build := func() (*sim.Engine, scheduler.Runner) {
 			eng := sim.NewEngine()
 			coll := scheduler.NewCollector(m.Base.NumLayers(), c.slo, 0)
+			coll.Lat = nil // the probe reads goodput only
 			p, err := scheduler.NewPipeline(eng, cluster.Homogeneous(gpu.V100, *gpus), m, plan, coll)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "e3-validate:", err)

@@ -7,6 +7,12 @@
 // artifacts without knowing every payload shape. Decode also accepts the
 // pre-envelope files (no "schema" key) as Schema 0 with the whole document
 // as payload, so old BENCH files stay readable.
+//
+// A payload may carry numbers that are measured but not gated: each
+// -fleet-bench curve point records alloc_bytes_per_request, the
+// runtime's TotalAlloc delta over one timed run divided by the requests
+// it minted, so the fleet's memory per request is reproducible from
+// that one flag.
 package bench
 
 import (

@@ -178,7 +178,7 @@ func (s system) est() float64 {
 func (s system) maxGoodput(mk func() *cluster.Cluster, dist workload.Dist, batch int, slo float64, seed int64) float64 {
 	build := func() (*sim.Engine, scheduler.Runner) {
 		eng := sim.NewEngine()
-		r, err := s.build(eng, mk(), scheduler.NewCollector(s.model.Base.NumLayers(), slo, 0))
+		r, err := s.build(eng, mk(), probeCollector(s.model.Base.NumLayers(), slo))
 		if err != nil {
 			panic(err)
 		}
@@ -190,6 +190,14 @@ func (s system) maxGoodput(mk func() *cluster.Cluster, dist workload.Dist, batch
 		panic(err)
 	}
 	return g
+}
+
+// probeCollector is the collector of a run that reads goodput, counts or
+// utilization but no latency: it keeps no latency samples.
+func probeCollector(layers int, slo float64) *scheduler.Collector {
+	coll := scheduler.NewCollector(layers, slo, 0)
+	coll.Lat = nil
+	return coll
 }
 
 // planE3 computes an E3 plan for the given setting.

@@ -6,7 +6,6 @@ import (
 	"e3/internal/gpu"
 	"e3/internal/model"
 	"e3/internal/optimizer"
-	"e3/internal/scheduler"
 	"e3/internal/serving"
 	"e3/internal/sim"
 	"e3/internal/trace"
@@ -55,7 +54,7 @@ func Fig19() Table {
 
 	runOne := func(s system) (goodput, util float64) {
 		eng := sim.NewEngine()
-		r, err := s.build(eng, mk(), scheduler.NewCollector(base.NumLayers(), defaultSLO, 0))
+		r, err := s.build(eng, mk(), probeCollector(base.NumLayers(), defaultSLO))
 		if err != nil {
 			return 0, 0
 		}

@@ -32,7 +32,7 @@ func ExtensionStraggler() Table {
 			clus.MarkStraggler(devs[0], 4.0)
 		}
 		eng := sim.NewEngine()
-		coll := scheduler.NewCollector(m.Base.NumLayers(), defaultSLO, 0)
+		coll := probeCollector(m.Base.NumLayers(), defaultSLO)
 		pipe, err := scheduler.NewPipeline(eng, clus, m, plan, coll)
 		if err != nil {
 			return 0, 0, 0

@@ -299,6 +299,9 @@ func buildReplica(cfg Config, idx int, spec ReplicaSpec, plans map[string]invent
 		if st == nil {
 			return nil, fmt.Errorf("fleet: replica %d: tenant %q missing from deployment", idx, t.Name)
 		}
+		// Nothing reads a shard's exact latencies: the fleet reports
+		// counts, and its sampled ledger keeps the tracked requests'.
+		st.Coll.Lat = nil
 		rt := &replicaTenant{
 			st:       *st,
 			capacity: st.Alloc.Plan.Goodput,

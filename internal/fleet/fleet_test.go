@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"e3/internal/ee"
@@ -105,20 +106,10 @@ func TestShardTracersReconcile(t *testing.T) {
 			rt.st.Coll.Tracer = telemetry.NewRing(64)
 		}
 	}
-	f.mint(f.epochEnd(0))
-	for e, start := 0, 0.0; start < cfg.Horizon; e++ {
-		end := f.epochEnd(e)
-		f.router.RouteEpoch(f, e, start, end)
-		if err := f.advance(e); err != nil {
-			t.Fatalf("epoch %d: %v", e, err)
-		}
-		f.burnBudgets(cfg.EpochDur)
-		start = end
+	if _, err := f.run(); err != nil {
+		t.Fatal(err)
 	}
 	for _, rep := range f.replicas {
-		if err := rep.Drain(); err != nil {
-			t.Fatalf("shard %d drain: %v", rep.Index, err)
-		}
 		for ti, rt := range rep.tenants {
 			coll := rt.st.Coll
 			arrived, _, _ := coll.Audit.Totals()
@@ -132,6 +123,69 @@ func TestShardTracersReconcile(t *testing.T) {
 				t.Errorf("shard %d tenant %d: %v", rep.Index, ti, err)
 			}
 		}
+	}
+}
+
+// TestFleetKeepsNoLatencies: no fleet reader asks for exact latencies,
+// so a served run leaves every tenant collector without a recorder.
+func TestFleetKeepsNoLatencies(t *testing.T) {
+	f, err := New(tinyConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served == 0 {
+		t.Fatal("fleet served nothing")
+	}
+	for _, rep := range f.replicas {
+		for ti, rt := range rep.tenants {
+			if rt.st.Coll.Lat != nil {
+				t.Errorf("shard %d tenant %d keeps %d latency samples, want no recorder", rep.Index, ti, rt.st.Coll.Lat.Count())
+			}
+		}
+	}
+}
+
+// maxAllocBytesPerCompletion bounds what one more completion of the
+// hetero fleet allocates, measured as the TotalAlloc difference between
+// a 10 s and a 20 s run divided by their difference in completions. The
+// runs read about 5.2 B; with an exact latency recorder on every stack
+// they read about 12.
+const maxAllocBytesPerCompletion = 8
+
+// TestFleetAllocBytesPerCompletion: a longer fleet run allocates at most
+// maxAllocBytesPerCompletion per extra completion, so no stack keeps an
+// 8 B store per completion.
+func TestFleetAllocBytesPerCompletion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	run := func(horizon float64) (bytes uint64, completions int) {
+		cfg := HeteroConfig(4, 1)
+		cfg.Horizon = horizon
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc - before, res.Served + res.Violations
+	}
+	b1, c1 := run(10)
+	b2, c2 := run(20)
+	if c2 <= c1 {
+		t.Fatalf("completions %d at 20 s, %d at 10 s", c2, c1)
+	}
+	per := float64(int64(b2)-int64(b1)) / float64(c2-c1)
+	t.Logf("%d B over %d completions at 10 s, %d B over %d at 20 s: %.2f B per extra completion", b1, c1, b2, c2, per)
+	if per > maxAllocBytesPerCompletion {
+		t.Errorf("%.2f B allocated per extra completion, want at most %d", per, maxAllocBytesPerCompletion)
 	}
 }
 

@@ -73,7 +73,12 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = f.cfg // epoch clamping applied
+	return f.run()
+}
+
+// run is Run on a built fleet.
+func (f *Fleet) run() (*Result, error) {
+	cfg := f.cfg // epoch clamping applied
 	epochs := 0
 	f.mint(f.epochEnd(0))
 	for start := 0.0; start < cfg.Horizon; epochs++ {

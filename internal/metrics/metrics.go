@@ -15,7 +15,10 @@ import (
 )
 
 // LatencyRecorder accumulates per-request completion latencies (seconds).
-// The zero value is ready to use.
+// The zero value is ready to use. A nil *LatencyRecorder records nothing
+// and reads as empty, so a driver that never reads latencies drops its
+// collector's recorder (scheduler.Collector.Lat) instead of keeping 8 B
+// per completion for the whole run.
 //
 // Observations are kept in record order in a paged store, so an
 // hour-scale run's tens of millions of latencies are never copied as the
@@ -29,6 +32,9 @@ type LatencyRecorder struct {
 // Observe records one latency sample. Negative values are clamped to zero:
 // they can only arise from floating-point jitter at batch boundaries.
 func (r *LatencyRecorder) Observe(lat float64) {
+	if r == nil {
+		return
+	}
 	if lat < 0 {
 		lat = 0
 	}
@@ -36,10 +42,18 @@ func (r *LatencyRecorder) Observe(lat float64) {
 }
 
 // Count reports the number of samples observed.
-func (r *LatencyRecorder) Count() int { return r.lat.Len() }
+func (r *LatencyRecorder) Count() int {
+	if r == nil {
+		return 0
+	}
+	return r.lat.Len()
+}
 
 // Samples returns a copy of the observations in record order.
 func (r *LatencyRecorder) Samples() []float64 {
+	if r == nil {
+		return nil
+	}
 	out := make([]float64, 0, r.lat.Len())
 	for p := range r.lat.NumPages() {
 		out = append(out, r.lat.Page(p)...)
@@ -53,7 +67,7 @@ func (r *LatencyRecorder) Samples() []float64 {
 // blends the two neighbouring order statistics. Ranks follow
 // sort.Float64s's order, NaNs first. It returns 0 for an empty recorder.
 func (r *LatencyRecorder) Quantile(q float64) float64 {
-	n := r.lat.Len()
+	n := r.Count()
 	if n == 0 {
 		return 0
 	}
@@ -195,7 +209,7 @@ func (r *LatencyRecorder) keyAbove(key uint64) uint64 {
 
 // Mean returns the arithmetic mean (0 if empty).
 func (r *LatencyRecorder) Mean() float64 {
-	n := r.lat.Len()
+	n := r.Count()
 	if n == 0 {
 		return 0
 	}

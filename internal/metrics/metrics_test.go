@@ -32,6 +32,21 @@ func TestLatencyEmpty(t *testing.T) {
 	}
 }
 
+// TestLatencyNilRecordsNothing: a nil recorder, the one a driver that
+// never reads latencies leaves on its collector, records nothing and
+// reads as empty.
+func TestLatencyNilRecordsNothing(t *testing.T) {
+	var r *LatencyRecorder
+	r.Observe(0.25)
+	if r.Count() != 0 || r.Quantile(0.5) != 0 || r.Quantile(1) != 0 || r.Mean() != 0 || len(r.Samples()) != 0 {
+		t.Errorf("nil recorder reads count %d, p50 %v, max %v, mean %v, %d samples; want all empty",
+			r.Count(), r.Quantile(0.5), r.Quantile(1), r.Mean(), len(r.Samples()))
+	}
+	if s := r.Summarize(); s != (Summary{}) {
+		t.Errorf("nil recorder summarizes to %+v, want the zero Summary", s)
+	}
+}
+
 func TestLatencyNegativeClamped(t *testing.T) {
 	var r LatencyRecorder
 	r.Observe(-1)

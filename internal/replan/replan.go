@@ -269,6 +269,9 @@ func newLoop(cfg Config) *loop {
 	}
 	l.problem.Costs = optimizer.NewCostTableFor(l.problem)
 	l.eng.SetEventLimit(eventLimit)
+	// The loop reads window counts and the exit histogram, never exact
+	// latencies.
+	l.coll.Lat = nil
 	// The ledger and the views run on the collector's stream consumer, a
 	// second goroutine; arrivals join the same ordered stream.
 	l.coll.Observe(cfg.Observers)

@@ -44,6 +44,29 @@ func TestReplanLoopConservation(t *testing.T) {
 	}
 }
 
+// TestReplanKeepsNoLatencies: the loop reads window counts and the exit
+// histogram, never exact latencies, so its collector keeps no recorder
+// while it serves.
+func TestReplanKeepsNoLatencies(t *testing.T) {
+	l := newLoop(DriftingDemo(2, forecast.MethodARIMA, nil))
+	defer l.coll.Stop()
+	for w := 0; w < 2; w++ {
+		if err := l.plan(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.serve(w); err != nil {
+			t.Fatal(err)
+		}
+		l.observe(w)
+	}
+	if l.coll.Good.Served == 0 {
+		t.Fatal("loop served nothing")
+	}
+	if l.coll.Lat != nil {
+		t.Errorf("loop collector keeps %d latency samples, want no recorder", l.coll.Lat.Count())
+	}
+}
+
 // TestReplanLoopAdapts: the drifting mix forces at least one real plan
 // change, and every change is visible in the diff history.
 func TestReplanLoopAdapts(t *testing.T) {

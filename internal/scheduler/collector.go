@@ -59,7 +59,12 @@ type Observers struct {
 type Collector struct {
 	SLO float64
 
-	Lat  metrics.LatencyRecorder
+	// Lat keeps every completion's latency, 8 B each to the end of the
+	// run, for exact quantiles. NewCollector attaches one; a driver that
+	// owns its collector and never reads latencies (fleet shards, the
+	// replan loop, goodput probes) sets it to nil, and a nil recorder
+	// records nothing.
+	Lat  *metrics.LatencyRecorder
 	Good *metrics.GoodputMeter
 	Util *metrics.UtilizationTracker
 
@@ -111,6 +116,7 @@ type devView struct {
 func NewCollector(layers int, slo, start float64) *Collector {
 	return &Collector{
 		SLO:        slo,
+		Lat:        new(metrics.LatencyRecorder),
 		Good:       metrics.NewGoodputMeter(start),
 		Util:       metrics.NewUtilizationTracker(start),
 		exitCounts: make([]int, layers+1),
