@@ -114,32 +114,38 @@ type Event struct {
 // both memory and the event loop's hot path.
 //
 // A tracked sample's events live in an in-flight slot while it is open.
-// Slots sit in a free-listed table (store.Slots), and a slot's event
-// buffer keeps its capacity from one sample to the next, so the table
-// grows with the samples in flight, never with run length. At the
-// sample's clean terminal — its only terminal, recorded after no
-// violation — its chain is written once as a packed run of 32-bit words
-// into a pointer-free paged store (store.Pages) and the slot is freed. A
-// run holds same-time mask words, one op word per event, then two words
-// for each time whose bits differ from the previous event's (see
-// encode). An op word packs the kind and
-// operand; the rare operand that does not fit (a negative one, a
-// dispatch's stage past 12 bits or instance past 16, anything past 28)
-// goes to a per-ledger spill slice. Stage, instance and exit-layer
-// operands are int32. Samples that never end, or turn bad, stay in their
-// slots; an event after a clean terminal decodes the run back into a
-// slot.
+// Slots sit in a free-listed table (store.Slots), and a slot's buffers
+// keep their capacity from one sample to the next, so the table grows
+// with the samples in flight, never with run length. At the sample's
+// clean terminal — its only terminal, recorded after no violation — its
+// chain is written once as a packed run of 32-bit words into a
+// pointer-free paged store (store.Pages) and the slot is freed. A run
+// holds same-time mask words, one op word per event, then two words for
+// each time whose bits differ from the previous event's (see close); the
+// slot builds those parts as events arrive, so closing copies them. An
+// op word packs the kind and operand; the rare operand that does not fit
+// (a negative one, a dispatch's stage past 12 bits or instance past 16,
+// anything past 28) goes to a per-ledger spill slice. Stage, instance
+// and exit-layer operands are int32. Samples that never end, or turn
+// bad, stay in their slots; an event after a clean terminal decodes the
+// run back into a slot.
 //
 // A dense index keyed by id/stride holds one 8-byte entry per sample:
 // its run's offset or its slot, and its first-seen rank. Ids outside the
 // dense range (negative, or far beyond every id seen so far) go to a
-// small sparse map. The run store and both indexes grow a page at a time
-// and copy nothing; their first pages start small, and nothing is
-// allocated for detail until the first tracked id arrives. Neither the
-// store nor the indexes hold pointers, so the garbage collector never
-// scans them. Drop reasons are interned per ledger, so an op word stores
-// a code instead of a string. No slice lists the ids: Verify and Digest
-// rebuild first-seen order from the stored ranks.
+// small sparse map. An event finds an open sample that has broken no
+// invariant through a store.IDRing keyed by id/stride, which points at
+// its slot, and walks the index only for a sample's first event, an
+// event after its clean terminal, or a sample already bad. The ring
+// grows with the span of the ids open at once, up to ringSpan positions
+// per open slot; past that a new sample takes an old one's position, and
+// the index finds the old one. The run store and both indexes grow a
+// page at a time and copy nothing; their first pages start small, and
+// nothing is allocated for detail until the first tracked id arrives.
+// Neither the store nor the indexes hold pointers, so the garbage
+// collector never scans them. Drop reasons are interned per ledger, so
+// an op word stores a code instead of a string. No slice lists the ids:
+// Verify and Digest rebuild first-seen order from the stored ranks.
 //
 // Recording also checks each tracked sample against its previous event
 // and its running state in the slot: the last dispatched stage and a bad
@@ -151,10 +157,16 @@ type Ledger struct {
 	// next run.
 	runs store.Pages[uint32]
 	end  int32
-	// slots holds the open samples' running state and events.
+	// tail is the unwritten rest of the run store's last page, from end.
+	tail []uint32
+	// slots holds the open samples' running state and events; ring maps
+	// the key (id/stride) of each ringed sample to its slot.
 	slots store.Slots[slot]
-	// crossing is where a run that crosses a page boundary is encoded.
+	ring  store.IDRing
+	// crossing is where a run that crosses a page boundary is written;
+	// evs is where reopen decodes a run.
 	crossing []uint32
+	evs      []ev
 	// dense indexes tracked ids by id/stride. sparse maps any other
 	// tracked id to its entry in spill, in registration order. Both grow
 	// a page at a time.
@@ -194,7 +206,7 @@ type Ledger struct {
 	byReasonTotal  []int
 }
 
-// ev is one event of an open sample: its time's bits and its op word,
+// ev is one decoded event: its time's bits and its op word,
 // which packs the kind, a wide flag and a 28-bit operand: stage |
 // instance<<12 for a dispatch, the stage for a merge, the exit layer for
 // a completion, the reason code for a drop (see pack). A wide op word's
@@ -224,17 +236,72 @@ type entry struct {
 	rank int32
 }
 
-// slot holds one open tracked sample.
+// slot holds one open tracked sample, its events so far laid out as the
+// parts of the packed run they close to (see close): ops holds an op word
+// per event, times the two words of each time whose bits differ from the
+// previous event's, masks the finished mask words, and mask the one being
+// filled, whose next event takes bit. A free slot's buffers are empty and
+// keep their capacity for the slot's next sample.
 type slot struct {
-	// evs holds the sample's events so far; it is empty while the slot
-	// is free and keeps its capacity for the slot's next sample.
-	evs  []ev
-	id   int64
-	rank int32
+	ops, times, masks []uint32
+	// e is the sample's index entry, which never moves.
+	e  *entry
+	id int64
+	// at is the time bits of the sample's last event (+0 before its
+	// first, which compares with +0).
+	at        uint64
+	mask, bit uint32
 	// last is the sample's last dispatched stage (-1 = none yet).
 	last int32
-	// bad marks a sample that broke an invariant.
-	bad bool
+	// bad marks a sample that broke an invariant; only a bad slot holds a
+	// terminal. ringed marks a sample the ring points at: it is not bad,
+	// and no later sample has taken its position in a full ring.
+	bad, ringed bool
+}
+
+// push appends an event of time bits at and op word op.
+func (s *slot) push(at uint64, op uint32) {
+	if s.bit == moreMasks {
+		s.masks = append(s.masks, s.mask|moreMasks)
+		s.mask, s.bit = 0, 1
+	}
+	if at == s.at {
+		s.mask |= s.bit
+	} else {
+		s.times = append(s.times, uint32(at), uint32(at>>32))
+	}
+	s.bit <<= 1
+	s.at = at
+	s.ops = append(s.ops, op)
+}
+
+// events appends s's events to dst.
+func (s *slot) events(dst []ev) []ev {
+	var at uint64
+	times := s.times
+	for i, op := range s.ops {
+		mask := s.mask
+		if m := i / maskEvents; m < len(s.masks) {
+			mask = s.masks[m]
+		}
+		if mask>>(i%maskEvents)&1 == 0 {
+			at = uint64(times[0]) | uint64(times[1])<<32
+			times = times[2:]
+		}
+		dst = append(dst, ev{at: at, op: op})
+	}
+	return dst
+}
+
+// size returns the words of s's packed run.
+func (s *slot) size() int { return len(s.masks) + 1 + len(s.ops) + len(s.times) }
+
+// writeRun writes s's packed run, s.size() words, to run.
+func (s *slot) writeRun(run []uint32) {
+	n := copy(run, s.masks)
+	run[n] = s.mask
+	n = 1 + n + copy(run[n+1:], s.ops)
+	copy(run[n:], s.times)
 }
 
 // word returns word i of the run store.
@@ -297,6 +364,13 @@ const (
 	denseReach = 1 << 12
 	// denseStages bounds the stages whose tallies live in Ledger.flows.
 	denseStages = 1 << 10
+	// slotEvents is the events a new slot holds before its buffers grow:
+	// every sample of the replan loop's mix.
+	slotEvents = 8
+	// ringSpan bounds the ring at that many positions per open slot: past
+	// it, a new sample takes the position of an old one still open (a
+	// straggler, a lost sample or a far id), which the index then finds.
+	ringSpan = 8
 )
 
 // NewLedger returns an empty exhaustive ledger.
@@ -343,6 +417,11 @@ func (l *Ledger) lookup(id, k int64) *entry {
 			return e
 		}
 	}
+	return l.lookupSparse(id)
+}
+
+// lookupSparse returns a tracked id's entry in the sparse map, or nil.
+func (l *Ledger) lookupSparse(id int64) *entry {
 	if len(l.sparse) > 0 {
 		if j, ok := l.sparse[id]; ok {
 			return l.spill.At(int(j))
@@ -351,19 +430,50 @@ func (l *Ledger) lookup(id, k int64) *entry {
 	return nil
 }
 
-// register ranks a first-seen tracked id and opens a slot for it.
-func (l *Ledger) register(id, k int64) *entry {
+// find returns the slot holding a tracked id's events, walking the index:
+// it registers a first-seen id in the same walk, and decodes a cleanly
+// terminated sample's run back into a slot.
+func (l *Ledger) find(id, k int64) *slot {
+	var e *entry
+	if k >= 0 && k < int64(l.dense.Len()) {
+		if e = l.dense.At(int(k)); e.loc == 0 {
+			if f := l.lookupSparse(id); f != nil {
+				e = f
+			}
+		}
+	} else if e = l.lookupSparse(id); e == nil {
+		e = l.place(id, k)
+	}
+	switch {
+	case e.loc == 0:
+		return l.register(e, id, k)
+	case e.loc < 0:
+		return l.slots.At(^e.loc)
+	}
+	return l.reopen(e, id)
+}
+
+// register ranks a first-seen tracked id at its fresh entry e and opens a
+// slot for it.
+func (l *Ledger) register(e *entry, id, k int64) *slot {
 	if l.samples >= maxEntries {
 		panic("audit: too many samples")
 	}
-	e := l.place(id, k)
 	e.rank = int32(l.samples)
 	l.samples++
-	l.open(e, id)
-	return e
+	i, s := l.open(e, id)
+	if j, ok := l.ring.PutAtMost(k, i, ringSpan*l.slots.InUse(), l.slotKey); ok {
+		l.slots.At(j).ringed = false
+	}
+	s.ringed = true
+	return s
 }
 
-// place returns the index entry for a first-seen tracked id.
+// slotKey returns the ring key of the sample open in slot i.
+func (l *Ledger) slotKey(i int32) int64 { return l.slots.At(i).id / l.stride }
+
+// place returns the index entry for a first-seen tracked id outside the
+// dense index's current length.
 func (l *Ledger) place(id, k int64) *entry {
 	if n := int64(l.dense.Len()); k >= 0 && k < 2*n+denseReach && k < maxEntries {
 		for int64(l.dense.Len()) <= k {
@@ -386,57 +496,83 @@ func (l *Ledger) place(id, k int64) *entry {
 }
 
 // open points e at a free slot, set up for sample id.
-func (l *Ledger) open(e *entry, id int64) *slot {
+func (l *Ledger) open(e *entry, id int64) (int32, *slot) {
 	i, s := l.slots.Open()
-	s.id, s.rank, s.last, s.bad = id, e.rank, -1, false
+	if s.ops == nil {
+		// A new slot's op and time buffers share one allocation sized for
+		// slotEvents events, each at its own time.
+		buf := make([]uint32, 3*slotEvents) //e3:alloc once per slot, which is reused for the rest of the run
+		s.ops, s.times = buf[:0:slotEvents], buf[slotEvents:slotEvents]
+	}
+	s.e, s.id, s.at, s.mask, s.bit, s.last, s.bad, s.ringed = e, id, 0, 0, 1, -1, false, false
 	e.loc = ^i
-	return s
+	return i, s
 }
 
 // reopen decodes a cleanly terminated sample's run back into a slot, so
-// an event can follow its terminal.
+// an event can follow its terminal. The sample turns bad, so its
+// terminal's tally is taken back, and it stays out of the ring.
 func (l *Ledger) reopen(e *entry, id int64) *slot {
 	run := e.loc
-	s := l.open(e, id)
-	s.evs = l.decode(s.evs, run)
-	for _, v := range s.evs {
+	_, s := l.open(e, id)
+	l.evs = l.decode(l.evs[:0], run)
+	for _, v := range l.evs {
+		s.push(v.at, v.op)
 		if opKind(v.op) == KindDispatched {
 			s.last = l.unpack(v.op).a
 		}
 	}
+	l.tallyTerminal(opKind(s.ops[len(s.ops)-1]), s.last, -1)
+	l.clean--
+	s.bad = true
 	return s
 }
 
-// close writes s's events as a packed run at the end of the store,
-// points e at it and frees the slot.
-func (l *Ledger) close(e *entry, s *slot) {
-	evs := s.evs
-	size := (len(evs)+maskEvents-1)/maskEvents + len(evs)
-	var prev uint64
-	for _, v := range evs {
-		if v.at != prev {
-			size += 2
-		}
-		prev = v.at
-	}
+// close writes s's events as a packed run at the end of the store, points
+// its entry at it, and frees the slot and any ring position it holds
+// under key k. The run holds, in order: a same-time mask word per
+// maskEvents events (see moreMasks), one op word per event, and the low
+// and high words of each time whose bits differ from the previous
+// event's; the slot holds those parts already.
+func (l *Ledger) close(s *slot, k int64) {
+	size := s.size()
 	start := l.end
+	if size <= len(l.tail) {
+		s.writeRun(l.tail[:size])
+		l.tail = l.tail[size:]
+	} else {
+		l.store(s, size)
+	}
+	l.end += int32(size)
+	i := ^s.e.loc
+	s.e.loc = start
+	s.ops, s.times, s.masks = s.ops[:0], s.times[:0], s.masks[:0]
+	l.unring(s, k)
+	l.slots.Free(i)
+}
+
+// store is close's path for a run that does not fit the last page's
+// tail: it grows the store and writes the run at its end, across a page
+// boundary if it must, then points the tail past it.
+func (l *Ledger) store(s *slot, size int) {
+	start := int(l.end)
 	if int64(start)+int64(size) > maxEntries {
 		panic("audit: run store full")
 	}
-	p, o := store.Locate(int(start))
+	p, o := store.Locate(start)
 	for p >= l.runs.NumPages() {
 		l.runs.Grow()
 	}
 	if pg := l.runs.Page(p); o+size <= len(pg) {
-		encode(pg[o:o+size], evs)
+		s.writeRun(pg[o : o+size])
 	} else {
-		// The run crosses a page boundary: encode it apart, then copy
-		// it over page by page.
+		// The run crosses a page boundary: write it apart, then copy it
+		// over page by page.
 		if cap(l.crossing) < size {
 			l.crossing = make([]uint32, size) //e3:alloc once per longest page-crossing run
 		}
 		run := l.crossing[:size]
-		encode(run, evs)
+		s.writeRun(run)
 		for {
 			run = run[copy(l.runs.Page(p)[o:], run):]
 			if len(run) == 0 {
@@ -448,38 +584,17 @@ func (l *Ledger) close(e *entry, s *slot) {
 			o = 0
 		}
 	}
-	l.end += int32(size)
-	i := ^e.loc
-	e.loc = start
-	s.evs = evs[:0]
-	l.slots.Free(i)
+	l.tail = nil
+	if p, o := store.Locate(start + size); p < l.runs.NumPages() {
+		l.tail = l.runs.Page(p)[o:]
+	}
 }
 
-// encode writes evs as a packed run filling run. The run holds, in
-// order: a same-time mask word per maskEvents events (see moreMasks),
-// one op word per event, and the low and high words of each time whose
-// bits differ from the previous event's. A sample's first event
-// compares with +0.
-func encode(run []uint32, evs []ev) {
-	masks := (len(evs) + maskEvents - 1) / maskEvents
-	ops, times := run[masks:masks+len(evs)], run[masks+len(evs):]
-	var prev uint64
-	for i, v := range evs {
-		m, j := i/maskEvents, i%maskEvents
-		if j == 0 {
-			run[m] = 0
-			if i+maskEvents < len(evs) {
-				run[m] = moreMasks
-			}
-		}
-		ops[i] = v.op
-		if v.at == prev {
-			run[m] |= 1 << j
-		} else {
-			times[0], times[1] = uint32(v.at), uint32(v.at>>32)
-			times = times[2:]
-		}
-		prev = v.at
+// unring frees s's ring position, held under key k, if it holds one.
+func (l *Ledger) unring(s *slot, k int64) {
+	if s.ringed {
+		l.ring.Remove(k)
+		s.ringed = false
 	}
 }
 
@@ -517,13 +632,14 @@ func (l *Ledger) decode(dst []ev, run int32) []ev {
 	return dst
 }
 
-// chain returns the events of the sample at e: its open slot's buffer,
-// or its run decoded into *buf.
+// chain returns the events of the sample at e, from its open slot or its
+// run, decoded into *buf.
 func (l *Ledger) chain(buf *[]ev, e entry) []ev {
 	if e.loc < 0 {
-		return l.slots.At(^e.loc).evs
+		*buf = l.slots.At(^e.loc).events((*buf)[:0])
+	} else {
+		*buf = l.decode((*buf)[:0], e.loc)
 	}
-	*buf = l.decode((*buf)[:0], e.loc)
 	return *buf
 }
 
@@ -532,6 +648,9 @@ func (l *Ledger) chain(buf *[]ev, e entry) []ev {
 // dispatch to a stage past 12 bits or an instance past 16, or any other
 // operand past 28 bits.
 func (l *Ledger) pack(k Kind, o operands) uint32 {
+	if o == (operands{}) {
+		return uint32(k)
+	}
 	var v uint32
 	fits := true
 	switch k {
@@ -565,52 +684,59 @@ func (l *Ledger) unpack(op uint32) operands {
 	return operands{a: int32(v)}
 }
 
-//e3:hotpath runs once per lifecycle event; sampled mode counts in O(1) and must not allocate off the detail path
+// record records an event of sample id in detail if its id is tracked;
+// the exported methods have counted it in the population totals.
+//
+//e3:hotpath runs once per lifecycle event; sampled mode skips an untracked id in O(1) and must not allocate off the detail path
 func (l *Ledger) record(id int64, kind Kind, at float64, o operands) {
-	if l == nil {
-		return
-	}
-	switch kind {
-	case KindArrived:
-		l.arrivedTotal++
-	case KindCompleted:
-		l.completedTotal++
-	case KindDropped:
-		l.droppedTotal++
-		l.byReasonTotal[o.a]++
-	}
 	if k, tracked := l.key(id); tracked {
-		l.track(id, k, kind, at, o)
+		l.track(id, k, kind, at, l.pack(kind, o), o)
 	}
 }
 
-// track records an event of a tracked sample and checks it against the
-// sample's previous one.
-func (l *Ledger) track(id, k int64, kind Kind, at float64, o operands) {
-	e := l.lookup(id, k)
-	if e == nil {
-		e = l.register(id, k)
+// batch records an event of kind with operands o for each id in ids[0],
+// ids[step], ids[2·step], …: the members of a dispatch or merge, which
+// counts no total. Every member's op word is the same, so it is packed
+// once, at the first tracked member.
+func (l *Ledger) batch(kind Kind, ids []uint64, step int, at float64, o operands) {
+	if l == nil {
+		return
 	}
+	var op uint32
+	packed := false
+	for j := 0; j < len(ids); j += step {
+		id := int64(ids[j])
+		k, tracked := l.key(id)
+		if !tracked {
+			continue
+		}
+		if !packed {
+			op, packed = l.pack(kind, o), true
+		}
+		l.track(id, k, kind, at, op, o)
+	}
+}
+
+// track records an event of a tracked sample, whose op word is op, and
+// checks it against the sample's previous one. An open sample that has
+// broken no invariant is found through the ring; a first arrival, which
+// normally opens its sample, goes straight to the index.
+func (l *Ledger) track(id, k int64, kind Kind, at float64, op uint32, o operands) {
 	var s *slot
-	if e.loc < 0 {
-		s = l.slots.At(^e.loc)
-	} else {
-		s = l.reopen(e, id)
-	}
-	if n := len(s.evs); n > 0 {
-		prev := s.evs[n-1]
-		if pk := opKind(prev.op); pk.terminal() {
-			if !s.bad {
-				// The sample was cleanly terminated; take back its
-				// terminal's tally now that an event follows it.
-				l.tallyTerminal(pk, s.last, -1)
-				l.clean--
+	if kind != KindArrived {
+		if i, ok := l.ring.Get(k); ok {
+			if s = l.slots.At(i); s.id != id {
+				s = nil
 			}
-			s.bad = true
 		}
-		if at < math.Float64frombits(prev.at) || kind == KindArrived {
-			s.bad = true
-		}
+	}
+	if s == nil {
+		s = l.find(id, k)
+	}
+	// A terminal in a slot is a bad sample's, so an event after it needs
+	// no check of its own.
+	if len(s.ops) > 0 && (at < math.Float64frombits(s.at) || kind == KindArrived) {
+		s.bad = true
 	}
 	switch {
 	case kind == KindDispatched:
@@ -625,11 +751,14 @@ func (l *Ledger) track(id, k int64, kind Kind, at float64, o operands) {
 	case kind == KindDropped && !l.known[o.a]:
 		s.bad = true
 	}
-	s.evs = append(s.evs, ev{at: math.Float64bits(at), op: l.pack(kind, o)})
-	if kind.terminal() && !s.bad {
+	s.push(math.Float64bits(at), op)
+	switch {
+	case s.bad:
+		l.unring(s, k)
+	case kind.terminal():
 		l.tallyTerminal(kind, s.last, 1)
 		l.clean++
-		l.close(e, s)
+		l.close(s, k)
 	}
 }
 
@@ -687,26 +816,56 @@ func (l *Ledger) intern(reason Reason) uint16 {
 
 // Arrived records a sample minted by the generator at virtual time at.
 func (l *Ledger) Arrived(id int64, at float64) {
+	if l == nil {
+		return
+	}
+	l.arrivedTotal++
 	l.record(id, KindArrived, at, operands{})
 }
 
 // Queued records admission into a batcher queue.
 func (l *Ledger) Queued(id int64, at float64) {
+	if l == nil {
+		return
+	}
 	l.record(id, KindQueued, at, operands{})
 }
 
 // Dispatched records hand-off to stage's instance (a device index).
 func (l *Ledger) Dispatched(id int64, at float64, stage, instance int) {
+	if l == nil {
+		return
+	}
 	l.record(id, KindDispatched, at, operands{int32(stage), int32(instance)})
 }
 
 // Merged records entry into stage's survivor merge queue.
 func (l *Ledger) Merged(id int64, at float64, stage int) {
+	if l == nil {
+		return
+	}
 	l.record(id, KindMerged, at, operands{a: int32(stage)})
+}
+
+// DispatchedIDs records the hand-off of a batch to stage's instance: one
+// Dispatched for each id in ids[0], ids[step], ids[2·step], …, as a
+// boundary record lays its members out.
+func (l *Ledger) DispatchedIDs(ids []uint64, step int, at float64, stage, instance int) {
+	l.batch(KindDispatched, ids, step, at, operands{int32(stage), int32(instance)})
+}
+
+// MergedIDs records one Merged into stage's survivor merge queue for
+// each id in ids.
+func (l *Ledger) MergedIDs(ids []uint64, at float64, stage int) {
+	l.batch(KindMerged, ids, 1, at, operands{a: int32(stage)})
 }
 
 // Completed records execution finishing with the given 1-based exit layer.
 func (l *Ledger) Completed(id int64, at float64, exitLayer int) {
+	if l == nil {
+		return
+	}
+	l.completedTotal++
 	l.record(id, KindCompleted, at, operands{a: int32(exitLayer)})
 }
 
@@ -715,7 +874,10 @@ func (l *Ledger) Dropped(id int64, at float64, reason Reason) {
 	if l == nil {
 		return
 	}
-	l.record(id, KindDropped, at, operands{a: int32(l.intern(reason))})
+	code := l.intern(reason)
+	l.droppedTotal++
+	l.byReasonTotal[code]++
+	l.record(id, KindDropped, at, operands{a: int32(code)})
 }
 
 // Samples reports how many distinct sample IDs have events.
@@ -945,14 +1107,16 @@ func (l *Ledger) Verify() *Report {
 		// in slots.
 		open := make([]*slot, 0, l.slots.InUse())
 		for i := range int32(l.slots.Len()) {
-			if s := l.slots.At(i); len(s.evs) > 0 {
+			if s := l.slots.At(i); len(s.ops) > 0 {
 				open = append(open, s)
 			}
 		}
-		slices.SortFunc(open, func(a, b *slot) int { return cmp.Compare(a.rank, b.rank) })
+		slices.SortFunc(open, func(a, b *slot) int { return cmp.Compare(a.e.rank, b.e.rank) })
 		var evs []Event
+		var buf []ev
 		for _, s := range open {
-			evs = l.appendChain(evs[:0], s.evs)
+			buf = s.events(buf[:0])
+			evs = l.appendChain(evs[:0], buf)
 			r.checkSample(s.id, evs)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -259,6 +260,9 @@ func FuzzLedgerVerify(f *testing.F) {
 	for _, data := range storageStreams() {
 		f.Add(data)
 	}
+	for _, data := range indexStreams() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
 		diffVerify(t, l, ids)
@@ -302,6 +306,101 @@ func storageStreams() [][]byte {
 		out = append(out, same, long, reopen)
 	}
 	return out
+}
+
+// streamID returns id's index in streamIDs, the id byte of an encoded op.
+func streamID(id int64) byte {
+	i := slices.Index(streamIDs, id)
+	if i < 0 {
+		panic("audit: id not in streamIDs")
+	}
+	return byte(i)
+}
+
+// indexStreams returns encoded streams aimed at the open-sample ring, at
+// either stride. In the first, every dense id is open at once, so ids
+// whose keys share a position with an open one (the far multiples of
+// 3<<20, 90_000 beside 16 at stride 1) first grow the ring, then, once it
+// spans ringSpan positions per open slot, take the position from the open
+// id; negative and far ids, some in the sparse map, open beside them. An
+// open sample and a closed one each get a second arrival, and samples
+// reopen after a clean terminal and take more events. In the second, two
+// lone samples share a position, so the later one evicts the first from
+// a ring still at its first size.
+func indexStreams() [][]byte {
+	var out [][]byte
+	// op encodes one event of id; every fifth event ticks the clock.
+	op := func(dst []byte, id int64, kind Kind, operand byte) []byte {
+		at := byte(1)
+		if len(dst)%(5*opBytes) == 1 {
+			at = 0
+		}
+		return append(dst, streamID(id), byte(kind), operand, at)
+	}
+	far := []int64{-1, -3000, 1 << 40, 3 << 40, 3 << 41, 9 << 50, math.MaxInt64 - 1, math.MinInt64 + 2, 3 << 20, 90_000, 9999}
+	var all []int64
+	for id := int64(0); id < 32; id++ {
+		all = append(all, id)
+	}
+	all = append(all, far...)
+	for stride := byte(0); stride < byte(len(streamStrides)); stride++ {
+		crowd := []byte{stride}
+		for _, id := range all {
+			crowd = op(crowd, id, KindArrived, 0)
+			crowd = op(crowd, id, KindQueued, 0)
+		}
+		crowd = op(crowd, 6, KindArrived|0x80, 0) // a second arrival while open
+		for _, id := range all {
+			crowd = op(crowd, id, KindDispatched, 0)
+		}
+		for i := len(all) - 1; i >= 0; i-- {
+			crowd = op(crowd, all[i], KindCompleted, 3)
+		}
+		crowd = op(crowd, 9, KindArrived|0x80, 0) // a second arrival after a clean terminal
+		crowd = op(crowd, 3<<40, KindMerged, 1)   // a reopened sample's events
+		crowd = op(crowd, 3<<40, KindDispatched, 1)
+		crowd = op(crowd, 3<<40, KindCompleted|0x80, 4)
+		for _, id := range []int64{3000, 30_000} { // new samples in freed slots
+			crowd = op(crowd, id, KindArrived, 0)
+			crowd = op(crowd, id, KindDispatched, 0)
+			crowd = op(crowd, id, KindCompleted, 3)
+		}
+		pair := []byte{stride}
+		pair = op(pair, 0, KindArrived, 0)
+		pair = op(pair, 3<<20, KindArrived, 0)
+		pair = op(pair, 0, KindQueued|0x80, 0)
+		pair = op(pair, 3<<20, KindQueued, 0)
+		pair = op(pair, 0, KindCompleted, 3)
+		pair = op(pair, 3<<20, KindDropped, 0)
+		out = append(out, crowd, pair)
+	}
+	return out
+}
+
+// TestIndexStreams replays the fuzz target's ring-aimed seeds. It checks
+// that no bad sample keeps a ring position, and that the seeds reach the
+// ring's eviction: an open sample that has broken no invariant, yet which
+// the ring no longer points at.
+func TestIndexStreams(t *testing.T) {
+	evicted := false
+	for _, data := range indexStreams() {
+		l, ids := replayStream(data, func(l *Ledger, ids []int64) {
+			diffVerify(t, l, ids)
+			for i := range int32(l.slots.Len()) {
+				s := l.slots.At(i)
+				if s.bad && s.ringed {
+					t.Fatalf("bad sample %d keeps its ring position", s.id)
+				}
+				if len(s.ops) > 0 && !s.bad && !s.ringed {
+					evicted = true
+				}
+			}
+		})
+		diffVerify(t, l, ids)
+	}
+	if !evicted {
+		t.Fatal("no stream evicted an open sample from the ring")
+	}
 }
 
 // TestStorageStreams replays the fuzz target's store-aimed seeds.
@@ -413,6 +512,9 @@ func TestCleanVerifyAllocsIndependentOfSamples(t *testing.T) {
 		if r := l.Verify(); !r.OK() || l.clean != int(2*n) {
 			t.Fatalf("%d samples: %d clean, violations %v", 2*n, l.clean, r.Violations)
 		}
+		// Keep collections out of the window: one that ends inside it can
+		// add the runtime's own allocations to the count.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(5, func() { l.Verify() })
 	}
 	small, large := allocs(10_000), allocs(100_000)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a bounded streaming histogram over fixed log-spaced
@@ -19,6 +18,11 @@ type Histogram struct {
 	bounds []float64
 	// counts has len(bounds)+1 entries; the last is the overflow bucket.
 	counts []uint64
+	// octave[e-exp0] is the first bucket whose bound is at least the
+	// smallest float64 of biased binary exponent e, for every exponent
+	// from bounds[0]'s (exp0) to the last bound's.
+	octave []int32
+	exp0   int
 	total  uint64
 	sum    float64
 	// minSeen/maxSeen tighten quantile interpolation at the edges.
@@ -45,8 +49,20 @@ func NewLogHistogram(lo, hi float64, buckets int) *Histogram {
 	// Pin the last bound exactly so values equal to hi never overflow from
 	// accumulated rounding.
 	h.bounds[buckets-1] = hi
+	h.exp0 = exponent(lo)
+	h.octave = make([]int32, exponent(hi)-h.exp0+1)
+	i := 0
+	for e := range h.octave {
+		for floor := math.Float64frombits(uint64(h.exp0+e) << 52); h.bounds[i] < floor; {
+			i++
+		}
+		h.octave[e] = int32(i)
+	}
 	return h
 }
+
+// exponent returns the biased binary exponent of v ≥ 0.
+func exponent(v float64) int { return int(math.Float64bits(v) >> 52) }
 
 // Observe records one value. Negative values are clamped to zero, matching
 // LatencyRecorder.
@@ -54,8 +70,7 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	i := sort.SearchFloat64s(h.bounds, v) // first bucket whose bound ≥ v
-	h.counts[i]++
+	h.counts[h.bucket(v)]++
 	if h.total == 0 || v < h.minSeen {
 		h.minSeen = v
 	}
@@ -64,6 +79,26 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.total++
 	h.sum += v
+}
+
+// bucket returns the first bucket whose bound is ≥ v ≥ 0, as
+// sort.SearchFloat64s would. Inside [bounds[0], last bound] it starts
+// from the first bound at or above the floor of v's binary octave, a
+// lower bound on the answer, and steps up: log-spaced bounds put only a
+// few in each octave.
+func (h *Histogram) bucket(v float64) int {
+	b := h.bounds
+	switch {
+	case v <= b[0]:
+		return 0
+	case v > b[len(b)-1]:
+		return len(b)
+	}
+	i := int(h.octave[exponent(v)-h.exp0])
+	for b[i] < v {
+		i++
+	}
+	return i
 }
 
 // Count reports the number of observed values.

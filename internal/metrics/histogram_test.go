@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -136,5 +137,35 @@ func TestLogHistogramQuantileMonotone(t *testing.T) {
 			t.Fatalf("Quantile(%v) = %v < previous %v", q, v, prev)
 		}
 		prev = v
+	}
+}
+
+// TestBucketMatchesSearch checks the octave-table bucket search against
+// sort.SearchFloat64s on every bound, its float neighbours, octave floors
+// and random values, for the tracer's shapes and odd ones (a bound range
+// inside one octave, one starting among the subnormals).
+func TestBucketMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, shape := range []struct {
+		lo, hi  float64
+		buckets int
+	}{
+		{1e-4, 10, 40}, {1, 4096, 13}, {1e-4, 10, 400}, {1.1, 1.3, 7}, {1e-310, 1e-300, 16}, {0.5, 2, 2},
+	} {
+		h := NewLogHistogram(shape.lo, shape.hi, shape.buckets)
+		vals := []float64{0, 5e-324, math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, math.Inf(1)}
+		for _, b := range h.bounds {
+			vals = append(vals, b, math.Nextafter(b, 0), math.Nextafter(b, math.Inf(1)))
+			floor := math.Float64frombits(uint64(exponent(b)) << 52)
+			vals = append(vals, floor, math.Nextafter(floor, 0))
+		}
+		for range 10_000 {
+			vals = append(vals, math.Exp(rng.Float64()*math.Log(shape.hi/shape.lo)*1.2)*shape.lo*0.9)
+		}
+		for _, v := range vals {
+			if got, want := h.bucket(v), sort.SearchFloat64s(h.bounds, v); got != want {
+				t.Fatalf("[%v,%v]x%d: bucket(%v) = %d, want %d", shape.lo, shape.hi, shape.buckets, v, got, want)
+			}
+		}
 	}
 }

@@ -47,6 +47,17 @@ func (f *fanout) dispatched(batch []workload.Sample, at float64, stage, device i
 	}
 }
 
+// dispatchedRecord is dispatched for a stream record, whose members are
+// (id, arrival bits) word pairs: the ledger takes the ids as they lie.
+func (f *fanout) dispatchedRecord(members []uint64, at float64, stage, device int) {
+	f.Audit.DispatchedIDs(members, 2, at, stage, device)
+	if f.Attr != nil {
+		for j := 0; j < len(members); j += 2 {
+			f.Attr.Dispatched(workload.Sample{ID: int64(members[j]), Arrival: f64(members[j+1])}, at, stage)
+		}
+	}
+}
+
 func (f *fanout) executed(device int, model string, stage, from, to int, batch []workload.Sample, start, end, ramp, pad float64) {
 	d := &f.devs[device]
 	f.Tracer.Execute(d.id, d.kind, stage, len(batch), start, end)
@@ -70,6 +81,16 @@ func (f *fanout) merged(survivors []workload.Sample, at float64, stage int) {
 	if f.Attr != nil {
 		for _, s := range survivors {
 			f.Attr.Merged(s, at, stage)
+		}
+	}
+}
+
+// mergedRecord is merged for a stream record, whose members are ids.
+func (f *fanout) mergedRecord(ids []uint64, at float64, stage int) {
+	f.Audit.MergedIDs(ids, at, stage)
+	if f.Attr != nil {
+		for _, id := range ids {
+			f.Attr.Merged(workload.Sample{ID: int64(id)}, at, stage)
 		}
 	}
 }

@@ -321,19 +321,15 @@ func (d *decoder) run(full <-chan *chunk, free chan<- *chunk, done chan<- struct
 	}
 }
 
-// members decodes n members of per words each (an id, then the arrival
-// when per is 2). With per 1 the arrivals are stale: no view reads them
-// at that boundary.
-func (d *decoder) members(w []uint64, n, per int) []workload.Sample {
+// members decodes an execute record's n member ids. Their arrivals are
+// stale: no view reads them at that boundary.
+func (d *decoder) members(w []uint64, n int) []workload.Sample {
 	if cap(d.batch) < n {
 		d.batch = make([]workload.Sample, n)
 	}
 	b := d.batch[:n]
 	for i := range b {
-		b[i].ID = int64(w[i*per])
-		if per == 2 {
-			b[i].Arrival = f64(w[i*per+1])
-		}
+		b[i].ID = int64(w[i])
 	}
 	return b
 }
@@ -355,18 +351,18 @@ func (d *decoder) apply(ch *chunk) {
 			f.queueWait(n, f64(w[i+1]), f64(w[i+2]))
 			i += 3
 		case opDispatch:
-			f.dispatched(d.members(w[i+2:], n, 2), f64(w[i+1]), a, b)
+			f.dispatchedRecord(w[i+2:i+2+2*n], f64(w[i+1]), a, b)
 			i += 2 + 2*n
 		case opExecute:
 			fromTo := w[i+5]
-			f.executed(b, d.models[w[i+6]], a, int(uint32(fromTo)), int(fromTo>>32), d.members(w[i+7:], n, 1),
+			f.executed(b, d.models[w[i+6]], a, int(uint32(fromTo)), int(fromTo>>32), d.members(w[i+7:], n),
 				f64(w[i+1]), f64(w[i+2]), f64(w[i+3]), f64(w[i+4]))
 			i += 7 + n
 		case opTransfer:
 			f.transferred(a, n, f64(w[i+1]), f64(w[i+2]))
 			i += 3
 		case opMerge:
-			f.merged(d.members(w[i+2:], n, 1), f64(w[i+1]), a)
+			f.mergedRecord(w[i+2:i+2+n], f64(w[i+1]), a)
 			i += 2 + n
 		case opFuse:
 			f.fused(a, n, f64(w[i+1]), f64(w[i+2]))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,5 +175,69 @@ func TestStreamMatchesInline(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// recordStream runs streamScript into a streaming collector whose chunks
+// a stand-in consumer copies instead of applying, and returns the copies
+// in stream order.
+func recordStream() []*chunk {
+	c := NewCollector(12, 0.05, 0)
+	c.st = newStream()
+	var rec []*chunk
+	go func() {
+		for ch := range c.st.full {
+			rec = append(rec, &chunk{w: slices.Clone(ch.w), strs: slices.Clone(ch.strs)})
+			ch.w = ch.w[:0]
+			clear(ch.strs)
+			ch.strs = ch.strs[:0]
+			c.st.free <- ch
+		}
+		close(c.st.done)
+	}()
+	streamScript(c, func() {})
+	c.Stop()
+	return rec
+}
+
+// applyStream applies rec through a fresh decoder whose collector has an
+// exhaustive ledger and the first views of a tracer ring, attribution and
+// a flame profiler, as the replan loop's observed stack has all three,
+// and returns that collector.
+func applyStream(rec []*chunk, views int) *Collector {
+	c := NewCollector(12, 0.05, 0)
+	c.Audit = audit.NewLedger()
+	if views > 0 {
+		c.Tracer = telemetry.NewRing(4096)
+	}
+	if views > 1 {
+		c.Attr = slo.NewAttribution(slo.DefaultTopK)
+	}
+	if views > 2 {
+		c.Flame = flame.NewProfiler(0)
+	}
+	d := &decoder{f: c.fan()}
+	for _, ch := range rec {
+		d.apply(ch)
+	}
+	return c
+}
+
+// BenchmarkStreamApply is the stream consumer's cost: it replays a
+// recorded streamScript stream through a fresh decoder and reports ns per
+// sample, with the ledger alone and then adding the tracer, attribution
+// and the flame profiler in turn; "all" is the replan loop's observed
+// stack, and each step's difference is that view's cost.
+func BenchmarkStreamApply(b *testing.B) {
+	rec := recordStream()
+	arrived, _, _ := applyStream(rec, 0).Audit.Totals()
+	for views, name := range []string{"ledger", "tracer", "attr", "all"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				applyStream(rec, views)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(arrived), "ns/sample")
+		})
 	}
 }

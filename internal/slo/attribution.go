@@ -465,21 +465,27 @@ func (a *Attribution) finalize(st *reqState, at float64) {
 
 // slowestLess orders retained breakdowns ascending by end-to-end latency;
 // equal latencies keep the smaller ID, so retention is deterministic.
-func slowestLess(x, y Breakdown) bool {
-	if x.E2E() != y.E2E() {
-		return x.E2E() < y.E2E()
+func slowestLess(x, y Breakdown) bool { return fasterThan(x.E2E(), x.ID, y.E2E(), y.ID) }
+
+// fasterThan is slowestLess on a breakdown's end-to-end latency and ID.
+func fasterThan(xE2E float64, xID int64, yE2E float64, yID int64) bool {
+	if xE2E != yE2E {
+		return xE2E < yE2E
 	}
-	return x.ID > y.ID
+	return xID > yID
 }
 
 // offerSlowest admits the breakdown into the top-K retention when it beats
-// the current minimum. The parts slice is copied only on admission, so in
-// steady state most completions allocate nothing here.
+// the current minimum. A full retention is tested on the end-to-end
+// latency alone, so a breakdown is built, and its parts copied, only on
+// admission: in steady state most completions allocate nothing here.
 func (a *Attribution) offerSlowest(st *reqState, at float64) {
-	bd := Breakdown{ID: st.id, Arrival: st.arrival, Completion: at}
-	if len(a.slowest) >= a.topK && !slowestLess(a.slowest[0], bd) {
-		return
+	if len(a.slowest) >= a.topK {
+		if m := &a.slowest[0]; !fasterThan(m.E2E(), m.ID, at-st.arrival, st.id) {
+			return
+		}
 	}
+	bd := Breakdown{ID: st.id, Arrival: st.arrival, Completion: at}
 	bd.Parts = append([]Part(nil), st.parts...)                                                  //e3:alloc top-K admission: only a breakdown slower than the retained minimum
 	i := sort.Search(len(a.slowest), func(i int) bool { return !slowestLess(a.slowest[i], bd) }) //e3:alloc top-K admission: only a breakdown slower than the retained minimum
 	a.slowest = append(a.slowest, Breakdown{})

@@ -1,5 +1,7 @@
 package store
 
+import "math"
+
 // Slots is a free-listed table of records: Open reuses the most recently
 // freed slot before it adds one, and a freed record keeps its buffers for
 // the slot's next use, so the table grows with the records open at once,
@@ -39,8 +41,13 @@ func (s *Slots[T]) InUse() int { return len(s.items) - len(s.free) }
 // ring of a power-of-two size n holds at position id mod n the slot+1 of
 // the record open for id (0 = none). Each open id owns its position; when
 // a new id's position is taken, the ring doubles until it is not, so it
-// grows with the span of the ids open at once, never with run length.
+// grows with the span of the ids open at once, never with run length. The
+// zero value is empty and ready to use: its first Put allocates
+// firstRing positions.
 type IDRing struct{ pos []int32 }
+
+// firstRing is the size of a zero ring's first positions.
+const firstRing = 64
 
 // NewIDRing returns an empty ring of size positions, a power of two.
 func NewIDRing(size int) IDRing { return IDRing{pos: make([]int32, size)} }
@@ -48,6 +55,9 @@ func NewIDRing(size int) IDRing { return IDRing{pos: make([]int32, size)} }
 // Get returns the slot open at id's position, which may hold another id:
 // the caller checks the record's.
 func (r *IDRing) Get(id int64) (slot int32, ok bool) {
+	if len(r.pos) == 0 {
+		return -1, false
+	}
 	v := r.pos[id&int64(len(r.pos)-1)]
 	return v - 1, v != 0
 }
@@ -55,16 +65,31 @@ func (r *IDRing) Get(id int64) (slot int32, ok bool) {
 // Put opens slot at id's position, doubling the ring first while another
 // id holds it; key returns the id open in a slot.
 func (r *IDRing) Put(id int64, slot int32, key func(slot int32) int64) {
-	for r.pos[id&int64(len(r.pos)-1)] != 0 {
-		r.grow(key)
-	}
-	r.pos[id&int64(len(r.pos)-1)] = slot + 1
+	r.PutAtMost(id, slot, math.MaxInt, key)
 }
 
-// grow doubles the ring. Open ids never collide in the doubled ring: ids
-// apart mod n are apart mod 2n.
+// PutAtMost is Put on a ring that doubles only while it has fewer than
+// most positions. Past that, slot takes id's position from the id open
+// there, and PutAtMost returns that id's slot (ok true), which the caller
+// must from then on find without the ring.
+func (r *IDRing) PutAtMost(id int64, slot int32, most int, key func(slot int32) int64) (evicted int32, ok bool) {
+	for len(r.pos) == 0 || r.pos[id&int64(len(r.pos)-1)] != 0 && len(r.pos) < most {
+		r.grow(key)
+	}
+	i := id & int64(len(r.pos)-1)
+	evicted, ok = r.pos[i]-1, r.pos[i] != 0
+	r.pos[i] = slot + 1
+	return evicted, ok
+}
+
+// grow doubles the ring, or gives a zero ring its first positions. Open
+// ids never collide in the doubled ring: ids apart mod n are apart mod 2n.
 func (r *IDRing) grow(key func(int32) int64) {
-	pos := make([]int32, 2*len(r.pos)) //e3:alloc ring growth, only when a new id's position is held by an open record
+	n := 2 * len(r.pos)
+	if n == 0 {
+		n = firstRing
+	}
+	pos := make([]int32, n) //e3:alloc ring growth, only when a new id's position is held by an open record
 	for _, v := range r.pos {
 		if v != 0 {
 			pos[key(v-1)&int64(len(pos)-1)] = v

@@ -136,3 +136,34 @@ func TestSlotsAndIDRingMatchModel(t *testing.T) {
 		t.Fatal("the ring never grew; the model does not exercise a collision")
 	}
 }
+
+// TestIDRingZeroAndBounded: a zero ring takes firstRing positions at its
+// first Put, and PutAtMost doubles only below its bound; at the bound a
+// new id takes the position and PutAtMost returns the slot it held.
+func TestIDRingZeroAndBounded(t *testing.T) {
+	var r IDRing
+	if _, ok := r.Get(5); ok {
+		t.Fatal("a zero ring found a slot")
+	}
+	ids := map[int32]int64{}
+	key := func(slot int32) int64 { return ids[slot] }
+	put := func(id int64, slot int32) (int32, bool) {
+		ids[slot] = id
+		return r.PutAtMost(id, slot, 2*firstRing, key)
+	}
+	if _, ok := put(5, 0); ok || len(r.pos) != firstRing {
+		t.Fatalf("first Put: evicted %v, %d positions; want none and %d", ok, len(r.pos), firstRing)
+	}
+	if _, ok := put(5+firstRing, 1); ok || len(r.pos) != 2*firstRing {
+		t.Fatalf("a collision below the bound: evicted %v, %d positions; want none and %d", ok, len(r.pos), 2*firstRing)
+	}
+	evicted, ok := put(5+2*firstRing, 2)
+	if !ok || evicted != 0 || len(r.pos) != 2*firstRing {
+		t.Fatalf("a collision at the bound: evicted %d, %v, %d positions; want slot 0 and %d", evicted, ok, len(r.pos), 2*firstRing)
+	}
+	for id, want := range map[int64]int32{5: 2, 5 + firstRing: 1} {
+		if got, ok := r.Get(id); !ok || got != want {
+			t.Fatalf("Get(%d) = %d, %v; want slot %d", id, got, ok, want)
+		}
+	}
+}
