@@ -63,8 +63,9 @@ race:
 	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/ ./internal/tasks/
 
 # Fuzz the ledger's online checks and digest against the full-walk
-# oracles for 30 s. Only fuzzed operands reach the record's wide spill
-# path; the seeded differential test under `make test` covers the rest.
+# oracles, and a stride-7 ledger's events against an exhaustive one's, for
+# 30 s. The seeds, replayed under `make test`, reach the run layout's
+# edges: odd times, escaped and wide ops, reopened runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLedgerVerify -fuzztime 30s ./internal/audit/
 

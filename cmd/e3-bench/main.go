@@ -407,6 +407,9 @@ type replanReport struct {
 	AuditCompleted  int `json:"audit_completed"`
 	AuditDropped    int `json:"audit_dropped"`
 	AuditViolations int `json:"audit_violations"`
+	// AuditBytesPerSample is the bytes the exhaustive ledger retains per
+	// sample at the end of the run: its run store's and indexes' pages.
+	AuditBytesPerSample float64 `json:"audit_bytes_per_sample"`
 
 	// Error-budget accounting across the run (per-window detail rides in
 	// per_window[].budget).
@@ -610,6 +613,7 @@ func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshol
 			AuditCompleted:         res.Report.Completed,
 			AuditDropped:           res.Report.Dropped,
 			AuditViolations:        len(res.Report.Violations),
+			AuditBytesPerSample:    float64(res.LedgerBytes) / float64(max(1, res.Report.Tracked)),
 			SLOTarget:              res.Budget.Target(),
 			BudgetBreaches:         res.Budget.Breaches(),
 			PerWindow:              res.Windows,

@@ -17,8 +17,8 @@
 // Storage scales with the samples in flight plus a compact record of the
 // finished ones: an open sample's events sit in a reusable in-flight
 // slot, and a cleanly terminated sample's chain is written once as a
-// packed run of 32-bit words, about 70 bytes per request on the replan
-// loop, into a store the garbage collector never scans.
+// packed run of bytes, about 36 bytes per request on the replan loop, into
+// a store the garbage collector never scans.
 //
 // A nil *Ledger is valid and records nothing, so call sites wire events
 // unconditionally and auditing costs nothing when disabled.
@@ -26,6 +26,7 @@ package audit
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -118,17 +119,18 @@ type Event struct {
 // keep their capacity from one sample to the next, so the table grows
 // with the samples in flight, never with run length. At the sample's
 // clean terminal — its only terminal, recorded after no violation — its
-// chain is written once as a packed run of 32-bit words into a
-// pointer-free paged store (store.Pages) and the slot is freed. A run
-// holds same-time mask words, one op word per event, then two words for
-// each time whose bits differ from the previous event's (see close); the
-// slot builds those parts as events arrive, so closing copies them. An
-// op word packs the kind and operand; the rare operand that does not fit
-// (a negative one, a dispatch's stage past 12 bits or instance past 16,
-// anything past 28) goes to a per-ledger spill slice. Stage, instance
-// and exit-layer operands are int32. Samples that never end, or turn
-// bad, stay in their slots; an event after a clean terminal decodes the
-// run back into a slot.
+// chain is written once as a packed run of bytes into a pointer-free
+// paged store (store.Pages) and the slot is freed. A run holds same-time
+// mask bytes, an op of usually one byte per event, then each time whose
+// bits differ from the previous event's: the first as 8 bytes, each later
+// one as a varint of its bits' difference from the one before (see
+// close). The slot keeps an event's op as a 32-bit op word that packs its
+// kind and operand; the rare operand that does not fit (a negative one, a
+// dispatch's stage past 12 bits or instance past 16, anything past 28)
+// goes to a per-ledger spill slice. Stage, instance and exit-layer
+// operands are int32. Samples that never end, or turn bad, stay in their
+// slots; an event after a clean terminal decodes the run back into a
+// slot.
 //
 // A dense index keyed by id/stride holds one 8-byte entry per sample:
 // its run's offset or its slot, and its first-seen rank. Ids outside the
@@ -144,7 +146,7 @@ type Event struct {
 // nothing is allocated for detail until the first tracked id arrives.
 // Neither the store nor the indexes hold pointers, so the garbage
 // collector never scans them. Drop reasons are interned per ledger, so
-// an op word stores a code instead of a string. No slice lists the ids:
+// an op stores a code instead of a string. No slice lists the ids:
 // Verify and Digest rebuild first-seen order from the stored ranks.
 //
 // Recording also checks each tracked sample against its previous event
@@ -152,21 +154,21 @@ type Event struct {
 // flag, set once any invariant broke. Per-stage in/out tallies and the
 // count of cleanly terminated samples are kept as events arrive.
 type Ledger struct {
-	// runs is the packed-run store, grown a page at a time. Word 0 is
+	// runs is the packed-run store, grown a page at a time. Byte 0 is
 	// never used, so a run's offset is positive; end is the offset of the
 	// next run.
-	runs store.Pages[uint32]
+	runs store.Pages[byte]
 	end  int32
 	// tail is the unwritten rest of the run store's last page, from end.
-	tail []uint32
+	tail []byte
 	// slots holds the open samples' running state and events; ring maps
 	// the key (id/stride) of each ringed sample to its slot.
 	slots store.Slots[slot]
 	ring  store.IDRing
-	// crossing is where a run that crosses a page boundary is written;
-	// evs is where reopen decodes a run.
-	crossing []uint32
-	evs      []ev
+	// scratch is where store encodes a run; evs is where reopen decodes
+	// one.
+	scratch []byte
+	evs     []ev
 	// dense indexes tracked ids by id/stride. sparse maps any other
 	// tracked id to its entry in spill, in registration order. Both grow
 	// a page at a time.
@@ -206,11 +208,10 @@ type Ledger struct {
 	byReasonTotal  []int
 }
 
-// ev is one decoded event: its time's bits and its op word,
-// which packs the kind, a wide flag and a 28-bit operand: stage |
-// instance<<12 for a dispatch, the stage for a merge, the exit layer for
-// a completion, the reason code for a drop (see pack). A wide op word's
-// operand indexes Ledger.wide instead.
+// ev is one decoded event: its time's bits and its op word, which packs
+// the kind, a 28-bit operand and a wide flag: a dispatch's stage and
+// instance, a merge's stage, a completion's exit layer, a drop's reason
+// code (see pack). A wide op word's operand indexes Ledger.wide instead.
 type ev struct {
 	at uint64
 	op uint32
@@ -227,30 +228,35 @@ func (k Kind) terminal() bool { return k == KindCompleted || k == KindDropped }
 // a dispatch's instance.
 type operands struct{ a, b int32 }
 
-// entry locates one tracked sample: 8 bytes.
+// entryBytes is the size of an entry.
+const entryBytes = 8
+
+// entry locates one tracked sample: entryBytes.
 type entry struct {
-	// loc is the offset of the sample's run when positive, ^slot of its
-	// open slot when negative, and 0 before its first event.
+	// loc is the byte offset of the sample's run when positive, ^slot of
+	// its open slot when negative, and 0 before its first event.
 	loc int32
 	// rank is the sample's first-seen rank among tracked ids.
 	rank int32
 }
 
-// slot holds one open tracked sample, its events so far laid out as the
-// parts of the packed run they close to (see close): ops holds an op word
-// per event, times the two words of each time whose bits differ from the
-// previous event's, masks the finished mask words, and mask the one being
-// filled, whose next event takes bit. A free slot's buffers are empty and
-// keep their capacity for the slot's next sample.
+// slot holds one open tracked sample's events so far: ops holds an op
+// word per event; times holds, for each event whose time bits differ from
+// the previous event's (+0 before the first), the low and high words of
+// its bits minus those, wrapping; masks holds the finished same-time mask
+// bytes of the packed run the slot closes to (see close), and mask the
+// one being filled, whose next event takes bit. A free slot's buffers are
+// empty and keep their capacity for the slot's next sample.
 type slot struct {
-	ops, times, masks []uint32
+	ops, times []uint32
+	masks      []byte
 	// e is the sample's index entry, which never moves.
 	e  *entry
 	id int64
 	// at is the time bits of the sample's last event (+0 before its
 	// first, which compares with +0).
 	at        uint64
-	mask, bit uint32
+	mask, bit byte
 	// last is the sample's last dispatched stage (-1 = none yet).
 	last int32
 	// bad marks a sample that broke an invariant; only a bad slot holds a
@@ -268,7 +274,8 @@ func (s *slot) push(at uint64, op uint32) {
 	if at == s.at {
 		s.mask |= s.bit
 	} else {
-		s.times = append(s.times, uint32(at), uint32(at>>32))
+		d := at - s.at
+		s.times = append(s.times, uint32(d), uint32(d>>32))
 	}
 	s.bit <<= 1
 	s.at = at
@@ -285,7 +292,7 @@ func (s *slot) events(dst []ev) []ev {
 			mask = s.masks[m]
 		}
 		if mask>>(i%maskEvents)&1 == 0 {
-			at = uint64(times[0]) | uint64(times[1])<<32
+			at += uint64(times[0]) | uint64(times[1])<<32
 			times = times[2:]
 		}
 		dst = append(dst, ev{at: at, op: op})
@@ -293,19 +300,108 @@ func (s *slot) events(dst []ev) []ev {
 	return dst
 }
 
-// size returns the words of s's packed run.
-func (s *slot) size() int { return len(s.masks) + 1 + len(s.ops) + len(s.times) }
+// maxSize bounds the bytes of s's packed run: an op takes at most 6 and
+// a time 10, and the last varint's store may reach 8 bytes past the end.
+func (s *slot) maxSize() int { return len(s.masks) + 1 + 6*len(s.ops) + 5*len(s.times) + 8 }
 
-// writeRun writes s's packed run, s.size() words, to run.
-func (s *slot) writeRun(run []uint32) {
-	n := copy(run, s.masks)
+// encode writes s's packed run (see close) to run, which holds at least
+// s.maxSize() bytes, and returns its length.
+func (s *slot) encode(run []byte) int {
+	n := 0
+	if len(s.masks) > 0 {
+		n = copy(run, s.masks)
+	}
 	run[n] = s.mask
-	n = 1 + n + copy(run[n+1:], s.ops)
-	copy(run[n:], s.times)
+	n++
+	for _, op := range s.ops {
+		if op < 1<<8 { // a short op
+			run[n] = byte(op)
+			n++
+		} else {
+			run[n] = byte(opEscape | op&kindMask<<kindBits)
+			n += 1 + putVarint(run[n+1:], uint64(op>>kindBits))
+		}
+	}
+	if len(s.times) > 0 {
+		// The first time's bits, less +0's, then each time's difference.
+		binary.LittleEndian.PutUint64(run[n:], uint64(s.times[0])|uint64(s.times[1])<<32)
+		n += 8
+		for i := 2; i < len(s.times); i += 2 {
+			n += putVarint(run[n:], uint64(s.times[i])|uint64(s.times[i+1])<<32)
+		}
+	}
+	return n
 }
 
-// word returns word i of the run store.
-func (l *Ledger) word(i int32) uint32 { return *l.runs.At(int(i)) }
+// putVarint writes x to b as a prefix varint and returns its length: the
+// k ≤ 8 bytes of x<<k | 1<<(k−1), little-endian, for the least k whose 7k
+// bits hold x, or, past 56 bits, a zero byte and x's 8 bytes. It stores 8
+// bytes or 9 whatever k is, so b must hold 9.
+func putVarint(b []byte, x uint64) int {
+	k := (bits.Len64(x|1) + 6) / 7
+	if k > 8 {
+		b[0] = 0
+		binary.LittleEndian.PutUint64(b[1:], x)
+		return 9
+	}
+	binary.LittleEndian.PutUint64(b, x<<k|1<<(k-1))
+	return k
+}
+
+// runReader reads the run store's bytes in order, crossing into the next
+// page at the end of each.
+type runReader struct {
+	// buf is the unread rest of page p.
+	buf  []byte
+	runs *store.Pages[byte]
+	p    int
+}
+
+// reader returns a reader of the run store from byte offset off.
+func (l *Ledger) reader(off int32) runReader {
+	p, o := store.Locate(int(off))
+	return runReader{buf: l.runs.Page(p)[o:], runs: &l.runs, p: p}
+}
+
+// next returns the next byte.
+func (r *runReader) next() byte {
+	if len(r.buf) == 0 {
+		r.p++
+		r.buf = r.runs.Page(r.p)
+	}
+	b := r.buf[0]
+	r.buf = r.buf[1:]
+	return b
+}
+
+// le returns the next n ≤ 8 bytes as a little-endian number.
+func (r *runReader) le(n int) uint64 {
+	var x uint64
+	for i := range n {
+		x |= uint64(r.next()) << (8 * i)
+	}
+	return x
+}
+
+// varint returns the next prefix varint (see putVarint).
+func (r *runReader) varint() uint64 {
+	b := r.next()
+	if b == 0 {
+		return r.le(8)
+	}
+	k := bits.TrailingZeros8(b) + 1
+	return (uint64(b) | r.le(k-1)<<8) >> k
+}
+
+// op returns the next op's op word: a short op byte is one, and an
+// escape byte holds the kind of one whose other bits follow as a varint.
+func (r *runReader) op() uint32 {
+	b := uint32(r.next())
+	if b&kindMask != opEscape {
+		return b
+	}
+	return b>>kindBits | uint32(r.varint())<<kindBits
+}
 
 // divisor tests int64s for divisibility by a fixed d > 1 with a
 // multiply, a rotate and a compare (Granlund and Montgomery): for
@@ -339,21 +435,30 @@ func (v divisor) divides(id int64) bool {
 }
 
 const (
-	// An op word: kindBits of kind, the wide flag, then operandBits of
-	// operand, of which a dispatch gives stageBits to the stage and the
-	// rest to the instance.
+	// An op word: kindBits of kind, operandBits of operand, then the wide
+	// flag. A dispatch gives stageBits of its operand to the stage and the
+	// rest to the instance, laid out as the stage's low loStage bits, the
+	// instance's low loInstance bits, the stage's other bits, then the
+	// instance's: an event whose op word is below 1<<8 (a dispatch to a
+	// stage below 4 and an instance below 8, or any other operand below
+	// 32) is stored as that one byte. The run store marks any other op
+	// with an escape byte, opEscape under its kind, which no op word's
+	// low bits hold.
 	kindBits     = 3
 	kindMask     = 1<<kindBits - 1
-	wideFlag     = 1 << kindBits
-	operandShift = kindBits + 1
-	operandBits  = 32 - operandShift
+	operandShift = kindBits
+	operandBits  = 28
+	wideFlag     = 1 << (kindBits + operandBits)
 	stageBits    = 12
 	stageMask    = 1<<stageBits - 1
+	loStage      = 2
+	loInstance   = 3
+	opEscape     = kindMask
 
-	// Mask word m of a run flags in bit j that event maskEvents·m+j has
+	// Mask byte m of a run flags in bit j that event maskEvents·m+j has
 	// the same time bits as the event before it; its top bit flags that
-	// another mask word follows.
-	maskEvents = 31
+	// another mask byte follows.
+	maskEvents = 7
 	moreMasks  = 1 << maskEvents
 
 	// maxEntries keeps every store and index position within int32.
@@ -530,20 +635,20 @@ func (l *Ledger) reopen(e *entry, id int64) *slot {
 
 // close writes s's events as a packed run at the end of the store, points
 // its entry at it, and frees the slot and any ring position it holds
-// under key k. The run holds, in order: a same-time mask word per
-// maskEvents events (see moreMasks), one op word per event, and the low
-// and high words of each time whose bits differ from the previous
-// event's; the slot holds those parts already.
+// under key k. The run holds, in order: a same-time mask byte per
+// maskEvents events (see moreMasks), each event's op (see opEscape), and
+// each time whose bits differ from the previous event's, the first as 8
+// little-endian bytes and each later one as the prefix varint (see
+// putVarint) of its bits minus the previous time's, wrapping.
 func (l *Ledger) close(s *slot, k int64) {
-	size := s.size()
 	start := l.end
-	if size <= len(l.tail) {
-		s.writeRun(l.tail[:size])
+	if s.maxSize() <= len(l.tail) {
+		size := s.encode(l.tail)
 		l.tail = l.tail[size:]
+		l.end += int32(size)
 	} else {
-		l.store(s, size)
+		l.store(s)
 	}
-	l.end += int32(size)
 	i := ^s.e.loc
 	s.e.loc = start
 	s.ops, s.times, s.masks = s.ops[:0], s.times[:0], s.masks[:0]
@@ -551,41 +656,32 @@ func (l *Ledger) close(s *slot, k int64) {
 	l.slots.Free(i)
 }
 
-// store is close's path for a run that does not fit the last page's
-// tail: it grows the store and writes the run at its end, across a page
-// boundary if it must, then points the tail past it.
-func (l *Ledger) store(s *slot, size int) {
+// store is close's path for a run that may not fit the last page's tail:
+// it encodes the run apart, grows the store and copies the run to its
+// end, across a page boundary if it must, then points the tail past it.
+func (l *Ledger) store(s *slot) {
+	if bound := s.maxSize(); cap(l.scratch) < bound {
+		l.scratch = make([]byte, bound) //e3:alloc once per longest run that does not fit a tail
+	}
+	run := l.scratch[:s.encode(l.scratch[:cap(l.scratch)])]
 	start := int(l.end)
-	if int64(start)+int64(size) > maxEntries {
+	if int64(start)+int64(len(run)) > maxEntries {
 		panic("audit: run store full")
 	}
+	l.end += int32(len(run))
 	p, o := store.Locate(start)
-	for p >= l.runs.NumPages() {
-		l.runs.Grow()
-	}
-	if pg := l.runs.Page(p); o+size <= len(pg) {
-		s.writeRun(pg[o : o+size])
-	} else {
-		// The run crosses a page boundary: write it apart, then copy it
-		// over page by page.
-		if cap(l.crossing) < size {
-			l.crossing = make([]uint32, size) //e3:alloc once per longest page-crossing run
+	for {
+		if p == l.runs.NumPages() {
+			l.runs.Grow()
 		}
-		run := l.crossing[:size]
-		s.writeRun(run)
-		for {
-			run = run[copy(l.runs.Page(p)[o:], run):]
-			if len(run) == 0 {
-				break
-			}
-			if p++; p == l.runs.NumPages() {
-				l.runs.Grow()
-			}
-			o = 0
+		run = run[copy(l.runs.Page(p)[o:], run):]
+		if len(run) == 0 {
+			break
 		}
+		p, o = p+1, 0
 	}
 	l.tail = nil
-	if p, o := store.Locate(start + size); p < l.runs.NumPages() {
+	if p, o := store.Locate(int(l.end)); p < l.runs.NumPages() {
 		l.tail = l.runs.Page(p)[o:]
 	}
 }
@@ -599,32 +695,33 @@ func (l *Ledger) unring(s *slot, k int64) {
 }
 
 // decode appends the events of the run at offset run to dst. The run's
-// op words end at its terminal, so they count its events.
+// ops end at its terminal, so they count its events.
 func (l *Ledger) decode(dst []ev, run int32) []ev {
-	mask, c := run, run
-	for l.word(c)&moreMasks != 0 { // skip to the op words
-		c++
+	r := l.reader(run)
+	masks := r
+	for r.next()&moreMasks != 0 { // skip to the ops
 	}
-	c++
 	first := len(dst)
 	for {
-		op := l.word(c)
-		c++
+		op := r.op()
 		dst = append(dst, ev{op: op})
 		if opKind(op).terminal() {
 			break
 		}
 	}
 	var at uint64
-	var m uint32
+	var m byte
+	stored := false
 	for j := range dst[first:] {
 		if j%maskEvents == 0 {
-			m = l.word(mask)
-			mask++
+			m = masks.next()
 		}
 		if m&1 == 0 {
-			at = uint64(l.word(c)) | uint64(l.word(c+1))<<32
-			c += 2
+			if stored {
+				at += r.varint()
+			} else {
+				at, stored = r.le(8), true
+			}
 		}
 		m >>= 1
 		dst[first+j].at = at
@@ -655,8 +752,10 @@ func (l *Ledger) pack(k Kind, o operands) uint32 {
 	fits := true
 	switch k {
 	case KindDispatched:
-		v = uint32(o.a) | uint32(o.b)<<stageBits
-		fits = uint32(o.a) <= stageMask && uint32(o.b) < 1<<(operandBits-stageBits)
+		st, in := uint32(o.a), uint32(o.b)
+		v = st&(1<<loStage-1) | in&(1<<loInstance-1)<<loStage |
+			st>>loStage<<(loStage+loInstance) | in>>loInstance<<(stageBits+loInstance)
+		fits = st <= stageMask && in < 1<<(operandBits-stageBits)
 	case KindMerged, KindCompleted, KindDropped:
 		v = uint32(o.a)
 		fits = v < 1<<operandBits
@@ -674,12 +773,14 @@ func (l *Ledger) pack(k Kind, o operands) uint32 {
 
 // unpack returns an op word's operands.
 func (l *Ledger) unpack(op uint32) operands {
-	v := op >> operandShift
+	v := op &^ wideFlag >> operandShift
 	switch {
 	case op&wideFlag != 0:
 		return l.wide[v]
 	case opKind(op) == KindDispatched:
-		return operands{int32(v & stageMask), int32(v >> stageBits)}
+		st := v&(1<<loStage-1) | v>>(loStage+loInstance)&(stageMask>>loStage)<<loStage
+		in := v>>loStage&(1<<loInstance-1) | v>>(stageBits+loInstance)<<loInstance
+		return operands{int32(st), int32(in)}
 	}
 	return operands{a: int32(v)}
 }
@@ -886,6 +987,16 @@ func (l *Ledger) Samples() int {
 		return 0
 	}
 	return l.samples
+}
+
+// RetainedBytes reports the bytes of the pages the ledger's run store and
+// indexes hold (nil = 0): what it keeps for its samples once their slots
+// are free.
+func (l *Ledger) RetainedBytes() int {
+	if l == nil {
+		return 0
+	}
+	return l.runs.Len() + entryBytes*(l.dense.Len()+l.spill.Len())
 }
 
 // Events returns the recorded events for one sample (nil if unknown).
@@ -1253,9 +1364,9 @@ func (l *Ledger) Digest() string {
 		return ""
 	}
 	var b strings.Builder
-	// A run takes about 2.3 words per event, and an event renders in
-	// about 30 bytes.
-	b.Grow(64 + 13*int(l.end) + 8*l.samples)
+	// A run takes about 6 bytes per event, and an event renders in about
+	// 30 bytes.
+	b.Grow(64 + 5*int(l.end) + 8*l.samples)
 	// Each line renders with strconv into one reused buffer; 'g' with the
 	// shortest precision prints a float64 exactly as %v does.
 	line := make([]byte, 0, 256)

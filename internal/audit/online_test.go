@@ -20,7 +20,8 @@ import (
 // each following 4-byte op is one event: id, kind, operand and time. The
 // clock advances one tick per op unless the time byte's low bit is set,
 // so events may share a timestamp; the rest of the byte, signed, offsets
-// the event from the clock, so events may run backwards.
+// the event from the clock, so events may run backwards, except that its
+// top len(streamOddTimes) values pick one of those times instead.
 var (
 	streamStrides = []int64{1, 3}
 	// streamIDs mixes dense ids, negative ids, ids far beyond the dense
@@ -45,6 +46,10 @@ var (
 	streamInstances = []int{0, 1, 2, 3, 4, 65535, 65536, -1}
 	streamExits     = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 1<<28 - 1, 1 << 28, -1}
 	streamReasons   = []Reason{ReasonAdmission, ReasonStaleShed, ReasonSLAFlush, "bogus", ""}
+	// streamOddTimes are times whose bits stress the run layout: both
+	// zeros, the least and the greatest subnormal, huge values, infinity
+	// and NaN.
+	streamOddTimes = []float64{0, math.Copysign(0, -1), 5e-324, math.Float64frombits(1<<52 - 1), 1e300, -1e300, math.Inf(1), math.NaN()}
 )
 
 // opBytes is the size of one encoded event.
@@ -60,16 +65,24 @@ func replayStream(data []byte, check func(l *Ledger, ids []int64)) (*Ledger, []i
 	if len(data) == 0 {
 		return NewLedger(), nil
 	}
-	l := NewSampledLedger(streamStrides[int(data[0])%len(streamStrides)])
+	return replayInto(NewSampledLedger(streamStrides[int(data[0])%len(streamStrides)]), data[1:], check)
+}
+
+// replayInto records a stream's ops, the bytes after its stride byte,
+// into l, as replayStream does.
+func replayInto(l *Ledger, ops []byte, check func(l *Ledger, ids []int64)) (*Ledger, []int64) {
 	seen := newFirstSeen(l.Stride())
 	clock := 0.0
-	for op := data[1:]; len(op) >= opBytes; op = op[opBytes:] {
+	for op := ops; len(op) >= opBytes; op = op[opBytes:] {
 		id := streamIDs[int(op[0])%len(streamIDs)]
 		operand := int(op[2])
 		if op[3]&1 == 0 {
 			clock += 0.001
 		}
 		at := clock + float64(int8(op[3])>>1)*0.01
+		if odd := int(int8(op[3])>>1) - (64 - len(streamOddTimes)); odd >= 0 {
+			at = streamOddTimes[odd]
+		}
 		seen.note(id)
 		switch Kind(op[1]&0x7f) % 6 {
 		case KindArrived:
@@ -185,6 +198,28 @@ func genStream(rng *rand.Rand, fault float64) []byte {
 	}
 }
 
+// diffSampled replays a stream's ops into an exhaustive ledger and a
+// stride-7 one, and fails t unless the sampled ledger returns the
+// exhaustive one's events, bit for bit, for every id it tracks, and none
+// for any other id.
+func diffSampled(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	ex, ids := replayInto(NewLedger(), data[1:], nil)
+	sampled, _ := replayInto(NewSampledLedger(7), data[1:], nil)
+	for _, id := range ids {
+		want := ex.Events(id)
+		if id%7 != 0 {
+			want = nil
+		}
+		if got := sampled.Events(id); !sameEvents(got, want) {
+			t.Fatalf("stride 7: Events(%d) = %+v, exhaustive %+v", id, got, want)
+		}
+	}
+}
+
 // diffVerify fails t unless Verify and the full-walk refVerify agree on
 // every report field, and Digest matches its fmt rendering. ids lists
 // l's tracked ids in first-seen order.
@@ -234,6 +269,7 @@ func TestVerifyMatchesFullWalk(t *testing.T) {
 	for _, data := range differentialStreams(n) {
 		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
 		diffVerify(t, l, ids)
+		diffSampled(t, data)
 		switch r := l.Verify(); {
 		case r.truncated > 0:
 			truncated++
@@ -252,7 +288,8 @@ func TestVerifyMatchesFullWalk(t *testing.T) {
 }
 
 // FuzzLedgerVerify checks Verify against the full walk on arbitrary
-// streams over the same event alphabet.
+// streams over the same event alphabet, and a stride-7 ledger's events
+// against an exhaustive one's.
 func FuzzLedgerVerify(f *testing.F) {
 	for _, data := range differentialStreams(64) {
 		f.Add(data)
@@ -263,10 +300,86 @@ func FuzzLedgerVerify(f *testing.F) {
 	for _, data := range indexStreams() {
 		f.Add(data)
 	}
+	for _, data := range layoutStreams() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
 		diffVerify(t, l, ids)
+		diffSampled(t, data)
 	})
+}
+
+// layoutStreams returns encoded streams aimed at the run layout, at
+// either stride, on ids that strides 3 and 7 both track: times of +0 and
+// −0, subnormal times, a jump from 0 to 1e300, infinity and NaN; equal
+// times across more than 7 and more than 31 events; ops that take an
+// escape byte and ops that spill wide; and events after a clean terminal,
+// which decode the run back into a slot.
+func layoutStreams() [][]byte {
+	// odd returns the time byte of streamOddTimes[i]; tick and tie are
+	// ordinary ones.
+	odd := func(i int) byte { return byte(64-len(streamOddTimes)+i) << 1 }
+	const tick, tie = 0, 1
+	// A dispatch operand picks streamStages[b%12] and
+	// streamInstances[b/12%8]; a completion's picks streamExits[b%16].
+	const (
+		stage1023     = 6
+		stage4096     = 9 // wide
+		instance65535 = 5 * 12
+		exitEscape    = 13 // 1<<28 - 1
+		exitWide      = 14 // 1 << 28
+	)
+	var out [][]byte
+	for stride := byte(0); stride < byte(len(streamStrides)); stride++ {
+		zeros, ties, reopen := []byte{stride}, []byte{stride}, []byte{stride}
+		op := func(dst []byte, id int64, kind Kind, operand, at byte) []byte {
+			return append(dst, streamID(id), byte(kind), operand, at)
+		}
+		// Both zeros, subnormals and escaped ops on one sample; a jump from
+		// +0 to 1e300, a wide dispatch and a wide exit at NaN on another.
+		zeros = op(zeros, 0, KindArrived, 0, odd(0))
+		zeros = op(zeros, 0, KindQueued, 0, odd(1))
+		zeros = op(zeros, 0, KindDispatched, instance65535, odd(2))
+		zeros = op(zeros, 0, KindMerged, stage1023, odd(3))
+		zeros = op(zeros, 0, KindDispatched, stage1023, odd(3))
+		zeros = op(zeros, 0, KindCompleted, exitEscape, odd(6))
+		zeros = op(zeros, 21, KindArrived, 0, odd(0))
+		zeros = op(zeros, 21, KindQueued, 0, odd(4))
+		zeros = op(zeros, 21, KindDispatched, stage4096, odd(4))
+		zeros = op(zeros, 21, KindCompleted|0x80, exitWide, odd(7))
+		// One time across 9 events of one sample, and across 33 of another.
+		for _, c := range []struct {
+			id     int64
+			events int
+		}{{0, 9}, {21, 33}} {
+			ties = op(ties, c.id, KindArrived, 0, tick)
+			for range c.events - 2 {
+				ties = op(ties, c.id, KindMerged, 0, tie)
+			}
+			ties = op(ties, c.id, KindCompleted|0x80, 3, tie)
+		}
+		// Events after clean terminals, at odd times and with escaped ops.
+		reopen = op(reopen, 21, KindArrived, 0, odd(0))
+		reopen = op(reopen, 21, KindDispatched, stage1023, odd(4))
+		reopen = op(reopen, 21, KindCompleted, exitEscape, odd(4))
+		reopen = op(reopen, 21, KindMerged|0x80, stage1023, odd(1))
+		reopen = op(reopen, 21, KindCompleted, exitWide, odd(5))
+		reopen = op(reopen, 0, KindArrived, 0, odd(2))
+		reopen = op(reopen, 0, KindCompleted, 3, odd(3))
+		reopen = op(reopen, 0, KindDispatched|0x80, instance65535, odd(6))
+		out = append(out, zeros, ties, reopen)
+	}
+	return out
+}
+
+// TestLayoutStreams replays the fuzz target's layout-aimed seeds.
+func TestLayoutStreams(t *testing.T) {
+	for _, data := range layoutStreams() {
+		l, ids := replayStream(data, func(l *Ledger, ids []int64) { diffVerify(t, l, ids) })
+		diffVerify(t, l, ids)
+		diffSampled(t, data)
+	}
 }
 
 // storageStreams returns encoded streams aimed at the run store: at

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -110,7 +111,7 @@ func TestSampledLedgerMemoryBoundedByStride(t *testing.T) {
 // to at most 0.01 allocations per event (a map-of-slices store made
 // ~0.7).
 func TestExhaustiveRecordAllocs(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size != 8 {
+	if size := unsafe.Sizeof(entry{}); size != entryBytes {
 		t.Fatalf("index entry is %d bytes, want 8", size)
 	}
 	const samples = 100_000
@@ -131,23 +132,38 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestExhaustiveRecordBytes bounds everything recording 100k exhaustive
-// samples allocates: 12 bytes per event (an op word and a time) and per
-// sample (a mask word and an index entry), plus one partly filled page
-// of the index and one of the run store, and one slot that every sample
-// reuses. Nothing grows by copying, so nothing else is left over.
+// samples allocates at the packed layout's measured size: per sample an
+// 8-byte index entry and its run, plus one partly filled page of the
+// index and one of the run store, and the slots and ring positions of the
+// samples in flight, which later samples reuse. drive's runs (4 events at
+// distinct times, every fifth 3) measure 25.5 bytes; the replan mix's
+// (5.8 events at 4.4 distinct times) 35.9. Nothing grows by copying, so
+// nothing else is left over.
 func TestExhaustiveRecordBytes(t *testing.T) {
 	const samples = 100_000
-	const events = 4*samples - samples/5
-	var l *Ledger
-	got := allocBytes(func() {
-		l = NewLedger()
-		drive(l, samples)
-	})
-	if bound := uint64(12*events + 12*samples + 8*store.PageLen + 4*store.PageLen + 1<<10); got > bound {
-		t.Fatalf("recording %d samples (%d events) allocated %d bytes, want ≤ %d", samples, events, got, bound)
-	}
-	if l.Samples() != samples {
-		t.Fatalf("tracked %d samples, want %d", l.Samples(), samples)
+	mix := replanMix(samples)
+	for _, c := range []struct {
+		name string
+		// run is the bytes of a run, rounded up; inFlight is the bytes of
+		// the slots and the ring.
+		run      int
+		inFlight int
+		record   func(l *Ledger)
+	}{
+		{"drive", 26, 1 << 10, func(l *Ledger) { drive(l, samples) }},
+		{"replan-mix", 36, 96 << 10, func(l *Ledger) { replay(l, mix) }},
+	} {
+		var l *Ledger
+		got := allocBytes(func() {
+			l = NewLedger()
+			c.record(l)
+		})
+		if bound := uint64((c.run+entryBytes)*samples + entryBytes*store.PageLen + store.PageLen + c.inFlight); got > bound {
+			t.Fatalf("%s: recording %d samples allocated %d bytes, want ≤ %d", c.name, samples, got, bound)
+		}
+		if l.Samples() != samples {
+			t.Fatalf("%s: tracked %d samples, want %d", c.name, l.Samples(), samples)
+		}
 	}
 }
 
@@ -217,6 +233,102 @@ func TestLedgerEventsRoundTrip(t *testing.T) {
 	if l.Events(5) != nil {
 		t.Fatal("Events of an unseen id is not nil")
 	}
+}
+
+// TestRunLayoutRoundTrip checks Events returns exactly the recorded
+// events, bit for bit, at the edges of the packed run layout: times of +0
+// and −0, subnormal times, a jump from 0 to 1e300, one time across more
+// than 7 and more than 31 events, ops just inside and just past a short op
+// byte and ops that spill wide, runs that straddle a page boundary, an
+// open sample at odd times, and events after a clean terminal, which
+// decode the run back into a slot.
+func TestRunLayoutRoundTrip(t *testing.T) {
+	negZero, maxSub, minNormal := math.Copysign(0, -1), math.Float64frombits(1<<52-1), math.Float64frombits(1<<52)
+	tied := func(n int, at float64) []Event {
+		evs := []Event{{Kind: KindArrived, At: at}}
+		for range n - 2 {
+			evs = append(evs, Event{Kind: KindMerged, At: at})
+		}
+		return append(evs, Event{Kind: KindCompleted, At: at, ExitLayer: 1})
+	}
+	lives := [][]Event{
+		{{Kind: KindArrived}, {Kind: KindQueued, At: negZero}, {Kind: KindDispatched, Instance: 1},
+			{Kind: KindMerged, At: negZero, Stage: 1}, {Kind: KindCompleted, At: negZero, ExitLayer: 2}},
+		{{Kind: KindArrived, At: 5e-324}, {Kind: KindQueued, At: 1e-310}, {Kind: KindDispatched, At: maxSub},
+			{Kind: KindCompleted, At: minNormal, ExitLayer: 1}},
+		{{Kind: KindArrived}, {Kind: KindQueued, At: 1e300}, {Kind: KindCompleted, At: 1e300, ExitLayer: 3}},
+		tied(8, 2.5), tied(32, 3.5), tied(70, 4.5),
+		{{Kind: KindArrived, At: 1}, {Kind: KindDispatched, At: 1, Stage: 3, Instance: 7},
+			{Kind: KindDispatched, At: 2, Stage: 3, Instance: 8}, {Kind: KindDispatched, At: 3, Stage: 4, Instance: 7},
+			{Kind: KindMerged, At: 4, Stage: 31}, {Kind: KindMerged, At: 5, Stage: 32},
+			{Kind: KindDispatched, At: 6, Stage: 4095, Instance: 65535}, {Kind: KindDispatched, At: 7, Stage: 4096},
+			{Kind: KindCompleted, At: 8, ExitLayer: 1<<28 - 1}},
+		{{Kind: KindArrived, At: 1}, {Kind: KindCompleted, At: 2, ExitLayer: 31}},
+		{{Kind: KindArrived, At: 1}, {Kind: KindCompleted, At: 2, ExitLayer: 32}},
+		{{Kind: KindArrived, At: 1}, {Kind: KindCompleted, At: 2, ExitLayer: 1 << 28}},
+	}
+	// Lives of 2 to 12 events at times of every scale fill the store's
+	// first pages and cross their boundaries at every part of a run.
+	rng := rand.New(rand.NewSource(5))
+	for i := range 600 {
+		at := math.Ldexp(1+rng.Float64(), rng.Intn(80)-40)
+		life := []Event{{Kind: KindArrived, At: at}}
+		for j := range i % 11 {
+			if rng.Intn(3) > 0 {
+				at += math.Ldexp(rng.Float64(), rng.Intn(60)-50)
+			}
+			life = append(life, Event{Kind: KindMerged, At: at, Stage: j})
+		}
+		lives = append(lives, append(life, Event{Kind: KindCompleted, At: at + 1, ExitLayer: i % 40}))
+	}
+	l := NewLedger()
+	model := make(map[int64][]Event)
+	straddles := 0
+	for i, life := range lives {
+		id := int64(i + 1)
+		start := l.end
+		for _, e := range life {
+			recordEvent(l, id, e)
+		}
+		model[id] = life
+		first, _ := store.Locate(int(start))
+		if last, _ := store.Locate(int(l.end) - 1); last != first {
+			straddles++
+		}
+	}
+	if straddles < 3 {
+		t.Fatalf("%d runs straddle a page boundary, want at least 3", straddles)
+	}
+	if l.clean != len(lives) {
+		t.Fatalf("%d of %d samples closed cleanly", l.clean, len(lives))
+	}
+	open := []Event{{Kind: KindArrived, At: negZero}, {Kind: KindQueued, At: 5e-324}, {Kind: KindDispatched, At: 1e300, Stage: 5, Instance: 9}}
+	for _, e := range open {
+		recordEvent(l, 0, e)
+	}
+	model[0] = open
+	check := func() {
+		t.Helper()
+		for id, want := range model {
+			if got := l.Events(id); !sameEvents(got, want) {
+				t.Fatalf("Events(%d) = %+v, want %+v", id, got, want)
+			}
+		}
+	}
+	check()
+	// Events after clean terminals, at odd times and with escaped and wide
+	// ops, reopen the runs of the zeros, the jump and every sample whose
+	// id is a multiple of 50.
+	after := []Event{{Kind: KindMerged, At: negZero, Stage: 40}, {Kind: KindDispatched, At: 1e300, Stage: 4096}}
+	for id := range model {
+		if id == 1 || id == 3 || id > 0 && id%50 == 0 {
+			for _, e := range after {
+				recordEvent(l, id, e)
+			}
+			model[id] = append(slices.Clip(model[id]), after...)
+		}
+	}
+	check()
 }
 
 func TestExhaustiveLedgerUnchangedSemantics(t *testing.T) {

@@ -162,6 +162,9 @@ type Result struct {
 	// Report is the conservation audit over the entire run, with the
 	// tracer's counters reconciled in.
 	Report *audit.Report
+	// LedgerBytes is what the run's exhaustive ledger retains at its end
+	// (audit.Ledger.RetainedBytes).
+	LedgerBytes int
 
 	// FlameWindows holds one cumulative profile snapshot per window (only
 	// when a profiler was attached): FlameWindows[w] covers the run through
@@ -212,6 +215,7 @@ func Run(cfg Config) (*Result, error) {
 	res := l.res
 	res.FlameWindows, res.FlameStat = l.coll.FlameWindows(), flameStat
 	res.Report = rep
+	res.LedgerBytes = l.coll.Audit.RetainedBytes()
 	res.FinalPlan = l.active
 	res.MeanForecastMAE = l.est.Stats.MAE()
 	return res, nil
