@@ -23,8 +23,9 @@ import (
 )
 
 // outputs are the artifact paths one run writes. An empty path, or no
-// flame path, skips that artifact, and a run attaches only the views its
-// artifacts need.
+// flame path, skips that artifact. The static demo always runs under the
+// flame profiler; otherwise a run attaches only the views its artifacts
+// need.
 type outputs struct {
 	// trace is the Chrome trace-event timeline.
 	trace string
@@ -57,8 +58,9 @@ func writeTraceFile(path string, tr *telemetry.Tracer) error {
 
 // writeFlame writes prof to every path, each in the format its extension
 // names: collapsed stacks (flamegraph.pl / speedscope input) for
-// .folded, a gzip pprof profile.proto for .pb.gz, JSON otherwise.
-func writeFlame(prof *flame.Profile, paths []string) error {
+// .folded, a gzip pprof profile.proto for .pb.gz, JSON otherwise. It
+// reports each file it wrote to w.
+func writeFlame(w io.Writer, prof *flame.Profile, paths []string) error {
 	for _, path := range paths {
 		format, write := "JSON", prof.WriteJSON
 		switch {
@@ -73,11 +75,11 @@ func writeFlame(prof *flame.Profile, paths []string) error {
 		if err := writeArtifact(path, write); err != nil {
 			return err
 		}
-		fmt.Printf("wrote flame profile (%s) to %s", format, path)
+		fmt.Fprintf(w, "wrote flame profile (%s) to %s", format, path)
 		if format == "pprof" {
-			fmt.Printf(" — inspect with `go tool pprof %s`", path)
+			fmt.Fprintf(w, " — inspect with `go tool pprof %s`", path)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -91,50 +93,46 @@ func reconcileVerdict(stat flame.ReconcileStat) string {
 	return fmt.Sprintf("flame reconcile: residual %dns over %d devices — %s", stat.Residual, stat.Devices, verdict)
 }
 
-// runStaticDemo runs the demo once with the views out's artifacts need
-// attached: the tracer for out.trace (a Chrome trace, plus the plan, the
-// per-split occupancy summary and the audit verdict on stdout), the flame
-// profiler for out.flame. The flame runner is pipeline or the §5.8.7
-// Serial runner on the same seed and plan (main checks it); a trace
-// without flame output is of the pipeline. It fails if the run fails its
-// audit, or if the profile does not reconcile exactly against the
-// utilization ledger.
-func runStaticDemo(out outputs, flameRunner string) error {
+// runStaticDemo runs the demo once under the flame profiler, plus the
+// tracer when out.trace is set, and reports to w. A trace writes the
+// Chrome timeline to out.trace and prints the plan, the per-split
+// occupancy summary with the profile's bubble taxonomy and the audit
+// verdict; the profile is written to every out.flame path. The runner is
+// pipeline, or with flame files the §5.8.7 Serial runner if flameRunner
+// names it (main checks it). It fails if the run fails its audit, or if
+// the profile does not reconcile exactly against the utilization ledger.
+func runStaticDemo(w io.Writer, out outputs, flameRunner string) error {
 	runner := "pipeline"
-	var obs scheduler.Observers
-	if out.trace != "" {
-		obs.Tracer = telemetry.New()
-	}
 	if len(out.flame) > 0 {
 		runner = flameRunner
-		obs.Flame = flame.NewProfiler(0)
+	}
+	obs := scheduler.Observers{Flame: flame.NewProfiler(0)}
+	if out.trace != "" {
+		obs.Tracer = telemetry.New()
 	}
 	rep, stat, _, plan, err := experiments.RunDemo(runner, obs, experiments.DemoHorizon)
 	if err != nil {
 		return err
 	}
+	prof := obs.Flame.Profile()
 	if out.trace != "" {
 		if err := writeTraceFile(out.trace, obs.Tracer); err != nil {
 			return err
 		}
-		fmt.Printf("plan: %s\n", plan)
-		telemetry.Summarize(obs.Tracer.Spans()).Print(os.Stdout)
-		fmt.Printf("%s\n", rep)
-		fmt.Printf("wrote %d spans to %s\n", len(obs.Tracer.Spans()), out.trace)
+		fmt.Fprintf(w, "plan: %s\n", plan)
+		telemetry.Summarize(obs.Tracer.Spans()).PrintWithTaxonomy(w, flame.SummarizeBubbles(prof))
+		fmt.Fprintf(w, "%s\n", rep)
+		fmt.Fprintf(w, "wrote %d spans to %s\n", len(obs.Tracer.Spans()), out.trace)
 	}
 	if err := rep.Err(); err != nil {
 		return err
 	}
-	if obs.Flame == nil {
-		return nil
-	}
-	prof := obs.Flame.Profile()
-	if err := writeFlame(prof, out.flame); err != nil {
+	if err := writeFlame(w, prof, out.flame); err != nil {
 		return err
 	}
-	fmt.Printf("flame: %s runner, %d stacks, busy %.3fs, bubble %.3fs over %d devices\n",
+	fmt.Fprintf(w, "flame: %s runner, %d stacks, busy %.3fs, bubble %.3fs over %d devices\n",
 		runner, len(prof.Stacks), float64(prof.BusyNanos())/1e9, float64(prof.BubbleNanos())/1e9, stat.Devices)
-	fmt.Println(reconcileVerdict(stat))
+	fmt.Fprintln(w, reconcileVerdict(stat))
 	if !stat.OK() {
 		return errors.New("flame profile failed exact reconciliation against the ledger")
 	}

@@ -72,7 +72,7 @@ func main() {
 	auditRun := flag.Bool("audit", false, "run the lifecycle conservation audit (bursty open loop, all runners); exits nonzero on violations")
 	format := flag.String("format", "table", "output format: table or csv")
 	var out outputs
-	flag.StringVar(&out.trace, "trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); with -flame-out the same run is also profiled; exits nonzero if the run fails its audit")
+	flag.StringVar(&out.trace, "trace-out", "", "run the traced demo and write its Chrome trace-event timeline to FILE (load at ui.perfetto.dev); prints per-split occupancy with the bubble taxonomy of the same run's flame profile (-flame-out also writes that profile); exits nonzero if the run fails its audit or the profile does not reconcile exactly")
 	flag.StringVar(&out.bench, "bench-out", "", "run the traced demo and write machine-readable stats (throughput, latency quantiles, per-split utilization, the full observed stack's wall-clock overhead and its bound) to FILE; exits 1 if the overhead exceeds the bound")
 	windows := flag.Int("windows", 0, "run the windowed replan loop (drifting mix, ARIMA vs persistence on the same seed) for N windows; combines with -audit (conservation gate), -bench-out, and -trace-out")
 	planBench := flag.String("plan-bench", "", "time the planner search paths (reference vs memoized, serial vs parallel) across the model/cluster grid and write the JSON report to FILE; exits 1 if the memoized search misses its bar")
@@ -168,7 +168,7 @@ func main() {
 			if len(out.flame) > 0 && *flameRunner != "pipeline" && *flameRunner != "serial" {
 				usage("-flame-runner must be pipeline or serial (got %q)", *flameRunner)
 			}
-			report(runStaticDemo(out, *flameRunner))
+			report(runStaticDemo(os.Stdout, out, *flameRunner))
 		}
 		if out.bench != "" {
 			report(exportBench(out.bench))
@@ -587,7 +587,7 @@ func runReplan(windows int, auditGate bool, out outputs, sloTarget, burnThreshol
 		fmt.Printf("wrote attribution dump to %s\n", out.attr)
 	}
 	if cfg.Flame != nil {
-		if err := writeFlame(cfg.Flame.Profile(), out.flame); err != nil {
+		if err := writeFlame(os.Stdout, cfg.Flame.Profile(), out.flame); err != nil {
 			return err
 		}
 		fmt.Println(reconcileVerdict(res.FlameStat))

@@ -7,13 +7,7 @@
 //
 //	e3-trace -kind bursty -rate 1000 -horizon 300 -seed 1 > trace.txt
 //
-// It also summarizes Chrome trace-event timelines exported by
-// e3-bench -trace-out (per-split utilization, bubble time, batch-size
-// histograms, per-split queue-wait percentiles):
-//
-//	e3-trace -summarize demo.json
-//
-// And it renders latency-attribution dumps exported by e3-bench
+// It also renders latency-attribution dumps exported by e3-bench
 // -attr-out (top-k slowest requests with their critical-path component
 // breakdowns):
 //
@@ -28,9 +22,7 @@ import (
 	"math"
 	"os"
 
-	"e3/internal/flame"
 	"e3/internal/slo"
-	"e3/internal/telemetry"
 	"e3/internal/trace"
 )
 
@@ -40,7 +32,6 @@ func main() {
 	horizon := flag.Float64("horizon", 300, "trace duration (s)")
 	seed := flag.Int64("seed", 1, "random seed")
 	summary := flag.Bool("summary", false, "print only the summary")
-	summarize := flag.String("summarize", "", "summarize a Chrome trace-event JSON file exported by e3-bench -trace-out, then exit")
 	attribute := flag.String("attribute", "", "print the top-k slowest requests of a latency-attribution dump exported by e3-bench -attr-out, then exit")
 	topk := flag.Int("topk", 10, "with -attribute: number of slowest requests to print")
 	flag.Parse()
@@ -54,14 +45,6 @@ func main() {
 		usage("-horizon must be positive and finite (got %v)", *horizon)
 	case *topk < 0:
 		usage("-topk must be ≥ 0 (got %d)", *topk)
-	}
-
-	if *summarize != "" {
-		if err := summarizeChrome(*summarize); err != nil {
-			fmt.Fprintln(os.Stderr, "e3-trace:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *attribute != "" {
@@ -99,26 +82,6 @@ func main() {
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "e3-trace: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// summarizeChrome reads an exported span timeline and prints per-split
-// utilization, bubble time, and batch-size histograms.
-func summarizeChrome(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	spans, err := telemetry.ReadChrome(f)
-	if err != nil {
-		return err
-	}
-	// Replaying the spans through the flame classifier differentiates the
-	// summary's idle time into the bubble taxonomy (queue-starved /
-	// transfer-blocked / fuse-blocked / drained / idle shares per split).
-	prof := flame.FromSpans(spans)
-	telemetry.Summarize(spans).PrintWithTaxonomy(os.Stdout, flame.SummarizeBubbles(prof))
-	return nil
 }
 
 // printAttribution reads an attribution dump (e3-bench -attr-out) and

@@ -2,17 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"e3/internal/scheduler"
 	"e3/internal/telemetry"
 )
 
-// TestTracedDemoChromeExport is the PR's acceptance check: run the traced
-// demo, export the span stream as Chrome trace-event JSON, parse it back,
-// and validate the structure — monotone per-track virtual timestamps, one
-// execute track per GPU of the demo cluster, and span/event counts that
-// reconcile with the conservation ledger.
+// TestTracedDemoChromeExport runs the traced demo, exports the span stream
+// as Chrome trace-event JSON, decodes it, and validates the structure —
+// monotone per-track virtual timestamps, one execute track per GPU of the
+// demo cluster, and span/event counts that reconcile with the conservation
+// ledger.
 func TestTracedDemoChromeExport(t *testing.T) {
 	tr := telemetry.New()
 	rep, _, _, _, err := RunDemo("pipeline", scheduler.Observers{Tracer: tr}, 2.0)
@@ -30,37 +31,62 @@ func TestTracedDemoChromeExport(t *testing.T) {
 	if err := telemetry.WriteChrome(&buf, tr.Spans()); err != nil {
 		t.Fatal(err)
 	}
-	spans, err := telemetry.ReadChrome(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("exported trace does not parse back: %v", err)
+	var file struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Cat  string         `json:"cat"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Dur  float64        `json:"dur"`
+			TID  int            `json:"tid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
 	}
-	if len(spans) != len(tr.Spans()) {
-		t.Fatalf("round-trip kept %d of %d spans", len(spans), len(tr.Spans()))
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatalf("exported trace does not decode: %v", err)
+	}
+	tracks := make(map[int]string)
+	for _, ev := range file.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			tracks[ev.TID], _ = ev.Args["name"].(string)
+		}
 	}
 
 	// Monotone virtual timestamps per track, non-negative durations.
-	lastStart := make(map[string]float64)
+	lastTS := make(map[string]float64)
 	execTracks := make(map[string]bool)
-	execBatches := 0
-	for _, s := range spans {
-		if s.End < s.Start {
-			t.Fatalf("span on %s runs backwards: [%v, %v]", s.Track, s.Start, s.End)
+	execBatches, events := 0, 0
+	for _, ev := range file.TraceEvents {
+		if ev.Ph != "X" {
+			continue
 		}
-		if prev, seen := lastStart[s.Track]; seen && s.Start < prev {
-			t.Fatalf("track %s not monotone: start %v after %v", s.Track, s.Start, prev)
+		events++
+		track, ok := tracks[ev.TID]
+		if !ok {
+			t.Fatalf("event %q on tid %d has no thread_name metadata", ev.Name, ev.TID)
 		}
-		lastStart[s.Track] = s.Start
-		if s.Kind == telemetry.KindExecute {
-			execTracks[s.Track] = true
+		if ev.Dur < 0 {
+			t.Fatalf("span on %s runs backwards: ts %v dur %v", track, ev.TS, ev.Dur)
+		}
+		if prev, seen := lastTS[track]; seen && ev.TS < prev {
+			t.Fatalf("track %s not monotone: ts %v after %v", track, ev.TS, prev)
+		}
+		lastTS[track] = ev.TS
+		if ev.Cat == telemetry.KindExecute.String() {
+			execTracks[track] = true
 			execBatches++
-			if s.Batch < 1 {
-				t.Fatalf("execute span with batch %d", s.Batch)
+			if batch, _ := ev.Args["batch"].(float64); batch < 1 {
+				t.Fatalf("execute span with batch %v", ev.Args["batch"])
 			}
-			if s.GPU == "" {
-				t.Fatalf("execute span on %s missing GPU kind", s.Track)
+			if gpu, _ := ev.Args["gpu"].(string); gpu == "" {
+				t.Fatalf("execute span on %s missing GPU kind", track)
 			}
 		}
 	}
+	if events != len(tr.Spans()) {
+		t.Fatalf("export kept %d of %d spans", events, len(tr.Spans()))
+	}
+
 	// One occupancy track per GPU: the demo cluster is V100×8 and the
 	// pipeline must have spread work across all of it at 2000 rps.
 	if len(execTracks) != 8 {

@@ -310,10 +310,10 @@ func (p *Profiler) shape(d *devState, model string, split, from, to int) *execSh
 // internShape builds a new shape's folded stacks and interns them.
 func (p *Profiler) internShape(d *devState, model string, split, from, to int) execShape {
 	sh := execShape{model: model, split: split, from: from, to: to, row: p.gapRow(d, split)}
+	// A caller with no model name or layer range omits those frames
+	// rather than folding empty ones.
 	var modelFrame, layersFrame string
 	if model != "" {
-		// Span-replayed profiles (FromSpans) carry no model name and
-		// omit the frame rather than folding an empty one.
 		modelFrame = ";model:" + escapeFrame(model) //e3:alloc first sight of a shape on this device
 	}
 	if from > 0 || to > 0 {

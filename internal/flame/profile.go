@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"e3/internal/telemetry"
 )
 
 // ProfileSchema versions the JSON profile encoding.
@@ -240,6 +242,51 @@ func (pr *Profile) Rollup() (busy, bubble map[string]int64) {
 		}
 	}
 	return busy, bubble
+}
+
+// SummarizeBubbles aggregates the profile's bubble weight per split by
+// cause, keyed by split index (-1 collects bubbles with no split frame —
+// devices that never ran). It feeds the taxonomy columns of
+// telemetry.Summary's table.
+func SummarizeBubbles(pr *Profile) map[int]telemetry.BubbleShares {
+	out := make(map[int]telemetry.BubbleShares)
+	for stack, w := range pr.Stacks { //e3:unordered per-split sums are commutative; iteration order cannot change them
+		if !isBubbleStack(stack) || w <= 0 {
+			continue
+		}
+		frames := SplitStack(stack)
+		// Frames past the "bubble" marker: optional "split:N", then the
+		// cause leaf.
+		i := 0
+		for i < len(frames) && frames[i] != "bubble" {
+			i++
+		}
+		split, cause := -1, ""
+		for _, f := range frames[i+1:] {
+			if n, ok := strings.CutPrefix(f, "split:"); ok {
+				if v, err := strconv.Atoi(n); err == nil {
+					split = v
+				}
+				continue
+			}
+			cause = f
+		}
+		bs := out[split]
+		switch cause {
+		case className[classQueueStarved]:
+			bs.QueueStarvedNanos += w
+		case className[classTransferBlocked]:
+			bs.TransferBlockedNanos += w
+		case className[classFuseBlocked]:
+			bs.FuseBlockedNanos += w
+		case className[classDrained]:
+			bs.DrainedNanos += w
+		case className[classIdle]:
+			bs.IdleNanos += w
+		}
+		out[split] = bs
+	}
+	return out
 }
 
 // isBubbleStack reports whether an escaped folded stack is a bubble fold

@@ -65,7 +65,15 @@ func goldenAPI(t *testing.T) *API {
 	bud := slo.NewBudget(0.99, 2.0)
 	bud.ObserveWindow(0, 95, 3, 2, 2.0)
 
-	prof := flame.FromSpans(tr.Spans())
+	// The profile folds testTracer's execute, transfer and fuse spans
+	// from t=0 to the end of its last span.
+	fp := flame.NewProfiler(0)
+	fp.Execute(fp.Register("v100-0", "V100"), "", 0, 0, 0, 0.05, 0.10, 0, 0)
+	fp.Transfer(1, 0.10, 0.11)
+	fp.Fuse(1, 0.11, 0.12)
+	fp.Execute(fp.Register("v100-1", "V100"), "", 1, 0, 0, 0.12, 0.15, 0, 0)
+	fp.CloseAt(0.15)
+	prof := fp.Profile()
 	stat := flame.ReconcileStat{Devices: 2, BusyNanos: prof.BusyNanos(), BubbleNanos: prof.BubbleNanos(), Checked: true}
 
 	fs := &FleetStatus{

@@ -2,12 +2,11 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
 
-// Chrome trace-event export/import. The format is the JSON object form of
+// Chrome trace-event export. The format is the JSON object form of
 // the Trace Event Format that Perfetto and chrome://tracing load: one
 // complete ("X") event per span with microsecond timestamps, one thread
 // per track, and thread_name metadata ("M") events naming the tracks.
@@ -108,68 +107,4 @@ func WriteChrome(w io.Writer, spans []Span) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(file)
-}
-
-// ReadChrome parses Chrome trace-event JSON written by WriteChrome back
-// into spans. Events of unknown phase or category are skipped; a complete
-// event on a thread with no thread_name metadata is an error, as is a
-// negative duration.
-func ReadChrome(r io.Reader) ([]Span, error) {
-	var file chromeFile
-	if err := json.NewDecoder(r).Decode(&file); err != nil {
-		return nil, fmt.Errorf("telemetry: parse chrome trace: %w", err)
-	}
-	trackByTID := make(map[int]string)
-	for _, ev := range file.TraceEvents {
-		if ev.Ph == "M" && ev.Name == "thread_name" {
-			if name, ok := ev.Args["name"].(string); ok {
-				trackByTID[ev.TID] = name
-			}
-		}
-	}
-	var spans []Span
-	for _, ev := range file.TraceEvents {
-		if ev.Ph != "X" {
-			continue
-		}
-		kind, ok := KindFromString(ev.Cat)
-		if !ok {
-			continue
-		}
-		track, ok := trackByTID[ev.TID]
-		if !ok {
-			return nil, fmt.Errorf("telemetry: event %q on tid %d has no thread_name metadata", ev.Name, ev.TID)
-		}
-		if ev.Dur < 0 {
-			return nil, fmt.Errorf("telemetry: event %q on track %s has negative duration %v", ev.Name, track, ev.Dur)
-		}
-		s := Span{
-			Track: track,
-			Kind:  kind,
-			Start: ev.TS / 1e6,
-			End:   (ev.TS + ev.Dur) / 1e6,
-			Stage: -1,
-		}
-		if v, ok := argInt(ev.Args, "batch"); ok {
-			s.Batch = v
-		}
-		if v, ok := argInt(ev.Args, "stage"); ok {
-			s.Stage = v
-		}
-		if v, ok := ev.Args["gpu"].(string); ok {
-			s.GPU = v
-		}
-		spans = append(spans, s)
-	}
-	return spans, nil
-}
-
-// argInt reads a JSON number arg as an int (JSON decodes numbers to
-// float64).
-func argInt(args map[string]any, key string) (int, bool) {
-	v, ok := args[key].(float64)
-	if !ok {
-		return 0, false
-	}
-	return int(v + 0.5), true
 }

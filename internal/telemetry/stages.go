@@ -3,16 +3,17 @@ package telemetry
 import "sort"
 
 // denseStages bounds the stage numbers StageIndex resolves with a single
-// slice load. Pipelines split a model into a handful of stages; anything
-// past this (or negative) can only come from an imported trace.
+// slice load. Pipelines split a model into a handful of stages, and no
+// runner records a stage past this or below zero.
 const denseStages = 64
 
 // StageIndex numbers the stages an observer has seen 0, 1, 2, … in order
 // of first sight, so per-stage state lives in a slice indexed by slot
 // instead of a map keyed by stage. A stage in [0, denseStages) resolves
-// with one slice load; any other int — imported traces carry whatever
-// stage their JSON says — resolves by a linear scan of the few such stages
-// seen, so no stage number costs memory in proportion to its size. The
+// with one slice load. Any other int resolves by a linear scan of the few
+// such stages seen, so no stage number costs memory in proportion to its
+// size: the observers' exported methods accept any int stage, and
+// internal/slo/testdata/slots.golden.json pins stages −2, −1 and 70. The
 // zero value is ready to use.
 type StageIndex struct {
 	dense  []int32 // stage → slot+1 (0 = unseen), for 0 ≤ stage < len(dense)

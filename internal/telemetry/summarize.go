@@ -55,8 +55,8 @@ type WaitSummary struct {
 	P50, P90, P99, Max float64
 }
 
-// Summary is what e3-trace reports about a trace: the timeline horizon,
-// per-split occupancy, and the overhead lanes.
+// Summary is what e3-bench -trace-out reports about its run's timeline:
+// the horizon, per-split occupancy, and the overhead lanes.
 type Summary struct {
 	// Start and End bound every span in the trace; Horizon = End − Start.
 	Start, End float64
@@ -220,32 +220,17 @@ func (b BubbleShares) share(part int64) float64 {
 	return 100 * float64(part) / float64(t)
 }
 
-// Print renders the summary as the aligned text e3-trace -summarize
-// emits.
-func (s Summary) Print(w io.Writer) { s.PrintWithTaxonomy(w, nil) }
-
-// PrintWithTaxonomy renders the summary table; when a bubble taxonomy is
-// supplied (per-split cause decomposition from the flame fold), the
-// undifferentiated bubble(s) column is replaced by the cause-share
-// columns starv/xfer/fuse/drain/idle (% of that split's idle time).
+// PrintWithTaxonomy renders the summary table. Each split's idle time is
+// broken down by cause into the starv/xfer/fuse/drain/idle columns (% of
+// that split's bubble time), taken from bubbles: the run's flame fold
+// (flame.SummarizeBubbles).
 func (s Summary) PrintWithTaxonomy(w io.Writer, bubbles map[int]BubbleShares) {
 	fmt.Fprintf(w, "trace: horizon %.3fs (t=%.3f..%.3f), %d GPU track(s)\n",
 		s.Horizon(), s.Start, s.End, s.GPUTracks)
-	if bubbles == nil {
-		fmt.Fprintf(w, "  %-6s %-8s %-8s %-6s %-10s %-7s %-9s %-10s %s\n",
-			"split", "batches", "samples", "gpus", "busy(s)", "util", "bubble(s)", "meanbatch", "batch histogram")
-	} else {
-		fmt.Fprintf(w, "  %-6s %-8s %-8s %-6s %-10s %-7s %-7s %-6s %-6s %-6s %-6s %-10s %s\n",
-			"split", "batches", "samples", "gpus", "busy(s)", "util",
-			"starv%", "xfer%", "fuse%", "drain%", "idle%", "meanbatch", "batch histogram")
-	}
+	fmt.Fprintf(w, "  %-6s %-8s %-8s %-6s %-10s %-7s %-7s %-6s %-6s %-6s %-6s %-10s %s\n",
+		"split", "batches", "samples", "gpus", "busy(s)", "util",
+		"starv%", "xfer%", "fuse%", "drain%", "idle%", "meanbatch", "batch histogram")
 	for _, sp := range s.Splits {
-		if bubbles == nil {
-			fmt.Fprintf(w, "  %-6d %-8d %-8d %-6d %-10.3f %-7.1f %-9.3f %-10.2f %s\n",
-				sp.Stage, sp.Batches, sp.Samples, sp.Tracks, sp.Busy,
-				sp.Util*100, sp.Bubble, sp.MeanBatch, formatBatchHist(sp.BatchHist))
-			continue
-		}
 		b := bubbles[sp.Stage]
 		fmt.Fprintf(w, "  %-6d %-8d %-8d %-6d %-10.3f %-7.1f %-7.1f %-6.1f %-6.1f %-6.1f %-6.1f %-10.2f %s\n",
 			sp.Stage, sp.Batches, sp.Samples, sp.Tracks, sp.Busy, sp.Util*100,

@@ -95,7 +95,7 @@ func TestSummarizeEmpty(t *testing.T) {
 		t.Fatalf("empty summary not zero: %+v", sum)
 	}
 	var buf bytes.Buffer
-	sum.Print(&buf) // must not panic
+	sum.PrintWithTaxonomy(&buf, nil) // must not panic
 }
 
 func TestSummarizeUtilClamped(t *testing.T) {
@@ -114,10 +114,16 @@ func TestSummarizeUtilClamped(t *testing.T) {
 
 func TestSummaryPrint(t *testing.T) {
 	var buf bytes.Buffer
-	Summarize(summarySample()).Print(&buf)
+	// Split 0's 10 s of bubble: 3/4 starved, 1/4 drained; split 1 has no
+	// entry and prints zero shares.
+	bubbles := map[int]BubbleShares{0: {QueueStarvedNanos: 7.5e9, DrainedNanos: 2.5e9}}
+	Summarize(summarySample()).PrintWithTaxonomy(&buf, bubbles)
 	out := buf.String()
 	for _, want := range []string{
 		"horizon 10.000s",
+		"starv%  xfer%  fuse%  drain% idle%",
+		"50.0    75.0    0.0    0.0    25.0   0.0    8.00",
+		"20.0    0.0     0.0    0.0    0.0    0.0    4.00",
 		"2 GPU track(s)",
 		"8:2",         // split-0 batch histogram
 		"queue-wait:", // lanes present

@@ -79,27 +79,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", k)
 }
 
-// KindFromString inverts String (for trace import).
-func KindFromString(s string) (Kind, bool) {
-	switch s {
-	case "execute":
-		return KindExecute, true
-	case "queue-wait":
-		return KindQueueWait, true
-	case "transfer":
-		return KindTransfer, true
-	case "fuse":
-		return KindFuse, true
-	case "replan":
-		return KindReplan, true
-	case "plan-cache":
-		return KindPlanCache, true
-	case "slo-burn":
-		return KindSLOBurn, true
-	}
-	return 0, false
-}
-
 // Span is one timed interval on a named track, in virtual seconds.
 type Span struct {
 	// Track groups spans into one timeline row: the GPU device ID for
