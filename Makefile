@@ -59,8 +59,9 @@ benchmark-check:
 # the collector's latency store. ee's compiled exit table is read by every
 # fleet shard of one model at once, so it must be built eagerly. tasks is
 # the worker pool the planner's search and the fleet's shards run on.
+# httpapi's handlers run on net/http's goroutines and share API.mu.
 race:
-	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/ ./internal/tasks/
+	$(GO) test -race ./internal/ee/ ./internal/sim/ ./internal/exec/ ./internal/serving/ ./internal/httpapi/ ./internal/scheduler/ ./internal/optimizer/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/replan/ ./internal/workload/ ./internal/metrics/ ./internal/tasks/
 
 # Fuzz the ledger's online checks and digest against the full-walk
 # oracles, and a stride-7 ledger's events against an exhaustive one's, for

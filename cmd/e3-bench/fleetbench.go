@@ -28,6 +28,10 @@ type fleetPoint struct {
 	// per minted request: the fleet's memory cost per request. It is
 	// measured, not gated.
 	AllocBytesPerRequest float64 `json:"alloc_bytes_per_request"`
+	// The process's memory after the point's last timed run, inline (the
+	// peak is the process's so far); absent where /proc does not report
+	// it. It is measured, not gated.
+	*procMemory
 	// ScalingX is the median, over fleetPairs alternating pairs, of this
 	// point's aggregate events/s over a 1-shard run's; null on one core,
 	// where no speedup is possible.
@@ -204,6 +208,7 @@ func runFleetBench(outPath string) error {
 			EventsPerS:           eps[fleetPairs/2],
 			DigestOK:             par.Digests() == ref.Digests(),
 			AllocBytesPerRequest: alloc,
+			procMemory:           readProcMemory(),
 		}
 		scaling := "unmeasured on one core"
 		if rep.ScalingBar > 0 {
@@ -213,8 +218,8 @@ func runFleetBench(outPath string) error {
 		}
 		rep.DeterminismOK = rep.DeterminismOK && pt.DigestOK
 		rep.Curve = append(rep.Curve, pt)
-		fmt.Printf("fleet-bench: %d shards x %d workers — %d events in %.3fs wall (%.0f events/s, scaling %s, %.0f B allocated/request), parallel==serial: %v\n",
-			pt.Shards, pt.Workers, pt.Events, pt.WallS, pt.EventsPerS, scaling, pt.AllocBytesPerRequest, pt.DigestOK)
+		fmt.Printf("fleet-bench: %d shards x %d workers — %d events in %.3fs wall (%.0f events/s, scaling %s, %.0f B allocated/request, peak RSS %s), parallel==serial: %v\n",
+			pt.Shards, pt.Workers, pt.Events, pt.WallS, pt.EventsPerS, scaling, pt.AllocBytesPerRequest, memoryLine(pt.procMemory), pt.DigestOK)
 		if shards == 8 {
 			rep.ScalingAt8 = pt.ScalingX
 		}

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"testing"
+)
 
 // TestGateBars checks each timing gate's verdict at the edges of its bar,
 // with no timing: the bars are read from the gates' own constants.
@@ -47,5 +50,27 @@ func TestGateBars(t *testing.T) {
 	}
 	if !simPass(simFloorEventsPerS) {
 		t.Errorf("%d events/s fails the sim floor", simFloorEventsPerS)
+	}
+}
+
+// TestReadProcMemory checks the measured memory fields parse from
+// /proc/self/status: all three present and positive, and the peak no
+// smaller than either part of the current resident set.
+func TestReadProcMemory(t *testing.T) {
+	m := readProcMemory()
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		if m != nil {
+			t.Fatalf("readProcMemory() = %v without /proc/self/status, want nil", m)
+		}
+		t.Skip("no /proc/self/status on this platform")
+	}
+	if m == nil {
+		t.Fatal("readProcMemory() = nil with /proc/self/status present")
+	}
+	if m.PeakRSSMB <= 0 || m.RssAnonMB <= 0 || m.RssFileMB <= 0 {
+		t.Errorf("readProcMemory() = %+v, want every field positive", *m)
+	}
+	if m.PeakRSSMB < m.RssAnonMB || m.PeakRSSMB < m.RssFileMB {
+		t.Errorf("peak %.2f MiB below a part of the resident set: %+v", m.PeakRSSMB, *m)
 	}
 }

@@ -30,9 +30,9 @@ type simTraceStats struct {
 	Goodput     float64 `json:"goodput_req_per_s"`
 	AuditStride int64   `json:"audit_stride"`
 	AuditOK     bool    `json:"audit_ok"`
-	// PeakRSSMB is the process's peak resident set (VmHWM) in MiB after
-	// the trace, or 0 where /proc does not report it.
-	PeakRSSMB float64 `json:"peak_rss_mb"`
+	// The process's memory at the end of the trace, inline (so the peak
+	// stays at trace.peak_rss_mb); absent where /proc does not report it.
+	*procMemory
 }
 
 // simEngineStats compares the index-based value heap against the retained
@@ -75,25 +75,54 @@ const simFloorEventsPerS = 1_000_000
 // simPass is the sim gate's verdict on the hour's events/s.
 func simPass(eventsPerS float64) bool { return eventsPerS >= simFloorEventsPerS }
 
-// peakRSSMB is this process's peak resident set (VmHWM) in MiB, or 0 if
-// /proc does not report it.
-func peakRSSMB() float64 {
+// procMemory is this process's memory as /proc/self/status reports it,
+// in MiB: the peak resident set (VmHWM) and the current resident set's
+// anonymous part (heap, stacks) and file-backed part (mostly the
+// executable's pages), so a memory claim can name the kind that moved.
+// It is measured, not gated.
+type procMemory struct {
+	PeakRSSMB float64 `json:"peak_rss_mb"`
+	RssAnonMB float64 `json:"rss_anon_mb"`
+	RssFileMB float64 `json:"rss_file_mb"`
+}
+
+// readProcMemory reads procMemory, or returns nil where /proc does not
+// report all three fields (off Linux).
+func readProcMemory() *procMemory {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {
-		return 0
+		return nil
 	}
 	defer f.Close()
+	var m procMemory
+	fields := map[string]*float64{"VmHWM:": &m.PeakRSSMB, "RssAnon:": &m.RssAnonMB, "RssFile:": &m.RssFileMB}
+	found := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), "VmHWM:"); ok {
-			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
-			if err != nil {
-				return 0
-			}
-			return kb / 1024
+		key, rest, _ := strings.Cut(sc.Text(), "\t")
+		dst := fields[key]
+		if dst == nil {
+			continue
 		}
+		kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(rest), " kB"), 64)
+		if err != nil {
+			return nil
+		}
+		*dst = kb / 1024
+		found++
 	}
-	return 0
+	if found != len(fields) {
+		return nil
+	}
+	return &m
+}
+
+// memoryLine renders m for a report's summary line; "n/a" when m is nil.
+func memoryLine(m *procMemory) string {
+	if m == nil {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f MiB (RssAnon %.1f, RssFile %.1f)", m.PeakRSSMB, m.RssAnonMB, m.RssFileMB)
 }
 
 // mallocs reads the cumulative allocation count.
@@ -191,12 +220,12 @@ func runSimBench(outPath string) error {
 		Goodput:     res.Goodput,
 		AuditStride: cfg.AuditStride,
 		AuditOK:     res.AuditOK,
-		PeakRSSMB:   peakRSSMB(),
+		procMemory:  readProcMemory(),
 	}
 	rep.SpeedupVsBaseline = rep.Trace.EventsPerS / rep.BaselineEventsPerS
 	rep.Pass = res.AuditOK && simPass(rep.Trace.EventsPerS)
-	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, peak RSS %.0f MiB, audit ok=%v\n",
-		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, rep.Trace.PeakRSSMB, res.AuditOK)
+	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, peak RSS %s, audit ok=%v\n",
+		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, memoryLine(rep.Trace.procMemory), res.AuditOK)
 
 	env, err := bench.Wrap("sim-bench", 0,
 		&bench.TraceParams{HorizonS: rep.Trace.HorizonS, AvgRate: rep.Trace.Rate},

@@ -33,6 +33,7 @@ import (
 	"e3/internal/flame"
 	"e3/internal/fleet"
 	"e3/internal/forecast"
+	"e3/internal/httpapi"
 	"e3/internal/optimizer"
 	"e3/internal/profile"
 	"e3/internal/replan"
@@ -101,7 +102,7 @@ func main() {
 	// boot collects what the boot runs leave for the API. The boot plan's
 	// search provenance is always exposed; a replan loop replaces it with
 	// the last search's trace plus the diff history.
-	boot := serving.Boot{
+	boot := httpapi.Boot{
 		ControlPlane: &serving.ControlPlane{Provenance: bootTrace},
 		Recorder:     &slo.Recorder{},
 	}
@@ -218,14 +219,14 @@ func main() {
 		}
 		log.Printf("e3-serve: fleet: %d replicas x %d workers, %d epochs: %d minted = %d routed + %d shed, %d events",
 			*fleetN, workers, res.Epochs, res.Minted, res.Routed, res.DoorShed, res.Events)
-		boot.Fleet = res.Status()
+		boot.Fleet = httpapi.FleetStatusOf(res)
 	}
 
-	handler := serving.NewAPI(m, plan, boot).Handler()
+	handler := httpapi.NewAPI(m, plan, boot).Handler()
 	if *pprofDebug {
 		// pprof is opt-in: profiling endpoints leak heap contents and cost
 		// CPU, so they stay off unless explicitly requested. The routes live
-		// on an outer mux so the serving package itself never imports
+		// on an outer mux so the httpapi package itself never imports
 		// net/http/pprof.
 		outer := http.NewServeMux()
 		outer.Handle("/", handler)

@@ -82,6 +82,7 @@ var detflowScope = map[string]bool{
 	"e3/internal/simnet":      true,
 	"e3/internal/scheduler":   true,
 	"e3/internal/serving":     true,
+	"e3/internal/httpapi":     true,
 	"e3/internal/metrics":     true,
 	"e3/internal/audit":       true,
 	"e3/internal/exec":        true,

@@ -1,6 +1,8 @@
-// Package serving is E3's end-to-end inference front door (§4): dynamic
+// Package serving is E3's simulated inference front door (§4): dynamic
 // batching over open-loop arrival traces, closed-loop drivers, the
-// sustained-goodput search the evaluation uses, and an HTTP/JSON API.
+// sustained-goodput search the evaluation uses, and the control-plane
+// state a server exposes. The HTTP/JSON API over it lives in
+// internal/httpapi, so nothing here links the network stack.
 package serving
 
 import (

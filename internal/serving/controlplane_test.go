@@ -1,4 +1,4 @@
-package serving
+package serving_test
 
 import (
 	"encoding/json"
@@ -13,9 +13,11 @@ import (
 	"e3/internal/ee"
 	"e3/internal/forecast"
 	"e3/internal/gpu"
+	"e3/internal/httpapi"
 	"e3/internal/model"
 	"e3/internal/optimizer"
 	"e3/internal/profile"
+	"e3/internal/serving"
 	"e3/internal/workload"
 )
 
@@ -50,9 +52,9 @@ func TestPlanEndpointEmptyHistory(t *testing.T) {
 		t.Error("replans present without an attached control plane")
 	}
 
-	withCP := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{Diffs: optimizer.NewDiffRing(4)}}).Handler())
+	withCP := httptest.NewServer(bootAPI(t, httpapi.Boot{ControlPlane: &serving.ControlPlane{Diffs: optimizer.NewDiffRing(4)}}).Handler())
 	defer withCP.Close()
-	var resp PlanResponse
+	var resp httpapi.PlanResponse
 	getJSON(t, withCP.URL+"/v1/plan", &resp)
 	if resp.Replans == nil {
 		t.Fatal("replans block missing")
@@ -74,11 +76,11 @@ func TestPlanEndpointPostReplan(t *testing.T) {
 	d := optimizer.DiffPlans(optimizer.Plan{}, plan)
 	d.Window, d.At, d.Reason = 0, 0, "initial plan"
 	ring.Push(d)
-	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{ControlPlane: &serving.ControlPlane{
 		Provenance: trace, Diffs: ring, Replans: 1, PlanChanges: 1,
 	}}).Handler())
 	defer srv.Close()
-	var resp PlanResponse
+	var resp httpapi.PlanResponse
 	getJSON(t, srv.URL+"/v1/plan", &resp)
 	if resp.Provenance == nil {
 		t.Fatal("provenance missing post-replan")
@@ -111,10 +113,10 @@ func TestPlanEndpointRingWrap(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		ring.Push(optimizer.PlanDiff{Window: i, Changed: true, Reason: fmt.Sprintf("w%d", i)})
 	}
-	cp := &ControlPlane{Diffs: ring, Replans: 7, PlanChanges: 7, PlanCacheHits: 2, PlanCacheMisses: 5}
-	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: cp}).Handler())
+	cp := &serving.ControlPlane{Diffs: ring, Replans: 7, PlanChanges: 7, PlanCacheHits: 2, PlanCacheMisses: 5}
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{ControlPlane: cp}).Handler())
 	defer srv.Close()
-	var resp PlanResponse
+	var resp httpapi.PlanResponse
 	getJSON(t, srv.URL+"/v1/plan", &resp)
 	if resp.Replans.HistoryTotal != 7 || resp.Replans.HistoryEvicted != 4 {
 		t.Errorf("wrap accounting: %+v", resp.Replans)
@@ -141,7 +143,7 @@ func TestMetricsControlPlaneSeries(t *testing.T) {
 	est.Observe(profFromSurv(1, 0.5))
 	est.Predict()
 	est.Observe(profFromSurv(1, 0.4))
-	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: &ControlPlane{
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{ControlPlane: &serving.ControlPlane{
 		Forecast: est.Stats, Diffs: optimizer.NewDiffRing(4), Replans: 3, PlanChanges: 2,
 		PlanCacheHits: 5, PlanCacheMisses: 4,
 	}}).Handler())

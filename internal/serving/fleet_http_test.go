@@ -1,4 +1,4 @@
-package serving
+package serving_test
 
 import (
 	"io"
@@ -6,18 +6,20 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"e3/internal/httpapi"
 )
 
-func testFleetStatus(conserved bool) *FleetStatus {
-	return &FleetStatus{
+func testFleetStatus(conserved bool) *httpapi.FleetStatus {
+	return &httpapi.FleetStatus{
 		Replicas: 2, Workers: 2, Epochs: 10,
 		Minted: 100, Routed: 90, DoorShed: 10,
 		Events: 5000, Conserved: conserved,
-		Rows: []FleetReplicaStatus{
-			{Index: 0, GPUs: "4xV100", Events: 2600, Tenants: []FleetTenantStatus{
+		Rows: []httpapi.FleetReplicaStatus{
+			{Index: 0, GPUs: "4xV100", Events: 2600, Tenants: []httpapi.FleetTenantStatus{
 				{Tenant: "bert", Routed: 50, Served: 48, Violations: 2, GoodputPS: 480, CapacityPS: 500, BurnRate: 0.4},
 			}},
-			{Index: 1, GPUs: "2xV100", Events: 2400, Tenants: []FleetTenantStatus{
+			{Index: 1, GPUs: "2xV100", Events: 2400, Tenants: []httpapi.FleetTenantStatus{
 				{Tenant: "bert", Routed: 40, Served: 40, GoodputPS: 400, CapacityPS: 450, BurnRate: 0.1},
 			}},
 		},
@@ -27,10 +29,10 @@ func testFleetStatus(conserved bool) *FleetStatus {
 // TestHealthV1FleetRows checks the per-replica rows ride on /v1/health
 // and that a conserved fleet leaves readiness intact.
 func TestHealthV1FleetRows(t *testing.T) {
-	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(true)}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Fleet: testFleetStatus(true)}).Handler())
 	defer srv.Close()
 
-	var hr HealthResponse
+	var hr httpapi.HealthResponse
 	if code := getJSONCode(t, srv.URL+"/v1/health", &hr); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)
 	}
@@ -48,10 +50,10 @@ func TestHealthV1FleetRows(t *testing.T) {
 // TestHealthV1FleetConservationGatesReadiness: a fleet run whose
 // invariants failed must fail the probe.
 func TestHealthV1FleetConservationGatesReadiness(t *testing.T) {
-	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(false)}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Fleet: testFleetStatus(false)}).Handler())
 	defer srv.Close()
 
-	var hr HealthResponse
+	var hr httpapi.HealthResponse
 	if code := getJSONCode(t, srv.URL+"/v1/health", &hr); code != http.StatusServiceUnavailable {
 		t.Fatalf("unconserved fleet: status %d, want 503", code)
 	}
@@ -62,7 +64,7 @@ func TestHealthV1FleetConservationGatesReadiness(t *testing.T) {
 
 // TestMetricsFleetSeries checks the e3_fleet_* exposition.
 func TestMetricsFleetSeries(t *testing.T) {
-	srv := httptest.NewServer(bootAPI(t, Boot{Fleet: testFleetStatus(true)}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Fleet: testFleetStatus(true)}).Handler())
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")

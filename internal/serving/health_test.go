@@ -1,4 +1,4 @@
-package serving
+package serving_test
 
 import (
 	"encoding/json"
@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"e3/internal/audit"
+	"e3/internal/httpapi"
+	"e3/internal/serving"
 	"e3/internal/slo"
 	"e3/internal/telemetry"
 	"e3/internal/workload"
@@ -28,7 +30,7 @@ func getJSONCode(t *testing.T, url string, out any) int {
 func TestHealthV1PlanOnly(t *testing.T) {
 	srv := httptest.NewServer(testAPI(t).Handler())
 	defer srv.Close()
-	var hr HealthResponse
+	var hr httpapi.HealthResponse
 	if code := getJSONCode(t, srv.URL+"/v1/health", &hr); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)
 	}
@@ -47,10 +49,10 @@ func TestHealthV1AuditVerdictGatesReadiness(t *testing.T) {
 	led.Queued(1, 0)
 	led.Completed(1, 0.01, 4)
 	rep := led.Verify()
-	srv := httptest.NewServer(bootAPI(t, Boot{Audit: rep}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Audit: rep}).Handler())
 	defer srv.Close()
 
-	var hr HealthResponse
+	var hr httpapi.HealthResponse
 	if code := getJSONCode(t, srv.URL+"/v1/health", &hr); code != http.StatusOK {
 		t.Fatalf("clean audit: status %d, want 200", code)
 	}
@@ -73,11 +75,11 @@ func TestHealthV1ReplanAliveAndBudget(t *testing.T) {
 	bud.ObserveWindow(0, 99, 1, 0, 2.0)
 	// A control plane with zero invocations means the replan loop never
 	// ran: not ready.
-	cp := &ControlPlane{Budget: bud}
-	srv := httptest.NewServer(bootAPI(t, Boot{ControlPlane: cp}).Handler())
+	cp := &serving.ControlPlane{Budget: bud}
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{ControlPlane: cp}).Handler())
 	defer srv.Close()
 
-	var hr HealthResponse
+	var hr httpapi.HealthResponse
 	if code := getJSONCode(t, srv.URL+"/v1/health", &hr); code != http.StatusServiceUnavailable {
 		t.Fatalf("dead replan loop: status %d, want 503", code)
 	}
@@ -114,11 +116,11 @@ func TestDebugBundleNoRecorder(t *testing.T) {
 func TestDebugBundleEmptyAndPostFailure(t *testing.T) {
 	attr := slo.NewAttribution(4)
 	rec := &slo.Recorder{Attr: attr}
-	srv := httptest.NewServer(bootAPI(t, Boot{Recorder: rec}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Recorder: rec}).Handler())
 	defer srv.Close()
 
 	// Attached but never triggered: 200 with zero triggers and no bundle.
-	var br BundleResponse
+	var br httpapi.BundleResponse
 	if code := getJSONCode(t, srv.URL+"/v1/debug/bundle", &br); code != http.StatusOK {
 		t.Fatalf("empty recorder: status %d, want 200", code)
 	}
@@ -157,10 +159,10 @@ func TestDebugBundleRingWrap(t *testing.T) {
 	}
 	rec := &slo.Recorder{Spans: tr}
 	rec.Trigger(slo.TriggerEngineAbort, "wrap", 100.0)
-	srv := httptest.NewServer(bootAPI(t, Boot{Recorder: rec}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Recorder: rec}).Handler())
 	defer srv.Close()
 
-	var br BundleResponse
+	var br httpapi.BundleResponse
 	if code := getJSONCode(t, srv.URL+"/v1/debug/bundle", &br); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)
 	}

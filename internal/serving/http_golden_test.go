@@ -1,4 +1,4 @@
-package serving
+package serving_test
 
 import (
 	"bytes"
@@ -12,7 +12,9 @@ import (
 	"e3/internal/audit"
 	"e3/internal/flame"
 	"e3/internal/forecast"
+	"e3/internal/httpapi"
 	"e3/internal/optimizer"
+	"e3/internal/serving"
 	"e3/internal/slo"
 )
 
@@ -39,7 +41,7 @@ const escapedReason = "quota \"gold\"\\tier\nB"
 // with forecast stats, one plan diff and a budget, a flame profile and
 // its reconcile stat, a 2-replica × 2-tenant fleet, a recorder with one
 // trigger, and an audit report.
-func goldenAPI(t *testing.T) *API {
+func goldenAPI(t *testing.T) *httpapi.API {
 	t.Helper()
 	tr := testTracer(0)
 	tr.Drop(escapedReason)
@@ -76,13 +78,13 @@ func goldenAPI(t *testing.T) *API {
 	prof := fp.Profile()
 	stat := flame.ReconcileStat{Devices: 2, BusyNanos: prof.BusyNanos(), BubbleNanos: prof.BubbleNanos(), Checked: true}
 
-	fs := &FleetStatus{
+	fs := &httpapi.FleetStatus{
 		Replicas: 2, Workers: 2, Epochs: 10,
 		Minted: 100, Routed: 90, DoorShed: 10,
 		Events: 5000, Conserved: true,
 	}
 	for i, gpus := range []string{"K80=4,V100=2", "V100=4"} {
-		fs.Rows = append(fs.Rows, FleetReplicaStatus{Index: i, GPUs: gpus, Events: uint64(2600 - 200*i), Tenants: []FleetTenantStatus{
+		fs.Rows = append(fs.Rows, httpapi.FleetReplicaStatus{Index: i, GPUs: gpus, Events: uint64(2600 - 200*i), Tenants: []httpapi.FleetTenantStatus{
 			{Tenant: "bert", Routed: 30, Served: 28 - i, Violations: 1 + i, Dropped: 1, GoodputPS: 280.5, CapacityPS: 300, BurnRate: 0.25},
 			{Tenant: "resnet", Routed: 15, Served: 15, GoodputPS: 150, CapacityPS: 200, BurnRate: 0},
 		}})
@@ -92,10 +94,10 @@ func goldenAPI(t *testing.T) *API {
 	rec := &slo.Recorder{Spans: tr, Diffs: diffs, Forecast: est.Stats, Ledger: led, Budget: bud, Attr: attr}
 	rec.Trigger(slo.TriggerAuditViolation, "synthetic", 2.0)
 
-	return bootAPI(t, Boot{
+	return bootAPI(t, httpapi.Boot{
 		Audit:  led.Verify(),
 		Tracer: tr,
-		ControlPlane: &ControlPlane{
+		ControlPlane: &serving.ControlPlane{
 			Provenance: provenance, Forecast: est.Stats, Diffs: diffs,
 			Replans: 3, PlanChanges: 1, PlanCacheHits: 1, PlanCacheMisses: 2, Budget: bud,
 		},
@@ -138,7 +140,7 @@ func TestHTTPGolden(t *testing.T) {
 	for _, p := range goldenPaths {
 		fmt.Fprintf(&got, "== GET %s\n%s\n", p, bodies[p])
 	}
-	if *update {
+	if *serving.Update {
 		if err := os.WriteFile(httpGoldenPath, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package serving
+package serving_test
 
 import (
 	"bytes"
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"e3/internal/httpapi"
 	"e3/internal/telemetry"
 )
 
@@ -75,11 +76,11 @@ func TestMetricsWithoutTelemetry(t *testing.T) {
 }
 
 func TestMetricsGolden(t *testing.T) {
-	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: testTracer(0)}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Tracer: testTracer(0)}).Handler())
 	defer srv.Close()
 
 	// One live inference so the live sections are non-trivial too.
-	body, _ := json.Marshal(InferRequest{Difficulty: 0.3})
+	body, _ := json.Marshal(httpapi.InferRequest{Difficulty: 0.3})
 	resp, err := http.Post(srv.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestMetricsBucketsCumulative(t *testing.T) {
 	for _, lat := range []float64{0.001, 0.01, 0.1, 1.0} {
 		tr.Complete(lat)
 	}
-	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: tr}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Tracer: tr}).Handler())
 	defer srv.Close()
 	out, _ := get(t, srv.URL+"/metrics")
 
@@ -158,7 +159,7 @@ func TestTraceEmpty(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/v1/trace status %d", code)
 	}
-	var tr TraceResponse
+	var tr httpapi.TraceResponse
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +176,10 @@ func TestTraceEmpty(t *testing.T) {
 }
 
 func TestTraceGolden(t *testing.T) {
-	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: testTracer(0)}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Tracer: testTracer(0)}).Handler())
 	defer srv.Close()
 	body, _ := get(t, srv.URL+"/v1/trace")
-	var tr TraceResponse
+	var tr httpapi.TraceResponse
 	if err := json.Unmarshal([]byte(body), &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +207,10 @@ func TestTraceRingWrap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Execute("g0", "V100", 0, i+1, float64(i), float64(i)+0.5)
 	}
-	srv := httptest.NewServer(bootAPI(t, Boot{Tracer: tr}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Tracer: tr}).Handler())
 	defer srv.Close()
 	body, _ := get(t, srv.URL+"/v1/trace")
-	var out TraceResponse
+	var out httpapi.TraceResponse
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,10 @@
-package serving
+// The HTTP API's tests (this file and the health, metrics, control
+// plane, fleet and golden HTTP tests beside it) drive internal/httpapi
+// over the boot parts serving and its neighbours build. They live in
+// serving's external test package, which may import httpapi without a
+// cycle; serving itself never links net/http.
+
+package serving_test
 
 import (
 	"bytes"
@@ -12,19 +18,20 @@ import (
 	"e3/internal/cluster"
 	"e3/internal/ee"
 	"e3/internal/gpu"
+	"e3/internal/httpapi"
 	"e3/internal/model"
 	"e3/internal/optimizer"
 	"e3/internal/profile"
 	"e3/internal/workload"
 )
 
-func testAPI(t *testing.T) *API {
+func testAPI(t *testing.T) *httpapi.API {
 	t.Helper()
-	return bootAPI(t, Boot{})
+	return bootAPI(t, httpapi.Boot{})
 }
 
 // bootAPI builds the test API over the given boot parts.
-func bootAPI(t *testing.T, boot Boot) *API {
+func bootAPI(t *testing.T, boot httpapi.Boot) *httpapi.API {
 	t.Helper()
 	m := ee.NewDeeBERT(model.BERTBase(), 0.4)
 	prof := profile.FromDist(m, workload.Mix(0.8), 4000, 1)
@@ -32,7 +39,7 @@ func bootAPI(t *testing.T, boot Boot) *API {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewAPI(m, plan, boot)
+	return httpapi.NewAPI(m, plan, boot)
 }
 
 func TestRESTHealth(t *testing.T) {
@@ -52,14 +59,14 @@ func TestRESTInfer(t *testing.T) {
 	srv := httptest.NewServer(testAPI(t).Handler())
 	defer srv.Close()
 
-	post := func(difficulty float64) (InferResponse, int) {
-		body, _ := json.Marshal(InferRequest{Difficulty: difficulty})
+	post := func(difficulty float64) (httpapi.InferResponse, int) {
+		body, _ := json.Marshal(httpapi.InferRequest{Difficulty: difficulty})
 		resp, err := http.Post(srv.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var out InferResponse
+		var out httpapi.InferResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				t.Fatal(err)
@@ -92,7 +99,7 @@ func TestRESTInferValidation(t *testing.T) {
 	defer srv.Close()
 
 	// Out-of-range difficulty.
-	body, _ := json.Marshal(InferRequest{Difficulty: 1.7})
+	body, _ := json.Marshal(httpapi.InferRequest{Difficulty: 1.7})
 	resp, err := http.Post(srv.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +160,7 @@ func TestRESTPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var plan PlanResponse
+	var plan httpapi.PlanResponse
 	if err := json.NewDecoder(resp.Body).Decode(&plan); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +186,7 @@ func TestRESTStats(t *testing.T) {
 	defer srv.Close()
 
 	for i := 0; i < 5; i++ {
-		body, _ := json.Marshal(InferRequest{Difficulty: 0.3})
+		body, _ := json.Marshal(httpapi.InferRequest{Difficulty: 0.3})
 		resp, err := http.Post(srv.URL+"/v1/infer", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -191,7 +198,7 @@ func TestRESTStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats StatsResponse
+	var stats httpapi.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
@@ -227,14 +234,14 @@ func TestRESTStatsAuditBreakdown(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(bootAPI(t, Boot{Audit: rep}).Handler())
+	srv := httptest.NewServer(bootAPI(t, httpapi.Boot{Audit: rep}).Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats StatsResponse
+	var stats httpapi.StatsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
