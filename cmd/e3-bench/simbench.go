@@ -35,7 +35,7 @@ type simTraceStats struct {
 	*procMemory
 }
 
-// simEngineStats compares the index-based value heap against the retained
+// simEngineStats compares the engine's inline value queue against the retained
 // pointer-heap reference on a pure push/pop churn loop.
 type simEngineStats struct {
 	Events            uint64  `json:"events"`

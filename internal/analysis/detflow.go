@@ -54,12 +54,12 @@ var detflowSinkMethods = map[[3]string]string{
 	{"e3/internal/sim", "Engine", "After"}: "an engine schedule delay",
 	{"e3/internal/sim", "Timer", "Reset"}:  "an engine schedule time",
 
-	{"e3/internal/audit", "Ledger", "Arrived"}:    "ledger accounting (a digest input)",
-	{"e3/internal/audit", "Ledger", "Queued"}:     "ledger accounting (a digest input)",
-	{"e3/internal/audit", "Ledger", "Dispatched"}: "ledger accounting (a digest input)",
-	{"e3/internal/audit", "Ledger", "Merged"}:     "ledger accounting (a digest input)",
-	{"e3/internal/audit", "Ledger", "Completed"}:  "ledger accounting (a digest input)",
-	{"e3/internal/audit", "Ledger", "Dropped"}:    "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "Arrived"}:       "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "Queued"}:        "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "DispatchedIDs"}: "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "MergedIDs"}:     "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "Completed"}:     "ledger accounting (a digest input)",
+	{"e3/internal/audit", "Ledger", "Dropped"}:       "ledger accounting (a digest input)",
 
 	{"e3/internal/telemetry", "Tracer", "Record"}:       "an exported trace span",
 	{"e3/internal/telemetry", "Tracer", "Execute"}:      "an exported trace span",

@@ -187,9 +187,10 @@ type Ledger struct {
 	div    divisor
 	// reasons interns drop reasons in first-seen order; an op word's
 	// reason field indexes it. known flags the codes of classified
-	// reasons.
-	reasons []Reason
-	known   []bool
+	// reasons. lastReason is the code of the last drop's reason.
+	reasons    []Reason
+	known      []bool
+	lastReason uint16
 	// flows tallies per-stage traffic of tracked samples as it is
 	// recorded: In and Forwarded at each dispatch, Completed or Dropped
 	// at each clean terminal. Stages in [0, denseStages) index flows;
@@ -503,16 +504,20 @@ func (l *Ledger) Stride() int64 {
 	return l.stride
 }
 
-// key maps an id to its dense-index key; tracked is false when the id's
-// per-event detail is not sampled. Only tracked ids are divided.
-func (l *Ledger) key(id int64) (k int64, tracked bool) {
+// tracks reports whether id's per-event detail is sampled. It inlines
+// into record, Dropped and the batch forms, so a sampled ledger turns an
+// untracked id away with a multiply, a rotate and a compare.
+func (l *Ledger) tracks(id int64) bool {
+	return l.stride <= 1 || l.div.divides(id)
+}
+
+// key maps a tracked id to its dense-index key. Only a sampled ledger
+// divides.
+func (l *Ledger) key(id int64) int64 {
 	if l.stride <= 1 {
-		return id, true
+		return id
 	}
-	if !l.div.divides(id) {
-		return 0, false
-	}
-	return id / l.stride, true
+	return id / l.stride
 }
 
 // lookup returns a tracked id's entry, or nil before its first event.
@@ -786,12 +791,14 @@ func (l *Ledger) unpack(op uint32) operands {
 }
 
 // record records an event of sample id in detail if its id is tracked;
-// the exported methods have counted it in the population totals.
+// the exported methods have counted it in the population totals. The
+// one-event methods stay small enough to inline into their callers, so
+// an untracked id costs the caller this one call.
 //
 //e3:hotpath runs once per lifecycle event; sampled mode skips an untracked id in O(1) and must not allocate off the detail path
 func (l *Ledger) record(id int64, kind Kind, at float64, o operands) {
-	if k, tracked := l.key(id); tracked {
-		l.track(id, k, kind, at, l.pack(kind, o), o)
+	if l.tracks(id) {
+		l.track(id, l.key(id), kind, at, l.pack(kind, o), o)
 	}
 }
 
@@ -799,6 +806,8 @@ func (l *Ledger) record(id int64, kind Kind, at float64, o operands) {
 // ids[step], ids[2·step], …: the members of a dispatch or merge, which
 // counts no total. Every member's op word is the same, so it is packed
 // once, at the first tracked member.
+//
+//e3:hotpath runs once per dispatch or merge record; sampled mode skips an untracked member in O(1)
 func (l *Ledger) batch(kind Kind, ids []uint64, step int, at float64, o operands) {
 	if l == nil {
 		return
@@ -807,14 +816,13 @@ func (l *Ledger) batch(kind Kind, ids []uint64, step int, at float64, o operands
 	packed := false
 	for j := 0; j < len(ids); j += step {
 		id := int64(ids[j])
-		k, tracked := l.key(id)
-		if !tracked {
+		if !l.tracks(id) {
 			continue
 		}
 		if !packed {
 			op, packed = l.pack(kind, o), true
 		}
-		l.track(id, k, kind, at, op, o)
+		l.track(id, l.key(id), kind, at, op, o)
 	}
 }
 
@@ -932,31 +940,15 @@ func (l *Ledger) Queued(id int64, at float64) {
 	l.record(id, KindQueued, at, operands{})
 }
 
-// Dispatched records hand-off to stage's instance (a device index).
-func (l *Ledger) Dispatched(id int64, at float64, stage, instance int) {
-	if l == nil {
-		return
-	}
-	l.record(id, KindDispatched, at, operands{int32(stage), int32(instance)})
-}
-
-// Merged records entry into stage's survivor merge queue.
-func (l *Ledger) Merged(id int64, at float64, stage int) {
-	if l == nil {
-		return
-	}
-	l.record(id, KindMerged, at, operands{a: int32(stage)})
-}
-
-// DispatchedIDs records the hand-off of a batch to stage's instance: one
-// Dispatched for each id in ids[0], ids[step], ids[2·step], …, as a
-// boundary record lays its members out.
+// DispatchedIDs records the hand-off of a batch to stage's instance (a
+// device index): one dispatch for each id in ids[0], ids[step],
+// ids[2·step], …, as a boundary record lays its members out.
 func (l *Ledger) DispatchedIDs(ids []uint64, step int, at float64, stage, instance int) {
 	l.batch(KindDispatched, ids, step, at, operands{int32(stage), int32(instance)})
 }
 
-// MergedIDs records one Merged into stage's survivor merge queue for
-// each id in ids.
+// MergedIDs records the entry of each id in ids into stage's survivor
+// merge queue.
 func (l *Ledger) MergedIDs(ids []uint64, at float64, stage int) {
 	l.batch(KindMerged, ids, 1, at, operands{a: int32(stage)})
 }
@@ -975,10 +967,20 @@ func (l *Ledger) Dropped(id int64, at float64, reason Reason) {
 	if l == nil {
 		return
 	}
-	code := l.intern(reason)
+	// A run sheds in long streaks of one reason: try the last code
+	// before scanning the table.
+	code := l.lastReason
+	if int(code) >= len(l.reasons) || l.reasons[code] != reason {
+		code = l.intern(reason)
+		l.lastReason = code
+	}
 	l.droppedTotal++
 	l.byReasonTotal[code]++
-	l.record(id, KindDropped, at, operands{a: int32(code)})
+	// Dropped is too large to inline, so it tests the id itself rather
+	// than pay a second call for an untracked one.
+	if l.tracks(id) {
+		l.record(id, KindDropped, at, operands{a: int32(code)})
+	}
 }
 
 // Samples reports how many distinct sample IDs have events.
@@ -1009,11 +1011,10 @@ func (l *Ledger) Events(id int64) []Event {
 
 // appendEvents appends a sample's recorded events to dst.
 func (l *Ledger) appendEvents(dst []Event, id int64) []Event {
-	k, tracked := l.key(id)
-	if !tracked {
+	if !l.tracks(id) {
 		return dst
 	}
-	e := l.lookup(id, k)
+	e := l.lookup(id, l.key(id))
 	if e == nil {
 		return dst
 	}
@@ -1360,13 +1361,28 @@ func (l *Ledger) DropBreakdown() map[Reason]int {
 // identical exactly when their digests are byte-identical — the property
 // the pooled-vs-unpooled determinism tests and the simgate check assert.
 func (l *Ledger) Digest() string {
-	if l == nil {
-		return ""
-	}
 	var b strings.Builder
+	b.Grow(l.DigestSize())
+	l.WriteDigest(&b)
+	return b.String()
+}
+
+// DigestSize estimates the length of the ledger's digest (nil = 0), so a
+// caller writing several digests into one builder can size it once.
+func (l *Ledger) DigestSize() int {
+	if l == nil {
+		return 0
+	}
 	// A run takes about 6 bytes per event, and an event renders in about
 	// 30 bytes.
-	b.Grow(64 + 5*int(l.end) + 8*l.samples)
+	return 64 + 5*int(l.end) + 8*l.samples
+}
+
+// WriteDigest writes the ledger's digest to b (nil writes nothing).
+func (l *Ledger) WriteDigest(b *strings.Builder) {
+	if l == nil {
+		return
+	}
 	// Each line renders with strconv into one reused buffer; 'g' with the
 	// shortest precision prints a float64 exactly as %v does.
 	line := make([]byte, 0, 256)
@@ -1423,5 +1439,4 @@ func (l *Ledger) Digest() string {
 		}
 		b.Write(append(line, '\n'))
 	}
-	return b.String()
 }

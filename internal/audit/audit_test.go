@@ -5,12 +5,23 @@ import (
 	"testing"
 )
 
+// dispatched records one sample's hand-off to stage's instance, and
+// merged its entry into stage's merge queue, through the ledger's batch
+// forms, as the collector's fan-out records a batch.
+func dispatched(l *Ledger, id int64, at float64, stage, instance int) {
+	l.DispatchedIDs([]uint64{uint64(id)}, 1, at, stage, instance)
+}
+
+func merged(l *Ledger, id int64, at float64, stage int) {
+	l.MergedIDs([]uint64{uint64(id)}, at, stage)
+}
+
 func TestNilLedgerIsSafe(t *testing.T) {
 	var l *Ledger
 	l.Arrived(1, 0)
 	l.Queued(1, 0)
-	l.Dispatched(1, 0, 0, 0)
-	l.Merged(1, 0, 1)
+	dispatched(l, 1, 0, 0, 0)
+	merged(l, 1, 0, 1)
 	l.Completed(1, 1, 4)
 	l.Dropped(2, 1, ReasonAdmission)
 	if l.Samples() != 0 {
@@ -27,9 +38,9 @@ func TestVerifyCleanLifecycles(t *testing.T) {
 	// Completed via two stages.
 	l.Arrived(1, 0.0)
 	l.Queued(1, 0.0)
-	l.Dispatched(1, 0.001, 0, 3)
-	l.Merged(1, 0.004, 1)
-	l.Dispatched(1, 0.005, 1, 5)
+	dispatched(l, 1, 0.001, 0, 3)
+	merged(l, 1, 0.004, 1)
+	dispatched(l, 1, 0.005, 1, 5)
 	l.Completed(1, 0.009, 12)
 	// Admission drop, never queued.
 	l.Arrived(2, 0.002)
@@ -37,7 +48,7 @@ func TestVerifyCleanLifecycles(t *testing.T) {
 	// Stale shed after dispatch.
 	l.Arrived(3, 0.003)
 	l.Queued(3, 0.003)
-	l.Dispatched(3, 0.004, 0, 2)
+	dispatched(l, 3, 0.004, 0, 2)
 	l.Dropped(3, 0.030, ReasonStaleShed)
 
 	r := l.Verify()
@@ -65,7 +76,7 @@ func TestVerifyCleanLifecycles(t *testing.T) {
 func TestVerifyCatchesLostSample(t *testing.T) {
 	l := NewLedger()
 	l.Arrived(7, 0)
-	l.Dispatched(7, 0.001, 0, 0)
+	dispatched(l, 7, 0.001, 0, 0)
 	r := l.Verify()
 	if r.OK() {
 		t.Fatal("lost sample not flagged")
@@ -126,8 +137,8 @@ func TestVerifyCatchesUnclassifiedDrop(t *testing.T) {
 func TestVerifyCatchesStageRegression(t *testing.T) {
 	l := NewLedger()
 	l.Arrived(1, 0)
-	l.Dispatched(1, 0.001, 1, 0)
-	l.Dispatched(1, 0.002, 0, 0) // backwards through the pipeline
+	dispatched(l, 1, 0.001, 1, 0)
+	dispatched(l, 1, 0.002, 0, 0) // backwards through the pipeline
 	l.Completed(1, 0.003, 4)
 	r := l.Verify()
 	if r.OK() {
@@ -139,7 +150,7 @@ func TestVerifyCatchesEventsAfterTerminal(t *testing.T) {
 	l := NewLedger()
 	l.Arrived(1, 0)
 	l.Completed(1, 0.1, 4)
-	l.Dispatched(1, 0.2, 0, 0)
+	dispatched(l, 1, 0.2, 0, 0)
 	if l.Verify().OK() {
 		t.Error("post-terminal event not flagged")
 	}

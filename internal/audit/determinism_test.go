@@ -15,7 +15,7 @@ func buildImbalancedLedger() *Ledger {
 		id := int64(s + 1)
 		l.Arrived(id, float64(s))
 		l.Queued(id, float64(s)+0.1)
-		l.Dispatched(id, float64(s)+0.2, s, 0)
+		dispatched(l, id, float64(s)+0.2, s, 0)
 	}
 	return l
 }

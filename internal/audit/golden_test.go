@@ -32,22 +32,22 @@ func scriptLedger(l *Ledger) {
 	// id 0: a clean two-stage completion.
 	l.Arrived(0, 0)
 	l.Queued(0, 0.001)
-	l.Dispatched(0, 0.002, 0, 3)
-	l.Merged(0, 0.004, 1)
-	l.Dispatched(0, 0.005, 1, 6)
+	dispatched(l, 0, 0.002, 0, 3)
+	merged(l, 0, 0.004, 1)
+	dispatched(l, 0, 0.005, 1, 6)
 	l.Completed(0, 0.009, 12)
 	// Negative ids.
 	l.Arrived(-7, 0.5)
 	l.Dropped(-7, 0.5, ReasonAdmission)
 	l.Arrived(-3, 0.6)
 	l.Queued(-3, 0.6)
-	l.Dispatched(-3, 0.7, 0, 1)
+	dispatched(l, -3, 0.7, 0, 1)
 	l.Dropped(-3, 0.9, ReasonStaleShed)
 	// Sparse ids: 1<<40 is untracked at stride 7, 7<<40 is tracked.
 	for _, id := range []int64{1 << 40, 7 << 40} {
 		l.Arrived(id, 1)
 		l.Queued(id, 1.001)
-		l.Dispatched(id, 1.002, 0, 2)
+		dispatched(l, id, 1.002, 0, 2)
 		l.Completed(id, 1.01, 4)
 	}
 	// Events before Arrived.
@@ -65,8 +65,8 @@ func scriptLedger(l *Ledger) {
 	l.Dropped(36, 4.2, "")
 	// Dispatch-stage regression.
 	l.Arrived(42, 5)
-	l.Dispatched(42, 5.1, 1, 0)
-	l.Dispatched(42, 5.2, 0, 3)
+	dispatched(l, 42, 5.1, 1, 0)
+	dispatched(l, 42, 5.2, 0, 3)
 	l.Completed(42, 5.3, 6)
 	// A sample that never terminates, its timestamps going backwards.
 	l.Arrived(49, 6)
@@ -82,15 +82,15 @@ func scriptLedger(l *Ledger) {
 			l.Queued(id, at+0.0001)
 		}
 		for id := first; id < end; id++ {
-			l.Dispatched(id, at+0.0002, 0, int(id%4))
+			dispatched(l, id, at+0.0002, 0, int(id%4))
 		}
 		for id := first; id < end; id++ {
 			switch id % 11 {
 			case 0:
 				l.Dropped(id, at+0.0005, ReasonStaleShed)
 			case 5:
-				l.Merged(id, at+0.0004, 1)
-				l.Dispatched(id, at+0.0005, 1, int(id%4)+4)
+				merged(l, id, at+0.0004, 1)
+				dispatched(l, id, at+0.0005, 1, int(id%4)+4)
 				l.Completed(id, at+0.0008, 12)
 			default:
 				l.Completed(id, at+0.0005, int(id%6)+1)

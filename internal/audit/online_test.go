@@ -90,10 +90,10 @@ func replayInto(l *Ledger, ops []byte, check func(l *Ledger, ids []int64)) (*Led
 		case KindQueued:
 			l.Queued(id, at)
 		case KindDispatched:
-			l.Dispatched(id, at, streamStages[operand%len(streamStages)],
+			dispatched(l, id, at, streamStages[operand%len(streamStages)],
 				streamInstances[operand/len(streamStages)%len(streamInstances)])
 		case KindMerged:
-			l.Merged(id, at, streamStages[operand%len(streamStages)])
+			merged(l, id, at, streamStages[operand%len(streamStages)])
 		case KindCompleted:
 			l.Completed(id, at, streamExits[operand%len(streamExits)])
 		case KindDropped:
@@ -533,13 +533,13 @@ func TestDigestFloatsMatchFmt(t *testing.T) {
 		math.MaxFloat64, 1e20, 1e21, 1e-4, 1e-5, 123456789.125, 0.1 + 0.2, -2.5e-7,
 	} {
 		l.Arrived(int64(i), at)
-		l.Dispatched(int64(i), at, i-3, i)
+		dispatched(l, int64(i), at, i-3, i)
 		l.Completed(int64(i), at, i)
 	}
 	ids := idRange(0, 13)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
-		l.Merged(int64(-i), math.Float64frombits(rng.Uint64()), i)
+		merged(l, int64(-i), math.Float64frombits(rng.Uint64()), i)
 		if i > 0 {
 			ids = append(ids, int64(-i))
 		}
@@ -590,8 +590,8 @@ func TestCleanLedgerTurnsBadAfterTerminal(t *testing.T) {
 	if r := l.Verify(); !r.OK() || l.clean != 100 {
 		t.Fatalf("clean ledger: ok=%v clean=%d, want true and 100: %v", r.OK(), l.clean, r.Violations)
 	}
-	l.Merged(7, 200, 1) // sample 7 completed at stage 0
-	l.Dispatched(7, 201, 1, 0)
+	merged(l, 7, 200, 1) // sample 7 completed at stage 0
+	dispatched(l, 7, 201, 1, 0)
 	r := l.Verify()
 	if r.OK() {
 		t.Fatal("event after a terminal not flagged")
@@ -617,9 +617,9 @@ func TestCleanVerifyAllocsIndependentOfSamples(t *testing.T) {
 			at := float64(id)
 			l.Arrived(id, at)
 			l.Queued(id, at)
-			l.Dispatched(id, at, 0, 1)
-			l.Merged(id, at, 1)
-			l.Dispatched(id, at, 1, 2)
+			dispatched(l, id, at, 0, 1)
+			merged(l, id, at, 1)
+			dispatched(l, id, at, 1, 2)
 			l.Completed(id, at, 5)
 		}
 		if r := l.Verify(); !r.OK() || l.clean != int(2*n) {
@@ -697,35 +697,53 @@ func replay(l *Ledger, evs []mixEvent) {
 		case KindQueued:
 			l.Queued(e.id, e.at)
 		case KindDispatched:
-			l.Dispatched(e.id, e.at, e.stage, int(e.id%4))
+			dispatched(l, e.id, e.at, e.stage, int(e.id%4))
 		case KindMerged:
-			l.Merged(e.id, e.at, e.stage)
+			merged(l, e.id, e.at, e.stage)
 		case KindCompleted:
 			l.Completed(e.id, e.at, e.stage)
+		case KindDropped:
+			l.Dropped(e.id, e.at, ReasonStaleShed)
 		}
 	}
 }
 
-// BenchmarkLedgerRecord records 100k exhaustive samples: drive's clean
-// mix, the same with one violation, and the replan loop's mix
-// (replanMix).
+// shedOdd returns evs with every odd sample stale-shed where it would
+// have completed, as an overloaded cluster sheds about half its load.
+func shedOdd(evs []mixEvent) []mixEvent {
+	out := slices.Clone(evs)
+	for i, e := range out {
+		if e.kind == KindCompleted && e.id%2 == 1 {
+			out[i].kind = KindDropped
+		}
+	}
+	return out
+}
+
+// BenchmarkLedgerRecord records 100k samples: on an exhaustive ledger,
+// drive's clean mix, the same with one violation, and the replan loop's
+// mix (replanMix); on a stride-1000 ledger, which tracks one sample in a
+// thousand, the replan mix with every odd sample stale-shed (shedOdd).
 func BenchmarkLedgerRecord(b *testing.B) {
 	mix := replanMix(benchSamples)
+	shed := shedOdd(mix)
 	for _, bc := range []struct {
 		name   string
+		stride int64
 		events int
 		record func(l *Ledger)
 	}{
-		{"clean", 4*benchSamples - benchSamples/5, func(l *Ledger) { drive(l, benchSamples) }},
-		{"violation", 4*benchSamples - benchSamples/5 + 1, func(l *Ledger) { drive(l, benchSamples); spoil(l) }},
-		{"replan-mix", len(mix), func(l *Ledger) { replay(l, mix) }},
+		{"clean", 1, 4*benchSamples - benchSamples/5, func(l *Ledger) { drive(l, benchSamples) }},
+		{"violation", 1, 4*benchSamples - benchSamples/5 + 1, func(l *Ledger) { drive(l, benchSamples); spoil(l) }},
+		{"replan-mix", 1, len(mix), func(l *Ledger) { replay(l, mix) }},
+		{"stride-1000-shed", 1000, len(shed), func(l *Ledger) { replay(l, shed) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				bc.record(NewLedger())
+				bc.record(NewSampledLedger(bc.stride))
 			}
 			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.events), "ns/event")

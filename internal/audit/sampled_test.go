@@ -23,7 +23,7 @@ func drive(l *Ledger, n int64) {
 			l.Dropped(id, at+0.002, ReasonAdmission)
 			continue
 		}
-		l.Dispatched(id, at+0.002, 0, int(id%4))
+		dispatched(l, id, at+0.002, 0, int(id%4))
 		l.Completed(id, at+0.010, 3)
 	}
 }
@@ -175,8 +175,8 @@ func TestLedgerEventsRoundTrip(t *testing.T) {
 	want := []Event{{Kind: KindArrived, At: 0.5}}
 	for i := 0; i < store.PageLen+10; i++ {
 		at := 1 + float64(i)
-		l.Dispatched(3, at, i%5, i%7)
-		l.Merged(4, at, i%3) // interleaved with another sample
+		dispatched(l, 3, at, i%5, i%7)
+		merged(l, 4, at, i%3) // interleaved with another sample
 		want = append(want, Event{Kind: KindDispatched, At: at, Stage: i % 5, Instance: i % 7})
 	}
 	l.Completed(3, 1e6, 9)
@@ -217,9 +217,9 @@ func TestLedgerEventsRoundTrip(t *testing.T) {
 		e.At = float64(i)
 		switch e.Kind {
 		case KindDispatched:
-			l.Dispatched(6, e.At, e.Stage, e.Instance)
+			dispatched(l, 6, e.At, e.Stage, e.Instance)
 		case KindMerged:
-			l.Merged(6, e.At, e.Stage)
+			merged(l, 6, e.At, e.Stage)
 		case KindCompleted:
 			l.Completed(6, e.At, e.ExitLayer)
 		}
@@ -390,7 +390,8 @@ func TestKeyDivisibilityMatchesDivision(t *testing.T) {
 			}
 		}
 		for _, id := range ids {
-			k, tracked := l.key(id)
+			tracked := l.tracks(id)
+			k := l.key(id)
 			if want := id%stride == 0; tracked != want {
 				t.Fatalf("stride %d: id %d tracked=%v, want %v", stride, id, tracked, want)
 			}

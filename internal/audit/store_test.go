@@ -93,9 +93,9 @@ func recordEvent(l *Ledger, id int64, e Event) {
 	case KindQueued:
 		l.Queued(id, e.At)
 	case KindDispatched:
-		l.Dispatched(id, e.At, e.Stage, e.Instance)
+		dispatched(l, id, e.At, e.Stage, e.Instance)
 	case KindMerged:
-		l.Merged(id, e.At, e.Stage)
+		merged(l, id, e.At, e.Stage)
 	case KindCompleted:
 		l.Completed(id, e.At, e.ExitLayer)
 	case KindDropped:

@@ -337,12 +337,15 @@ func planWithBackoff(clus *cluster.Cluster, tenants []multi.Tenant, profs []prof
 
 // inject hands the stack its routed share, sitting in feed: one timer
 // walks feed on the shard's engine, re-armed from its own callback for
-// each next arrival (as serving.FeedStream does), so a stack keeps at
-// most one pending schedule. Reset takes the engine's next sequence
-// number exactly as At would, so events order as if each arrival were
-// scheduled by At. Called by the coordinator at an epoch boundary,
-// before the shard advances; feed must be sorted by arrival time (it is
-// — routing preserves stream order).
+// each next arrival, so a stack keeps at most one pending schedule. Reset
+// takes the engine's next sequence number exactly as At would, so events
+// order as if each arrival were scheduled by At. Unlike
+// serving.FeedStream's walker, this one does not run uncontested
+// arrivals inline (sim.Engine.Inline): with a shard's tenants walking
+// their feeds side by side, that measured slower on fleet-hetero. Called
+// by the coordinator at an epoch boundary, before the shard advances;
+// feed must be sorted by arrival time (it is — routing preserves stream
+// order).
 func (rt *replicaTenant) inject() {
 	rt.routed += len(rt.feed)
 	rt.next = 0
@@ -392,22 +395,19 @@ func (r *Replica) Drain() error {
 // digest in config-tenant order. Equal digests mean byte-identical shard
 // executions.
 func (r *Replica) Digest() string {
-	// Render each ledger digest once and size the result up front, so
-	// the join copies each part once instead of the growing prefix once
-	// per tenant.
-	digests := make([]string, len(r.tenants))
+	// Size the result once for every ledger, then render each straight
+	// into it.
 	size := 0
-	for i, rt := range r.tenants {
-		digests[i] = rt.st.Coll.Audit.Digest()
-		size += len("tenant \n") + len(rt.st.Spec.Name) + len(digests[i])
+	for _, rt := range r.tenants {
+		size += len("tenant \n") + len(rt.st.Spec.Name) + rt.st.Coll.Audit.DigestSize()
 	}
 	var b strings.Builder
 	b.Grow(size)
-	for i, rt := range r.tenants {
+	for _, rt := range r.tenants {
 		b.WriteString("tenant ")
 		b.WriteString(rt.st.Spec.Name)
 		b.WriteByte('\n')
-		b.WriteString(digests[i])
+		rt.st.Coll.Audit.WriteDigest(&b)
 	}
 	return b.String()
 }

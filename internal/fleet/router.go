@@ -263,7 +263,17 @@ func (ro *Router) pickWRR(ti int, scores []float64, total float64) int {
 // tenant, every score and per-replica count. Byte-identical digests mean
 // identical routing — the second half of the determinism contract.
 func (ro *Router) Digest() string {
+	// Size the log once: an epoch line takes about 32 bytes, a tenant
+	// line about 16 plus its name, and each replica on it about 14.
+	size := 64
+	for _, ep := range ro.Log {
+		size += 32
+		for _, td := range ep.Tenants {
+			size += 16 + len(td.Tenant) + 14*len(td.Routed)
+		}
+	}
 	var b strings.Builder
+	b.Grow(size)
 	fmt.Fprintf(&b, "router minted=%d routed=%d shed=%d\n", ro.Minted, ro.RoutedTotal, ro.ShedTotal)
 	for _, ep := range ro.Log {
 		fmt.Fprintf(&b, "epoch %d end=%.9g\n", ep.Epoch, ep.End)

@@ -101,9 +101,11 @@ type Collector struct {
 	// The fan-out's own state, owned by whichever goroutine applies
 	// boundaries: devs[i] names cluster device i for the tracer and holds
 	// its flame handle; flameWindows are the profile snapshots taken at
-	// each SnapshotFlame.
+	// each SnapshotFlame; ids holds the member ids of the batch being
+	// recorded.
 	devs         []devView
 	flameWindows []*flame.Profile
+	ids          []uint64
 }
 
 // devView is one registered device as the views see it.

@@ -36,15 +36,26 @@ func (f *fanout) queueWait(n int, head, at float64) {
 
 func (f *fanout) dispatched(batch []workload.Sample, at float64, stage, device int) {
 	if f.Audit != nil {
-		for _, s := range batch {
-			f.Audit.Dispatched(s.ID, at, stage, device)
-		}
+		f.Audit.DispatchedIDs(f.memberIDs(batch), 1, at, stage, device)
 	}
 	if f.Attr != nil {
 		for _, s := range batch {
 			f.Attr.Dispatched(s, at, stage)
 		}
 	}
+}
+
+// memberIDs lays a batch's ids out in the fan-out's reused buffer, as
+// the ledger's batch forms take them: one call records the batch, and
+// the ledger turns each untracked member away inline.
+//
+//e3:hotpath runs once per dispatched or merged batch; the id buffer is reused
+func (f *fanout) memberIDs(batch []workload.Sample) []uint64 {
+	f.ids = f.ids[:0]
+	for i := range batch {
+		f.ids = append(f.ids, uint64(batch[i].ID))
+	}
+	return f.ids
 }
 
 // dispatchedRecord is dispatched for a stream record, whose members are
@@ -74,9 +85,7 @@ func (f *fanout) transferred(fromStage, n int, start, end float64) {
 
 func (f *fanout) merged(survivors []workload.Sample, at float64, stage int) {
 	if f.Audit != nil {
-		for _, s := range survivors {
-			f.Audit.Merged(s.ID, at, stage)
-		}
+		f.Audit.MergedIDs(f.memberIDs(survivors), at, stage)
 	}
 	if f.Attr != nil {
 		for _, s := range survivors {

@@ -176,8 +176,13 @@ func (p *Pipeline) pickInstance(si int) *instance {
 	st := p.stages[si]
 	var pick *instance
 	n := len(st.instances)
-	for i := 0; i < n; i++ {
-		inst := st.instances[(st.rr+i)%n]
+	// Probe from the round-robin cursor, wrapping without a division.
+	i := st.rr % n
+	for range n {
+		inst := st.instances[i]
+		if i++; i == n {
+			i = 0
+		}
 		if inst.excluded {
 			continue
 		}

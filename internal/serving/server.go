@@ -62,9 +62,11 @@ func RunOpenLoopStream(eng *sim.Engine, r scheduler.Runner, b *Batcher, st trace
 }
 
 // FeedStream schedules a stream's arrivals, each shifted by offset, into
-// the batcher. One engine timer walks the arrivals and re-arms itself for
-// the next, so an hour at 9000 req/s keeps one pending schedule instead of
-// 32M pre-scheduled closures. Each arrival's sample is minted ahead of the
+// the batcher. One engine timer walks the arrivals: after each, it runs
+// the next in the same step when nothing else is due first
+// (sim.Engine.Inline), and otherwise re-arms itself for it, so an hour at
+// 9000 req/s keeps at most one pending schedule instead of 32M
+// pre-scheduled closures. Each arrival's sample is minted ahead of the
 // loop by a workload.Feed on gen, exactly as gen.Next would mint it at
 // that virtual time, and is recorded (gen.Record) when it arrives.
 //
@@ -76,18 +78,24 @@ func FeedStream(eng *sim.Engine, b *Batcher, st trace.Stream, offset float64, ge
 	feed := gen.Feed(st, offset, slo)
 	var next workload.Sample
 	var arrivals *sim.Timer
-	arm := func() {
-		var ok bool
-		if next, ok = feed.Next(); ok {
-			arrivals.Reset(next.Arrival)
-		}
-	}
 	arrivals = eng.NewTimer(func() {
-		gen.Record(next)
-		b.Arrive(next)
-		arm()
+		for {
+			gen.Record(next)
+			b.Arrive(next)
+			var ok bool
+			if next, ok = feed.Next(); !ok {
+				return
+			}
+			if !eng.Inline(next.Arrival) {
+				arrivals.Reset(next.Arrival)
+				return
+			}
+		}
 	})
-	arm()
+	if s, ok := feed.Next(); ok {
+		next = s
+		arrivals.Reset(next.Arrival)
+	}
 	return func() {
 		arrivals.Stop()
 		feed.Stop()
@@ -130,8 +138,11 @@ type BuildFn func() (*sim.Engine, scheduler.Runner)
 // with at most tolFrac of samples dropped or violating SLO, probing each
 // candidate rate with a closed-loop run over the horizon. It returns the
 // achieved goodput at the best feasible rate (0 if even idle load fails).
-// A probe that runs to completion but does not account for every sample
-// it scheduled (served, violated or dropped) is an error.
+// A probe that aborts on its engine's event limit is an error, naming the
+// rate and carrying the engine's message: its run is truncated, so it
+// proves neither feasibility nor infeasibility. So is a probe that runs
+// to completion but does not account for every sample it scheduled
+// (served, violated or dropped).
 func MaxGoodput(build BuildFn, gen func() *workload.Generator, batch int, slo, horizon, upper, tolFrac float64) (float64, error) {
 	lo, hi := 0.0, upper
 	best := 0.0
@@ -146,9 +157,7 @@ func MaxGoodput(build BuildFn, gen func() *workload.Generator, batch int, slo, h
 		total := c.Good.Served + c.Violations + c.Dropped
 		switch {
 		case err != nil:
-			// An event-limit abort means the probe rate drove the system
-			// into a scheduling loop: treat the rate as infeasible.
-			hi = rate
+			return 0, fmt.Errorf("serving: goodput probe at %.1f req/s: %w", rate, err)
 		case total != scheduled:
 			return 0, fmt.Errorf("serving: goodput probe at %.1f req/s scheduled %d samples, accounted for %d", rate, scheduled, total)
 		case total > 0 && float64(c.Violations+c.Dropped)/float64(total) <= tolFrac:

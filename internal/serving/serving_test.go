@@ -2,6 +2,7 @@ package serving
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"e3/internal/audit"
@@ -184,6 +185,27 @@ func TestMaxGoodputChecksConservation(t *testing.T) {
 			t.Errorf("conserving runner failed the check: %v", err)
 		case !lossy && got <= 0:
 			t.Errorf("conserving runner sustained no rate")
+		}
+	}
+}
+
+// TestMaxGoodputReportsEventLimitAbort: a probe cut short by its engine's
+// event limit is an error that names the probe's rate and carries the
+// engine's message, not a verdict on the rate.
+func TestMaxGoodputReportsEventLimitAbort(t *testing.T) {
+	build := func() (*sim.Engine, scheduler.Runner) {
+		eng := sim.NewEngine()
+		eng.SetEventLimit(10)
+		return eng, &instantRunner{eng: eng, coll: scheduler.NewCollector(12, 0.1, 0)}
+	}
+	gen := func() *workload.Generator { return workload.NewGenerator(workload.Mix(0.8), 6) }
+	got, err := MaxGoodput(build, gen, 8, 0.1, 1, 2000, 0.01)
+	if err == nil {
+		t.Fatalf("probes under a 10-event limit returned goodput %v and no error", got)
+	}
+	for _, want := range []string{"1000.0 req/s", "sim: event limit 10 exceeded"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkEngineThroughput measures raw event dispatch rate — the floor
 // under every serving simulation in the repository.
@@ -85,5 +88,41 @@ func BenchmarkReferenceEngineHeapChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.At(e.Now()+1e4, func() {})
 		e.Step()
+	}
+}
+
+// BenchmarkEngineChurn keeps live events pending, each rescheduling
+// itself at a pseudo-random delay when it runs, so pushes land anywhere
+// in the queue: 64 live is a few times a serving stack's queue, 256 the
+// largest queue kept sorted, and 1024 a heap.
+func BenchmarkEngineChurn(b *testing.B) {
+	for _, live := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("live-%d", live), func(b *testing.B) {
+			b.ReportAllocs()
+			e := NewEngine()
+			x := uint64(1)
+			delay := func() Time {
+				x = x*6364136223846793005 + 1442695040888963407
+				return Time(x>>40) / (1 << 24)
+			}
+			n := 0
+			var tick func()
+			tick = func() {
+				n++
+				if n <= b.N {
+					e.After(delay(), tick)
+				}
+			}
+			for i := 0; i < live; i++ {
+				e.After(delay(), tick)
+			}
+			for i := 0; i < live; i++ {
+				e.Step()
+			}
+			b.ResetTimer()
+			if err := e.RunAll(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

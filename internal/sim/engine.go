@@ -1,17 +1,23 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// All E3 experiments run on virtual time: an event heap ordered by
+// All E3 experiments run on virtual time: an event queue ordered by
 // timestamp (ties broken by insertion sequence, so runs are fully
 // deterministic). Virtual time is expressed in seconds as float64, which
 // keeps latency/throughput math simple and avoids time.Duration overflow
 // for long simulated horizons.
 //
-// The heap is an index-based value heap: events live inline in the
-// backing slice, which doubles as the free list — a popped slot is reused
-// by the next push, so steady-state scheduling performs no allocation at
-// all (the paper-scale traces push tens of millions of events through
-// this structure; see README "Data-plane performance"). Pop order depends
-// only on the (at, seq) total order, never on the heap's internal layout,
+// The queue is a sorted array of inline event values with a gap at its
+// front: a pop takes the head and widens the gap, and a push
+// binary-searches its slot and shifts whichever side of it is shorter,
+// into the gap or toward the tail. The serving stacks keep a couple of
+// dozen events pending, so a push moves a handful of values and a pop
+// moves none. Past sortedMax pending events the shifts would cost more
+// than a heap's sifts, so the same array becomes a binary min-heap (a
+// sorted array already is one) until it drains to sortedMin and is
+// sorted again. The backing array is reused, so steady-state scheduling
+// performs no allocation at all (the paper-scale traces push tens of
+// millions of events through this structure; see README "Data-plane
+// performance"). Pop order depends only on the (at, seq) total order,
 // so it is bit-identical to the retained container/heap reference
 // implementation (ReferenceEngine), which the soak and equivalence tests
 // enforce.
@@ -19,20 +25,27 @@
 // Work that is rescheduled again and again — a flush deadline that moves
 // with the queue head, an arrival stream that always has one next arrival
 // — runs on a Timer instead: one reusable, cancellable schedule per
-// callback, kept beside the heap, so a superseded deadline is overwritten
-// rather than left in the heap to fire as a no-op.
+// callback, kept beside the queue, so a superseded deadline is overwritten
+// rather than left in the queue to fire as a no-op. A timer's callback
+// that walks a stream may run the stream's next item in the same step
+// (Engine.Inline) when nothing else is due first, instead of re-arming.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
 // simulation.
 type Time = float64
 
-// Event is a scheduled callback. Fn runs when the engine's clock reaches At.
+// event is a scheduled callback: fn runs when the engine's clock reaches
+// at. Events run in (at, seq) order. Exactness is the point: two events
+// are simultaneous only when their timestamps are bit-identical. An
+// epsilon would merge close-but-distinct times and reorder causally
+// dependent events.
 type event struct {
 	at  Time
 	seq uint64
@@ -40,15 +53,29 @@ type event struct {
 }
 
 // less orders events by timestamp, insertion sequence breaking ties.
-// Exactness is the point: two events are simultaneous only when their
-// timestamps are bit-identical. An epsilon here would merge
-// close-but-distinct times and reorder causally dependent events.
 func (e *event) less(o *event) bool {
-	if e.at != o.at { //e3:exactfloat heap tie-break needs bitwise equality
+	if e.at != o.at { //e3:exactfloat queue tie-break needs bitwise equality
 		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
+
+// compareEvents is less as a three-way comparison, for sorting a heap.
+func compareEvents(a, b event) int {
+	if a.less(&b) {
+		return -1
+	}
+	return 1
+}
+
+const (
+	// sortedMax is the pending-event count at which the sorted queue
+	// becomes a heap, and sortedMin the count at which a heap that pops
+	// down to it is sorted back: the gap between them keeps a queue that
+	// hovers near one bound from switching on every push and pop.
+	sortedMax = 256
+	sortedMin = 64
+)
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; all model code runs inside event callbacks on the caller's
@@ -56,9 +83,13 @@ func (e *event) less(o *event) bool {
 type Engine struct {
 	now Time
 	seq uint64
-	// events is a binary min-heap of inline event values ordered by
-	// (at, seq); the slice's spare capacity is the free list.
+	// events[head:] holds the pending events sorted by (at, seq);
+	// events[:head] is the gap pops leave at the front, which pushes into
+	// the front half take back. Every slot outside events[head:] is zero.
+	// While heaped, head is 0 and events is a binary min-heap instead.
 	events []event
+	head   int
+	heaped bool
 	// timers holds the pending timers in no order, each at its slot index;
 	// first is the earliest of them by (at, seq), nil when none is pending.
 	// A timer leaves the list when it fires or stops, so the engine keeps
@@ -74,11 +105,14 @@ type Engine struct {
 	// limit aborts Run after this many events (0 = no limit). It exists to
 	// turn infinite-loop bugs into errors instead of hangs.
 	limit uint64
+	// horizon is the until of the Run stepping the engine (+Inf for
+	// RunAll, -Inf outside both). Inline runs nothing past it.
+	horizon Time
 }
 
 // NewEngine returns an engine with the clock at 0.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{horizon: math.Inf(-1)}
 }
 
 // Now reports the current virtual time.
@@ -106,8 +140,7 @@ func (e *Engine) EventLimit() uint64 { return e.limit }
 func (e *Engine) At(t Time, fn func()) {
 	e.checkTime(t)
 	e.seq++
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
-	e.siftUp(len(e.events) - 1)
+	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // checkTime rejects a schedule time in the past or not finite. The test
@@ -134,7 +167,10 @@ func (e *Engine) After(d float64, fn func()) {
 
 // Pending reports the number of events waiting to run, pending timers
 // included.
-func (e *Engine) Pending() int { return len(e.events) + len(e.timers) }
+func (e *Engine) Pending() int { return e.queued() + len(e.timers) }
+
+// queued reports the number of events in the queue, timers aside.
+func (e *Engine) queued() int { return len(e.events) - e.head }
 
 // Timer is a reusable, cancellable schedule for one fixed callback. At
 // most one firing is pending at a time: Reset moves it, Stop cancels it,
@@ -210,9 +246,9 @@ func (t *Timer) When() (at Time, ok bool) {
 }
 
 // before orders the timer's schedule against another (at, seq) pair, with
-// the heap's exact tie-break.
+// the queue's exact tie-break.
 func (t *Timer) before(at Time, seq uint64) bool {
-	if t.at != at { //e3:exactfloat heap tie-break needs bitwise equality
+	if t.at != at { //e3:exactfloat queue tie-break needs bitwise equality
 		return t.at < at
 	}
 	return t.seq < seq
@@ -246,13 +282,86 @@ func (e *Engine) earliestTimer() *Timer {
 
 // nextAt reports the time of the earliest pending event or timer.
 func (e *Engine) nextAt() (Time, bool) {
-	if t := e.first; t != nil && (len(e.events) == 0 || t.before(e.events[0].at, e.events[0].seq)) {
+	h := e.head
+	if t := e.first; t != nil && (h == len(e.events) || t.before(e.events[h].at, e.events[h].seq)) {
 		return t.at, true
 	}
-	if len(e.events) == 0 {
+	if h == len(e.events) {
 		return 0, false
 	}
-	return e.events[0].at, true
+	return e.events[h].at, true
+}
+
+// push inserts ev, whose seq is the largest yet, into the queue: after
+// every event at or before its time, so the search compares times alone.
+// It shifts the shorter side of its slot by one, the front into the gap
+// if there is one, otherwise the back toward the tail. A full array whose
+// gap is at least half its live length is compacted to the front instead
+// of grown. A queue of sortedMax events pushes onto a heap instead.
+//
+//e3:hotpath every scheduled event passes through here; steady-state must not allocate
+func (e *Engine) push(ev event) {
+	if e.heaped || len(e.events)-e.head == sortedMax {
+		e.pushHeap(ev)
+		return
+	}
+	q, h := e.events, e.head
+	// i is the first live slot whose event runs after ev.
+	i, j := h, len(q)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if ev.at < q[m].at {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	if h > 0 && i-h <= len(q)-i {
+		copy(q[h-1:], q[h:i])
+		q[i-1] = ev
+		e.head = h - 1
+		return
+	}
+	if len(q) == cap(q) && 2*h >= len(q)-h && h > 0 {
+		n := copy(q, q[h:])
+		clear(q[n:])
+		q, i, e.head = q[:n], i-h, 0
+	}
+	q = append(q, ev)
+	if i < len(q)-1 {
+		copy(q[i+1:], q[i:])
+		q[i] = ev
+	}
+	e.events = q
+}
+
+// pushHeap pushes ev onto the heap, first turning the sorted queue into
+// one if it is not heaped yet: moved to the front of the array, sorted
+// values already satisfy the heap invariant.
+func (e *Engine) pushHeap(ev event) {
+	if !e.heaped {
+		n := copy(e.events, e.events[e.head:])
+		clear(e.events[n:])
+		e.events, e.head, e.heaped = e.events[:n], 0, true
+	}
+	e.events = append(e.events, ev)
+	e.siftUp(len(e.events) - 1)
+}
+
+// popHeap removes the heap's root, which Step has taken, and sorts the
+// heap back into a queue once it is down to sortedMin events.
+func (e *Engine) popHeap() {
+	n := len(e.events) - 1
+	e.events[0] = e.events[n]
+	// Zero the vacated tail slot so the callback (and anything it
+	// captures) does not linger in the backing array past execution.
+	e.events[n] = event{}
+	e.events = e.events[:n]
+	e.siftDown()
+	if n == sortedMin {
+		slices.SortFunc(e.events, compareEvents)
+		e.heaped = false
+	}
 }
 
 // siftUp restores the heap invariant after appending at index i.
@@ -295,34 +404,70 @@ func (e *Engine) siftDown() {
 //
 // When nothing is pending, Step moves the clock up to the latest
 // cancelled timer schedule if that lies ahead. A drained run thus ends
-// where it would if each cancelled schedule had stayed in the heap as a
+// where it would if each cancelled schedule had stayed in the queue as a
 // no-op event — the equivalence the timer property test checks — and
 // replan windows start, and goodput horizons close, at that clock.
 //
 //e3:hotpath pop path runs once per simulated event; see README "Data-plane performance"
 func (e *Engine) Step() bool {
-	n := len(e.events)
-	if t := e.first; t != nil && (n == 0 || t.before(e.events[0].at, e.events[0].seq)) {
+	h := e.head
+	if t := e.first; t != nil && (h == len(e.events) || t.before(e.events[h].at, e.events[h].seq)) {
 		e.unlink(t)
 		e.now = t.at
 		e.processed++
 		t.fn()
 		return true
 	}
-	if n == 0 {
+	if h == len(e.events) {
 		e.drained()
 		return false
 	}
-	at, fn := e.events[0].at, e.events[0].fn
-	e.events[0] = e.events[n-1]
-	// Zero the vacated tail slot so the callback (and anything it
-	// captures) does not linger in the backing array past execution.
-	e.events[n-1] = event{}
-	e.events = e.events[:n-1]
-	e.siftDown()
+	head := &e.events[h]
+	at, fn := head.at, head.fn
+	switch {
+	case e.heaped:
+		e.popHeap()
+	case h+1 == len(e.events):
+		// Zero the vacated slot so the callback (and anything it
+		// captures) does not linger in the backing array past execution.
+		*head = event{}
+		e.events, e.head = e.events[:0], 0
+	default:
+		*head = event{}
+		e.head = h + 1
+	}
 	e.now = at
 	e.processed++
 	fn()
+	return true
+}
+
+// Inline lets a timer's callback run the next item of the stream it
+// walks, due at t, inside the current step instead of re-arming for it:
+// it reports whether Run or RunAll is stepping and t lies within that
+// call's until, the event limit has not been reached and nothing pending
+// is due at or before t. If so, the clock moves to t, and the item takes
+// the next sequence number and counts as one processed event, exactly
+// as the timer firing it replaces would; otherwise nothing changes and
+// the caller re-arms its timer. A tie goes to the pending event, since a
+// re-armed timer would take the largest sequence number. Like Reset, it
+// panics on a time before now or not finite.
+//
+//e3:hotpath asked once per streamed arrival
+func (e *Engine) Inline(t Time) bool {
+	e.checkTime(t)
+	if t > e.horizon || (e.limit > 0 && e.processed >= e.limit) {
+		return false
+	}
+	if h := e.head; h < len(e.events) && t >= e.events[h].at {
+		return false
+	}
+	if f := e.first; f != nil && t >= f.at {
+		return false
+	}
+	e.seq++
+	e.now = t
+	e.processed++
 	return true
 }
 
@@ -346,6 +491,9 @@ func (e *Engine) limitErr() error {
 // until, whichever is later, so callers can chain Run calls on a shared
 // timeline). It returns an error only if the event limit is exceeded.
 func (e *Engine) Run(until Time) error {
+	horizon := e.horizon
+	e.horizon = until
+	defer func() { e.horizon = horizon }()
 	for {
 		at, ok := e.nextAt()
 		if !ok || at > until {
@@ -366,7 +514,10 @@ func (e *Engine) Run(until Time) error {
 // events) until the queue drains, leaving the clock as Step does when
 // nothing is pending.
 func (e *Engine) RunAll() error {
-	for len(e.events) > 0 || e.first != nil {
+	horizon := e.horizon
+	e.horizon = math.Inf(1)
+	defer func() { e.horizon = horizon }()
+	for e.head < len(e.events) || e.first != nil {
 		if e.limit > 0 && e.processed >= e.limit {
 			return e.limitErr()
 		}

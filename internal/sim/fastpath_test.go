@@ -1,12 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// TestEngineMatchesReferenceOrder cross-validates the value-heap engine
+// TestEngineMatchesReferenceOrder cross-validates the value-queue engine
 // against the retained container/heap reference: for seeded random
 // schedules (duplicate timestamps included, so tie-breaking is exercised)
 // both engines must execute the exact same event sequence.
@@ -48,7 +49,7 @@ func TestEngineMatchesReferenceOrder(t *testing.T) {
 // timestamp order, FIFO tie-breaking, and exact conservation (every
 // scheduled event runs exactly once). This is the scale regime the
 // data-plane fast path exists for; the test doubles as a guard that slot
-// reuse in the value heap never loses or duplicates an event.
+// reuse in the value queue never loses or duplicates an event.
 func TestEngineSoakMillionEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-event soak skipped in -short mode")
@@ -124,7 +125,7 @@ func TestEngineSoakMillionEvents(t *testing.T) {
 
 // TestEngineTieBreakFIFOUnderSlotReuse interleaves pushes and pops so
 // popped slots are reused mid-stream, then asserts FIFO order among
-// same-timestamp events — the determinism property the value heap must
+// same-timestamp events — the determinism property the value queue must
 // preserve bit-exactly.
 func TestEngineTieBreakFIFOUnderSlotReuse(t *testing.T) {
 	e := NewEngine()
@@ -194,7 +195,7 @@ func TestEngineEventLimitGetter(t *testing.T) {
 	}
 }
 
-// TestEngineStepClearsVacatedSlot guards the value heap's tail-slot
+// TestEngineStepClearsVacatedSlot guards the value queue's vacated-slot
 // zeroing: after a pop, the vacated backing-array slot must not retain
 // the executed callback (the same stale-tail class of bug as the batcher
 // queue's).
@@ -209,6 +210,57 @@ func TestEngineStepClearsVacatedSlot(t *testing.T) {
 	for i := range tail {
 		if tail[i].fn != nil {
 			t.Fatalf("backing-array slot %d retains an executed callback", i)
+		}
+	}
+}
+
+// TestQueueMatchesReference drives Engine and ReferenceEngine through the
+// same seeded pushes and pops while the pending count climbs and falls
+// through phases: a shallow sorted queue, past sortedMax into a heap
+// 10,000 events deep, back under sortedMin into a sorted queue, and up
+// again. Push times fall on a 1/16 s grid up to 4 s ahead, so pushes land
+// in the middle of the queue and tie with pending events. Both engines
+// must run the same events in the same order at the same times, and the
+// queue must change form both ways.
+func TestQueueMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fast, ref := NewEngine(), NewReferenceEngine()
+		var fastLog, refLog []firing
+		id := 0
+		push := func() {
+			id++
+			i, d := id, Time(rng.Intn(64))/16
+			fast.At(fast.Now()+d, func() { fastLog = append(fastLog, firing{i, fast.Now()}) })
+			ref.At(ref.Now()+d, func() { refLog = append(refLog, firing{i, ref.Now()}) })
+		}
+		heaps, sorts := 0, 0
+		heaped := false
+		for _, target := range []int{20, 200, 10_000, 150, 30, 250, 2_000, 0} {
+			for fast.Pending() != target {
+				// Mostly toward the target, with steps against it.
+				if grow := fast.Pending() < target; grow == (rng.Intn(5) > 0) {
+					push()
+				} else {
+					fast.Step()
+					ref.Step()
+				}
+				if fast.heaped != heaped {
+					heaped = fast.heaped
+					if heaped {
+						heaps++
+					} else {
+						sorts++
+					}
+				}
+				if fast.Pending() != ref.Pending() {
+					t.Fatalf("seed %d: %d pending, reference %d", seed, fast.Pending(), ref.Pending())
+				}
+			}
+		}
+		sameFirings(t, fmt.Sprintf("seed %d", seed), fastLog, refLog)
+		if heaps < 2 || sorts < 2 {
+			t.Fatalf("seed %d: queue heaped %d times and sorted back %d times; the phases miss a switch", seed, heaps, sorts)
 		}
 	}
 }

@@ -209,7 +209,7 @@ func TestTimerMatchesGenerationCheckedAt(t *testing.T) {
 		if len(e.timers) == 0 {
 			t.Fatalf("seed %d: no timer pending at the abort", seed)
 		}
-		if pending := fmt.Sprintf("%d event(s) still pending", len(e.events)+len(e.timers)); !strings.Contains(err.Error(), pending) {
+		if pending := fmt.Sprintf("%d event(s) still pending", e.queued()+len(e.timers)); !strings.Contains(err.Error(), pending) {
 			t.Fatalf("seed %d: abort %q does not count pending timers (want %q)", seed, err, pending)
 		}
 	}
