@@ -66,9 +66,13 @@ race:
 # Fuzz the ledger's online checks and digest against the full-walk
 # oracles, and a stride-7 ledger's events against an exhaustive one's, for
 # 30 s. The seeds, replayed under `make test`, reach the run layout's
-# edges: odd times, escaped and wide ops, reopened runs.
+# edges: odd times, escaped and wide ops, reopened runs. Then fuzz the
+# latency recorder's count, mean, summary and quantiles against the sort
+# oracle for 15 s, on NaN payloads, ±0, ±Inf, subnormals, keys either side
+# of a bucket prefix and runs longer than a staging block.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLedgerVerify -fuzztime 30s ./internal/audit/
+	$(GO) test -run '^$$' -fuzz FuzzLatencyRecorder -fuzztime 15s ./internal/metrics/
 
 # Benchmark smoke: runs every benchmark under internal/ once, so a
 # benchmark that no longer builds, panics or fails its own checks is

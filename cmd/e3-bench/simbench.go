@@ -30,6 +30,9 @@ type simTraceStats struct {
 	Goodput     float64 `json:"goodput_req_per_s"`
 	AuditStride int64   `json:"audit_stride"`
 	AuditOK     bool    `json:"audit_ok"`
+	// LatencyBytesPerCompletion is what the latency recorder keeps per
+	// completion at the end of the trace: its share of the memory below.
+	LatencyBytesPerCompletion float64 `json:"latency_bytes_per_completion"`
 	// The process's memory at the end of the trace, inline (so the peak
 	// stays at trace.peak_rss_mb); absent where /proc does not report it.
 	*procMemory
@@ -220,12 +223,15 @@ func runSimBench(outPath string) error {
 		Goodput:     res.Goodput,
 		AuditStride: cfg.AuditStride,
 		AuditOK:     res.AuditOK,
-		procMemory:  readProcMemory(),
+
+		LatencyBytesPerCompletion: float64(res.LatencyBytes) / float64(max(1, res.Completed)),
+		procMemory:                readProcMemory(),
 	}
 	rep.SpeedupVsBaseline = rep.Trace.EventsPerS / rep.BaselineEventsPerS
 	rep.Pass = res.AuditOK && simPass(rep.Trace.EventsPerS)
-	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, peak RSS %s, audit ok=%v\n",
-		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, memoryLine(rep.Trace.procMemory), res.AuditOK)
+	fmt.Printf("trace: %d requests, %d events in %.2fs wall — %.0f events/s (%.2f allocs/event), %.1fx the pre-PR baseline, peak RSS %s, latencies %.2f B/completion, audit ok=%v\n",
+		res.Requests, res.Events, wall, rep.Trace.EventsPerS, rep.Trace.AllocsPerEv, rep.SpeedupVsBaseline, memoryLine(rep.Trace.procMemory),
+		rep.Trace.LatencyBytesPerCompletion, res.AuditOK)
 
 	env, err := bench.Wrap("sim-bench", 0,
 		&bench.TraceParams{HorizonS: rep.Trace.HorizonS, AvgRate: rep.Trace.Rate},

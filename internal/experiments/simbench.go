@@ -82,6 +82,9 @@ type SimBenchResult struct {
 	// Latency is the completion-latency five-number summary, compared
 	// verbatim in the pooled-vs-unpooled property test.
 	Latency metrics.Summary
+	// LatencyBytes is what the latency recorder retains at the run's end
+	// (metrics.LatencyRecorder.RetainedBytes).
+	LatencyBytes int
 }
 
 // RunSimBench executes one configured run. The same config always yields
@@ -137,5 +140,7 @@ func RunSimBench(cfg SimBenchConfig) (SimBenchResult, error) {
 		Report:    rep,
 		Digest:    coll.Audit.Digest(),
 		Latency:   c.Lat.Summarize(),
+
+		LatencyBytes: c.Lat.RetainedBytes(),
 	}, nil
 }

@@ -152,13 +152,13 @@ func TestFleetKeepsNoLatencies(t *testing.T) {
 // maxAllocBytesPerCompletion bounds what one more completion of the
 // hetero fleet allocates, measured as the TotalAlloc difference between
 // a 10 s and a 20 s run divided by their difference in completions. The
-// runs read about 5.2 B; with an exact latency recorder on every stack
-// they read about 12.
-const maxAllocBytesPerCompletion = 8
+// runs read about 2.9 B; with an exact latency recorder (about 6 B per
+// sample) on every stack they read about 8.5.
+const maxAllocBytesPerCompletion = 6
 
 // TestFleetAllocBytesPerCompletion: a longer fleet run allocates at most
-// maxAllocBytesPerCompletion per extra completion, so no stack keeps an
-// 8 B store per completion.
+// maxAllocBytesPerCompletion per extra completion, so no stack keeps a
+// latency per completion.
 func TestFleetAllocBytesPerCompletion(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -27,8 +27,26 @@ func BenchmarkUtilizationAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkLatencyObserve records one latency per op from a cluster-like
+// mix (5.6–100 ms): the running sum, the staging block and, every
+// stageLen ops, a spill into the buckets.
+func BenchmarkLatencyObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	mix := make([]float64, 1<<16)
+	for i := range mix {
+		mix[i] = min(0.0056+rng.ExpFloat64()*0.012, 0.1)
+	}
+	var r LatencyRecorder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Observe(mix[i&(len(mix)-1)])
+	}
+}
+
 // BenchmarkLatencyQuantile reads the p50 and p999 of n recorded
-// latencies per op; selection over the pages allocates nothing at any n.
+// latencies per op; selection within the rank's bucket allocates nothing
+// at any n.
 func BenchmarkLatencyQuantile(b *testing.B) {
 	for _, n := range []int{10_000, 1_000_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

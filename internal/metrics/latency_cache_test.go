@@ -1,16 +1,12 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
-
-	"e3/internal/store"
 )
-
-// latChunk is the store's full page; TestLatencyRecorderAcrossChunks
-// reads around its boundaries.
-const latChunk = store.PageLen
 
 // exhaustiveQuantile recomputes the type-7 quantile from a sorted copy —
 // the oracle the copy-free selection must match exactly.
@@ -69,66 +65,85 @@ func TestQuantileCacheMatchesExhaustiveResort(t *testing.T) {
 	}
 }
 
-// TestQuantileDoesNotReorderSamples pins the fix for the in-place sort:
-// quantile reads must leave the record-order view untouched.
+// TestQuantileDoesNotReorderSamples: reads change nothing. Quantile and
+// Summarize, with keys still staged and after a spill, leave Samples(),
+// the staged keys (a read never spills) and every later read as they
+// were.
 func TestQuantileDoesNotReorderSamples(t *testing.T) {
-	var r LatencyRecorder
-	in := []float64{0.5, 0.1, 0.9, 0.3, 0.7}
-	for _, v := range in {
-		r.Observe(v)
-	}
-	_ = r.Quantile(0.5)
-	_ = r.Summarize()
-	got := r.Samples()
-	for i, v := range in {
-		if got[i] != v {
-			t.Fatalf("Quantile reordered samples: %v, want record order %v", got, in)
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{5, stageLen, stageLen + 40} {
+		var r LatencyRecorder
+		for range n {
+			r.Observe(rng.ExpFloat64() * 0.05)
+		}
+		qs := []float64{0, 0.1, 0.5, 0.9, 0.999, 1}
+		before, staged := r.Samples(), r.staged
+		var first []float64
+		for _, q := range qs {
+			first = append(first, r.Quantile(q))
+		}
+		_ = r.Summarize()
+		for i, q := range qs {
+			if got := r.Quantile(q); math.Float64bits(got) != math.Float64bits(first[i]) {
+				t.Fatalf("n=%d: Quantile(%v) read %v, then %v after more reads", n, q, first[i], got)
+			}
+		}
+		if after := r.Samples(); !slices.Equal(after, before) {
+			t.Fatalf("n=%d: reads changed Samples() from %v to %v", n, before, after)
+		}
+		if r.staged != staged {
+			t.Fatalf("n=%d: reads left %d keys staged, want %d", n, r.staged, staged)
 		}
 	}
 }
 
-// TestLatencyRecorderAcrossChunks: around and across page boundaries the
-// paged store reads exactly like one flat slice: count, record order,
-// mean (same summation order) and every quantile.
+// TestLatencyRecorderAcrossChunks: around and across every staging,
+// block and chunk boundary the recorder reads exactly like one flat
+// slice: count, Samples() in sorted order, the mean as the draw-order
+// sum over the count, and every quantile. One draw keeps every sample in
+// one bucket, so that bucket crosses each block and chunk boundary at
+// the counts drawn; the other spreads them over dozens of prefixes.
 func TestLatencyRecorderAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, latChunk - 1, latChunk, latChunk + 1, 3*latChunk + 17} {
-		var r LatencyRecorder
-		raw := make([]float64, n)
-		for i := range raw {
-			raw[i] = rng.ExpFloat64() * 0.05
-			r.Observe(raw[i])
-		}
-		if r.Count() != n {
-			t.Fatalf("n=%d: Count() = %d", n, r.Count())
-		}
-		got := r.Samples()
-		if len(got) != n {
-			t.Fatalf("n=%d: Samples() has %d entries", n, len(got))
-		}
-		sum := 0.0
-		for i, v := range raw {
-			if got[i] != v {
-				t.Fatalf("n=%d: Samples()[%d] = %v, want %v", n, i, got[i], v)
+	for name, draw := range map[string]func() float64{
+		"one-prefix":    func() float64 { return 0.0305 + rng.Float64()*0.0005 },
+		"many-prefixes": func() float64 { return rng.ExpFloat64() * 0.05 },
+	} {
+		for _, n := range recorderBoundaries() {
+			var r LatencyRecorder
+			raw := make([]float64, n)
+			sum := 0.0
+			for i := range raw {
+				raw[i] = draw()
+				sum += raw[i]
+				r.Observe(raw[i])
 			}
-			sum += v
-		}
-		want := 0.0
-		if n > 0 {
-			want = sum / float64(n)
-		}
-		if m := r.Mean(); m != want {
-			t.Fatalf("n=%d: Mean() = %v, want %v", n, m, want)
-		}
-		for _, q := range []float64{0, 0.25, 0.5, 0.999, 1} {
-			if g, w := r.Quantile(q), exhaustiveQuantile(raw, q); g != w {
-				t.Fatalf("n=%d: Quantile(%v) = %v, want %v", n, q, g, w)
+			if r.Count() != n {
+				t.Fatalf("%s n=%d: Count() = %d", name, n, r.Count())
 			}
-		}
-		if n > 0 {
-			got[0] = -1
-			if r.Samples()[0] != raw[0] {
-				t.Fatalf("n=%d: writing to Samples()'s result changed the recorder", n)
+			sorted := slices.Clone(raw)
+			sort.Float64s(sorted)
+			got := r.Samples()
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("%s n=%d: Samples() is not the sorted draw", name, n)
+			}
+			want := 0.0
+			if n > 0 {
+				want = sum / float64(n)
+			}
+			if m := r.Mean(); m != want {
+				t.Fatalf("%s n=%d: Mean() = %v, want %v", name, n, m, want)
+			}
+			for _, q := range []float64{0, 0.25, 0.5, 0.999, 1} {
+				if g, w := r.Quantile(q), exhaustiveQuantile(raw, q); g != w {
+					t.Fatalf("%s n=%d: Quantile(%v) = %v, want %v", name, n, q, g, w)
+				}
+			}
+			if n > 0 {
+				got[0] = -1
+				if r.Samples()[0] != sorted[0] {
+					t.Fatalf("%s n=%d: writing to Samples()'s result changed the recorder", name, n)
+				}
 			}
 		}
 	}

@@ -1,32 +1,105 @@
 // Package metrics collects serving statistics: request latencies, goodput,
-// GPU utilization, and dollar cost. All aggregation is exact. Latency
-// samples are retained, so quantiles match the paper's box-plot semantics
-// precisely; busy intervals are folded into running sums as soon as no
-// admissible utilization query can clip them.
+// GPU utilization, and dollar cost. All aggregation is exact. Every
+// latency sample is retained, in about 6 bytes, so quantiles match the
+// paper's box-plot semantics precisely; busy intervals are folded into
+// running sums as soon as no admissible utilization query can clip them.
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-
-	"e3/internal/store"
 )
 
 // LatencyRecorder accumulates per-request completion latencies (seconds).
 // The zero value is ready to use. A nil *LatencyRecorder records nothing
 // and reads as empty, so a driver that never reads latencies drops its
-// collector's recorder (scheduler.Collector.Lat) instead of keeping 8 B
-// per completion for the whole run.
+// collector's recorder (scheduler.Collector.Lat) instead of keeping about
+// 6 B per completion for the whole run.
 //
-// Observations are kept in record order in a paged store, so an
-// hour-scale run's tens of millions of latencies are never copied as the
-// store grows. Quantile selects the order statistics it needs over the
-// stored pages instead of sorting a copy, so reads allocate nothing and
-// never reorder the samples.
+// Every sample is kept, as its order key (orderKey) split in two: the top
+// 16 bits pick a bucket and the bucket stores only the low 48, in 6 bytes.
+// Latencies under an SLO share a few dozen prefixes, so the prefix costs
+// nothing per sample. Observe adds the value to a running sum in record
+// order and stages its key; a full staging block spills into the buckets
+// in one pass. A bucket's first block doubles from firstLen entries to
+// blockLen, then its blocks are blockLen entries carved from arena chunks
+// of up to chunkBlocks blocks (96 KB), so the slack is at most a partly
+// filled block per bucket plus one chunk, and no stored suffix ever moves
+// once in an arena block. Quantile finds the bucket that holds a rank
+// from bucket counts, then selects within it by radix; reads allocate
+// nothing and change nothing.
 type LatencyRecorder struct {
-	lat store.Pages[float64]
+	n   int
+	sum float64
+	// stage[:staged] are the keys observed since the last spill.
+	stage  [stageLen]uint64
+	staged int
+	// index[p>>8][p&0xff] is 1 + the position in buckets of prefix p's
+	// bucket, or 0 before p is first spilled.
+	index   [256]*[256]int32
+	buckets []bucket
+	// free is the unused rest of the newest arena chunk, and chunks
+	// counts the chunks allocated.
+	free   []suffix
+	chunks int
+	// retained counts the bytes allocated for buckets, tables and blocks
+	// that the recorder still holds.
+	retained int
+}
+
+// Recorder geometry.
+const (
+	stageLen    = 256 // keys staged between spills
+	blockLen    = 256 // suffixes in a full bucket block (1.5 KB)
+	firstLen    = 8   // suffixes in a bucket's first block
+	chunkShift  = 6   // a full arena chunk is 1<<chunkShift blocks
+	chunkBlocks = 1 << chunkShift
+)
+
+// suffix is the low 48 bits of an order key, little-endian.
+type suffix [6]byte
+
+// set stores the low 48 bits of key x.
+func (s *suffix) set(x uint64) {
+	binary.LittleEndian.PutUint32(s[:4], uint32(x))
+	binary.LittleEndian.PutUint16(s[4:], uint16(x>>32))
+}
+
+// key rebuilds the order key of s under prefix base (the prefix shifted
+// into the top 16 bits).
+func (s *suffix) key(base uint64) uint64 {
+	return base | uint64(binary.LittleEndian.Uint32(s[:4])) | uint64(binary.LittleEndian.Uint16(s[4:]))<<32
+}
+
+// bucket holds the suffixes of one key prefix in spill order: full arena
+// blocks, then the open tail. While the bucket holds under blockLen
+// suffixes blocks is empty and tail is its doubling first block.
+type bucket struct {
+	blocks []*[blockLen]suffix
+	tail   []suffix
+}
+
+// count reports the suffixes b holds.
+func (b *bucket) count() int { return len(b.blocks)*blockLen + len(b.tail) }
+
+// parts reports how many slices part reads b's suffixes in; a nil
+// bucket has none.
+func (b *bucket) parts() int {
+	if b == nil {
+		return 0
+	}
+	return len(b.blocks) + 1
+}
+
+// part returns b's j-th slice of suffixes: a full block, or the tail.
+func (b *bucket) part(j int) []suffix {
+	if j < len(b.blocks) {
+		return b.blocks[j][:]
+	}
+	return b.tail
 }
 
 // Observe records one latency sample. Negative values are clamped to zero:
@@ -38,7 +111,104 @@ func (r *LatencyRecorder) Observe(lat float64) {
 	if lat < 0 {
 		lat = 0
 	}
-	r.lat.Append(lat)
+	r.n++
+	r.sum += lat
+	r.stage[r.staged] = orderKey(lat)
+	r.staged++
+	if r.staged == stageLen {
+		r.spill()
+	}
+}
+
+// spill moves the staged keys into their buckets.
+func (r *LatencyRecorder) spill() {
+	var b *bucket
+	last := uint64(1 << 16) // no prefix
+	for _, x := range r.stage[:r.staged] {
+		// Samples in a row tend to share a prefix; the bucket pointer
+		// stays valid until addBucket next adds a bucket.
+		if p := x >> 48; p != last {
+			if b, last = r.lookup(p), p; b == nil {
+				b = r.addBucket(p)
+			}
+		}
+		n := len(b.tail)
+		if n == cap(b.tail) {
+			r.grow(b)
+			n = len(b.tail)
+		}
+		b.tail = b.tail[:n+1]
+		b.tail[n].set(x)
+	}
+	r.staged = 0
+}
+
+// addBucket adds prefix p's bucket, and its index table if p is the
+// first prefix with its top byte.
+func (r *LatencyRecorder) addBucket(p uint64) *bucket {
+	t := r.index[p>>8]
+	if t == nil {
+		t = new([256]int32)
+		r.index[p>>8] = t
+		r.retained += 256 * 4
+	}
+	c := cap(r.buckets)
+	r.buckets = append(r.buckets, bucket{})
+	r.retained += (cap(r.buckets) - c) * bucketBytes
+	t[p&0xff] = int32(len(r.buckets))
+	return &r.buckets[len(r.buckets)-1]
+}
+
+// Header sizes on a 64-bit host, for RetainedBytes: a block pointer, and
+// a bucket's two slice headers.
+const (
+	ptrBytes    = 8
+	bucketBytes = 2 * 3 * ptrBytes
+)
+
+// grow makes room in b's full tail: a first block doubles until it would
+// reach blockLen, then moves into an arena block; a full arena block
+// joins blocks and a fresh one opens.
+func (r *LatencyRecorder) grow(b *bucket) {
+	switch c := cap(b.tail); {
+	case c == blockLen:
+		n := cap(b.blocks)
+		b.blocks = append(b.blocks, (*[blockLen]suffix)(b.tail))
+		r.retained += (cap(b.blocks) - n) * ptrBytes
+		b.tail = r.block()
+	case 2*c < blockLen:
+		t := make([]suffix, len(b.tail), max(2*c, firstLen))
+		copy(t, b.tail)
+		r.retained += (cap(t) - c) * len(suffix{})
+		b.tail = t
+	default:
+		r.retained -= c * len(suffix{})
+		b.tail = append(r.block(), b.tail...)
+	}
+}
+
+// block carves an empty blockLen-entry block from the newest arena chunk,
+// allocating a chunk when it is used up. Chunks double from one block to
+// chunkBlocks, so what a small recorder allocates follows what it keeps.
+func (r *LatencyRecorder) block() []suffix {
+	if len(r.free) == 0 {
+		r.free = make([]suffix, blockLen<<min(r.chunks, chunkShift))
+		r.retained += len(r.free) * len(suffix{})
+		r.chunks++
+	}
+	blk := r.free[:0:blockLen]
+	r.free = r.free[blockLen:]
+	return blk
+}
+
+// RetainedBytes reports the heap bytes the recorder holds for its samples
+// beyond its own fixed size: arena chunks, first blocks, bucket headers
+// and index tables.
+func (r *LatencyRecorder) RetainedBytes() int {
+	if r == nil {
+		return 0
+	}
+	return r.retained
 }
 
 // Count reports the number of samples observed.
@@ -46,17 +216,29 @@ func (r *LatencyRecorder) Count() int {
 	if r == nil {
 		return 0
 	}
-	return r.lat.Len()
+	return r.n
 }
 
-// Samples returns a copy of the observations in record order.
+// Samples returns a copy of the observations in key order: the order
+// sort.Float64s gives, NaNs first and -0 before +0.
 func (r *LatencyRecorder) Samples() []float64 {
 	if r == nil {
 		return nil
 	}
-	out := make([]float64, 0, r.lat.Len())
-	for p := range r.lat.NumPages() {
-		out = append(out, r.lat.Page(p)...)
+	keys := append(make([]uint64, 0, r.n), r.stage[:r.staged]...)
+	for p := range uint64(1 << 16) {
+		b := r.lookup(p)
+		for j := range b.parts() {
+			blk := b.part(j)
+			for i := range blk {
+				keys = append(keys, blk[i].key(p<<48))
+			}
+		}
+	}
+	slices.Sort(keys)
+	out := make([]float64, len(keys))
+	for i, k := range keys {
+		out[i] = keyFloat(k)
 	}
 	return out
 }
@@ -127,39 +309,44 @@ const gatherMax = 512
 // rankKeys returns the key of the k-th smallest sample (0-based) and, if
 // pair is set, of the (k+1)-th (k+1 < Count()); otherwise next is key.
 //
-// It selects by radix: each pass over the pages histograms the next key
-// byte among the samples that share the bytes fixed so far, and fixes the
-// byte that holds rank k. Once at most gatherMax samples share the prefix,
-// one more pass copies their keys into a fixed buffer and sorting it
-// finishes the selection. Working memory is one histogram and that buffer
-// whatever the count, and samples that share a key, however many, are
-// never copied.
+// Bucket counts, plus the staged keys, give the prefix that holds rank k.
+// Within it the selection is by radix: each pass over the prefix's
+// samples histograms the next key byte among those that share the bytes
+// fixed so far, and fixes the byte that holds the rank. Once at most
+// gatherMax samples share the key so far, one more pass copies their keys
+// into a fixed buffer and sorting it finishes the selection. Working
+// memory is one histogram and that buffer whatever the count, and samples
+// that share a key, however many, are never copied.
 func (r *LatencyRecorder) rankKeys(k int, pair bool) (key, next uint64) {
-	// equal counts the samples that share the prefix fixed so far.
-	equal := 0
-	for shift := 56; shift >= 0; shift -= 8 {
-		// Keys whose bits above this byte equal the prefix fixed so far
-		// are still in the running; Go's shift by 64 yields 0, so the
-		// first pass admits every key.
-		high := ^uint64(0) << (shift + 8)
+	p, k, equal := r.findPrefix(k)
+	b := r.lookup(p)
+	key = p << 48
+	for shift := 48; ; shift -= 8 {
+		if equal <= gatherMax {
+			return r.sortedRank(b, key, ^uint64(0)<<shift, k, pair)
+		}
+		if shift == 0 {
+			break
+		}
+		// Keys whose bits above the next byte equal the key so far are
+		// still in the running.
+		high := ^uint64(0) << shift
 		var hist [256]int
-		for p := range r.lat.NumPages() {
-			for _, v := range r.lat.Page(p) {
-				if x := orderKey(v); x&high == key {
-					hist[x>>shift&0xff]++
+		for j := range b.parts() {
+			blk := b.part(j)
+			for i := range blk {
+				if x := blk[i].key(p << 48); x&high == key {
+					hist[x>>(shift-8)&0xff]++
 				}
 			}
 		}
-		d := 0
-		for k >= hist[d] {
-			k -= hist[d]
-			d++
+		for _, x := range r.stage[:r.staged] {
+			if x&high == key {
+				hist[x>>(shift-8)&0xff]++
+			}
 		}
-		key |= uint64(d) << shift
-		equal = hist[d]
-		if equal <= gatherMax {
-			return r.sortedRank(key, ^uint64(0)<<shift, k, pair)
-		}
+		key |= uint64(pick(&hist, &k)) << (shift - 8)
+		equal = hist[key>>(shift-8)&0xff]
 	}
 	// More than gatherMax samples share the whole key, so the next rank
 	// holds the same key unless k is the last of them.
@@ -169,17 +356,80 @@ func (r *LatencyRecorder) rankKeys(k int, pair bool) (key, next uint64) {
 	return key, r.keyAbove(key)
 }
 
+// pick returns the digit whose run in hist holds rank *k and makes *k
+// the rank within that run.
+func pick(hist *[256]int, k *int) int {
+	d := 0
+	for *k >= hist[d] {
+		*k -= hist[d]
+		d++
+	}
+	return d
+}
+
+// findPrefix returns the key prefix that holds the k-th smallest sample,
+// the sample's rank among that prefix's, and how many samples share the
+// prefix. It histograms the prefix's top byte, then its low byte, from
+// bucket counts and the staged keys.
+func (r *LatencyRecorder) findPrefix(k int) (p uint64, rank, count int) {
+	var hist [256]int
+	for hi, t := range r.index {
+		if t == nil {
+			continue
+		}
+		for _, i := range t {
+			if i != 0 {
+				hist[hi] += r.buckets[i-1].count()
+			}
+		}
+	}
+	for _, x := range r.stage[:r.staged] {
+		hist[x>>56]++
+	}
+	hi := uint64(pick(&hist, &k))
+	hist = [256]int{}
+	if t := r.index[hi]; t != nil {
+		for lo, i := range t {
+			if i != 0 {
+				hist[lo] = r.buckets[i-1].count()
+			}
+		}
+	}
+	for _, x := range r.stage[:r.staged] {
+		if x>>56 == hi {
+			hist[x>>48&0xff]++
+		}
+	}
+	lo := pick(&hist, &k)
+	return hi<<8 | uint64(lo), k, hist[lo]
+}
+
+// lookup returns prefix p's bucket, or nil if p has none.
+func (r *LatencyRecorder) lookup(p uint64) *bucket {
+	if t := r.index[p>>8]; t != nil && t[p&0xff] != 0 {
+		return &r.buckets[t[p&0xff]-1]
+	}
+	return nil
+}
+
 // sortedRank finishes rankKeys: it sorts the keys that match prefix under
-// mask (at most gatherMax) and returns the k-th of them and, if pair is
-// set, the key after it.
-func (r *LatencyRecorder) sortedRank(prefix, mask uint64, k int, pair bool) (key, next uint64) {
+// mask (at most gatherMax, all in bucket b or staged) and returns the
+// k-th of them and, if pair is set, the key after it.
+func (r *LatencyRecorder) sortedRank(b *bucket, prefix, mask uint64, k int, pair bool) (key, next uint64) {
 	var buf [gatherMax]uint64
 	cand := buf[:0]
-	for p := range r.lat.NumPages() {
-		for _, v := range r.lat.Page(p) {
-			if x := orderKey(v); x&mask == prefix {
+	base := prefix &^ (1<<48 - 1)
+	for j := range b.parts() {
+		blk := b.part(j)
+		for i := range blk {
+			if x := blk[i].key(base); x&mask == prefix {
 				cand = append(cand, x)
 			}
+		}
+	}
+	for _, x := range r.stage[:r.staged] {
+		if x&mask == prefix {
+			cand = append(cand, x)
 		}
 	}
 	slices.Sort(cand)
@@ -194,32 +444,42 @@ func (r *LatencyRecorder) sortedRank(prefix, mask uint64, k int, pair bool) (key
 }
 
 // keyAbove returns the smallest sample key greater than key; one must
-// exist.
+// exist. Among the buckets that is in key's own bucket or else the
+// minimum of the next bucket in prefix order.
 func (r *LatencyRecorder) keyAbove(key uint64) uint64 {
 	next := ^uint64(0)
-	for p := range r.lat.NumPages() {
-		for _, v := range r.lat.Page(p) {
-			if x := orderKey(v); x > key && x < next {
-				next = x
+	for _, x := range r.stage[:r.staged] {
+		if x > key && x < next {
+			next = x
+		}
+	}
+	for p := key >> 48; p < 1<<16; p++ {
+		b := r.lookup(p)
+		above := false
+		for j := range b.parts() {
+			blk := b.part(j)
+			for i := range blk {
+				if x := blk[i].key(p << 48); x > key {
+					above = true
+					next = min(next, x)
+				}
 			}
+		}
+		if above {
+			break
 		}
 	}
 	return next
 }
 
-// Mean returns the arithmetic mean (0 if empty).
+// Mean returns the arithmetic mean (0 if empty): the record-order sum
+// of the samples over their count.
 func (r *LatencyRecorder) Mean() float64 {
 	n := r.Count()
 	if n == 0 {
 		return 0
 	}
-	sum := 0.0
-	for p := range r.lat.NumPages() {
-		for _, s := range r.lat.Page(p) {
-			sum += s
-		}
-	}
-	return sum / float64(n)
+	return r.sum / float64(n)
 }
 
 // Summary is a five-number latency summary plus the mean, in seconds.

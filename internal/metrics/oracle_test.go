@@ -10,20 +10,20 @@ import (
 	"e3/internal/store"
 )
 
-// boundaryCounts are entry counts at and around every place the paged
-// latency store changes shape: the first page (63/64/65), each doubled
-// page size, each cumulative page boundary while sizes double, and the
-// full page (4095/4096/4097) and the first pages after it.
-func boundaryCounts() []int {
+// recorderBoundaries are sample counts at and around every place the
+// latency recorder changes shape: the staging block (stageLen±1 and its
+// second fill), a bucket's first block at each doubling up to blockLen,
+// and arena blocks and chunks. Chunks double from one block, so in a
+// one-bucket recorder the second block opens the second chunk and block
+// chunkBlocks opens the first full-size one.
+func recorderBoundaries() []int {
 	ns := []int{0, 1, 2}
 	around := func(b int) { ns = append(ns, b-1, b, b+1) }
-	for p := 0; p <= store.FirstPages; p++ {
-		around(store.PageSize(p))
+	for c := firstLen; c <= blockLen; c *= 2 {
+		around(c)
 	}
-	total := 0
-	for p := 0; total < 3*store.PageLen; p++ {
-		total += store.PageSize(p)
-		around(total)
+	for _, c := range []int{stageLen, 2 * stageLen, 2 * blockLen, chunkBlocks * blockLen, (chunkBlocks + 1) * blockLen} {
+		around(c)
 	}
 	return ns
 }
@@ -191,7 +191,9 @@ func sameQuantile(got, want float64, mixedZeros bool) bool {
 // TestQuantileSelectMatchesSortOracle pins Quantile, Min, Max and
 // Summarize to a sorted copy plus type-7 interpolation on inputs that
 // stress the order-preserving key: NaN (sorted first), ±0, +Inf,
-// duplicates, all-equal samples, and every page boundary.
+// duplicates, all-equal samples, and every staging, block and chunk
+// boundary. The oracle sorts the drawn values and takes their mean in
+// draw order.
 func TestQuantileSelectMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	nan := math.NaN()
@@ -224,18 +226,20 @@ func TestQuantileSelectMatchesSortOracle(t *testing.T) {
 	qs := []float64{-1, 0, 1e-9, 0.001, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1 - 1e-12, 1, 2}
 	for _, fam := range families {
 		name := fam.name
-		for _, n := range boundaryCounts() {
+		for _, n := range recorderBoundaries() {
 			var r LatencyRecorder
-			for i := 0; i < n; i++ {
-				r.Observe(fam.draw())
-			}
-			raw := r.Samples()
+			raw := make([]float64, n)
 			var pos, neg bool
 			sum := 0.0
-			for _, v := range raw {
-				pos = pos || math.Float64bits(v) == 0
-				neg = neg || math.Float64bits(v) == 1<<63
-				sum += v
+			for i := range raw {
+				raw[i] = fam.draw()
+				r.Observe(raw[i])
+				if raw[i] < 0 {
+					raw[i] = 0 // as Observe clamps it
+				}
+				pos = pos || math.Float64bits(raw[i]) == 0
+				neg = neg || math.Float64bits(raw[i]) == 1<<63
+				sum += raw[i]
 			}
 			mixedZeros := pos && neg
 			for _, q := range append(qs, rng.Float64(), rng.Float64()) {
@@ -327,12 +331,19 @@ func allocBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestRecorderGrowthAllocations: recording N latencies allocates one
-// element per entry plus at most one page of slack and the page
-// headers, where a doubling slice allocates about twice what it keeps.
-// Recording N busy spans allocates a bound that does not grow with N:
-// back to back, from two overlapping instances per device, or with some
-// NaN-ended spans, each device keeps only the spans still in flight.
+// TestRecorderGrowthAllocations: recording N busy spans allocates a bound
+// that does not grow with N: back to back, from two overlapping instances
+// per device, or with some NaN-ended spans, each device keeps only the
+// spans still in flight. Recording N latencies keeps 6 B per sample plus
+// bounded slack, and RetainedBytes reports what the recorder keeps:
+//   - N distinct values allocate no more than a flat store's 8 B element
+//     per entry plus one page of slack and the page headers;
+//   - a cluster-like mix (5.6–100 ms, a few dozen key prefixes) allocates
+//     6 B per sample, a block pointer per blockLen samples, one arena
+//     chunk of slack, and per bucket at most a partly filled block, its
+//     first block's doublings, a header and an index table;
+//   - spread over thousands of prefixes, at 64 and at 256 samples per
+//     prefix, its live heap stays within a quarter of that flat store's.
 func TestRecorderGrowthAllocations(t *testing.T) {
 	const n = 1 << 18
 	headers := uint64(3 * 24 * (n/store.PageLen + 8))
@@ -374,6 +385,63 @@ func TestRecorderGrowthAllocations(t *testing.T) {
 	if limit := uint64(n+store.PageLen)*8 + headers; lats > limit {
 		t.Errorf("%d latencies allocated %d B, want ≤ %d", n, lats, limit)
 	}
+
+	rng := rand.New(rand.NewSource(48))
+	draw := func(n int, v func() float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = v()
+		}
+		return out
+	}
+	cluster := func() float64 { return min(0.0056+rng.ExpFloat64()*0.012, 0.1) }
+	// 256 binades × 16 mantissa prefixes: 4096 prefixes.
+	spread := func() float64 { return (1 + rng.Float64()) * math.Ldexp(1, rng.Intn(256)-128) }
+
+	const m = 1 << 20
+	const suffixBytes = 6
+	rc, alloc, live, prefixes := recorded(draw(m, cluster))
+	perBucket := 2*blockLen*suffixBytes + 2*bucketBytes + 256*4
+	limit := uint64(m*suffixBytes + m/blockLen*2*8 + chunkBlocks*blockLen*suffixBytes + prefixes*perBucket)
+	if alloc > limit {
+		t.Errorf("cluster mix: %d samples over %d prefixes allocated %d B (%.2f B/sample), want ≤ %d", m, prefixes, alloc, float64(alloc)/m, limit)
+	}
+	if got := uint64(rc.RetainedBytes()); got > live || live-got > 64<<10 {
+		t.Errorf("cluster mix: RetainedBytes() = %d, live heap grew %d B", got, live)
+	}
+	for _, k := range []int{1 << 18, 1 << 20} {
+		rs, _, live, prefixes := recorded(draw(k, spread))
+		limit := uint64(k+store.PageLen) * 8 * 5 / 4
+		if live > limit || uint64(rs.RetainedBytes()) > limit {
+			t.Errorf("%d samples over %d prefixes: live heap %d B, RetainedBytes %d (%.2f B/sample), want ≤ %d",
+				k, prefixes, live, rs.RetainedBytes(), float64(live)/float64(k), limit)
+		}
+	}
+}
+
+// recorded observes vals into a new recorder and reports the bytes that
+// allocated, the live heap it added, and the distinct key prefixes.
+func recorded(vals []float64) (r *LatencyRecorder, alloc, live uint64, prefixes int) {
+	seen := map[uint64]bool{}
+	for _, v := range vals {
+		seen[orderKey(v)>>48] = true
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	r = new(LatencyRecorder)
+	before := heap()
+	alloc = allocBytes(func() {
+		for _, v := range vals {
+			r.Observe(v)
+		}
+	})
+	live = heap() - before
+	runtime.KeepAlive(vals)
+	return r, alloc, live, len(seen)
 }
 
 // TestSmallTrackerStaysSmall: a device that records up to 64 spans costs

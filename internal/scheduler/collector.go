@@ -59,10 +59,10 @@ type Observers struct {
 type Collector struct {
 	SLO float64
 
-	// Lat keeps every completion's latency, 8 B each to the end of the
-	// run, for exact quantiles. NewCollector attaches one; a driver that
-	// owns its collector and never reads latencies (fleet shards, the
-	// replan loop, goodput probes) sets it to nil, and a nil recorder
+	// Lat keeps every completion's latency, about 6 B each to the end of
+	// the run, for exact quantiles. NewCollector attaches one; a driver
+	// that owns its collector and never reads latencies (fleet shards,
+	// the replan loop, goodput probes) sets it to nil, and a nil recorder
 	// records nothing.
 	Lat  *metrics.LatencyRecorder
 	Good *metrics.GoodputMeter

@@ -55,16 +55,6 @@ func (a *Pages[T]) At(i int) *T {
 	return &a.pages[p][o]
 }
 
-// Append adds v at index Len().
-func (a *Pages[T]) Append(v T) {
-	p, o := Locate(a.n)
-	if p == len(a.pages) {
-		a.pages = append(a.pages, make([]T, PageSize(p)))
-	}
-	a.pages[p][o] = v
-	a.n++
-}
-
 // Grow adds a page of zero entries; Len becomes the end of that page.
 func (a *Pages[T]) Grow() {
 	p := len(a.pages)
