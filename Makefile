@@ -199,8 +199,10 @@ fleetgate:
 # and B/sample) and verification, one busy span recorded back to back and
 # from two overlapping instances, both ~0 B/op since each span folds once
 # no query can clip it (BenchmarkUtilizationAdd), p50 and p999 selected
-# over 10k and 1M latencies with no sorted copy (BenchmarkLatencyQuantile)).
+# over 10k and 1M latencies with no sorted copy (BenchmarkLatencyQuantile),
+# one per-layer ARIMA(1,1,0) fit and forecast, 0 B/op (BenchmarkFitARIMA),
+# and one 12-layer estimator observe+predict window).
 # `e3-bench -plan-bench FILE` / `-sim-bench FILE` write the same
 # comparisons as JSON (make plangate / simgate).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/metrics/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/optimizer/ ./internal/exec/ ./internal/sim/ ./internal/serving/ ./internal/experiments/ ./internal/slo/ ./internal/flame/ ./internal/fleet/ ./internal/audit/ ./internal/metrics/ ./internal/forecast/

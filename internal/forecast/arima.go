@@ -1,318 +1,53 @@
-// Package forecast implements the time-series machinery behind E3's online
-// batch-profile estimation (§3.1): an ARIMA(p,d,q) model fitted by the
-// Hannan–Rissanen two-stage procedure, plus the sliding-window estimator
-// that turns per-ramp batch-size observations into a predicted profile for
-// the next scheduling window.
+// Package forecast implements E3's online batch-profile estimation
+// (§3.1): each layer's survival history is forecast one scheduling window
+// ahead by an ARIMA(1,1,0) model, fitted by least squares to the history's
+// first differences, and the sliding-window Estimator turns those
+// per-layer forecasts into a clamped, monotone profile for the next
+// window.
 package forecast
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
-// ARIMA is a fitted ARIMA(p,d,q) model.
-type ARIMA struct {
-	P, D, Q int
-	// Phi are AR coefficients (length P), Theta MA coefficients (length Q)
-	// on the d-times-differenced series; C is the intercept.
-	Phi, Theta []float64
-	C          float64
+// forecastNext returns the one-step ARIMA(1,1,0) forecast of the history
+// s, which holds at least minFitWindows values. It fits the differences
+// w[t] = s[t+1] − s[t] as w[t] = c + φ·w[t−1] from the ridge-regularised
+// 2×2 normal equations and forecasts s's next value as
+// (c + φ·w_last) + s_last. ok is false when the system is singular (a
+// pivot below 1e-14).
+func forecastNext(s []float64) (next float64, ok bool) {
+	// Normal equations [a00 a01; a01 a11]·[c φ] = [b0 b1], one regression
+	// row (1, w[t−1]) → w[t] at a time.
+	var a00, a01, a11, b0, b1 float64
+	prev := s[1] - s[0]
+	for t := 2; t < len(s); t++ {
+		w := s[t] - s[t-1]
+		a00++
+		a01 += prev
+		b0 += w
+		a11 += prev * prev
+		b1 += prev * w
+		prev = w
+	}
+	// Ridge term scaled to the matrix magnitude, for numerical safety.
+	ridge := 1e-8 * ((a00+a11)/2 + 1)
+	a00 += ridge
+	a11 += ridge
 
-	// tail retains enough of the training series to forecast.
-	tail  []float64 // last values of the original series
-	wTail []float64 // last values of the differenced series
-	eTail []float64 // last residuals
-}
-
-// ErrTooShort reports a series too short to fit the requested orders.
-var ErrTooShort = errors.New("forecast: series too short")
-
-// FitARIMA fits ARIMA(p,d,q) to series by Hannan–Rissanen: (1) difference
-// d times, (2) fit a long autoregression by least squares and take its
-// residuals as innovation estimates, (3) regress the differenced series on
-// its own lags and the lagged residuals.
-func FitARIMA(series []float64, p, d, q int) (*ARIMA, error) {
-	if p < 0 || d < 0 || q < 0 {
-		return nil, fmt.Errorf("forecast: negative order p=%d d=%d q=%d", p, d, q)
+	// Gaussian elimination with partial pivoting: r0 is the pivot row.
+	r0, r1 := [3]float64{a00, a01, b0}, [3]float64{a01, a11, b1}
+	if math.Abs(r1[0]) > math.Abs(r0[0]) {
+		r0, r1 = r1, r0
 	}
-	w := append([]float64(nil), series...)
-	for i := 0; i < d; i++ {
-		w = diff(w)
+	if math.Abs(r0[0]) < 1e-14 {
+		return 0, false
 	}
-	minLen := p + q + d + 3
-	if len(w) < minLen || len(w) <= p+q {
-		return nil, fmt.Errorf("%w: len %d for ARIMA(%d,%d,%d)", ErrTooShort, len(series), p, d, q)
+	f := r1[0] / r0[0]
+	r1[1] -= f * r0[1]
+	r1[2] -= f * r0[2]
+	if math.Abs(r1[1]) < 1e-14 {
+		return 0, false
 	}
-
-	// Stage 1: long AR for residual estimates (only needed when q > 0).
-	resid := make([]float64, len(w))
-	if q > 0 {
-		m := p + q + 2
-		if m > len(w)/2 {
-			m = len(w) / 2
-		}
-		if m < 1 {
-			m = 1
-		}
-		phiLong, c, err := fitAR(w, m)
-		if err != nil {
-			return nil, err
-		}
-		for t := m; t < len(w); t++ {
-			pred := c
-			for j := 0; j < m; j++ {
-				pred += phiLong[j] * w[t-1-j]
-			}
-			resid[t] = w[t] - pred
-		}
-	}
-
-	// Stage 2: joint regression on p lags of w and q lags of residuals.
-	start := p
-	if q > start {
-		start = q
-	}
-	if q > 0 {
-		// Residuals before the long-AR burn-in are zero; skip them.
-		start += p + q + 2
-		if start >= len(w) {
-			start = maxInt(p, q)
-		}
-	}
-	rows := len(w) - start
-	if rows < p+q+1 {
-		return nil, fmt.Errorf("%w: %d usable rows for %d params", ErrTooShort, rows, p+q+1)
-	}
-	cols := p + q + 1
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		t := start + i
-		row := make([]float64, cols)
-		row[0] = 1
-		for j := 0; j < p; j++ {
-			row[1+j] = w[t-1-j]
-		}
-		for j := 0; j < q; j++ {
-			row[1+p+j] = resid[t-1-j]
-		}
-		x[i] = row
-		y[i] = w[t]
-	}
-	beta, err := leastSquares(x, y)
-	if err != nil {
-		return nil, err
-	}
-
-	a := &ARIMA{P: p, D: d, Q: q, C: beta[0]}
-	a.Phi = append([]float64(nil), beta[1:1+p]...)
-	a.Theta = append([]float64(nil), beta[1+p:1+p+q]...)
-
-	// Recompute residuals under the final model for forecasting state.
-	finalResid := make([]float64, len(w))
-	for t := maxInt(p, q); t < len(w); t++ {
-		pred := a.C
-		for j := 0; j < p; j++ {
-			pred += a.Phi[j] * w[t-1-j]
-		}
-		for j := 0; j < q; j++ {
-			pred += a.Theta[j] * finalResid[t-1-j]
-		}
-		finalResid[t] = w[t] - pred
-	}
-
-	keep := maxInt(p, q) + d + 1
-	if keep > len(series) {
-		keep = len(series)
-	}
-	a.tail = append([]float64(nil), series[len(series)-keep:]...)
-	wKeep := maxInt(p, 1)
-	if wKeep > len(w) {
-		wKeep = len(w)
-	}
-	a.wTail = append([]float64(nil), w[len(w)-wKeep:]...)
-	eKeep := maxInt(q, 1)
-	if eKeep > len(finalResid) {
-		eKeep = len(finalResid)
-	}
-	a.eTail = append([]float64(nil), finalResid[len(finalResid)-eKeep:]...)
-	return a, nil
-}
-
-// Forecast predicts the next h values of the original (undifferenced)
-// series. Future innovations are taken as zero.
-func (a *ARIMA) Forecast(h int) []float64 {
-	if h <= 0 {
-		return nil
-	}
-	w := append([]float64(nil), a.wTail...)
-	e := append([]float64(nil), a.eTail...)
-	wPred := make([]float64, 0, h)
-	for i := 0; i < h; i++ {
-		pred := a.C
-		for j := 0; j < a.P; j++ {
-			idx := len(w) - 1 - j
-			if idx >= 0 {
-				pred += a.Phi[j] * w[idx]
-			}
-		}
-		for j := 0; j < a.Q; j++ {
-			idx := len(e) - 1 - j
-			if idx >= 0 {
-				pred += a.Theta[j] * e[idx]
-			}
-		}
-		w = append(w, pred)
-		e = append(e, 0)
-		wPred = append(wPred, pred)
-	}
-	return integrate(a.tail, wPred, a.D)
-}
-
-// diff returns the first difference of s.
-func diff(s []float64) []float64 {
-	if len(s) < 2 {
-		return nil
-	}
-	out := make([]float64, len(s)-1)
-	for i := 1; i < len(s); i++ {
-		out[i-1] = s[i] - s[i-1]
-	}
-	return out
-}
-
-// integrate undoes d rounds of differencing on forecasts wPred, seeded by
-// the tail of the original series.
-func integrate(tail, wPred []float64, d int) []float64 {
-	if d == 0 {
-		return wPred
-	}
-	// Build the last value at each differencing level.
-	levels := make([][]float64, d+1)
-	levels[0] = tail
-	for i := 1; i <= d; i++ {
-		levels[i] = diff(levels[i-1])
-	}
-	last := make([]float64, d)
-	for i := 0; i < d; i++ {
-		lv := levels[i]
-		if len(lv) == 0 {
-			last[i] = 0
-		} else {
-			last[i] = lv[len(lv)-1]
-		}
-	}
-	out := make([]float64, len(wPred))
-	for i, wp := range wPred {
-		v := wp
-		for lvl := d - 1; lvl >= 0; lvl-- {
-			v += last[lvl]
-			last[lvl] = v
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// fitAR fits an AR(m) with intercept by least squares.
-func fitAR(w []float64, m int) (phi []float64, c float64, err error) {
-	rows := len(w) - m
-	if rows < m+1 {
-		return nil, 0, fmt.Errorf("%w: AR(%d) on %d points", ErrTooShort, m, len(w))
-	}
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		t := m + i
-		row := make([]float64, m+1)
-		row[0] = 1
-		for j := 0; j < m; j++ {
-			row[1+j] = w[t-1-j]
-		}
-		x[i] = row
-		y[i] = w[t]
-	}
-	beta, err := leastSquares(x, y)
-	if err != nil {
-		return nil, 0, err
-	}
-	return beta[1:], beta[0], nil
-}
-
-// leastSquares solves min ‖Xβ−y‖² via the normal equations with a small
-// ridge term for numerical safety, using Gaussian elimination.
-func leastSquares(x [][]float64, y []float64) ([]float64, error) {
-	if len(x) == 0 {
-		return nil, errors.New("forecast: empty design matrix")
-	}
-	n := len(x[0])
-	ata := make([][]float64, n)
-	atb := make([]float64, n)
-	for i := range ata {
-		ata[i] = make([]float64, n)
-	}
-	for r, row := range x {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				ata[i][j] += row[i] * row[j]
-			}
-			atb[i] += row[i] * y[r]
-		}
-	}
-	// Ridge regularization scaled to the matrix magnitude.
-	scale := 0.0
-	for i := 0; i < n; i++ {
-		scale += ata[i][i]
-	}
-	ridge := 1e-8 * (scale/float64(n) + 1)
-	for i := 0; i < n; i++ {
-		ata[i][i] += ridge
-	}
-	return solve(ata, atb)
-}
-
-// solve performs Gaussian elimination with partial pivoting on a (copy of)
-// the system a·x = b.
-func solve(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	m := make([][]float64, n)
-	for i := range m {
-		m[i] = append(append([]float64(nil), a[i]...), b[i])
-	}
-	for col := 0; col < n; col++ {
-		// Pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-14 {
-			return nil, errors.New("forecast: singular system")
-		}
-		m[col], m[piv] = m[piv], m[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	out := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		v := m[r][n]
-		for c := r + 1; c < n; c++ {
-			v -= m[r][c] * out[c]
-		}
-		out[r] = v / m[r][r]
-	}
-	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	phi := r1[2] / r1[1]
+	c := (r0[2] - r0[1]*phi) / r0[0]
+	return c + phi*prev + s[len(s)-1], true
 }

@@ -6,14 +6,16 @@ import (
 	"e3/internal/profile"
 )
 
-// BenchmarkFitARIMA measures one per-layer model fit — the estimator runs
-// one per layer per scheduling window.
+// BenchmarkFitARIMA measures one per-layer ARIMA(1,1,0) fit and forecast
+// over a full history ring — the estimator runs one per layer per
+// scheduling window.
 func BenchmarkFitARIMA(b *testing.B) {
-	series := ar1Series(0.6, 0.2, 64, 0.05, 1)
+	series := ar1Series(0.6, 0.2, historyWindows, 0.05, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitARIMA(series, 1, 1, 0); err != nil {
-			b.Fatal(err)
+		if _, ok := forecastNext(series); !ok {
+			b.Fatal("fit failed")
 		}
 	}
 }

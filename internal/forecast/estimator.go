@@ -19,11 +19,11 @@ const (
 // window-to-window differences, which tracks drifting exit rates and stays
 // numerically stable on the short histories a 2-minute window produces —
 // fitted to each layer's last historyWindows observations, once a layer
-// has minFitWindows of them.
+// has minFitWindows of them: five differences, so the two-parameter fit
+// has four regression rows.
 const (
-	arP, arD, arQ  = 1, 1, 0
 	historyWindows = 64
-	minFitWindows  = arP + arD + arQ + 4
+	minFitWindows  = 6
 )
 
 // Estimator is E3's online batch-profile estimator. The workload is cut
@@ -106,12 +106,11 @@ func (e *Estimator) predictLayer(h *store.Ring[float64]) float64 {
 		return last
 	}
 	e.series = h.AppendTo(e.series[:0])
-	m, err := FitARIMA(e.series, arP, arD, arQ)
-	if err != nil {
+	pred, ok := forecastNext(e.series)
+	if !ok {
 		e.Stats.count(fitFailures)
 		return last
 	}
-	pred := m.Forecast(1)[0]
 	// Safety clamps (§3.1): survival fractions live in [0,1], and exit
 	// behaviour moves slowly between 2-minute windows, so a forecast far
 	// from the last observation is a bad fit, not a real shift — bound it

@@ -9,7 +9,7 @@ import (
 // rolling per-layer residuals (predicted vs next observed survival),
 // MAE/MAPE gauges over the retained window, the number of per-layer
 // forecasts made, and counters for the safety machinery (clamp hits,
-// persistence fallbacks, FitARIMA failures, cross-layer monotone fixes).
+// persistence fallbacks, singular ARIMA fits, cross-layer monotone fixes).
 //
 // Like audit.Ledger and telemetry.Tracer, a nil *Stats is valid and
 // records nothing, so forecasting pays nothing when telemetry is off.
@@ -170,8 +170,8 @@ func (s *Stats) ClampHits() int { return s.get(clampHits) }
 // predict-last-value because the history was too short for ARIMA.
 func (s *Stats) PersistenceFallbacks() int { return s.get(persistenceFallbacks) }
 
-// FitFailures counts FitARIMA errors (each also falls back to
-// persistence).
+// FitFailures counts ARIMA fits whose normal equations were singular
+// (each also falls back to persistence).
 func (s *Stats) FitFailures() int { return s.get(fitFailures) }
 
 // MonotoneFixes counts Predict calls whose per-layer forecasts violated

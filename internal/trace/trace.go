@@ -35,16 +35,12 @@ func Uniform(rate, horizon float64) Arrivals {
 
 // Poisson generates a homogeneous Poisson process at the given rate.
 func Poisson(rate, horizon float64, seed int64) Arrivals {
-	rng := rand.New(rand.NewSource(seed))
+	s := NewPoissonStream(rate, horizon, seed)
 	var out Arrivals
-	t := 0.0
-	for {
-		t += rng.ExpFloat64() / rate
-		if t > horizon {
-			return out
-		}
+	for t, ok := s.Next(); ok; t, ok = s.Next() {
 		out = append(out, t)
 	}
+	return out
 }
 
 // Stream yields arrival times one at a time, in order. Hour-scale traces
@@ -57,10 +53,10 @@ type Stream interface {
 	Next() (at float64, ok bool)
 }
 
-// PoissonStream is the streaming form of Poisson: for equal (rate,
-// horizon, seed) it yields exactly the arrival sequence Poisson returns,
-// one draw at a time. Bursty cannot stream — its exact-rate thinning pass
-// needs the full realization first.
+// PoissonStream is the streaming form of Poisson, which collects one: for
+// equal (rate, horizon, seed) it yields exactly the arrival sequence
+// Poisson returns, one draw at a time. Bursty cannot stream — its
+// exact-rate thinning pass needs the full realization first.
 type PoissonStream struct {
 	rng           *rand.Rand
 	rate, horizon float64
